@@ -14,16 +14,24 @@ pairs at distance <= t, that saturates every summand too big to delete
 matchings, one saturating each side's mandatory summands; a single
 matching saturating both always exists when they do and is assembled from
 the two by walking their union's alternating paths and cycles.
+
+All of this runs on plain ints.  Each call scales both modules by
+S = 2*lcm(all finite denominators), which turns every endpoint, cost and
+candidate into an int with infinities as far-out sentinels; the answer is
+converted back to an ``ExtRational`` once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import compress
 
-from .interleaving import are_eps_interleaved, distance_to_zero, interval_distance
-from .intervals import EMPTY, ExtRational, POS_INF, Rational, ZERO, _as_fraction
+from .interleaving import distance_to_zero, interval_distance
+from .intervals import ExtRational, POS_INF, Rational, _as_fraction
 from .pmodule import PModule
 
 
@@ -92,12 +100,65 @@ def _check_cap(m: PModule, n: PModule) -> None:
         )
 
 
+def _lattice(m: PModule, n: PModule, eps: Fraction):
+    """Put every endpoint of both modules, and eps, on one integer lattice.
+
+    Each finite value is multiplied by S = 2*lcm(all finite denominators,
+    eps's denominator), so it becomes an int and every half-diameter stays
+    an int.  -inf and +inf become -big and +big, with big = 8*reach + 2,
+    where reach bounds |every scaled finite value| and the scaled eps.
+
+    Returns (S, scaled eps, reach, endpoint pairs of m, endpoint pairs of n).
+    """
+    finite = [
+        v.value
+        for s in (*m.summands, *n.summands)
+        for v in (s.lo.value, s.hi.value)
+        if v.is_finite
+    ]
+    scale = 2 * math.lcm(eps.denominator, *{f.denominator for f in finite})
+    e = eps.numerator * (scale // eps.denominator)
+    reach = max([e, *(abs(f.numerator) * (scale // f.denominator) for f in finite)])
+    big = 8 * reach + 2
+
+    def point(x: ExtRational) -> int:
+        if x.sign:
+            return x.sign * big
+        return x.value.numerator * (scale // x.value.denominator)
+
+    def pairs(module: PModule) -> list[tuple[int, int]]:
+        return [(point(s.lo.value), point(s.hi.value)) for s in module.summands]
+
+    return scale, e, reach, pairs(m), pairs(n)
+
+
 def _cost_tables(m: PModule, n: PModule):
+    """Pairwise and to-zero costs of the summands, as lattice ints.
+
+    The interval closed form min(max(|dlo|, |dhi|), max(diam)/2) runs on
+    the lattice points.  No finite cost exceeds fin = 2*reach, and every
+    cost the rationals call infinite is at least (big - reach)/2 > fin, so
+    a cost is finite iff it is <= fin.  Returns (costs, dtz_m, dtz_n, S, fin).
+    """
     _check_cap(m, n)
-    costs = [[interval_distance(a, b) for b in n.summands] for a in m.summands]
-    dtz_m = [distance_to_zero(a) for a in m.summands]
-    dtz_n = [distance_to_zero(b) for b in n.summands]
-    return costs, dtz_m, dtz_n
+    scale, _, reach, pts_m, pts_n = _lattice(m, n, Fraction(0))
+    dtz_m = [(hi - lo) // 2 for lo, hi in pts_m]
+    dtz_n = [(hi - lo) // 2 for lo, hi in pts_n]
+    cols = [(lo, hi, h) for (lo, hi), h in zip(pts_n, dtz_n)]
+    costs = []
+    # Plain comparisons instead of abs/max/min calls: this is the hot loop.
+    for (alo, ahi), ha in zip(pts_m, dtz_m):
+        row = []
+        for lo, hi, h in cols:
+            g = alo - lo if alo > lo else lo - alo
+            g_hi = ahi - hi if ahi > hi else hi - ahi
+            if g_hi > g:
+                g = g_hi
+            if ha > h:
+                h = ha
+            row.append(g if g < h else h)
+        costs.append(row)
+    return costs, dtz_m, dtz_n, scale, 2 * reach
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], list[int]]:
@@ -224,12 +285,13 @@ def _saturating_matching(
     mand_m = [i for i in range(m_size) if not deletable_m[i]]
     mand_n = [j for j in range(n_size) if not deletable_n[j]]
 
-    adj_m = [[j for j in range(n_size) if edge_ok[i][j]] for i in mand_m]
+    adj_m = [list(compress(range(n_size), edge_ok[i])) for i in mand_m]
     size_m, pair_l_m, _ = _hopcroft_karp(adj_m, n_size)
     if size_m < len(mand_m):
         return None
 
-    adj_n = [[i for i in range(m_size) if edge_ok[i][j]] for j in mand_n]
+    columns = list(zip(*edge_ok)) if m_size else [()] * n_size
+    adj_n = [list(compress(range(m_size), columns[j])) for j in mand_n]
     size_n, pair_l_n, _ = _hopcroft_karp(adj_n, m_size)
     if size_n < len(mand_n):
         return None
@@ -239,8 +301,8 @@ def _saturating_matching(
     return _combine_saturating(m1, m2, set(mand_m), set(mand_n))
 
 
-def _matching_at(costs, dtz_m, dtz_n, t: ExtRational) -> dict[int, int] | None:
-    """A matching realizing threshold t, or None when t is infeasible."""
+def _matching_at(costs, dtz_m, dtz_n, t: int) -> dict[int, int] | None:
+    """A matching realizing lattice threshold t, or None when t is infeasible."""
     edge_ok = [[c <= t for c in row] for row in costs]
     return _saturating_matching(
         edge_ok,
@@ -252,57 +314,91 @@ def _matching_at(costs, dtz_m, dtz_n, t: ExtRational) -> dict[int, int] | None:
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
-    all eps-interleaved with the zero module?"""
+    all eps-interleaved with the zero module?
+
+    This is the erosion criterion of ``are_eps_interleaved`` on lattice
+    keys: a lower endpoint at lattice point v keys as 2v when closed and
+    2v+1 when open, an upper one as 2v-1 when open and 2v when closed, so
+    key order is the decorated endpoint order and an interval is nonempty
+    iff its lower key is <= its upper key.  Eroding by eps adds 2e to the
+    lower key and subtracts 2e from the upper key; an infinite endpoint's
+    key moves too, but the sentinels of ``_lattice`` lie so far out that it
+    stays beyond every finite key, eroded or not.
+    """
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
     _check_cap(m, n)
+    _, e, _, pts_m, pts_n = _lattice(m, n, eps)
+
+    def keys(module: PModule, pts: list[tuple[int, int]]):
+        out = []
+        for s, (lo, hi) in zip(module.summands, pts):
+            low = 2 * lo + (0 if s.lo.closed else 1)
+            up = 2 * hi - (0 if s.hi.closed else 1)
+            low_e, up_e = low + 2 * e, up - 2 * e
+            out.append((low, up, low_e, up_e, low_e > up_e))
+        return out
+
+    keys_m, keys_n = keys(m, pts_m), keys(n, pts_n)
+    # Eroded a lies in b: it is empty, or b's keys enclose its eroded keys.
     edge_ok = [
-        [are_eps_interleaved(a, b, eps) for b in n.summands] for a in m.summands
+        [
+            (a_gone or (b_low <= a_low_e and a_up_e <= b_up))
+            and (b_gone or (a_low <= b_low_e and b_up_e <= a_up))
+            for b_low, b_up, b_low_e, b_up_e, b_gone in keys_n
+        ]
+        for a_low, a_up, a_low_e, a_up_e, a_gone in keys_m
     ]
-    deletable_m = [are_eps_interleaved(a, EMPTY, eps) for a in m.summands]
-    deletable_n = [are_eps_interleaved(b, EMPTY, eps) for b in n.summands]
-    return _saturating_matching(edge_ok, deletable_m, deletable_n) is not None
+    return _saturating_matching(
+        edge_ok, [k[4] for k in keys_m], [k[4] for k in keys_n]
+    ) is not None
+
+
+def _search(m: PModule, n: PModule):
+    """Binary search for the smallest feasible finite lattice candidate.
+
+    Returns (t, matching at t, S), with t and the matching None when no
+    finite threshold is feasible.
+    """
+    costs, dtz_m, dtz_n, scale, fin = _cost_tables(m, n)
+    candidates = {0, *dtz_m, *dtz_n}
+    for row in costs:
+        candidates.update(row)
+    ordered = sorted(c for c in candidates if c <= fin)
+
+    best = matching = None
+    lo, hi = 0, len(ordered) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        found = _matching_at(costs, dtz_m, dtz_n, ordered[mid])
+        if found is not None:
+            best, matching = ordered[mid], found
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return best, matching, scale
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
     """Exact interleaving (= bottleneck) distance between two modules."""
-    costs, dtz_m, dtz_n = _cost_tables(m, n)
-    candidates = {ZERO}
-    candidates.update(c for row in costs for c in row if c.is_finite)
-    candidates.update(c for c in dtz_m if c.is_finite)
-    candidates.update(c for c in dtz_n if c.is_finite)
-    ordered = sorted(candidates)
-
-    best = None
-    lo, hi = 0, len(ordered) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _matching_at(costs, dtz_m, dtz_n, ordered[mid]) is not None:
-            best = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        return POS_INF
-    return ordered[best]
+    t, _, scale = _search(m, n)
+    return POS_INF if t is None else ExtRational(Fraction(t, scale))
 
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
-    """A matching certificate whose threshold is the exact module distance."""
-    value = module_distance(m, n)
-    if not value.is_finite:
+    """A matching certificate whose threshold is the exact module distance:
+    the matching of the search's last feasible probe."""
+    t, matching, scale = _search(m, n)
+    if t is None:
         raise InfiniteDistanceError(
             "the modules are infinitely far apart; no certificate exists"
         )
-    costs, dtz_m, dtz_n = _cost_tables(m, n)
-    matching = _matching_at(costs, dtz_m, dtz_n, value)
-    assert matching is not None
     pairs = tuple(sorted(matching.items()))
     matched_m = {i for i, _ in pairs}
     matched_n = {j for _, j in pairs}
     return MatchingCertificate(
-        threshold=value,
+        threshold=ExtRational(Fraction(t, scale)),
         pairs=pairs,
         unmatched_m=tuple(i for i in range(len(m)) if i not in matched_m),
         unmatched_n=tuple(j for j in range(len(n)) if j not in matched_n),

@@ -128,7 +128,9 @@ def _cmd_contract(args) -> int:
 def _cmd_cert(args) -> int:
     m, n = _load_module(args.a), _load_module(args.b)
     cert = distance_certificate(m, n)
-    assert verify_certificate(m, n, cert)
+    if not verify_certificate(m, n, cert):
+        print("error: the computed certificate failed verification", file=sys.stderr)
+        return 1
     print(json.dumps(cert.to_json_obj(), sort_keys=True))
     return 0
 

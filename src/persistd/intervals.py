@@ -47,6 +47,11 @@ class ExtRational:
     Finite values are reduced fractions; the infinities are singleton-like
     values that compare outside every fraction.  Adding or subtracting a
     finite rational leaves an infinity unchanged.
+
+    Comparisons are between ``ExtRational`` values only: ``<``, ``<=``,
+    ``>`` and ``>=`` against a plain number raise ``TypeError``, and
+    ``==`` against one is ``False`` (``ExtRational(1) == 1`` is false).
+    Wrap the number first: ``x < ExtRational(2)``.
     """
 
     __slots__ = ("sign", "value")
@@ -92,22 +97,32 @@ class ExtRational:
     def _key(self) -> tuple[int, Fraction]:
         return (self.sign, self.value)
 
+    # The comparisons build the key tuple inline, not through _key(): every
+    # sort of summands runs them, and the call would cost more than the check.
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtRational):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.sign, self.value) == (other.sign, other.value)
 
     def __lt__(self, other: "ExtRational") -> bool:
-        return self._key() < other._key()
+        if not isinstance(other, ExtRational):
+            return NotImplemented
+        return (self.sign, self.value) < (other.sign, other.value)
 
     def __le__(self, other: "ExtRational") -> bool:
-        return self._key() <= other._key()
+        if not isinstance(other, ExtRational):
+            return NotImplemented
+        return (self.sign, self.value) <= (other.sign, other.value)
 
     def __gt__(self, other: "ExtRational") -> bool:
-        return self._key() > other._key()
+        if not isinstance(other, ExtRational):
+            return NotImplemented
+        return (self.sign, self.value) > (other.sign, other.value)
 
     def __ge__(self, other: "ExtRational") -> bool:
-        return self._key() >= other._key()
+        if not isinstance(other, ExtRational):
+            return NotImplemented
+        return (self.sign, self.value) >= (other.sign, other.value)
 
     def __hash__(self) -> int:
         return hash(self._key())

@@ -3,13 +3,26 @@
 Everything here reasons through pointwise membership at adaptively chosen
 rational sample points, never through the decorated-endpoint orders that
 the library itself uses, so an agreement between the two is evidence and
-not tautology.
+not tautology.  The exception is the reference module distance and
+decision at the end: the library's matching on tables of ``ExtRational``
+values from the per-interval functions, against which the integer-lattice
+kernel is checked.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from persistd import ExtRational, Interval, PModule
+from persistd import (
+    EMPTY,
+    ExtRational,
+    Interval,
+    PModule,
+    POS_INF,
+    are_eps_interleaved,
+    distance_to_zero,
+    interval_distance,
+)
+from persistd.bottleneck import _saturating_matching
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -113,3 +126,40 @@ def persistent_dimension(m: PModule, p: Fraction, x: Fraction) -> int:
 
 def module_dimension(m: PModule, x: Fraction) -> int:
     return sum(1 for s in m.summands if member(s, x))
+
+
+def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
+    """Module distance by binary search over candidates, every cost an
+    ``ExtRational`` from ``interval_distance`` and ``distance_to_zero``."""
+    costs = [[interval_distance(a, b) for b in n.summands] for a in m.summands]
+    dtz_m = [distance_to_zero(a) for a in m.summands]
+    dtz_n = [distance_to_zero(b) for b in n.summands]
+    candidates = {ExtRational(0), *dtz_m, *dtz_n, *(c for row in costs for c in row)}
+    ordered = sorted(c for c in candidates if c.is_finite)
+
+    def feasible(t):
+        return _saturating_matching(
+            [[c <= t for c in row] for row in costs],
+            [v <= t for v in dtz_m],
+            [v <= t for v in dtz_n],
+        ) is not None
+
+    best = POS_INF
+    lo, hi = 0, len(ordered) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            best, hi = ordered[mid], mid - 1
+        else:
+            lo = mid + 1
+    return best
+
+
+def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> bool:
+    """Module eps-decision with every pair decided by ``are_eps_interleaved``."""
+    edge_ok = [[are_eps_interleaved(a, b, eps) for b in n.summands] for a in m.summands]
+    return _saturating_matching(
+        edge_ok,
+        [are_eps_interleaved(a, EMPTY, eps) for a in m.summands],
+        [are_eps_interleaved(b, EMPTY, eps) for b in n.summands],
+    ) is not None

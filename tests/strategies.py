@@ -50,3 +50,36 @@ def modules(draw, max_summands=5, finite_only=True):
         for _ in range(count)
     ]
     return PModule(summands)
+
+
+# Denominators up to 2^41, the scale of a depth-40 Cauchy stage's distances.
+deep_fractions = st.sampled_from([1, 3, 7, 16, 2**20, 2**40, 2**41]).flatmap(
+    lambda den: st.builds(Fraction, st.integers(-6 * den, 6 * den), st.just(den))
+)
+
+
+@st.composite
+def lattice_intervals(draw):
+    """Nonempty intervals of every shape: finite with mixed decorations,
+    singletons, half-lines, the whole line; endpoints on small grids or
+    with deep denominators."""
+    values = st.one_of(grid_fractions, deep_fractions)
+    a, b = sorted((draw(values), draw(values)))
+    kind = draw(st.sampled_from(["finite", "finite", "singleton", "left", "right", "line"]))
+    if kind == "singleton":
+        return singleton(a)
+    lo = (
+        Endpoint(NEG_INF, False)
+        if kind in ("left", "line")
+        else Endpoint(ExtRational(a), draw(st.booleans()))
+    )
+    hi = (
+        Endpoint(POS_INF, False)
+        if kind in ("right", "line")
+        else Endpoint(ExtRational(b), draw(st.booleans()))
+    )
+    out = make_interval(lo, hi)
+    return singleton(a) if out.is_empty else out
+
+
+lattice_modules = st.lists(lattice_intervals(), max_size=4).map(PModule)

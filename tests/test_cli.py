@@ -181,6 +181,14 @@ class TestCert:
         code, _, err = run(capsys, "cert", a, b)
         assert code == 1 and "infinitely far" in err
 
+    def test_unverified_certificate_is_failure_exit(self, capsys, module_file, monkeypatch):
+        # The self-check is real code, so it also runs under python -O.
+        monkeypatch.setattr("persistd.cli.verify_certificate", lambda m, n, cert: False)
+        a = module_file("a.json", "[0,1)", "[5,9)")
+        b = module_file("b.json", "[0,1)")
+        code, out, err = run(capsys, "cert", a, b)
+        assert code == 1 and out == "" and "failed verification" in err
+
 
 class TestVerify:
     def test_suite_passes(self, capsys):

@@ -46,6 +46,23 @@ class TestExtRational:
         assert POS_INF.gap(ExtRational(0)) == POS_INF
         assert POS_INF.gap(NEG_INF) == POS_INF
 
+    @pytest.mark.parametrize("other", [Fraction(2), 2])
+    def test_ordering_against_plain_numbers_raises(self, other):
+        for compare in (
+            lambda: ExtRational(1) < other,
+            lambda: ExtRational(1) <= other,
+            lambda: ExtRational(1) > other,
+            lambda: ExtRational(1) >= other,
+            lambda: other > POS_INF,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_equality_against_plain_numbers_is_false(self):
+        assert ExtRational(1) != 1
+        assert ExtRational(Fraction(1, 2)) != Fraction(1, 2)
+        assert ExtRational(1) < ExtRational(Fraction(2))
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             ExtRational(0.5)

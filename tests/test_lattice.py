@@ -1,0 +1,94 @@
+"""Differential tests: the integer-lattice kernel against the ExtRational
+reference in ``oracles``.  Distances and decisions must agree exactly."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+
+from persistd import (
+    ExtRational,
+    PModule,
+    cauchy_witness,
+    distance_certificate,
+    distance_to_zero,
+    interval_distance,
+    module_distance,
+    modules_eps_interleaved,
+    verify_certificate,
+)
+
+from oracles import reference_module_distance, reference_modules_eps_interleaved
+from strategies import lattice_modules
+
+
+def lattice_scale(m: PModule, n: PModule) -> int:
+    """2 * lcm of every finite endpoint denominator of both modules."""
+    dens = [
+        ep.value.as_fraction.denominator
+        for s in (*m.summands, *n.summands)
+        for ep in (s.lo, s.hi)
+        if ep.value.is_finite
+    ]
+    return 2 * math.lcm(1, *dens)
+
+
+def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
+    """0, every finite pairwise distance and every finite to-zero distance."""
+    values = {ExtRational(0)}
+    values.update(interval_distance(a, b) for a in m.summands for b in n.summands)
+    values.update(distance_to_zero(s) for s in (*m.summands, *n.summands))
+    return {v.as_fraction for v in values if v.is_finite}
+
+
+@given(lattice_modules, lattice_modules)
+@settings(max_examples=150)
+def test_distance_equals_reference(m, n):
+    d = module_distance(m, n)
+    assert d == reference_module_distance(m, n)
+    if d.is_finite:
+        cert = distance_certificate(m, n)
+        assert cert.threshold == d
+        assert verify_certificate(m, n, cert)
+
+
+@given(lattice_modules, lattice_modules)
+@settings(max_examples=60)
+def test_decision_equals_reference_at_and_around_candidates(m, n):
+    step = Fraction(1, 4 * lattice_scale(m, n))
+    for d in candidate_values(m, n):
+        for eps in (d - step, d, d + step):
+            if eps >= 0:
+                assert modules_eps_interleaved(m, n, eps) == (
+                    reference_modules_eps_interleaved(m, n, eps)
+                ), (str(eps), m.to_json(), n.to_json())
+
+
+def test_deep_cauchy_stages():
+    stages = {k: cauchy_witness(k) for k in (0, 1, 39, 40)}
+    for a in stages:
+        for b in stages:
+            expected = ExtRational(Fraction(1, 2 ** (min(a, b) + 1))) if a != b else ExtRational(0)
+            assert module_distance(stages[a], stages[b]) == expected
+    m, n = stages[40], stages[39]
+    d = Fraction(1, 2**40)
+    step = Fraction(1, 4 * lattice_scale(m, n))
+    for eps in (d - step, d, d + step):
+        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
+    assert not modules_eps_interleaved(m, n, d - step)
+    assert modules_eps_interleaved(m, n, d + step)
+
+
+def test_whole_line_and_half_lines():
+    line = PModule.of("(-inf,inf)")
+    left = PModule.of("(-inf,3/7]")
+    right = PModule.of("[5,inf)")
+    for m in (line, left, right, PModule.zero(), PModule.of("[2,2]")):
+        for n in (line, left, right, PModule.of("(-inf,1)"), PModule.of("(0,inf)")):
+            assert module_distance(m, n) == reference_module_distance(m, n)
+            for eps in (Fraction(0), Fraction(1, 2), Fraction(1000)):
+                assert modules_eps_interleaved(m, n, eps) == (
+                    reference_modules_eps_interleaved(m, n, eps)
+                )
+    assert module_distance(line, line) == ExtRational(0)
+    assert module_distance(left, PModule.of("(-inf,1)")) == ExtRational(Fraction(4, 7))
