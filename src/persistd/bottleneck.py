@@ -11,9 +11,11 @@ is monotone, so the distance is the smallest feasible candidate by binary
 search.  A threshold t is feasible iff there is a matching, using only
 pairs at distance <= t, that saturates every summand too big to delete
 (to-zero distance > t).  That is decided by two plain maximum-cardinality
-matchings, one saturating each side's mandatory summands; a single
-matching saturating both always exists when they do and is assembled from
-the two by walking their union's alternating paths and cycles.
+matchings, one saturating each side's mandatory summands.  A single
+matching saturating both exists when they do: start from the first, and
+from each mandatory summand of the second module that it leaves free,
+walk the alternating path of their union and swap in the second
+matching's edges along it.
 
 All of this runs on plain ints.  Each call scales both modules by
 S = 2*lcm(all finite denominators), which turns every endpoint, cost and
@@ -226,54 +228,6 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], 
     return size, pair_l, pair_r
 
 
-def _combine_saturating(
-    m1: dict[int, int],
-    m2: dict[int, int],
-    mandatory_l: set[int],
-    mandatory_r: set[int],
-) -> dict[int, int]:
-    """Merge a matching saturating the mandatory left vertices with one
-    saturating the mandatory right vertices into a single matching that
-    saturates both.  Components of the union are alternating paths or
-    cycles; in each one, at least one of the two edge sets covers all of
-    the component's mandatory vertices."""
-    edges1 = set(m1.items())
-    edges2 = set(m2.items())
-    by_left: dict[int, list[tuple[int, int]]] = {}
-    by_right: dict[int, list[tuple[int, int]]] = {}
-    for e in edges1 | edges2:
-        by_left.setdefault(e[0], []).append(e)
-        by_right.setdefault(e[1], []).append(e)
-
-    chosen: dict[int, int] = {}
-    seen: set[tuple[int, int]] = set()
-    for start in edges1 | edges2:
-        if start in seen:
-            continue
-        component = []
-        stack = [start]
-        while stack:
-            e = stack.pop()
-            if e in seen:
-                continue
-            seen.add(e)
-            component.append(e)
-            stack.extend(by_left[e[0]])
-            stack.extend(by_right[e[1]])
-        for pick in (edges1, edges2):
-            picked = [e for e in component if e in pick]
-            left_cov = {e[0] for e in picked}
-            right_cov = {e[1] for e in picked}
-            comp_left = {e[0] for e in component} & mandatory_l
-            comp_right = {e[1] for e in component} & mandatory_r
-            if comp_left <= left_cov and comp_right <= right_cov:
-                chosen.update(picked)
-                break
-        else:  # pragma: no cover - ruled out by the alternating structure
-            raise AssertionError("no side of an alternating component covers it")
-    return chosen
-
-
 def _saturating_matching(
     edge_ok: list[list[bool]],
     deletable_m: list[bool],
@@ -296,9 +250,24 @@ def _saturating_matching(
     if size_n < len(mand_n):
         return None
 
-    m1 = {mand_m[k]: pair_l_m[k] for k in range(len(mand_m))}
-    m2 = {pair_l_n[k]: mand_n[k] for k in range(len(mand_n))}
-    return _combine_saturating(m1, m2, set(mand_m), set(mand_n))
+    # Mendelsohn-Dulmage: start from M1, the matching that saturates the
+    # mandatory M summands.  A mandatory N summand that M1 leaves free ends
+    # a path alternating between M2 (the matching that saturates the
+    # mandatory N summands) and M1 edges, and no other path or cycle of
+    # their union holds one; swap in M2's edges along it.  Each step gives
+    # j its M2 partner i and moves on to i's old M1 partner.  The walk stops
+    # at a summand with no M2 edge (not mandatory) or at an i without an M1
+    # edge.
+    chosen = {i: pair_l_m[k] for k, i in enumerate(mand_m)}
+    m2 = {j: pair_l_n[k] for k, j in enumerate(mand_n)}
+    covered = set(chosen.values())
+    for j in mand_n:
+        if j in covered:
+            continue
+        while j in m2:
+            i = m2[j]
+            j, chosen[i] = chosen.get(i), j
+    return chosen
 
 
 def _matching_at(costs, dtz_m, dtz_n, t: int) -> dict[int, int] | None:

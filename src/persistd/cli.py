@@ -24,7 +24,6 @@ from .bottleneck import (
     verify_certificate,
 )
 from .families import (
-    ClassMismatchError,
     INCLUSIONS,
     binary_sequence_module,
     cauchy_witness,
@@ -33,16 +32,9 @@ from .families import (
     replicate,
     staircase,
 )
-from .intervals import (
-    ExtRational,
-    IntervalParseError,
-    MalformedIntervalError,
-    OrderingError,
-    parse_interval,
-)
-from .maps import NoNonzeroMapError
-from .pmodule import ModuleFormatError, PModule, parse_module
-from .verify import SUITE_NAMES, run_suite
+from .intervals import ExtRational, _as_fraction, parse_interval
+from .pmodule import PModule, parse_module
+from .verify import _PARAM_CONVERTERS, SUITE_NAMES, run_suite
 
 
 def _load_module(path: str) -> PModule:
@@ -55,7 +47,7 @@ def _load_module(path: str) -> PModule:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational p/q or integer, got {text!r}") from None
 
@@ -162,15 +154,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_VERIFY_PARAM_FLAGS = (
-    "N", "length", "grid", "k", "depth", "trunc",
-    "eps", "z", "c", "d", "lo", "hi", "p", "max_den", "max_summands",
-)
-
-
 def _cmd_verify(args) -> int:
     params = {}
-    for name in _VERIFY_PARAM_FLAGS:
+    for name in _PARAM_CONVERTERS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
@@ -264,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--json", action="store_true", help="emit the JSON report")
-    for name in _VERIFY_PARAM_FLAGS:
+    for name in _PARAM_CONVERTERS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -283,16 +269,7 @@ def cli_main(argv=None) -> int:
     except InfiniteDistanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        IntervalParseError,
-        MalformedIntervalError,
-        ModuleFormatError,
-        OrderingError,
-        NoNonzeroMapError,
-        ClassMismatchError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

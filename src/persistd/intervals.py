@@ -16,6 +16,7 @@ Infinite endpoints are always open: intervals are subsets of the real line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,24 @@ class OrderingError(ValueError):
 Rational = Fraction | int
 
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Rational text in the documented grammar: an optionally signed integer
+    or p/q, with optional surrounding whitespace.  Decimals, exponents and
+    digit underscores are refused, so short text cannot ask for a huge power
+    of ten.  A zero denominator raises ``ZeroDivisionError``."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected p/q or an integer, got {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def _as_fraction(x: Rational | str) -> Fraction:
+    if isinstance(x, str):
+        return _parse_fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not accepted; pass Fraction, int or 'p/q'")
     return Fraction(x)
@@ -67,7 +85,7 @@ class ExtRational:
                 sign, val = -1, Fraction(0)
             else:
                 try:
-                    sign, val = 0, Fraction(text)
+                    sign, val = 0, _parse_fraction(text)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"not an extended rational: {value!r}") from exc
         else:
@@ -385,11 +403,9 @@ def residuals(j: Interval, i: Interval) -> tuple[Interval, Interval]:
 
 def _parse_ext(token: str, text: str, what: str) -> ExtRational:
     token = token.strip()
-    if token in ("inf", "+inf", "-inf"):
-        return ExtRational(token)
     try:
-        return ExtRational(Fraction(token))
-    except (ValueError, ZeroDivisionError):
+        return ExtRational(token)
+    except ValueError:
         raise IntervalParseError(
             f"bad {what} endpoint {token!r} in interval {text!r}: "
             "expected p/q, an integer, inf or -inf"

@@ -42,6 +42,7 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     ZERO,
+    _as_fraction,
     interval,
     make_interval,
     parse_interval,
@@ -636,22 +637,23 @@ _SUITES: dict[str, tuple[dict, tuple[PropertyCheck, ...]]] = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
+# Also the CLI's ``verify`` flags, in ``--help`` order.
 _PARAM_CONVERTERS: dict[str, Callable] = {
-    "lo": Fraction,
-    "hi": Fraction,
-    "c": Fraction,
-    "d": Fraction,
-    "z": Fraction,
-    "eps": Fraction,
-    "grid": int,
-    "max_den": int,
-    "max_summands": int,
     "N": int,
     "length": int,
+    "grid": int,
     "k": int,
-    "trunc": int,
     "depth": int,
-    "p": lambda v: tuple(Fraction(x) for x in (v.split(",") if isinstance(v, str) else v)),
+    "trunc": int,
+    "eps": _as_fraction,
+    "z": _as_fraction,
+    "c": _as_fraction,
+    "d": _as_fraction,
+    "lo": _as_fraction,
+    "hi": _as_fraction,
+    "p": lambda v: tuple(_as_fraction(x) for x in (v.split(",") if isinstance(v, str) else v)),
+    "max_den": int,
+    "max_summands": int,
 }
 
 

@@ -22,7 +22,7 @@ from persistd import (
     replicate,
     verify_certificate,
 )
-from persistd.bottleneck import _hopcroft_karp
+from persistd.bottleneck import _hopcroft_karp, _saturating_matching
 
 from strategies import modules
 
@@ -247,3 +247,42 @@ def test_hopcroft_karp_maximum(seed):
     for u, v in matched:
         assert v in adj[u]
         assert pair_r[v] == u
+
+
+def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
+    """Is there a matching on allowed edges covering every mandatory
+    vertex?  Tries every partner (or none) for each left vertex in turn."""
+    n_right = len(edge_ok[0]) if edge_ok else 0
+
+    def extend(i, used):
+        if i == len(edge_ok):
+            return mand_n <= used
+        if i not in mand_m and extend(i + 1, used):
+            return True
+        return any(
+            extend(i + 1, used | {j})
+            for j in range(n_right)
+            if edge_ok[i][j] and j not in used
+        )
+
+    return extend(0, frozenset())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_saturating_matching_against_bruteforce(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
+        density, deletable = rng.random(), rng.random()
+        edge_ok = [[rng.random() < density for _ in range(n_n)] for _ in range(n_m)]
+        del_m = [rng.random() < deletable for _ in range(n_m)]
+        del_n = [rng.random() < deletable for _ in range(n_n)]
+        mand_m = {i for i in range(n_m) if not del_m[i]}
+        mand_n = {j for j in range(n_n) if not del_n[j]}
+        found = _saturating_matching(edge_ok, del_m, del_n)
+        assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
+        if found is None:
+            continue
+        assert len(set(found.values())) == len(found)
+        assert all(edge_ok[i][j] for i, j in found.items())
+        assert mand_m <= found.keys() and mand_n <= set(found.values())

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from persistd import MatchingCertificate, PModule, parse_module, verify_certificate
-from persistd.cli import cli_main
+from persistd.cli import build_parser, cli_main
+from persistd.verify import _PARAM_CONVERTERS
 
 
 @pytest.fixture
@@ -59,6 +60,12 @@ class TestDist:
         ok.write_text(PModule.of("[0,1)").to_json())
         code, _, err = run(capsys, "dist", str(bad), str(ok))
         assert code == 2 and "[2,1)" in err
+
+    def test_exponent_endpoint_fails_fast(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"summands":[{"interval":"[0,1e6000000)"}]}')
+        code, _, err = run(capsys, "dist", str(bad), str(bad))
+        assert code == 2 and "expected p/q" in err
 
 
 class TestInterleaved:
@@ -214,6 +221,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "cube-isometry", "--N", "many")
         assert code == 2 and "bad value" in err
 
+    def test_flags_are_the_param_converters(self):
+        verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+        flags = {a.dest for a in verify._actions if a.option_strings}
+        assert flags - {"help", "seed", "trials", "json"} == set(_PARAM_CONVERTERS)
+
 
 class TestCap:
     def test_env_cap_respected(self, capsys, module_file, monkeypatch):
@@ -221,6 +233,27 @@ class TestCap:
         a = module_file("a.json", "[0,1)")
         code, _, err = run(capsys, "dist", a, a)
         assert code == 2 and "vertex cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interleaved", "--eps", "1e-3", "M", "M"],
+        ["interleaved", "--eps", "0.5", "M", "M"],
+        ["persist", "--p", "1_0", "M"],
+        ["contract", "--t", "5e-1", "M"],
+        ["classify", "--bounds", "0,1e3", "M"],
+        ["gen", "cube", "--x", "0,1e-3"],
+        ["gen", "replicate", "--interval", "[0,1e3)", "--count", "2"],
+        ["gen", "witness", "--module", "M", "--inclusion", "ffid_in_cfid", "--eps", "1e9"],
+        ["verify", "open-witness", "--eps", "1e9"],
+        ["verify", "not-totally-bounded", "--d", "1.5"],
+    ],
+)
+def test_off_grammar_rational_is_usage_error(capsys, module_file, argv):
+    path = module_file("m.json", "[0,1)")
+    code, out, err = run(capsys, *(path if a == "M" else a for a in argv))
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_help_exits_zero(capsys):

@@ -116,6 +116,24 @@ class TestParse:
         with pytest.raises((IntervalParseError, MalformedIntervalError)):
             iv(text)
 
+    # Fraction() would take these; the grammar is p/q or an integer, and an
+    # exponent could ask for a power of ten with millions of digits.
+    @pytest.mark.parametrize("text", ["[0,1.5)", "[0,1e3)", "[1_0,20)", "[0,1e6000000)"])
+    def test_off_grammar_numbers_rejected(self, text):
+        with pytest.raises(IntervalParseError, match="expected p/q"):
+            iv(text)
+
+    def test_signs_and_spaces_accepted(self):
+        assert iv("[-3/4, +2)") == interval(Fraction(-3, 4), 2, "[)")
+        assert iv("( 1/2 ,1]") == interval(Fraction(1, 2), 1, "(]")
+        assert ExtRational(" 1/2 ") == ExtRational(Fraction(1, 2))
+        assert ExtRational("+inf") == POS_INF
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1_0", "0x10", "1/-2", "--1", "inf/2"])
+    def test_ext_rational_text_is_strict(self, text):
+        with pytest.raises(ValueError, match="not an extended rational"):
+            ExtRational(text)
+
 
 class TestIntersect:
     def test_overlap(self):
