@@ -17,23 +17,21 @@ from each mandatory summand of the second module that it leaves free,
 walk the alternating path of their union and swap in the second
 matching's edges along it.
 
-All of this runs on plain ints.  Each call scales both modules by
-S = 2*lcm(all finite denominators), which turns every endpoint, cost and
-candidate into an int with infinities as far-out sentinels; the answer is
-converted back to an ``ExtRational`` once, at the end.
+All of this runs on plain ints, on the lattice of ``interleaving._lattice``
+(every endpoint times S = 2*lcm(all finite denominators), infinities as
+far-out sentinels); the answer becomes an ``ExtRational`` once, at the end.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .interleaving import distance_to_zero, interval_distance
-from .intervals import ExtRational, POS_INF, Rational, _as_fraction
+from .interleaving import _cost_table, _decision_table, distance_to_zero, interval_distance
+from .intervals import ExtRational, POS_INF, Rational
 from .pmodule import PModule
 
 
@@ -102,65 +100,10 @@ def _check_cap(m: PModule, n: PModule) -> None:
         )
 
 
-def _lattice(m: PModule, n: PModule, eps: Fraction):
-    """Put every endpoint of both modules, and eps, on one integer lattice.
-
-    Each finite value is multiplied by S = 2*lcm(all finite denominators,
-    eps's denominator), so it becomes an int and every half-diameter stays
-    an int.  -inf and +inf become -big and +big, with big = 8*reach + 2,
-    where reach bounds |every scaled finite value| and the scaled eps.
-
-    Returns (S, scaled eps, reach, endpoint pairs of m, endpoint pairs of n).
-    """
-    finite = [
-        v.value
-        for s in (*m.summands, *n.summands)
-        for v in (s.lo.value, s.hi.value)
-        if v.is_finite
-    ]
-    scale = 2 * math.lcm(eps.denominator, *{f.denominator for f in finite})
-    e = eps.numerator * (scale // eps.denominator)
-    reach = max([e, *(abs(f.numerator) * (scale // f.denominator) for f in finite)])
-    big = 8 * reach + 2
-
-    def point(x: ExtRational) -> int:
-        if x.sign:
-            return x.sign * big
-        return x.value.numerator * (scale // x.value.denominator)
-
-    def pairs(module: PModule) -> list[tuple[int, int]]:
-        return [(point(s.lo.value), point(s.hi.value)) for s in module.summands]
-
-    return scale, e, reach, pairs(m), pairs(n)
-
-
 def _cost_tables(m: PModule, n: PModule):
-    """Pairwise and to-zero costs of the summands, as lattice ints.
-
-    The interval closed form min(max(|dlo|, |dhi|), max(diam)/2) runs on
-    the lattice points.  No finite cost exceeds fin = 2*reach, and every
-    cost the rationals call infinite is at least (big - reach)/2 > fin, so
-    a cost is finite iff it is <= fin.  Returns (costs, dtz_m, dtz_n, S, fin).
-    """
+    """``interleaving._cost_table`` of the summands, under the vertex cap."""
     _check_cap(m, n)
-    scale, _, reach, pts_m, pts_n = _lattice(m, n, Fraction(0))
-    dtz_m = [(hi - lo) // 2 for lo, hi in pts_m]
-    dtz_n = [(hi - lo) // 2 for lo, hi in pts_n]
-    cols = [(lo, hi, h) for (lo, hi), h in zip(pts_n, dtz_n)]
-    costs = []
-    # Plain comparisons instead of abs/max/min calls: this is the hot loop.
-    for (alo, ahi), ha in zip(pts_m, dtz_m):
-        row = []
-        for lo, hi, h in cols:
-            g = alo - lo if alo > lo else lo - alo
-            g_hi = ahi - hi if ahi > hi else hi - ahi
-            if g_hi > g:
-                g = g_hi
-            if ha > h:
-                h = ha
-            row.append(g if g < h else h)
-        costs.append(row)
-    return costs, dtz_m, dtz_n, scale, 2 * reach
+    return _cost_table(m.summands, n.summands)
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], list[int]]:
@@ -283,45 +226,11 @@ def _matching_at(costs, dtz_m, dtz_n, t: int) -> dict[int, int] | None:
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
-    all eps-interleaved with the zero module?
-
-    This is the erosion criterion of ``are_eps_interleaved`` on lattice
-    keys: a lower endpoint at lattice point v keys as 2v when closed and
-    2v+1 when open, an upper one as 2v-1 when open and 2v when closed, so
-    key order is the decorated endpoint order and an interval is nonempty
-    iff its lower key is <= its upper key.  Eroding by eps adds 2e to the
-    lower key and subtracts 2e from the upper key; an infinite endpoint's
-    key moves too, but the sentinels of ``_lattice`` lie so far out that it
-    stays beyond every finite key, eroded or not.
-    """
-    eps = _as_fraction(eps)
-    if eps < 0:
-        raise ValueError(f"interleaving needs eps >= 0, got {eps}")
+    all eps-interleaved with the zero module?  Pairs are decided as in
+    ``are_eps_interleaved``, by ``interleaving._decision_table``."""
     _check_cap(m, n)
-    _, e, _, pts_m, pts_n = _lattice(m, n, eps)
-
-    def keys(module: PModule, pts: list[tuple[int, int]]):
-        out = []
-        for s, (lo, hi) in zip(module.summands, pts):
-            low = 2 * lo + (0 if s.lo.closed else 1)
-            up = 2 * hi - (0 if s.hi.closed else 1)
-            low_e, up_e = low + 2 * e, up - 2 * e
-            out.append((low, up, low_e, up_e, low_e > up_e))
-        return out
-
-    keys_m, keys_n = keys(m, pts_m), keys(n, pts_n)
-    # Eroded a lies in b: it is empty, or b's keys enclose its eroded keys.
-    edge_ok = [
-        [
-            (a_gone or (b_low <= a_low_e and a_up_e <= b_up))
-            and (b_gone or (a_low <= b_low_e and b_up_e <= a_up))
-            for b_low, b_up, b_low_e, b_up_e, b_gone in keys_n
-        ]
-        for a_low, a_up, a_low_e, a_up_e, a_gone in keys_m
-    ]
-    return _saturating_matching(
-        edge_ok, [k[4] for k in keys_m], [k[4] for k in keys_n]
-    ) is not None
+    edge_ok, gone_m, gone_n = _decision_table(m.summands, n.summands, eps)
+    return _saturating_matching(edge_ok, gone_m, gone_n) is not None
 
 
 def _search(m: PModule, n: PModule):

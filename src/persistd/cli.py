@@ -4,14 +4,17 @@ All output is exact text; rationals print as ``p/q`` (reduced) or integers
 and ``inf`` is the only non-rational token.  The optional ``--approx`` flag
 adds a clearly marked decimal rendering for human convenience.
 
-Exit codes: 0 on success, 1 on a property/verification failure, 2 on a
-usage or parse error.
+Exit codes: 0 on success, 1 on a property/verification failure or when
+stdout is closed before all output is written (a broken pipe, as in
+``persistd gen staircase --n 5000 | head -c 10``), 2 on a usage or parse
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +35,7 @@ from .families import (
     replicate,
     staircase,
 )
-from .intervals import ExtRational, _as_fraction, parse_interval
+from .intervals import ExtRational, _as_fraction, _as_int, parse_interval
 from .pmodule import PModule, parse_module
 from .verify import _PARAM_CONVERTERS, SUITE_NAMES, run_suite
 
@@ -50,6 +53,13 @@ def _fraction(text: str) -> Fraction:
         return _as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational p/q or integer, got {text!r}") from None
+
+
+def _int(text: str) -> int:
+    try:
+        return _as_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fraction_pair(text: str) -> tuple[Fraction, Fraction]:
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="family", required=True)
 
     g = gen_sub.add_parser("cube", help="cube-point module")
-    g.add_argument("--n", type=int, help="dimension (default: number of coordinates)")
+    g.add_argument("--n", type=_int, help="dimension (default: number of coordinates)")
     g.add_argument("--x", required=True, help="coordinates 'x1,x2,...' as rationals")
     g.set_defaults(func=_cmd_gen)
 
@@ -225,30 +235,30 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("cauchy", help="Cauchy-sequence stage")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_int, required=True)
     g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("staircase", help="staircase stage")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_int, required=True)
     g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("replicate", help="copies of one interval")
     g.add_argument("--interval", required=True, help="interval text such as '[0,1)'")
-    g.add_argument("--count", type=int, required=True)
+    g.add_argument("--count", type=_int, required=True)
     g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("witness", help="open-subset witness module")
     g.add_argument("--module", required=True, help="module JSON file")
     g.add_argument("--inclusion", required=True, choices=INCLUSIONS)
     g.add_argument("--eps", required=True)
-    g.add_argument("--trunc", type=int, default=3)
+    g.add_argument("--trunc", type=_int, default=3)
     g.add_argument("--bounds", help="class bounds 'c,d' (ffid_cd_in_ffid)")
     g.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--trials", type=_int, default=100)
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     for name in _PARAM_CONVERTERS:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
@@ -265,7 +275,15 @@ def cli_main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows up here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, so the flush at
+        # shutdown does not fail again (the recipe in the Python ``signal``
+        # docs), and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InfiniteDistanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

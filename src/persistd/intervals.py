@@ -51,6 +51,21 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def _as_int(x: int | str) -> int:
+    """An int, or integer text in the grammar of ``_parse_fraction``: an
+    optionally signed run of ASCII digits with optional surrounding
+    whitespace.  Digit underscores, non-ASCII digits and floats, all of
+    which ``int()`` takes, are refused."""
+    if isinstance(x, str):
+        match = _RATIONAL_TEXT.fullmatch(x)
+        if match is None or match[2] is not None:
+            raise ValueError(f"expected an integer, got {x!r}")
+        return int(match[1])
+    if not isinstance(x, int):
+        raise TypeError(f"expected an int or integer text, got {x!r}")
+    return int(x)
+
+
 def _as_fraction(x: Rational | str) -> Fraction:
     if isinstance(x, str):
         return _parse_fraction(x)

@@ -43,6 +43,7 @@ from .intervals import (
     POS_INF,
     ZERO,
     _as_fraction,
+    _as_int,
     interval,
     make_interval,
     parse_interval,
@@ -165,10 +166,6 @@ def _mod_case(m: PModule) -> dict:
 
 def _mod(case_obj) -> PModule:
     return PModule.from_json_obj(case_obj)
-
-
-def _frac(value) -> Fraction:
-    return Fraction(value) if not isinstance(value, Fraction) else value
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +311,8 @@ def _gen_cube_pair(rng, params, trial):
 
 def _check_cube_isometry(case) -> bool:
     n = case["n"]
-    x = [Fraction(v) for v in case["x"]]
-    y = [Fraction(v) for v in case["y"]]
+    x = [_as_fraction(v) for v in case["x"]]
+    y = [_as_fraction(v) for v in case["y"]]
     expected = ExtRational(max(abs(a - b) for a, b in zip(x, y)))
     got = bottleneck.module_distance(cube_point_module(n, x), cube_point_module(n, y))
     return got == expected
@@ -347,7 +344,7 @@ def _gen_ntb(rng, params, trial):
 
 
 def _check_ntb(case) -> bool:
-    c, d, k = _frac(case["c"]), _frac(case["d"]), case["k"]
+    c, d, k = _as_fraction(case["c"]), _as_fraction(case["d"]), case["k"]
     half = ExtRational(Fraction(d - c, 2))
     piece = interval(c, d, "[)")
     mods = [replicate(piece, n) for n in range(k + 1)]
@@ -377,7 +374,7 @@ def _gen_module_with_p(rng, params, trial):
 def _check_p_persistent(case) -> bool:
     m = _mod(case["m"])
     for p_text in case["p"]:
-        p = Fraction(p_text)
+        p = _as_fraction(p_text)
         if bottleneck.module_distance(m, m.persistent_submodule(p)) > ExtRational(p):
             return False
     return True
@@ -396,7 +393,7 @@ def _gen_contraction(rng, params, trial):
 
 def _check_contraction_lipschitz(case) -> bool:
     m = _mod(case["m"])
-    s, t = Fraction(case["s"]), Fraction(case["t"])
+    s, t = _as_fraction(case["s"]), _as_fraction(case["t"])
     h_max = max((x.diameter().half() for x in m.summands), default=ZERO)
     bound = ExtRational((t - s) * h_max.as_fraction)
     got = bottleneck.module_distance(m.contraction_path(s), m.contraction_path(t))
@@ -419,8 +416,8 @@ def _gen_open_witness(rng, params, trial):
 
 def _check_open_witness(case) -> bool:
     m = _mod(case["m"])
-    eps = Fraction(case["eps"])
-    bounds = (Fraction(case["c"]), Fraction(case["d"]))
+    eps = _as_fraction(case["eps"])
+    bounds = (_as_fraction(case["c"]), _as_fraction(case["d"]))
     witness = open_subset_witness(
         m, case["inclusion"], eps, case["trunc"], bounds=bounds
     )
@@ -435,13 +432,13 @@ def _gen_enveloping(rng, params, trial):
 
 def _check_env_bounded(case) -> bool:
     m = _mod(case["m"])
-    c, d = Fraction(case["c"]), Fraction(case["d"])
+    c, d = _as_fraction(case["c"]), _as_fraction(case["d"])
     half = ExtRational(Fraction(d - c, 2))
     return bottleneck.module_distance(m, PModule.zero()) <= half
 
 
 def _check_env_attained(case) -> bool:
-    c, d = Fraction(case["c"]), Fraction(case["d"])
+    c, d = _as_fraction(case["c"]), _as_fraction(case["d"])
     full = PModule([interval(c, d, "[]")])
     return bottleneck.module_distance(full, PModule.zero()) == ExtRational(
         Fraction(d - c, 2)
@@ -450,7 +447,7 @@ def _check_env_attained(case) -> bool:
 
 def _check_env_shifted(case) -> bool:
     m = _mod(case["m"])
-    d, z = Fraction(case["d"]), Fraction(case["z"])
+    d, z = _as_fraction(case["d"]), _as_fraction(case["z"])
     outside = PModule([interval(d, d + 2 * z, "(]")])
     return bottleneck.module_distance(m, outside) >= ExtRational(z)
 
@@ -491,7 +488,7 @@ def _gen_non_t0(rng, params, trial):
 
 def _check_non_t0(case) -> bool:
     m = _mod(case["m"])
-    bigger = m.direct_sum(PModule([singleton(Fraction(case["r"]))]))
+    bigger = m.direct_sum(PModule([singleton(_as_fraction(case["r"]))]))
     return bottleneck.module_distance(m, bigger) == ZERO
 
 
@@ -639,12 +636,12 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 
 # Also the CLI's ``verify`` flags, in ``--help`` order.
 _PARAM_CONVERTERS: dict[str, Callable] = {
-    "N": int,
-    "length": int,
-    "grid": int,
-    "k": int,
-    "depth": int,
-    "trunc": int,
+    "N": _as_int,
+    "length": _as_int,
+    "grid": _as_int,
+    "k": _as_int,
+    "depth": _as_int,
+    "trunc": _as_int,
     "eps": _as_fraction,
     "z": _as_fraction,
     "c": _as_fraction,
@@ -652,8 +649,8 @@ _PARAM_CONVERTERS: dict[str, Callable] = {
     "lo": _as_fraction,
     "hi": _as_fraction,
     "p": lambda v: tuple(_as_fraction(x) for x in (v.split(",") if isinstance(v, str) else v)),
-    "max_den": int,
-    "max_summands": int,
+    "max_den": _as_int,
+    "max_summands": _as_int,
 }
 
 

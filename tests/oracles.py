@@ -3,25 +3,17 @@
 Everything here reasons through pointwise membership at adaptively chosen
 rational sample points, never through the decorated-endpoint orders that
 the library itself uses, so an agreement between the two is evidence and
-not tautology.  The exception is the reference module distance and
-decision at the end: the library's matching on tables of ``ExtRational``
-values from the per-interval functions, against which the integer-lattice
-kernel is checked.
+not tautology.  The exception is the reference distances and decisions
+at the end: the interval closed form on ``ExtRational`` values, the
+erosion decision through ``Interval.erode``, and the library's matching on
+tables of them, against which the integer-lattice kernel is checked.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from persistd import (
-    EMPTY,
-    ExtRational,
-    Interval,
-    PModule,
-    POS_INF,
-    are_eps_interleaved,
-    distance_to_zero,
-    interval_distance,
-)
+from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
+from persistd.intervals import ZERO, _as_fraction
 from persistd.bottleneck import _saturating_matching
 
 
@@ -128,12 +120,40 @@ def module_dimension(m: PModule, x: Fraction) -> int:
     return sum(1 for s in m.summands if member(s, x))
 
 
+def reference_are_eps_interleaved(i: Interval, j: Interval, eps) -> bool:
+    """Erosion criterion through ``Interval.erode`` and ``is_subset_of``."""
+    eps = _as_fraction(eps)
+    if eps < 0:
+        raise ValueError(f"interleaving needs eps >= 0, got {eps}")
+    return i.erode(eps).is_subset_of(j) and j.erode(eps).is_subset_of(i)
+
+
+def reference_distance_to_zero(i: Interval) -> ExtRational:
+    """Half the diameter, on ``ExtRational``."""
+    return i.diameter().half()
+
+
+def reference_interval_distance(i: Interval, j: Interval) -> ExtRational:
+    """The interval closed form on ``ExtRational``: the smaller of the worst
+    endpoint gap and the larger half-diameter."""
+    if i.is_empty or j.is_empty:
+        if i.is_empty and j.is_empty:
+            return ZERO
+        return reference_distance_to_zero(j if i.is_empty else i)
+    endpoint_term = max(
+        i.lo.value.gap(j.lo.value),
+        i.hi.value.gap(j.hi.value),
+    )
+    halving_term = max(i.diameter(), j.diameter()).half()
+    return min(endpoint_term, halving_term)
+
+
 def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
     """Module distance by binary search over candidates, every cost an
-    ``ExtRational`` from ``interval_distance`` and ``distance_to_zero``."""
-    costs = [[interval_distance(a, b) for b in n.summands] for a in m.summands]
-    dtz_m = [distance_to_zero(a) for a in m.summands]
-    dtz_n = [distance_to_zero(b) for b in n.summands]
+    ``ExtRational`` from the reference closed form."""
+    costs = [[reference_interval_distance(a, b) for b in n.summands] for a in m.summands]
+    dtz_m = [reference_distance_to_zero(a) for a in m.summands]
+    dtz_n = [reference_distance_to_zero(b) for b in n.summands]
     candidates = {ExtRational(0), *dtz_m, *dtz_n, *(c for row in costs for c in row)}
     ordered = sorted(c for c in candidates if c.is_finite)
 
@@ -156,10 +176,12 @@ def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
 
 
 def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> bool:
-    """Module eps-decision with every pair decided by ``are_eps_interleaved``."""
-    edge_ok = [[are_eps_interleaved(a, b, eps) for b in n.summands] for a in m.summands]
+    """Module eps-decision with every pair decided by the erosion reference."""
+    edge_ok = [
+        [reference_are_eps_interleaved(a, b, eps) for b in n.summands] for a in m.summands
+    ]
     return _saturating_matching(
         edge_ok,
-        [are_eps_interleaved(a, EMPTY, eps) for a in m.summands],
-        [are_eps_interleaved(b, EMPTY, eps) for b in n.summands],
+        [reference_are_eps_interleaved(a, EMPTY, eps) for a in m.summands],
+        [reference_are_eps_interleaved(b, EMPTY, eps) for b in n.summands],
     ) is not None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,57 @@ def test_help_exits_zero(capsys):
 def test_no_command_is_usage_error(capsys):
     assert cli_main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cube-isometry", "--N", "1_0"],
+        ["verify", "not-totally-bounded", "--k", "1_0"],
+        ["verify", "matching-oracle", "--grid", "1_0"],
+        ["verify", "cauchy-incomplete", "--depth", "1_0"],
+        ["verify", "open-witness", "--trunc", "1_0"],
+        ["verify", "binary-discrete", "--length", "1_0"],
+        ["verify", "pseudometric", "--max-den", "1_0"],
+        ["verify", "pseudometric", "--max-summands", "1_0"],
+        ["verify", "pseudometric", "--trials", "1_0"],
+        ["verify", "pseudometric", "--seed", "1_0"],
+        ["gen", "cube", "--n", "1_0", "--x", "0"],
+        ["gen", "cauchy", "--n", "1_0"],
+        ["gen", "staircase", "--n", "1_0"],
+        ["gen", "replicate", "--interval", "[0,1)", "--count", "1_0"],
+        ["gen", "witness", "--module", "M", "--inclusion", "ffid_in_cfid", "--eps", "1",
+         "--trunc", "1_0"],
+    ],
+)
+def test_off_grammar_int_is_usage_error(capsys, module_file, argv):
+    path = module_file("m.json", "[0,1)")
+    code, out, err = run(capsys, *(path if a == "M" else a for a in argv))
+    assert code == 2 and out == "" and "'1_0'" in err
+
+
+def test_int_flags_take_sign_and_spaces(capsys):
+    assert run(capsys, "gen", "staircase", "--n", " +3 ") == run(
+        capsys, "gen", "staircase", "--n", "3"
+    )
+
+
+def test_closed_stdout_exits_one_quietly(tmp_path):
+    # 224 KB of output, more than a pipe buffer holds, so the writer is
+    # still writing when the reader closes its end.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "persistd.cli", "gen", "staircase", "--n", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"summands'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

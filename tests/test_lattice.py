@@ -11,14 +11,17 @@ from persistd import (
     PModule,
     cauchy_witness,
     distance_certificate,
-    distance_to_zero,
-    interval_distance,
     module_distance,
     modules_eps_interleaved,
     verify_certificate,
 )
 
-from oracles import reference_module_distance, reference_modules_eps_interleaved
+from oracles import (
+    reference_distance_to_zero,
+    reference_interval_distance,
+    reference_module_distance,
+    reference_modules_eps_interleaved,
+)
 from strategies import lattice_modules
 
 
@@ -36,8 +39,10 @@ def lattice_scale(m: PModule, n: PModule) -> int:
 def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
     """0, every finite pairwise distance and every finite to-zero distance."""
     values = {ExtRational(0)}
-    values.update(interval_distance(a, b) for a in m.summands for b in n.summands)
-    values.update(distance_to_zero(s) for s in (*m.summands, *n.summands))
+    values.update(
+        reference_interval_distance(a, b) for a in m.summands for b in n.summands
+    )
+    values.update(reference_distance_to_zero(s) for s in (*m.summands, *n.summands))
     return {v.as_fraction for v in values if v.is_finite}
 
 

@@ -148,3 +148,19 @@ class TestOracles:
                     assert ep.value.is_finite
                     assert -4 <= ep.value.as_fraction <= 4
                     assert ep.value.as_fraction.denominator <= 8
+
+
+def test_replay_reads_rationals_strictly():
+    case = {"m": PModule.of("[0,1)").to_json_obj(), "s": "1e-3", "t": "0.5"}
+    with pytest.raises(ValueError, match="expected p/q"):
+        replay("contraction-lipschitz", "path-lipschitz-bound", case)
+    assert replay(
+        "contraction-lipschitz", "path-lipschitz-bound", dict(case, s="1/1000", t="1/2")
+    )
+
+
+@pytest.mark.parametrize("value", ["1_0", "٣", "3.0", 3.0])
+def test_int_params_are_strict(value):
+    with pytest.raises(ValueError, match="bad value for parameter 'N'"):
+        run_suite("cube-isometry", seed=0, trials=1, params={"N": value})
+
