@@ -76,10 +76,6 @@ def _print_value(value: ExtRational, approx: bool) -> None:
         print(str(value))
 
 
-def _print_module(module: PModule) -> None:
-    print(json.dumps(module.to_json_obj(), sort_keys=True))
-
-
 def _cmd_dist(args) -> int:
     value = module_distance(_load_module(args.a), _load_module(args.b))
     _print_value(value, args.approx)
@@ -113,17 +109,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_radical(args) -> int:
-    _print_module(_load_module(args.module).radical())
+    print(_load_module(args.module).radical().to_json())
     return 0
 
 
 def _cmd_persist(args) -> int:
-    _print_module(_load_module(args.module).persistent_submodule(_fraction(args.p)))
+    print(_load_module(args.module).persistent_submodule(_fraction(args.p)).to_json())
     return 0
 
 
 def _cmd_contract(args) -> int:
-    _print_module(_load_module(args.module).contraction_path(_fraction(args.t)))
+    print(_load_module(args.module).contraction_path(_fraction(args.t)).to_json())
     return 0
 
 
@@ -160,7 +156,7 @@ def _cmd_gen(args) -> int:
             args.trunc,
             bounds=bounds,
         )
-    _print_module(module)
+    print(module.to_json())
     return 0
 
 

@@ -55,7 +55,7 @@ def _as_int(x: int | str) -> int:
     """An int, or integer text in the grammar of ``_parse_fraction``: an
     optionally signed run of ASCII digits with optional surrounding
     whitespace.  Digit underscores, non-ASCII digits and floats, all of
-    which ``int()`` takes, are refused."""
+    which ``int()`` takes, are refused, and so are ``True`` and ``False``."""
     if isinstance(x, str):
         match = _RATIONAL_TEXT.fullmatch(x)
         if match is None or match[2] is not None:
@@ -63,6 +63,8 @@ def _as_int(x: int | str) -> int:
         return int(match[1])
     if not isinstance(x, int):
         raise TypeError(f"expected an int or integer text, got {x!r}")
+    if isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
 
 

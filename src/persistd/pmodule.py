@@ -24,6 +24,7 @@ from .intervals import (
     Rational,
     _as_fraction,
     interval,
+    make_interval,
     parse_interval,
 )
 
@@ -48,7 +49,11 @@ class ClassMembership:
 
 
 class PModule:
-    """A persistence module given by its interval summands (with multiplicity)."""
+    """A persistence module given by its interval summands (with multiplicity).
+
+    The summand-wise transforms (radical, persistent submodule, contraction
+    path) compute one image per distinct summand and repeat it for each
+    copy."""
 
     __slots__ = ("_summands",)
 
@@ -138,18 +143,20 @@ class PModule:
             is_zero=self.is_zero,
         )
 
+    def _map(self, f) -> "PModule":
+        """Apply the summand transform ``f`` once per distinct summand and
+        repeat its image for each copy; empty images are dropped."""
+        out = []
+        for s, run in groupby(self._summands):
+            image = f(s)
+            if not image.is_empty:
+                out.extend([image] * len(list(run)))
+        return PModule(out)
+
     def radical(self) -> "PModule":
         """Submodule generated by images of strictly earlier structure maps:
         drops singleton summands and opens closed finite lower endpoints."""
-        out = []
-        for s in self._summands:
-            if s.is_singleton:
-                continue
-            if s.lo.closed:
-                out.append(Interval(Endpoint(s.lo.value, False), s.hi))
-            else:
-                out.append(s)
-        return PModule(out)
+        return self._map(lambda s: make_interval(Endpoint(s.lo.value, False), s.hi))
 
     def persistent_submodule(self, p: Rational) -> "PModule":
         """Pointwise image of the structure map from p earlier: each summand
@@ -157,12 +164,7 @@ class PModule:
         p = _as_fraction(p)
         if p < 0:
             raise ValueError(f"persistence needs p >= 0, got {p}")
-        out = []
-        for s in self._summands:
-            kept = s.intersect(s.shift(-p))
-            if not kept.is_empty:
-                out.append(kept)
-        return PModule(out)
+        return self._map(lambda s: s.intersect(s.shift(-p)))
 
     def contraction_path(self, t: Rational) -> "PModule":
         """The straight-line contraction onto the zero module, evaluated at
@@ -177,8 +179,8 @@ class PModule:
             return self
         if t == 1:
             return PModule.zero()
-        out = []
-        for s in self._summands:
+
+        def stage(s: Interval) -> Interval:
             if not s.is_finite:
                 raise ValueError(
                     f"summand {s} has infinite diameter; no contraction path exists"
@@ -186,10 +188,9 @@ class PModule:
             c = s.lo.value.as_fraction
             d = s.hi.value.as_fraction
             h = Fraction(d - c, 2)
-            stage = interval(c + t * h, d - t * h, "[)")
-            if not stage.is_empty:
-                out.append(stage)
-        return PModule(out)
+            return interval(c + t * h, d - t * h, "[)")
+
+        return self._map(stage)
 
     def to_json_obj(self) -> dict:
         summands = [

@@ -120,6 +120,18 @@ def module_dimension(m: PModule, x: Fraction) -> int:
     return sum(1 for s in m.summands if member(s, x))
 
 
+def contraction_dimension(m: PModule, t: Fraction, x: Fraction) -> int:
+    """Dimension at x of the contraction path at time 0 < t < 1: summands
+    [c, d] with c + t(d - c)/2 <= x < d - t(d - c)/2, whatever their
+    decorations."""
+    out = 0
+    for s in m.summands:
+        c, d = s.lo.value.as_fraction, s.hi.value.as_fraction
+        if c + t * (d - c) / 2 <= x < d - t * (d - c) / 2:
+            out += 1
+    return out
+
+
 def reference_are_eps_interleaved(i: Interval, j: Interval, eps) -> bool:
     """Erosion criterion through ``Interval.erode`` and ``is_subset_of``."""
     eps = _as_fraction(eps)

@@ -43,12 +43,15 @@ small_eps = st.builds(Fraction, st.integers(0, 24), st.sampled_from([1, 2, 4, 8]
 
 
 @st.composite
-def modules(draw, max_summands=5, finite_only=True):
+def modules(draw, max_summands=5, finite_only=True, max_copies=1):
+    """Up to ``max_summands`` drawn intervals, each repeated 1 to
+    ``max_copies`` times; the default draws no copy counts."""
     count = draw(st.integers(0, max_summands))
-    summands = [
-        draw(intervals(allow_empty=False, finite_only=finite_only))
-        for _ in range(count)
-    ]
+    summands = []
+    for _ in range(count):
+        s = draw(intervals(allow_empty=False, finite_only=finite_only))
+        copies = draw(st.integers(1, max_copies)) if max_copies > 1 else 1
+        summands += [s] * copies
     return PModule(summands)
 
 
