@@ -17,20 +17,25 @@ from each mandatory summand of the second module that it leaves free,
 walk the alternating path of their union and swap in the second
 matching's edges along it.
 
-All of this runs on plain ints, on the lattice of ``interleaving._lattice``
-(every endpoint times S = 2*lcm(all finite denominators), infinities as
-far-out sentinels); the answer becomes an ``ExtRational`` once, at the end.
+All of this runs on plain ints, on the decorated cost table of
+``interleaving._cost_table`` (every endpoint times S = 4*lcm(all finite
+denominators) as an open/closed key, infinities as far-out sentinels).  An
+entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
+the infimum is not attained.  The search probes the top 2C+1 of each class,
+so its edges are those of cost <= C; the eps-decision is a single probe at
+2*eps*S.  The answer becomes an ``ExtRational`` once, at the end.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .interleaving import _cost_table, _decision_table, distance_to_zero, interval_distance
+from .interleaving import _class_top, _cost_table, distance_to_zero, interval_distance
 from .intervals import ExtRational, POS_INF, Rational
 from .pmodule import PModule
 
@@ -100,10 +105,10 @@ def _check_cap(m: PModule, n: PModule) -> None:
         )
 
 
-def _cost_tables(m: PModule, n: PModule):
+def _cost_tables(m: PModule, n: PModule, eps: Rational = 0):
     """``interleaving._cost_table`` of the summands, under the vertex cap."""
     _check_cap(m, n)
-    return _cost_table(m.summands, n.summands)
+    return _cost_table(m.summands, n.summands, eps)
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], list[int]]:
@@ -226,49 +231,50 @@ def _matching_at(costs, dtz_m, dtz_n, t: int) -> dict[int, int] | None:
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
-    all eps-interleaved with the zero module?  Pairs are decided as in
-    ``are_eps_interleaved``, by ``interleaving._decision_table``."""
-    _check_cap(m, n)
-    edge_ok, gone_m, gone_n = _decision_table(m.summands, n.summands, eps)
-    return _saturating_matching(edge_ok, gone_m, gone_n) is not None
+    all eps-interleaved with the zero module?  One probe of the cost table
+    at w = 2*eps*S, where an entry <= w is exactly an eps-interleaved pair,
+    as in ``are_eps_interleaved``."""
+    costs, dtz_m, dtz_n, _, _, w = _cost_tables(m, n, eps)
+    return _matching_at(costs, dtz_m, dtz_n, w) is not None
 
 
 def _search(m: PModule, n: PModule):
-    """Binary search for the smallest feasible finite lattice candidate.
+    """Binary search for the smallest feasible finite cost class.
 
-    Returns (t, matching at t, S), with t and the matching None when no
-    finite threshold is feasible.
+    Every probe is at a class top, so its edges are the pairs within the
+    undecorated cost of the class; a verdict holds for the whole class, and
+    the search skips past it.  Returns (distance, matching at the last
+    feasible probe), or (+inf, None) when no finite threshold is feasible.
     """
-    costs, dtz_m, dtz_n, scale, fin = _cost_tables(m, n)
+    costs, dtz_m, dtz_n, scale, fin, _ = _cost_tables(m, n)
     candidates = {0, *dtz_m, *dtz_n}
     for row in costs:
         candidates.update(row)
     ordered = sorted(c for c in candidates if c <= fin)
 
-    best = matching = None
-    lo, hi = 0, len(ordered) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        found = _matching_at(costs, dtz_m, dtz_n, ordered[mid])
+    best, matching = POS_INF, None
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        t = _class_top(ordered[(lo + hi) // 2])
+        found = _matching_at(costs, dtz_m, dtz_n, t)
         if found is not None:
-            best, matching = ordered[mid], found
-            hi = mid - 1
+            best, matching = ExtRational(Fraction(t - 1, 2 * scale)), found
+            hi = bisect_left(ordered, t - 2, lo, hi)
         else:
-            lo = mid + 1
-    return best, matching, scale
+            lo = bisect_right(ordered, t, lo, hi)
+    return best, matching
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
     """Exact interleaving (= bottleneck) distance between two modules."""
-    t, _, scale = _search(m, n)
-    return POS_INF if t is None else ExtRational(Fraction(t, scale))
+    return _search(m, n)[0]
 
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
     the matching of the search's last feasible probe."""
-    t, matching, scale = _search(m, n)
-    if t is None:
+    d, matching = _search(m, n)
+    if matching is None:
         raise InfiniteDistanceError(
             "the modules are infinitely far apart; no certificate exists"
         )
@@ -276,7 +282,7 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     matched_m = {i for i, _ in pairs}
     matched_n = {j for _, j in pairs}
     return MatchingCertificate(
-        threshold=ExtRational(Fraction(t, scale)),
+        threshold=d,
         pairs=pairs,
         unmatched_m=tuple(i for i in range(len(m)) if i not in matched_m),
         unmatched_n=tuple(j for j in range(len(n)) if j not in matched_n),

@@ -154,18 +154,6 @@ def random_module(
 
 
 # ---------------------------------------------------------------------------
-# case serialization helpers
-
-
-def _mod_case(m: PModule) -> dict:
-    return m.to_json_obj()
-
-
-def _mod(case_obj) -> PModule:
-    return PModule.from_json_obj(case_obj)
-
-
-# ---------------------------------------------------------------------------
 # suite definitions
 
 
@@ -238,11 +226,9 @@ def _gen_modules(count: int):
     def gen(rng, params, trial):
         keys = ("m", "n", "p")[:count]
         return {
-            key: _mod_case(
-                random_module(
-                    rng, params["lo"], params["hi"], params["max_den"], params["max_summands"]
-                )
-            )
+            key: random_module(
+                rng, params["lo"], params["hi"], params["max_den"], params["max_summands"]
+            ).to_json_obj()
             for key in keys
         }
 
@@ -250,17 +236,17 @@ def _gen_modules(count: int):
 
 
 def _check_self_distance(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     return bottleneck.module_distance(m, m) == ZERO
 
 
 def _check_symmetry(case) -> bool:
-    m, n = _mod(case["m"]), _mod(case["n"])
+    m, n = PModule.from_json_obj(case["m"]), PModule.from_json_obj(case["n"])
     return bottleneck.module_distance(m, n) == bottleneck.module_distance(n, m)
 
 
 def _check_triangle(case) -> bool:
-    m, n, p = _mod(case["m"]), _mod(case["n"]), _mod(case["p"])
+    m, n, p = (PModule.from_json_obj(case[key]) for key in ("m", "n", "p"))
     dmp = bottleneck.module_distance(m, p)
     dmn = bottleneck.module_distance(m, n)
     dnp = bottleneck.module_distance(n, p)
@@ -286,13 +272,13 @@ def _check_closed_form(case) -> bool:
 def _gen_small_modules(rng, params, trial):
     grid = Fraction(params["grid"])
     return {
-        key: _mod_case(random_module(rng, -grid, grid, params["max_den"], 4))
+        key: random_module(rng, -grid, grid, params["max_den"], 4).to_json_obj()
         for key in ("m", "n")
     }
 
 
 def _check_matching_oracle(case) -> bool:
-    m, n = _mod(case["m"]), _mod(case["n"])
+    m, n = PModule.from_json_obj(case["m"]), PModule.from_json_obj(case["n"])
     return bottleneck.module_distance(m, n) == bruteforce_module_distance(m, n)
 
 
@@ -353,12 +339,12 @@ def _check_ntb(case) -> bool:
 
 
 def _check_radical_zero(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     return bottleneck.module_distance(m, m.radical()) == ZERO
 
 
 def _check_radical_idempotent(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     return m.radical().radical() == m.radical()
 
 
@@ -369,7 +355,7 @@ def _gen_module_with_p(rng, params, trial):
 
 
 def _check_p_persistent(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     for p_text in case["p"]:
         p = _as_fraction(p_text)
         if bottleneck.module_distance(m, m.persistent_submodule(p)) > ExtRational(p):
@@ -385,11 +371,11 @@ def _gen_contraction(rng, params, trial):
     t = Fraction(rng.randint(0, 16), 16)
     if s > t:
         s, t = t, s
-    return {"m": _mod_case(m), "s": str(s), "t": str(t)}
+    return {"m": m.to_json_obj(), "s": str(s), "t": str(t)}
 
 
 def _check_contraction_lipschitz(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     s, t = _as_fraction(case["s"]), _as_fraction(case["t"])
     h_max = max((x.diameter().half() for x in m.summands), default=ZERO)
     bound = ExtRational((t - s) * h_max.as_fraction)
@@ -402,7 +388,7 @@ def _gen_open_witness(rng, params, trial):
     c, d = params["c"], params["d"]
     m = random_module(rng, c, d, params["max_den"], params["max_summands"])
     return {
-        "m": _mod_case(m),
+        "m": m.to_json_obj(),
         "inclusion": inclusion,
         "eps": str(params["eps"]),
         "trunc": params["trunc"],
@@ -412,7 +398,7 @@ def _gen_open_witness(rng, params, trial):
 
 
 def _check_open_witness(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     eps = _as_fraction(case["eps"])
     bounds = (_as_fraction(case["c"]), _as_fraction(case["d"]))
     witness = open_subset_witness(
@@ -424,11 +410,11 @@ def _check_open_witness(case) -> bool:
 def _gen_enveloping(rng, params, trial):
     c, d = params["c"], params["d"]
     m = random_module(rng, c, d, params["max_den"], params["max_summands"])
-    return {"m": _mod_case(m), "c": str(c), "d": str(d), "z": str(params["z"])}
+    return {"m": m.to_json_obj(), "c": str(c), "d": str(d), "z": str(params["z"])}
 
 
 def _check_env_bounded(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     c, d = _as_fraction(case["c"]), _as_fraction(case["d"])
     half = ExtRational(Fraction(d - c, 2))
     return bottleneck.module_distance(m, PModule.zero()) <= half
@@ -443,7 +429,7 @@ def _check_env_attained(case) -> bool:
 
 
 def _check_env_shifted(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     d, z = _as_fraction(case["d"]), _as_fraction(case["z"])
     outside = PModule([interval(d, d + 2 * z, "(]")])
     return bottleneck.module_distance(m, outside) >= ExtRational(z)
@@ -484,7 +470,7 @@ def _gen_non_t0(rng, params, trial):
 
 
 def _check_non_t0(case) -> bool:
-    m = _mod(case["m"])
+    m = PModule.from_json_obj(case["m"])
     bigger = m.direct_sum(PModule([singleton(_as_fraction(case["r"]))]))
     return bottleneck.module_distance(m, bigger) == ZERO
 
@@ -739,12 +725,19 @@ def run_suite(name: str, seed: int, trials: int, params: dict | None = None) -> 
 
 def replay(name: str, property_id: str, case: dict) -> bool:
     """Re-run one property on a stored counterexample case; True means the
-    property holds on it (a genuine counterexample returns False again)."""
+    property holds on it (a genuine counterexample returns False again).
+    A case with a field missing or of the wrong JSON type raises
+    ``ValueError``."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     _, props = _SUITES[name]
     for prop in props:
         if prop.prop == property_id:
-            return prop.check(case)
+            try:
+                return prop.check(case)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"malformed case for {name!r} {property_id!r}: {exc!r}"
+                ) from exc
     known = sorted(p.prop for p in props)
     raise ValueError(f"suite {name!r} has no property {property_id!r}; known: {known}")

@@ -1,6 +1,7 @@
 """Differential tests: the per-interval functions, which run on the
 integer lattice as the one-summand case of the module kernel, against the
-``ExtRational`` closed form and the ``erode`` decision in ``oracles``."""
+``ExtRational`` closed form and the ``erode`` decision in ``oracles``; and
+the three kinds of decorated table entry."""
 
 from fractions import Fraction
 
@@ -16,13 +17,16 @@ from persistd import (
     are_eps_interleaved,
     distance_to_zero,
     interval_distance,
+    modules_eps_interleaved,
     parse_interval,
 )
+from persistd.interleaving import _class_top, _cost_table
 
 from oracles import (
     reference_are_eps_interleaved,
     reference_distance_to_zero,
     reference_interval_distance,
+    reference_modules_eps_interleaved,
 )
 from strategies import intervals, lattice_intervals
 from test_lattice import candidate_values, lattice_scale
@@ -64,3 +68,32 @@ def test_match_cap_does_not_reach_interval_functions(monkeypatch, cap):
     assert distance_to_zero(i) == ExtRational(Fraction(3, 2))
     assert are_eps_interleaved(i, j, 2) and not are_eps_interleaved(i, j, Fraction(3, 2))
 
+
+
+# (I, J, entry minus 2C, attained), with C = c*S for c = d(I, J) = 1: at
+# eps = c the entry is 2C - 1 or 2C when the infimum is attained and 2C + 1
+# when it is not, and the top of its class is 2C + 1.  An empty J stands
+# for the zero module.
+ENTRY_KINDS = [
+    ("(0,5)", "[1,5)", -1, True),
+    ("[0,5)", "[1,5)", 0, True),
+    ("[0,5)", "(1,5)", 1, False),
+    ("[0,2]", "", 1, False),
+    ("[0,2)", "", 0, True),
+]
+
+
+@pytest.mark.parametrize("i_text,j_text,offset,attained", ENTRY_KINDS)
+def test_table_entry_records_attainment(i_text, j_text, offset, attained):
+    i = parse_interval(i_text)
+    j = parse_interval(j_text) if j_text else EMPTY
+    m, n = module(i), module(j)
+    c = reference_interval_distance(i, j)
+    assert c == ExtRational(1) and interval_distance(i, j) == c
+    costs, dtz_m, _, scale, _, w = _cost_table(m.summands, n.summands, 1)
+    entry = costs[0][0] if n.summands else dtz_m[0]
+    assert (entry, w) == (2 * scale + offset, 2 * scale)
+    assert _class_top(entry) == 2 * scale + 1
+    assert are_eps_interleaved(i, j, 1) == reference_are_eps_interleaved(i, j, 1) == attained
+    assert modules_eps_interleaved(m, n, 1) == attained
+    assert reference_modules_eps_interleaved(m, n, Fraction(1)) == attained

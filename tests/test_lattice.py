@@ -4,6 +4,7 @@ reference in ``oracles``.  Distances and decisions must agree exactly."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from persistd import (
@@ -15,6 +16,7 @@ from persistd import (
     modules_eps_interleaved,
     verify_certificate,
 )
+from persistd import bottleneck
 
 from oracles import (
     reference_distance_to_zero,
@@ -97,3 +99,27 @@ def test_whole_line_and_half_lines():
                 )
     assert module_distance(line, line) == ExtRational(0)
     assert module_distance(left, PModule.of("(-inf,1)")) == ExtRational(Fraction(4, 7))
+
+
+def test_decision_is_one_table_and_one_probe(monkeypatch):
+    calls = []
+    for name in ("_cost_tables", "_matching_at"):
+        def counted(*args, _real=getattr(bottleneck, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(bottleneck, name, counted)
+    m = PModule.of("[0,2)", "(1,4]", "[3,3]")
+    n = PModule.of("(0,2)", "[1,4)")
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        calls.clear()
+        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
+        assert calls == ["_cost_tables", "_matching_at"]
+
+
+def test_decision_checks_the_vertex_cap_before_eps(monkeypatch):
+    monkeypatch.setenv("PERSISTD_MATCH_CAP", "1")
+    with pytest.raises(ValueError, match="vertex cap"):
+        modules_eps_interleaved(PModule.of("[0,1)"), PModule.of("[0,1)"), -1)
+    monkeypatch.setenv("PERSISTD_MATCH_CAP", "2")
+    with pytest.raises(ValueError, match="eps >= 0"):
+        modules_eps_interleaved(PModule.of("[0,1)"), PModule.of("[0,1)"), -1)

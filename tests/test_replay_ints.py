@@ -1,6 +1,8 @@
 """Stored verify cases read their int fields with the strict int grammar:
 integer text replays like the int it spells, while booleans and text off
-the grammar raise ValueError instead of running or failing on a type."""
+the grammar raise ValueError instead of running or failing on a type.  A
+case with a JSON float in a field, or without a field, raises ValueError
+too."""
 
 import random
 
@@ -47,3 +49,18 @@ def test_bool_is_not_an_int(flag):
         _as_int(flag)
     with pytest.raises(ValueError, match="bad value for parameter 'N'"):
         run_suite("cube-isometry", seed=0, trials=1, params={"N": flag})
+
+
+@pytest.mark.parametrize("suite,prop,case", [
+    ("not-totally-bounded", "replicates-pairwise-half-diameter",
+     {"c": "0", "d": "1", "k": 3.0}),
+    ("not-totally-bounded", "replicates-pairwise-half-diameter",
+     {"c": 0.5, "d": "1", "k": 3}),
+    ("cauchy-incomplete", "cauchy-distance-law", {"depth": 5.0}),
+    ("cauchy-incomplete", "rank-witness-diverges", {"depth": 5.0}),
+    ("cube-isometry", "cube-embedding-isometric", {"x": ["0"], "y": ["0"]}),
+    ("cauchy-incomplete", "cauchy-distance-law", {}),
+])
+def test_malformed_case_raises_value_error(suite, prop, case):
+    with pytest.raises(ValueError, match="malformed case"):
+        replay(suite, prop, case)
