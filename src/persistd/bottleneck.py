@@ -10,30 +10,30 @@ distances, all to-zero distances, and 0), and feasibility of a threshold t
 is monotone, so the distance is the smallest feasible candidate by binary
 search.  A threshold t is feasible iff there is a matching, using only
 pairs at distance <= t, that saturates every summand too big to delete
-(to-zero distance > t).  That is decided by two plain maximum-cardinality
-matchings, one saturating each side's mandatory summands.  A single
-matching saturating both exists when they do: start from the first, and
-from each mandatory summand of the second module that it leaves free,
-walk the alternating path of their union and swap in the second
-matching's edges along it.
+(to-zero distance > t).  ``_matching_at`` decides that on the cost table
+itself: it lists the mandatory summands, reads each one's neighbours off
+its row or column, and runs two plain maximum-cardinality matchings, one
+saturating each side's mandatory summands.  A single matching saturating
+both exists when they do: start from the first, and from each mandatory
+summand of the second module that it leaves free, walk the alternating
+path of their union and swap in the second matching's edges along it.
 
 All of this runs on plain ints, on the decorated cost table of
 ``interleaving._cost_table`` (every endpoint times S = 4*lcm(all finite
 denominators) as an open/closed key, infinities as far-out sentinels).  An
 entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
-the infimum is not attained.  The search probes the top 2C+1 of each class,
-so its edges are those of cost <= C; the eps-decision is a single probe at
-2*eps*S.  The answer becomes an ``ExtRational`` once, at the end.
+the infimum is not attained.  The search runs over the sorted distinct
+class tops 2C+1, so a probe's edges are those of cost <= C; the
+eps-decision is a single probe at 2*eps*S.  The answer becomes an
+``ExtRational`` once, at the end.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .interleaving import _class_top, _cost_table, distance_to_zero, interval_distance
 from .intervals import ExtRational, POS_INF, Rational
@@ -176,25 +176,21 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], 
     return size, pair_l, pair_r
 
 
-def _saturating_matching(
-    edge_ok: list[list[bool]],
-    deletable_m: list[bool],
-    deletable_n: list[bool],
-) -> dict[int, int] | None:
-    """A matching over allowed edges that saturates every non-deletable
-    summand on both sides, or None when there is none."""
-    m_size, n_size = len(deletable_m), len(deletable_n)
-    mand_m = [i for i in range(m_size) if not deletable_m[i]]
-    mand_n = [j for j in range(n_size) if not deletable_n[j]]
+def _matching_at(costs, dtz_m, dtz_n, t) -> dict[int, int] | None:
+    """A matching over the pairs of cost <= t that saturates every summand
+    of to-zero cost > t on both sides, or None when there is none.  Only
+    the mandatory summands' rows and columns are read, and only through
+    ``<=`` and ``>`` against t, so any totally ordered entries work."""
+    mand_m = [i for i, v in enumerate(dtz_m) if v > t]
+    mand_n = [j for j, v in enumerate(dtz_n) if v > t]
 
-    adj_m = [list(compress(range(n_size), edge_ok[i])) for i in mand_m]
-    size_m, pair_l_m, _ = _hopcroft_karp(adj_m, n_size)
+    adj_m = [[j for j, c in enumerate(costs[i]) if c <= t] for i in mand_m]
+    size_m, pair_l_m, _ = _hopcroft_karp(adj_m, len(dtz_n))
     if size_m < len(mand_m):
         return None
 
-    columns = list(zip(*edge_ok)) if m_size else [()] * n_size
-    adj_n = [list(compress(range(m_size), columns[j])) for j in mand_n]
-    size_n, pair_l_n, _ = _hopcroft_karp(adj_n, m_size)
+    adj_n = [[i for i, row in enumerate(costs) if row[j] <= t] for j in mand_n]
+    size_n, pair_l_n, _ = _hopcroft_karp(adj_n, len(dtz_m))
     if size_n < len(mand_n):
         return None
 
@@ -218,16 +214,6 @@ def _saturating_matching(
     return chosen
 
 
-def _matching_at(costs, dtz_m, dtz_n, t: int) -> dict[int, int] | None:
-    """A matching realizing lattice threshold t, or None when t is infeasible."""
-    edge_ok = [[c <= t for c in row] for row in costs]
-    return _saturating_matching(
-        edge_ok,
-        [v <= t for v in dtz_m],
-        [v <= t for v in dtz_n],
-    )
-
-
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
@@ -239,29 +225,28 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
 
 
 def _search(m: PModule, n: PModule):
-    """Binary search for the smallest feasible finite cost class.
-
-    Every probe is at a class top, so its edges are the pairs within the
-    undecorated cost of the class; a verdict holds for the whole class, and
-    the search skips past it.  Returns (distance, matching at the last
-    feasible probe), or (+inf, None) when no finite threshold is feasible.
+    """Binary search over the sorted distinct class tops of the finite
+    entries.  A probe at a top has as edges the pairs within the class's
+    undecorated cost, so feasibility is monotone along the tops, and the
+    last feasible probe is at the answer's top.  Returns (distance, its
+    matching), or (+inf, None) when no finite threshold is feasible.
     """
     costs, dtz_m, dtz_n, scale, fin, _ = _cost_tables(m, n)
-    candidates = {0, *dtz_m, *dtz_n}
+    entries = {0, *dtz_m, *dtz_n}
     for row in costs:
-        candidates.update(row)
-    ordered = sorted(c for c in candidates if c <= fin)
+        entries.update(row)
+    tops = sorted({_class_top(r) for r in entries if r <= fin})
 
     best, matching = POS_INF, None
-    lo, hi = 0, len(ordered)
+    lo, hi = 0, len(tops)
     while lo < hi:
-        t = _class_top(ordered[(lo + hi) // 2])
-        found = _matching_at(costs, dtz_m, dtz_n, t)
+        mid = (lo + hi) // 2
+        found = _matching_at(costs, dtz_m, dtz_n, tops[mid])
         if found is not None:
-            best, matching = ExtRational(Fraction(t - 1, 2 * scale)), found
-            hi = bisect_left(ordered, t - 2, lo, hi)
+            best, matching = ExtRational(Fraction(tops[mid] - 1, 2 * scale)), found
+            hi = mid
         else:
-            lo = bisect_right(ordered, t, lo, hi)
+            lo = mid + 1
     return best, matching
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .intervals import Interval, Rational, _as_fraction, interval
-from .pmodule import PModule
+from .pmodule import _MAX_COPIES, PModule
 
 
 INCLUSIONS = (
@@ -102,6 +102,8 @@ def replicate(summand: Interval, count: int) -> PModule:
         raise ValueError("replicate needs a nonempty interval")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if count > _MAX_COPIES:
+        raise ValueError(f"count must be at most {_MAX_COPIES}, got {count}")
     return PModule([summand] * count)
 
 

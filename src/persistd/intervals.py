@@ -352,13 +352,6 @@ class Interval:
             Endpoint(self.hi.value - eps, self.hi.closed),
         )
 
-    def erode(self, eps: Rational) -> "Interval":
-        """Shrink by eps on each side: the intersection of the two shifts."""
-        eps = _as_fraction(eps)
-        if eps < 0:
-            raise ValueError(f"erosion needs eps >= 0, got {eps}")
-        return self.shift(eps).intersect(self.shift(-eps))
-
     def canonical_key(self):
         """Deterministic sort key; empty sorts first."""
         if self.is_empty:

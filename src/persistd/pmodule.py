@@ -29,6 +29,12 @@ from .intervals import (
 )
 
 
+# The most summand copies one module may hold, counted with multiplicity.
+# Every copy is stored, so an entry that would pass this is refused before
+# its copies are built.
+_MAX_COPIES = 10**6
+
+
 class ModuleFormatError(ValueError):
     """Module JSON that does not match the accepted schema."""
 
@@ -210,6 +216,7 @@ class PModule:
         if not isinstance(entries, list):
             raise ModuleFormatError('"summands" must be a list')
         out = []
+        total = 0
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or "interval" not in entry:
                 raise ModuleFormatError(
@@ -226,6 +233,12 @@ class PModule:
             parsed = parse_interval(text)
             if parsed.is_empty:
                 raise ModuleFormatError(f"summand #{pos} is empty: {text!r}")
+            total += mult
+            if total > _MAX_COPIES:
+                raise ModuleFormatError(
+                    f"summand #{pos} brings the module to {total} copies, "
+                    f"more than the limit {_MAX_COPIES}"
+                )
             out.extend([parsed] * mult)
         return cls(out)
 

@@ -5,7 +5,7 @@ rational sample points, never through the decorated-endpoint orders that
 the library itself uses, so an agreement between the two is evidence and
 not tautology.  The exception is the reference distances and decisions
 at the end: the interval closed form on ``ExtRational`` values, the
-erosion decision through ``Interval.erode``, and the library's matching on
+erosion decision through ``erode``, and the library's matching probe on
 tables of them, against which the integer-lattice kernel is checked.
 """
 
@@ -14,7 +14,7 @@ from itertools import product
 
 from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
 from persistd.intervals import ZERO, _as_fraction
-from persistd.bottleneck import _saturating_matching
+from persistd.bottleneck import _matching_at
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -132,12 +132,20 @@ def contraction_dimension(m: PModule, t: Fraction, x: Fraction) -> int:
     return out
 
 
+def erode(i: Interval, eps) -> Interval:
+    """Shrink by eps >= 0 on each side: the intersection of the two shifts."""
+    eps = _as_fraction(eps)
+    if eps < 0:
+        raise ValueError(f"erosion needs eps >= 0, got {eps}")
+    return i.shift(eps).intersect(i.shift(-eps))
+
+
 def reference_are_eps_interleaved(i: Interval, j: Interval, eps) -> bool:
-    """Erosion criterion through ``Interval.erode`` and ``is_subset_of``."""
+    """Erosion criterion through ``erode`` and ``is_subset_of``."""
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
-    return i.erode(eps).is_subset_of(j) and j.erode(eps).is_subset_of(i)
+    return erode(i, eps).is_subset_of(j) and erode(j, eps).is_subset_of(i)
 
 
 def reference_distance_to_zero(i: Interval) -> ExtRational:
@@ -170,11 +178,7 @@ def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
     ordered = sorted(c for c in candidates if c.is_finite)
 
     def feasible(t):
-        return _saturating_matching(
-            [[c <= t for c in row] for row in costs],
-            [v <= t for v in dtz_m],
-            [v <= t for v in dtz_n],
-        ) is not None
+        return _matching_at(costs, dtz_m, dtz_n, t) is not None
 
     best = POS_INF
     lo, hi = 0, len(ordered) - 1
@@ -188,12 +192,15 @@ def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
 
 
 def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> bool:
-    """Module eps-decision with every pair decided by the erosion reference."""
-    edge_ok = [
-        [reference_are_eps_interleaved(a, b, eps) for b in n.summands] for a in m.summands
-    ]
-    return _saturating_matching(
-        edge_ok,
-        [reference_are_eps_interleaved(a, EMPTY, eps) for a in m.summands],
-        [reference_are_eps_interleaved(b, EMPTY, eps) for b in n.summands],
+    """Module eps-decision with every pair decided by the erosion reference:
+    a probe at 0 of the table that is 0 where the reference says yes, 1
+    where it says no."""
+    def cost(a, b):
+        return 0 if reference_are_eps_interleaved(a, b, eps) else 1
+
+    return _matching_at(
+        [[cost(a, b) for b in n.summands] for a in m.summands],
+        [cost(a, EMPTY) for a in m.summands],
+        [cost(b, EMPTY) for b in n.summands],
+        0,
     ) is not None

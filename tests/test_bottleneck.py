@@ -19,11 +19,15 @@ from persistd import (
     interval_distance,
     module_distance,
     modules_eps_interleaved,
+    parse_interval,
     replicate,
     verify_certificate,
 )
-from persistd.bottleneck import _hopcroft_karp, _saturating_matching
+from persistd import bottleneck
+from persistd.bottleneck import _hopcroft_karp, _matching_at
+from persistd.verify import random_module
 
+from oracles import reference_distance_to_zero, reference_interval_distance
 from strategies import modules
 
 HALF = ExtRational(Fraction(1, 2))
@@ -271,18 +275,66 @@ def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
 @pytest.mark.parametrize("seed", range(20))
 def test_saturating_matching_against_bruteforce(seed):
     rng = random.Random(seed)
+    tie_edges = tie_deletions = 0
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        density, deletable = rng.random(), rng.random()
-        edge_ok = [[rng.random() < density for _ in range(n_n)] for _ in range(n_m)]
-        del_m = [rng.random() < deletable for _ in range(n_m)]
-        del_n = [rng.random() < deletable for _ in range(n_n)]
-        mand_m = {i for i in range(n_m) if not del_m[i]}
-        mand_n = {j for j in range(n_n) if not del_n[j]}
-        found = _saturating_matching(edge_ok, del_m, del_n)
+        top = rng.randint(0, 6)
+        costs = [[rng.randint(0, top) for _ in range(n_n)] for _ in range(n_m)]
+        dtz_m = [rng.randint(0, top) for _ in range(n_m)]
+        dtz_n = [rng.randint(0, top) for _ in range(n_n)]
+        # t is mostly one of the entries, so that ties with t are common.
+        t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
+        edge_ok = [[c <= t for c in row] for row in costs]
+        mand_m = {i for i in range(n_m) if dtz_m[i] > t}
+        mand_n = {j for j in range(n_n) if dtz_n[j] > t}
+        found = _matching_at(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
         if found is None:
             continue
         assert len(set(found.values())) == len(found)
         assert all(edge_ok[i][j] for i, j in found.items())
         assert mand_m <= found.keys() and mand_n <= set(found.values())
+        tie_edges += sum(costs[i][j] == t for i, j in found.items())
+        tie_deletions += sum(dtz_m[i] == t for i in range(n_m) if i not in found)
+        tie_deletions += sum(dtz_n[j] == t for j in range(n_n) if j not in found.values())
+    # The boundary is inclusive on both sides: an entry equal to t is an
+    # edge, and a to-zero cost equal to t leaves the summand deletable.
+    assert tie_edges and tie_deletions
+
+
+def _count_probes(monkeypatch) -> list:
+    probes = []
+
+    def counted(*args, _real=bottleneck._matching_at):
+        probes.append(args[3])
+        return _real(*args)
+
+    monkeypatch.setattr(bottleneck, "_matching_at", counted)
+    return probes
+
+
+@pytest.mark.parametrize("text", ["[0,2)", "(1/3,5/2]", "[-1,4]"])
+def test_replicates_take_at_most_two_probes(monkeypatch, text):
+    probes = _count_probes(monkeypatch)
+    summand = parse_interval(text)
+    for k in range(1, 30):
+        for k_less in range(k):
+            probes.clear()
+            d = module_distance(replicate(summand, k), replicate(summand, k_less))
+            assert d == summand.diameter().half()
+            assert 1 <= len(probes) <= 2, (k, k_less, probes)
+
+
+def test_probes_at_most_log_of_class_tops(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    rng = random.Random(0)
+    for _ in range(500):
+        m, n = (random_module(rng, Fraction(-5), Fraction(5), 4, 7) for _ in range(2))
+        # One class top per distinct finite undecorated cost, 0 included.
+        classes = {ExtRational(0)}
+        classes.update(reference_interval_distance(a, b) for a in m for b in n)
+        classes.update(reference_distance_to_zero(s) for s in (*m, *n))
+        tops = sum(1 for c in classes if c.is_finite)
+        probes.clear()
+        module_distance(m, n)
+        assert 1 <= len(probes) <= (tops - 1).bit_length() + 1, (m.to_json(), n.to_json())

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from persistd import MatchingCertificate, PModule, parse_module, verify_certificate
+from persistd import (
+    MatchingCertificate,
+    ModuleFormatError,
+    PModule,
+    families,
+    parse_interval,
+    parse_module,
+    pmodule,
+    verify_certificate,
+)
 from persistd.cli import build_parser, cli_main
 from persistd.verify import _PARAM_CONVERTERS
 
@@ -229,6 +238,41 @@ class TestVerify:
         verify = build_parser()._subparsers._group_actions[0].choices["verify"]
         flags = {a.dest for a in verify._actions if a.option_strings}
         assert flags - {"help", "seed", "trials", "json"} == set(_PARAM_CONVERTERS)
+
+
+class TestCopyBound:
+    """A module of more than 10**6 summand copies is refused before its
+    copies are built."""
+
+    @pytest.mark.parametrize("command", ["dist", "radical", "classify"])
+    @pytest.mark.parametrize("mults", [[10**19], [2, 999_999]])
+    def test_oversized_module_is_usage_error(self, capsys, tmp_path, command, mults):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"summands": [
+            {"interval": f"[0,{k + 1})", "multiplicity": mult} for k, mult in enumerate(mults)
+        ]}))
+        argv = [command, str(path)] + ([str(path)] if command == "dist" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
+
+    @pytest.mark.parametrize("count", ["10000000000000000000", "1000001"])
+    def test_oversized_replicate_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "gen", "replicate", "--interval", "[0,1)", "--count", count)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        monkeypatch.setattr(families, "_MAX_COPIES", 3)
+        entries = [{"interval": "[0,1)", "multiplicity": 1}, {"interval": "[0,2)", "multiplicity": 2}]
+        assert len(PModule.from_json_obj({"summands": entries})) == 3
+        entries[0]["multiplicity"] = 2
+        with pytest.raises(ModuleFormatError, match="summand #1 brings the module to 4 copies"):
+            PModule.from_json_obj({"summands": entries})
+        assert len(families.replicate(parse_interval("[0,1)"), 3)) == 3
+        with pytest.raises(ValueError, match="at most 3"):
+            families.replicate(parse_interval("[0,1)"), 4)
 
 
 class TestCap:

