@@ -277,18 +277,19 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
 def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> bool:
     """Exact re-check of the certificate invariants: a valid certificate
     witnesses module_distance(m, n) <= cert.threshold (upper bound only)."""
+    ms, ns = m.summands, n.summands
     m_used = sorted(list(cert.unmatched_m) + [i for i, _ in cert.pairs])
     n_used = sorted(list(cert.unmatched_n) + [j for _, j in cert.pairs])
     if m_used != list(range(len(m))) or n_used != list(range(len(n))):
         return False
     t = cert.threshold
     for i, j in cert.pairs:
-        if interval_distance(m.summands[i], n.summands[j]) > t:
+        if interval_distance(ms[i], ns[j]) > t:
             return False
     for i in cert.unmatched_m:
-        if distance_to_zero(m.summands[i]) > t:
+        if distance_to_zero(ms[i]) > t:
             return False
     for j in cert.unmatched_n:
-        if distance_to_zero(n.summands[j]) > t:
+        if distance_to_zero(ns[j]) > t:
             return False
     return True

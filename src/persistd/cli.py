@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -93,18 +94,7 @@ def _cmd_classify(args) -> int:
     module = _load_module(args.module)
     bounds = _fraction_pair(args.bounds) if args.bounds else None
     membership = module.classify(bounds=bounds)
-    print(
-        json.dumps(
-            {
-                "in_fid": membership.in_fid,
-                "in_ffid": membership.in_ffid,
-                "in_ffid_cd": membership.in_ffid_cd,
-                "is_ephemeral": membership.is_ephemeral,
-                "is_zero": membership.is_zero,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(membership), sort_keys=True))
     return 0
 
 

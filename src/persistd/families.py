@@ -20,7 +20,7 @@ explicit ``trunc`` count.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .intervals import Interval, Rational, _as_fraction, interval
 from .pmodule import _MAX_COPIES, PModule
@@ -92,6 +92,8 @@ def staircase(n: int) -> PModule:
     """The sum of [0, k) for k = 1..n; its distance to zero grows as n/2."""
     if n < 1:
         raise ValueError(f"staircase height must be positive, got {n}")
+    if n > _MAX_COPIES:
+        raise ValueError(f"staircase height must be at most {_MAX_COPIES}, got {n}")
     return PModule(interval(0, k, "[)") for k in range(1, n + 1))
 
 
@@ -104,7 +106,7 @@ def replicate(summand: Interval, count: int) -> PModule:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count > _MAX_COPIES:
         raise ValueError(f"count must be at most {_MAX_COPIES}, got {count}")
-    return PModule([summand] * count)
+    return PModule._of_runs([(summand, count)] if count else [])
 
 
 def open_subset_witness(
@@ -123,6 +125,8 @@ def open_subset_witness(
         raise ValueError(f"witness needs eps > 0, got {eps}")
     if trunc < 1:
         raise ValueError(f"truncation count must be positive, got {trunc}")
+    if trunc > _MAX_COPIES:
+        raise ValueError(f"truncation count must be at most {_MAX_COPIES}, got {trunc}")
     if inclusion not in INCLUSIONS:
         raise ValueError(f"unknown inclusion {inclusion!r}; choose from {INCLUSIONS}")
 
@@ -130,19 +134,15 @@ def open_subset_witness(
         if bounds is None:
             raise ClassMismatchError("ffid_cd_in_ffid needs the class bounds [c, d]")
         c, d = _as_fraction(bounds[0]), _as_fraction(bounds[1])
-        if c >= d:
-            raise ValueError(f"bounds need c < d, got [{c},{d}]")
         if module.classify(bounds=(c, d)).in_ffid_cd is not True:
             raise ClassMismatchError(
                 f"module has a summand outside [{c},{d}]"
             )
-        extra: Iterable[Interval] = [interval(d, d + 2 * eps, "[)")]
-    elif inclusion == "ffid_in_cfid":
-        if not module.classify().in_ffid:
-            raise ClassMismatchError("module has an unbounded summand")
-        extra = [interval(0, 2 * eps, "[)")] * trunc
+        extra = [(interval(d, d + 2 * eps, "[)"), 1)]
     elif inclusion == "fid_in_pfd":
-        extra = [interval(k, k + 2 * eps, "[)") for k in range(1, trunc + 1)]
-    else:  # fid_in_cid, cid_in_rid, pfd_in_rid
-        extra = [interval(0, 2 * eps, "[)")] * trunc
-    return module.direct_sum(PModule(extra))
+        extra = [(interval(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
+    elif inclusion == "ffid_in_cfid" and not module.classify().in_ffid:
+        raise ClassMismatchError("module has an unbounded summand")
+    else:  # ffid_in_cfid, fid_in_cid, cid_in_rid, pfd_in_rid
+        extra = [(interval(0, 2 * eps, "[)"), trunc)]
+    return module.direct_sum(PModule._of_runs(extra))

@@ -1,8 +1,8 @@
 """Finitely interval-decomposable persistence modules.
 
-A module is a finite multiset of nonempty decorated intervals, stored in a
-canonical sorted order so that equality of values is isomorphism of
-modules.  All operations return new modules; values are immutable.
+A module is a finite multiset of nonempty decorated intervals, stored as
+(interval, count) runs in a canonical order, so that equality of values is
+isomorphism of modules.  Values are immutable; operations return new ones.
 
 JSON format::
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .intervals import (
@@ -29,10 +30,27 @@ from .intervals import (
 )
 
 
-# The most summand copies one module may hold, counted with multiplicity.
-# Every copy is stored, so an entry that would pass this is refused before
-# its copies are built.
+# The most summand copies one module may hold, counted with multiplicity:
+# the matcher and its certificates index every copy, not every run.
 _MAX_COPIES = 10**6
+
+
+def _canonical_runs(pairs) -> tuple[tuple[Interval, int], ...]:
+    """(summand, count) pairs checked, sorted by ``canonical_key``, equal summands merged."""
+    keyed = []
+    for s, k in pairs:
+        if not isinstance(s, Interval):
+            raise TypeError(f"summands must be Interval values, got {s!r}")
+        if s.is_empty:
+            raise ValueError("the empty interval cannot be a summand")
+        keyed.append((s.canonical_key(), s, k))
+    runs = []
+    for key, s, k in sorted(keyed, key=itemgetter(0)):
+        if runs and key == runs[-1][0]:
+            runs[-1][2] += k
+        else:
+            runs.append([key, s, k])
+    return tuple((s, k) for _, s, k in runs)
 
 
 class ModuleFormatError(ValueError):
@@ -55,24 +73,21 @@ class ClassMembership:
 
 
 class PModule:
-    """A persistence module given by its interval summands (with multiplicity).
+    """A persistence module: a direct sum of interval modules, kept as one
+    run (interval, count) per distinct summand.  Every operation works on
+    the runs; only ``summands`` expands them, for the matcher."""
 
-    The summand-wise transforms (radical, persistent submodule, contraction
-    path) compute one image per distinct summand and repeat it for each
-    copy."""
-
-    __slots__ = ("_summands",)
+    __slots__ = ("_runs",)
 
     def __init__(self, summands: Iterable[Interval] = ()):
-        items = []
-        for s in summands:
-            if not isinstance(s, Interval):
-                raise TypeError(f"summands must be Interval values, got {s!r}")
-            if s.is_empty:
-                raise ValueError("the empty interval cannot be a summand")
-            items.append(s)
-        items.sort(key=Interval.canonical_key)
-        object.__setattr__(self, "_summands", tuple(items))
+        object.__setattr__(self, "_runs", _canonical_runs(zip(summands, repeat(1))))
+
+    @classmethod
+    def _of_runs(cls, runs) -> "PModule":
+        """The module of (summand, count) pairs with positive counts."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_runs", _canonical_runs(runs))
+        return out
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")
@@ -88,41 +103,40 @@ class PModule:
 
     @property
     def summands(self) -> tuple[Interval, ...]:
-        return self._summands
+        """Every summand copy, in the canonical order of certificate indices."""
+        return tuple(chain.from_iterable(repeat(s, k) for s, k in self._runs))
 
     @property
     def is_zero(self) -> bool:
-        return not self._summands
+        return not self._runs
 
     def __len__(self) -> int:
-        return len(self._summands)
+        return sum(k for _, k in self._runs)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._summands)
+        return iter(self.summands)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PModule):
             return NotImplemented
-        return self._summands == other._summands
+        return self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._summands)
+        return hash(self._runs)
 
     def __str__(self) -> str:
-        if not self._summands:
-            return "0"
-        return " + ".join(str(s) for s in self._summands)
+        return " + ".join(map(str, self.summands)) or "0"
 
     def __repr__(self) -> str:
-        return f"PModule.of({', '.join(repr(str(s)) for s in self._summands)})"
+        return f"PModule.of({', '.join(repr(str(s)) for s in self.summands)})"
 
     def direct_sum(self, other: "PModule") -> "PModule":
         """Multiset union of the summands."""
-        return PModule(self._summands + other._summands)
+        return PModule._of_runs(self._runs + other._runs)
 
     def dimension_at(self, x: Rational | ExtRational) -> int:
         """Dimension of the fiber at x: how many summands contain x."""
-        return sum(1 for s in self._summands if s.contains(x))
+        return sum(k for s, k in self._runs if s.contains(x))
 
     def rank(self, a: Rational, b: Rational) -> int:
         """Rank of the structure map from a to b (a <= b): the number of
@@ -131,7 +145,7 @@ class PModule:
         if a > b:
             raise ValueError(f"rank needs a <= b, got {a} > {b}")
         span = interval(a, b, "[]")
-        return sum(1 for s in self._summands if span.is_subset_of(s))
+        return sum(k for s, k in self._runs if span.is_subset_of(s))
 
     def classify(self, bounds: tuple[Rational, Rational] | None = None) -> ClassMembership:
         in_ffid_cd = None
@@ -140,24 +154,21 @@ class PModule:
             if c >= d:
                 raise ValueError(f"bounds need c < d, got [{c},{d}]")
             box = interval(c, d, "[]")
-            in_ffid_cd = all(s.is_subset_of(box) for s in self._summands)
+            in_ffid_cd = all(s.is_subset_of(box) for s, _ in self._runs)
         return ClassMembership(
             in_fid=True,
-            in_ffid=all(s.is_finite for s in self._summands),
+            in_ffid=all(s.is_finite for s, _ in self._runs),
             in_ffid_cd=in_ffid_cd,
-            is_ephemeral=all(s.is_singleton for s in self._summands),
+            is_ephemeral=all(s.is_singleton for s, _ in self._runs),
             is_zero=self.is_zero,
         )
 
     def _map(self, f) -> "PModule":
-        """Apply the summand transform ``f`` once per distinct summand and
-        repeat its image for each copy; empty images are dropped."""
-        out = []
-        for s, run in groupby(self._summands):
-            image = f(s)
-            if not image.is_empty:
-                out.extend([image] * len(list(run)))
-        return PModule(out)
+        """Apply the summand transform ``f`` once per run; each image keeps
+        its run's count, and empty images are dropped."""
+        return PModule._of_runs(
+            (image, k) for s, k in self._runs if not (image := f(s)).is_empty
+        )
 
     def radical(self) -> "PModule":
         """Submodule generated by images of strictly earlier structure maps:
@@ -199,11 +210,7 @@ class PModule:
         return self._map(stage)
 
     def to_json_obj(self) -> dict:
-        summands = [
-            {"interval": str(key), "multiplicity": len(list(grp))}
-            for key, grp in groupby(self._summands)
-        ]
-        return {"summands": summands}
+        return {"summands": [{"interval": str(s), "multiplicity": k} for s, k in self._runs]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -215,7 +222,7 @@ class PModule:
         entries = obj["summands"]
         if not isinstance(entries, list):
             raise ModuleFormatError('"summands" must be a list')
-        out = []
+        runs = []
         total = 0
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or "interval" not in entry:
@@ -239,8 +246,8 @@ class PModule:
                     f"summand #{pos} brings the module to {total} copies, "
                     f"more than the limit {_MAX_COPIES}"
                 )
-            out.extend([parsed] * mult)
-        return cls(out)
+            runs.append((parsed, mult))
+        return cls._of_runs(runs)
 
 
 def parse_module(data: str | bytes) -> PModule:

@@ -84,9 +84,10 @@ def candidate_scan_interval_distance(i: Interval, j: Interval) -> ExtRational:
 
 def bruteforce_module_distance(m: PModule, n: PModule) -> ExtRational:
     """Exhaustive minimum over all partial bijections between summands."""
-    costs = [[interval_distance(a, b) for b in n.summands] for a in m.summands]
-    dtz_m = [distance_to_zero(a) for a in m.summands]
-    dtz_n = [distance_to_zero(b) for b in n.summands]
+    ms, ns = m.summands, n.summands
+    costs = [[interval_distance(a, b) for b in ns] for a in ms]
+    dtz_m = [distance_to_zero(a) for a in ms]
+    dtz_n = [distance_to_zero(b) for b in ns]
     best = POS_INF
     rows, cols = range(len(m)), range(len(n))
     for k in range(min(len(m), len(n)) + 1):

@@ -171,9 +171,10 @@ def reference_interval_distance(i: Interval, j: Interval) -> ExtRational:
 def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
     """Module distance by binary search over candidates, every cost an
     ``ExtRational`` from the reference closed form."""
-    costs = [[reference_interval_distance(a, b) for b in n.summands] for a in m.summands]
-    dtz_m = [reference_distance_to_zero(a) for a in m.summands]
-    dtz_n = [reference_distance_to_zero(b) for b in n.summands]
+    ms, ns = m.summands, n.summands
+    costs = [[reference_interval_distance(a, b) for b in ns] for a in ms]
+    dtz_m = [reference_distance_to_zero(a) for a in ms]
+    dtz_n = [reference_distance_to_zero(b) for b in ns]
     candidates = {ExtRational(0), *dtz_m, *dtz_n, *(c for row in costs for c in row)}
     ordered = sorted(c for c in candidates if c.is_finite)
 
@@ -198,9 +199,10 @@ def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> 
     def cost(a, b):
         return 0 if reference_are_eps_interleaved(a, b, eps) else 1
 
+    ms, ns = m.summands, n.summands
     return _matching_at(
-        [[cost(a, b) for b in n.summands] for a in m.summands],
-        [cost(a, EMPTY) for a in m.summands],
-        [cost(b, EMPTY) for b in n.summands],
+        [[cost(a, b) for b in ns] for a in ms],
+        [cost(a, EMPTY) for a in ms],
+        [cost(b, EMPTY) for b in ns],
         0,
     ) is not None

@@ -242,7 +242,7 @@ class TestVerify:
 
 class TestCopyBound:
     """A module of more than 10**6 summand copies is refused before its
-    copies are built."""
+    copies are built, and so is a family count that would give one."""
 
     @pytest.mark.parametrize("command", ["dist", "radical", "classify"])
     @pytest.mark.parametrize("mults", [[10**19], [2, 999_999]])
@@ -262,6 +262,20 @@ class TestCopyBound:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
 
+    @pytest.mark.parametrize("value", ["10000000000000000000", "1000001"])
+    @pytest.mark.parametrize("family", [
+        ["staircase", "--n"],
+        ["witness", "--inclusion", "fid_in_pfd", "--eps", "1", "--trunc"],
+        ["witness", "--inclusion", "fid_in_cid", "--eps", "1", "--trunc"],
+        ["witness", "--inclusion", "ffid_in_cfid", "--eps", "1", "--trunc"],
+    ])
+    def test_oversized_family_is_usage_error(self, capsys, module_file, family, value):
+        if family[0] == "witness":
+            family = ["witness", "--module", module_file("m.json", "[0,1)")] + family[1:]
+        code, out, err = run(capsys, "gen", *family, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
+
     def test_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
         monkeypatch.setattr(families, "_MAX_COPIES", 3)
@@ -273,6 +287,14 @@ class TestCopyBound:
         assert len(families.replicate(parse_interval("[0,1)"), 3)) == 3
         with pytest.raises(ValueError, match="at most 3"):
             families.replicate(parse_interval("[0,1)"), 4)
+        assert len(families.staircase(3)) == 3
+        with pytest.raises(ValueError, match="at most 3"):
+            families.staircase(4)
+        m = PModule.of("[10,11)")
+        for inclusion in ("fid_in_pfd", "fid_in_cid"):
+            assert len(families.open_subset_witness(m, inclusion, 1, 3)) == 4
+            with pytest.raises(ValueError, match="at most 3"):
+                families.open_subset_witness(m, inclusion, 1, 4)
 
 
 class TestCap:

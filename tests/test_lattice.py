@@ -40,11 +40,10 @@ def lattice_scale(m: PModule, n: PModule) -> int:
 
 def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
     """0, every finite pairwise distance and every finite to-zero distance."""
+    ms, ns = m.summands, n.summands
     values = {ExtRational(0)}
-    values.update(
-        reference_interval_distance(a, b) for a in m.summands for b in n.summands
-    )
-    values.update(reference_distance_to_zero(s) for s in (*m.summands, *n.summands))
+    values.update(reference_interval_distance(a, b) for a in ms for b in ns)
+    values.update(reference_distance_to_zero(s) for s in (*ms, *ns))
     return {v.as_fraction for v in values if v.is_finite}
 
 

@@ -1,6 +1,8 @@
-"""The lattice kernel stays on ints: ``interleaving`` and ``bottleneck``
+"""The lattice kernel and the module code stay on ints and fractions:
+``interleaving``, ``bottleneck``, ``pmodule``, ``families`` and ``maps``
 hold no true division, no float literal and no ``float`` name, so a stray
-``/`` in the class arithmetic cannot quietly bring a float in."""
+``/`` in the class arithmetic or a run count cannot quietly bring a float
+in."""
 
 import ast
 from pathlib import Path
@@ -24,7 +26,9 @@ def float_sources(tree: ast.AST) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("name", ["interleaving.py", "bottleneck.py"])
+@pytest.mark.parametrize(
+    "name", ["interleaving.py", "bottleneck.py", "pmodule.py", "families.py", "maps.py"]
+)
 def test_kernel_has_no_float_source(name):
     path = PACKAGE / name
     found = float_sources(ast.parse(path.read_text(), filename=str(path)))

@@ -1,6 +1,7 @@
-"""The module transforms on modules with repeated summands: the radical,
-the p-persistent submodule and the contraction path act once per distinct
-summand and give every copy the same image."""
+"""Modules with repeated summands: the radical, the p-persistent submodule
+and the contraction path act once per distinct summand and give every copy
+the same image, and a module built from (interval, count) runs equals the
+one built from the expanded copies."""
 
 from fractions import Fraction
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from persistd import Interval, PModule, parse_module
+from persistd import (
+    Interval,
+    PModule,
+    bottleneck,
+    distance_certificate,
+    parse_interval,
+    parse_module,
+    verify_certificate,
+)
 
 from oracles import (
     contraction_dimension,
@@ -17,7 +26,7 @@ from oracles import (
     radical_dimension,
     sample_points,
 )
-from strategies import modules
+from strategies import finite_nonempty_intervals, modules
 
 copied_modules = modules(max_copies=4)
 persistences = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 4]))
@@ -119,3 +128,88 @@ class TestOncePerDistinctSummand:
         stage = self.m.contraction_path(Fraction(1, 2))
         assert len(built) == 2
         assert stage == PModule.of(*["[1,3)", "[3/2,5/2)"] * 1500)
+
+
+@st.composite
+def run_lists(draw):
+    """(interval, count) lists over a few distinct intervals; an interval
+    may appear in several entries, each time as an equal but distinct
+    object."""
+    distinct = draw(st.lists(finite_nonempty_intervals(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(distinct), st.integers(1, 4)), max_size=8))
+    return [(parse_interval(str(s)), k) for s, k in picks]
+
+
+@given(run_lists())
+def test_runs_match_copies(runs):
+    by_runs = PModule._of_runs(runs)
+    copies = [parse_interval(str(s)) for s, k in runs for _ in range(k)]
+    by_copies = PModule(copies)
+    assert by_runs == by_copies and hash(by_runs) == hash(by_copies)
+    expected = sorted(copies, key=Interval.canonical_key)
+    assert by_runs.summands == by_copies.summands == tuple(expected)
+    assert len(by_runs) == len(by_copies) == len(copies)
+    for view in (str, repr, PModule.to_json_obj, PModule.classify):
+        assert view(by_runs) == view(by_copies)
+    texts = [str(s) for s in expected]
+    assert by_runs.to_json_obj()["summands"] == [
+        {"interval": t, "multiplicity": texts.count(t)} for t in dict.fromkeys(texts)
+    ]
+    for x in sample_points(*copies):
+        assert by_runs.dimension_at(x) == by_copies.dimension_at(x)
+        assert by_runs.rank(x, x + 1) == by_copies.rank(x, x + 1)
+
+
+def test_split_json_entries_merge():
+    m = parse_module(
+        '{"summands": [{"interval": "[0,1)", "multiplicity": 2}, {"interval": "[2,3)"},'
+        ' {"interval": "[0,1)", "multiplicity": 3}]}'
+    )
+    assert m.to_json_obj() == {"summands": [
+        {"interval": "[0,1)", "multiplicity": 5}, {"interval": "[2,3)", "multiplicity": 1},
+    ]}
+
+
+class TestNoCopiesOutsideTheMatcher:
+    """A module of 10**6 copies of one interval costs one run everywhere
+    but in the matcher, which reads the expanded summands once per module."""
+
+    def test_module_operations_work_on_runs(self, monkeypatch):
+        keyed = []
+        real = Interval.canonical_key
+
+        def counted(self):
+            keyed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Interval, "canonical_key", counted)
+        m = parse_module('{"summands": [{"interval": "[0,4)", "multiplicity": 1000000}]}')
+        assert m.radical().to_json() == (
+            '{"summands": [{"interval": "(0,4)", "multiplicity": 1000000}]}'
+        )
+        assert m.persistent_submodule(1) == PModule._of_runs([(parse_interval("[1,4)"), 10**6)])
+        assert m.contraction_path(Fraction(1, 2)) == PModule._of_runs(
+            [(parse_interval("[1,3)"), 10**6)]
+        )
+        assert m.classify().in_ffid and not m.classify(bounds=(0, 3)).in_ffid_cd
+        assert m.rank(1, 2) == m.dimension_at(0) == len(m) == 10**6
+        assert len(m.direct_sum(m)) == 2 * 10**6
+        assert len(keyed) <= 10
+
+    def test_matcher_reads_summands_once_per_module(self, monkeypatch):
+        reads = []
+        real = PModule.summands
+
+        def counted(self):
+            reads.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(PModule, "summands", property(counted))
+        m = PModule.of("[0,2)", "[0,2)", "[0,2)", "[5,6]", "(1,3)")
+        n = PModule.of("[0,3)", "[0,3)", "[5,6)")
+        bottleneck._cost_tables(m, n)
+        assert reads == [m, n]
+        cert = distance_certificate(m, n)
+        reads.clear()
+        assert verify_certificate(m, n, cert)
+        assert reads == [m, n]
