@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .interleaving import _class_top, _cost_table, distance_to_zero, interval_distance
 from .intervals import ExtRational, POS_INF, Rational
@@ -48,8 +48,7 @@ class InfiniteDistanceError(ValueError):
     """No finite-threshold matching exists between the two modules."""
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(NamedTuple):
     """A matching witnessing that two modules are within ``threshold``.
 
     ``pairs`` are (index into M, index into N) over the canonical summand

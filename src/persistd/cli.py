@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -94,7 +93,7 @@ def _cmd_classify(args) -> int:
     module = _load_module(args.module)
     bounds = _fraction_pair(args.bounds) if args.bounds else None
     membership = module.classify(bounds=bounds)
-    print(json.dumps(dataclasses.asdict(membership), sort_keys=True))
+    print(json.dumps(membership._asdict(), sort_keys=True))
     return 0
 
 

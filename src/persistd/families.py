@@ -36,6 +36,11 @@ INCLUSIONS = (
 )
 
 
+# The deepest Cauchy stage.  Stage n has n + 1 summands with denominators up
+# to 2**n, so its size grows as n**2 whatever the copy bound allows.
+_MAX_CAUCHY_STAGE = 1000
+
+
 class ClassMismatchError(ValueError):
     """The module is not in the source class of the requested inclusion."""
 
@@ -83,6 +88,8 @@ def cauchy_witness(n: int) -> PModule:
     the sum of [-1/2^k, 1/2^k) for k = 0..n."""
     if n < 0:
         raise ValueError(f"stage must be nonnegative, got {n}")
+    if n > _MAX_CAUCHY_STAGE:
+        raise ValueError(f"stage must be at most {_MAX_CAUCHY_STAGE}, got {n}")
     return PModule(
         interval(-Fraction(1, 2**k), Fraction(1, 2**k), "[)") for k in range(n + 1)
     )
@@ -104,8 +111,6 @@ def replicate(summand: Interval, count: int) -> PModule:
         raise ValueError("replicate needs a nonempty interval")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    if count > _MAX_COPIES:
-        raise ValueError(f"count must be at most {_MAX_COPIES}, got {count}")
     return PModule._of_runs([(summand, count)] if count else [])
 
 

@@ -17,7 +17,6 @@ Infinite endpoints are always open: intervals are subsets of the real line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -216,20 +215,29 @@ POS_INF = ExtRational._infinite(1)
 ZERO = ExtRational(0)
 
 
-@dataclass(frozen=True)
 class Endpoint:
     """An interval endpoint: an extended rational plus an open/closed flag."""
 
-    value: ExtRational
-    closed: bool
+    __slots__ = ("value", "closed")
 
-    def __post_init__(self):
-        if not isinstance(self.value, ExtRational):
-            object.__setattr__(self, "value", ExtRational(self.value))
-        if self.closed and not self.value.is_finite:
-            raise MalformedIntervalError(
-                f"infinite endpoint {self.value} must be open"
-            )
+    def __init__(self, value: ExtRational, closed: bool):
+        if not isinstance(value, ExtRational):
+            value = ExtRational(value)
+        if closed and not value.is_finite:
+            raise MalformedIntervalError(f"infinite endpoint {value} must be open")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "closed", closed)
+
+    def __setattr__(self, name, val):  # pragma: no cover - guard
+        raise AttributeError("Endpoint is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.closed) == (other.value, other.closed)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.closed))
 
     def flipped(self) -> "Endpoint":
         return Endpoint(self.value, not self.closed)
@@ -248,7 +256,6 @@ def upper_key(e: Endpoint) -> tuple[ExtRational, int]:
     return (e.value, 1 if e.closed else 0)
 
 
-@dataclass(frozen=True)
 class Interval:
     """A decorated interval, or the empty interval (both endpoints ``None``).
 
@@ -257,23 +264,34 @@ class Interval:
     normalizes point-free endpoint pairs to the empty interval.
     """
 
-    lo: Endpoint | None
-    hi: Endpoint | None
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
+    def __init__(self, lo: Endpoint | None, hi: Endpoint | None):
+        if (lo is None) != (hi is None):
             raise MalformedIntervalError("both endpoints or neither")
-        if self.lo is None:
-            return
-        if self.lo.value > self.hi.value:
-            raise MalformedIntervalError(
-                f"lower endpoint {self.lo.value} exceeds upper endpoint {self.hi.value}"
-            )
-        if self.lo.value == self.hi.value and not (self.lo.closed and self.hi.closed):
-            raise MalformedIntervalError(
-                "an equal-value endpoint pair is only valid when both are closed; "
-                "use make_interval to normalize"
-            )
+        if lo is not None:
+            if lo.value > hi.value:
+                raise MalformedIntervalError(
+                    f"lower endpoint {lo.value} exceeds upper endpoint {hi.value}"
+                )
+            if lo.value == hi.value and not (lo.closed and hi.closed):
+                raise MalformedIntervalError(
+                    "an equal-value endpoint pair is only valid when both are closed; "
+                    "use make_interval to normalize"
+                )
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, val):  # pragma: no cover - guard
+        raise AttributeError("Interval is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @property
     def is_empty(self) -> bool:

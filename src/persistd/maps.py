@@ -9,7 +9,7 @@ than as a per-point function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import Interval, residuals
 
@@ -18,8 +18,7 @@ class NoNonzeroMapError(ValueError):
     """Requested the canonical map between intervals that only admit zero."""
 
 
-@dataclass(frozen=True)
-class CanonicalMapParts:
+class CanonicalMapParts(NamedTuple):
     image: Interval
     kernel: Interval
     cokernel: Interval

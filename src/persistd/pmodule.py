@@ -12,11 +12,10 @@ JSON format::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .intervals import (
     Endpoint,
@@ -36,14 +35,21 @@ _MAX_COPIES = 10**6
 
 
 def _canonical_runs(pairs) -> tuple[tuple[Interval, int], ...]:
-    """(summand, count) pairs checked, sorted by ``canonical_key``, equal summands merged."""
+    """(summand, count) pairs checked, sorted by ``canonical_key``, equal
+    summands merged; more than ``_MAX_COPIES`` copies in all are refused."""
     keyed = []
+    total = 0
     for s, k in pairs:
         if not isinstance(s, Interval):
             raise TypeError(f"summands must be Interval values, got {s!r}")
         if s.is_empty:
             raise ValueError("the empty interval cannot be a summand")
         keyed.append((s.canonical_key(), s, k))
+        total += k
+    if total > _MAX_COPIES:
+        raise ValueError(
+            f"a module holds at most {_MAX_COPIES} summand copies, got {total}"
+        )
     runs = []
     for key, s, k in sorted(keyed, key=itemgetter(0)):
         if runs and key == runs[-1][0]:
@@ -57,8 +63,7 @@ class ModuleFormatError(ValueError):
     """Module JSON that does not match the accepted schema."""
 
 
-@dataclass(frozen=True)
-class ClassMembership:
+class ClassMembership(NamedTuple):
     """Which of the interval-decomposable classes a module belongs to.
 
     ``in_fid`` is always true here; ``in_ffid_cd`` is only set when bounds

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bottleneck
 from .families import (
@@ -157,33 +156,40 @@ def random_module(
 # ---------------------------------------------------------------------------
 # suite definitions
 
+# The most trials per property, and the largest replicate count ``k`` and
+# Cauchy ``depth`` of a case.  Each of ``k`` and ``depth`` builds that many
+# modules plus one and compares every pair, so its time grows as its fourth
+# power: 64 takes seconds.
+_MAX_TRIALS = 10_000
+_MAX_FAMILY_SIZE = 64
 
-@dataclass(frozen=True)
-class PropertyCheck:
+
+def _case_size(case: dict, key: str) -> int:
+    """The int field ``key`` of a case, at most ``_MAX_FAMILY_SIZE``."""
+    size = _as_int(case[key])
+    if size > _MAX_FAMILY_SIZE:
+        raise ValueError(f"{key} must be at most {_MAX_FAMILY_SIZE}, got {size}")
+    return size
+
+
+class PropertyCheck(NamedTuple):
     prop: str
     generate: Callable[[random.Random, dict, int], dict]
     check: Callable[[dict], bool]
     deterministic: bool = False
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     property: str
     status: str
     trials: int
     counterexample: dict | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "property": self.property,
-            "status": self.status,
-            "trials": self.trials,
-            "counterexample": self.counterexample,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     trials: int
@@ -328,7 +334,7 @@ def _gen_ntb(rng, params, trial):
 
 
 def _check_ntb(case) -> bool:
-    c, d, k = _as_fraction(case["c"]), _as_fraction(case["d"]), _as_int(case["k"])
+    c, d, k = _as_fraction(case["c"]), _as_fraction(case["d"]), _case_size(case, "k")
     half = ExtRational(Fraction(d - c, 2))
     piece = interval(c, d, "[)")
     mods = [replicate(piece, n) for n in range(k + 1)]
@@ -441,7 +447,7 @@ def _gen_depth(rng, params, trial):
 
 
 def _check_cauchy_distances(case) -> bool:
-    depth = _as_int(case["depth"])
+    depth = _case_size(case, "depth")
     stages = [cauchy_witness(n) for n in range(depth + 1)]
     for n in range(depth + 1):
         for m in range(n + 1, depth + 1):
@@ -452,7 +458,7 @@ def _check_cauchy_distances(case) -> bool:
 
 
 def _check_cauchy_rank_growth(case) -> bool:
-    depth = _as_int(case["depth"])
+    depth = _case_size(case, "depth")
     if depth < 4:
         return False
     counts = []
@@ -693,6 +699,8 @@ def run_suite(name: str, seed: int, trials: int, params: dict | None = None) -> 
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     merged = _merge_params(name, params)
     _, props = _SUITES[name]
     results = []

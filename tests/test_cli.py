@@ -290,11 +290,47 @@ class TestCopyBound:
         assert len(families.staircase(3)) == 3
         with pytest.raises(ValueError, match="at most 3"):
             families.staircase(4)
-        m = PModule.of("[10,11)")
+        m = PModule.zero()
         for inclusion in ("fid_in_pfd", "fid_in_cid"):
-            assert len(families.open_subset_witness(m, inclusion, 1, 3)) == 4
+            assert len(families.open_subset_witness(m, inclusion, 1, 3)) == 3
             with pytest.raises(ValueError, match="at most 3"):
                 families.open_subset_witness(m, inclusion, 1, 4)
+
+    def test_sums_are_held_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        m = PModule.of("[0,1)", "[0,2)")
+        assert len(m.direct_sum(PModule.of("[0,1)"))) == 3
+        with pytest.raises(ValueError, match="at most 3 summand copies, got 4"):
+            m.direct_sum(m)
+        with pytest.raises(ValueError, match="at most 3 summand copies, got 4"):
+            PModule._of_runs([(parse_interval("[0,1)"), 2), (parse_interval("[0,1)"), 2)])
+        with pytest.raises(ValueError, match="at most 3 summand copies, got 4"):
+            families.open_subset_witness(PModule.of("[10,11)"), "fid_in_cid", 1, 3)
+
+    def test_oversized_witness_sum_is_usage_error(self, capsys, module_file):
+        path = module_file("m.json", "[0,1)")
+        code, out, err = run(capsys, "gen", "witness", "--module", path,
+                             "--inclusion", "fid_in_cid", "--eps", "1", "--trunc", "1000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "1000001" in err
+
+
+class TestBudgets:
+    """Sizes whose cost is not a copy count have fixed bounds too: each
+    oversized value is one error line and exit 2, before any work."""
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["verify", "pseudometric", "--trials"], "10000"),
+        (["verify", "not-totally-bounded", "--k"], "64"),
+        (["verify", "cauchy-incomplete", "--depth"], "64"),
+        (["gen", "cauchy", "--n"], "1000"),
+    ])
+    @pytest.mark.parametrize("value", ["10000000000000000000", "next"])
+    def test_oversized_value_is_usage_error(self, capsys, no_module_building, argv, bound, value):
+        value = str(int(bound) + 1) if value == "next" else value
+        code, out, err = run(capsys, *argv, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and bound in err
 
 
 class TestCap:

@@ -14,6 +14,7 @@ from persistd import (
     cauchy_witness,
     cube_point_module,
     distance_to_zero,
+    families,
     module_distance,
     open_subset_witness,
     parse_interval,
@@ -91,6 +92,16 @@ class TestCauchy:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cauchy_witness(-1)
+
+    def test_huge_stage_is_refused(self, no_module_building):
+        with pytest.raises(ValueError, match="stage must be at most 1000, got 10000000000"):
+            cauchy_witness(10**10)
+
+    def test_stage_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(families, "_MAX_CAUCHY_STAGE", 3)
+        assert len(cauchy_witness(3)) == 4
+        with pytest.raises(ValueError, match="stage must be at most 3, got 4"):
+            cauchy_witness(4)
 
     def test_distance_law_small_stages_bruteforce(self):
         for n in range(3):

@@ -112,7 +112,7 @@ class TestOncePerDistinctSummand:
         return calls
 
     def test_radical(self, monkeypatch):
-        built = self.count_calls(monkeypatch, "__post_init__")
+        built = self.count_calls(monkeypatch, "__init__")
         rad = self.m.radical()
         assert len(built) == 2
         assert rad == PModule.of(*["(0,4)", "(1,3]"] * 1500)
@@ -124,7 +124,7 @@ class TestOncePerDistinctSummand:
         assert sub == PModule.of(*["[1,4)", "[2,3]"] * 1500)
 
     def test_contraction_path(self, monkeypatch):
-        built = self.count_calls(monkeypatch, "__post_init__")
+        built = self.count_calls(monkeypatch, "__init__")
         stage = self.m.contraction_path(Fraction(1, 2))
         assert len(built) == 2
         assert stage == PModule.of(*["[1,3)", "[3/2,5/2)"] * 1500)
@@ -193,7 +193,8 @@ class TestNoCopiesOutsideTheMatcher:
         )
         assert m.classify().in_ffid and not m.classify(bounds=(0, 3)).in_ffid_cd
         assert m.rank(1, 2) == m.dimension_at(0) == len(m) == 10**6
-        assert len(m.direct_sum(m)) == 2 * 10**6
+        with pytest.raises(ValueError, match="at most 1000000 summand copies, got 2000000"):
+            m.direct_sum(m)
         assert len(keyed) <= 10
 
     def test_matcher_reads_summands_once_per_module(self, monkeypatch):

@@ -64,6 +64,48 @@ def test_bad_trials_rejected():
         run_suite("pseudometric", seed=0, trials=0)
 
 
+class TestBudgets:
+    """Trials, the replicate count ``k`` and the Cauchy ``depth`` have fixed
+    bounds, checked before any module is built; the extremes are tested
+    with the bounds patched small."""
+
+    HUGE = "10000000000000000000"
+    NTB = ("not-totally-bounded", "replicates-pairwise-half-diameter")
+    CAUCHY = [("cauchy-incomplete", "cauchy-distance-law"),
+              ("cauchy-incomplete", "rank-witness-diverges")]
+
+    def test_huge_values_are_refused(self, no_module_building):
+        with pytest.raises(ValueError, match="trials must be at most 10000"):
+            run_suite("pseudometric", seed=0, trials=int(self.HUGE))
+        with pytest.raises(ValueError, match="k must be at most 64"):
+            run_suite("not-totally-bounded", seed=0, trials=1, params={"k": self.HUGE})
+        with pytest.raises(ValueError, match="depth must be at most 64"):
+            run_suite("cauchy-incomplete", seed=0, trials=1, params={"depth": self.HUGE})
+        with pytest.raises(ValueError, match="k must be at most 64"):
+            replay(*self.NTB, {"c": "0", "d": "1", "k": self.HUGE})
+        for suite, prop in self.CAUCHY:
+            with pytest.raises(ValueError, match="depth must be at most 64"):
+                replay(suite, prop, {"depth": int(self.HUGE)})
+
+    def test_bounds_are_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pv, "_MAX_TRIALS", 2)
+        monkeypatch.setattr(pv, "_MAX_FAMILY_SIZE", 5)
+        assert run_suite("pseudometric", seed=0, trials=2).trials == 2
+        with pytest.raises(ValueError, match="trials must be at most 2, got 3"):
+            run_suite("pseudometric", seed=0, trials=3)
+        for suite, key in (("not-totally-bounded", "k"), ("cauchy-incomplete", "depth")):
+            assert run_suite(suite, seed=0, trials=1, params={key: 5}).all_pass
+            with pytest.raises(ValueError, match=f"{key} must be at most 5, got 6"):
+                run_suite(suite, seed=0, trials=1, params={key: 6})
+        assert replay(*self.NTB, {"c": "0", "d": "1", "k": 5})
+        with pytest.raises(ValueError, match="k must be at most 5, got 6"):
+            replay(*self.NTB, {"c": "0", "d": "1", "k": 6})
+        for suite, prop in self.CAUCHY:
+            assert replay(suite, prop, {"depth": 5})
+            with pytest.raises(ValueError, match="depth must be at most 5, got 6"):
+                replay(suite, prop, {"depth": 6})
+
+
 def test_params_accepted_as_strings():
     report = run_suite("cube-isometry", seed=0, trials=4, params={"N": "2"})
     assert report.all_pass
