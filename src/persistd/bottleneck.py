@@ -13,7 +13,12 @@ pairs at distance <= t, that saturates every summand too big to delete
 (to-zero distance > t).  ``_matching_at`` decides that on the cost table
 itself: it lists the mandatory summands, reads each one's neighbours off
 its row or column, and runs two plain maximum-cardinality matchings, one
-saturating each side's mandatory summands.  A single matching saturating
+saturating each side's mandatory summands.  The search keeps, for every
+summand, the index-ordered list of rows or columns that can still be its
+neighbours: a feasible probe at t cuts each mandatory summand's list down
+to its neighbours at t, and every later probe lies below t, so a probe
+filters these lists instead of scanning whole rows and columns and still
+sees the same neighbours in the same order.  A single matching saturating
 both exists when they do: start from the first, and from each mandatory
 summand of the second module that it leaves free, walk the alternating
 path of their union and swap in the second matching's edges along it.
@@ -175,23 +180,42 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], 
     return size, pair_l, pair_r
 
 
-def _matching_at(costs, dtz_m, dtz_n, t) -> dict[int, int] | None:
+def _within(row, near, t) -> list[int]:
+    """The indices in ``near`` whose entry of ``row`` is <= t, in order."""
+    return [j for j in near if row[j] <= t]
+
+
+def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None) -> dict[int, int] | None:
     """A matching over the pairs of cost <= t that saturates every summand
-    of to-zero cost > t on both sides, or None when there is none.  Only
-    the mandatory summands' rows and columns are read, and only through
-    ``<=`` and ``>`` against t, so any totally ordered entries work."""
+    of to-zero cost > t on both sides, or None when there is none.
+
+    ``near_m[i]`` lists, in index order, the columns that can still be row
+    i's neighbours at t, and ``near_n[j]`` the rows of column j (every
+    index when None).  Only the mandatory summands' lists are read, each
+    entry through ``<=`` against t, so any totally ordered entries work.
+    A feasible probe narrows each mandatory summand's list in place to its
+    neighbours at t, which hold every neighbour at a lower threshold; an
+    infeasible one leaves the lists alone."""
     mand_m = [i for i, v in enumerate(dtz_m) if v > t]
     mand_n = [j for j, v in enumerate(dtz_n) if v > t]
+    if near_m is None:
+        near_m = [range(len(dtz_n))] * len(dtz_m)
+        near_n = [range(len(dtz_m))] * len(dtz_n)
 
-    adj_m = [[j for j, c in enumerate(costs[i]) if c <= t] for i in mand_m]
+    adj_m = [_within(costs[i], near_m[i], t) for i in mand_m]
     size_m, pair_l_m, _ = _hopcroft_karp(adj_m, len(dtz_n))
     if size_m < len(mand_m):
         return None
 
-    adj_n = [[i for i, row in enumerate(costs) if row[j] <= t] for j in mand_n]
+    adj_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in mand_n]
     size_n, pair_l_n, _ = _hopcroft_karp(adj_n, len(dtz_m))
     if size_n < len(mand_n):
         return None
+
+    for i, adj in zip(mand_m, adj_m):
+        near_m[i] = adj
+    for j, adj in zip(mand_n, adj_n):
+        near_n[j] = adj
 
     # Mendelsohn-Dulmage: start from M1, the matching that saturates the
     # mandatory M summands.  A mandatory N summand that M1 leaves free ends
@@ -236,11 +260,15 @@ def _search(m: PModule, n: PModule):
         entries.update(row)
     tops = sorted({_class_top(r) for r in entries if r <= fin})
 
+    # Every probe after a feasible one at t lies below t, so the neighbour
+    # lists it narrows stay supersets of the later probes' neighbours.
+    near_m = [range(len(dtz_n))] * len(dtz_m)
+    near_n = [range(len(dtz_m))] * len(dtz_n)
     best, matching = POS_INF, None
     lo, hi = 0, len(tops)
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _matching_at(costs, dtz_m, dtz_n, tops[mid])
+        found = _matching_at(costs, dtz_m, dtz_n, tops[mid], near_m, near_n)
         if found is not None:
             best, matching = ExtRational(Fraction(tops[mid] - 1, 2 * scale)), found
             hi = mid

@@ -42,20 +42,20 @@ def _lattice(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational):
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
-    finite = [v.value for s in (*ms, *ns) for v in (s.lo.value, s.hi.value) if v.is_finite]
-    scale = 4 * math.lcm(eps.denominator, *{f.denominator for f in finite})
+    # Each endpoint's sign, numerator and denominator, read once.  An
+    # infinity holds the value 0, so it adds nothing to S or reach.
+    summands = (*ms, *ns)
+    ends = [(x.sign, *x.value.as_integer_ratio())
+            for s in summands for x in (s.lo.value, s.hi.value)]
+    scale = 4 * math.lcm(eps.denominator, *{den for _, _, den in ends})
     e = eps.numerator * (scale // eps.denominator)
-    reach = max([e, *(abs(f.numerator) * (scale // f.denominator) for f in finite)])
+    points = [num * (scale // den) for _, num, den in ends]
+    reach = max([e, *map(abs, points)])
     big = 8 * reach + 2
-
-    def point(x: ExtRational) -> int:
-        return x.sign * big if x.sign else x.value.numerator * (scale // x.value.denominator)
-
-    def key(s: Interval) -> tuple[int, int]:
-        return (2 * point(s.lo.value) + (0 if s.lo.closed else 1),
-                2 * point(s.hi.value) - (0 if s.hi.closed else 1))
-
-    return scale, reach, 2 * e, [key(s) for s in ms], [key(s) for s in ns]
+    points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
+    keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
+            for s, lo, hi in zip(summands, points[::2], points[1::2])]
+    return scale, reach, 2 * e, keys[:len(ms)], keys[len(ms):]
 
 
 def _cost_table(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational = 0):

@@ -118,6 +118,11 @@ class ExtRational:
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("ExtRational is immutable")
 
+    # copy and pickle rebuild each value class through its constructor: the
+    # default restores slots with setattr, which the guard refuses.
+    def __reduce__(self):
+        return (ExtRational, (str(self),))
+
     @property
     def is_finite(self) -> bool:
         return self.sign == 0
@@ -231,6 +236,9 @@ class Endpoint:
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("Endpoint is immutable")
 
+    def __reduce__(self):
+        return (Endpoint, (self.value, self.closed))
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -284,6 +292,9 @@ class Interval:
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("Interval is immutable")
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

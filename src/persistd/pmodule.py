@@ -97,6 +97,9 @@ class PModule:
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")
 
+    def __reduce__(self):
+        return (PModule._of_runs, (self._runs,))
+
     @classmethod
     def zero(cls) -> "PModule":
         return cls(())

@@ -162,6 +162,10 @@ def random_module(
 # power: 64 takes seconds.
 _MAX_TRIALS = 10_000
 _MAX_FAMILY_SIZE = 64
+# The most summands of one module that ``N`` (cube-isometry), ``length``
+# (binary-discrete) and ``max_summands`` (the random-module suites) can ask
+# for; one distance between two modules of this size takes about a second.
+_MAX_MODULE_SIZE = 1000
 
 
 def _case_size(case: dict, key: str) -> int:
@@ -674,6 +678,10 @@ def _validate_params(name: str, p: dict) -> None:
                        ("k", 1), ("trunc", 1), ("max_summands", 0)):
         if key in p:
             need(p[key] >= floor, f"need {key} >= {floor}")
+    for key in ("N", "length", "max_summands"):
+        if key in p:
+            need(p[key] <= _MAX_MODULE_SIZE,
+                 f"{key} must be at most {_MAX_MODULE_SIZE}, got {p[key]}")
     for key in ("eps", "z"):
         if key in p:
             need(p[key] > 0, f"need {key} > 0")

@@ -9,6 +9,7 @@ erosion decision through ``erode``, and the library's matching probe on
 tables of them, against which the integer-lattice kernel is checked.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -206,3 +207,25 @@ def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> 
         [cost(b, EMPTY) for b in ns],
         0,
     ) is not None
+
+
+def reference_lattice(ms, ns, eps):
+    """``interleaving._lattice`` read through the ``ExtRational`` and
+    ``Fraction`` properties, one endpoint field at a time: the same S,
+    reach, 2*eps*S and decorated keys."""
+    eps = _as_fraction(eps)
+    finite = [v.as_fraction for s in (*ms, *ns) for v in (s.lo.value, s.hi.value)
+              if v.is_finite]
+    scale = 4 * math.lcm(eps.denominator, *(f.denominator for f in finite))
+    e = eps.numerator * (scale // eps.denominator)
+    reach = max([e, *(abs(f.numerator) * (scale // f.denominator) for f in finite)])
+    big = 8 * reach + 2
+
+    def point(x):
+        return x.sign * big if not x.is_finite else x.as_fraction * scale
+
+    def key(s):
+        return (2 * int(point(s.lo.value)) + (0 if s.lo.closed else 1),
+                2 * int(point(s.hi.value)) - (0 if s.hi.closed else 1))
+
+    return scale, reach, 2 * e, [key(s) for s in ms], [key(s) for s in ns]

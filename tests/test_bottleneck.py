@@ -27,7 +27,11 @@ from persistd import bottleneck
 from persistd.bottleneck import _hopcroft_karp, _matching_at
 from persistd.verify import random_module
 
-from oracles import reference_distance_to_zero, reference_interval_distance
+from oracles import (
+    reference_distance_to_zero,
+    reference_interval_distance,
+    reference_module_distance,
+)
 from strategies import modules
 
 HALF = ExtRational(Fraction(1, 2))
@@ -274,7 +278,7 @@ def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_saturating_matching_against_bruteforce(seed):
-    rng = random.Random(seed)
+    rng, widen = random.Random(seed), random.Random(-1 - seed)
     tie_edges = tie_deletions = 0
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
@@ -289,6 +293,25 @@ def test_saturating_matching_against_bruteforce(seed):
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
         found = _matching_at(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
+        # Narrowed lists, the neighbours at some threshold >= t, give the
+        # same answer; only a feasible probe narrows them, to exactly the
+        # mandatory summands' neighbours at t.
+        t_hi = t + widen.randint(0, 2)
+        near_m = [[j for j in range(n_n) if costs[i][j] <= t_hi] for i in range(n_m)]
+        near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
+        before = [list(a) for a in near_m], [list(a) for a in near_n]
+        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n) == found
+        if found is None:
+            assert (near_m, near_n) == before
+        else:
+            assert near_m == [
+                [j for j in range(n_n) if edge_ok[i][j]] if i in mand_m else before[0][i]
+                for i in range(n_m)
+            ]
+            assert near_n == [
+                [i for i in range(n_m) if edge_ok[i][j]] if j in mand_n else before[1][j]
+                for j in range(n_n)
+            ]
         if found is None:
             continue
         assert len(set(found.values())) == len(found)
@@ -338,3 +361,36 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
         probes.clear()
         module_distance(m, n)
         assert 1 <= len(probes) <= (tops - 1).bit_length() + 1, (m.to_json(), n.to_json())
+
+
+@given(modules(max_summands=20, finite_only=False, max_copies=2),
+       modules(max_summands=20, finite_only=False, max_copies=2))
+@settings(max_examples=60)
+def test_search_probes_equal_full_probes(m, n):
+    """Every probe of the search, on the lists that earlier probes narrowed,
+    returns the very matching a probe on every row and column returns."""
+    probes = []
+
+    def checked(costs, dtz_m, dtz_n, t, near_m, near_n):
+        full = _matching_at(costs, dtz_m, dtz_n, t)
+        found = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n)
+        assert found == full
+        probes.append(t)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bottleneck, "_matching_at", checked)
+        d = module_distance(m, n)
+    assert probes and d == reference_module_distance(m, n)
+
+
+def test_infeasible_probe_leaves_lists_unchanged():
+    # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0;
+    # at t = 1 it meets column 0, and only its own list narrows.
+    costs = [[1, 5], [5, 5]]
+    dtz_m, dtz_n = [3, 0], [0, 0]
+    near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
+    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n) is None
+    assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
+    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n) == {0: 0}
+    assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])

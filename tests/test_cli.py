@@ -324,6 +324,9 @@ class TestBudgets:
         (["verify", "not-totally-bounded", "--k"], "64"),
         (["verify", "cauchy-incomplete", "--depth"], "64"),
         (["gen", "cauchy", "--n"], "1000"),
+        (["verify", "cube-isometry", "--N"], "1000"),
+        (["verify", "binary-discrete", "--length"], "1000"),
+        (["verify", "pseudometric", "--max-summands"], "1000"),
     ])
     @pytest.mark.parametrize("value", ["10000000000000000000", "next"])
     def test_oversized_value_is_usage_error(self, capsys, no_module_building, argv, bound, value):

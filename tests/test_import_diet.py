@@ -1,7 +1,8 @@
 """``dataclasses`` (which imports ``inspect``, ``ast``, ``dis`` and
 ``tokenize``) stays out of the package, so no CLI run pays for importing
 it: the package has no ``dataclasses`` import, and a ``dist`` run leaves it
-out of ``sys.modules``."""
+out of ``sys.modules``.  So do ``copy`` and ``pickle``: the value classes
+support both through ``__reduce__``, which needs neither module loaded."""
 
 import ast
 import subprocess
@@ -28,13 +29,14 @@ def test_package_does_not_import_dataclasses():
     assert found == [], f"dataclasses imports under src/persistd: {found}"
 
 
-def test_cli_dist_leaves_dataclasses_and_inspect_unloaded(tmp_path):
+def test_cli_dist_leaves_unneeded_modules_unloaded(tmp_path):
     module = tmp_path / "m.json"
     module.write_text(persistd.PModule.of("[0,2)", "[1,1]").to_json())
     script = (
         "import persistd.cli, sys\n"
         f"code = persistd.cli.cli_main(['dist', {str(module)!r}, {str(module)!r}])\n"
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "unwanted = {'dataclasses', 'inspect', 'copy', 'pickle'}\n"
+        "print(code, sorted(unwanted & set(sys.modules)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script],

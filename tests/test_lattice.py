@@ -17,14 +17,16 @@ from persistd import (
     verify_certificate,
 )
 from persistd import bottleneck
+from persistd.interleaving import _lattice
 
 from oracles import (
     reference_distance_to_zero,
     reference_interval_distance,
+    reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
 )
-from strategies import lattice_modules
+from strategies import deep_fractions, lattice_modules, small_eps
 
 
 def lattice_scale(m: PModule, n: PModule) -> int:
@@ -56,6 +58,13 @@ def test_distance_equals_reference(m, n):
         cert = distance_certificate(m, n)
         assert cert.threshold == d
         assert verify_certificate(m, n, cert)
+
+
+@given(lattice_modules, lattice_modules, small_eps | deep_fractions.map(abs))
+@settings(max_examples=150)
+def test_lattice_keys_equal_reference(m, n, eps):
+    ms, ns = m.summands, n.summands
+    assert _lattice(ms, ns, eps) == reference_lattice(ms, ns, eps)
 
 
 @given(lattice_modules, lattice_modules)

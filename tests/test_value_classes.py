@@ -1,12 +1,15 @@
 """Value semantics of the package's immutable classes.
 
 ``Endpoint`` and ``Interval`` compare and hash by their fields, are equal
-only to their own class, and refuse assignment.  The records are named
-tuples with the field names, keyword construction and ``repr`` of the
-frozen dataclasses they replaced, which the tests rebuild as a reference.
+only to their own class, and refuse assignment.  They, ``ExtRational`` and
+``PModule`` survive ``copy`` and ``pickle``.  The records are named tuples
+with the field names, keyword construction and ``repr`` of the frozen
+dataclasses they replaced, which the tests rebuild as a reference.
 """
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,7 @@ from persistd import (
 )
 from persistd.verify import PropertyCheck, PropertyResult
 
-from strategies import intervals
+from strategies import intervals, modules
 
 
 def interval_fields(i: Interval):
@@ -78,6 +81,22 @@ def test_assignment_raises(a):
             with pytest.raises(AttributeError):
                 setattr(e, name, True)
     assert not hasattr(a, "__dict__")
+
+
+ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+
+
+@given(intervals(), modules(max_summands=4, finite_only=False, max_copies=3))
+def test_copy_and_pickle_round_trip(a, m):
+    for value in [a, m, *endpoints(a), *(e.value for e in endpoints(a))]:
+        for trip in ROUND_TRIPS:
+            twin = trip(value)
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert str(twin) == str(value)
+            with pytest.raises(AttributeError):
+                setattr(twin, type(twin).__slots__[0], None)
+    assert pickle.loads(pickle.dumps(m)).summands == m.summands
 
 
 def test_endpoint_wraps_its_value():

@@ -65,14 +65,17 @@ def test_bad_trials_rejected():
 
 
 class TestBudgets:
-    """Trials, the replicate count ``k`` and the Cauchy ``depth`` have fixed
-    bounds, checked before any module is built; the extremes are tested
-    with the bounds patched small."""
+    """Trials, the replicate count ``k``, the Cauchy ``depth`` and the module
+    sizes ``N``, ``length`` and ``max_summands`` have fixed bounds, checked
+    before any module is built; the extremes are tested with the bounds
+    patched small."""
 
     HUGE = "10000000000000000000"
     NTB = ("not-totally-bounded", "replicates-pairwise-half-diameter")
     CAUCHY = [("cauchy-incomplete", "cauchy-distance-law"),
               ("cauchy-incomplete", "rank-witness-diverges")]
+    SIZED = [("cube-isometry", "N"), ("binary-discrete", "length"),
+             ("pseudometric", "max_summands")]
 
     def test_huge_values_are_refused(self, no_module_building):
         with pytest.raises(ValueError, match="trials must be at most 10000"):
@@ -86,6 +89,9 @@ class TestBudgets:
         for suite, prop in self.CAUCHY:
             with pytest.raises(ValueError, match="depth must be at most 64"):
                 replay(suite, prop, {"depth": int(self.HUGE)})
+        for suite, key in self.SIZED:
+            with pytest.raises(ValueError, match=f"{key} must be at most 1000, got {self.HUGE}"):
+                run_suite(suite, seed=0, trials=1, params={key: self.HUGE})
 
     def test_bounds_are_inclusive(self, monkeypatch):
         monkeypatch.setattr(pv, "_MAX_TRIALS", 2)
@@ -104,6 +110,12 @@ class TestBudgets:
             assert replay(suite, prop, {"depth": 5})
             with pytest.raises(ValueError, match="depth must be at most 5, got 6"):
                 replay(suite, prop, {"depth": 6})
+        # The random-module suites' default max_summands (6) exceeds 5.
+        monkeypatch.setattr(pv, "_MAX_MODULE_SIZE", 5)
+        for suite, key in self.SIZED:
+            assert run_suite(suite, seed=0, trials=2, params={key: 5}).all_pass
+            with pytest.raises(ValueError, match=f"{key} must be at most 5, got 6"):
+                run_suite(suite, seed=0, trials=1, params={key: 6})
 
 
 def test_params_accepted_as_strings():
