@@ -23,6 +23,14 @@ both exists when they do: start from the first, and from each mandatory
 summand of the second module that it leaves free, walk the alternating
 path of their union and swap in the second matching's edges along it.
 
+The search only needs each probe's yes or no.  So each probe seeds its two
+Hopcroft-Karp runs with the previous probe's matchings, less the pairs that
+are no longer edges, and a feasible probe's matching lowers the bracket's
+top to the class of its own value, which may lie well below the probe.
+Only the certificate needs a canonical matching: one unseeded probe at the
+answer's top, on the narrowed lists, gives the matching an unseeded probe
+on whole rows and columns gives.
+
 All of this runs on plain ints, on the decorated cost table of
 ``interleaving._cost_table`` (every endpoint times S = 4*lcm(all finite
 denominators) as an open/closed key, infinities as far-out sentinels).  An
@@ -36,11 +44,12 @@ eps-decision is a single probe at 2*eps*S.  The answer becomes an
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from .interleaving import _class_top, _cost_table, distance_to_zero, interval_distance
+from .interleaving import _cost_table, distance_to_zero, interval_distance
 from .intervals import ExtRational, POS_INF, Rational
 from .pmodule import PModule
 
@@ -115,13 +124,15 @@ def _cost_tables(m: PModule, n: PModule, eps: Rational = 0):
     return _cost_table(m.summands, n.summands, eps)
 
 
-def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], list[int]]:
+def _hopcroft_karp(adj: list[list[int]], n_right: int, pair_l: list[int] | None = None,
+                   pair_r: list[int] | None = None) -> tuple[int, list[int], list[int]]:
     """Maximum-cardinality bipartite matching; returns (size, pair_l, pair_r)
-    with -1 for unmatched vertices.  Iterative, so deep augmenting paths are
-    fine."""
+    with -1 for unmatched vertices.  ``pair_l`` and ``pair_r``, when given,
+    are a starting matching on edges of ``adj``, augmented in place.
+    Iterative, so deep augmenting paths are fine."""
     n_left = len(adj)
-    pair_l = [-1] * n_left
-    pair_r = [-1] * n_right
+    if pair_l is None:
+        pair_l, pair_r = [-1] * n_left, [-1] * n_right
     unreachable = n_left + 1
     dist = [0] * n_left
 
@@ -172,7 +183,7 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[int, list[int], 
                 frames.pop()
         return False
 
-    size = 0
+    size = n_left - pair_l.count(-1)
     while bfs():
         for u in range(n_left):
             if pair_l[u] == -1 and dfs(u):
@@ -185,7 +196,21 @@ def _within(row, near, t) -> list[int]:
     return [j for j in near if row[j] <= t]
 
 
-def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None) -> dict[int, int] | None:
+def _seed(mand, mate, adj, n_right) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp's starting matching on one side: each mandatory summand
+    i keeps its partner mate[i] from an earlier probe while that is still
+    among its neighbours adj[k] and no summand before it has taken it."""
+    pair_l, pair_r = [-1] * len(mand), [-1] * n_right
+    for k, i in enumerate(mand):
+        j = mate[i]
+        if j != -1 and pair_r[j] == -1 and j in adj[k]:
+            pair_l[k] = j
+            pair_r[j] = k
+    return pair_l, pair_r
+
+
+def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None,
+                 mates=None) -> dict[int, int] | None:
     """A matching over the pairs of cost <= t that saturates every summand
     of to-zero cost > t on both sides, or None when there is none.
 
@@ -195,20 +220,34 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None) -> dict[int, 
     entry through ``<=`` against t, so any totally ordered entries work.
     A feasible probe narrows each mandatory summand's list in place to its
     neighbours at t, which hold every neighbour at a lower threshold; an
-    infeasible one leaves the lists alone."""
+    infeasible one leaves the lists alone.
+
+    ``mates`` = (mate_m, mate_n) holds each summand's partner in an earlier
+    probe's matching on its side, -1 for none (no partners when None).  The
+    mandatory summands' partners that are still neighbours at t, each taken
+    once, seed the side's Hopcroft-Karp run, whose matching is written
+    back.  A seeded probe decides as an unseeded one, but its matching can
+    differ."""
     mand_m = [i for i, v in enumerate(dtz_m) if v > t]
     mand_n = [j for j, v in enumerate(dtz_n) if v > t]
     if near_m is None:
         near_m = [range(len(dtz_n))] * len(dtz_m)
         near_n = [range(len(dtz_m))] * len(dtz_n)
+    mate_m, mate_n = mates or ([-1] * len(dtz_m), [-1] * len(dtz_n))
 
     adj_m = [_within(costs[i], near_m[i], t) for i in mand_m]
-    size_m, pair_l_m, _ = _hopcroft_karp(adj_m, len(dtz_n))
+    seed = _seed(mand_m, mate_m, adj_m, len(dtz_n))
+    size_m, pair_l_m, _ = _hopcroft_karp(adj_m, len(dtz_n), *seed)
+    for i, j in zip(mand_m, pair_l_m):
+        mate_m[i] = j
     if size_m < len(mand_m):
         return None
 
     adj_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in mand_n]
-    size_n, pair_l_n, _ = _hopcroft_karp(adj_n, len(dtz_m))
+    seed = _seed(mand_n, mate_n, adj_n, len(dtz_m))
+    size_n, pair_l_n, _ = _hopcroft_karp(adj_n, len(dtz_m), *seed)
+    for j, i in zip(mand_n, pair_l_n):
+        mate_n[j] = i
     if size_n < len(mand_n):
         return None
 
@@ -250,31 +289,44 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
 def _search(m: PModule, n: PModule):
     """Binary search over the sorted distinct class tops of the finite
     entries.  A probe at a top has as edges the pairs within the class's
-    undecorated cost, so feasibility is monotone along the tops, and the
-    last feasible probe is at the answer's top.  Returns (distance, its
-    matching), or (+inf, None) when no finite threshold is feasible.
+    undecorated cost, so feasibility is monotone along the tops.
+
+    Each probe is seeded with the matchings of the one before.  A feasible
+    probe's matching is feasible at the top of its own value, the largest
+    of its pair costs and of the to-zero costs of the summands it leaves
+    unmatched, so the bracket's upper end jumps there, never above the
+    probe.  Returns (distance, the arguments of an unseeded probe at the
+    answer's top), or (+inf, None) when no finite threshold is feasible.
     """
     costs, dtz_m, dtz_n, scale, fin, _ = _cost_tables(m, n)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
         entries.update(row)
-    tops = sorted({_class_top(r) for r in entries if r <= fin})
+    # ((r + 1) & -4) + 1 is interleaving._class_top(r), inlined.
+    tops = sorted({((r + 1) & -4) + 1 for r in entries if r <= fin})
 
-    # Every probe after a feasible one at t lies below t, so the neighbour
-    # lists it narrows stay supersets of the later probes' neighbours.
+    # Every probe after a feasible one at t lies at or below t, so the
+    # neighbour lists it narrows stay supersets of the later probes'
+    # neighbours.
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
-    best, matching = POS_INF, None
+    mates = [-1] * len(dtz_m), [-1] * len(dtz_n)
     lo, hi = 0, len(tops)
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _matching_at(costs, dtz_m, dtz_n, tops[mid], near_m, near_n)
-        if found is not None:
-            best, matching = ExtRational(Fraction(tops[mid] - 1, 2 * scale)), found
-            hi = mid
-        else:
+        found = _matching_at(costs, dtz_m, dtz_n, tops[mid], near_m, near_n, mates)
+        if found is None:
             lo = mid + 1
-    return best, matching
+            continue
+        taken = set(found.values())
+        value = max([0, *(costs[i][j] for i, j in found.items()),
+                     *(v for i, v in enumerate(dtz_m) if i not in found),
+                     *(v for j, v in enumerate(dtz_n) if j not in taken)])
+        hi = bisect_left(tops, ((value + 1) & -4) + 1)
+    if hi == len(tops):
+        return POS_INF, None
+    top = tops[hi]
+    return ExtRational(Fraction(top - 1, 2 * scale)), (costs, dtz_m, dtz_n, top, near_m, near_n)
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
@@ -284,12 +336,16 @@ def module_distance(m: PModule, n: PModule) -> ExtRational:
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
-    the matching of the search's last feasible probe."""
-    d, matching = _search(m, n)
-    if matching is None:
+    the matching of one unseeded probe at the answer's top, on the
+    neighbour lists the search narrowed.  Those lists hold every neighbour
+    at that top in index order, so the matching is that of an unseeded
+    probe on whole rows and columns."""
+    d, probe = _search(m, n)
+    if probe is None:
         raise InfiniteDistanceError(
             "the modules are infinitely far apart; no certificate exists"
         )
+    matching = _matching_at(*probe)
     pairs = tuple(sorted(matching.items()))
     matched_m = {i for i, _ in pairs}
     matched_n = {j for _, j in pairs}

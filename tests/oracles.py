@@ -169,9 +169,10 @@ def reference_interval_distance(i: Interval, j: Interval) -> ExtRational:
     return min(endpoint_term, halving_term)
 
 
-def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
-    """Module distance by binary search over candidates, every cost an
-    ``ExtRational`` from the reference closed form."""
+def reference_search(m: PModule, n: PModule) -> tuple[ExtRational, int]:
+    """Module distance by plain binary search over candidates, every cost an
+    ``ExtRational`` from the reference closed form, and the number of
+    unseeded probes that search makes."""
     ms, ns = m.summands, n.summands
     costs = [[reference_interval_distance(a, b) for b in ns] for a in ms]
     dtz_m = [reference_distance_to_zero(a) for a in ms]
@@ -179,18 +180,21 @@ def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
     candidates = {ExtRational(0), *dtz_m, *dtz_n, *(c for row in costs for c in row)}
     ordered = sorted(c for c in candidates if c.is_finite)
 
-    def feasible(t):
-        return _matching_at(costs, dtz_m, dtz_n, t) is not None
-
-    best = POS_INF
-    lo, hi = 0, len(ordered) - 1
-    while lo <= hi:
+    probes = 0
+    lo, hi = 0, len(ordered)
+    while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            best, hi = ordered[mid], mid - 1
+        probes += 1
+        if _matching_at(costs, dtz_m, dtz_n, ordered[mid]) is not None:
+            hi = mid
         else:
             lo = mid + 1
-    return best
+    return (ordered[hi] if hi < len(ordered) else POS_INF), probes
+
+
+def reference_module_distance(m: PModule, n: PModule) -> ExtRational:
+    """The distance that ``reference_search`` finds."""
+    return reference_search(m, n)[0]
 
 
 def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> bool:

@@ -25,12 +25,13 @@ from persistd import (
 )
 from persistd import bottleneck
 from persistd.bottleneck import _hopcroft_karp, _matching_at
-from persistd.verify import random_module
+from persistd.verify import random_interval, random_module
 
 from oracles import (
     reference_distance_to_zero,
     reference_interval_distance,
     reference_module_distance,
+    reference_search,
 )
 from strategies import modules
 
@@ -247,14 +248,30 @@ def test_hopcroft_karp_maximum(seed):
         else []
         for _ in range(n_left)
     ]
-    size, pair_l, pair_r = _hopcroft_karp(adj, n_right)
-    assert size == _bruteforce_max_matching(adj, n_right)
-    matched = [(u, v) for u, v in enumerate(pair_l) if v != -1]
-    assert len(matched) == size
-    assert len({v for _, v in matched}) == size
-    for u, v in matched:
-        assert v in adj[u]
-        assert pair_r[v] == u
+    best = _bruteforce_max_matching(adj, n_right)
+    seeds = [None]
+    # Random valid starting matchings: the result is just as large, and
+    # augmenting never unmatches a seeded left vertex.
+    for _ in range(4):
+        pair_l, pair_r = [-1] * n_left, [-1] * n_right
+        for u in rng.sample(range(n_left), n_left):
+            free = [v for v in adj[u] if pair_r[v] == -1]
+            if free and rng.random() < 0.7:
+                pair_l[u] = rng.choice(free)
+                pair_r[pair_l[u]] = u
+        seeds.append((pair_l, pair_r))
+    for seed in seeds:
+        seeded = [u for u, v in enumerate(seed[0]) if v != -1] if seed else []
+        size, pair_l, pair_r = _hopcroft_karp(adj, n_right, *(seed or ()))
+        assert size == best
+        matched = [(u, v) for u, v in enumerate(pair_l) if v != -1]
+        assert len(matched) == size
+        assert len({v for _, v in matched}) == size
+        for u, v in matched:
+            assert v in adj[u]
+            assert pair_r[v] == u
+        assert all(pair_l[u] != -1 for u in seeded)
+        assert pair_r.count(-1) == n_right - size
 
 
 def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
@@ -282,12 +299,7 @@ def test_saturating_matching_against_bruteforce(seed):
     tie_edges = tie_deletions = 0
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        top = rng.randint(0, 6)
-        costs = [[rng.randint(0, top) for _ in range(n_n)] for _ in range(n_m)]
-        dtz_m = [rng.randint(0, top) for _ in range(n_m)]
-        dtz_n = [rng.randint(0, top) for _ in range(n_n)]
-        # t is mostly one of the entries, so that ties with t are common.
-        t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
+        costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
         edge_ok = [[c <= t for c in row] for row in costs]
         mand_m = {i for i in range(n_m) if dtz_m[i] > t}
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
@@ -323,6 +335,63 @@ def test_saturating_matching_against_bruteforce(seed):
     # The boundary is inclusive on both sides: an entry equal to t is an
     # edge, and a to-zero cost equal to t leaves the summand deletable.
     assert tie_edges and tie_deletions
+
+
+def _random_table(rng, n_m, n_n, top):
+    """Random costs and to-zero costs up to ``top``, and a threshold that
+    is mostly one of the entries, so that ties with it are common."""
+    costs = [[rng.randint(0, top) for _ in range(n_n)] for _ in range(n_m)]
+    dtz_m = [rng.randint(0, top) for _ in range(n_m)]
+    dtz_n = [rng.randint(0, top) for _ in range(n_n)]
+    t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
+    return costs, dtz_m, dtz_n, t
+
+
+def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
+    """``found`` uses only pairs of cost <= t, each summand once, and covers
+    every summand of to-zero cost > t."""
+    assert len(set(found.values())) == len(found)
+    assert all(costs[i][j] <= t for i, j in found.items())
+    assert {i for i, v in enumerate(dtz_m) if v > t} <= found.keys()
+    assert {j for j, v in enumerate(dtz_n) if v > t} <= set(found.values())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_probe_keeps_only_live_partners(seed):
+    """Partners from earlier probes, drawn at random here (over t, of
+    summands no longer mandatory, shared), seed a probe only where they
+    are edges at t of mandatory summands, each partner once: the probe
+    decides as an unseeded one and writes back a matching at t."""
+    rng = random.Random(1000 + seed)
+    for _ in range(25):
+        n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
+        costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        mates = ([rng.randrange(-1, n_n) for _ in range(n_m)],
+                 [rng.randrange(-1, n_m) for _ in range(n_n)])
+        found = _matching_at(costs, dtz_m, dtz_n, t, mates=mates)
+        assert (found is None) == (_matching_at(costs, dtz_m, dtz_n, t) is None)
+        mand_m = [i for i in range(n_m) if dtz_m[i] > t]
+        partners = [mates[0][i] for i in mand_m if mates[0][i] != -1]
+        assert len(set(partners)) == len(partners)
+        assert all(costs[i][mates[0][i]] <= t for i in mand_m if mates[0][i] != -1)
+        if found is None:
+            continue
+        _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+        mand_n = [j for j in range(n_n) if dtz_n[j] > t]
+        partners = [mates[1][j] for j in mand_n]
+        assert len(set(partners)) == len(partners) and -1 not in partners
+        assert all(costs[mates[1][j]][j] <= t for j in mand_n)
+
+
+def test_stale_partners_are_dropped():
+    # Row 0 must be matched (to-zero cost 4); its old partner, column 0,
+    # now costs 3 > t = 1.  Row 1's old partner is an edge, but row 1 may
+    # be deleted at t, so it is not matched.  Column 1 is row 0's only
+    # neighbour.
+    costs = [[3, 1], [0, 5]]
+    mates = ([0, 0], [-1, -1])
+    assert _matching_at(costs, [4, 0], [0, 0], 1, mates=mates) == {0: 1}
+    assert mates == ([1, 0], [-1, -1])
 
 
 def _count_probes(monkeypatch) -> list:
@@ -367,14 +436,18 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
        modules(max_summands=20, finite_only=False, max_copies=2))
 @settings(max_examples=60)
 def test_search_probes_equal_full_probes(m, n):
-    """Every probe of the search, on the lists that earlier probes narrowed,
-    returns the very matching a probe on every row and column returns."""
+    """Every probe of the search, seeded and on the lists that earlier
+    probes narrowed, decides as an unseeded probe on every row and column
+    at the same t, and returns a matching at t.  The certificate's matching
+    is that of an unseeded full probe at the answer's top."""
     probes = []
 
-    def checked(costs, dtz_m, dtz_n, t, near_m, near_n):
+    def checked(costs, dtz_m, dtz_n, t, *narrowed_and_mates):
         full = _matching_at(costs, dtz_m, dtz_n, t)
-        found = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n)
-        assert found == full
+        found = _matching_at(costs, dtz_m, dtz_n, t, *narrowed_and_mates)
+        assert (found is None) == (full is None)
+        if found is not None:
+            _assert_matching_at(found, costs, dtz_m, dtz_n, t)
         probes.append(t)
         return found
 
@@ -382,6 +455,33 @@ def test_search_probes_equal_full_probes(m, n):
         patch.setattr(bottleneck, "_matching_at", checked)
         d = module_distance(m, n)
     assert probes and d == reference_module_distance(m, n)
+    if not d.is_finite:
+        return
+    costs, dtz_m, dtz_n, scale, _, _ = bottleneck._cost_tables(m, n)
+    top = int(2 * scale * d.as_fraction) + 1
+    full = _matching_at(costs, dtz_m, dtz_n, top)
+    assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
+
+
+def test_upper_jump_beats_plain_bisection(monkeypatch):
+    """A feasible probe's matching moves the bracket's top down to its own
+    value, so the search probes less than a plain bisection over the same
+    class tops with unseeded probes.  The endpoints lie on a fine grid
+    ([-50, 50], denominators up to 16), so the tops are many and a
+    matching's value often sits well below the probe."""
+    probes = _count_probes(monkeypatch)
+    rng = random.Random(11)
+    plain = 0
+    for _ in range(20):
+        m, n = (
+            PModule(random_interval(rng, Fraction(-50), Fraction(50), 16)
+                    for _ in range(rng.randint(20, 40)))
+            for _ in range(2)
+        )
+        d, count = reference_search(m, n)
+        plain += count
+        assert module_distance(m, n) == d
+    assert len(probes) < plain, (len(probes), plain)
 
 
 def test_infeasible_probe_leaves_lists_unchanged():
