@@ -25,6 +25,7 @@ from persistd import (
 )
 from persistd import bottleneck
 from persistd.bottleneck import _hopcroft_karp, _matching_at
+from persistd.interleaving import _cost_table
 from persistd.verify import random_interval, random_module
 
 from oracles import (
@@ -185,6 +186,28 @@ class TestCertificates:
         again = MatchingCertificate.from_json_obj(cert.to_json_obj())
         assert verify_certificate(m, n, again)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pairs", [[0.7, True]]),
+        ("pairs", [[0, 1.0]]),
+        ("pairs", [[False, 0]]),
+        ("unmatched_m", [1.9]),
+        ("unmatched_n", [True]),
+        ("unmatched_m", ["1_0"]),
+        ("unmatched_n", ["\u0661"]),
+        ("unmatched_n", ["1.0"]),
+    ])
+    def test_json_indices_are_integers(self, field, value):
+        obj = {"threshold": "1/2", "pairs": [], "unmatched_m": [], "unmatched_n": []}
+        obj[field] = value
+        with pytest.raises(ValueError, match="bad certificate JSON"):
+            MatchingCertificate.from_json_obj(obj)
+
+    def test_json_indices_take_integer_text(self):
+        obj = {"threshold": "1/2", "pairs": [[" 0", "+1"]], "unmatched_m": ["2"],
+               "unmatched_n": [0]}
+        cert = MatchingCertificate.from_json_obj(obj)
+        assert (cert.pairs, cert.unmatched_m, cert.unmatched_n) == (((0, 1),), (2,), (0,))
+
     def test_tampered_threshold_fails(self):
         m, n = PModule.of("[0,4)"), PModule.of("[1,4)")
         cert = distance_certificate(m, n)
@@ -219,6 +242,19 @@ class TestVertexCap:
         monkeypatch.setenv("PERSISTD_MATCH_CAP", "lots")
         with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP"):
             module_distance(PModule.zero(), PModule.zero())
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0661\u0662", "12.0", "1e3", ""])
+    def test_cap_takes_only_ascii_integer_text(self, monkeypatch, raw):
+        monkeypatch.setenv("PERSISTD_MATCH_CAP", raw)
+        with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP must be an integer"):
+            module_distance(PModule.zero(), PModule.zero())
+
+    def test_cap_must_be_positive(self, monkeypatch):
+        monkeypatch.setenv("PERSISTD_MATCH_CAP", "-0")
+        with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP must be positive, got 0"):
+            module_distance(PModule.zero(), PModule.zero())
+        monkeypatch.setenv("PERSISTD_MATCH_CAP", " +4 ")
+        assert module_distance(PModule.of("[0,1)", "[0,2)"), PModule.of("[0,1)")) == ExtRational(1)
 
     def test_cap_override_allows(self, monkeypatch):
         monkeypatch.setenv("PERSISTD_MATCH_CAP", "100")
@@ -272,6 +308,45 @@ def test_hopcroft_karp_maximum(seed):
             assert pair_r[v] == u
         assert all(pair_l[u] != -1 for u in seeded)
         assert pair_r.count(-1) == n_right - size
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hopcroft_karp_on_shared_lists(seed):
+    """Left vertices may share one list object, as the copies of a summand
+    do; the matching is exactly that of unshared, equal lists, seeded or
+    not."""
+    rng = random.Random(2000 + seed)
+    for _ in range(200):
+        n_right = rng.randint(1, 8)
+        lists = [rng.sample(range(n_right), rng.randint(0, n_right))
+                 for _ in range(rng.randint(1, 3))]
+        adj = [rng.choice(lists) for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.5:
+            adj.sort(key=lists.index)  # copies of a run are consecutive
+        pair_l, pair_r = [-1] * len(adj), [-1] * n_right
+        for u in range(len(adj)):
+            free = [v for v in adj[u] if pair_r[v] == -1]
+            if free and rng.random() < 0.5:
+                pair_l[u] = rng.choice(free)
+                pair_r[pair_l[u]] = u
+        for start in (None, (pair_l, pair_r)):
+            shared = _hopcroft_karp(adj, n_right, *([list(p) for p in start or ()]))
+            unshared = _hopcroft_karp([list(a) for a in adj], n_right,
+                                      *([list(p) for p in start or ()]))
+            assert shared == unshared, (adj, n_right, start)
+
+
+def test_shared_list_root_restarts_at_a_revived_edge():
+    """A root's augmenting path can make an earlier edge of its shared list
+    live again: the edge it takes from its layer-1 vertex now leads to that
+    vertex.  The next root with the list must start at that edge, not where
+    the root stopped, to match as on unshared lists."""
+    a, b, c = [5, 0, 4, 7, 3], [0, 4], [4, 3, 6, 1]
+    start = [5, 0, -1, 3, -1, -1], [1, -1, -1, 3, -1, 0, -1, -1]
+    expected = (6, [7, 5, 0, 6, 3, 4], [2, -1, -1, 4, 5, 1, 3, 0])
+    assert _hopcroft_karp([a, a, b, c, c, c], 8, *map(list, start)) == expected
+    assert _hopcroft_karp([list(a), list(a), b, list(c), list(c), list(c)], 8,
+                          *map(list, start)) == expected
 
 
 def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
@@ -394,6 +469,28 @@ def test_stale_partners_are_dropped():
     assert mates == ([1, 0], [-1, -1])
 
 
+def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
+    """Copies of a repeated summand are seeded with their partners from the
+    last probe while those are still edges: repeated at the same t, a probe
+    starts both Hopcroft-Karp runs from complete matchings."""
+    m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
+    n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
+    costs, dtz_m, dtz_n, scale, _, _, copies = bottleneck._cost_tables(m, n)
+    top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
+    mates = [-1] * 5, [-1] * 5
+    first = _matching_at(costs, dtz_m, dtz_n, top, None, None, mates, copies)
+    assert first == {i: i for i in range(5)}
+    starts = []
+
+    def recorded(adj, n_right, pair_l, pair_r, _real=bottleneck._hopcroft_karp):
+        starts.append(list(pair_l))
+        return _real(adj, n_right, pair_l, pair_r)
+
+    monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
+    assert _matching_at(costs, dtz_m, dtz_n, top, None, None, mates, copies) == first
+    assert starts == [list(range(5)), list(range(5))]
+
+
 def _count_probes(monkeypatch) -> list:
     probes = []
 
@@ -438,13 +535,19 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
 def test_search_probes_equal_full_probes(m, n):
     """Every probe of the search, seeded and on the lists that earlier
     probes narrowed, decides as an unseeded probe on every row and column
-    at the same t, and returns a matching at t.  The certificate's matching
-    is that of an unseeded full probe at the answer's top."""
+    at the same t, and returns a matching at t.  The search's probes run on
+    the table of distinct summands and the full probes on the table of
+    copies, where an unseeded probe on distinct summands gives the same
+    matching.  The certificate's matching is that of an unseeded full probe
+    at the answer's top."""
+    costs, dtz_m, dtz_n, scale, _, _ = _cost_table(m.summands, n.summands)
     probes = []
 
-    def checked(costs, dtz_m, dtz_n, t, *narrowed_and_mates):
+    def checked(*args):
+        t, copies = args[3], args[7]
         full = _matching_at(costs, dtz_m, dtz_n, t)
-        found = _matching_at(costs, dtz_m, dtz_n, t, *narrowed_and_mates)
+        assert _matching_at(*args[:4], None, None, None, copies) == full
+        found = _matching_at(*args)
         assert (found is None) == (full is None)
         if found is not None:
             _assert_matching_at(found, costs, dtz_m, dtz_n, t)
@@ -457,7 +560,7 @@ def test_search_probes_equal_full_probes(m, n):
     assert probes and d == reference_module_distance(m, n)
     if not d.is_finite:
         return
-    costs, dtz_m, dtz_n, scale, _, _ = bottleneck._cost_tables(m, n)
+    assert scale == bottleneck._cost_tables(m, n)[3]
     top = int(2 * scale * d.as_fraction) + 1
     full = _matching_at(costs, dtz_m, dtz_n, top)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))

@@ -210,6 +210,23 @@ class TestCert:
         assert code == 1 and out == "" and "failed verification" in err
 
 
+    def test_dist_and_cert_on_thousands_of_copies(self, capsys, tmp_path):
+        files = []
+        for name, count in (("m.json", 3000), ("n.json", 2999)):
+            path = tmp_path / name
+            path.write_text(json.dumps(
+                {"summands": [{"interval": "[0,2)", "multiplicity": count}]}
+            ))
+            files.append(str(path))
+        code, out, _ = run(capsys, "dist", *files)
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run(capsys, "cert", *files)
+        assert code == 0
+        cert = MatchingCertificate.from_json_obj(json.loads(out))
+        assert str(cert.threshold) == "1" and cert.pairs == ()
+        assert len(cert.unmatched_m) == 3000 and len(cert.unmatched_n) == 2999
+
+
 class TestVerify:
     def test_suite_passes(self, capsys):
         code, out, _ = run(

@@ -10,23 +10,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from persistd import (
+    ExtRational,
     Interval,
     PModule,
     bottleneck,
     distance_certificate,
+    module_distance,
+    modules_eps_interleaved,
     parse_interval,
     parse_module,
+    replicate,
     verify_certificate,
 )
+from persistd.bottleneck import _matching_at
+from persistd.interleaving import _cost_table
 
 from oracles import (
     contraction_dimension,
     module_dimension,
     persistent_dimension,
     radical_dimension,
+    reference_module_distance,
+    reference_modules_eps_interleaved,
     sample_points,
 )
-from strategies import finite_nonempty_intervals, modules
+from strategies import finite_nonempty_intervals, modules, nonempty_intervals, small_eps
 
 copied_modules = modules(max_copies=4)
 persistences = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 4]))
@@ -171,8 +179,9 @@ def test_split_json_entries_merge():
 
 
 class TestNoCopiesOutsideTheMatcher:
-    """A module of 10**6 copies of one interval costs one run everywhere
-    but in the matcher, which reads the expanded summands once per module."""
+    """A module of 10**6 copies of one interval costs one run everywhere.
+    The cost table reads the runs; only the certificate check reads the
+    expanded summands, once per module."""
 
     def test_module_operations_work_on_runs(self, monkeypatch):
         keyed = []
@@ -209,8 +218,49 @@ class TestNoCopiesOutsideTheMatcher:
         m = PModule.of("[0,2)", "[0,2)", "[0,2)", "[5,6]", "(1,3)")
         n = PModule.of("[0,3)", "[0,3)", "[5,6)")
         bottleneck._cost_tables(m, n)
-        assert reads == [m, n]
+        assert reads == []
         cert = distance_certificate(m, n)
         reads.clear()
         assert verify_certificate(m, n, cert)
         assert reads == [m, n]
+
+
+@st.composite
+def pooled_pairs(draw):
+    """Two modules over one pool of at most 6 intervals (infinite endpoints
+    included), each interval 0 to 6 times in each module."""
+    pool = draw(st.lists(nonempty_intervals(), min_size=1, max_size=6))
+    counts = st.lists(st.integers(0, 6), min_size=len(pool), max_size=len(pool))
+    return tuple(
+        PModule([s for s, k in zip(pool, draw(counts)) for _ in range(k)]) for _ in range(2)
+    )
+
+
+@given(pooled_pairs(), small_eps)
+def test_distinct_summand_kernel_against_oracles(pair, eps):
+    """The kernel runs on distinct summands with one vertex per copy.  Its
+    distance and eps-decisions equal the references on the expanded copies,
+    and its certificate is the matching of an unseeded probe on the table of
+    copies at the answer's top."""
+    m, n = pair
+    d = module_distance(m, n)
+    assert d == reference_module_distance(m, n)
+    assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
+    if not d.is_finite:
+        return
+    at_d = d.as_fraction
+    assert modules_eps_interleaved(m, n, at_d) == reference_modules_eps_interleaved(m, n, at_d)
+    costs, dtz_m, dtz_n, scale, _, _ = _cost_table(m.summands, n.summands)
+    full = _matching_at(costs, dtz_m, dtz_n, int(2 * scale * at_d) + 1)
+    assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
+
+
+def test_thousands_of_copies_of_one_summand():
+    """Each side is one run; the copies of a run share one neighbour list,
+    so a probe costs O(copies), not O(copies**2)."""
+    piece = parse_interval("[0,2)")
+    m, n = replicate(piece, 3000), replicate(piece, 2999)
+    assert module_distance(m, n) == ExtRational(1)
+    assert modules_eps_interleaved(m, n, 1) and not modules_eps_interleaved(m, n, Fraction(1, 2))
+    cert = distance_certificate(m, n)
+    assert cert.threshold == ExtRational(1) and verify_certificate(m, n, cert)
