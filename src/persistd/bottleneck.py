@@ -2,61 +2,51 @@
 
 For these modules the interleaving distance agrees with the bottleneck
 matching value: minimize, over partial bijections between the two summand
-multisets, the worst of the matched pairwise distances and the
-to-zero distances of everything left unmatched.
+multisets, the worst of the matched pairwise distances and the to-zero
+distances of everything left unmatched.  A threshold t is feasible iff a
+matching over the pairs at distance <= t saturates every summand too big
+to delete (to-zero distance > t), and one does exactly when, on each side,
+a maximum matching saturates that side's mandatory summands: from the
+first, walk the alternating paths of their union from each mandatory
+summand of the second module it leaves free (Mendelsohn-Dulmage).
 
-The optimum always lies in the finite candidate set (all pairwise
-distances, all to-zero distances, and 0), and feasibility of a threshold t
-is monotone, so the distance is the smallest feasible candidate by binary
-search.  A threshold t is feasible iff there is a matching, using only
-pairs at distance <= t, that saturates every summand too big to delete
-(to-zero distance > t).  ``_matching_at`` decides that on the cost table
-itself: it lists the mandatory summands, reads each one's neighbours off
-its row or column, and runs two plain maximum-cardinality matchings, one
-saturating each side's mandatory summands.  The search keeps, for every
-summand, the index-ordered list of rows or columns that can still be its
-neighbours: a feasible probe at t cuts each mandatory summand's list down
-to its neighbours at t, and every later probe lies below t, so a probe
-filters these lists instead of scanning whole rows and columns and still
-sees the same neighbours in the same order.  A single matching saturating
-both exists when they do: start from the first, and from each mandatory
-summand of the second module that it leaves free, walk the alternating
-path of their union and swap in the second matching's edges along it.
+All of this runs on plain ints.  ``interleaving._lattice`` keys every
+endpoint, times S = 4*lcm(all finite denominators), with its decoration,
+and ``interleaving._cost_table`` runs the closed form on the keys: an
+entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
+the infimum is not attained.  The distance is the smallest feasible class
+top 2C+1, by binary search over the sorted tops of the table's entries,
+and becomes an ``ExtRational`` once, at the end.  ``_matching_at`` probes
+a top on the table.  Each probe is seeded with the previous probe's
+matchings, a feasible probe's matching lowers the bracket's top to the
+class of its own value, and each mandatory summand keeps only its
+neighbours at the last feasible probe, which the later probes filter.  The
+certificate is one unseeded probe at the answer's top, so its matching is
+that of an unseeded probe on whole rows and columns.
+
+The eps-decision and the certificate check build no table.  For a summand
+whose to-zero entry exceeds t, an entry is <= t exactly when both key gaps
+are, so its neighbours form an L-infinity box around its key point: the
+decision reads each box with ``bisect`` and runs Hopcroft-Karp once per
+side, and the check computes each listed pair's entry from its key pairs.
 
 The table, the candidates and the neighbour lists are built on the
 distinct summands, the (interval, count) runs of a ``PModule``; the
 matchings keep one vertex per copy, and all copies of a run share one
 neighbour list object, which Hopcroft-Karp scans once where it can.
-
-The search only needs each probe's yes or no.  So each probe seeds its two
-Hopcroft-Karp runs with the previous probe's matchings, less the pairs that
-are no longer edges, and a feasible probe's matching lowers the bracket's
-top to the class of its own value, which may lie well below the probe.
-Only the certificate needs a canonical matching: one unseeded probe at the
-answer's top, on the narrowed lists, gives the matching an unseeded probe
-on whole rows and columns gives.
-
-All of this runs on plain ints, on the decorated cost table of
-``interleaving._cost_table`` (every endpoint times S = 4*lcm(all finite
-denominators) as an open/closed key, infinities as far-out sentinels).  An
-entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
-the infimum is not attained.  The search runs over the sorted distinct
-class tops 2C+1, so a probe's edges are those of cost <= C; the
-eps-decision is a single probe at 2*eps*S.  The answer becomes an
-``ExtRational`` once, at the end.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .interleaving import _cost_table, distance_to_zero, interval_distance
-from .intervals import ExtRational, POS_INF, Rational, _as_int
+from .interleaving import _cost_table, _key_entry, _lattice
+from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
 from .pmodule import PModule
 
 
@@ -115,31 +105,32 @@ def _match_cap() -> int:
     return cap
 
 
-def _check_cap(m: PModule, n: PModule) -> None:
-    cap = _match_cap()
-    if len(m) + len(n) > cap:
-        raise ValueError(
-            f"matching on {len(m)}+{len(n)} summands exceeds the vertex cap "
-            f"{cap}; raise {_CAP_ENV} to override"
-        )
-
-
 def _ranges(runs) -> list[range]:
     """The copy indices of each (interval, count) run."""
     counts = [k for _, k in runs]
     return [range(end - k, end) for end, k in zip(accumulate(counts), counts)]
 
 
-def _cost_tables(m: PModule, n: PModule, eps: Rational = 0):
-    """``interleaving._cost_table`` of the distinct summands, row i and
-    column j for the i-th and j-th (interval, count) runs, under the vertex
-    cap, which counts copies.  Adds ``copies``: None when no summand
-    repeats, else each side's copy index ranges by run."""
-    _check_cap(m, n)
-    tables = _cost_table(tuple(s for s, _ in m._runs), tuple(s for s, _ in n._runs), eps)
-    if len(m) == len(m._runs) and len(n) == len(n._runs):
-        return (*tables, None)
-    return (*tables, (_ranges(m._runs), _ranges(n._runs)))
+def _distinct(m: PModule, n: PModule):
+    """Each module's distinct summands, in (interval, count) run order, and
+    ``copies``: None when no summand repeats, else each side's copy index
+    ranges by run.  Refuses more copies than the vertex cap."""
+    cap, size_m, size_n = _match_cap(), len(m), len(n)
+    if size_m + size_n > cap:
+        raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
+                         f"cap {cap}; raise {_CAP_ENV} to override")
+    copies = None
+    if size_m != len(m._runs) or size_n != len(n._runs):
+        copies = _ranges(m._runs), _ranges(n._runs)
+    return tuple(s for s, _ in m._runs), tuple(s for s, _ in n._runs), copies
+
+
+def _cost_tables(m: PModule, n: PModule):
+    """``interleaving._cost_table`` of ``_distinct``'s summands, row i and
+    column j for the i-th and j-th runs, and its ``copies``: (costs, dtz_m,
+    dtz_n, S, fin, copies)."""
+    runs_m, runs_n, copies = _distinct(m, n)
+    return (*_cost_table(runs_m, runs_n)[:5], copies)
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int, pair_l: list[int] | None = None,
@@ -274,25 +265,21 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
     of to-zero cost > t on both sides, or None when there is none.
 
     ``costs``, ``dtz_m`` and ``dtz_n`` are over runs, and ``copies`` is
-    ``_cost_tables``'s: with None, every run is one summand.  The matchings
-    are over copies: the copies of a mandatory run are mandatory and share
-    the run's neighbour list, and ``mates`` and the returned matching are
-    indexed by copy.
+    ``_cost_tables``'s; the matchings, ``mates`` and the result are over
+    copies, and the copies of a mandatory run share its neighbour list.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
     i's neighbours at t, and ``near_n[j]`` the rows of column j (every
     index when None), both by run.  Only the mandatory runs' lists are
     read, each entry through ``<=`` against t, so any totally ordered
     entries work.  A feasible probe narrows each mandatory run's list in
-    place to its neighbours at t, which hold every neighbour at a lower
-    threshold; an infeasible one leaves the lists alone.
+    place to its neighbours at t; an infeasible one leaves them alone.
 
     ``mates`` = (mate_m, mate_n) holds each copy's partner in an earlier
-    probe's matching on its side, -1 for none (no partners when None).  The
-    mandatory copies' partners that are still neighbours at t, each taken
-    once, seed the side's Hopcroft-Karp run, whose matching is written
-    back.  A seeded probe decides as an unseeded one, but its matching can
-    differ."""
+    probe's matching on its side, -1 for none (none at all when None).
+    Partners still among the neighbours seed the side's Hopcroft-Karp run,
+    whose matching is written back; a seeded probe decides as an unseeded
+    one, but its matching can differ."""
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
     if near_m is None:
@@ -317,13 +304,9 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
     for j, near in zip(runs_n, lists_n):
         near_n[j] = near
 
-    # Mendelsohn-Dulmage: start from M1, the matching that saturates the
-    # mandatory M summands.  A mandatory N summand that M1 leaves free ends
-    # a path alternating between M2 (the matching that saturates the
-    # mandatory N summands) and M1 edges, and no other path or cycle of
-    # their union holds one; swap in M2's edges along it.  Each step gives
-    # j its M2 partner i and moves on to i's old M1 partner.  The walk stops
-    # at a summand with no M2 edge (not mandatory) or at an i without an M1
+    # Mendelsohn-Dulmage: from each mandatory N summand j that M1 (side_m)
+    # leaves free, give j its M2 (side_n) partner i and move on to i's old
+    # M1 partner, until a summand without an M2 edge or an i without an M1
     # edge.
     chosen = dict(zip(*side_m))
     m2 = dict(zip(*side_n))
@@ -337,14 +320,34 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
     return chosen
 
 
+def _boxes(keys, other, w):
+    """The runs among ``keys`` of to-zero entry > w, and each one's
+    neighbours at w among ``other``, in key order: the runs within w on
+    both keys, a ``bisect`` window on the lower key filtered on the upper."""
+    order = sorted(range(len(other)), key=other.__getitem__)
+    lows, ups = [other[j][0] for j in order], [other[j][1] for j in order]
+    runs, lists = [], []
+    for i, (low, up) in enumerate(keys):
+        if (up - low) // 2 + 1 > w:
+            a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
+            runs.append(i)
+            lists.append([j for j, u in zip(order[a:b], ups[a:b]) if up - w <= u <= up + w])
+    return runs, lists
+
+
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
-    all eps-interleaved with the zero module?  One probe of the cost table
-    at w = 2*eps*S, where an entry <= w is exactly an eps-interleaved pair,
-    as in ``are_eps_interleaved``."""
-    costs, dtz_m, dtz_n, _, _, w, copies = _cost_tables(m, n, eps)
-    return _matching_at(costs, dtz_m, dtz_n, w, None, None, None, copies) is not None
+    all eps-interleaved with the zero module?  An entry <= w = 2*eps*S is
+    exactly an eps-interleaved pair, as in ``are_eps_interleaved``.  No
+    table: the keys give the mandatory summands' neighbours, and one
+    unseeded Hopcroft-Karp run per side must saturate them."""
+    runs_m, runs_n, copies = _distinct(m, n)
+    _, _, w, keys_m, keys_n = _lattice(runs_m, runs_n, eps)
+    size_m, size_n = len(m), len(n)
+    return (_cover(*_boxes(keys_m, keys_n, w), [-1] * size_m, size_n, copies) is not None
+            and _cover(*_boxes(keys_n, keys_m, w), [-1] * size_n, size_m,
+                       copies and copies[::-1]) is not None)
 
 
 def _search(m: PModule, n: PModule):
@@ -357,9 +360,8 @@ def _search(m: PModule, n: PModule):
     of its pair costs and of the to-zero costs of the summands it leaves
     unmatched, so the bracket's upper end jumps there, never above the
     probe.  Returns (distance, the arguments of an unseeded probe at the
-    answer's top), or (+inf, None) when no finite threshold is feasible.
-    """
-    costs, dtz_m, dtz_n, scale, fin, _, copies = _cost_tables(m, n)
+    answer's top), or (+inf, None) when no finite threshold is feasible."""
+    costs, dtz_m, dtz_n, scale, fin, copies = _cost_tables(m, n)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
         entries.update(row)
@@ -407,10 +409,8 @@ def module_distance(m: PModule, n: PModule) -> ExtRational:
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
-    the matching of one unseeded probe at the answer's top, on the
-    neighbour lists the search narrowed.  Those lists hold every neighbour
-    at that top in index order, so the matching is that of an unseeded
-    probe on whole rows and columns."""
+    the matching of one unseeded probe at the answer's top, on the lists
+    the search narrowed, which hold every neighbour there in index order."""
     d, probe = _search(m, n)
     if probe is None:
         raise InfiniteDistanceError(
@@ -430,20 +430,25 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
 
 def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> bool:
     """Exact re-check of the certificate invariants: a valid certificate
-    witnesses module_distance(m, n) <= cert.threshold (upper bound only)."""
-    ms, ns = m.summands, n.summands
-    m_used = sorted(list(cert.unmatched_m) + [i for i, _ in cert.pairs])
-    n_used = sorted(list(cert.unmatched_n) + [j for _, j in cert.pairs])
-    if m_used != list(range(len(m))) or n_used != list(range(len(n))):
-        return False
+    witnesses module_distance(m, n) <= cert.threshold (upper bound only).
+    No distance is below 0, so a negative threshold fails.  One lattice
+    over the runs at eps = t checks each distinct pair of runs and each
+    unmatched run once, on its key pairs: its distance is <= t exactly when
+    its entry's class top is <= 2*t*S + 1."""
+    used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
+    used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
     t = cert.threshold
-    for i, j in cert.pairs:
-        if interval_distance(ms[i], ns[j]) > t:
-            return False
-    for i in cert.unmatched_m:
-        if distance_to_zero(ms[i]) > t:
-            return False
-    for j in cert.unmatched_n:
-        if distance_to_zero(ns[j]) > t:
-            return False
-    return True
+    if used_m != list(range(len(m))) or used_n != list(range(len(n))) or t < ZERO:
+        return False
+    if not t.is_finite:
+        return True
+    runs_m, runs_n = (tuple(s for s, _ in x._runs) for x in (m, n))
+    _, _, w, keys_m, keys_n = _lattice(runs_m, runs_n, t.as_fraction)
+    key_m, key_n = ([key for key, (_, k) in zip(keys, x._runs) for _ in range(k)]
+                    for keys, x in ((keys_m, m), (keys_n, n)))
+    pairs = {(key_m[i], key_n[j]) for i, j in cert.pairs}
+    pairs.update((key_m[i], None) for i in cert.unmatched_m)
+    pairs.update((None, key_n[j]) for j in cert.unmatched_n)
+    # Class tops are 1 mod 4, as 2*t*S + 1 is, so a finite entry's top is at
+    # most 2*t*S + 1 when the entry is; an infinite entry exceeds both.
+    return all(_key_entry(a, b) <= w + 1 for a, b in pairs)

@@ -12,11 +12,12 @@ where gap is the endpoint displacement (zero between equal infinities,
 infinite when the endpoints disagree at infinity).  Decorations never move
 the infimum, only whether it is attained.
 
-Both read one entry of the cost table that ``bottleneck`` builds for whole
-modules (an interval is a module of one summand, the empty interval one of
-none).  The table runs the closed form on decorated endpoint keys, so an
-entry records the distance and whether it is attained: the decision is one
-comparison of the entry with eps, and the distance is the entry's class.
+Both compute one entry of the cost table that ``bottleneck`` builds for
+whole modules (an interval is a module of one summand, the empty interval
+one of none), on the pair's two key pairs.  The table runs the closed form
+on decorated endpoint keys, so an entry records the distance and whether it
+is attained: the decision is one comparison of the entry with eps, and the
+distance is the entry's class.
 """
 
 from __future__ import annotations
@@ -98,11 +99,22 @@ def _class_top(r: int) -> int:
     return ((r + 1) & -4) + 1
 
 
+def _key_entry(a, b) -> int:
+    """The ``_cost_table`` entry of two (lower key, upper key) pairs; None
+    stands for the zero module."""
+    if a is None or b is None:
+        key = b if a is None else a
+        return 0 if key is None else (key[1] - key[0]) // 2 + 1
+    h = max(a[1] - a[0], b[1] - b[0]) // 2 + 1
+    return min(max(abs(a[0] - b[0]), abs(a[1] - b[1])), h)
+
+
 def _entry(i: Interval, j: Interval, eps: Rational = 0):
     """The one table entry of the pair, as (entry, S, fin, w)."""
     ms, ns = (() if i.is_empty else (i,)), (() if j.is_empty else (j,))
-    costs, dtz_m, dtz_n, scale, fin, w = _cost_table(ms, ns, eps)
-    return (costs[0][0] if ms and ns else max([0, *dtz_m, *dtz_n])), scale, fin, w
+    scale, reach, w, keys_m, keys_n = _lattice(ms, ns, eps)
+    r = _key_entry(keys_m[0] if ms else None, keys_n[0] if ns else None)
+    return r, scale, 4 * reach + 1, w
 
 
 def _distance(i: Interval, j: Interval) -> ExtRational:

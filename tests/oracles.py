@@ -6,7 +6,9 @@ the library itself uses, so an agreement between the two is evidence and
 not tautology.  The exception is the reference distances and decisions
 at the end: the interval closed form on ``ExtRational`` values, the
 erosion decision through ``erode``, and the library's matching probe on
-tables of them, against which the integer-lattice kernel is checked.
+tables of them, against which the integer-lattice kernel is checked; and
+the table decision and per-pair certificate check that the table-free
+ones replaced.
 """
 
 import math
@@ -16,6 +18,7 @@ from itertools import product
 from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
 from persistd.intervals import ZERO, _as_fraction
 from persistd.bottleneck import _matching_at
+from persistd.interleaving import _cost_table
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -233,3 +236,47 @@ def reference_lattice(ms, ns, eps):
                 2 * int(point(s.hi.value)) - (0 if s.hi.closed else 1))
 
     return scale, reach, 2 * e, [key(s) for s in ms], [key(s) for s in ns]
+
+
+def lattice_scale(m: PModule, n: PModule) -> int:
+    """2 * lcm of every finite endpoint denominator of both modules."""
+    dens = [
+        ep.value.as_fraction.denominator
+        for s in (*m.summands, *n.summands)
+        for ep in (s.lo, s.hi)
+        if ep.value.is_finite
+    ]
+    return 2 * math.lcm(1, *dens)
+
+
+def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
+    """0, every finite pairwise distance and every finite to-zero distance."""
+    ms, ns = m.summands, n.summands
+    values = {ExtRational(0)}
+    values.update(reference_interval_distance(a, b) for a in ms for b in ns)
+    values.update(reference_distance_to_zero(s) for s in (*ms, *ns))
+    return {v.as_fraction for v in values if v.is_finite}
+
+
+def table_modules_eps_interleaved(m: PModule, n: PModule, eps) -> bool:
+    """The table decision: one unseeded probe at w = 2*eps*S of the
+    decorated cost table of every summand copy."""
+    costs, dtz_m, dtz_n, _, _, w = _cost_table(m.summands, n.summands, eps)
+    return _matching_at(costs, dtz_m, dtz_n, w) is not None
+
+
+def reference_verify_certificate(m: PModule, n: PModule, cert) -> bool:
+    """The per-pair certificate check on ``ExtRational``: every copy is
+    listed once, the threshold is not negative, and every pair's distance
+    and every unmatched copy's distance to zero is at most the threshold."""
+    ms, ns = m.summands, n.summands
+    used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
+    used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
+    if used_m != list(range(len(ms))) or used_n != list(range(len(ns))):
+        return False
+    t = cert.threshold
+    return t >= ZERO and all(
+        [reference_interval_distance(ms[i], ns[j]) <= t for i, j in cert.pairs]
+        + [reference_distance_to_zero(ms[i]) <= t for i in cert.unmatched_m]
+        + [reference_distance_to_zero(ns[j]) <= t for j in cert.unmatched_n]
+    )

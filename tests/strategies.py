@@ -55,6 +55,17 @@ def modules(draw, max_summands=5, finite_only=True, max_copies=1):
     return PModule(summands)
 
 
+@st.composite
+def pooled_pairs(draw):
+    """Two modules over one pool of at most 6 intervals (infinite endpoints
+    included), each interval 0 to 6 times in each module."""
+    pool = draw(st.lists(nonempty_intervals(), min_size=1, max_size=6))
+    counts = st.lists(st.integers(0, 6), min_size=len(pool), max_size=len(pool))
+    return tuple(
+        PModule([s for s, k in zip(pool, draw(counts)) for _ in range(k)]) for _ in range(2)
+    )
+
+
 # Denominators up to 2^41, the scale of a depth-40 Cauchy stage's distances.
 deep_fractions = st.sampled_from([1, 3, 7, 16, 2**20, 2**40, 2**41]).flatmap(
     lambda den: st.builds(Fraction, st.integers(-6 * den, 6 * den), st.just(den))

@@ -225,6 +225,15 @@ class TestCertificates:
         bad = MatchingCertificate(ExtRational(1), ((0, 0),), (), ())
         assert not verify_certificate(m, n, bad)
 
+    @pytest.mark.parametrize("threshold", ["-1", "-inf"])
+    def test_negative_threshold_fails(self, threshold):
+        # No distance is below 0, not even between zero modules.
+        cert = MatchingCertificate.from_json_obj(
+            {"threshold": threshold, "pairs": [], "unmatched_m": [], "unmatched_n": []})
+        assert not verify_certificate(PModule.zero(), PModule.zero(), cert)
+        m = PModule.of("[0,1)")
+        assert not verify_certificate(m, m, cert._replace(pairs=((0, 0),)))
+
     def test_loose_threshold_still_verifies(self):
         m, n = PModule.of("[0,1)"), PModule.of("[0,1)")
         loose = MatchingCertificate(ExtRational(3), ((0, 0),), (), ())
@@ -475,7 +484,7 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     starts both Hopcroft-Karp runs from complete matchings."""
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
-    costs, dtz_m, dtz_n, scale, _, _, copies = bottleneck._cost_tables(m, n)
+    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(m, n)
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
     mates = [-1] * 5, [-1] * 5
     first = _matching_at(costs, dtz_m, dtz_n, top, None, None, mates, copies)

@@ -1,7 +1,6 @@
 """Differential tests: the integer-lattice kernel against the ExtRational
 reference in ``oracles``.  Distances and decisions must agree exactly."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -16,37 +15,17 @@ from persistd import (
     modules_eps_interleaved,
     verify_certificate,
 )
-from persistd import bottleneck
+from persistd import bottleneck, interleaving
 from persistd.interleaving import _lattice
 
 from oracles import (
-    reference_distance_to_zero,
-    reference_interval_distance,
+    candidate_values,
+    lattice_scale,
     reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
 )
 from strategies import deep_fractions, lattice_modules, small_eps
-
-
-def lattice_scale(m: PModule, n: PModule) -> int:
-    """2 * lcm of every finite endpoint denominator of both modules."""
-    dens = [
-        ep.value.as_fraction.denominator
-        for s in (*m.summands, *n.summands)
-        for ep in (s.lo, s.hi)
-        if ep.value.is_finite
-    ]
-    return 2 * math.lcm(1, *dens)
-
-
-def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
-    """0, every finite pairwise distance and every finite to-zero distance."""
-    ms, ns = m.summands, n.summands
-    values = {ExtRational(0)}
-    values.update(reference_interval_distance(a, b) for a in ms for b in ns)
-    values.update(reference_distance_to_zero(s) for s in (*ms, *ns))
-    return {v.as_fraction for v in values if v.is_finite}
 
 
 @given(lattice_modules, lattice_modules)
@@ -110,18 +89,29 @@ def test_whole_line_and_half_lines():
 
 
 def test_decision_is_one_table_and_one_probe(monkeypatch):
+    """The decision builds no cost table and makes no probe: it reads the
+    lattice once and runs Hopcroft-Karp at most once per side."""
+    pairs = [
+        (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
+        (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),
+        (PModule.of("[0,8)"), PModule.zero()),
+    ]
+    cases = [(m, n, eps, reference_modules_eps_interleaved(m, n, eps))
+             for m, n in pairs for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))]
     calls = []
-    for name in ("_cost_tables", "_matching_at"):
-        def counted(*args, _real=getattr(bottleneck, name), _name=name):
+    for module, name in ((bottleneck, "_cost_table"), (interleaving, "_cost_table"),
+                         (bottleneck, "_cost_tables"), (bottleneck, "_matching_at"),
+                         (bottleneck, "_lattice"), (bottleneck, "_hopcroft_karp")):
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls.append(_name)
             return _real(*args)
-        monkeypatch.setattr(bottleneck, name, counted)
-    m = PModule.of("[0,2)", "(1,4]", "[3,3]")
-    n = PModule.of("(0,2)", "[1,4)")
-    for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        monkeypatch.setattr(module, name, counted)
+    for m, n, eps, expected in cases:
         calls.clear()
-        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
-        assert calls == ["_cost_tables", "_matching_at"]
+        assert modules_eps_interleaved(m, n, eps) == expected
+        assert calls.count("_lattice") == 1
+        assert 1 <= calls.count("_hopcroft_karp") <= 2
+        assert set(calls) == {"_lattice", "_hopcroft_karp"}, calls
 
 
 def test_decision_checks_the_vertex_cap_before_eps(monkeypatch):

@@ -1,0 +1,163 @@
+"""The eps-decision and the certificate check read the lattice keys, not a
+cost table.  They must agree with the table decision and the per-pair
+check of ``oracles``, on modules with repeated summands and infinite
+endpoints, and they must never build a table, even at sizes where one
+would be large."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from persistd import (
+    ExtRational,
+    MatchingCertificate,
+    NEG_INF,
+    POS_INF,
+    PModule,
+    distance_certificate,
+    module_distance,
+    modules_eps_interleaved,
+    parse_interval,
+    replicate,
+    verify_certificate,
+)
+from persistd import bottleneck, interleaving
+from persistd.intervals import Endpoint, make_interval
+from persistd.verify import random_interval
+
+from oracles import (
+    candidate_values,
+    lattice_scale,
+    reference_distance_to_zero,
+    reference_interval_distance,
+    reference_modules_eps_interleaved,
+    reference_verify_certificate,
+    table_modules_eps_interleaved,
+)
+from strategies import pooled_pairs
+
+
+@given(pooled_pairs())
+@settings(max_examples=40, deadline=None)
+def test_decision_equals_table_at_and_around_candidates(pair):
+    m, n = pair
+    step = Fraction(1, 8 * lattice_scale(m, n))  # 1/(4S), with S = 4*lcm
+    for d in candidate_values(m, n):
+        for eps in (d - step, d, d + step):
+            if eps >= 0:
+                assert modules_eps_interleaved(m, n, eps) == (
+                    table_modules_eps_interleaved(m, n, eps)
+                ), (str(eps), m.to_json(), n.to_json())
+
+
+def _random_pool_pair(rng: random.Random):
+    """Two modules over one pool of up to 6 intervals on [-6, 6], some
+    with an infinite endpoint, each interval 0 to 6 times per module."""
+    pool = []
+    for _ in range(rng.randint(1, 6)):
+        s = random_interval(rng, Fraction(-6), Fraction(6), 4)
+        side = rng.randrange(5)
+        if side == 0:
+            s = make_interval(Endpoint(NEG_INF, False), s.hi)
+        elif side == 1:
+            s = make_interval(s.lo, Endpoint(POS_INF, False))
+        pool.append(s)
+    return tuple(PModule([s for s in pool for _ in range(rng.randint(0, 6))]) for _ in range(2))
+
+
+def test_decision_equals_table_on_random_pairs():
+    """400 seeded pairs at the distance d, d +- 1/64, d/2 and 0."""
+    rng = random.Random(13)
+    delta = Fraction(1, 64)
+    for _ in range(400):
+        m, n = _random_pool_pair(rng)
+        d = module_distance(m, n)
+        d = d.as_fraction if d.is_finite else Fraction(100)
+        for eps in {d, d + delta, d - delta, d / 2, Fraction(0)}:
+            if eps >= 0:
+                assert modules_eps_interleaved(m, n, eps) == (
+                    table_modules_eps_interleaved(m, n, eps)
+                ), (str(eps), m.to_json(), n.to_json())
+
+
+def _tampered(m: PModule, n: PModule, cert: MatchingCertificate):
+    """(certificate, whether it must fail) for the certificate and its
+    tampered variants: the threshold one class too low; each pair with its
+    N summand swapped for the farthest other one, whose old pair or
+    unmatched slot takes the first; and each pair with a summand too long to
+    delete at the threshold split into two unmatched summands."""
+    ms, ns = m.summands, n.summands
+    d = cert.threshold
+    class_gap = Fraction(1, lattice_scale(m, n))
+    yield cert, False
+    yield cert._replace(threshold=ExtRational(d.as_fraction - class_gap)), True
+    yield cert._replace(threshold=POS_INF), False
+    pairs = list(cert.pairs)
+    for k, (i, j) in enumerate(pairs):
+        far = max(range(len(ns)), key=lambda b: reference_interval_distance(ms[i], ns[b]))
+        if reference_interval_distance(ms[i], ns[far]) > reference_interval_distance(ms[i], ns[j]):
+            swapped = [(a, j if b == far else b) for a, b in pairs]
+            swapped[k] = (i, far)
+            unmatched_n = tuple(j if b == far else b for b in cert.unmatched_n)
+            yield cert._replace(pairs=tuple(swapped), unmatched_n=unmatched_n), None
+        if max(reference_distance_to_zero(ms[i]), reference_distance_to_zero(ns[j])) > d:
+            yield cert._replace(pairs=tuple(pairs[:k] + pairs[k + 1:]),
+                                unmatched_m=(*cert.unmatched_m, i),
+                                unmatched_n=(*cert.unmatched_n, j)), True
+
+
+@given(pooled_pairs())
+@settings(max_examples=80, deadline=None)
+def test_certificate_check_equals_per_pair_check(pair):
+    m, n = pair
+    if not module_distance(m, n).is_finite:
+        return
+    for cert, fails in _tampered(m, n, distance_certificate(m, n)):
+        expected = reference_verify_certificate(m, n, cert)
+        assert verify_certificate(m, n, cert) == expected, cert
+        if fails is not None:
+            assert expected is not fails, cert
+
+
+@pytest.fixture
+def no_cost_table(monkeypatch):
+    """Every way to the cost table raises."""
+    def refused(*args):
+        raise AssertionError("cost table built")
+
+    for module in (bottleneck, interleaving):
+        monkeypatch.setattr(module, "_cost_table", refused)
+
+
+def test_decision_at_scale_builds_no_table(no_cost_table):
+    """2000 + 2000 summands: a module against itself, and against its
+    shift by 1/2, which is 1/2-interleaved with it summand by summand and
+    not 0-interleaved."""
+    rng = random.Random(5)
+    m = PModule(random_interval(rng, Fraction(-50), Fraction(50), 16) for _ in range(2000))
+    shifted = PModule(s.shift(Fraction(1, 2)) for s in m.summands)
+    assert len(m) == len(shifted) == 2000
+    assert modules_eps_interleaved(m, m, 0)
+    assert modules_eps_interleaved(m, shifted, Fraction(1, 2))
+    assert not modules_eps_interleaved(m, shifted, 0)
+
+
+def test_certificate_check_at_scale_builds_no_table(no_cost_table):
+    """20000 copies against 19999: one pair of runs and one unmatched run."""
+    piece = parse_interval("[0,2)")
+    m, n = replicate(piece, 20000), replicate(piece, 19999)
+    pairs = tuple((i, i) for i in range(19999))
+    cert = MatchingCertificate(ExtRational(1), pairs, (19999,), ())
+    assert verify_certificate(m, n, cert)
+    assert not verify_certificate(m, n, cert._replace(threshold=ExtRational(Fraction(1, 2))))
+    assert not verify_certificate(m, n, cert._replace(unmatched_m=()))
+
+
+def test_decision_with_copies_equals_erosion_reference():
+    """Copies of one run share a neighbour list in the decision too."""
+    m = PModule.of(*["[0,4)"] * 5, *["(1,3]"] * 2, "(-inf,0)")
+    n = PModule.of(*["[1,5)"] * 4, *["[1,3]"] * 3, "(-inf,1/2)")
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
