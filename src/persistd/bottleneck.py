@@ -12,7 +12,8 @@ summand of the second module it leaves free (Mendelsohn-Dulmage).
 
 All of this runs on plain ints.  ``interleaving._lattice`` keys every
 endpoint, times S = 4*lcm(all finite denominators), with its decoration,
-and ``interleaving._cost_table`` runs the closed form on the keys: an
+and ``_cost_tables`` builds the one pairwise table, the closed form of
+``interleaving._key_entry`` on the keys of every pair of summands: an
 entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
 the infimum is not attained.  The distance is the smallest feasible class
 top 2C+1, by binary search over the sorted tops of the table's entries,
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .interleaving import _cost_table, _key_entry, _lattice
+from .interleaving import _key_entry, _lattice
 from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
 from .pmodule import PModule
 
@@ -126,18 +127,36 @@ def _distinct(m: PModule, n: PModule):
 
 
 def _cost_tables(m: PModule, n: PModule):
-    """``interleaving._cost_table`` of ``_distinct``'s summands, row i and
-    column j for the i-th and j-th runs, and its ``copies``: (costs, dtz_m,
-    dtz_n, S, fin, copies)."""
+    """The ``interleaving._key_entry`` of every pair of ``_distinct``'s
+    summands, row i and column j for the i-th and j-th runs, and of each
+    against the zero module, on one lattice at eps 0: (costs, dtz_m, dtz_n,
+    S, fin, copies), where no finite entry exceeds fin = 4*reach + 1."""
     runs_m, runs_n, copies = _distinct(m, n)
-    return (*_cost_table(runs_m, runs_n)[:5], copies)
+    scale, reach, _, keys_m, keys_n = _lattice(runs_m, runs_n, 0)
+    dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
+    dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
+    cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
+    costs = []
+    # Plain comparisons instead of abs/max/min calls: this is the hot loop.
+    for (alo, ahi), ha in zip(keys_m, dtz_m):
+        row = []
+        for lo, hi, h in cols:
+            g = alo - lo if alo > lo else lo - alo
+            g_hi = ahi - hi if ahi > hi else hi - ahi
+            if g_hi > g:
+                g = g_hi
+            if ha > h:
+                h = ha
+            row.append(g if g < h else h)
+        costs.append(row)
+    return costs, dtz_m, dtz_n, scale, 4 * reach + 1, copies
 
 
-def _hopcroft_karp(adj: list[list[int]], n_right: int, pair_l: list[int] | None = None,
-                   pair_r: list[int] | None = None) -> tuple[int, list[int], list[int]]:
+def _hopcroft_karp(adj: list[list[int]], pair_l: list[int],
+                   pair_r: list[int]) -> tuple[int, list[int], list[int]]:
     """Maximum-cardinality bipartite matching; returns (size, pair_l, pair_r)
-    with -1 for unmatched vertices.  ``pair_l`` and ``pair_r``, when given,
-    are a starting matching on edges of ``adj``, augmented in place.
+    with -1 for unmatched vertices.  ``pair_l`` and ``pair_r`` are a
+    starting matching on edges of ``adj``, augmented in place.
     Iterative, so deep augmenting paths are fine.
 
     Left vertices may share one list object, as the copies of a summand do,
@@ -149,8 +168,6 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int, pair_l: list[int] | None 
     so the root starts there if it comes earlier.  After a root with the
     list fails, the next ones with it are skipped."""
     n_left = len(adj)
-    if pair_l is None:
-        pair_l, pair_r = [-1] * n_left, [-1] * n_right
     unreachable = n_left + 1
     dist = [0] * n_left
 
@@ -253,14 +270,14 @@ def _cover(runs, lists, mate, n_right, ranges):
         if j != -1 and pair_r[j] == -1 and j in members[k]:
             pair_l[k] = j
             pair_r[j] = k
-    size, pair_l, _ = _hopcroft_karp(adj, n_right, pair_l, pair_r)
+    size, pair_l, _ = _hopcroft_karp(adj, pair_l, pair_r)
     for i, j in zip(mand, pair_l):
         mate[i] = j
     return (mand, pair_l) if size == len(mand) else None
 
 
-def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
-                 copies=None) -> dict[int, int] | None:
+def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates,
+                 copies) -> dict[int, int] | None:
     """A matching over the pairs of cost <= t that saturates every summand
     of to-zero cost > t on both sides, or None when there is none.
 
@@ -269,11 +286,11 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
     copies, and the copies of a mandatory run share its neighbour list.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
-    i's neighbours at t, and ``near_n[j]`` the rows of column j (every
-    index when None), both by run.  Only the mandatory runs' lists are
-    read, each entry through ``<=`` against t, so any totally ordered
-    entries work.  A feasible probe narrows each mandatory run's list in
-    place to its neighbours at t; an infeasible one leaves them alone.
+    i's neighbours at t, and ``near_n[j]`` the rows of column j, both by
+    run.  Only the mandatory runs' lists are read, each entry through
+    ``<=`` against t, so any totally ordered entries work.  A feasible
+    probe narrows each mandatory run's list in place to its neighbours at
+    t; an infeasible one leaves them alone.
 
     ``mates`` = (mate_m, mate_n) holds each copy's partner in an earlier
     probe's matching on its side, -1 for none (none at all when None).
@@ -282,9 +299,6 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
     one, but its matching can differ."""
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
-    if near_m is None:
-        near_m = [range(len(dtz_n))] * len(dtz_m)
-        near_n = [range(len(dtz_m))] * len(dtz_n)
     n_m, n_n = len(dtz_m), len(dtz_n)
     if copies is not None:
         n_m, n_n = (sum(map(len, ranges)) for ranges in copies)
@@ -322,16 +336,17 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m=None, near_n=None, mates=None,
 
 def _boxes(keys, other, w):
     """The runs among ``keys`` of to-zero entry > w, and each one's
-    neighbours at w among ``other``, in key order: the runs within w on
-    both keys, a ``bisect`` window on the lower key filtered on the upper."""
-    order = sorted(range(len(other)), key=other.__getitem__)
-    lows, ups = [other[j][0] for j in order], [other[j][1] for j in order]
+    neighbours at w among ``other``, in index order: the runs within w on
+    both keys, a ``bisect`` window on the lower key filtered on the upper.
+    Runs come in canonical order, in which their keys strictly increase,
+    so the lower keys of ``other`` are already sorted."""
+    lows, ups = [low for low, _ in other], [up for _, up in other]
     runs, lists = [], []
     for i, (low, up) in enumerate(keys):
         if (up - low) // 2 + 1 > w:
             a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
             runs.append(i)
-            lists.append([j for j, u in zip(order[a:b], ups[a:b]) if up - w <= u <= up + w])
+            lists.append([j for j, u in enumerate(ups[a:b], a) if up - w <= u <= up + w])
     return runs, lists
 
 

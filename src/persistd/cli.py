@@ -128,8 +128,8 @@ def _cmd_gen(args) -> int:
         n = args.n if args.n is not None else len(coords)
         module = cube_point_module(n, coords)
     elif args.family == "binary":
-        bits = [int(c) for c in args.bits]
-        module = binary_sequence_module(bits)
+        # Only ASCII 0 and 1; the family refuses any other character.
+        module = binary_sequence_module([{"0": 0, "1": 1}.get(c, c) for c in args.bits])
     elif args.family == "cauchy":
         module = cauchy_witness(args.n)
     elif args.family == "staircase":

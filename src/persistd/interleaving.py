@@ -12,12 +12,12 @@ where gap is the endpoint displacement (zero between equal infinities,
 infinite when the endpoints disagree at infinity).  Decorations never move
 the infimum, only whether it is attained.
 
-Both compute one entry of the cost table that ``bottleneck`` builds for
-whole modules (an interval is a module of one summand, the empty interval
-one of none), on the pair's two key pairs.  The table runs the closed form
-on decorated endpoint keys, so an entry records the distance and whether it
-is attained: the decision is one comparison of the entry with eps, and the
-distance is the entry's class.
+Both run the closed form on the decorated endpoint keys of the pair (an
+interval is a module of one summand, the empty interval one of none), so
+its one entry records the distance and whether it is attained: the
+decision is one comparison of the entry with eps, and the distance is the
+entry's class.  This module holds only that per-pair lattice code; the
+module-level table of every pair of summands is ``bottleneck._cost_tables``.
 """
 
 from __future__ import annotations
@@ -59,40 +59,6 @@ def _lattice(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational):
     return scale, reach, 2 * e, keys[:len(ms)], keys[len(ms):]
 
 
-def _cost_table(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational = 0):
-    """Pairwise and to-zero costs of the summands, as decorated lattice ints.
-
-    The interval closed form min(max(|dlo|, |dhi|), max(diam)/2) runs on
-    the keys of ``_lattice``, with (up - low)//2 + 1 as a summand's
-    half-diameter.  For a pair, or a summand against the zero module, at
-    undecorated distance c, the entry is 2C-1 or 2C (C = c*S) when the
-    infimum c is attained and 2C+1 when it is not, and the pair is
-    eps-interleaved iff its entry is <= w = 2*eps*S.  C is even, so the
-    classes {2C-1, 2C, 2C+1} of distinct costs are disjoint.  No finite
-    entry exceeds fin = 4*reach + 1, and every entry the rationals call
-    infinite is at least big - reach > fin, so an entry is finite iff it is
-    <= fin.  Returns (costs, dtz_m, dtz_n, S, fin, w).
-    """
-    scale, reach, w, keys_m, keys_n = _lattice(ms, ns, eps)
-    dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
-    dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
-    cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
-    costs = []
-    # Plain comparisons instead of abs/max/min calls: this is the hot loop.
-    for (alo, ahi), ha in zip(keys_m, dtz_m):
-        row = []
-        for lo, hi, h in cols:
-            g = alo - lo if alo > lo else lo - alo
-            g_hi = ahi - hi if ahi > hi else hi - ahi
-            if g_hi > g:
-                g = g_hi
-            if ha > h:
-                h = ha
-            row.append(g if g < h else h)
-        costs.append(row)
-    return costs, dtz_m, dtz_n, scale, 4 * reach + 1, w
-
-
 def _class_top(r: int) -> int:
     """The top 2C+1 of the class {2C-1, 2C, 2C+1} of a table entry r; the
     distance of the class is C/S = (top - 1)/(2S)."""
@@ -100,8 +66,18 @@ def _class_top(r: int) -> int:
 
 
 def _key_entry(a, b) -> int:
-    """The ``_cost_table`` entry of two (lower key, upper key) pairs; None
-    stands for the zero module."""
+    """The entry of two (lower key, upper key) pairs of ``_lattice``; None
+    stands for the zero module.
+
+    The interval closed form min(max(|dlo|, |dhi|), max(diam)/2) runs on
+    the keys, with (up - low)//2 + 1 as a summand's half-diameter.  For a
+    pair, or a summand against the zero module, at undecorated distance c,
+    the entry is 2C-1 or 2C (C = c*S) when the infimum c is attained and
+    2C+1 when it is not, and the pair is eps-interleaved iff its entry is
+    <= w = 2*eps*S.  C is even, so the classes {2C-1, 2C, 2C+1} of distinct
+    costs are disjoint.  No finite entry exceeds fin = 4*reach + 1, and
+    every entry the rationals call infinite is at least big - reach > fin,
+    so an entry is finite iff it is <= fin."""
     if a is None or b is None:
         key = b if a is None else a
         return 0 if key is None else (key[1] - key[0]) // 2 + 1

@@ -34,9 +34,10 @@ from .intervals import (
 _MAX_COPIES = 10**6
 
 
-def _canonical_runs(pairs) -> tuple[tuple[Interval, int], ...]:
+def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
     """(summand, count) pairs checked, sorted by ``canonical_key``, equal
-    summands merged; more than ``_MAX_COPIES`` copies in all are refused."""
+    summands merged, and their total count; more than ``_MAX_COPIES``
+    copies in all are refused."""
     keyed = []
     total = 0
     for s, k in pairs:
@@ -56,7 +57,7 @@ def _canonical_runs(pairs) -> tuple[tuple[Interval, int], ...]:
             runs[-1][2] += k
         else:
             runs.append([key, s, k])
-    return tuple((s, k) for _, s, k in runs)
+    return tuple((s, k) for _, s, k in runs), total
 
 
 class ModuleFormatError(ValueError):
@@ -80,19 +81,25 @@ class ClassMembership(NamedTuple):
 class PModule:
     """A persistence module: a direct sum of interval modules, kept as one
     run (interval, count) per distinct summand.  Every operation works on
-    the runs; only ``summands`` expands them, for the matcher."""
+    the runs; only ``summands`` expands them, for the matcher.  ``_len``
+    is the number of copies."""
 
-    __slots__ = ("_runs",)
+    __slots__ = ("_runs", "_len")
 
     def __init__(self, summands: Iterable[Interval] = ()):
-        object.__setattr__(self, "_runs", _canonical_runs(zip(summands, repeat(1))))
+        self._set_runs(zip(summands, repeat(1)))
 
     @classmethod
     def _of_runs(cls, runs) -> "PModule":
         """The module of (summand, count) pairs with positive counts."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_runs", _canonical_runs(runs))
+        out._set_runs(runs)
         return out
+
+    def _set_runs(self, pairs) -> None:
+        runs, total = _canonical_runs(pairs)
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_len", total)
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")
@@ -119,7 +126,7 @@ class PModule:
         return not self._runs
 
     def __len__(self) -> int:
-        return sum(k for _, k in self._runs)
+        return self._len
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.summands)

@@ -6,9 +6,11 @@ the library itself uses, so an agreement between the two is evidence and
 not tautology.  The exception is the reference distances and decisions
 at the end: the interval closed form on ``ExtRational`` values, the
 erosion decision through ``erode``, and the library's matching probe on
-tables of them, against which the integer-lattice kernel is checked; and
-the table decision and per-pair certificate check that the table-free
-ones replaced.
+tables of them, against which the integer-lattice kernel is checked; the
+table decision and per-pair certificate check that the table-free ones
+replaced; and ``key_table``, the module table built one
+``interleaving._key_entry`` at a time, against which the kernel's table
+loop is checked.
 """
 
 import math
@@ -18,7 +20,7 @@ from itertools import product
 from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
 from persistd.intervals import ZERO, _as_fraction
 from persistd.bottleneck import _matching_at
-from persistd.interleaving import _cost_table
+from persistd.interleaving import _key_entry, _lattice
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -188,7 +190,7 @@ def reference_search(m: PModule, n: PModule) -> tuple[ExtRational, int]:
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if _matching_at(costs, dtz_m, dtz_n, ordered[mid]) is not None:
+        if full_probe(costs, dtz_m, dtz_n, ordered[mid]) is not None:
             hi = mid
         else:
             lo = mid + 1
@@ -208,7 +210,7 @@ def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> 
         return 0 if reference_are_eps_interleaved(a, b, eps) else 1
 
     ms, ns = m.summands, n.summands
-    return _matching_at(
+    return full_probe(
         [[cost(a, b) for b in ns] for a in ms],
         [cost(a, EMPTY) for a in ms],
         [cost(b, EMPTY) for b in ns],
@@ -258,11 +260,30 @@ def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
     return {v.as_fraction for v in values if v.is_finite}
 
 
+def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
+    """``bottleneck._matching_at`` on whole rows and columns: every index
+    is a possible neighbour."""
+    near_m = [range(len(dtz_n))] * len(dtz_m)
+    near_n = [range(len(dtz_m))] * len(dtz_n)
+    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies)
+
+
+def key_table(ms, ns, eps=0):
+    """The decorated table of the summand sequences ``ms`` and ``ns``, each
+    entry one ``interleaving._key_entry`` call on the keys of one
+    ``_lattice`` at eps: (costs, dtz_m, dtz_n, S, fin, w)."""
+    scale, reach, w, keys_m, keys_n = _lattice(ms, ns, eps)
+    costs = [[_key_entry(a, b) for b in keys_n] for a in keys_m]
+    dtz_m = [_key_entry(a, None) for a in keys_m]
+    dtz_n = [_key_entry(None, b) for b in keys_n]
+    return costs, dtz_m, dtz_n, scale, 4 * reach + 1, w
+
+
 def table_modules_eps_interleaved(m: PModule, n: PModule, eps) -> bool:
     """The table decision: one unseeded probe at w = 2*eps*S of the
     decorated cost table of every summand copy."""
-    costs, dtz_m, dtz_n, _, _, w = _cost_table(m.summands, n.summands, eps)
-    return _matching_at(costs, dtz_m, dtz_n, w) is not None
+    costs, dtz_m, dtz_n, _, _, w = key_table(m.summands, n.summands, eps)
+    return full_probe(costs, dtz_m, dtz_n, w) is not None
 
 
 def reference_verify_certificate(m: PModule, n: PModule, cert) -> bool:

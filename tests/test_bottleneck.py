@@ -25,10 +25,11 @@ from persistd import (
 )
 from persistd import bottleneck
 from persistd.bottleneck import _hopcroft_karp, _matching_at
-from persistd.interleaving import _cost_table
 from persistd.verify import random_interval, random_module
 
 from oracles import (
+    full_probe,
+    key_table,
     reference_distance_to_zero,
     reference_interval_distance,
     reference_module_distance,
@@ -294,7 +295,7 @@ def test_hopcroft_karp_maximum(seed):
         for _ in range(n_left)
     ]
     best = _bruteforce_max_matching(adj, n_right)
-    seeds = [None]
+    seeds = [([-1] * n_left, [-1] * n_right)]
     # Random valid starting matchings: the result is just as large, and
     # augmenting never unmatches a seeded left vertex.
     for _ in range(4):
@@ -306,8 +307,8 @@ def test_hopcroft_karp_maximum(seed):
                 pair_r[pair_l[u]] = u
         seeds.append((pair_l, pair_r))
     for seed in seeds:
-        seeded = [u for u, v in enumerate(seed[0]) if v != -1] if seed else []
-        size, pair_l, pair_r = _hopcroft_karp(adj, n_right, *(seed or ()))
+        seeded = [u for u, v in enumerate(seed[0]) if v != -1]
+        size, pair_l, pair_r = _hopcroft_karp(adj, *seed)
         assert size == best
         matched = [(u, v) for u, v in enumerate(pair_l) if v != -1]
         assert len(matched) == size
@@ -338,10 +339,9 @@ def test_hopcroft_karp_on_shared_lists(seed):
             if free and rng.random() < 0.5:
                 pair_l[u] = rng.choice(free)
                 pair_r[pair_l[u]] = u
-        for start in (None, (pair_l, pair_r)):
-            shared = _hopcroft_karp(adj, n_right, *([list(p) for p in start or ()]))
-            unshared = _hopcroft_karp([list(a) for a in adj], n_right,
-                                      *([list(p) for p in start or ()]))
+        for start in (([-1] * len(adj), [-1] * n_right), (pair_l, pair_r)):
+            shared = _hopcroft_karp(adj, *map(list, start))
+            unshared = _hopcroft_karp([list(a) for a in adj], *map(list, start))
             assert shared == unshared, (adj, n_right, start)
 
 
@@ -353,8 +353,8 @@ def test_shared_list_root_restarts_at_a_revived_edge():
     a, b, c = [5, 0, 4, 7, 3], [0, 4], [4, 3, 6, 1]
     start = [5, 0, -1, 3, -1, -1], [1, -1, -1, 3, -1, 0, -1, -1]
     expected = (6, [7, 5, 0, 6, 3, 4], [2, -1, -1, 4, 5, 1, 3, 0])
-    assert _hopcroft_karp([a, a, b, c, c, c], 8, *map(list, start)) == expected
-    assert _hopcroft_karp([list(a), list(a), b, list(c), list(c), list(c)], 8,
+    assert _hopcroft_karp([a, a, b, c, c, c], *map(list, start)) == expected
+    assert _hopcroft_karp([list(a), list(a), b, list(c), list(c), list(c)],
                           *map(list, start)) == expected
 
 
@@ -387,7 +387,7 @@ def test_saturating_matching_against_bruteforce(seed):
         edge_ok = [[c <= t for c in row] for row in costs]
         mand_m = {i for i in range(n_m) if dtz_m[i] > t}
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
-        found = _matching_at(costs, dtz_m, dtz_n, t)
+        found = full_probe(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
         # Narrowed lists, the neighbours at some threshold >= t, give the
         # same answer; only a feasible probe narrows them, to exactly the
@@ -396,7 +396,7 @@ def test_saturating_matching_against_bruteforce(seed):
         near_m = [[j for j in range(n_n) if costs[i][j] <= t_hi] for i in range(n_m)]
         near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
         before = [list(a) for a in near_m], [list(a) for a in near_n]
-        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n) == found
+        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, None, None) == found
         if found is None:
             assert (near_m, near_n) == before
         else:
@@ -452,8 +452,8 @@ def test_seeded_probe_keeps_only_live_partners(seed):
         costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
         mates = ([rng.randrange(-1, n_n) for _ in range(n_m)],
                  [rng.randrange(-1, n_m) for _ in range(n_n)])
-        found = _matching_at(costs, dtz_m, dtz_n, t, mates=mates)
-        assert (found is None) == (_matching_at(costs, dtz_m, dtz_n, t) is None)
+        found = full_probe(costs, dtz_m, dtz_n, t, mates)
+        assert (found is None) == (full_probe(costs, dtz_m, dtz_n, t) is None)
         mand_m = [i for i in range(n_m) if dtz_m[i] > t]
         partners = [mates[0][i] for i in mand_m if mates[0][i] != -1]
         assert len(set(partners)) == len(partners)
@@ -474,7 +474,7 @@ def test_stale_partners_are_dropped():
     # neighbour.
     costs = [[3, 1], [0, 5]]
     mates = ([0, 0], [-1, -1])
-    assert _matching_at(costs, [4, 0], [0, 0], 1, mates=mates) == {0: 1}
+    assert full_probe(costs, [4, 0], [0, 0], 1, mates) == {0: 1}
     assert mates == ([1, 0], [-1, -1])
 
 
@@ -487,16 +487,16 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(m, n)
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
     mates = [-1] * 5, [-1] * 5
-    first = _matching_at(costs, dtz_m, dtz_n, top, None, None, mates, copies)
+    first = full_probe(costs, dtz_m, dtz_n, top, mates, copies)
     assert first == {i: i for i in range(5)}
     starts = []
 
-    def recorded(adj, n_right, pair_l, pair_r, _real=bottleneck._hopcroft_karp):
+    def recorded(adj, pair_l, pair_r, _real=bottleneck._hopcroft_karp):
         starts.append(list(pair_l))
-        return _real(adj, n_right, pair_l, pair_r)
+        return _real(adj, pair_l, pair_r)
 
     monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
-    assert _matching_at(costs, dtz_m, dtz_n, top, None, None, mates, copies) == first
+    assert full_probe(costs, dtz_m, dtz_n, top, mates, copies) == first
     assert starts == [list(range(5)), list(range(5))]
 
 
@@ -549,13 +549,13 @@ def test_search_probes_equal_full_probes(m, n):
     copies, where an unseeded probe on distinct summands gives the same
     matching.  The certificate's matching is that of an unseeded full probe
     at the answer's top."""
-    costs, dtz_m, dtz_n, scale, _, _ = _cost_table(m.summands, n.summands)
+    costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
     probes = []
 
     def checked(*args):
         t, copies = args[3], args[7]
-        full = _matching_at(costs, dtz_m, dtz_n, t)
-        assert _matching_at(*args[:4], None, None, None, copies) == full
+        full = full_probe(costs, dtz_m, dtz_n, t)
+        assert full_probe(*args[:4], None, copies) == full
         found = _matching_at(*args)
         assert (found is None) == (full is None)
         if found is not None:
@@ -571,7 +571,7 @@ def test_search_probes_equal_full_probes(m, n):
         return
     assert scale == bottleneck._cost_tables(m, n)[3]
     top = int(2 * scale * d.as_fraction) + 1
-    full = _matching_at(costs, dtz_m, dtz_n, top)
+    full = full_probe(costs, dtz_m, dtz_n, top)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
 
 
@@ -602,7 +602,7 @@ def test_infeasible_probe_leaves_lists_unchanged():
     costs = [[1, 5], [5, 5]]
     dtz_m, dtz_n = [3, 0], [0, 0]
     near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
-    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n) is None
+    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, None, None) is None
     assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
-    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n) == {0: 0}
+    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, None, None) == {0: 0}
     assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])

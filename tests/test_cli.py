@@ -149,6 +149,14 @@ class TestGen:
         assert code == 0
         assert parse_module(out) == PModule.of("[1,3)", "[2,6)")
 
+    @pytest.mark.parametrize("bits,bad", [("\u0661\u0660", "'\u0661'"), ("1 0", "' '")])
+    def test_binary_takes_only_ascii_bits(self, capsys, bits, bad):
+        """Only ASCII 0 and 1 are bits: an Arabic-Indic digit or a space is
+        one error line that names it."""
+        code, out, err = run(capsys, "gen", "binary", "--bits", bits)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and bad in err
+
     def test_cauchy(self, capsys):
         code, out, _ = run(capsys, "gen", "cauchy", "--n", "1")
         assert code == 0

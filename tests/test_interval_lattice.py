@@ -20,7 +20,8 @@ from persistd import (
     modules_eps_interleaved,
     parse_interval,
 )
-from persistd.interleaving import _class_top, _cost_table
+from persistd.bottleneck import _cost_tables
+from persistd.interleaving import _class_top, _lattice
 
 from oracles import (
     reference_are_eps_interleaved,
@@ -90,9 +91,12 @@ def test_table_entry_records_attainment(i_text, j_text, offset, attained):
     m, n = module(i), module(j)
     c = reference_interval_distance(i, j)
     assert c == ExtRational(1) and interval_distance(i, j) == c
-    costs, dtz_m, _, scale, _, w = _cost_table(m.summands, n.summands, 1)
+    # The table is built at eps 0; eps = 1 adds no denominator, so S is the
+    # same at eps 1, and w = 2*eps*S = 2S there.
+    costs, dtz_m, _, scale, _, _ = _cost_tables(m, n)
+    scale_at_1, _, w, _, _ = _lattice(m.summands, n.summands, 1)
     entry = costs[0][0] if n.summands else dtz_m[0]
-    assert (entry, w) == (2 * scale + offset, 2 * scale)
+    assert (entry, scale_at_1, w) == (2 * scale + offset, scale, 2 * scale)
     assert _class_top(entry) == 2 * scale + 1
     assert are_eps_interleaved(i, j, 1) == reference_are_eps_interleaved(i, j, 1) == attained
     assert modules_eps_interleaved(m, n, 1) == attained

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistd import (
     ExtRational,
@@ -15,17 +16,18 @@ from persistd import (
     modules_eps_interleaved,
     verify_certificate,
 )
-from persistd import bottleneck, interleaving
+from persistd import bottleneck
 from persistd.interleaving import _lattice
 
 from oracles import (
     candidate_values,
+    key_table,
     lattice_scale,
     reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
 )
-from strategies import deep_fractions, lattice_modules, small_eps
+from strategies import deep_fractions, lattice_modules, pooled_pairs, small_eps
 
 
 @given(lattice_modules, lattice_modules)
@@ -44,6 +46,33 @@ def test_distance_equals_reference(m, n):
 def test_lattice_keys_equal_reference(m, n, eps):
     ms, ns = m.summands, n.summands
     assert _lattice(ms, ns, eps) == reference_lattice(ms, ns, eps)
+
+
+def _run_summands(m: PModule) -> tuple:
+    return tuple(s for s, _ in m._runs)
+
+
+@given(pooled_pairs())
+@settings(max_examples=200)
+def test_cost_tables_equal_key_table(pair):
+    """The hot loop of ``_cost_tables`` against one ``_key_entry`` call per
+    entry, on the runs: the same table, to-zero entries, S and fin."""
+    m, n = pair
+    assert bottleneck._cost_tables(m, n)[:5] == key_table(*map(_run_summands, pair))[:5]
+
+
+@given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules),
+       small_eps | deep_fractions.map(abs))
+@settings(max_examples=200)
+def test_run_keys_strictly_increase(pair, eps):
+    """Runs come in canonical order, and on one lattice of both modules, at
+    eps 0 and at any eps, their (lower, upper) keys strictly increase:
+    ``_boxes`` bisects the lower keys of a side as they come."""
+    runs_m, runs_n = map(_run_summands, pair)
+    for e in (0, eps):
+        _, _, _, keys_m, keys_n = _lattice(runs_m, runs_n, e)
+        for keys in (keys_m, keys_n):
+            assert all(a < b for a, b in zip(keys, keys[1:])), keys
 
 
 @given(lattice_modules, lattice_modules)
@@ -89,8 +118,9 @@ def test_whole_line_and_half_lines():
 
 
 def test_decision_is_one_table_and_one_probe(monkeypatch):
-    """The decision builds no cost table and makes no probe: it reads the
-    lattice once and runs Hopcroft-Karp at most once per side."""
+    """The decision builds no cost table (``_cost_tables`` is the only
+    table builder) and makes no probe: it reads the lattice once and runs
+    Hopcroft-Karp at most once per side."""
     pairs = [
         (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
         (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),
@@ -99,13 +129,11 @@ def test_decision_is_one_table_and_one_probe(monkeypatch):
     cases = [(m, n, eps, reference_modules_eps_interleaved(m, n, eps))
              for m, n in pairs for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))]
     calls = []
-    for module, name in ((bottleneck, "_cost_table"), (interleaving, "_cost_table"),
-                         (bottleneck, "_cost_tables"), (bottleneck, "_matching_at"),
-                         (bottleneck, "_lattice"), (bottleneck, "_hopcroft_karp")):
-        def counted(*args, _real=getattr(module, name), _name=name):
+    for name in ("_cost_tables", "_matching_at", "_lattice", "_hopcroft_karp"):
+        def counted(*args, _real=getattr(bottleneck, name), _name=name):
             calls.append(_name)
             return _real(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(bottleneck, name, counted)
     for m, n, eps, expected in cases:
         calls.clear()
         assert modules_eps_interleaved(m, n, eps) == expected

@@ -3,6 +3,7 @@ and the contraction path act once per distinct summand and give every copy
 the same image, and a module built from (interval, count) runs equals the
 one built from the expanded copies."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,11 +23,10 @@ from persistd import (
     replicate,
     verify_certificate,
 )
-from persistd.bottleneck import _matching_at
-from persistd.interleaving import _cost_table
-
 from oracles import (
     contraction_dimension,
+    full_probe,
+    key_table,
     module_dimension,
     persistent_dimension,
     radical_dimension,
@@ -206,6 +206,16 @@ class TestNoCopiesOutsideTheMatcher:
             m.direct_sum(m)
         assert len(keyed) <= 10
 
+    def test_len_is_the_stored_copy_count(self):
+        """``len`` reads the total that ``_canonical_runs`` stored, however
+        the module was built."""
+        piece = parse_interval("[0,4)")
+        m = PModule._of_runs([(piece, 10**6 - 1), (parse_interval("[5,5]"), 1)])
+        half = PModule._of_runs([(piece, 5 * 10**5)])
+        for module, size in ((m, 10**6), (half.direct_sum(half), 10**6),
+                             (m.radical(), 10**6 - 1), (pickle.loads(pickle.dumps(m)), 10**6)):
+            assert len(module) == module._len == size
+
     def test_matcher_reads_summands_once_per_module(self, monkeypatch):
         reads = []
         real = PModule.summands
@@ -238,8 +248,8 @@ def test_distinct_summand_kernel_against_oracles(pair, eps):
         return
     at_d = d.as_fraction
     assert modules_eps_interleaved(m, n, at_d) == reference_modules_eps_interleaved(m, n, at_d)
-    costs, dtz_m, dtz_n, scale, _, _ = _cost_table(m.summands, n.summands)
-    full = _matching_at(costs, dtz_m, dtz_n, int(2 * scale * at_d) + 1)
+    costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
+    full = full_probe(costs, dtz_m, dtz_n, int(2 * scale * at_d) + 1)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
 
 

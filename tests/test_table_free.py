@@ -23,7 +23,7 @@ from persistd import (
     replicate,
     verify_certificate,
 )
-from persistd import bottleneck, interleaving
+from persistd import bottleneck
 from persistd.intervals import Endpoint, make_interval
 from persistd.verify import random_interval
 
@@ -123,12 +123,11 @@ def test_certificate_check_equals_per_pair_check(pair):
 
 @pytest.fixture
 def no_cost_table(monkeypatch):
-    """Every way to the cost table raises."""
+    """The one table builder, ``bottleneck._cost_tables``, raises."""
     def refused(*args):
         raise AssertionError("cost table built")
 
-    for module in (bottleneck, interleaving):
-        monkeypatch.setattr(module, "_cost_table", refused)
+    monkeypatch.setattr(bottleneck, "_cost_tables", refused)
 
 
 def test_decision_at_scale_builds_no_table(no_cost_table):

@@ -1,28 +1,61 @@
-"""Every stage that the benchmark's layer trace wraps must exist.
+"""Every stage that the benchmark's layer trace wraps must exist and be
+reached through the attribute the trace wraps.
 
 ``perfbench/layertrace.py`` lists its hooks as (module, attribute) pairs
-and reports a vanished target as a missing hook instead of failing.  This
-test reads that list and fails when a hooked function is renamed or
-deleted, so the trace keeps covering the pipeline stages."""
+and reports a vanished target as a missing hook instead of failing.  These
+tests read that list and fail when a hooked function is renamed or
+deleted, or when the kernel stops calling a stage through its module
+attribute, so the trace keeps covering and timing the pipeline stages."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
+from persistd import PModule, bottleneck
+
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
-def _hooks():
+def _layertrace() -> dict:
     # Run the source text, so that nothing is written next to it.
     namespace = {"__name__": "layertrace"}
     exec(compile(LAYERTRACE.read_text(), str(LAYERTRACE), "exec"), namespace)
-    return namespace["HOOKS"]
+    return namespace
 
 
-@pytest.mark.parametrize("module_name, attr", [(h[0], h[1]) for h in _hooks()])
+HOOKS = _layertrace()["HOOKS"]
+
+
+@pytest.mark.parametrize("module_name, attr", [(h[0], h[1]) for h in HOOKS])
 def test_hook_target_is_callable(module_name, attr):
     owner = importlib.import_module(module_name)
     for part in attr.split("."):
         owner = getattr(owner, part, None)
     assert callable(owner), f"{module_name}.{attr}"
+
+
+def _traced_calls(call) -> dict:
+    """Calls per layer of ``call()`` under the benchmark's tracer."""
+    for module_name, *_ in HOOKS:
+        importlib.import_module(module_name)
+    tracer = _layertrace()["Tracer"]()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    return tracer.calls
+
+
+def test_kernel_hooks_are_reached():
+    """A distance builds the one table and probes it with Hopcroft-Karp;
+    the eps-decision neither builds a table nor probes one."""
+    m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")
+    calls = _traced_calls(lambda: bottleneck.module_distance(m, n))
+    assert calls["bottleneck.module_distance"] == calls["bottleneck.cost_table"] == 1
+    assert calls["bottleneck.probe"] >= 1 and calls["bottleneck.hk"] >= 1
+    calls = _traced_calls(lambda: bottleneck.modules_eps_interleaved(m, n, 1))
+    assert calls["bottleneck.decide"] == 1 and calls["bottleneck.hk"] >= 1
+    assert calls["bottleneck.cost_table"] == calls["bottleneck.probe"] == 0
