@@ -39,7 +39,6 @@ neighbour list object, which Hopcroft-Karp scans once where it can.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
@@ -51,8 +50,9 @@ from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
 from .pmodule import PModule
 
 
-DEFAULT_MATCH_CAP = 10_000
-_CAP_ENV = "PERSISTD_MATCH_CAP"
+# The vertex cap: a distance, certificate or eps-decision matches at most
+# this many summand copies, both modules together.
+MATCH_CAP = 10_000
 
 
 class InfiniteDistanceError(ValueError):
@@ -84,26 +84,18 @@ class MatchingCertificate(NamedTuple):
     @classmethod
     def from_json_obj(cls, obj) -> "MatchingCertificate":
         try:
-            threshold = ExtRational(obj["threshold"])
-            pairs = tuple((_as_int(i), _as_int(j)) for i, j in obj["pairs"])
-            unmatched_m = tuple(map(_as_int, obj["unmatched_m"]))
-            unmatched_n = tuple(map(_as_int, obj["unmatched_n"]))
+            threshold, pairs, *unmatched = (obj[key] for key in cls._fields)
+            if isinstance(threshold, bool):
+                raise TypeError("threshold must not be a boolean")
+            for key, value in zip(cls._fields[1:], (pairs, *unmatched)):
+                if not isinstance(value, list):
+                    raise TypeError(f"{key} must be a JSON array")
+            if not all(isinstance(pair, list) for pair in pairs):
+                raise TypeError("each pair must be a JSON array of 2 indices")
+            return cls(ExtRational(threshold), tuple((_as_int(i), _as_int(j)) for i, j in pairs),
+                       *(tuple(map(_as_int, indices)) for indices in unmatched))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad certificate JSON: {exc}") from exc
-        return cls(threshold, pairs, unmatched_m, unmatched_n)
-
-
-def _match_cap() -> int:
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MATCH_CAP
-    try:
-        cap = _as_int(raw)
-    except ValueError:
-        raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _ranges(runs) -> list[range]:
@@ -116,10 +108,10 @@ def _distinct(m: PModule, n: PModule):
     """Each module's distinct summands, in (interval, count) run order, and
     ``copies``: None when no summand repeats, else each side's copy index
     ranges by run.  Refuses more copies than the vertex cap."""
-    cap, size_m, size_n = _match_cap(), len(m), len(n)
-    if size_m + size_n > cap:
+    size_m, size_n = len(m), len(n)
+    if size_m + size_n > MATCH_CAP:
         raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
-                         f"cap {cap}; raise {_CAP_ENV} to override")
+                         f"cap {MATCH_CAP}")
     copies = None
     if size_m != len(m._runs) or size_n != len(n._runs):
         copies = _ranges(m._runs), _ranges(n._runs)
@@ -293,23 +285,21 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates,
     t; an infeasible one leaves them alone.
 
     ``mates`` = (mate_m, mate_n) holds each copy's partner in an earlier
-    probe's matching on its side, -1 for none (none at all when None).
-    Partners still among the neighbours seed the side's Hopcroft-Karp run,
-    whose matching is written back; a seeded probe decides as an unseeded
-    one, but its matching can differ."""
+    probe's matching on its side, -1 for none (all -1 when unseeded), and
+    each list is as long as its side has copies.  Partners still among the
+    neighbours seed the side's Hopcroft-Karp run, whose matching is written
+    back; a seeded probe decides as an unseeded one, but its matching can
+    differ."""
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
-    n_m, n_n = len(dtz_m), len(dtz_n)
-    if copies is not None:
-        n_m, n_n = (sum(map(len, ranges)) for ranges in copies)
-    mate_m, mate_n = mates or ([-1] * n_m, [-1] * n_n)
+    mate_m, mate_n = mates
 
     lists_m = [_within(costs[i], near_m[i], t) for i in runs_m]
-    side_m = _cover(runs_m, lists_m, mate_m, n_n, copies)
+    side_m = _cover(runs_m, lists_m, mate_m, len(mate_n), copies)
     if side_m is None:
         return None
     lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
-    side_n = _cover(runs_n, lists_n, mate_n, n_m, copies and copies[::-1])
+    side_n = _cover(runs_n, lists_n, mate_n, len(mate_m), copies and copies[::-1])
     if side_n is None:
         return None
 
@@ -413,8 +403,9 @@ def _search(m: PModule, n: PModule):
     if hi == len(tops):
         return POS_INF, None
     top = tops[hi]
+    unseeded = [-1] * len(copy_dtz_m), [-1] * len(copy_dtz_n)
     return ExtRational(Fraction(top - 1, 2 * scale)), (
-        costs, dtz_m, dtz_n, top, near_m, near_n, None, copies)
+        costs, dtz_m, dtz_n, top, near_m, near_n, unseeded, copies)
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:

@@ -273,4 +273,6 @@ def parse_module(data: str | bytes) -> PModule:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ModuleFormatError(f"invalid module JSON: {exc}") from exc
+    except RecursionError:
+        raise ModuleFormatError("invalid module JSON: nested too deeply") from None
     return PModule.from_json_obj(obj)

@@ -262,9 +262,13 @@ def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
 
 def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
     """``bottleneck._matching_at`` on whole rows and columns: every index
-    is a possible neighbour."""
+    is a possible neighbour.  Unseeded unless ``mates`` are given."""
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
+    if mates is None:
+        sizes = (len(dtz_m), len(dtz_n)) if copies is None else (
+            sum(map(len, ranges)) for ranges in copies)
+        mates = tuple([-1] * size for size in sizes)
     return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies)
 
 

@@ -196,10 +196,22 @@ class TestCertificates:
         ("unmatched_m", ["1_0"]),
         ("unmatched_n", ["\u0661"]),
         ("unmatched_n", ["1.0"]),
+        ("pairs", ["01"]),
+        ("pairs", [[0]]),
+        ("pairs", [[0, 1, 2]]),
+        ("pairs", "[]"),
+        ("unmatched_m", "0"),
+        ("unmatched_n", {"0": 1}),
     ])
     def test_json_indices_are_integers(self, field, value):
         obj = {"threshold": "1/2", "pairs": [], "unmatched_m": [], "unmatched_n": []}
         obj[field] = value
+        with pytest.raises(ValueError, match="bad certificate JSON"):
+            MatchingCertificate.from_json_obj(obj)
+
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_json_threshold_is_not_boolean(self, threshold):
+        obj = {"threshold": threshold, "pairs": [], "unmatched_m": [], "unmatched_n": []}
         with pytest.raises(ValueError, match="bad certificate JSON"):
             MatchingCertificate.from_json_obj(obj)
 
@@ -242,34 +254,39 @@ class TestCertificates:
 
 
 class TestVertexCap:
+    """A matched pair holds at most 10,000 summand copies, a fixed budget:
+    5001 copies against 5000 are one too many, and cheap to build as runs."""
+
+    OVER = r"^matching on 5001\+5000 summands exceeds the vertex cap 10000$"
+
+    @staticmethod
+    def copies(count):
+        return replicate(parse_interval("[0,2)"), count)
+
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", "3")
-        m = PModule.of("[0,1)", "[0,2)")
-        with pytest.raises(ValueError, match="vertex cap"):
-            module_distance(m, m)
+        def no_lattice(*args):
+            raise AssertionError("a lattice was built before the vertex cap was checked")
 
-    def test_bad_cap_value(self, monkeypatch):
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", "lots")
-        with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP"):
-            module_distance(PModule.zero(), PModule.zero())
+        monkeypatch.setattr(bottleneck, "_lattice", no_lattice)
+        m, n = self.copies(5001), self.copies(5000)
+        calls = [module_distance, distance_certificate,
+                 *(lambda m, n, eps=eps: modules_eps_interleaved(m, n, eps) for eps in (0, 1, -1))]
+        for call in calls:
+            with pytest.raises(ValueError, match=self.OVER):
+                call(m, n)
 
-    @pytest.mark.parametrize("raw", ["1_0", "\u0661\u0662", "12.0", "1e3", ""])
-    def test_cap_takes_only_ascii_integer_text(self, monkeypatch, raw):
+    def test_cap_is_inclusive(self):
+        m, n = self.copies(5000), self.copies(5000)
+        assert bottleneck.MATCH_CAP == 10_000
+        assert module_distance(m, n) == ExtRational(0)
+        assert modules_eps_interleaved(m, n, 0)
+
+    @pytest.mark.parametrize("raw", ["1", "lots", "100000"])
+    def test_environment_does_not_move_the_cap(self, monkeypatch, raw):
         monkeypatch.setenv("PERSISTD_MATCH_CAP", raw)
-        with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP must be an integer"):
-            module_distance(PModule.zero(), PModule.zero())
-
-    def test_cap_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", "-0")
-        with pytest.raises(ValueError, match="PERSISTD_MATCH_CAP must be positive, got 0"):
-            module_distance(PModule.zero(), PModule.zero())
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", " +4 ")
         assert module_distance(PModule.of("[0,1)", "[0,2)"), PModule.of("[0,1)")) == ExtRational(1)
-
-    def test_cap_override_allows(self, monkeypatch):
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", "100")
-        m = PModule.of("[0,1)", "[0,2)")
-        assert module_distance(m, m) == ExtRational(0)
+        with pytest.raises(ValueError, match=self.OVER):
+            module_distance(self.copies(5001), self.copies(5000))
 
 
 def _bruteforce_max_matching(adj, n_right):
@@ -396,7 +413,8 @@ def test_saturating_matching_against_bruteforce(seed):
         near_m = [[j for j in range(n_n) if costs[i][j] <= t_hi] for i in range(n_m)]
         near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
         before = [list(a) for a in near_m], [list(a) for a in near_n]
-        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, None, None) == found
+        unseeded = [-1] * n_m, [-1] * n_n
+        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None) == found
         if found is None:
             assert (near_m, near_n) == before
         else:
@@ -602,7 +620,9 @@ def test_infeasible_probe_leaves_lists_unchanged():
     costs = [[1, 5], [5, 5]]
     dtz_m, dtz_n = [3, 0], [0, 0]
     near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
-    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, None, None) is None
+    unseeded = [-1, -1], [-1, -1]
+    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, unseeded, None) is None
     assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
-    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, None, None) == {0: 0}
+    unseeded = [-1, -1], [-1, -1]
+    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, unseeded, None) == {0: 0}
     assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])

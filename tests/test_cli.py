@@ -362,11 +362,27 @@ class TestBudgets:
 
 
 class TestCap:
-    def test_env_cap_respected(self, capsys, module_file, monkeypatch):
-        monkeypatch.setenv("PERSISTD_MATCH_CAP", "1")
-        a = module_file("a.json", "[0,1)")
-        code, _, err = run(capsys, "dist", a, a)
-        assert code == 2 and "vertex cap" in err
+    """5001 copies against 5000 are one over the fixed vertex cap of 10,000,
+    whatever the environment holds."""
+
+    @pytest.mark.parametrize("command", [["dist"], ["cert"], ["interleaved", "--eps", "0"]])
+    def test_over_cap_pair_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("PERSISTD_MATCH_CAP", "100000")
+        paths = []
+        for count in (5001, 5000):
+            paths.append(tmp_path / f"{count}.json")
+            paths[-1].write_text(families.replicate(parse_interval("[0,2)"), count).to_json())
+        code, out, err = run(capsys, *command, *map(str, paths))
+        assert code == 2 and out == ""
+        assert err == "error: matching on 5001+5000 summands exceeds the vertex cap 10000\n"
+
+
+def test_deeply_nested_module_json_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "nest.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    code, out, err = run(capsys, "dist", str(path), str(path))
+    assert code == 2 and out == ""
+    assert err == "error: invalid module JSON: nested too deeply\n"
 
 
 @pytest.mark.parametrize(

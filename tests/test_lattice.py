@@ -14,6 +14,8 @@ from persistd import (
     distance_certificate,
     module_distance,
     modules_eps_interleaved,
+    parse_interval,
+    replicate,
     verify_certificate,
 )
 from persistd import bottleneck
@@ -117,7 +119,7 @@ def test_whole_line_and_half_lines():
     assert module_distance(left, PModule.of("(-inf,1)")) == ExtRational(Fraction(4, 7))
 
 
-def test_decision_is_one_table_and_one_probe(monkeypatch):
+def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
     """The decision builds no cost table (``_cost_tables`` is the only
     table builder) and makes no probe: it reads the lattice once and runs
     Hopcroft-Karp at most once per side."""
@@ -142,10 +144,9 @@ def test_decision_is_one_table_and_one_probe(monkeypatch):
         assert set(calls) == {"_lattice", "_hopcroft_karp"}, calls
 
 
-def test_decision_checks_the_vertex_cap_before_eps(monkeypatch):
-    monkeypatch.setenv("PERSISTD_MATCH_CAP", "1")
+def test_decision_checks_the_vertex_cap_before_eps():
+    half = parse_interval("[0,2)")
     with pytest.raises(ValueError, match="vertex cap"):
-        modules_eps_interleaved(PModule.of("[0,1)"), PModule.of("[0,1)"), -1)
-    monkeypatch.setenv("PERSISTD_MATCH_CAP", "2")
+        modules_eps_interleaved(replicate(half, 5001), replicate(half, 5000), -1)
     with pytest.raises(ValueError, match="eps >= 0"):
-        modules_eps_interleaved(PModule.of("[0,1)"), PModule.of("[0,1)"), -1)
+        modules_eps_interleaved(replicate(half, 5000), replicate(half, 5000), -1)
