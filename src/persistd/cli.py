@@ -16,9 +16,10 @@ import argparse
 import json
 import os
 import sys
+from decimal import Context
 from fractions import Fraction
-from pathlib import Path
 
+from . import families, verify
 from .bottleneck import (
     InfiniteDistanceError,
     distance_certificate,
@@ -26,23 +27,17 @@ from .bottleneck import (
     modules_eps_interleaved,
     verify_certificate,
 )
-from .families import (
-    INCLUSIONS,
-    binary_sequence_module,
-    cauchy_witness,
-    cube_point_module,
-    open_subset_witness,
-    replicate,
-    staircase,
-)
 from .intervals import ExtRational, _as_fraction, _as_int, parse_interval
 from .pmodule import PModule, parse_module
-from .verify import _PARAM_CONVERTERS, SUITE_NAMES, run_suite
+
+# Rounds a quotient once, half to even, to the six digits ``--approx`` shows.
+_SIX_DIGITS = Context(prec=6)
 
 
 def _load_module(path: str) -> PModule:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise ValueError(f"cannot read module file {path}: {exc}") from exc
     return parse_module(data)
@@ -69,9 +64,18 @@ def _fraction_pair(text: str) -> tuple[Fraction, Fraction]:
     return _fraction(parts[0]), _fraction(parts[1])
 
 
+def _approx(q: Fraction) -> str:
+    """``q`` to six significant digits, as a float prints them.  Past the
+    float range the digits come from the exact quotient instead."""
+    try:
+        return f"{float(q):.6g}"
+    except OverflowError:
+        return f"{_SIX_DIGITS.divide(q.numerator, q.denominator).normalize():.6g}"
+
+
 def _print_value(value: ExtRational, approx: bool) -> None:
     if approx and value.is_finite:
-        print(f"{value} ~= {float(value.as_fraction):.6g}")
+        print(f"{value} ~= {_approx(value.as_fraction)}")
     else:
         print(str(value))
 
@@ -126,19 +130,19 @@ def _cmd_gen(args) -> int:
     if args.family == "cube":
         coords = [_fraction(t) for t in args.x.split(",")] if args.x else []
         n = args.n if args.n is not None else len(coords)
-        module = cube_point_module(n, coords)
+        module = families.cube_point_module(n, coords)
     elif args.family == "binary":
         # Only ASCII 0 and 1; the family refuses any other character.
-        module = binary_sequence_module([{"0": 0, "1": 1}.get(c, c) for c in args.bits])
+        module = families.binary_sequence_module([{"0": 0, "1": 1}.get(c, c) for c in args.bits])
     elif args.family == "cauchy":
-        module = cauchy_witness(args.n)
+        module = families.cauchy_witness(args.n)
     elif args.family == "staircase":
-        module = staircase(args.n)
+        module = families.staircase(args.n)
     elif args.family == "replicate":
-        module = replicate(parse_interval(args.interval), args.count)
+        module = families.replicate(parse_interval(args.interval), args.count)
     else:  # witness
         bounds = _fraction_pair(args.bounds) if args.bounds else None
-        module = open_subset_witness(
+        module = families.open_subset_witness(
             _load_module(args.module),
             args.inclusion,
             _fraction(args.eps),
@@ -151,11 +155,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = {}
-    for name in _PARAM_CONVERTERS:
+    for name in verify._PARAM_CONVERTERS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
-    report = run_suite(args.suite, seed=args.seed, trials=args.trials, params=params)
+    report = verify.run_suite(args.suite, seed=args.seed, trials=args.trials, params=params)
     if args.json:
         print(report.to_json())
     else:
@@ -163,99 +167,122 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _two_modules(p) -> None:
+    p.add_argument("a")
+    p.add_argument("b")
+
+
+def _dist_arguments(p) -> None:
+    _two_modules(p)
+    p.add_argument("--approx", action="store_true", help="add a decimal rendering")
+
+
+def _interleaved_arguments(p) -> None:
+    p.add_argument("--eps", required=True)
+    _two_modules(p)
+
+
+def _classify_arguments(p) -> None:
+    p.add_argument("--bounds", help="class bounds as 'c,d'")
+    p.add_argument("module")
+
+
+def _radical_arguments(p) -> None:
+    p.add_argument("module")
+
+
+def _persist_arguments(p) -> None:
+    p.add_argument("--p", required=True)
+    p.add_argument("module")
+
+
+def _contract_arguments(p) -> None:
+    p.add_argument("--t", required=True)
+    p.add_argument("module")
+
+
+def _gen_arguments(p) -> None:
+    gen_sub = p.add_subparsers(dest="family", required=True)
+
+    g = gen_sub.add_parser("cube", help="cube-point module")
+    g.add_argument("--n", type=_int, help="dimension (default: number of coordinates)")
+    g.add_argument("--x", required=True, help="coordinates 'x1,x2,...' as rationals")
+
+    g = gen_sub.add_parser("binary", help="binary-sequence module")
+    g.add_argument("--bits", required=True, help="bit string such as 0101")
+
+    g = gen_sub.add_parser("cauchy", help="Cauchy-sequence stage")
+    g.add_argument("--n", type=_int, required=True)
+
+    g = gen_sub.add_parser("staircase", help="staircase stage")
+    g.add_argument("--n", type=_int, required=True)
+
+    g = gen_sub.add_parser("replicate", help="copies of one interval")
+    g.add_argument("--interval", required=True, help="interval text such as '[0,1)'")
+    g.add_argument("--count", type=_int, required=True)
+
+    g = gen_sub.add_parser("witness", help="open-subset witness module")
+    g.add_argument("--module", required=True, help="module JSON file")
+    g.add_argument("--inclusion", required=True, choices=families.INCLUSIONS)
+    g.add_argument("--eps", required=True)
+    g.add_argument("--trunc", type=_int, default=3)
+    g.add_argument("--bounds", help="class bounds 'c,d' (ffid_cd_in_ffid)")
+
+
+def _verify_arguments(p) -> None:
+    p.add_argument("suite", choices=verify.SUITE_NAMES)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--trials", type=_int, default=100)
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    for name in verify._PARAM_CONVERTERS:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
+
+
+# name: (help, adds the arguments, handler), in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "dist": ("exact distance between two module files", _dist_arguments, _cmd_dist),
+    "interleaved": ("decide eps-interleaving of two modules", _interleaved_arguments,
+                    _cmd_interleaved),
+    "classify": ("class membership of a module", _classify_arguments, _cmd_classify),
+    "radical": ("radical of a module", _radical_arguments, _cmd_radical),
+    "persist": ("p-persistent submodule", _persist_arguments, _cmd_persist),
+    "contract": ("contraction path stage at time t", _contract_arguments, _cmd_contract),
+    "cert": ("matching certificate for the distance", _two_modules, _cmd_cert),
+    "gen": ("generate a witness-family module", _gen_arguments, _cmd_gen),
+    "verify": ("run a property suite", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``persistd`` parser.  Every subcommand is listed, but only the
+    arguments of ``command`` are added, or those of all subcommands when it
+    is None.  So ``families`` and ``verify``, which supply the choices of
+    ``gen witness --inclusion`` and the suites and flags of ``verify``, load
+    only for those subcommands."""
     parser = argparse.ArgumentParser(
         prog="persistd",
         description="Exact interleaving distances for interval-decomposable "
         "persistence modules with decorated endpoints.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="exact distance between two module files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--approx", action="store_true", help="add a decimal rendering")
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("interleaved", help="decide eps-interleaving of two modules")
-    p.add_argument("--eps", required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_interleaved)
-
-    p = sub.add_parser("classify", help="class membership of a module")
-    p.add_argument("--bounds", help="class bounds as 'c,d'")
-    p.add_argument("module")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("radical", help="radical of a module")
-    p.add_argument("module")
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser("persist", help="p-persistent submodule")
-    p.add_argument("--p", required=True)
-    p.add_argument("module")
-    p.set_defaults(func=_cmd_persist)
-
-    p = sub.add_parser("contract", help="contraction path stage at time t")
-    p.add_argument("--t", required=True)
-    p.add_argument("module")
-    p.set_defaults(func=_cmd_contract)
-
-    p = sub.add_parser("cert", help="matching certificate for the distance")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_cert)
-
-    p = sub.add_parser("gen", help="generate a witness-family module")
-    gen_sub = p.add_subparsers(dest="family", required=True)
-
-    g = gen_sub.add_parser("cube", help="cube-point module")
-    g.add_argument("--n", type=_int, help="dimension (default: number of coordinates)")
-    g.add_argument("--x", required=True, help="coordinates 'x1,x2,...' as rationals")
-    g.set_defaults(func=_cmd_gen)
-
-    g = gen_sub.add_parser("binary", help="binary-sequence module")
-    g.add_argument("--bits", required=True, help="bit string such as 0101")
-    g.set_defaults(func=_cmd_gen)
-
-    g = gen_sub.add_parser("cauchy", help="Cauchy-sequence stage")
-    g.add_argument("--n", type=_int, required=True)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gen_sub.add_parser("staircase", help="staircase stage")
-    g.add_argument("--n", type=_int, required=True)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gen_sub.add_parser("replicate", help="copies of one interval")
-    g.add_argument("--interval", required=True, help="interval text such as '[0,1)'")
-    g.add_argument("--count", type=_int, required=True)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gen_sub.add_parser("witness", help="open-subset witness module")
-    g.add_argument("--module", required=True, help="module JSON file")
-    g.add_argument("--inclusion", required=True, choices=INCLUSIONS)
-    g.add_argument("--eps", required=True)
-    g.add_argument("--trunc", type=_int, default=3)
-    g.add_argument("--bounds", help="class bounds 'c,d' (ffid_cd_in_ffid)")
-    g.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--trials", type=_int, default=100)
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    for name in _PARAM_CONVERTERS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, add_arguments, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # No top-level option takes a value, so argparse hands argv to the
+    # subcommand that the first non-option token names.  When that token
+    # names none, argparse stops at the top level, whose output does not
+    # depend on any subcommand's arguments.
+    command = next((token for token in argv if token in _SUBCOMMANDS), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

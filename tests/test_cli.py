@@ -10,6 +10,7 @@ from persistd import (
     MatchingCertificate,
     ModuleFormatError,
     PModule,
+    cli,
     families,
     parse_interval,
     parse_module,
@@ -60,6 +61,22 @@ class TestDist:
         b = module_file("b.json")
         code, out, _ = run(capsys, "dist", "--approx", a, b)
         assert code == 0 and out.strip() == "1/2 ~= 0.5"
+
+    @pytest.mark.parametrize(
+        "upper, exact, shown",
+        [
+            ("1" + "0" * 400, "5" + "0" * 399, "5e+399"),
+            ("123456789" + "0" * 400, "617283945" + "0" * 399, "6.17284e+407"),
+            ("1/1" + "0" * 400, "1/2" + "0" * 400, "0"),
+        ],
+        ids=["above", "above-rounded", "below"],
+    )
+    def test_approx_outside_the_float_range(self, capsys, module_file, upper, exact, shown):
+        """Past the float range the decimal is rounded from the exact value;
+        below the smallest float it reads 0, as the float prints it."""
+        a = module_file("a.json", f"[0,{upper})")
+        b = module_file("b.json")
+        assert run(capsys, "dist", "--approx", a, b) == (0, f"{exact} ~= {shown}\n", "")
 
     def test_missing_file_usage_error(self, capsys, module_file):
         a = module_file("a.json", "[0,1)")
@@ -263,6 +280,52 @@ class TestVerify:
         verify = build_parser()._subparsers._group_actions[0].choices["verify"]
         flags = {a.dest for a in verify._actions if a.option_strings}
         assert flags - {"help", "seed", "trials", "json"} == set(_PARAM_CONVERTERS)
+
+
+class TestSelectedSubcommand:
+    """``cli_main`` builds the arguments of the one subcommand it runs; its
+    exit code, stdout and stderr are those of the complete parser."""
+
+    ARGVS = [
+        [],
+        ["--help"],
+        *([name, "--help"] for name in (
+            "dist", "interleaved", "classify", "radical", "persist", "contract", "cert", "gen",
+            "verify",
+        )),
+        *(["gen", family, "--help"] for family in (
+            "cube", "binary", "cauchy", "staircase", "replicate", "witness",
+        )),
+        ["flat-earth"],
+        ["flat-earth", "dist", "M", "M"],
+        ["--x", "dist", "M", "M"],
+        ["dist"],
+        ["dist", "M"],
+        ["dist", "cert", "M"],
+        ["interleaved", "M", "M"],
+        ["classify"],
+        ["persist", "M"],
+        ["cert", "M"],
+        ["gen"],
+        ["gen", "witness", "--module", "M"],
+        ["verify"],
+        ["verify", "flat-earth"],
+        ["verify", "cube-isometry", "--N", "many"],
+        ["gen", "witness", "--module", "M", "--inclusion", "bogus", "--eps", "1"],
+        ["gen", "witness", "--module", "M", "--inclusion", "fid_in_pfd", "--eps", "1"],
+        ["gen", "staircase", "--n", "2"],
+        ["dist", "--approx", "M", "M"],
+        ["verify", "pseudometric", "--trials", "2", "--json"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_as_the_complete_parser(self, capsys, monkeypatch, module_file, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        m = module_file("m.json", "[0,2)", "(1,4]")
+        argv = [m if token == "M" else token for token in argv]
+        selected = run(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert run(capsys, *argv) == selected
 
 
 class TestCopyBound:

@@ -8,6 +8,8 @@ deleted, or when the kernel stops calling a stage through its module
 attribute, so the trace keeps covering and timing the pipeline stages."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,32 @@ def test_kernel_hooks_are_reached():
     calls = _traced_calls(lambda: bottleneck.modules_eps_interleaved(m, n, 1))
     assert calls["bottleneck.decide"] == 1 and calls["bottleneck.hk"] >= 1
     assert calls["bottleneck.cost_table"] == calls["bottleneck.probe"] == 0
+
+
+def test_hooks_install_after_importing_only_the_cli():
+    """The benchmark's traced runs import only ``persistd.cli`` before they
+    install the tracer.  The modules that load on first use must still be
+    found, the ``gen`` command must reach the wrapped generator, and no
+    module may keep a wrapper once the tracer is uninstalled."""
+    script = (
+        "import sys, persistd.cli\n"
+        "namespace = {'__name__': 'layertrace'}\n"
+        f"exec(compile(open({str(LAYERTRACE)!r}).read(), {str(LAYERTRACE)!r}, 'exec'), namespace)\n"
+        "tracer = namespace['Tracer']()\n"
+        "tracer.install()\n"
+        "code = persistd.cli.cli_main(['gen', 'staircase', '--n', '2'])\n"
+        "tracer.uninstall()\n"
+        "left = [f'{name}.{attr}' for name, module in list(sys.modules.items())\n"
+        "        if name.startswith('persistd') for attr, value in vars(module).items()\n"
+        "        if hasattr(value, '__wrapped__')]\n"
+        "print(code, tracer.missing, tracer.calls['families.generate'], left)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=Path(bottleneck.__file__).parents[1],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.splitlines()[-1] == "0 [] 1 []"
