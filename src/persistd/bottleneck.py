@@ -12,7 +12,11 @@ summand of the second module it leaves free (Mendelsohn-Dulmage).
 
 All of this runs on plain ints.  ``interleaving._lattice`` keys every
 endpoint, times S = 4*lcm(all finite denominators), with its decoration,
-and ``_cost_tables`` builds the one pairwise table, the closed form of
+starting from the integer view each ``PModule`` builds of its runs on first
+use and keeps, so a module's fractions are read once, not on every call.
+Fixed work budgets, in bits of S times runs, refuse a pair before its
+lattice is built (``_check_budget``).  ``_cost_tables`` builds the one
+pairwise table, the closed form of
 ``interleaving._key_entry`` on the keys of every pair of summands: an
 entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
 the infimum is not attained.  The distance is the smallest feasible class
@@ -46,13 +50,24 @@ from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .interleaving import _key_entry, _lattice
-from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
+from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_fraction, _as_int
 from .pmodule import PModule
 
 
 # The vertex cap: a distance, certificate or eps-decision matches at most
 # this many summand copies, both modules together.
 MATCH_CAP = 10_000
+
+# Work budgets on a pair's lattice, fixed like the vertex cap.  B, the bit
+# lengths of both modules' lcms of denominators and of eps's denominator
+# summed, bounds the bits of S/4.  The cost table costs about B * runs_m *
+# runs_n, the eps-decision and the certificate check, which build no table,
+# about B * (runs_m + runs_n).  Every input whose denominators are at most
+# 16 (lcm 720720, 20 bits) passes both up to the vertex cap: 41 * 5000 *
+# 5000 is 1.0e9 and 41 * 10,000 is 4.1e5.  So does Cauchy stage 1000
+# against 999 (1001 and 1000 bits): 2.0e9 and 4.0e6.
+TABLE_BUDGET = 3 * 10**9
+KEYS_BUDGET = 10**8
 
 
 class InfiniteDistanceError(ValueError):
@@ -105,9 +120,10 @@ def _ranges(runs) -> list[range]:
 
 
 def _distinct(m: PModule, n: PModule):
-    """Each module's distinct summands, in (interval, count) run order, and
-    ``copies``: None when no summand repeats, else each side's copy index
-    ranges by run.  Refuses more copies than the vertex cap."""
+    """Each module's ``interleaving._view`` of its distinct summands, in
+    (interval, count) run order, and ``copies``: None when no summand
+    repeats, else each side's copy index ranges by run.  Refuses more copies
+    than the vertex cap before it builds a view."""
     size_m, size_n = len(m), len(n)
     if size_m + size_n > MATCH_CAP:
         raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
@@ -115,16 +131,32 @@ def _distinct(m: PModule, n: PModule):
     copies = None
     if size_m != len(m._runs) or size_n != len(n._runs):
         copies = _ranges(m._runs), _ranges(n._runs)
-    return tuple(s for s, _ in m._runs), tuple(s for s, _ in n._runs), copies
+    return m._lattice_view(), n._lattice_view(), copies
+
+
+def _check_budget(view_m, view_n, eps_den: int, table: bool) -> None:
+    """Refuse the pair's lattice, before it is built, when its work exceeds
+    ``TABLE_BUDGET`` (``table``) or ``KEYS_BUDGET``: (B times runs_m times
+    runs_n) or (B times runs_m + runs_n), B as above, with ``eps_den`` the
+    denominator of eps."""
+    runs_m, runs_n = len(view_m[3]), len(view_n[3])
+    bits = view_m[0].bit_length() + view_n[0].bit_length() + eps_den.bit_length()
+    work, budget, kind = ((bits * runs_m * runs_n, TABLE_BUDGET, "table") if table else
+                          (bits * (runs_m + runs_n), KEYS_BUDGET, "key"))
+    if work > budget:
+        raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {bits} bits "
+                         f"exceed the {kind} budget {budget} ({work})")
 
 
 def _cost_tables(m: PModule, n: PModule):
     """The ``interleaving._key_entry`` of every pair of ``_distinct``'s
     summands, row i and column j for the i-th and j-th runs, and of each
     against the zero module, on one lattice at eps 0: (costs, dtz_m, dtz_n,
-    S, fin, copies), where no finite entry exceeds fin = 4*reach + 1."""
-    runs_m, runs_n, copies = _distinct(m, n)
-    scale, reach, _, keys_m, keys_n = _lattice(runs_m, runs_n, 0)
+    S, fin, copies), where no finite entry exceeds fin = 4*reach + 1.  A
+    table over ``TABLE_BUDGET`` is refused."""
+    view_m, view_n, copies = _distinct(m, n)
+    _check_budget(view_m, view_n, 1, True)
+    scale, reach, _, keys_m, keys_n = _lattice(view_m, view_n, 0)
     dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
     dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
@@ -335,8 +367,9 @@ def _boxes(keys, other, w):
     for i, (low, up) in enumerate(keys):
         if (up - low) // 2 + 1 > w:
             a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
+            below, above = up - w, up + w
             runs.append(i)
-            lists.append([j for j, u in enumerate(ups[a:b], a) if up - w <= u <= up + w])
+            lists.append([j for j, u in enumerate(ups[a:b], a) if below <= u <= above])
     return runs, lists
 
 
@@ -346,9 +379,12 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     all eps-interleaved with the zero module?  An entry <= w = 2*eps*S is
     exactly an eps-interleaved pair, as in ``are_eps_interleaved``.  No
     table: the keys give the mandatory summands' neighbours, and one
-    unseeded Hopcroft-Karp run per side must saturate them."""
-    runs_m, runs_n, copies = _distinct(m, n)
-    _, _, w, keys_m, keys_n = _lattice(runs_m, runs_n, eps)
+    unseeded Hopcroft-Karp run per side must saturate them.  A lattice over
+    ``KEYS_BUDGET`` is refused."""
+    view_m, view_n, copies = _distinct(m, n)
+    eps = _as_fraction(eps)
+    _check_budget(view_m, view_n, eps.denominator, False)
+    _, _, w, keys_m, keys_n = _lattice(view_m, view_n, eps)
     size_m, size_n = len(m), len(n)
     return (_cover(*_boxes(keys_m, keys_n, w), [-1] * size_m, size_n, copies) is not None
             and _cover(*_boxes(keys_n, keys_m, w), [-1] * size_n, size_m,
@@ -440,7 +476,8 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     No distance is below 0, so a negative threshold fails.  One lattice
     over the runs at eps = t checks each distinct pair of runs and each
     unmatched run once, on its key pairs: its distance is <= t exactly when
-    its entry's class top is <= 2*t*S + 1."""
+    its entry's class top is <= 2*t*S + 1.  A lattice over ``KEYS_BUDGET``
+    is refused."""
     used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
     used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
     t = cert.threshold
@@ -448,8 +485,9 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
         return False
     if not t.is_finite:
         return True
-    runs_m, runs_n = (tuple(s for s, _ in x._runs) for x in (m, n))
-    _, _, w, keys_m, keys_n = _lattice(runs_m, runs_n, t.as_fraction)
+    view_m, view_n, t = m._lattice_view(), n._lattice_view(), t.as_fraction
+    _check_budget(view_m, view_n, t.denominator, False)
+    _, _, w, keys_m, keys_n = _lattice(view_m, view_n, t)
     key_m, key_n = ([key for key, (_, k) in zip(keys, x._runs) for _ in range(k)]
                     for keys, x in ((keys_m, m), (keys_n, n)))
     pairs = {(key_m[i], key_n[j]) for i, j in cert.pairs}

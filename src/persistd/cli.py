@@ -73,11 +73,28 @@ def _approx(q: Fraction) -> str:
         return f"{_SIX_DIGITS.divide(q.numerator, q.denominator).normalize():.6g}"
 
 
+def _print_exact(render) -> None:
+    """Print ``render()`` with the interpreter's limit on int-to-text digits
+    (4300 by default) lifted for the call and restored after.  An answer
+    computed exactly from inputs within the limit can be longer; the
+    inputs bound its length."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
+        print(render())
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = render()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
+
+
 def _print_value(value: ExtRational, approx: bool) -> None:
     if approx and value.is_finite:
-        print(f"{value} ~= {_approx(value.as_fraction)}")
+        _print_exact(lambda: f"{value} ~= {_approx(value.as_fraction)}")
     else:
-        print(str(value))
+        _print_exact(lambda: str(value))
 
 
 def _cmd_dist(args) -> int:
@@ -107,12 +124,12 @@ def _cmd_radical(args) -> int:
 
 
 def _cmd_persist(args) -> int:
-    print(_load_module(args.module).persistent_submodule(_fraction(args.p)).to_json())
+    _print_exact(_load_module(args.module).persistent_submodule(_fraction(args.p)).to_json)
     return 0
 
 
 def _cmd_contract(args) -> int:
-    print(_load_module(args.module).contraction_path(_fraction(args.t)).to_json())
+    _print_exact(_load_module(args.module).contraction_path(_fraction(args.t)).to_json)
     return 0
 
 
@@ -122,7 +139,7 @@ def _cmd_cert(args) -> int:
     if not verify_certificate(m, n, cert):
         print("error: the computed certificate failed verification", file=sys.stderr)
         return 1
-    print(json.dumps(cert.to_json_obj(), sort_keys=True))
+    _print_exact(lambda: json.dumps(cert.to_json_obj(), sort_keys=True))
     return 0
 
 

@@ -18,6 +18,14 @@ its one entry records the distance and whether it is attained: the
 decision is one comparison of the entry with eps, and the distance is the
 entry's class.  This module holds only that per-pair lattice code; the
 module-level table of every pair of summands is ``bottleneck._cost_tables``.
+
+The keys start from a ``_view`` of each summand sequence: its own lcm and
+its keys at its own scale, read from the endpoint fractions once.  A
+``PModule`` keeps the view of its runs, so the kernel reads each module's
+fractions once however many distances and decisions it takes part in;
+``_lattice`` only rescales the keys of each side to the pair's scale, and
+not at all when that is the side's own and it has no infinite endpoint.
+A pair of intervals gets one throwaway view.
 """
 
 from __future__ import annotations
@@ -28,9 +36,48 @@ from fractions import Fraction
 from .intervals import EMPTY, ExtRational, Interval, POS_INF, Rational, _as_fraction
 
 
-def _lattice(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational):
-    """Put every endpoint of both summand sequences, and eps >= 0, on one
-    integer lattice as decorated keys.
+def _view(summands) -> tuple:
+    """The integer view of a summand sequence at its own scale S0 =
+    4*lcm(its finite denominators): (that lcm, reach, whether an endpoint
+    is infinite, and each summand's (lower key, upper key) as ``_lattice``
+    keys the sequence alone at eps 0).  Every |key| of a finite endpoint
+    is at most 2*reach + 1, and every infinite one is larger."""
+    ends = [(x.sign, *x.value.as_integer_ratio())
+            for s in summands for x in (s.lo.value, s.hi.value)]
+    dens = [den for sign, _, den in ends if not sign]
+    lcm = math.lcm(*set(dens))
+    points = [num * (4 * lcm // den) for _, num, den in ends]
+    # An infinity holds the value 0, so it adds nothing to reach.
+    reach = max(map(abs, points), default=0)
+    infinite = len(dens) < len(ends)
+    if infinite:
+        big = 8 * reach + 2
+        points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
+    keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
+            for s, lo, hi in zip(summands, points[::2], points[1::2])]
+    return lcm, reach, infinite, keys
+
+
+def _rescaled(view, f: int, big: int) -> list:
+    """The keys of ``view`` at f times its scale, infinities at -big and
+    +big.  At f = 1 with no infinity they are the view's own list."""
+    _, reach, infinite, keys = view
+    if f == 1 and not infinite:
+        return keys
+    # A key k = 2P +- d (d = k & 1, the decoration) scales to 2fP +- d.
+    lim = 2 * reach + 1
+    return [(f * (lo - (lo & 1)) + (lo & 1) if lo >= -lim else 1 - 2 * big,
+             f * (up + (up & 1)) - (up & 1) if up <= lim else 2 * big - 1)
+            for lo, up in keys]
+
+
+# The zero module's view: no summands, so nothing to rescale.
+_ZERO_VIEW = _view(())
+
+
+def _lattice(view_m, view_n, eps: Rational):
+    """Put every endpoint of two summand sequences, given by their
+    ``_view``s, and eps >= 0 on one integer lattice as decorated keys.
 
     A finite value scales to P = value*S with S = 4*lcm(all finite
     denominators, eps's), so every P and eps*S is a multiple of 4; -inf and
@@ -38,25 +85,22 @@ def _lattice(ms: tuple[Interval, ...], ns: tuple[Interval, ...], eps: Rational):
     every |P| and eps*S.  A lower endpoint at P keys as 2P when closed and
     2P+1 when open, an upper one as 2P-1 when open and 2P when closed, so
     key order is the decorated endpoint order.  Returns (S, reach, 2*eps*S,
-    (lower key, upper key) of each of ms, of each of ns).
+    (lower key, upper key) of each summand of the first view, of each of
+    the second); a side at its own scale with no infinity returns its
+    view's list, which callers must not change.
     """
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
-    # Each endpoint's sign, numerator and denominator, read once.  An
-    # infinity holds the value 0, so it adds nothing to S or reach.
-    summands = (*ms, *ns)
-    ends = [(x.sign, *x.value.as_integer_ratio())
-            for s in summands for x in (s.lo.value, s.hi.value)]
-    scale = 4 * math.lcm(eps.denominator, *{den for _, _, den in ends})
+    lcm_m, reach_m = view_m[:2]
+    lcm_n, reach_n = view_n[:2]
+    lcm = math.lcm(eps.denominator, lcm_m, lcm_n)
+    scale = 4 * lcm
     e = eps.numerator * (scale // eps.denominator)
-    points = [num * (scale // den) for _, num, den in ends]
-    reach = max([e, *map(abs, points)])
+    f_m, f_n = lcm // lcm_m, lcm // lcm_n
+    reach = max(e, f_m * reach_m, f_n * reach_n)
     big = 8 * reach + 2
-    points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
-    keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
-            for s, lo, hi in zip(summands, points[::2], points[1::2])]
-    return scale, reach, 2 * e, keys[:len(ms)], keys[len(ms):]
+    return scale, reach, 2 * e, _rescaled(view_m, f_m, big), _rescaled(view_n, f_n, big)
 
 
 def _class_top(r: int) -> int:
@@ -86,10 +130,11 @@ def _key_entry(a, b) -> int:
 
 
 def _entry(i: Interval, j: Interval, eps: Rational = 0):
-    """The one table entry of the pair, as (entry, S, fin, w)."""
+    """The one table entry of the pair, as (entry, S, fin, w), from one
+    throwaway view of both intervals' summands against the zero module's."""
     ms, ns = (() if i.is_empty else (i,)), (() if j.is_empty else (j,))
-    scale, reach, w, keys_m, keys_n = _lattice(ms, ns, eps)
-    r = _key_entry(keys_m[0] if ms else None, keys_n[0] if ns else None)
+    scale, reach, w, keys, _ = _lattice(_view((*ms, *ns)), _ZERO_VIEW, eps)
+    r = _key_entry(keys[0] if ms else None, keys[-1] if ns else None)
     return r, scale, 4 * reach + 1, w
 
 

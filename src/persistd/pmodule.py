@@ -17,6 +17,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
+from . import interleaving
 from .intervals import (
     Endpoint,
     ExtRational,
@@ -82,9 +83,10 @@ class PModule:
     """A persistence module: a direct sum of interval modules, kept as one
     run (interval, count) per distinct summand.  Every operation works on
     the runs; only ``summands`` expands them, for the matcher.  ``_len``
-    is the number of copies."""
+    is the number of copies, and ``_view`` caches the runs' integer view
+    for the distance kernel (see ``_lattice_view``)."""
 
-    __slots__ = ("_runs", "_len")
+    __slots__ = ("_runs", "_len", "_view")
 
     def __init__(self, summands: Iterable[Interval] = ()):
         self._set_runs(zip(summands, repeat(1)))
@@ -100,6 +102,17 @@ class PModule:
         runs, total = _canonical_runs(pairs)
         object.__setattr__(self, "_runs", runs)
         object.__setattr__(self, "_len", total)
+        object.__setattr__(self, "_view", None)
+
+    def _lattice_view(self) -> tuple:
+        """``interleaving._view`` of the runs' summands, built on first use
+        and kept.  It is derived from ``_runs``, so equality, hashing, copies
+        and pickles ignore it."""
+        view = self._view
+        if view is None:
+            view = interleaving._view([s for s, _ in self._runs])
+            object.__setattr__(self, "_view", view)
+        return view
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")

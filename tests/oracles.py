@@ -8,9 +8,11 @@ at the end: the interval closed form on ``ExtRational`` values, the
 erosion decision through ``erode``, and the library's matching probe on
 tables of them, against which the integer-lattice kernel is checked; the
 table decision and per-pair certificate check that the table-free ones
-replaced; and ``key_table``, the module table built one
-``interleaving._key_entry`` at a time, against which the kernel's table
-loop is checked.
+replaced; ``direct_lattice``, the pair lattice built from the endpoint
+fractions on every call, against which the cached per-module views of
+``interleaving._lattice`` are checked; and ``key_table``, the module table
+built one ``interleaving._key_entry`` at a time on it, against which the
+kernel's table loop is checked.
 """
 
 import math
@@ -20,7 +22,7 @@ from itertools import product
 from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
 from persistd.intervals import ZERO, _as_fraction
 from persistd.bottleneck import _matching_at
-from persistd.interleaving import _key_entry, _lattice
+from persistd.interleaving import _key_entry
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -240,6 +242,28 @@ def reference_lattice(ms, ns, eps):
     return scale, reach, 2 * e, [key(s) for s in ms], [key(s) for s in ns]
 
 
+def direct_lattice(ms, ns, eps):
+    """``interleaving._lattice`` of the summand sequences ``ms`` and ``ns``
+    computed from scratch, with no per-module view: every endpoint's sign,
+    numerator and denominator read, one lcm over all of them and eps's, and
+    every key scaled from its point.  Returns what ``_lattice`` returns."""
+    eps = _as_fraction(eps)
+    if eps < 0:
+        raise ValueError(f"interleaving needs eps >= 0, got {eps}")
+    summands = (*ms, *ns)
+    ends = [(x.sign, *x.value.as_integer_ratio())
+            for s in summands for x in (s.lo.value, s.hi.value)]
+    scale = 4 * math.lcm(eps.denominator, *{den for _, _, den in ends})
+    e = eps.numerator * (scale // eps.denominator)
+    points = [num * (scale // den) for _, num, den in ends]
+    reach = max([e, *map(abs, points)])
+    big = 8 * reach + 2
+    points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
+    keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
+            for s, lo, hi in zip(summands, points[::2], points[1::2])]
+    return scale, reach, 2 * e, keys[:len(ms)], keys[len(ms):]
+
+
 def lattice_scale(m: PModule, n: PModule) -> int:
     """2 * lcm of every finite endpoint denominator of both modules."""
     dens = [
@@ -275,8 +299,8 @@ def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
 def key_table(ms, ns, eps=0):
     """The decorated table of the summand sequences ``ms`` and ``ns``, each
     entry one ``interleaving._key_entry`` call on the keys of one
-    ``_lattice`` at eps: (costs, dtz_m, dtz_n, S, fin, w)."""
-    scale, reach, w, keys_m, keys_n = _lattice(ms, ns, eps)
+    ``direct_lattice`` at eps: (costs, dtz_m, dtz_n, S, fin, w)."""
+    scale, reach, w, keys_m, keys_n = direct_lattice(ms, ns, eps)
     costs = [[_key_entry(a, b) for b in keys_n] for a in keys_m]
     dtz_m = [_key_entry(a, None) for a in keys_m]
     dtz_n = [_key_entry(None, b) for b in keys_n]

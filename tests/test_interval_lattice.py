@@ -94,7 +94,7 @@ def test_table_entry_records_attainment(i_text, j_text, offset, attained):
     # The table is built at eps 0; eps = 1 adds no denominator, so S is the
     # same at eps 1, and w = 2*eps*S = 2S there.
     costs, dtz_m, _, scale, _, _ = _cost_tables(m, n)
-    scale_at_1, _, w, _, _ = _lattice(m.summands, n.summands, 1)
+    scale_at_1, _, w, _, _ = _lattice(m._lattice_view(), n._lattice_view(), 1)
     entry = costs[0][0] if n.summands else dtz_m[0]
     assert (entry, scale_at_1, w) == (2 * scale + offset, scale, 2 * scale)
     assert _class_top(entry) == 2 * scale + 1

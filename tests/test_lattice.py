@@ -19,7 +19,7 @@ from persistd import (
     verify_certificate,
 )
 from persistd import bottleneck
-from persistd.interleaving import _lattice
+from persistd.interleaving import _lattice, _view
 
 from oracles import (
     candidate_values,
@@ -47,7 +47,7 @@ def test_distance_equals_reference(m, n):
 @settings(max_examples=150)
 def test_lattice_keys_equal_reference(m, n, eps):
     ms, ns = m.summands, n.summands
-    assert _lattice(ms, ns, eps) == reference_lattice(ms, ns, eps)
+    assert _lattice(_view(ms), _view(ns), eps) == reference_lattice(ms, ns, eps)
 
 
 def _run_summands(m: PModule) -> tuple:
@@ -72,7 +72,7 @@ def test_run_keys_strictly_increase(pair, eps):
     ``_boxes`` bisects the lower keys of a side as they come."""
     runs_m, runs_n = map(_run_summands, pair)
     for e in (0, eps):
-        _, _, _, keys_m, keys_n = _lattice(runs_m, runs_n, e)
+        _, _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n), e)
         for keys in (keys_m, keys_n):
             assert all(a < b for a, b in zip(keys, keys[1:])), keys
 

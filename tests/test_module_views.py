@@ -1,0 +1,333 @@
+"""The integer view a ``PModule`` caches for the distance kernel
+(``interleaving._view``, built once by ``PModule._lattice_view``), the cost
+table's work budget, and exact answers longer than the interpreter's
+int-to-text digit limit."""
+
+import copy
+import json
+import pickle
+import sys
+import time
+from contextlib import contextmanager
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persistd import (
+    ExtRational,
+    cauchy_witness,
+    MatchingCertificate,
+    PModule,
+    distance_certificate,
+    interval,
+    module_distance,
+    modules_eps_interleaved,
+    parse_module,
+    verify_certificate,
+)
+from persistd import bottleneck, interleaving
+from persistd.cli import cli_main
+from persistd.interleaving import _lattice
+
+from oracles import direct_lattice
+from strategies import deep_fractions, pooled_pairs, small_eps
+from test_lattice import _run_summands as runs
+
+
+# Denominators that no pooled interval has, so the pair scale moves off
+# each view's own scale.
+new_denominators = st.builds(Fraction, st.integers(0, 60), st.sampled_from([3, 5, 6, 7, 9, 64]))
+
+
+@given(pooled_pairs(), st.lists(small_eps | new_denominators | deep_fractions.map(abs),
+                                min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_view_lattice_equals_direct_lattice(pair, epss):
+    """On the cached views, ``_lattice`` returns what the lattice built from
+    the endpoint fractions returns, at every eps and in every pairing, with
+    each view already used at the scales before; and the view's own keys,
+    the module alone at eps 0, stay as they were."""
+    m, n = pair
+    for eps in epss:
+        for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
+            assert _lattice(a._lattice_view(), b._lattice_view(), eps) == (
+                direct_lattice(runs(a), runs(b), eps))
+    for x in pair:
+        lcm, reach, infinite, keys = x._lattice_view()
+        scale, alone_reach, _, alone_keys, _ = direct_lattice(runs(x), (), 0)
+        assert (4 * lcm, reach, keys) == (scale, alone_reach, alone_keys)
+        assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
+
+
+def test_view_fields():
+    m = PModule.of("(-inf,1/3)", "[1/4,5/6]", "[1/4,5/6]", "[2,2]")
+    # S0 = 48: 1/3 -> 16, 1/4 -> 12, 5/6 -> 40, 2 -> 96; big0 = 8*96 + 2.
+    assert m._lattice_view() == (12, 96, True, [(1 - 2 * 770, 31), (24, 80), (192, 192)])
+    assert PModule.zero()._lattice_view() == (1, 0, False, [])
+
+
+def kernel_calls(m, n):
+    """Distance, certificate and its check, and decisions at eps whose
+    denominators move the pair's scale."""
+    d = module_distance(m, n)
+    cert = distance_certificate(m, n)
+    assert verify_certificate(m, n, cert)
+    for eps in (0, Fraction(1, 3), Fraction(5, 7), d.as_fraction):
+        modules_eps_interleaved(m, n, eps)
+    module_distance(n, m)
+    return d, cert
+
+
+PAIR = ("[0,2)", "[0,2)", "(1,4]", "(-inf,3)", "[7/3,5]"), ("[0,3)", "[1,4)", "[5,5]", "(-inf,1]")
+
+
+def test_one_view_per_module(monkeypatch):
+    built = []
+    real = interleaving._view
+
+    def counted(summands):
+        built.append(summands)
+        return real(summands)
+
+    monkeypatch.setattr(interleaving, "_view", counted)
+    m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
+    for _ in range(3):
+        kernel_calls(m, n)
+    assert [list(b) for b in built] == [list(runs(m)), list(runs(n))]
+    assert m._view is m._lattice_view() and n._view is n._lattice_view()
+
+
+def test_construction_parsing_and_json_build_no_view(monkeypatch):
+    def refused(summands):
+        raise AssertionError("a view was built")
+
+    monkeypatch.setattr(interleaving, "_view", refused)
+    m = PModule.of(*PAIR[0])
+    others = [parse_module(m.to_json()), m.radical(), m.direct_sum(m),
+              m.persistent_submodule(1), PModule._of_runs(m._runs), copy.deepcopy(m)]
+    m.to_json()
+    for x in (m, *others):
+        assert x._view is None
+
+
+def test_value_semantics_ignore_the_view():
+    m, fresh, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
+    module_distance(m, n)
+    assert m._view is not None and fresh._view is None
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m.__reduce__() == fresh.__reduce__()
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and hash(clone) == hash(m) and clone._view is None
+    for name, value in (("_view", None), ("_runs", ()), ("_len", 0)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, value)
+    assert m._view is m._lattice_view()
+
+
+def test_repeat_calls_read_no_fraction(monkeypatch):
+    """Once both modules hold their views, the distance, the decision and
+    the certificate check read no endpoint fraction: a patched
+    ``Fraction.as_integer_ratio`` counts no call."""
+    m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
+    d, cert = kernel_calls(m, n)
+    reads = []
+    real = Fraction.as_integer_ratio
+
+    def counted(self):
+        reads.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+    assert module_distance(m, n) == d
+    assert modules_eps_interleaved(m, n, d.as_fraction)
+    assert not modules_eps_interleaved(m, n, d.as_fraction - Fraction(1, 7))
+    assert verify_certificate(m, n, cert)
+    assert reads == []
+    # The patch is live: a module without a view reads its fractions.
+    module_distance(PModule.of(*PAIR[0]), n)
+    assert reads
+
+
+def primes_from(start: int, count: int) -> list[int]:
+    """The first ``count`` primes from ``start`` on, by a sieve of the
+    window [start, start + 40*count)."""
+    span = 40 * count
+    flags = bytearray([1]) * span
+    for p in range(2, isqrt(start + span) + 1):
+        flags[(-start) % p::p] = bytes(len(range((-start) % p, span, p)))
+    return [start + k for k, flag in enumerate(flags) if flag][:count]
+
+
+def prime_pair(k: int):
+    """k + k one-summand runs [0, 1/p) over 2k distinct 7-digit primes p."""
+    ps = primes_from(10**6, 2 * k)
+    assert len(set(ps)) == 2 * k and all(10**6 < p < 10**7 for p in ps)
+    return tuple(PModule(interval(0, Fraction(1, p)) for p in half)
+                 for half in (ps[:k], ps[k:]))
+
+
+class Reached(Exception):
+    """Raised by a patched ``_lattice``: the pair passed the budgets."""
+
+
+def stop(*args):
+    raise Reached
+
+
+class TestBudgets:
+    def test_prime_denominators_refused_fast(self):
+        """1000 + 1000 summands, 2000 distinct 7-digit prime denominators:
+        the table, about 40,000 bits times 10^6 entries, is refused."""
+        m, n = prime_pair(1000)
+        start = time.perf_counter()
+        for call in (module_distance, distance_certificate):
+            with pytest.raises(ValueError, match="exceed the table budget 3000000000"):
+                call(m, n)
+        assert time.perf_counter() - start < 1
+
+    def test_cli_exits_2_with_one_error_line(self, capsys, tmp_path):
+        paths = []
+        for name, module in zip("ab", prime_pair(1000)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(module.to_json())
+        for command in ("dist", "cert"):
+            assert cli_main([command, *map(str, paths)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert "table budget" in err
+
+    def test_decision_and_check_refused_above_the_key_budget(self):
+        """2000 + 2000 prime summands: about 80,000 bits times 4000 runs."""
+        m, n = prime_pair(2000)
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(2000)), tuple(range(2000)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceed the key budget 100000000"):
+            modules_eps_interleaved(m, n, 1)
+        with pytest.raises(ValueError, match="exceed the key budget 100000000"):
+            verify_certificate(m, n, cert)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("pair", [
+        # 5000 + 5000 distinct summands using every denominator 1..16 on
+        # both sides, at the vertex cap: lcm 720720, 20 bits a side.
+        lambda: (PModule([interval(Fraction(i, q), Fraction(i + 1, q))
+                          for q in range(1, 17) for i in range(313)][:5000]),) * 2,
+        # Cauchy stages 1000 and 999, the deepest the family builds.
+        lambda: (cauchy_witness(1000), cauchy_witness(999)),
+    ])
+    def test_budgets_pass_denominators_up_to_16_and_cauchy_stages(self, monkeypatch, pair):
+        """Both pairs reach their lattice, where the patch stops them."""
+        m, n = pair()
+        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        for call in (module_distance, lambda m, n: modules_eps_interleaved(m, n, Fraction(1, 3))):
+            with pytest.raises(Reached):
+                call(m, n)
+
+    def test_budgets_are_bits_times_runs(self, monkeypatch):
+        """B is the bit lengths of both lcms and eps's denominator summed;
+        the table budget takes B * runs_m * runs_n, the key budget B *
+        (runs_m + runs_n), and each admits work equal to it."""
+        m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
+        runs_m, runs_n = len(m._runs), len(n._runs)
+        bits = m._lattice_view()[0].bit_length() + n._lattice_view()[0].bit_length()
+        eps = Fraction(1, 7)
+        unmatched = MatchingCertificate(ExtRational(eps), (), tuple(range(len(m))),
+                                        tuple(range(len(n))))
+        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        cases = (("TABLE_BUDGET", (bits + 1) * runs_m * runs_n, lambda: module_distance(m, n)),
+                 ("KEYS_BUDGET", (bits + 3) * (runs_m + runs_n),
+                  lambda: modules_eps_interleaved(m, n, eps)),
+                 ("KEYS_BUDGET", (bits + 3) * (runs_m + runs_n),
+                  lambda: verify_certificate(m, n, unmatched)))
+        for budget, work, call in cases:
+            monkeypatch.setattr(bottleneck, budget, work)
+            with pytest.raises(Reached):
+                call()
+            monkeypatch.setattr(bottleneck, budget, work - 1)
+            with pytest.raises(ValueError, match="budget"):
+                call()
+
+
+@contextmanager
+def all_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-text digit limit")
+class TestAnswersPastTheDigitLimit:
+    """[0,1/p) against [0,1/q), p = 10^2199 + 7 and q = 10^2199 + 9: the
+    distance is the upper endpoints' gap (q - p)/(pq), whose denominator has
+    4399 digits, more than the default limit of 4300."""
+
+    P, Q = 10**2199 + 7, 10**2199 + 9
+
+    def files(self, tmp_path):
+        paths = []
+        for name, den in (("a", self.P), ("b", self.Q)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with all_digits():
+                text = PModule([interval(0, Fraction(1, den))]).to_json()
+            with open(paths[-1], "w") as file:
+                file.write(text)
+        return paths
+
+    def expected(self) -> Fraction:
+        # The interval closed form; the lower endpoints agree.
+        p, q = Fraction(1, self.P), Fraction(1, self.Q)
+        return min(abs(p - q), max(p, q) / 2)
+
+    def test_dist_prints_the_exact_value(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        assert cli_main(["dist", *self.files(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == limit and err == ""
+        with all_digits():
+            assert out == f"{self.expected()}\n"
+            assert len(str(self.expected().denominator)) == 4399
+
+    def test_cert_prints_the_exact_threshold(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        a, b = self.files(tmp_path)
+        assert cli_main(["cert", a, b]) == 0
+        out, err = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == limit and err == ""
+        obj = json.loads(out)
+        assert (obj["pairs"], obj["unmatched_m"], obj["unmatched_n"]) == ([[0, 0]], [], [])
+        with all_digits():
+            assert obj["threshold"] == str(self.expected())
+        # Under the default limit the threshold text does not parse back;
+        # with the limit lifted it round-trips, and the certificate checks.
+        with pytest.raises(ValueError, match="bad certificate JSON"):
+            MatchingCertificate.from_json_obj(obj)
+        with all_digits():
+            cert = MatchingCertificate.from_json_obj(obj)
+            m, n = (parse_module(open(path).read()) for path in (a, b))
+        assert cert.threshold == ExtRational(self.expected())
+        assert verify_certificate(m, n, cert)
+
+    def test_persist_and_contract_print_exact_modules(self, capsys, tmp_path):
+        """Shifting [1/p, 1) by 1/q, or contracting [0, 1/p) at time 1/q,
+        gives an endpoint whose denominator passes the limit."""
+        a, _ = self.files(tmp_path)
+        t = Fraction(1, self.Q)
+        path = tmp_path / "shifted.json"
+        with all_digits():
+            shifted = PModule.of(f"[1/{self.P},1)")
+            path.write_text(shifted.to_json())
+            cases = ((["persist", "--p", f"1/{self.Q}", str(path)],
+                      shifted.persistent_submodule(t).to_json()),
+                     (["contract", "--t", f"1/{self.Q}", a],
+                      parse_module(open(a).read()).contraction_path(t).to_json()))
+        for argv, expected in cases:
+            assert len(expected) > 4300
+            assert cli_main(argv) == 0
+            assert capsys.readouterr() == (expected + "\n", "")
