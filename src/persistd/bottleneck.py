@@ -11,15 +11,15 @@ first, walk the alternating paths of their union from each mandatory
 summand of the second module it leaves free (Mendelsohn-Dulmage).
 
 All of this runs on plain ints.  ``interleaving._lattice`` keys every
-endpoint, times S = 4*lcm(all finite denominators), with its decoration,
-starting from the integer view each ``PModule`` builds of its runs on first
-use and keeps, so a module's fractions are read once, not on every call.
-Fixed work budgets, in bits of S times runs, refuse a pair before its
-lattice is built (``_check_budget``).  ``_cost_tables`` builds the one
-pairwise table, the closed form of
-``interleaving._key_entry`` on the keys of every pair of summands: an
-entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C, the last when
-the infimum is not attained.  The distance is the smallest feasible class
+endpoint of the pair, times S = 4*lcm(its finite denominators), with its
+decoration, starting from the integer view each ``PModule`` builds of its
+runs on first use and keeps, so a module's fractions are read once, not on
+every call; a threshold is one int on it, ``interleaving._bound``.  Fixed
+work budgets, in bits of S times runs, refuse a pair before its lattice is
+built (``_check_budget``).  ``_cost_tables`` builds the one pairwise table,
+the closed form of ``interleaving._key_entry`` on the keys of every pair of
+summands: an entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C,
+the last when the infimum is not attained.  The distance is the smallest feasible class
 top 2C+1, by binary search over the sorted tops of the table's entries,
 and becomes an ``ExtRational`` once, at the end.  ``_matching_at`` probes
 a top on the table.  Each probe is seeded with the previous probe's
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .interleaving import _key_entry, _lattice
+from .interleaving import _bound, _key_entry, _lattice
 from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_fraction, _as_int
 from .pmodule import PModule
 
@@ -58,14 +58,12 @@ from .pmodule import PModule
 # this many summand copies, both modules together.
 MATCH_CAP = 10_000
 
-# Work budgets on a pair's lattice, fixed like the vertex cap.  B, the bit
-# lengths of both modules' lcms of denominators and of eps's denominator
-# summed, bounds the bits of S/4.  The cost table costs about B * runs_m *
-# runs_n, the eps-decision and the certificate check, which build no table,
-# about B * (runs_m + runs_n).  Every input whose denominators are at most
-# 16 (lcm 720720, 20 bits) passes both up to the vertex cap: 41 * 5000 *
-# 5000 is 1.0e9 and 41 * 10,000 is 4.1e5.  So does Cauchy stage 1000
-# against 999 (1001 and 1000 bits): 2.0e9 and 4.0e6.
+# Work budgets on a pair's lattice, fixed like the vertex cap, in B, the
+# bit lengths of both modules' lcms of denominators summed (the bits of
+# S/4): a cost table costs about B * runs_m * runs_n, the eps-decision and
+# the certificate check about B * (runs_m + runs_n).  Denominators up to 16
+# (20 bits a side) pass both up to the vertex cap, 40 * 5000 * 5000 =
+# 1.0e9 and 40 * 10,000 = 4.0e5; so does Cauchy stage 1000 against 999.
 TABLE_BUDGET = 3 * 10**9
 KEYS_BUDGET = 10**8
 
@@ -134,13 +132,12 @@ def _distinct(m: PModule, n: PModule):
     return m._lattice_view(), n._lattice_view(), copies
 
 
-def _check_budget(view_m, view_n, eps_den: int, table: bool) -> None:
-    """Refuse the pair's lattice, before it is built, when its work exceeds
-    ``TABLE_BUDGET`` (``table``) or ``KEYS_BUDGET``: (B times runs_m times
-    runs_n) or (B times runs_m + runs_n), B as above, with ``eps_den`` the
-    denominator of eps."""
+def _check_budget(view_m, view_n, table: bool) -> None:
+    """Refuse the pair's lattice, before it is built, when B * runs_m *
+    runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m + runs_n)
+    ``KEYS_BUDGET``."""
     runs_m, runs_n = len(view_m[3]), len(view_n[3])
-    bits = view_m[0].bit_length() + view_n[0].bit_length() + eps_den.bit_length()
+    bits = view_m[0].bit_length() + view_n[0].bit_length()
     work, budget, kind = ((bits * runs_m * runs_n, TABLE_BUDGET, "table") if table else
                           (bits * (runs_m + runs_n), KEYS_BUDGET, "key"))
     if work > budget:
@@ -151,12 +148,12 @@ def _check_budget(view_m, view_n, eps_den: int, table: bool) -> None:
 def _cost_tables(m: PModule, n: PModule):
     """The ``interleaving._key_entry`` of every pair of ``_distinct``'s
     summands, row i and column j for the i-th and j-th runs, and of each
-    against the zero module, on one lattice at eps 0: (costs, dtz_m, dtz_n,
+    against the zero module, on the pair's one lattice: (costs, dtz_m, dtz_n,
     S, fin, copies), where no finite entry exceeds fin = 4*reach + 1.  A
     table over ``TABLE_BUDGET`` is refused."""
     view_m, view_n, copies = _distinct(m, n)
-    _check_budget(view_m, view_n, 1, True)
-    scale, reach, _, keys_m, keys_n = _lattice(view_m, view_n, 0)
+    _check_budget(view_m, view_n, True)
+    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
     dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
     dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
@@ -376,18 +373,18 @@ def _boxes(keys, other, w):
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
-    all eps-interleaved with the zero module?  An entry <= w = 2*eps*S is
-    exactly an eps-interleaved pair, as in ``are_eps_interleaved``.  No
-    table: the keys give the mandatory summands' neighbours, and one
-    unseeded Hopcroft-Karp run per side must saturate them.  A lattice over
-    ``KEYS_BUDGET`` is refused."""
+    all eps-interleaved with the zero module?  An entry <= w =
+    ``_bound(eps, S, reach)`` is exactly an eps-interleaved pair, as in
+    ``are_eps_interleaved``.  No table: the keys give the mandatory
+    summands' neighbours, and one unseeded Hopcroft-Karp run per side must
+    saturate them.  A lattice over ``KEYS_BUDGET`` is refused."""
     view_m, view_n, copies = _distinct(m, n)
     eps = _as_fraction(eps)
-    _check_budget(view_m, view_n, eps.denominator, False)
-    _, _, w, keys_m, keys_n = _lattice(view_m, view_n, eps)
-    size_m, size_n = len(m), len(n)
-    return (_cover(*_boxes(keys_m, keys_n, w), [-1] * size_m, size_n, copies) is not None
-            and _cover(*_boxes(keys_n, keys_m, w), [-1] * size_n, size_m,
+    _check_budget(view_m, view_n, False)
+    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
+    w = _bound(eps, scale, reach)
+    return (_cover(*_boxes(keys_m, keys_n, w), [-1] * len(m), len(n), copies) is not None
+            and _cover(*_boxes(keys_n, keys_m, w), [-1] * len(n), len(m),
                        copies and copies[::-1]) is not None)
 
 
@@ -473,11 +470,11 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
 def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> bool:
     """Exact re-check of the certificate invariants: a valid certificate
     witnesses module_distance(m, n) <= cert.threshold (upper bound only).
-    No distance is below 0, so a negative threshold fails.  One lattice
-    over the runs at eps = t checks each distinct pair of runs and each
-    unmatched run once, on its key pairs: its distance is <= t exactly when
-    its entry's class top is <= 2*t*S + 1.  A lattice over ``KEYS_BUDGET``
-    is refused."""
+    No distance is below 0, so a negative threshold fails.  The pair's
+    lattice checks each distinct pair of runs and each unmatched run once:
+    its distance is <= t iff its entry is <= ``_bound(t, S, reach) | 1``.
+    More than ``MATCH_CAP`` runs, which no distance certificate covers, are
+    refused before any view is built, a lattice over ``KEYS_BUDGET`` after."""
     used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
     used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
     t = cert.threshold
@@ -485,14 +482,16 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
         return False
     if not t.is_finite:
         return True
-    view_m, view_n, t = m._lattice_view(), n._lattice_view(), t.as_fraction
-    _check_budget(view_m, view_n, t.denominator, False)
-    _, _, w, keys_m, keys_n = _lattice(view_m, view_n, t)
+    if len(m._runs) + len(n._runs) > MATCH_CAP:
+        raise ValueError(f"certificate on {len(m._runs)}+{len(n._runs)} distinct summands "
+                         f"exceeds the vertex cap {MATCH_CAP}")
+    view_m, view_n = m._lattice_view(), n._lattice_view()
+    _check_budget(view_m, view_n, False)
+    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
+    top = _bound(t.as_fraction, scale, reach) | 1
     key_m, key_n = ([key for key, (_, k) in zip(keys, x._runs) for _ in range(k)]
                     for keys, x in ((keys_m, m), (keys_n, n)))
     pairs = {(key_m[i], key_n[j]) for i, j in cert.pairs}
     pairs.update((key_m[i], None) for i in cert.unmatched_m)
     pairs.update((None, key_n[j]) for j in cert.unmatched_n)
-    # Class tops are 1 mod 4, as 2*t*S + 1 is, so a finite entry's top is at
-    # most 2*t*S + 1 when the entry is; an infinite entry exceeds both.
-    return all(_key_entry(a, b) <= w + 1 for a, b in pairs)
+    return all(_key_entry(a, b) <= top for a, b in pairs)

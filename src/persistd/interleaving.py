@@ -15,17 +15,17 @@ the infimum, only whether it is attained.
 Both run the closed form on the decorated endpoint keys of the pair (an
 interval is a module of one summand, the empty interval one of none), so
 its one entry records the distance and whether it is attained: the
-decision is one comparison of the entry with eps, and the distance is the
-entry's class.  This module holds only that per-pair lattice code; the
-module-level table of every pair of summands is ``bottleneck._cost_tables``.
+decision is one comparison of the entry with eps's bound, and the
+distance is the entry's class.  This module holds only that per-pair
+lattice code; the module-level table is ``bottleneck._cost_tables``.
 
 The keys start from a ``_view`` of each summand sequence: its own lcm and
 its keys at its own scale, read from the endpoint fractions once.  A
 ``PModule`` keeps the view of its runs, so the kernel reads each module's
 fractions once however many distances and decisions it takes part in;
 ``_lattice`` only rescales the keys of each side to the pair's scale, and
-not at all when that is the side's own and it has no infinite endpoint.
-A pair of intervals gets one throwaway view.
+not at all when that is the side's own and it has no infinite endpoint,
+whatever eps (``_bound``).  A pair of intervals gets one throwaway view.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def _view(summands) -> tuple:
     """The integer view of a summand sequence at its own scale S0 =
     4*lcm(its finite denominators): (that lcm, reach, whether an endpoint
     is infinite, and each summand's (lower key, upper key) as ``_lattice``
-    keys the sequence alone at eps 0).  Every |key| of a finite endpoint
-    is at most 2*reach + 1, and every infinite one is larger."""
+    keys the sequence alone).  Every |key| of a finite endpoint is at most
+    2*reach + 1, and every infinite one is larger."""
     ends = [(x.sign, *x.value.as_integer_ratio())
             for s in summands for x in (s.lo.value, s.hi.value)]
     dens = [den for sign, _, den in ends if not sign]
@@ -71,36 +71,36 @@ def _rescaled(view, f: int, big: int) -> list:
             for lo, up in keys]
 
 
-# The zero module's view: no summands, so nothing to rescale.
-_ZERO_VIEW = _view(())
+def _lattice(view_m, view_n):
+    """Two ``_view``s' endpoints on one integer lattice, as (S, reach, the
+    (lower key, upper key) of each summand of the first, of the second).
+
+    A finite value scales to P = value*S, S = 4*lcm(all finite
+    denominators), a multiple of 4, -inf and +inf to -big and +big, big =
+    8*reach + 2, where reach bounds every |P|.  A lower endpoint at P keys
+    as 2P when closed and 2P+1 when open, an upper one as 2P-1 when open
+    and 2P when closed: key order is the decorated endpoint order.  A side
+    at its own scale with no infinity returns its view's list, unchanged."""
+    (lcm_m, reach_m), (lcm_n, reach_n) = view_m[:2], view_n[:2]
+    lcm = math.lcm(lcm_m, lcm_n)
+    f_m, f_n = lcm // lcm_m, lcm // lcm_n
+    reach = max(f_m * reach_m, f_n * reach_n)
+    big = 8 * reach + 2
+    return 4 * lcm, reach, _rescaled(view_m, f_m, big), _rescaled(view_n, f_n, big)
 
 
-def _lattice(view_m, view_n, eps: Rational):
-    """Put every endpoint of two summand sequences, given by their
-    ``_view``s, and eps >= 0 on one integer lattice as decorated keys.
-
-    A finite value scales to P = value*S with S = 4*lcm(all finite
-    denominators, eps's), so every P and eps*S is a multiple of 4; -inf and
-    +inf scale to -big and +big, big = 8*reach + 2, where reach bounds
-    every |P| and eps*S.  A lower endpoint at P keys as 2P when closed and
-    2P+1 when open, an upper one as 2P-1 when open and 2P when closed, so
-    key order is the decorated endpoint order.  Returns (S, reach, 2*eps*S,
-    (lower key, upper key) of each summand of the first view, of each of
-    the second); a side at its own scale with no infinity returns its
-    view's list, which callers must not change.
-    """
+def _bound(eps: Rational, scale: int, reach: int) -> int:
+    """W: on a ``_lattice`` of scale S, an entry is eps-interleaved iff it is
+    <= W.  With E = eps*S = num/den, not reduced, W = 2E when E is an even
+    integer; classes C are even, so else W is the top 2C+1 = 4*ceil(E/2) - 3
+    of the largest even C < E.  W <= fin = 4*reach + 1 admits no infinite
+    entry.  A distance is <= eps iff its entry is <= W | 1."""
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
-    lcm_m, reach_m = view_m[:2]
-    lcm_n, reach_n = view_n[:2]
-    lcm = math.lcm(eps.denominator, lcm_m, lcm_n)
-    scale = 4 * lcm
-    e = eps.numerator * (scale // eps.denominator)
-    f_m, f_n = lcm // lcm_m, lcm // lcm_n
-    reach = max(e, f_m * reach_m, f_n * reach_n)
-    big = 8 * reach + 2
-    return scale, reach, 2 * e, _rescaled(view_m, f_m, big), _rescaled(view_n, f_n, big)
+    num, den = eps.numerator * scale, eps.denominator
+    w = 2 * num // den if num % (2 * den) == 0 else 4 * -(-num // (2 * den)) - 3
+    return min(w, 4 * reach + 1)
 
 
 def _class_top(r: int) -> int:
@@ -118,10 +118,10 @@ def _key_entry(a, b) -> int:
     pair, or a summand against the zero module, at undecorated distance c,
     the entry is 2C-1 or 2C (C = c*S) when the infimum c is attained and
     2C+1 when it is not, and the pair is eps-interleaved iff its entry is
-    <= w = 2*eps*S.  C is even, so the classes {2C-1, 2C, 2C+1} of distinct
-    costs are disjoint.  No finite entry exceeds fin = 4*reach + 1, and
-    every entry the rationals call infinite is at least big - reach > fin,
-    so an entry is finite iff it is <= fin."""
+    <= ``_bound(eps, S, reach)``.  C is even, so the classes {2C-1, 2C,
+    2C+1} of distinct costs are disjoint.  No finite entry exceeds fin =
+    4*reach + 1, and every entry the rationals call infinite is at least
+    big - reach > fin, so an entry is finite iff it is <= fin."""
     if a is None or b is None:
         key = b if a is None else a
         return 0 if key is None else (key[1] - key[0]) // 2 + 1
@@ -129,24 +129,24 @@ def _key_entry(a, b) -> int:
     return min(max(abs(a[0] - b[0]), abs(a[1] - b[1])), h)
 
 
-def _entry(i: Interval, j: Interval, eps: Rational = 0):
-    """The one table entry of the pair, as (entry, S, fin, w), from one
-    throwaway view of both intervals' summands against the zero module's."""
+def _entry(i: Interval, j: Interval):
+    """The one table entry of the pair, as (entry, S, reach), read on one
+    throwaway view of both intervals' summands."""
     ms, ns = (() if i.is_empty else (i,)), (() if j.is_empty else (j,))
-    scale, reach, w, keys, _ = _lattice(_view((*ms, *ns)), _ZERO_VIEW, eps)
+    lcm, reach, _, keys = _view((*ms, *ns))
     r = _key_entry(keys[0] if ms else None, keys[-1] if ns else None)
-    return r, scale, 4 * reach + 1, w
+    return r, 4 * lcm, reach
 
 
 def _distance(i: Interval, j: Interval) -> ExtRational:
-    r, scale, fin, _ = _entry(i, j)
-    return POS_INF if r > fin else ExtRational(Fraction(_class_top(r) - 1, 2 * scale))
+    r, scale, reach = _entry(i, j)
+    return POS_INF if r > 4 * reach + 1 else ExtRational(Fraction(_class_top(r) - 1, 2 * scale))
 
 
 def are_eps_interleaved(i: Interval, j: Interval, eps: Rational) -> bool:
     """Erosion criterion at a specific eps >= 0 (decoration-sensitive)."""
-    r, _, _, w = _entry(i, j, eps)
-    return r <= w
+    r, scale, reach = _entry(i, j)
+    return r <= _bound(eps, scale, reach)
 
 
 def distance_to_zero(i: Interval) -> ExtRational:

@@ -221,9 +221,13 @@ def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> 
 
 
 def reference_lattice(ms, ns, eps):
-    """``interleaving._lattice`` read through the ``ExtRational`` and
-    ``Fraction`` properties, one endpoint field at a time: the same S,
-    reach, 2*eps*S and decorated keys."""
+    """The lattice of ``ms``, ``ns`` and eps, read through the
+    ``ExtRational`` and ``Fraction`` properties, one endpoint field at a
+    time: S = 4*lcm(every finite denominator, eps's), so w = 2*eps*S is an
+    even integer and an entry is eps-interleaved iff it is <= w.  Returns
+    (S, reach, w, decorated keys of ``ms``, of ``ns``); at eps 0 that is
+    ``interleaving._lattice`` with w = 0, and at other eps an independent
+    check of ``interleaving._bound``."""
     eps = _as_fraction(eps)
     finite = [v.as_fraction for s in (*ms, *ns) for v in (s.lo.value, s.hi.value)
               if v.is_finite]
@@ -243,10 +247,11 @@ def reference_lattice(ms, ns, eps):
 
 
 def direct_lattice(ms, ns, eps):
-    """``interleaving._lattice`` of the summand sequences ``ms`` and ``ns``
+    """``reference_lattice`` of the summand sequences ``ms`` and ``ns``
     computed from scratch, with no per-module view: every endpoint's sign,
     numerator and denominator read, one lcm over all of them and eps's, and
-    every key scaled from its point.  Returns what ``_lattice`` returns."""
+    every key scaled from its point.  At eps 0 it is what
+    ``interleaving._lattice`` returns, with w = 0 inserted third."""
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")

@@ -270,7 +270,7 @@ class TestVertexCap:
         monkeypatch.setattr(bottleneck, "_lattice", no_lattice)
         m, n = self.copies(5001), self.copies(5000)
         calls = [module_distance, distance_certificate,
-                 *(lambda m, n, eps=eps: modules_eps_interleaved(m, n, eps) for eps in (0, 1, -1))]
+                 *(lambda m, n, eps=eps: modules_eps_interleaved(m, n, eps) for eps in (0, 1, -1, 0.5))]
         for call in calls:
             with pytest.raises(ValueError, match=self.OVER):
                 call(m, n)

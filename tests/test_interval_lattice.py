@@ -21,7 +21,7 @@ from persistd import (
     parse_interval,
 )
 from persistd.bottleneck import _cost_tables
-from persistd.interleaving import _class_top, _lattice
+from persistd.interleaving import _bound, _class_top, _lattice
 
 from oracles import (
     reference_are_eps_interleaved,
@@ -91,12 +91,13 @@ def test_table_entry_records_attainment(i_text, j_text, offset, attained):
     m, n = module(i), module(j)
     c = reference_interval_distance(i, j)
     assert c == ExtRational(1) and interval_distance(i, j) == c
-    # The table is built at eps 0; eps = 1 adds no denominator, so S is the
-    # same at eps 1, and w = 2*eps*S = 2S there.
+    # The table and the decision read the pair's one lattice; at eps = 1,
+    # E = eps*S = S is an even integer, so the bound is 2E = 2S.
     costs, dtz_m, _, scale, _, _ = _cost_tables(m, n)
-    scale_at_1, _, w, _, _ = _lattice(m._lattice_view(), n._lattice_view(), 1)
+    lattice_scale, reach, _, _ = _lattice(m._lattice_view(), n._lattice_view())
     entry = costs[0][0] if n.summands else dtz_m[0]
-    assert (entry, scale_at_1, w) == (2 * scale + offset, scale, 2 * scale)
+    assert (entry, lattice_scale) == (2 * scale + offset, scale)
+    assert _bound(1, scale, reach) == 2 * scale
     assert _class_top(entry) == 2 * scale + 1
     assert are_eps_interleaved(i, j, 1) == reference_are_eps_interleaved(i, j, 1) == attained
     assert modules_eps_interleaved(m, n, 1) == attained

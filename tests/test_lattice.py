@@ -19,7 +19,7 @@ from persistd import (
     verify_certificate,
 )
 from persistd import bottleneck
-from persistd.interleaving import _lattice, _view
+from persistd.interleaving import _bound, _key_entry, _lattice, _view
 
 from oracles import (
     candidate_values,
@@ -46,8 +46,18 @@ def test_distance_equals_reference(m, n):
 @given(lattice_modules, lattice_modules, small_eps | deep_fractions.map(abs))
 @settings(max_examples=150)
 def test_lattice_keys_equal_reference(m, n, eps):
+    """The pair's lattice is the reference lattice at eps 0; and on it,
+    ``_bound`` admits exactly the pairs and summands that the reference
+    lattice at eps, which takes eps's denominator into S, admits."""
     ms, ns = m.summands, n.summands
-    assert _lattice(_view(ms), _view(ns), eps) == reference_lattice(ms, ns, eps)
+    scale, reach, keys_m, keys_n = _lattice(_view(ms), _view(ns))
+    assert reference_lattice(ms, ns, 0) == (scale, reach, 0, keys_m, keys_n)
+    _, _, w, ref_m, ref_n = reference_lattice(ms, ns, eps)
+    bound = _bound(eps, scale, reach)
+    for a, ref_a in zip([None, *keys_m], [None, *ref_m]):
+        for b, ref_b in zip([None, *keys_n], [None, *ref_n]):
+            if a is not None or b is not None:
+                assert (_key_entry(a, b) <= bound) == (_key_entry(ref_a, ref_b) <= w)
 
 
 def _run_summands(m: PModule) -> tuple:
@@ -63,18 +73,16 @@ def test_cost_tables_equal_key_table(pair):
     assert bottleneck._cost_tables(m, n)[:5] == key_table(*map(_run_summands, pair))[:5]
 
 
-@given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules),
-       small_eps | deep_fractions.map(abs))
+@given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules))
 @settings(max_examples=200)
-def test_run_keys_strictly_increase(pair, eps):
-    """Runs come in canonical order, and on one lattice of both modules, at
-    eps 0 and at any eps, their (lower, upper) keys strictly increase:
+def test_run_keys_strictly_increase(pair):
+    """Runs come in canonical order, and on the one lattice of both modules,
+    which every eps shares, their (lower, upper) keys strictly increase:
     ``_boxes`` bisects the lower keys of a side as they come."""
     runs_m, runs_n = map(_run_summands, pair)
-    for e in (0, eps):
-        _, _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n), e)
-        for keys in (keys_m, keys_n):
-            assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n))
+    for keys in (keys_m, keys_n):
+        assert all(a < b for a, b in zip(keys, keys[1:])), keys
 
 
 @given(lattice_modules, lattice_modules)

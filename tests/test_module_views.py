@@ -32,34 +32,60 @@ from persistd import bottleneck, interleaving
 from persistd.cli import cli_main
 from persistd.interleaving import _lattice
 
-from oracles import direct_lattice
+from oracles import (
+    direct_lattice,
+    reference_verify_certificate,
+    table_modules_eps_interleaved,
+)
 from strategies import deep_fractions, pooled_pairs, small_eps
 from test_lattice import _run_summands as runs
 
 
-# Denominators that no pooled interval has, so the pair scale moves off
-# each view's own scale.
+# Denominators that no pooled interval has: before the lattice became the
+# pair's alone, such an eps moved the pair's scale off each view's own.
 new_denominators = st.builds(Fraction, st.integers(0, 60), st.sampled_from([3, 5, 6, 7, 9, 64]))
 
 
-@given(pooled_pairs(), st.lists(small_eps | new_denominators | deep_fractions.map(abs),
-                                min_size=1, max_size=3))
+@given(pooled_pairs())
 @settings(max_examples=200)
-def test_view_lattice_equals_direct_lattice(pair, epss):
+def test_view_lattice_equals_direct_lattice(pair):
     """On the cached views, ``_lattice`` returns what the lattice built from
-    the endpoint fractions returns, at every eps and in every pairing, with
-    each view already used at the scales before; and the view's own keys,
-    the module alone at eps 0, stay as they were."""
+    the endpoint fractions returns at eps 0, in every pairing, with each
+    view already used at the scales before; and the view's own keys, the
+    module alone, stay as they were."""
     m, n = pair
-    for eps in epss:
-        for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
-            assert _lattice(a._lattice_view(), b._lattice_view(), eps) == (
-                direct_lattice(runs(a), runs(b), eps))
+    for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
+        scale, reach, _, keys_a, keys_b = direct_lattice(runs(a), runs(b), 0)
+        assert _lattice(a._lattice_view(), b._lattice_view()) == (scale, reach, keys_a, keys_b)
     for x in pair:
         lcm, reach, infinite, keys = x._lattice_view()
         scale, alone_reach, _, alone_keys, _ = direct_lattice(runs(x), (), 0)
         assert (4 * lcm, reach, keys) == (scale, alone_reach, alone_keys)
         assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
+
+
+def index_certificate(m, n, eps):
+    """Copy i of M against copy i of N, the rest unmatched, at threshold
+    eps."""
+    k = min(len(m), len(n))
+    return MatchingCertificate(ExtRational(eps), tuple((i, i) for i in range(k)),
+                               tuple(range(k, len(m))), tuple(range(k, len(n))))
+
+
+@given(pooled_pairs(), st.lists(small_eps | new_denominators | deep_fractions.map(abs),
+                                min_size=1, max_size=3))
+@settings(max_examples=100)
+def test_views_decide_and_check_at_any_eps(pair, epss):
+    """At eps of any denominator, new ones included, the decision and the
+    certificate check on the cached views agree with the table decision on
+    a lattice that takes eps's denominator into S, and with the per-pair
+    reference check, in every pairing."""
+    m, n = pair
+    for eps in epss:
+        for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
+            assert modules_eps_interleaved(a, b, eps) == table_modules_eps_interleaved(a, b, eps)
+            cert = index_certificate(a, b, eps)
+            assert verify_certificate(a, b, cert) == reference_verify_certificate(a, b, cert)
 
 
 def test_view_fields():
@@ -210,6 +236,28 @@ class TestBudgets:
             verify_certificate(m, n, cert)
         assert time.perf_counter() - start < 1
 
+    def test_check_refuses_runs_over_the_vertex_cap_fast(self):
+        """20,000 runs [0, 1/p), 7-digit primes p, against the zero module:
+        no distance certificate covers that many runs, and the check refuses
+        them before it builds a view."""
+        m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 20_000))
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(20_000)), ())
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^certificate on 20000\+0 distinct summands "
+                                             r"exceeds the vertex cap 10000$"):
+            verify_certificate(m, PModule.zero(), cert)
+        assert time.perf_counter() - start < 1
+        assert m._view is None
+
+    def test_check_run_cap_is_inclusive(self, monkeypatch):
+        """10,000 runs reach the views, 10,001 do not."""
+        monkeypatch.setattr(PModule, "_lattice_view", stop)
+        for size, error in ((10_000, Reached), (10_001, ValueError)):
+            m = PModule(interval(k, k + 1) for k in range(size))
+            cert = MatchingCertificate(ExtRational(1), (), tuple(range(size)), ())
+            with pytest.raises(error):
+                verify_certificate(m, PModule.zero(), cert)
+
     @pytest.mark.parametrize("pair", [
         # 5000 + 5000 distinct summands using every denominator 1..16 on
         # both sides, at the vertex cap: lcm 720720, 20 bits a side.
@@ -227,9 +275,9 @@ class TestBudgets:
                 call(m, n)
 
     def test_budgets_are_bits_times_runs(self, monkeypatch):
-        """B is the bit lengths of both lcms and eps's denominator summed;
-        the table budget takes B * runs_m * runs_n, the key budget B *
-        (runs_m + runs_n), and each admits work equal to it."""
+        """B is the bit lengths of both lcms summed, whatever eps's
+        denominator; the table budget takes B * runs_m * runs_n, the key
+        budget B * (runs_m + runs_n), and each admits work equal to it."""
         m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
         runs_m, runs_n = len(m._runs), len(n._runs)
         bits = m._lattice_view()[0].bit_length() + n._lattice_view()[0].bit_length()
@@ -237,10 +285,10 @@ class TestBudgets:
         unmatched = MatchingCertificate(ExtRational(eps), (), tuple(range(len(m))),
                                         tuple(range(len(n))))
         monkeypatch.setattr(bottleneck, "_lattice", stop)
-        cases = (("TABLE_BUDGET", (bits + 1) * runs_m * runs_n, lambda: module_distance(m, n)),
-                 ("KEYS_BUDGET", (bits + 3) * (runs_m + runs_n),
+        cases = (("TABLE_BUDGET", bits * runs_m * runs_n, lambda: module_distance(m, n)),
+                 ("KEYS_BUDGET", bits * (runs_m + runs_n),
                   lambda: modules_eps_interleaved(m, n, eps)),
-                 ("KEYS_BUDGET", (bits + 3) * (runs_m + runs_n),
+                 ("KEYS_BUDGET", bits * (runs_m + runs_n),
                   lambda: verify_certificate(m, n, unmatched)))
         for budget, work, call in cases:
             monkeypatch.setattr(bottleneck, budget, work)
