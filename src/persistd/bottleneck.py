@@ -14,26 +14,29 @@ All of this runs on plain ints.  ``interleaving._lattice`` keys every
 endpoint of the pair, times S = 4*lcm(its finite denominators), with its
 decoration, starting from the integer view each ``PModule`` builds of its
 runs on first use and keeps, so a module's fractions are read once, not on
-every call; a threshold is one int on it, ``interleaving._bound``.  Fixed
-work budgets, in bits of S times runs, refuse a pair before its lattice is
-built (``_check_budget``).  ``_cost_tables`` builds the one pairwise table,
-the closed form of ``interleaving._key_entry`` on the keys of every pair of
-summands: an entry is 2C-1, 2C or 2C+1 for the scaled undecorated cost C,
-the last when the infimum is not attained.  The distance is the smallest feasible class
-top 2C+1, by binary search over the sorted tops of the table's entries,
-and becomes an ``ExtRational`` once, at the end.  ``_matching_at`` probes
-a top on the table.  Each probe is seeded with the previous probe's
-matchings, a feasible probe's matching lowers the bracket's top to the
-class of its own value, and each mandatory summand keeps only its
-neighbours at the last feasible probe, which the later probes filter.  The
-certificate is one unseeded probe at the answer's top, so its matching is
-that of an unseeded probe on whole rows and columns.
+every call; a threshold is one int on it, ``interleaving._bound``.  Every
+entry point reaches the keys of a pair through ``_pair``, which checks the
+vertex cap and then fixed work budgets, in bits of S times runs, before the
+lattice is built (``_check_budget``).  ``_cost_tables`` builds the one
+pairwise table, the closed form of ``interleaving._key_entry`` on the keys
+of every pair of summands: an entry is 2C-1, 2C or 2C+1 for the scaled
+undecorated cost C, the last when the infimum is not attained.  The
+distance is the smallest feasible class top 2C+1, by binary search over
+the sorted tops of the table's entries, and becomes an ``ExtRational``
+once, at the end.  ``_matching_at`` probes a top on the table.  Each probe
+is seeded with the previous probe's matchings, a feasible probe's matching
+lowers the bracket's top to the class of its own value, and each mandatory
+summand keeps only its neighbours at the last feasible probe, which the
+later probes filter.  The search returns only the distance and its top.
 
-The eps-decision and the certificate check build no table.  For a summand
-whose to-zero entry exceeds t, an entry is <= t exactly when both key gaps
-are, so its neighbours form an L-infinity box around its key point: the
-decision reads each box with ``bisect`` and runs Hopcroft-Karp once per
-side, and the check computes each listed pair's entry from its key pairs.
+The eps-decision, the certificate's matching and the certificate check
+build no table.  For a summand whose to-zero entry exceeds t, an entry is
+<= t exactly when both key gaps are, so its neighbours form an L-infinity
+box around its key point.  ``_sides`` reads each box with ``bisect`` and
+runs one unseeded Hopcroft-Karp per side: the decision at eps asks whether
+both saturate, and the certificate is their ``_merge`` at the answer's top,
+the matching of an unseeded probe there on whole rows and columns.  The
+check computes each listed pair's entry from its key pairs.
 
 The table, the candidates and the neighbour lists are built on the
 distinct summands, the (interval, count) runs of a ``PModule``; the
@@ -50,7 +53,7 @@ from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .interleaving import _bound, _key_entry, _lattice
-from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_fraction, _as_int
+from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
 from .pmodule import PModule
 
 
@@ -117,21 +120,6 @@ def _ranges(runs) -> list[range]:
     return [range(end - k, end) for end, k in zip(accumulate(counts), counts)]
 
 
-def _distinct(m: PModule, n: PModule):
-    """Each module's ``interleaving._view`` of its distinct summands, in
-    (interval, count) run order, and ``copies``: None when no summand
-    repeats, else each side's copy index ranges by run.  Refuses more copies
-    than the vertex cap before it builds a view."""
-    size_m, size_n = len(m), len(n)
-    if size_m + size_n > MATCH_CAP:
-        raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
-                         f"cap {MATCH_CAP}")
-    copies = None
-    if size_m != len(m._runs) or size_n != len(n._runs):
-        copies = _ranges(m._runs), _ranges(n._runs)
-    return m._lattice_view(), n._lattice_view(), copies
-
-
 def _check_budget(view_m, view_n, table: bool) -> None:
     """Refuse the pair's lattice, before it is built, when B * runs_m *
     runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m + runs_n)
@@ -145,15 +133,32 @@ def _check_budget(view_m, view_n, table: bool) -> None:
                          f"exceed the {kind} budget {budget} ({work})")
 
 
+def _pair(m: PModule, n: PModule, table: bool):
+    """The pair's one road to its keys: (S, reach, keys_m, keys_n, copies),
+    ``interleaving._lattice`` of the two modules' cached views, in (interval,
+    count) run order, and ``copies``: None when no summand repeats, else
+    each side's copy index ranges by run.  Refuses more copies than the
+    vertex cap before it builds a view, and a lattice over the table
+    (``table``) or key budget before it builds the lattice."""
+    size_m, size_n = len(m), len(n)
+    if size_m + size_n > MATCH_CAP:
+        raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
+                         f"cap {MATCH_CAP}")
+    copies = None
+    if size_m != len(m._runs) or size_n != len(n._runs):
+        copies = _ranges(m._runs), _ranges(n._runs)
+    view_m, view_n = m._lattice_view(), n._lattice_view()
+    _check_budget(view_m, view_n, table)
+    return (*_lattice(view_m, view_n), copies)
+
+
 def _cost_tables(m: PModule, n: PModule):
-    """The ``interleaving._key_entry`` of every pair of ``_distinct``'s
-    summands, row i and column j for the i-th and j-th runs, and of each
-    against the zero module, on the pair's one lattice: (costs, dtz_m, dtz_n,
-    S, fin, copies), where no finite entry exceeds fin = 4*reach + 1.  A
-    table over ``TABLE_BUDGET`` is refused."""
-    view_m, view_n, copies = _distinct(m, n)
-    _check_budget(view_m, view_n, True)
-    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
+    """The ``interleaving._key_entry`` of every pair of distinct summands,
+    row i and column j for the i-th and j-th runs, and of each against the
+    zero module, on the keys of ``_pair``: (costs, dtz_m, dtz_n, S, fin,
+    copies), where no finite entry exceeds fin = 4*reach + 1.  A table over
+    ``TABLE_BUDGET`` is refused."""
+    scale, reach, keys_m, keys_n, copies = _pair(m, n, True)
     dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
     dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
@@ -336,11 +341,15 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates,
         near_m[i] = near
     for j, near in zip(runs_n, lists_n):
         near_n[j] = near
+    return _merge(side_m, side_n)
 
-    # Mendelsohn-Dulmage: from each mandatory N summand j that M1 (side_m)
-    # leaves free, give j its M2 (side_n) partner i and move on to i's old
-    # M1 partner, until a summand without an M2 edge or an i without an M1
-    # edge.
+
+def _merge(side_m, side_n) -> dict[int, int]:
+    """One matching out of the two sides' ``_cover`` matchings, covering
+    every M copy that M1 (side_m) matches and every N copy that M2
+    (side_n) matches (Mendelsohn-Dulmage): from each mandatory N copy j
+    that M1 leaves free, give j its M2 partner i and move on to i's old M1
+    partner, until a copy without an M2 edge or an i without an M1 edge."""
     chosen = dict(zip(*side_m))
     m2 = dict(zip(*side_n))
     covered = set(chosen.values())
@@ -370,22 +379,29 @@ def _boxes(keys, other, w):
     return runs, lists
 
 
+def _sides(keys_m, keys_n, w, size_m, size_n, copies):
+    """Both sides' unseeded ``_cover`` matchings at w, read off the keys of
+    ``_pair`` with ``_boxes``, or None when a side leaves a mandatory copy
+    free.  For a run whose to-zero entry exceeds w, an entry is <= w
+    exactly when both key gaps are, so these are the runs and neighbour
+    lists, in index order, of a probe at w on whole rows and columns."""
+    side_m = _cover(*_boxes(keys_m, keys_n, w), [-1] * size_m, size_n, copies)
+    if side_m is None:
+        return None
+    side_n = _cover(*_boxes(keys_n, keys_m, w), [-1] * size_n, size_m, copies and copies[::-1])
+    return None if side_n is None else (side_m, side_n)
+
+
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
     all eps-interleaved with the zero module?  An entry <= w =
     ``_bound(eps, S, reach)`` is exactly an eps-interleaved pair, as in
-    ``are_eps_interleaved``.  No table: the keys give the mandatory
-    summands' neighbours, and one unseeded Hopcroft-Karp run per side must
-    saturate them.  A lattice over ``KEYS_BUDGET`` is refused."""
-    view_m, view_n, copies = _distinct(m, n)
-    eps = _as_fraction(eps)
-    _check_budget(view_m, view_n, False)
-    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
-    w = _bound(eps, scale, reach)
-    return (_cover(*_boxes(keys_m, keys_n, w), [-1] * len(m), len(n), copies) is not None
-            and _cover(*_boxes(keys_n, keys_m, w), [-1] * len(n), len(m),
-                       copies and copies[::-1]) is not None)
+    ``are_eps_interleaved``.  No table: ``_sides`` at w must saturate both
+    sides.  The vertex cap and ``KEYS_BUDGET`` are checked before eps,
+    which only ``_bound`` reads."""
+    scale, reach, keys_m, keys_n, copies = _pair(m, n, False)
+    return _sides(keys_m, keys_n, _bound(eps, scale, reach), len(m), len(n), copies) is not None
 
 
 def _search(m: PModule, n: PModule):
@@ -397,8 +413,8 @@ def _search(m: PModule, n: PModule):
     probe's matching is feasible at the top of its own value, the largest
     of its pair costs and of the to-zero costs of the summands it leaves
     unmatched, so the bracket's upper end jumps there, never above the
-    probe.  Returns (distance, the arguments of an unseeded probe at the
-    answer's top), or (+inf, None) when no finite threshold is feasible."""
+    probe.  Returns (distance, the answer's top), or (+inf, None) when no
+    finite threshold is feasible."""
     costs, dtz_m, dtz_n, scale, fin, copies = _cost_tables(m, n)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
@@ -435,10 +451,7 @@ def _search(m: PModule, n: PModule):
         hi = bisect_left(tops, ((value + 1) & -4) + 1)
     if hi == len(tops):
         return POS_INF, None
-    top = tops[hi]
-    unseeded = [-1] * len(copy_dtz_m), [-1] * len(copy_dtz_n)
-    return ExtRational(Fraction(top - 1, 2 * scale)), (
-        costs, dtz_m, dtz_n, top, near_m, near_n, unseeded, copies)
+    return ExtRational(Fraction(tops[hi] - 1, 2 * scale)), tops[hi]
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
@@ -448,21 +461,19 @@ def module_distance(m: PModule, n: PModule) -> ExtRational:
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
-    the matching of one unseeded probe at the answer's top, on the lists
-    the search narrowed, which hold every neighbour there in index order."""
-    d, probe = _search(m, n)
-    if probe is None:
-        raise InfiniteDistanceError(
-            "the modules are infinitely far apart; no certificate exists"
-        )
-    matching = _matching_at(*probe)
-    pairs = tuple(sorted(matching.items()))
-    matched_m = {i for i, _ in pairs}
-    matched_n = {j for _, j in pairs}
+    the ``_merge`` of ``_sides`` at the answer's top, the matching of an
+    unseeded probe there on whole rows and columns.  Its ``_pair`` is
+    checked against the table budget, which the search has passed."""
+    d, top = _search(m, n)
+    if top is None:
+        raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
+    _, _, keys_m, keys_n, copies = _pair(m, n, True)
+    matching = _merge(*_sides(keys_m, keys_n, top, len(m), len(n), copies))
+    matched_n = set(matching.values())
     return MatchingCertificate(
         threshold=d,
-        pairs=pairs,
-        unmatched_m=tuple(i for i in range(len(m)) if i not in matched_m),
+        pairs=tuple(sorted(matching.items())),
+        unmatched_m=tuple(i for i in range(len(m)) if i not in matching),
         unmatched_n=tuple(j for j in range(len(n)) if j not in matched_n),
     )
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intervals import Interval, Rational, _as_fraction, interval
-from .pmodule import _MAX_COPIES, PModule
+from .pmodule import _MAX_COPIES, PModule, _check_copies
 
 
 INCLUSIONS = (
@@ -144,10 +144,11 @@ def open_subset_witness(
                 f"module has a summand outside [{c},{d}]"
             )
         extra = [(interval(d, d + 2 * eps, "[)"), 1)]
-    elif inclusion == "fid_in_pfd":
-        extra = [(interval(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
     elif inclusion == "ffid_in_cfid" and not module.classify().in_ffid:
         raise ClassMismatchError("module has an unbounded summand")
-    else:  # ffid_in_cfid, fid_in_cid, cid_in_rid, pfd_in_rid
-        extra = [(interval(0, 2 * eps, "[)"), trunc)]
+    else:
+        # trunc tails: ``direct_sum``'s refusal, before they are built and sorted.
+        _check_copies(len(module) + trunc)
+        extra = ([(interval(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
+                 if inclusion == "fid_in_pfd" else [(interval(0, 2 * eps, "[)"), trunc)])
     return module.direct_sum(PModule._of_runs(extra))

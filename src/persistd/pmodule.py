@@ -35,6 +35,12 @@ from .intervals import (
 _MAX_COPIES = 10**6
 
 
+def _check_copies(total: int) -> None:
+    """Refuse a module of more than ``_MAX_COPIES`` summand copies."""
+    if total > _MAX_COPIES:
+        raise ValueError(f"a module holds at most {_MAX_COPIES} summand copies, got {total}")
+
+
 def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
     """(summand, count) pairs checked, sorted by ``canonical_key``, equal
     summands merged, and their total count; more than ``_MAX_COPIES``
@@ -48,10 +54,7 @@ def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
             raise ValueError("the empty interval cannot be a summand")
         keyed.append((s.canonical_key(), s, k))
         total += k
-    if total > _MAX_COPIES:
-        raise ValueError(
-            f"a module holds at most {_MAX_COPIES} summand copies, got {total}"
-        )
+    _check_copies(total)
     runs = []
     for key, s, k in sorted(keyed, key=itemgetter(0)):
         if runs and key == runs[-1][0]:

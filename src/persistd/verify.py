@@ -159,7 +159,8 @@ def random_module(
 # The most trials per property, and the largest replicate count ``k`` and
 # Cauchy ``depth`` of a case.  Each of ``k`` and ``depth`` builds that many
 # modules plus one and compares every pair, so its time grows as its fourth
-# power: 64 takes seconds.
+# power: 64 takes seconds.  The same bound holds the number of ``p`` values,
+# each one distance per trial.
 _MAX_TRIALS = 10_000
 _MAX_FAMILY_SIZE = 64
 # The most summands of one module that ``N`` (cube-isometry), ``length``
@@ -366,6 +367,8 @@ def _gen_module_with_p(rng, params, trial):
 
 
 def _check_p_persistent(case) -> bool:
+    if len(case["p"]) > _MAX_FAMILY_SIZE:
+        raise ValueError(f"p takes at most {_MAX_FAMILY_SIZE} values, got {len(case['p'])}")
     m = PModule.from_json_obj(case["m"])
     for p_text in case["p"]:
         p = _as_fraction(p_text)
@@ -686,6 +689,8 @@ def _validate_params(name: str, p: dict) -> None:
         if key in p:
             need(p[key] > 0, f"need {key} > 0")
     if "p" in p:
+        need(len(p["p"]) <= _MAX_FAMILY_SIZE,
+             f"p takes at most {_MAX_FAMILY_SIZE} values, got {len(p['p'])}")
         need(all(x >= 0 for x in p["p"]), "need every p >= 0")
     if "depth" in p:
         # the rank-growth witness needs at least stages 3 and 4 to compare

@@ -56,11 +56,11 @@ def modules(draw, max_summands=5, finite_only=True, max_copies=1):
 
 
 @st.composite
-def pooled_pairs(draw):
+def pooled_pairs(draw, max_count=6):
     """Two modules over one pool of at most 6 intervals (infinite endpoints
-    included), each interval 0 to 6 times in each module."""
+    included), each interval 0 to ``max_count`` times in each module."""
     pool = draw(st.lists(nonempty_intervals(), min_size=1, max_size=6))
-    counts = st.lists(st.integers(0, 6), min_size=len(pool), max_size=len(pool))
+    counts = st.lists(st.integers(0, max_count), min_size=len(pool), max_size=len(pool))
     return tuple(
         PModule([s for s, k in zip(pool, draw(counts)) for _ in range(k)]) for _ in range(2)
     )

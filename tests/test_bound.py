@@ -137,18 +137,26 @@ def test_new_eps_denominator_rescales_no_keys(monkeypatch):
 
 
 class TestRefusalOrder:
-    """After the vertex cap (``TestVertexCap`` in ``test_bottleneck.py``):
-    eps's type, then the key budget, then eps's sign, in the library and
-    on the command line."""
+    """The library refuses the vertex cap first (``TestVertexCap`` in
+    ``test_bottleneck.py``), then the key budget, then eps's type and sign,
+    which only ``interleaving._bound`` reads.  The command line parses
+    ``--eps`` before it loads the modules, so there a malformed eps comes
+    first and a negative one after the budget."""
 
-    def test_eps_type_before_budget_before_eps_sign(self, monkeypatch):
+    def test_cap_before_budget_before_eps(self, monkeypatch):
         m, n = PModule.of("[0,1/3)", "(1,4]"), PModule.of("[1/5,2)")
         monkeypatch.setattr(bottleneck, "KEYS_BUDGET", 1)
+        monkeypatch.setattr(bottleneck, "MATCH_CAP", 2)
+        for eps in (0.5, -1, 1):
+            with pytest.raises(ValueError, match="exceeds the vertex cap 2$"):
+                modules_eps_interleaved(m, n, eps)
+        monkeypatch.setattr(bottleneck, "MATCH_CAP", 3)
+        for eps in (0.5, -1, 1):
+            with pytest.raises(ValueError, match="exceed the key budget 1 "):
+                modules_eps_interleaved(m, n, eps)
+        monkeypatch.undo()
         with pytest.raises(TypeError, match="floats are not accepted"):
             modules_eps_interleaved(m, n, 0.5)
-        with pytest.raises(ValueError, match="exceed the key budget 1 "):
-            modules_eps_interleaved(m, n, -1)
-        monkeypatch.undo()
         with pytest.raises(ValueError, match=r"^interleaving needs eps >= 0, got -1$"):
             modules_eps_interleaved(m, n, -1)
 

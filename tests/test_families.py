@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from persistd import (
     module_distance,
     open_subset_witness,
     parse_interval,
+    pmodule,
     replicate,
     staircase,
 )
@@ -204,6 +206,29 @@ class TestOpenSubsetWitness:
         d1 = module_distance(m, open_subset_witness(m, "fid_in_cid", eps, 2))
         d2 = module_distance(m, open_subset_witness(m, "fid_in_cid", 2 * eps, 2))
         assert d2.as_fraction == 2 * d1.as_fraction
+
+    @pytest.mark.parametrize("inclusion", ["fid_in_pfd", "fid_in_cid", "pfd_in_rid"])
+    def test_oversized_sum_is_refused_before_any_tail(self, no_module_building, inclusion):
+        """A million tails on a one-summand module are one copy too many:
+        refused with ``direct_sum``'s message before a tail is built."""
+        m = PModule.of("[0,1)")
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="^a module holds at most 1000000 summand copies, got 1000001$"):
+            open_subset_witness(m, inclusion, 1, 10**6)
+        assert time.perf_counter() - start < 1
+
+    def test_sum_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(families, "_MAX_COPIES", 3)
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        m = PModule.of("[10,11)")
+        for inclusion in ("fid_in_pfd", "fid_in_cid"):
+            assert len(open_subset_witness(m, inclusion, 1, 2)) == 3
+            with pytest.raises(ValueError, match="at most 3 summand copies, got 4$"):
+                open_subset_witness(m, inclusion, 1, 3)
+        # One bounded tail, whatever trunc says.
+        got = open_subset_witness(m, "ffid_cd_in_ffid", 1, 3, bounds=(10, 11))
+        assert len(got) == 2
 
     def test_unknown_inclusion(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""The eps-decision and the certificate check read the lattice keys, not a
-cost table.  They must agree with the table decision and the per-pair
-check of ``oracles``, on modules with repeated summands and infinite
-endpoints, and they must never build a table, even at sizes where one
-would be large."""
+"""The eps-decision, the certificate's matching and the certificate check
+read the lattice keys, not a cost table.  They must agree with the table
+decision, the table probe and the per-pair check of ``oracles``, on
+modules with repeated summands and infinite endpoints, and the decision
+and the check must never build a table, even at sizes where one would be
+large."""
 
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 
 from persistd import (
     ExtRational,
+    InfiniteDistanceError,
     MatchingCertificate,
     NEG_INF,
     POS_INF,
@@ -29,6 +31,7 @@ from persistd.verify import random_interval
 
 from oracles import (
     candidate_values,
+    full_probe,
     lattice_scale,
     reference_distance_to_zero,
     reference_interval_distance,
@@ -80,6 +83,28 @@ def test_decision_equals_table_on_random_pairs():
                 assert modules_eps_interleaved(m, n, eps) == (
                     table_modules_eps_interleaved(m, n, eps)
                 ), (str(eps), m.to_json(), n.to_json())
+
+
+@given(pooled_pairs(max_count=7))
+@settings(max_examples=80, deadline=None)
+def test_certificate_equals_unseeded_table_probe(pair):
+    """The certificate's matching, read off the keys at the answer's top,
+    is that of one unseeded probe of the cost table there on whole rows and
+    columns; a pair infinitely far apart has no certificate."""
+    m, n = pair
+    d = module_distance(m, n)
+    if not d.is_finite:
+        with pytest.raises(InfiniteDistanceError):
+            distance_certificate(m, n)
+        return
+    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(m, n)
+    top = int(2 * scale * d.as_fraction) + 1
+    matching = full_probe(costs, dtz_m, dtz_n, top, copies=copies)
+    pairs = tuple(sorted(matching.items()))
+    assert distance_certificate(m, n) == MatchingCertificate(
+        d, pairs,
+        tuple(i for i in range(len(m)) if i not in matching),
+        tuple(j for j in range(len(n)) if j not in matching.values()))
 
 
 def _tampered(m: PModule, n: PModule, cert: MatchingCertificate):

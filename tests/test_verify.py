@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,7 @@ class TestBudgets:
 
     HUGE = "10000000000000000000"
     NTB = ("not-totally-bounded", "replicates-pairwise-half-diameter")
+    P_PERSISTENT = ("p-persistent", "persistent-submodule-within-p")
     CAUCHY = [("cauchy-incomplete", "cauchy-distance-law"),
               ("cauchy-incomplete", "rank-witness-diverges")]
     SIZED = [("cube-isometry", "N"), ("binary-discrete", "length"),
@@ -92,6 +94,31 @@ class TestBudgets:
         for suite, key in self.SIZED:
             with pytest.raises(ValueError, match=f"{key} must be at most 1000, got {self.HUGE}"):
                 run_suite(suite, seed=0, trials=1, params={key: self.HUGE})
+
+    def test_many_p_values_are_refused(self, no_module_building):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="p takes at most 64 values, got 2000$"):
+            run_suite("p-persistent", seed=0, trials=10, params={"p": ",".join(["1"] * 2000)})
+        assert time.perf_counter() - start < 1
+
+    def test_many_p_values_are_refused_on_replay(self, monkeypatch):
+        def no_module(*args):
+            raise AssertionError("module built before the p values were counted")
+
+        monkeypatch.setattr(pv.PModule, "from_json_obj", no_module)
+        with pytest.raises(ValueError, match="p takes at most 64 values, got 2000$"):
+            replay(*self.P_PERSISTENT, {"m": {"summands": []}, "p": ["1"] * 2000})
+
+    def test_p_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pv, "_MAX_FAMILY_SIZE", 3)
+        report = run_suite("p-persistent", seed=0, trials=2, params={"p": "0,1/2,2"})
+        assert report.all_pass and ("p", "0,1/2,2") in report.params
+        with pytest.raises(ValueError, match="p takes at most 3 values, got 4$"):
+            run_suite("p-persistent", seed=0, trials=2, params={"p": ["0", "1/2", "2", "3"]})
+        m = {"summands": [{"interval": "[0,2)", "multiplicity": 1}]}
+        assert replay(*self.P_PERSISTENT, {"m": m, "p": ["0", "1/2", "2"]})
+        with pytest.raises(ValueError, match="p takes at most 3 values, got 4$"):
+            replay(*self.P_PERSISTENT, {"m": m, "p": ["0", "1/2", "2", "3"]})
 
     def test_bounds_are_inclusive(self, monkeypatch):
         monkeypatch.setattr(pv, "_MAX_TRIALS", 2)
