@@ -104,13 +104,10 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalMapParts",
     "ClassMembership",
-    "ClassMismatchError",
     "EMPTY",
     "Endpoint",
     "ExtRational",
-    "INCLUSIONS",
     "InfiniteDistanceError",
     "Interval",
     "IntervalParseError",
@@ -118,37 +115,23 @@ __all__ = [
     "MatchingCertificate",
     "ModuleFormatError",
     "NEG_INF",
-    "NoNonzeroMapError",
     "OrderingError",
     "PModule",
     "POS_INF",
-    "SUITE_NAMES",
-    "SuiteReport",
     "are_eps_interleaved",
     "ball_membership",
-    "binary_sequence_module",
-    "bruteforce_module_distance",
-    "candidate_scan_interval_distance",
-    "cauchy_witness",
-    "cube_point_module",
     "distance_certificate",
     "distance_to_zero",
     "format_interval",
-    "has_nonzero_map",
-    "canonical_map_parts",
     "interval",
     "interval_distance",
     "make_interval",
     "module_distance",
     "modules_eps_interleaved",
-    "open_subset_witness",
     "parse_interval",
     "parse_module",
-    "replay",
-    "replicate",
     "residuals",
-    "run_suite",
     "singleton",
-    "staircase",
     "verify_certificate",
+    *_DEFERRED,
 ]

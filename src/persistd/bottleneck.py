@@ -15,9 +15,11 @@ endpoint of the pair, times S = 4*lcm(its finite denominators), with its
 decoration, starting from the integer view each ``PModule`` builds of its
 runs on first use and keeps, so a module's fractions are read once, not on
 every call; a threshold is one int on it, ``interleaving._bound``.  Every
-entry point reaches the keys of a pair through ``_pair``, which checks the
-vertex cap and then fixed work budgets, in bits of S times runs, before the
-lattice is built (``_check_budget``).  ``_cost_tables`` builds the one
+entry point admits its pair once, through ``_admit``, the only caller of
+``_lattice``: it checks fixed work budgets, in bits of S times runs, on
+the lcms alone, and only then builds the views and the lattice.  ``_pair``
+checks the vertex cap before it, and the distance and the certificate
+hand the one pair it admits to ``_search``.  ``_cost_tables`` builds the one
 pairwise table, the closed form of ``interleaving._key_entry`` on the keys
 of every pair of summands: an entry is 2C-1, 2C or 2C+1 for the scaled
 undecorated cost C, the last when the infimum is not attained.  The
@@ -120,26 +122,27 @@ def _ranges(runs) -> list[range]:
     return [range(end - k, end) for end, k in zip(accumulate(counts), counts)]
 
 
-def _check_budget(view_m, view_n, table: bool) -> None:
-    """Refuse the pair's lattice, before it is built, when B * runs_m *
-    runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m + runs_n)
-    ``KEYS_BUDGET``."""
-    runs_m, runs_n = len(view_m[3]), len(view_n[3])
-    bits = view_m[0].bit_length() + view_n[0].bit_length()
+def _admit(m: PModule, n: PModule, table: bool):
+    """The pair's one road to its keys, (S, reach, keys_m, keys_n):
+    ``interleaving._lattice`` of the two modules' cached views, in run
+    order.  Before either view is built, the pair is refused when B *
+    runs_m * runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m +
+    runs_n) ``KEYS_BUDGET``; B reads each lcm off ``PModule._lcm``."""
+    runs_m, runs_n = len(m._runs), len(n._runs)
+    bits = m._lcm().bit_length() + n._lcm().bit_length()
     work, budget, kind = ((bits * runs_m * runs_n, TABLE_BUDGET, "table") if table else
                           (bits * (runs_m + runs_n), KEYS_BUDGET, "key"))
     if work > budget:
         raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {bits} bits "
                          f"exceed the {kind} budget {budget} ({work})")
+    return _lattice(m._lattice_view(), n._lattice_view())
 
 
 def _pair(m: PModule, n: PModule, table: bool):
-    """The pair's one road to its keys: (S, reach, keys_m, keys_n, copies),
-    ``interleaving._lattice`` of the two modules' cached views, in (interval,
-    count) run order, and ``copies``: None when no summand repeats, else
-    each side's copy index ranges by run.  Refuses more copies than the
-    vertex cap before it builds a view, and a lattice over the table
-    (``table``) or key budget before it builds the lattice."""
+    """The admitted pair: (S, reach, keys_m, keys_n, copies), ``_admit``'s
+    keys and ``copies``, None when no summand repeats, else each side's
+    copy index ranges by run.  Refuses more copies than the vertex cap
+    before ``_admit`` runs."""
     size_m, size_n = len(m), len(n)
     if size_m + size_n > MATCH_CAP:
         raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
@@ -147,18 +150,16 @@ def _pair(m: PModule, n: PModule, table: bool):
     copies = None
     if size_m != len(m._runs) or size_n != len(n._runs):
         copies = _ranges(m._runs), _ranges(n._runs)
-    view_m, view_n = m._lattice_view(), n._lattice_view()
-    _check_budget(view_m, view_n, table)
-    return (*_lattice(view_m, view_n), copies)
+    return (*_admit(m, n, table), copies)
 
 
-def _cost_tables(m: PModule, n: PModule):
+def _cost_tables(pair):
     """The ``interleaving._key_entry`` of every pair of distinct summands,
     row i and column j for the i-th and j-th runs, and of each against the
-    zero module, on the keys of ``_pair``: (costs, dtz_m, dtz_n, S, fin,
-    copies), where no finite entry exceeds fin = 4*reach + 1.  A table over
-    ``TABLE_BUDGET`` is refused."""
-    scale, reach, keys_m, keys_n, copies = _pair(m, n, True)
+    zero module, on the keys of a ``_pair`` admitted against the table
+    budget: (costs, dtz_m, dtz_n, S, fin, copies), where no finite entry
+    exceeds fin = 4*reach + 1."""
+    scale, reach, keys_m, keys_n, copies = pair
     dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
     dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
@@ -404,10 +405,11 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     return _sides(keys_m, keys_n, _bound(eps, scale, reach), len(m), len(n), copies) is not None
 
 
-def _search(m: PModule, n: PModule):
-    """Binary search over the sorted distinct class tops of the finite
-    entries.  A probe at a top has as edges the pairs within the class's
-    undecorated cost, so feasibility is monotone along the tops.
+def _search(pair):
+    """Binary search, on the table of the admitted ``pair``, over the
+    sorted distinct class tops of the finite entries.  A probe at a top
+    has as edges the pairs within the class's undecorated cost, so
+    feasibility is monotone along the tops.
 
     Each probe is seeded with the matchings of the one before.  A feasible
     probe's matching is feasible at the top of its own value, the largest
@@ -415,7 +417,7 @@ def _search(m: PModule, n: PModule):
     unmatched, so the bracket's upper end jumps there, never above the
     probe.  Returns (distance, the answer's top), or (+inf, None) when no
     finite threshold is feasible."""
-    costs, dtz_m, dtz_n, scale, fin, copies = _cost_tables(m, n)
+    costs, dtz_m, dtz_n, scale, fin, copies = _cost_tables(pair)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
         entries.update(row)
@@ -456,18 +458,19 @@ def _search(m: PModule, n: PModule):
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
     """Exact interleaving (= bottleneck) distance between two modules."""
-    return _search(m, n)[0]
+    return _search(_pair(m, n, True))[0]
 
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
     the ``_merge`` of ``_sides`` at the answer's top, the matching of an
-    unseeded probe there on whole rows and columns.  Its ``_pair`` is
-    checked against the table budget, which the search has passed."""
-    d, top = _search(m, n)
+    unseeded probe there on whole rows and columns, read off the keys of
+    the one ``_pair`` that the search ran on."""
+    pair = _pair(m, n, True)
+    d, top = _search(pair)
     if top is None:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
-    _, _, keys_m, keys_n, copies = _pair(m, n, True)
+    _, _, keys_m, keys_n, copies = pair
     matching = _merge(*_sides(keys_m, keys_n, top, len(m), len(n), copies))
     matched_n = set(matching.values())
     return MatchingCertificate(
@@ -484,8 +487,9 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     No distance is below 0, so a negative threshold fails.  The pair's
     lattice checks each distinct pair of runs and each unmatched run once:
     its distance is <= t iff its entry is <= ``_bound(t, S, reach) | 1``.
-    More than ``MATCH_CAP`` runs, which no distance certificate covers, are
-    refused before any view is built, a lattice over ``KEYS_BUDGET`` after."""
+    More than ``MATCH_CAP`` runs, which no distance certificate covers, and
+    a pair over ``KEYS_BUDGET`` (``_admit``) are refused before any view is
+    built."""
     used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
     used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
     t = cert.threshold
@@ -496,9 +500,7 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     if len(m._runs) + len(n._runs) > MATCH_CAP:
         raise ValueError(f"certificate on {len(m._runs)}+{len(n._runs)} distinct summands "
                          f"exceeds the vertex cap {MATCH_CAP}")
-    view_m, view_n = m._lattice_view(), n._lattice_view()
-    _check_budget(view_m, view_n, False)
-    scale, reach, keys_m, keys_n = _lattice(view_m, view_n)
+    scale, reach, keys_m, keys_n = _admit(m, n, False)
     top = _bound(t.as_fraction, scale, reach) | 1
     key_m, key_n = ([key for key, (_, k) in zip(keys, x._runs) for _ in range(k)]
                     for keys, x in ((keys_m, m), (keys_n, n)))

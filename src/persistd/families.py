@@ -51,6 +51,7 @@ def cube_point_module(n: int, coords: Sequence[Rational]) -> PModule:
     the L-infinity metric on coordinates."""
     if n < 1:
         raise ValueError(f"cube dimension must be positive, got {n}")
+    _check_copies(n)
     xs = [_as_fraction(x) for x in coords]
     if len(xs) != n:
         raise ValueError(f"expected {n} coordinates, got {len(xs)}")
@@ -72,6 +73,7 @@ def binary_sequence_module(bits: Sequence[int]) -> PModule:
     equal-length sequences are exactly distance 1 apart."""
     if not bits:
         raise ValueError("the bit sequence must be nonempty")
+    _check_copies(len(bits))
     out = []
     for pos, bit in enumerate(bits, start=1):
         if bit not in (0, 1):

@@ -12,6 +12,7 @@ JSON format::
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
@@ -116,6 +117,15 @@ class PModule:
             view = interleaving._view([s for s, _ in self._runs])
             object.__setattr__(self, "_view", view)
         return view
+
+    def _lcm(self) -> int:
+        """The lcm of the runs' finite denominators, ``_lattice_view()[0]``:
+        the cached view's, else read off the runs without building a view.
+        An infinity holds the value 0, of denominator 1."""
+        if self._view is not None:
+            return self._view[0]
+        return math.lcm(*{x.value.denominator
+                          for s, _ in self._runs for x in (s.lo.value, s.hi.value)})
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")

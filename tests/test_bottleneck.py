@@ -502,7 +502,7 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     starts both Hopcroft-Karp runs from complete matchings."""
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
-    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(m, n)
+    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(bottleneck._pair(m, n, True))
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
     mates = [-1] * 5, [-1] * 5
     first = full_probe(costs, dtz_m, dtz_n, top, mates, copies)
@@ -587,7 +587,7 @@ def test_search_probes_equal_full_probes(m, n):
     assert probes and d == reference_module_distance(m, n)
     if not d.is_finite:
         return
-    assert scale == bottleneck._cost_tables(m, n)[3]
+    assert scale == bottleneck._cost_tables(bottleneck._pair(m, n, True))[3]
     top = int(2 * scale * d.as_fraction) + 1
     full = full_probe(costs, dtz_m, dtz_n, top)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))

@@ -44,6 +44,16 @@ class TestCube:
         with pytest.raises(ValueError):
             cube_point_module(3, [0, 0])
 
+    def test_oversized_dimension_is_refused_before_any_summand(self, no_module_building,
+                                                               monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        with pytest.raises(ValueError, match="^a module holds at most 3 summand copies, got 4$"):
+            cube_point_module(4, [0] * 4)
+
+    def test_dimension_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        assert len(cube_point_module(3, [0] * 3)) == 3
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_isometry(self, n):
         rng = random.Random(n)
@@ -67,6 +77,16 @@ class TestBinary:
             binary_sequence_module([])
         with pytest.raises(ValueError):
             binary_sequence_module([0, 2])
+
+    def test_oversized_sequence_is_refused_before_any_summand(self, no_module_building,
+                                                              monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        with pytest.raises(ValueError, match="^a module holds at most 3 summand copies, got 4$"):
+            binary_sequence_module([0] * 4)
+
+    def test_length_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pmodule, "_MAX_COPIES", 3)
+        assert len(binary_sequence_module([0, 1, 0])) == 3
 
     def test_distinct_pairs_distance_one_bruteforce(self):
         # Length-2 truncations, all pairs, against the exhaustive matcher.

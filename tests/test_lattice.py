@@ -70,7 +70,8 @@ def test_cost_tables_equal_key_table(pair):
     """The hot loop of ``_cost_tables`` against one ``_key_entry`` call per
     entry, on the runs: the same table, to-zero entries, S and fin."""
     m, n = pair
-    assert bottleneck._cost_tables(m, n)[:5] == key_table(*map(_run_summands, pair))[:5]
+    table = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    assert table[:5] == key_table(*map(_run_summands, pair))[:5]
 
 
 @given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules))

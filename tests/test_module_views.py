@@ -64,6 +64,17 @@ def test_view_lattice_equals_direct_lattice(pair):
         assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
 
 
+@given(pooled_pairs())
+def test_lcm_is_the_view_lcm_without_the_view(pair):
+    """``PModule._lcm`` reads the lcm off the runs and builds no view; once
+    the view is cached, it reads the view's."""
+    for x in pair:
+        fresh = PModule._of_runs(x._runs)
+        lcm = fresh._lcm()
+        assert fresh._view is None
+        assert lcm == fresh._lattice_view()[0] == fresh._lcm()
+
+
 def index_certificate(m, n, eps):
     """Copy i of M against copy i of N, the rest unmatched, at threshold
     eps."""
@@ -213,6 +224,7 @@ class TestBudgets:
             with pytest.raises(ValueError, match="exceed the table budget 3000000000"):
                 call(m, n)
         assert time.perf_counter() - start < 1
+        assert m._view is None and n._view is None
 
     def test_cli_exits_2_with_one_error_line(self, capsys, tmp_path):
         paths = []
@@ -235,6 +247,22 @@ class TestBudgets:
         with pytest.raises(ValueError, match="exceed the key budget 100000000"):
             verify_certificate(m, n, cert)
         assert time.perf_counter() - start < 1
+        assert m._view is None and n._view is None
+
+    def test_key_budget_refuses_before_any_view(self):
+        """8000 runs [0, 1/p), 7-digit primes p, against the zero module:
+        about 160,000 bits times 8000 runs.  The decision and the check of
+        a certificate that leaves every copy unmatched are refused on the
+        lcms alone, before either module builds its view."""
+        m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 8000))
+        zero = PModule.zero()
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(8000)), ())
+        for call in (lambda: modules_eps_interleaved(m, zero, 1),
+                     lambda: verify_certificate(m, zero, cert)):
+            with pytest.raises(ValueError, match=r"^8000\+0 distinct summands on a lattice of "
+                                                 r"\d+ bits exceed the key budget 100000000 "):
+                call()
+        assert m._view is None and zero._view is None
 
     def test_check_refuses_runs_over_the_vertex_cap_fast(self):
         """20,000 runs [0, 1/p), 7-digit primes p, against the zero module:

@@ -227,7 +227,7 @@ class TestNoCopiesOutsideTheMatcher:
         monkeypatch.setattr(PModule, "summands", property(counted))
         m = PModule.of("[0,2)", "[0,2)", "[0,2)", "[5,6]", "(1,3)")
         n = PModule.of("[0,3)", "[0,3)", "[5,6)")
-        bottleneck._cost_tables(m, n)
+        bottleneck._cost_tables(bottleneck._pair(m, n, True))
         assert reads == []
         cert = distance_certificate(m, n)
         assert verify_certificate(m, n, cert)

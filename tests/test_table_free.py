@@ -97,7 +97,7 @@ def test_certificate_equals_unseeded_table_probe(pair):
         with pytest.raises(InfiniteDistanceError):
             distance_certificate(m, n)
         return
-    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(m, n)
+    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(bottleneck._pair(m, n, True))
     top = int(2 * scale * d.as_fraction) + 1
     matching = full_probe(costs, dtz_m, dtz_n, top, copies=copies)
     pairs = tuple(sorted(matching.items()))
