@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 
 
 class MalformedIntervalError(ValueError):
@@ -35,7 +36,10 @@ class OrderingError(ValueError):
 Rational = Fraction | int
 
 
-_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+# One endpoint in the text grammar: an optionally signed integer or p/q, or
+# an infinity, with optional surrounding whitespace.
+_POINT = r"\s*(?:([+-]?[0-9]+)(?:/([0-9]+))?|(\+?inf|-inf))\s*"
+_POINT_TEXT = re.compile(_POINT)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -43,10 +47,10 @@ def _parse_fraction(text: str) -> Fraction:
     or p/q, with optional surrounding whitespace.  Decimals, exponents and
     digit underscores are refused, so short text cannot ask for a huge power
     of ten.  A zero denominator raises ``ZeroDivisionError``."""
-    match = _RATIONAL_TEXT.fullmatch(text)
-    if match is None:
+    match = _POINT_TEXT.fullmatch(text)
+    if match is None or match[3]:
         raise ValueError(f"expected p/q or an integer, got {text!r}")
-    num, den = match.groups()
+    num, den = match[1], match[2]
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
@@ -56,8 +60,8 @@ def _as_int(x: int | str) -> int:
     whitespace.  Digit underscores, non-ASCII digits and floats, all of
     which ``int()`` takes, are refused, and so are ``True`` and ``False``."""
     if isinstance(x, str):
-        match = _RATIONAL_TEXT.fullmatch(x)
-        if match is None or match[2] is not None:
+        match = _POINT_TEXT.fullmatch(x)
+        if match is None or not match[1] or match[2]:
             raise ValueError(f"expected an integer, got {x!r}")
         return int(match[1])
     if not isinstance(x, int):
@@ -73,6 +77,26 @@ def _as_fraction(x: Rational | str) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not accepted; pass Fraction, int or 'p/q'")
     return Fraction(x)
+
+
+def _above(a: ExtRational, b: ExtRational) -> int:
+    """Positive, zero or negative as ``a`` lies above, at or below ``b``:
+    one int comparison, with no Fraction comparisons."""
+    if a.sign or b.sign:
+        return a.sign - b.sign
+    x, y = a.value, b.value
+    return x.numerator * y.denominator - y.numerator * x.denominator
+
+
+def _comparison(op):
+    """The ExtRational comparison ``op(_above(self, other), 0)``."""
+
+    def compare(self, other):
+        if not isinstance(other, ExtRational):
+            return NotImplemented
+        return op(_above(self, other), 0)
+
+    return compare
 
 
 class ExtRational:
@@ -94,26 +118,17 @@ class ExtRational:
         if isinstance(value, ExtRational):
             sign, val = value.sign, value.value
         elif isinstance(value, str):
-            text = value.strip()
-            if text in ("inf", "+inf"):
-                sign, val = 1, Fraction(0)
-            elif text == "-inf":
-                sign, val = -1, Fraction(0)
-            else:
-                try:
-                    sign, val = 0, _parse_fraction(text)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"not an extended rational: {value!r}") from exc
+            match = _POINT_TEXT.fullmatch(value)
+            try:
+                if match is None:
+                    raise ValueError(value)
+                sign, val = _point(*match.groups())._key()
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not an extended rational: {value!r}") from None
         else:
             sign, val = 0, _as_fraction(value)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "value", val)
-
-    @classmethod
-    def _infinite(cls, sign: int) -> "ExtRational":
-        out = cls(0)
-        object.__setattr__(out, "sign", sign)
-        return out
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("ExtRational is immutable")
@@ -136,32 +151,7 @@ class ExtRational:
     def _key(self) -> tuple[int, Fraction]:
         return (self.sign, self.value)
 
-    # The comparisons build the key tuple inline, not through _key(): every
-    # sort of summands runs them, and the call would cost more than the check.
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return (self.sign, self.value) == (other.sign, other.value)
-
-    def __lt__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return (self.sign, self.value) < (other.sign, other.value)
-
-    def __le__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return (self.sign, self.value) <= (other.sign, other.value)
-
-    def __gt__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return (self.sign, self.value) > (other.sign, other.value)
-
-    def __ge__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return (self.sign, self.value) >= (other.sign, other.value)
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_comparison, (eq, lt, le, gt, ge))
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -186,7 +176,7 @@ class ExtRational:
 
     def __neg__(self) -> "ExtRational":
         if self.sign:
-            return ExtRational._infinite(-self.sign)
+            return _ext(-self.sign, self.value)
         return ExtRational(-self.value)
 
     def __abs__(self) -> "ExtRational":
@@ -215,8 +205,23 @@ class ExtRational:
         return f"ExtRational({str(self)!r})"
 
 
-NEG_INF = ExtRational._infinite(-1)
-POS_INF = ExtRational._infinite(1)
+def _unchecked(cls):
+    """A constructor of the two-slot value class ``cls`` that sets the slots
+    and checks nothing: for callers that have made the checks already."""
+    first, second = (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def make(a, b):
+        out = object.__new__(cls)
+        first(out, a)
+        second(out, b)
+        return out
+
+    return make
+
+
+_ext = _unchecked(ExtRational)
+NEG_INF = _ext(-1, Fraction(0))
+POS_INF = _ext(1, Fraction(0))
 ZERO = ExtRational(0)
 
 
@@ -254,6 +259,9 @@ class Endpoint:
         return f"Endpoint({self.value}, {'closed' if self.closed else 'open'})"
 
 
+_endpoint = _unchecked(Endpoint)
+
+
 def lower_key(e: Endpoint) -> tuple[ExtRational, int]:
     """Sort key for endpoints used as lower bounds: closed before open."""
     return (e.value, 0 if e.closed else 1)
@@ -278,11 +286,11 @@ class Interval:
         if (lo is None) != (hi is None):
             raise MalformedIntervalError("both endpoints or neither")
         if lo is not None:
-            if lo.value > hi.value:
+            above = _above(lo.value, hi.value)
+            if above > 0:
                 raise MalformedIntervalError(
-                    f"lower endpoint {lo.value} exceeds upper endpoint {hi.value}"
-                )
-            if lo.value == hi.value and not (lo.closed and hi.closed):
+                    f"lower endpoint {lo.value} exceeds upper endpoint {hi.value}")
+            if above == 0 and not (lo.closed and hi.closed):
                 raise MalformedIntervalError(
                     "an equal-value endpoint pair is only valid when both are closed; "
                     "use make_interval to normalize"
@@ -394,6 +402,7 @@ class Interval:
         return f"Interval({format_interval(self)!r})"
 
 
+_interval = _unchecked(Interval)
 EMPTY = Interval(None, None)
 
 
@@ -402,11 +411,10 @@ def make_interval(lo: Endpoint, hi: Endpoint) -> Interval:
     endpoint pair describes no points (lo above hi, or equal values not
     both closed).  Closed infinite endpoints are rejected at
     :class:`Endpoint` construction."""
-    if lo.value > hi.value:
+    above = _above(lo.value, hi.value)
+    if above > 0 or above == 0 and not (lo.closed and hi.closed):
         return EMPTY
-    if lo.value == hi.value and not (lo.closed and hi.closed):
-        return EMPTY
-    return Interval(lo, hi)
+    return _interval(lo, hi)
 
 
 def interval(lo: Rational | str, hi: Rational | str, bounds: str = "[)") -> Interval:
@@ -440,15 +448,34 @@ def residuals(j: Interval, i: Interval) -> tuple[Interval, Interval]:
     return (j_part, i_part)
 
 
-def _parse_ext(token: str, text: str, what: str) -> ExtRational:
-    token = token.strip()
+_INTERVAL_TEXT = re.compile(rf"\s*([\[(]){_POINT},{_POINT}([\])])\s*")
+
+
+def _point(num: str | None, den: str | None, inf: str | None) -> ExtRational:
+    """The value of one ``_POINT`` match.  A zero denominator raises
+    ``ZeroDivisionError``, and digits past int's text limit ``ValueError``."""
+    if inf:
+        return NEG_INF if inf == "-inf" else POS_INF
+    return _ext(0, Fraction(int(num), int(den)) if den else Fraction(int(num)))
+
+
+def _refusal(text: str) -> IntervalParseError:
+    """The error of interval text that failed to parse: the first of the
+    grammar's checks, in order, that it fails."""
+    s = text.strip()
+    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
+        return IntervalParseError(f"interval {text!r} must be 'empty' or bracketed like [lo,hi)")
+    parts = s[1:-1].split(",")
+    if len(parts) != 2:
+        return IntervalParseError(
+            f"interval {text!r} must contain exactly one comma between endpoints")
     try:
-        return ExtRational(token)
+        ExtRational(parts[0])
+        what, token = "upper", parts[1]
     except ValueError:
-        raise IntervalParseError(
-            f"bad {what} endpoint {token!r} in interval {text!r}: "
-            "expected p/q, an integer, inf or -inf"
-        ) from None
+        what, token = "lower", parts[0]
+    return IntervalParseError(f"bad {what} endpoint {token.strip()!r} in interval {text!r}: "
+                              "expected p/q, an integer, inf or -inf")
 
 
 def parse_interval(text: str) -> Interval:
@@ -460,36 +487,26 @@ def parse_interval(text: str) -> Interval:
     infinite endpoints; an equal-value pair that is not closed on both
     sides parses to the empty interval.
     """
-    s = text.strip()
-    if s == "empty":
+    match = _INTERVAL_TEXT.fullmatch(text)
+    if match is None:
+        if text.strip() == "empty":
+            return EMPTY
+        raise _refusal(text)
+    try:
+        lo, hi = _point(*match.group(2, 3, 4)), _point(*match.group(5, 6, 7))
+    except (ValueError, ZeroDivisionError):
+        raise _refusal(text) from None
+    lo_closed, hi_closed = match[1] == "[", match[8] == "]"
+    if lo_closed and lo.sign:
+        raise MalformedIntervalError(f"closed infinite lower endpoint in interval {text!r}")
+    if hi_closed and hi.sign:
+        raise MalformedIntervalError(f"closed infinite upper endpoint in interval {text!r}")
+    above = _above(lo, hi)
+    if above > 0:
+        raise IntervalParseError(f"lower endpoint exceeds upper endpoint in interval {text!r}")
+    if above == 0 and not (lo_closed and hi_closed):
         return EMPTY
-    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
-        raise IntervalParseError(
-            f"interval {text!r} must be 'empty' or bracketed like [lo,hi)"
-        )
-    body = s[1:-1]
-    parts = body.split(",")
-    if len(parts) != 2:
-        raise IntervalParseError(
-            f"interval {text!r} must contain exactly one comma between endpoints"
-        )
-    lo_val = _parse_ext(parts[0], text, "lower")
-    hi_val = _parse_ext(parts[1], text, "upper")
-    lo_closed = s[0] == "["
-    hi_closed = s[-1] == "]"
-    if lo_closed and not lo_val.is_finite:
-        raise MalformedIntervalError(
-            f"closed infinite lower endpoint in interval {text!r}"
-        )
-    if hi_closed and not hi_val.is_finite:
-        raise MalformedIntervalError(
-            f"closed infinite upper endpoint in interval {text!r}"
-        )
-    if lo_val > hi_val:
-        raise IntervalParseError(
-            f"lower endpoint exceeds upper endpoint in interval {text!r}"
-        )
-    return make_interval(Endpoint(lo_val, lo_closed), Endpoint(hi_val, hi_closed))
+    return _interval(_endpoint(lo, lo_closed), _endpoint(hi, hi_closed))
 
 
 def format_interval(i: Interval) -> str:

@@ -42,8 +42,20 @@ def _check_copies(total: int) -> None:
         raise ValueError(f"a module holds at most {_MAX_COPIES} summand copies, got {total}")
 
 
+def _run_key(s: Interval) -> tuple:
+    """``s.canonical_key()`` of a nonempty ``s``, flat and led by ints: per
+    endpoint its sign, floor, value and decoration.  So only values of
+    equal floor compare as Fractions, and the order and the equality are
+    those of ``canonical_key``."""
+    lo, hi = s.lo, s.hi
+    a, b = lo.value, hi.value
+    x, y = a.value, b.value
+    return (a.sign, x.numerator // x.denominator, x, 0 if lo.closed else 1,
+            b.sign, y.numerator // y.denominator, y, 1 if hi.closed else 0)
+
+
 def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
-    """(summand, count) pairs checked, sorted by ``canonical_key``, equal
+    """(summand, count) pairs checked, sorted by ``_run_key``, equal
     summands merged, and their total count; more than ``_MAX_COPIES``
     copies in all are refused."""
     keyed = []
@@ -51,9 +63,9 @@ def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
     for s, k in pairs:
         if not isinstance(s, Interval):
             raise TypeError(f"summands must be Interval values, got {s!r}")
-        if s.is_empty:
+        if s.lo is None:
             raise ValueError("the empty interval cannot be a summand")
-        keyed.append((s.canonical_key(), s, k))
+        keyed.append((_run_key(s), s, k))
         total += k
     _check_copies(total)
     runs = []

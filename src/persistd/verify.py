@@ -81,8 +81,18 @@ def candidate_scan_interval_distance(i: Interval, j: Interval) -> ExtRational:
     return POS_INF
 
 
+# The most summand copies a side of ``bruteforce_module_distance``, whose
+# time grows about elevenfold per copy: 6 + 6 take a quarter second, 8 + 8
+# half a minute.
+_MAX_BRUTEFORCE_SUMMANDS = 6
+
+
 def bruteforce_module_distance(m: PModule, n: PModule) -> ExtRational:
-    """Exhaustive minimum over all partial bijections between summands."""
+    """Exhaustive minimum over all partial bijections between summands, for
+    modules of at most ``_MAX_BRUTEFORCE_SUMMANDS`` copies."""
+    if max(len(m), len(n)) > _MAX_BRUTEFORCE_SUMMANDS:
+        raise ValueError(f"exhaustive matching takes at most {_MAX_BRUTEFORCE_SUMMANDS} "
+                         f"summands a side, got {len(m)}+{len(n)}")
     ms, ns = m.summands, n.summands
     costs = [[interval_distance(a, b) for b in ns] for a in ms]
     dtz_m = [distance_to_zero(a) for a in ms]
@@ -281,15 +291,31 @@ def _check_closed_form(case) -> bool:
     return interval_distance(i, j) == candidate_scan_interval_distance(i, j)
 
 
+# The summand copies a side of a ``matching-oracle`` case.
+_ORACLE_SUMMANDS = 4
+
+
 def _gen_small_modules(rng, params, trial):
     grid = Fraction(params["grid"])
     return {
-        key: random_module(rng, -grid, grid, params["max_den"], 4).to_json_obj()
+        key: random_module(rng, -grid, grid, params["max_den"], _ORACLE_SUMMANDS).to_json_obj()
         for key in ("m", "n")
     }
 
 
 def _check_matching_oracle(case) -> bool:
+    """Refuses a side whose entries ask for more than ``_ORACLE_SUMMANDS``
+    copies before either side is parsed; an entry that the parser will
+    refuse counts one."""
+    for key in ("m", "n"):
+        entries = case[key].get("summands") if isinstance(case[key], dict) else None
+        size = 0
+        for entry in entries if isinstance(entries, list) else ():
+            k = entry.get("multiplicity", 1) if isinstance(entry, dict) else 1
+            size += k if isinstance(k, int) and k > 1 else 1
+        if size > _ORACLE_SUMMANDS:
+            raise ValueError(f"a matching-oracle module has at most {_ORACLE_SUMMANDS} "
+                             f"summands, got {size} in {key!r}")
     m, n = PModule.from_json_obj(case["m"]), PModule.from_json_obj(case["n"])
     return bottleneck.module_distance(m, n) == bruteforce_module_distance(m, n)
 

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +15,29 @@ settings.register_profile(
     ),
 )
 settings.load_profile("default")
+
+# The most wall-clock seconds one test body may run, so that a kernel that
+# loops forever fails its test instead of hanging the run.  The limit is a
+# SIGALRM timer, so it holds where the platform has one (not on Windows).
+TEST_SECONDS = 120
+
+
+def _out_of_time(signum, frame):
+    pytest.fail(f"test ran longer than {TEST_SECONDS} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -12,14 +12,28 @@ replaced; ``direct_lattice``, the pair lattice built from the endpoint
 fractions on every call, against which the cached per-module views of
 ``interleaving._lattice`` are checked; and ``key_table``, the module table
 built one ``interleaving._key_entry`` at a time on it, against which the
-kernel's table loop is checked.
+kernel's table loop is checked.  ``reference_parse_interval`` is the
+interval text parser as it was before the one-pass parser: strip, split,
+parse each endpoint alone, then check, with every order on
+``(sign, Fraction)`` tuples.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
-from persistd import EMPTY, ExtRational, Interval, PModule, POS_INF
+from persistd import (
+    EMPTY,
+    Endpoint,
+    ExtRational,
+    Interval,
+    IntervalParseError,
+    MalformedIntervalError,
+    NEG_INF,
+    PModule,
+    POS_INF,
+)
 from persistd.intervals import ZERO, _as_fraction
 from persistd.bottleneck import _matching_at
 from persistd.interleaving import _key_entry
@@ -334,3 +348,58 @@ def reference_verify_certificate(m: PModule, n: PModule, cert) -> bool:
         + [reference_distance_to_zero(ms[i]) <= t for i in cert.unmatched_m]
         + [reference_distance_to_zero(ns[j]) <= t for j in cert.unmatched_n]
     )
+
+
+_REFERENCE_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _reference_endpoint(token: str, text: str, what: str) -> ExtRational:
+    token = token.strip()
+    if token in ("inf", "+inf"):
+        return POS_INF
+    if token == "-inf":
+        return NEG_INF
+    match = _REFERENCE_RATIONAL.fullmatch(token)
+    try:
+        if match is None:
+            raise ValueError(token)
+        num, den = match.groups()
+        return ExtRational(Fraction(int(num), int(den)) if den else Fraction(int(num)))
+    except (ValueError, ZeroDivisionError):
+        raise IntervalParseError(
+            f"bad {what} endpoint {token!r} in interval {text!r}: "
+            "expected p/q, an integer, inf or -inf"
+        ) from None
+
+
+def reference_parse_interval(text: str) -> Interval:
+    """``parse_interval`` checked step by step: 'empty', the brackets, one
+    comma, the lower and then the upper endpoint, closed infinities, and
+    the endpoint order."""
+    s = text.strip()
+    if s == "empty":
+        return EMPTY
+    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
+        raise IntervalParseError(
+            f"interval {text!r} must be 'empty' or bracketed like [lo,hi)"
+        )
+    parts = s[1:-1].split(",")
+    if len(parts) != 2:
+        raise IntervalParseError(
+            f"interval {text!r} must contain exactly one comma between endpoints"
+        )
+    lo = _reference_endpoint(parts[0], text, "lower")
+    hi = _reference_endpoint(parts[1], text, "upper")
+    lo_closed, hi_closed = s[0] == "[", s[-1] == "]"
+    if lo_closed and lo.sign:
+        raise MalformedIntervalError(f"closed infinite lower endpoint in interval {text!r}")
+    if hi_closed and hi.sign:
+        raise MalformedIntervalError(f"closed infinite upper endpoint in interval {text!r}")
+    lo_key, hi_key = (lo.sign, lo.value), (hi.sign, hi.value)
+    if lo_key > hi_key:
+        raise IntervalParseError(
+            f"lower endpoint exceeds upper endpoint in interval {text!r}"
+        )
+    if lo_key == hi_key and not (lo_closed and hi_closed):
+        return EMPTY
+    return Interval(Endpoint(lo, lo_closed), Endpoint(hi, hi_closed))

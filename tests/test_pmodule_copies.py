@@ -16,10 +16,12 @@ from persistd import (
     PModule,
     bottleneck,
     distance_certificate,
+    intervals,
     module_distance,
     modules_eps_interleaved,
     parse_interval,
     parse_module,
+    pmodule,
     replicate,
     verify_certificate,
 )
@@ -108,31 +110,31 @@ class TestOncePerDistinctSummand:
 
     m = PModule.of(*["[0,4)", "[1,3]"] * 1500)
 
-    def count_calls(self, monkeypatch, name):
+    def count_calls(self, monkeypatch, owner, name):
         calls = []
-        real = getattr(Interval, name)
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(Interval, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_radical(self, monkeypatch):
-        built = self.count_calls(monkeypatch, "__init__")
+        built = self.count_calls(monkeypatch, intervals, "_interval")
         rad = self.m.radical()
         assert len(built) == 2
         assert rad == PModule.of(*["(0,4)", "(1,3]"] * 1500)
 
     def test_persistent_submodule(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "intersect")
+        calls = self.count_calls(monkeypatch, Interval, "intersect")
         sub = self.m.persistent_submodule(1)
         assert len(calls) == 2
         assert sub == PModule.of(*["[1,4)", "[2,3]"] * 1500)
 
     def test_contraction_path(self, monkeypatch):
-        built = self.count_calls(monkeypatch, "__init__")
+        built = self.count_calls(monkeypatch, intervals, "_interval")
         stage = self.m.contraction_path(Fraction(1, 2))
         assert len(built) == 2
         assert stage == PModule.of(*["[1,3)", "[3/2,5/2)"] * 1500)
@@ -185,13 +187,13 @@ class TestNoCopiesOutsideTheMatcher:
 
     def test_module_operations_work_on_runs(self, monkeypatch):
         keyed = []
-        real = Interval.canonical_key
+        real = pmodule._run_key
 
-        def counted(self):
-            keyed.append(self)
-            return real(self)
+        def counted(s):
+            keyed.append(s)
+            return real(s)
 
-        monkeypatch.setattr(Interval, "canonical_key", counted)
+        monkeypatch.setattr(pmodule, "_run_key", counted)
         m = parse_module('{"summands": [{"interval": "[0,4)", "multiplicity": 1000000}]}')
         assert m.radical().to_json() == (
             '{"summands": [{"interval": "(0,4)", "multiplicity": 1000000}]}'
@@ -204,7 +206,10 @@ class TestNoCopiesOutsideTheMatcher:
         assert m.rank(1, 2) == m.dimension_at(0) == len(m) == 10**6
         with pytest.raises(ValueError, match="at most 1000000 summand copies, got 2000000"):
             m.direct_sum(m)
-        assert len(keyed) <= 10
+        # One key per run of each module built: the parse, the radical, the
+        # p-persistent submodule and the contraction stage, the two expected
+        # modules, and the two runs that direct_sum checks before refusing.
+        assert len(keyed) == 8
 
     def test_len_is_the_stored_copy_count(self):
         """``len`` reads the total that ``_canonical_runs`` stored, however

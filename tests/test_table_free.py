@@ -7,6 +7,7 @@ large."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from persistd import (
     POS_INF,
     PModule,
     distance_certificate,
+    interval,
     module_distance,
     modules_eps_interleaved,
     parse_interval,
@@ -26,6 +28,7 @@ from persistd import (
     verify_certificate,
 )
 from persistd import bottleneck
+from persistd.interleaving import _bound
 from persistd.intervals import Endpoint, make_interval
 from persistd.verify import random_interval
 
@@ -185,3 +188,59 @@ def test_decision_with_copies_equals_erosion_reference():
     n = PModule.of(*["[1,5)"] * 4, *["[1,3]"] * 3, "(-inf,1/2)")
     for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
+
+
+def test_decision_at_the_edge_of_a_box():
+    """At eps = 3, w = 24 on keys of scale 4.  [2,9) must be matched, and
+    [5,12] lies within w of it on the lower key and w + 1 from it on the
+    upper key, so [2,9) has no neighbour and the answer is no.  The mirror
+    image puts the gap of w + 1 on the lower key."""
+    for m, n in ((PModule.of("[5,12]"), PModule.of("[2,9)", "[3,6)", "(5,9]")),
+                 (PModule.of("[-12,-5]"), PModule.of("(-9,-2]", "(-6,-3]", "[-9,-5)"))):
+        assert not reference_modules_eps_interleaved(m, n, 3)
+        assert not modules_eps_interleaved(m, n, 3)
+
+
+def _near_copies(rng: random.Random, eps: int):
+    """One or two intervals on the half-integers of [0, 12], and two or
+    three near copies of them with each endpoint moved by -eps, 0 or eps
+    and fresh decorations; the sides swapped or mirrored at random."""
+    ms = [random_interval(rng, Fraction(0), Fraction(12), 2) for _ in range(rng.randint(1, 2))]
+    ns = []
+    for _ in range(rng.randint(2, 3)):
+        s = rng.choice(ms)
+        lo, hi = (x.value.as_fraction + rng.choice((-eps, 0, eps)) for x in (s.lo, s.hi))
+        if lo <= hi:
+            ns.append(interval(lo, hi, rng.choice(("[)", "(]", "[]", "()"))))
+    ns = [s for s in ns if not s.is_empty]
+    if rng.random() < 0.5:
+        ms, ns = ns, ms
+    if rng.random() < 0.5:
+        ms, ns = ([interval(-s.hi.value.as_fraction, -s.lo.value.as_fraction,
+                            ("[" if s.hi.closed else "(") + ("]" if s.lo.closed else ")"))
+                   for s in side] for side in (ms, ns))
+    return PModule(ms), PModule(ns)
+
+
+def test_decision_at_integer_eps_equals_erosion_reference():
+    """At an integer eps, E = eps*S is even and w = 2E: a key gap of w is
+    an eps-interleaved pair and a gap of w + 1 is not.  Near copies reach
+    both gaps on both keys, with the other key's gap within w, and there
+    the decision must equal the erosion reference."""
+    rng = random.Random(21)
+    edges = set()
+    for _ in range(800):
+        eps = rng.randint(1, 3)
+        m, n = _near_copies(rng, eps)
+        assert modules_eps_interleaved(m, n, eps) == (
+            reference_modules_eps_interleaved(m, n, eps)
+        ), (eps, m.to_json(), n.to_json())
+        scale, reach, keys_m, keys_n, _ = bottleneck._pair(m, n, False)
+        w = _bound(eps, scale, reach)
+        for (low_m, up_m), (low_n, up_n) in product(keys_m, keys_n):
+            low, up = abs(low_m - low_n) - w, abs(up_m - up_n) - w
+            if low <= 0:
+                edges.add(("upper", up))
+            if up <= 0:
+                edges.add(("lower", low))
+    assert {("upper", 0), ("upper", 1), ("lower", 0), ("lower", 1)} <= edges

@@ -144,6 +144,41 @@ class TestBudgets:
             with pytest.raises(ValueError, match=f"{key} must be at most 5, got 6"):
                 run_suite(suite, seed=0, trials=1, params={key: 6})
 
+    ORACLE = ("matching-oracle", "distance-equals-bruteforce")
+
+    @staticmethod
+    def oracle_side(*entries):
+        return {"summands": [{"interval": "[0,2)", "multiplicity": k} for k in entries]}
+
+    def test_oversized_oracle_case_is_refused_before_parsing(self, monkeypatch):
+        """The suite draws at most 4 summands a side; a stored case asking
+        for more is refused before either side is parsed, counted with
+        multiplicity."""
+        small = self.oracle_side(1, 3)
+        assert replay(*self.ORACLE, {"m": small, "n": self.oracle_side(2, 1, 1)})
+
+        def no_module(*args):
+            raise AssertionError("module parsed before the case size was checked")
+
+        monkeypatch.setattr(pv.PModule, "from_json_obj", no_module)
+        for m, n, got in ((small, self.oracle_side(1, 1, 1, 1, 1), "got 5 in 'n'"),
+                          (self.oracle_side(2, 3), small, "got 5 in 'm'"),
+                          (self.oracle_side(10**6), small, "got 1000000 in 'm'")):
+            with pytest.raises(ValueError, match=f"at most 4 summands, {got}$"):
+                replay(*self.ORACLE, {"m": m, "n": n})
+
+    def test_bruteforce_refuses_above_its_cap(self, monkeypatch):
+        def no_distance(*args):
+            raise AssertionError("distance taken before the size was checked")
+
+        seven = PModule.of(*["[0,1)"] * 7)
+        monkeypatch.setattr(pv, "interval_distance", no_distance)
+        with pytest.raises(ValueError, match=r"at most 6 summands a side, got 7\+1$"):
+            pv.bruteforce_module_distance(seven, PModule.of("[0,2)"))
+        monkeypatch.setattr(pv, "_MAX_BRUTEFORCE_SUMMANDS", 2)
+        with pytest.raises(ValueError, match=r"at most 2 summands a side, got 2\+3$"):
+            pv.bruteforce_module_distance(PModule.of("[0,1)", "[1,2)"), PModule.of(*["(0,1)"] * 3))
+
 
 def test_params_accepted_as_strings():
     report = run_suite("cube-isometry", seed=0, trials=4, params={"N": "2"})
