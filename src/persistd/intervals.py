@@ -478,22 +478,31 @@ def _refusal(text: str) -> IntervalParseError:
                               "expected p/q, an integer, inf or -inf")
 
 
-def parse_interval(text: str) -> Interval:
+def parse_interval(text: str, points: dict | None = None) -> Interval:
     """Parse the interval text form: ``[lo,hi)``, ``(lo,hi]``, ``[lo,hi]``,
     ``(lo,hi)``, ``[r,r]`` or ``empty``, with rational endpoints written as
     ``p/q`` or integers and the infinities as ``-inf``/``inf``.
 
     Rejects text whose lower endpoint exceeds the upper one, and closed
     infinite endpoints; an equal-value pair that is not closed on both
-    sides parses to the empty interval.
+    sides parses to the empty interval.  A ``points`` dict, shared across
+    calls, gives every endpoint written the same way one value object.
     """
     match = _INTERVAL_TEXT.fullmatch(text)
     if match is None:
         if text.strip() == "empty":
             return EMPTY
         raise _refusal(text)
+    if points is None:
+        points = {}
+    lo_key, hi_key = match.group(2, 3, 4), match.group(5, 6, 7)
     try:
-        lo, hi = _point(*match.group(2, 3, 4)), _point(*match.group(5, 6, 7))
+        lo = points.get(lo_key)
+        if lo is None:
+            lo = points[lo_key] = _point(*lo_key)
+        hi = points.get(hi_key)
+        if hi is None:
+            hi = points[hi_key] = _point(*hi_key)
     except (ValueError, ZeroDivisionError):
         raise _refusal(text) from None
     lo_closed, hi_closed = match[1] == "[", match[8] == "]"

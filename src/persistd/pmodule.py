@@ -44,14 +44,16 @@ def _check_copies(total: int) -> None:
 
 def _run_key(s: Interval) -> tuple:
     """``s.canonical_key()`` of a nonempty ``s``, flat and led by ints: per
-    endpoint its sign, floor, value and decoration.  So only values of
-    equal floor compare as Fractions, and the order and the equality are
-    those of ``canonical_key``."""
+    endpoint its sign, the floor of its value times 2**64, the value and
+    its decoration.  So only values that agree to 64 binary places compare
+    as Fractions, and none does when both keys hold the same value object,
+    as ``parse_module`` arranges for endpoints written the same way; the
+    order and the equality are those of ``canonical_key``."""
     lo, hi = s.lo, s.hi
     a, b = lo.value, hi.value
     x, y = a.value, b.value
-    return (a.sign, x.numerator // x.denominator, x, 0 if lo.closed else 1,
-            b.sign, y.numerator // y.denominator, y, 1 if hi.closed else 0)
+    return (a.sign, (x.numerator << 64) // x.denominator, x, 0 if lo.closed else 1,
+            b.sign, (y.numerator << 64) // y.denominator, y, 1 if hi.closed else 0)
 
 
 def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
@@ -277,6 +279,7 @@ class PModule:
             raise ModuleFormatError('"summands" must be a list')
         runs = []
         total = 0
+        points = {}  # one value per distinct endpoint text
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or "interval" not in entry:
                 raise ModuleFormatError(
@@ -290,7 +293,7 @@ class PModule:
             text = entry["interval"]
             if not isinstance(text, str):
                 raise ModuleFormatError(f"summand #{pos} interval must be a string")
-            parsed = parse_interval(text)
+            parsed = parse_interval(text, points)
             if parsed.is_empty:
                 raise ModuleFormatError(f"summand #{pos} is empty: {text!r}")
             total += mult

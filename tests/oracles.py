@@ -5,14 +5,20 @@ rational sample points, never through the decorated-endpoint orders that
 the library itself uses, so an agreement between the two is evidence and
 not tautology.  The exception is the reference distances and decisions
 at the end: the interval closed form on ``ExtRational`` values, the
-erosion decision through ``erode``, and the library's matching probe on
-tables of them, against which the integer-lattice kernel is checked; the
-table decision and per-pair certificate check that the table-free ones
-replaced; ``direct_lattice``, the pair lattice built from the endpoint
-fractions on every call, against which the cached per-module views of
-``interleaving._lattice`` are checked; and ``key_table``, the module table
-built one ``interleaving._key_entry`` at a time on it, against which the
-kernel's table loop is checked.  ``reference_parse_interval`` is the
+erosion decision through ``erode``, and the copy-level matching probe
+``full_probe`` on tables of them, against which the integer-lattice kernel
+is checked; the table decision and per-pair certificate check that the
+table-free ones replaced; ``direct_lattice``, the pair lattice built from
+the endpoint fractions on every call, against which the cached per-module
+views of ``interleaving._lattice`` are checked; ``key_table``, the module
+table built one ``interleaving._key_entry`` at a time on it, against
+which the kernel's table loop is checked; and ``copy_search``, the
+distance search as it ran with one matching vertex per summand copy
+(``copy_hopcroft_karp``, ``copy_cover``, ``copy_merge``,
+``copy_matching_at``), against which the search on runs and its
+capacitated matcher are checked.  An unseeded ``full_probe`` at the
+answer's top is the certificate's matching.
+``reference_parse_interval`` is the
 interval text parser as it was before the one-pass parser: strip, split,
 parse each endpoint alone, then check, with every order on
 ``(sign, Fraction)`` tuples.
@@ -20,8 +26,10 @@ parse each endpoint alone, then check, with every order on
 
 import math
 import re
+from bisect import bisect_left
+from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 
 from persistd import (
     EMPTY,
@@ -35,7 +43,7 @@ from persistd import (
     POS_INF,
 )
 from persistd.intervals import ZERO, _as_fraction
-from persistd.bottleneck import _matching_at
+from persistd import bottleneck
 from persistd.interleaving import _key_entry
 
 
@@ -303,16 +311,227 @@ def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
     return {v.as_fraction for v in values if v.is_finite}
 
 
+def copy_hopcroft_karp(adj: list[list[int]], pair_l: list[int],
+                      pair_r: list[int]) -> tuple[int, list[int], list[int]]:
+    """Maximum-cardinality bipartite matching, one vertex per copy, as the
+    kernel ran it before its matcher took capacities; returns (size,
+    pair_l, pair_r) with -1 for unmatched vertices.  ``pair_l`` and
+    ``pair_r`` are a starting matching on edges of ``adj``, augmented in
+    place.
+
+    Left vertices may share one list object, and two exact skips then save
+    repeated scans: the BFS skips a vertex whose list it has just scanned;
+    in a phase, a free root with the previous root's list starts where that
+    root stopped, or at the edge that root's path took from its layer-1
+    vertex if that comes earlier, and after a root with the list fails, the
+    next ones with it are skipped."""
+    n_left = len(adj)
+    unreachable = n_left + 1
+    dist = [0] * n_left
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n_left):
+            if pair_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = unreachable
+        found_free = False
+        scanned = None
+        while queue:
+            u = queue.popleft()
+            if adj[u] is scanned:
+                continue
+            scanned = adj[u]
+            for v in scanned:
+                w = pair_r[v]
+                if w == -1:
+                    found_free = True
+                elif dist[w] == unreachable:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found_free
+
+    def dfs(frames) -> bool:
+        # frames: [left vertex, edge chosen from it, next adjacency index],
+        # from the root; they stay as the augmenting path when one is found.
+        while frames:
+            frame = frames[-1]
+            u = frame[0]
+            descended = False
+            while frame[2] < len(adj[u]):
+                v = adj[u][frame[2]]
+                frame[2] += 1
+                w = pair_r[v]
+                if w == -1:
+                    frame[1] = v
+                    for left, via, _ in frames:
+                        pair_l[left] = via
+                        pair_r[via] = left
+                    return True
+                if dist[w] == dist[u] + 1:
+                    frame[1] = v
+                    frames.append([w, -1, 0])
+                    descended = True
+                    break
+            if not descended:
+                dist[u] = unreachable
+                frames.pop()
+        return False
+
+    size = n_left - pair_l.count(-1)
+    while bfs():
+        shared = None
+        for u in range(n_left):
+            if pair_l[u] != -1:
+                continue
+            start = 0
+            if adj[u] is shared:
+                if not path:
+                    continue
+                start = path[0][2]
+                if len(path) > 1 and path[1][1] in shared[:start]:
+                    start = shared.index(path[1][1])
+            shared, path = adj[u], [[u, -1, start]]
+            size += dfs(path)
+    return size, pair_l, pair_r
+
+
+def copy_cover(runs, lists, mate, n_right, ranges):
+    """One side's ``copy_hopcroft_karp`` run over the copies of its
+    mandatory ``runs``, whose neighbour runs are ``lists``: (the copies,
+    their partners), or None when a copy stays free.  With ``ranges``,
+    (this side's, the other side's) copy index ranges by run, the lists are
+    expanded to copies and all copies of a run share one list object.
+
+    Each copy i keeps its partner mate[i] from an earlier probe while that
+    is still among its neighbours and no copy before it has taken it, and
+    the matching is written back to ``mate``."""
+    mand, adj, members = runs, lists, lists
+    if ranges is not None:
+        own, other = ranges
+        lists = [list(chain.from_iterable(map(other.__getitem__, near))) for near in lists]
+        counts = [len(own[r]) for r in runs]
+        mand = list(chain.from_iterable(map(own.__getitem__, runs)))
+        adj = list(chain.from_iterable(map(repeat, lists, counts)))
+        members = list(chain.from_iterable(map(repeat, map(set, lists), counts)))
+    pair_l, pair_r = [-1] * len(mand), [-1] * n_right
+    for k, i in enumerate(mand):
+        j = mate[i]
+        if j != -1 and pair_r[j] == -1 and j in members[k]:
+            pair_l[k] = j
+            pair_r[j] = k
+    size, pair_l, _ = copy_hopcroft_karp(adj, pair_l, pair_r)
+    for i, j in zip(mand, pair_l):
+        mate[i] = j
+    return (mand, pair_l) if size == len(mand) else None
+
+
+def copy_merge(side_m, side_n) -> dict[int, int]:
+    """One matching out of the two sides' ``copy_cover`` matchings
+    (Mendelsohn-Dulmage): from each mandatory N copy j that M1 leaves
+    free, give j its M2 partner i and move on to i's old M1 partner."""
+    chosen = dict(zip(*side_m))
+    m2 = dict(zip(*side_n))
+    covered = set(chosen.values())
+    for j in side_n[0]:
+        if j in covered:
+            continue
+        while j in m2:
+            i = m2[j]
+            j, chosen[i] = chosen.get(i), j
+    return chosen
+
+
+def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
+    """The search probe with one vertex per copy, as the kernel ran it
+    before its matcher took capacities: a matching {M copy: N copy} over
+    the pairs of cost <= t that saturates every copy of to-zero cost > t,
+    or None.  The table and the lists ``near_m``, ``near_n`` are by run,
+    as for ``bottleneck._matching_at``; ``copies`` is None or (the M copy
+    ranges by run, the N ones), and ``mates`` holds each copy's partner
+    from an earlier probe, -1 for none."""
+    runs_m = [i for i, v in enumerate(dtz_m) if v > t]
+    runs_n = [j for j, v in enumerate(dtz_n) if v > t]
+    mate_m, mate_n = mates
+    lists_m = [[j for j in near_m[i] if costs[i][j] <= t] for i in runs_m]
+    side_m = copy_cover(runs_m, lists_m, mate_m, len(mate_n), copies)
+    if side_m is None:
+        return None
+    lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
+    side_n = copy_cover(runs_n, lists_n, mate_n, len(mate_m), copies and copies[::-1])
+    if side_n is None:
+        return None
+    for i, near in zip(runs_m, lists_m):
+        near_m[i] = near
+    for j, near in zip(runs_n, lists_n):
+        near_n[j] = near
+    return copy_merge(side_m, side_n)
+
+
+def copy_ranges(counts):
+    """None when no run repeats, else each side's copy index ranges by run,
+    from ``bottleneck._cost_tables``' counts."""
+    if counts is None or all(k == 1 for side in counts for k in side):
+        return None
+    return tuple(bottleneck._ranges(side) for side in counts)
+
+
+def copy_search(m: PModule, n: PModule):
+    """The kernel's distance search as it ran with one vertex per copy: on
+    ``bottleneck._cost_tables``, each ``copy_matching_at`` probe seeded
+    with the matchings of the one before, the bracket's top jumping to a
+    feasible matching's value.  Returns (distance, the answer's top, the
+    number of probes)."""
+    costs, dtz_m, dtz_n, scale, fin, counts = bottleneck._cost_tables(
+        bottleneck._pair(m, n, True))
+    copies = copy_ranges(counts)
+    entries = {0, *dtz_m, *dtz_n}
+    for row in costs:
+        entries.update(row)
+    tops = sorted({((r + 1) & -4) + 1 for r in entries if r <= fin})
+    copy_dtz_m, copy_dtz_n = dtz_m, dtz_n
+    if copies is not None:
+        run_m, run_n = ([r for r, copies_r in enumerate(ranges) for _ in copies_r]
+                        for ranges in copies)
+        copy_dtz_m, copy_dtz_n = [dtz_m[i] for i in run_m], [dtz_n[j] for j in run_n]
+    near_m = [range(len(dtz_n))] * len(dtz_m)
+    near_n = [range(len(dtz_m))] * len(dtz_n)
+    mates = [-1] * len(copy_dtz_m), [-1] * len(copy_dtz_n)
+    lo, hi, probes = 0, len(tops), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        found = copy_matching_at(costs, dtz_m, dtz_n, tops[mid], near_m, near_n, mates, copies)
+        if found is None:
+            lo = mid + 1
+            continue
+        taken = set(found.values())
+        pairs = found.items() if copies is None else (
+            (run_m[i], run_n[j]) for i, j in found.items())
+        value = max([0, *(costs[i][j] for i, j in pairs),
+                     *(v for i, v in enumerate(copy_dtz_m) if i not in found),
+                     *(v for j, v in enumerate(copy_dtz_n) if j not in taken)])
+        hi = bisect_left(tops, ((value + 1) & -4) + 1)
+    if hi == len(tops):
+        return POS_INF, None, probes
+    return ExtRational(Fraction(tops[hi] - 1, 2 * scale)), tops[hi], probes
+
+
 def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
-    """``bottleneck._matching_at`` on whole rows and columns: every index
-    is a possible neighbour.  Unseeded unless ``mates`` are given."""
+    """``copy_matching_at`` on whole rows and columns: every index is a
+    possible neighbour.  ``copies`` is None or each side's copy count by
+    run (``bottleneck._cost_tables``' counts).  Unseeded unless ``mates``
+    are given."""
+    ranges = copy_ranges(copies)
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
     if mates is None:
-        sizes = (len(dtz_m), len(dtz_n)) if copies is None else (
-            sum(map(len, ranges)) for ranges in copies)
+        sizes = (len(dtz_m), len(dtz_n)) if ranges is None else (
+            sum(map(len, side)) for side in ranges)
         mates = tuple([-1] * size for size in sizes)
-    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies)
+    return copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, ranges)
 
 
 def key_table(ms, ns, eps=0):

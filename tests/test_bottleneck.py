@@ -323,9 +323,9 @@ def test_hopcroft_karp_maximum(seed):
                 pair_l[u] = rng.choice(free)
                 pair_r[pair_l[u]] = u
         seeds.append((pair_l, pair_r))
-    for seed in seeds:
-        seeded = [u for u, v in enumerate(seed[0]) if v != -1]
-        size, pair_l, pair_r = _hopcroft_karp(adj, *seed)
+    for pair_l, pair_r in seeds:
+        seeded = [u for u, v in enumerate(pair_l) if v != -1]
+        size = n_left - _hopcroft_karp(adj, pair_l, pair_r)
         assert size == best
         matched = [(u, v) for u, v in enumerate(pair_l) if v != -1]
         assert len(matched) == size
@@ -357,8 +357,9 @@ def test_hopcroft_karp_on_shared_lists(seed):
                 pair_l[u] = rng.choice(free)
                 pair_r[pair_l[u]] = u
         for start in (([-1] * len(adj), [-1] * n_right), (pair_l, pair_r)):
-            shared = _hopcroft_karp(adj, *map(list, start))
-            unshared = _hopcroft_karp([list(a) for a in adj], *map(list, start))
+            shared, unshared = (list(map(list, start)) for _ in range(2))
+            assert _hopcroft_karp(adj, *shared) == _hopcroft_karp(
+                [list(a) for a in adj], *unshared)
             assert shared == unshared, (adj, n_right, start)
 
 
@@ -369,10 +370,11 @@ def test_shared_list_root_restarts_at_a_revived_edge():
     the root stopped, to match as on unshared lists."""
     a, b, c = [5, 0, 4, 7, 3], [0, 4], [4, 3, 6, 1]
     start = [5, 0, -1, 3, -1, -1], [1, -1, -1, 3, -1, 0, -1, -1]
-    expected = (6, [7, 5, 0, 6, 3, 4], [2, -1, -1, 4, 5, 1, 3, 0])
-    assert _hopcroft_karp([a, a, b, c, c, c], *map(list, start)) == expected
-    assert _hopcroft_karp([list(a), list(a), b, list(c), list(c), list(c)],
-                          *map(list, start)) == expected
+    expected = [[7, 5, 0, 6, 3, 4], [2, -1, -1, 4, 5, 1, 3, 0]]
+    for adj in ([a, a, b, c, c, c], [list(a), list(a), b, list(c), list(c), list(c)]):
+        pairs = list(map(list, start))
+        assert _hopcroft_karp(adj, *pairs) == 0
+        assert pairs == expected
 
 
 def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
@@ -458,6 +460,33 @@ def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
     assert {j for j, v in enumerate(dtz_n) if v > t} <= set(found.values())
 
 
+def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
+    """``_assert_matching_at`` for a probe on runs: with ``counts``, the
+    flow {M run: {N run: units}} uses only pairs of cost <= t, sends no run
+    more units than it has copies, and sends every copy of each run of
+    to-zero cost > t."""
+    if counts is None:
+        _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+        return
+    sent_m, sent_n = [0] * len(dtz_m), [0] * len(dtz_n)
+    for i, row in found.items():
+        for j, units in row.items():
+            assert units > 0 and costs[i][j] <= t
+            sent_m[i] += units
+            sent_n[j] += units
+    for dtz, sent, count in ((dtz_m, sent_m, counts[0]), (dtz_n, sent_n, counts[1])):
+        assert all(k <= c for k, c in zip(sent, count))
+        assert all(k == c for v, k, c in zip(dtz, sent, count) if v > t)
+
+
+def _seeded_probe(costs, dtz_m, dtz_n, t, mates):
+    """``bottleneck._matching_at`` on whole rows and columns of a table
+    with no repeated summand, seeded with ``mates``."""
+    near_m = [range(len(dtz_n))] * len(dtz_m)
+    near_n = [range(len(dtz_m))] * len(dtz_n)
+    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, None)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_probe_keeps_only_live_partners(seed):
     """Partners from earlier probes, drawn at random here (over t, of
@@ -470,7 +499,7 @@ def test_seeded_probe_keeps_only_live_partners(seed):
         costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
         mates = ([rng.randrange(-1, n_n) for _ in range(n_m)],
                  [rng.randrange(-1, n_m) for _ in range(n_n)])
-        found = full_probe(costs, dtz_m, dtz_n, t, mates)
+        found = _seeded_probe(costs, dtz_m, dtz_n, t, mates)
         assert (found is None) == (full_probe(costs, dtz_m, dtz_n, t) is None)
         mand_m = [i for i in range(n_m) if dtz_m[i] > t]
         partners = [mates[0][i] for i in mand_m if mates[0][i] != -1]
@@ -492,30 +521,32 @@ def test_stale_partners_are_dropped():
     # neighbour.
     costs = [[3, 1], [0, 5]]
     mates = ([0, 0], [-1, -1])
-    assert full_probe(costs, [4, 0], [0, 0], 1, mates) == {0: 1}
+    assert _seeded_probe(costs, [4, 0], [0, 0], 1, mates) == {0: 1}
     assert mates == ([1, 0], [-1, -1])
 
 
 def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
-    """Copies of a repeated summand are seeded with their partners from the
-    last probe while those are still edges: repeated at the same t, a probe
-    starts both Hopcroft-Karp runs from complete matchings."""
+    """Each side's flow on runs is kept for the next probe: repeated at the
+    same t, a probe on repeated summands starts both Hopcroft-Karp runs
+    from complete flows, one left vertex per mandatory run."""
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
-    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, _, counts = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    assert counts == ([3, 2], [3, 2])
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
-    mates = [-1] * 5, [-1] * 5
-    first = full_probe(costs, dtz_m, dtz_n, top, mates, copies)
-    assert first == {i: i for i in range(5)}
+    seeds = ({}, list(counts[1])), ({}, list(counts[0]))
+    near = [range(2)] * 2
+    first = _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts)
+    assert first == {0: {0: 3}, 1: {1: 2}}
     starts = []
 
-    def recorded(adj, pair_l, pair_r, _real=bottleneck._hopcroft_karp):
-        starts.append(list(pair_l))
-        return _real(adj, pair_l, pair_r)
+    def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp):
+        starts.append((len(adj), list(need)))
+        return _real(adj, sent, room, need)
 
     monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
-    assert full_probe(costs, dtz_m, dtz_n, top, mates, copies) == first
-    assert starts == [list(range(5)), list(range(5))]
+    assert _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts) == first
+    assert starts == [(2, [0, 0]), (2, [0, 0])]
 
 
 def _count_probes(monkeypatch) -> list:
@@ -561,23 +592,23 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
 @settings(max_examples=60)
 def test_search_probes_equal_full_probes(m, n):
     """Every probe of the search, seeded and on the lists that earlier
-    probes narrowed, decides as an unseeded probe on every row and column
-    at the same t, and returns a matching at t.  The search's probes run on
-    the table of distinct summands and the full probes on the table of
-    copies, where an unseeded probe on distinct summands gives the same
-    matching.  The certificate's matching is that of an unseeded full probe
-    at the answer's top."""
+    probes narrowed, decides as an unseeded copy-level probe on every row
+    and column at the same t, and returns a matching or flow of runs at t.
+    The search's probes run on the table of distinct summands and the full
+    probes on the table of copies, where an unseeded copy-level probe on
+    distinct summands gives the same matching.  The certificate's matching
+    is that of an unseeded full probe at the answer's top."""
     costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
     probes = []
 
     def checked(*args):
-        t, copies = args[3], args[7]
+        t, counts = args[3], args[7]
         full = full_probe(costs, dtz_m, dtz_n, t)
-        assert full_probe(*args[:4], None, copies) == full
+        assert full_probe(*args[:4], None, counts) == full
         found = _matching_at(*args)
         assert (found is None) == (full is None)
         if found is not None:
-            _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+            _assert_flow_at(found, *args[:4], counts)
         probes.append(t)
         return found
 

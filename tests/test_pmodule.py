@@ -213,3 +213,30 @@ class TestJson:
     def test_json_error_reports_location(self):
         with pytest.raises(ModuleFormatError, match="line"):
             parse_module('{"summands": [,]}')
+
+
+def test_parsing_shares_endpoint_values(monkeypatch):
+    """``parse_module`` gives every endpoint written the same way one value,
+    and the run key leads with ints that tell the upper endpoints 1/p
+    apart, so canonical ordering of a few hundred ``[0,1/p)`` runs (p from
+    1,000,003, odd and coprime to 3, in both orders) makes no
+    ``Fraction.__eq__`` call, and the runs still come out in order."""
+    dens = [p for p in range(1_000_003, 1_002_000, 2) if p % 3][:300]
+    calls = []
+    real = Fraction.__eq__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for order in (dens, dens[::-1]):
+        text = '{"summands": [%s]}' % ", ".join(
+            f'{{"interval": "[0,1/{p})"}}' for p in order)
+        monkeypatch.setattr(Fraction, "__eq__", counted)
+        m = parse_module(text)
+        monkeypatch.undo()
+        assert calls == []
+        assert [s.hi.value.as_fraction for s in m.summands] == [
+            Fraction(1, p) for p in sorted(dens, reverse=True)]
+        lows = {id(s.lo.value) for s in m.summands}
+        assert len(lows) == 1

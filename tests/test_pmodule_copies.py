@@ -221,6 +221,30 @@ class TestNoCopiesOutsideTheMatcher:
                              (m.radical(), 10**6 - 1), (pickle.loads(pickle.dumps(m)), 10**6)):
             assert len(module) == module._len == size
 
+    def test_matcher_has_one_left_vertex_per_mandatory_run(self, monkeypatch):
+        """28 copies of one interval against 26: every Hopcroft-Karp run of
+        the distance and of the decision has one left vertex per mandatory
+        run, a run that must send all its copies, not one per copy."""
+        piece = parse_interval("[0,2)")
+        m, n = replicate(piece, 28), replicate(piece, 26)
+        calls = []
+
+        def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp):
+            calls.append((len(adj), need is not None, sum(room)))
+            return _real(adj, sent, room, need)
+
+        monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
+        assert module_distance(m, n) == ExtRational(1)
+        # The infeasible probe below the answer: the M run must send 28
+        # copies into 26, and the greedy start leaves it 2 short.
+        assert (1, True, 0) in calls
+        assert all(left <= 1 and capacitated for left, capacitated, _ in calls), calls
+        for eps, expected in ((Fraction(1, 2), False), (1, True)):
+            calls.clear()
+            assert modules_eps_interleaved(m, n, eps) is expected
+            assert calls and all(left == (not expected) and capacitated
+                                 for left, capacitated, _ in calls), calls
+
     def test_matcher_reads_summands_once_per_module(self, monkeypatch):
         reads = []
         real = PModule.summands
