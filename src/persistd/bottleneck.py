@@ -191,7 +191,7 @@ def _cost_tables(pair):
 
 
 def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
-                   need: list[int] | None = None) -> int:
+                   need: list[int] | None = None, shortest: bool = False) -> int:
     """Hopcroft-Karp's phases from the left vertices to the right ones
     along ``adj``, from the start given and augmented in place; returns
     how many units stay unmatched.  Iterative, so deep augmenting paths are
@@ -209,21 +209,25 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
     starts where that root stopped, since the edges before led nowhere;
     only the edge that root's path took from its layer-1 vertex can lead on
     again, so the root starts there if it comes earlier.  After a root with
-    the list fails, the next ones with it are skipped."""
+    the list fails, the next ones with it are skipped.
+
+    A left vertex whose pair_l is neither -1 nor a right vertex that leads
+    back to it takes no part: it is never a root, and the BFS never reaches
+    it.  With ``shortest``, for a caller that asks only whether every left
+    vertex gets matched, each BFS stops at the first list that reaches a
+    free right vertex and keeps only the layers up to it, so a phase reads
+    the fewest lists, and a free root with no neighbour ends the run at
+    once; the count returned is then only nonzero or zero.  The
+    certificate's matching is that of the full BFS."""
     if need is not None:
         return _flow(adj, pair_l, pair_r, need)
-    n_left = len(adj)
+    n_left = len(pair_l)
     unreachable = n_left + 1
     dist = [0] * n_left
 
     def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = unreachable
+        dist[:] = [0 if v == -1 else unreachable for v in pair_l]
+        queue = deque(roots)
         found_free = False
         scanned = None
         while queue:
@@ -238,6 +242,12 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
                 elif dist[w] == unreachable:
                     dist[w] = dist[u] + 1
                     queue.append(w)
+            if found_free and shortest:
+                # Past u's layer lie only longer augmenting paths.
+                for w in queue:
+                    if dist[w] > dist[u]:
+                        dist[w] = unreachable
+                break
         return found_free
 
     def dfs(frames) -> bool:
@@ -246,9 +256,10 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
         while frames:
             frame = frames[-1]
             u = frame[0]
+            row = adj[u]
             descended = False
-            while frame[2] < len(adj[u]):
-                v = adj[u][frame[2]]
+            while frame[2] < len(row):
+                v = row[frame[2]]
                 frame[2] += 1
                 w = pair_r[v]
                 if w == -1:
@@ -267,12 +278,14 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
                 frames.pop()
         return False
 
-    free = pair_l.count(-1)
+    # The free roots of a phase: only a root's own path can match it.
+    roots = [u for u, v in enumerate(pair_l) if v == -1]
+    free = len(roots)
+    if shortest and not all(adj[u] for u in roots):
+        return free
     while free and bfs():
         shared = None
-        for u in range(n_left):
-            if pair_l[u] != -1:
-                continue
+        for u in roots:
             start = 0
             if adj[u] is shared:
                 if not path:
@@ -282,6 +295,7 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
                     start = shared.index(path[1][1])
             shared, path = adj[u], [[u, -1, start]]
             free -= dfs(path)
+        roots = [u for u in roots if pair_l[u] == -1]
     return free
 
 
@@ -400,32 +414,20 @@ def _within(row, near, t) -> list[int]:
     return [j for j in near if row[j] <= t]
 
 
-def _unit_cover(runs, lists, mate, n_right):
-    """One side's matching when no run of the pair repeats, so that each
-    run is one vertex of capacity 1: (its mandatory ``runs``, their
-    partners among the other side's runs, ``lists`` their neighbours), or
-    None when one stays free.  Each run i keeps its partner mate[i] from an
-    earlier probe while that is still among its neighbours and no run
-    before it has taken it; each run still free then takes its first free
-    neighbour (the greedy start), and ``_hopcroft_karp`` completes the
-    matching, which is written back to ``mate``."""
+def _unit_cover(runs, lists, n_right) -> bool:
+    """Whether one side's mandatory ``runs`` can all be matched to their
+    neighbours ``lists`` among the other side's runs when no run of the pair
+    repeats, so that each run is one vertex of capacity 1: each run takes
+    its first free neighbour (the greedy start), and ``_hopcroft_karp``
+    completes the matching."""
     pair_l, pair_r = [-1] * len(runs), [-1] * n_right
-    for k, i in enumerate(runs):
-        j = mate[i]
-        if j != -1 and pair_r[j] == -1 and j in lists[k]:
-            pair_l[k] = j
-            pair_r[j] = k
     for k, near in enumerate(lists):
-        if pair_l[k] == -1:
-            for j in near:
-                if pair_r[j] == -1:
-                    pair_l[k] = j
-                    pair_r[j] = k
-                    break
-    free = _hopcroft_karp(lists, pair_l, pair_r)
-    for i, j in zip(runs, pair_l):
-        mate[i] = j
-    return None if free else (runs, pair_l)
+        for j in near:
+            if pair_r[j] == -1:
+                pair_l[k] = j
+                pair_r[j] = k
+                break
+    return not _hopcroft_karp(lists, pair_l, pair_r)
 
 
 def _cover(runs, lists, counts, sent, room):
@@ -469,38 +471,146 @@ def _cover(runs, lists, counts, sent, room):
     return dict(zip(runs, flows))
 
 
+class _Lists(dict):
+    """One side's neighbour lists at a probe's top, by run, each built by
+    ``build`` when first read and kept for the probe's later reads."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, run):
+        near = self[run] = self.build(run)
+        return near
+
+
+def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
+    """Repair one side of a matching at t in place, so that it covers this
+    side's mandatory runs (to-zero entry > t) and still covers every run of
+    the other side that it covered: whether it could.  ``mate`` holds this
+    side's partners and ``other`` the other side's, -1 for none, every pair
+    an edge at t; ``lists`` gives each run's neighbours at t, and
+    ``dtz_other`` the other side's to-zero entries.
+
+    The target of a mandatory run is a free run or a run whose partner is
+    not mandatory, and that partner lets go.  Each free mandatory run takes
+    the first target in its list that is mandatory itself, so that the
+    other side's repair finds it covered, else its first target.  One with
+    none takes a neighbour whose partner can move on to a target of its own
+    (a swap).  For the runs still free,
+    ``_hopcroft_karp`` runs its phases over the mandatory runs alone, where
+    a run whose partner is not mandatory counts as free.  Every step is an
+    augmenting path that keeps every matched run matched, except a partner
+    that lets go, so when some matching covers both sides' mandatory runs,
+    this side's repair cannot fail (Mendelsohn-Dulmage)."""
+    stuck = []
+    for i in [i for i, (v, j) in enumerate(zip(dtz, mate)) if j == -1 and v > t]:
+        spare = -1
+        for j in lists[i]:
+            o = other[j]
+            if o == -1 or dtz[o] <= t:
+                if dtz_other[j] > t:
+                    break
+                if spare == -1:
+                    spare = j
+        else:
+            if spare == -1:
+                stuck.append(i)
+                continue
+            j = spare
+        o = other[j]
+        if o != -1:
+            mate[o] = -1
+        mate[i] = j
+        other[j] = i
+    if not stuck:
+        return True
+    # The swaps, i -> j -> o -> k: the partner o of a neighbour j that is
+    # not a target is mandatory.  A run without a target keeps none, since
+    # targets only get taken, so each list is searched for one at most once
+    # in vain.
+    dead = set(stuck)
+    for i in stuck:
+        for j in lists[i]:
+            o = other[j]
+            if o in dead:
+                continue
+            for k in lists[o]:
+                p = other[k]
+                if p == -1 or dtz[p] <= t:
+                    break
+            else:
+                dead.add(o)
+                continue
+            if p != -1:
+                mate[p] = -1
+            mate[o] = k
+            other[k] = o
+            mate[i] = j
+            other[j] = i
+            break
+    if all(mate[i] != -1 for i in stuck):
+        return True
+    # -2: a run that is not mandatory is never a root of the phases, and
+    # ``pair_r`` never leads to it.
+    pair_l = [j if v > t else -2 for v, j in zip(dtz, mate)]
+    pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]
+    if _hopcroft_karp(lists, pair_l, pair_r, shortest=True):
+        return False
+    for i, j in enumerate(pair_l):
+        if j >= 0 and mate[i] != j:
+            o = other[j]
+            if o != -1 and mate[o] == j:
+                mate[o] = -1
+            other[j] = i
+            mate[i] = j
+    return True
+
+
 def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
     """A matching of the copies over the pairs of cost <= t that matches
     every copy of each run of to-zero cost > t on both sides, or None when
     there is none.  ``costs``, ``dtz_m``, ``dtz_n`` and ``counts`` are
-    ``_cost_tables``'s, and every vertex is a run.  When no run repeats
-    (``counts`` None) the matching is ``_unit_merge``'s {M run: N run} and
-    ``seeds`` = (mate_m, mate_n) holds each run's partner in an earlier
-    probe's matching on its side, -1 for none, for ``_unit_cover``; else it
-    is ``_merge``'s flow {M run: {N run: units}}, and ``seeds`` = ((sent_m,
-    room_n), (sent_n, room_m)) each side's flow and the room it leaves, for
-    ``_cover``.  Either is empty when unseeded and is updated in place; a
+    ``_cost_tables``'s, and every vertex is a run.
+
+    When no run repeats (``counts`` None), ``seeds`` = (mate_m, mate_n) is
+    a matching with partners on both sides, -1 for none, such as an earlier
+    feasible probe's.  The probe repairs a copy of it: it drops every pair
+    whose entry exceeds t, then ``_repair``s M's side and then N's, and
+    returns the repaired (mate_m, mate_n).  Otherwise the matching is
+    ``_merge``'s flow {M run: {N run: units}}, and ``seeds`` = ((sent_m,
+    room_n), (sent_n, room_m)) is each side's flow and the room it leaves,
+    empty when unseeded, for ``_cover``, which updates them in place.  A
     seeded probe decides as an unseeded one, but its matching can differ.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
-    i's neighbours at t, and ``near_n[j]`` the rows of column j.  Only the
-    mandatory runs' lists are read, each entry through ``<=`` against t,
-    so any totally ordered entries work.  A feasible probe narrows each
-    mandatory run's list in place to its neighbours at t; an infeasible one
-    leaves them alone."""
+    i's neighbours at t, and ``near_n[j]`` the rows of column j, each entry
+    read through ``<=`` against t, so any totally ordered entries work.  A
+    feasible probe narrows to its neighbours at t each list it read: every
+    mandatory run's on runs that repeat, else the runs ``_repair`` read.
+    An infeasible probe leaves them alone."""
+    if counts is None:
+        mate_m, mate_n = list(seeds[0]), list(seeds[1])
+        for i, j in enumerate(mate_m):
+            if j != -1 and costs[i][j] > t:
+                mate_m[i] = mate_n[j] = -1
+        lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
+        lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
+        if not (_repair(t, dtz_m, mate_m, mate_n, lists_m, dtz_n) and
+                _repair(t, dtz_n, mate_n, mate_m, lists_n, dtz_m)):
+            return None
+        for near, lists in ((near_m, lists_m), (near_n, lists_n)):
+            for run, within in lists.items():
+                near[run] = within
+        return mate_m, mate_n
+
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
-    if counts is None:
-        cover, args_m, args_n = _unit_cover, (seeds[0], len(dtz_n)), (seeds[1], len(dtz_m))
-    else:
-        cover, args_m, args_n = _cover, (counts[0], *seeds[0]), (counts[1], *seeds[1])
-
     lists_m = [_within(costs[i], near_m[i], t) for i in runs_m]
-    side_m = cover(runs_m, lists_m, *args_m)
+    side_m = _cover(runs_m, lists_m, counts[0], *seeds[0])
     if side_m is None:
         return None
     lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
-    side_n = cover(runs_n, lists_n, *args_n)
+    side_n = _cover(runs_n, lists_n, counts[1], *seeds[1])
     if side_n is None:
         return None
 
@@ -508,7 +618,7 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
         near_m[i] = near
     for j, near in zip(runs_n, lists_n):
         near_n[j] = near
-    return _unit_merge(side_m, side_n) if counts is None else _merge(side_m, side_n, *counts)
+    return _merge(side_m, side_n, *counts)
 
 
 def _unit_merge(side_m, side_n) -> dict[int, int]:
@@ -614,10 +724,8 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
     if counts is None:
-        return (_unit_cover(*_boxes(keys_m, keys_n, w), [-1] * len(keys_m), len(keys_n))
-                is not None and
-                _unit_cover(*_boxes(keys_n, keys_m, w), [-1] * len(keys_n), len(keys_m))
-                is not None)
+        return (_unit_cover(*_boxes(keys_m, keys_n, w), len(keys_n)) and
+                _unit_cover(*_boxes(keys_n, keys_m, w), len(keys_m)))
     counts_m, counts_n = counts
     return (_cover(*_boxes(keys_m, keys_n, w), counts_m, {}, list(counts_n)) is not None
             and _cover(*_boxes(keys_n, keys_m, w), counts_n, {}, list(counts_m)) is not None)
@@ -660,10 +768,10 @@ def _search(pair):
             lo = mid + 1
             continue
         if counts is None:
-            taken = set(found.values())
-            value = max([0, *(costs[i][j] for i, j in found.items()),
-                         *(v for i, v in enumerate(dtz_m) if i not in found),
-                         *(v for j, v in enumerate(dtz_n) if j not in taken)])
+            seeds = mate_m, mate_n = found
+            value = max([0, *(v if j == -1 else costs[i][j]
+                              for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
+                         *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
         else:
             sent_m, sent_n = [0] * len(dtz_m), [0] * len(dtz_n)
             value = 0

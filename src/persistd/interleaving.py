@@ -39,9 +39,11 @@ from .intervals import EMPTY, ExtRational, Interval, POS_INF, Rational, _as_frac
 def _view(summands) -> tuple:
     """The integer view of a summand sequence at its own scale S0 =
     4*lcm(its finite denominators): (that lcm, reach, whether an endpoint
-    is infinite, and each summand's (lower key, upper key) as ``_lattice``
-    keys the sequence alone).  Every |key| of a finite endpoint is at most
-    2*reach + 1, and every infinite one is larger."""
+    is infinite, each summand's (lower key, upper key) as ``_lattice`` keys
+    the sequence alone, and the numerator and denominator of every
+    endpoint value, flat, in the same order, 0 and 1 for an infinity).
+    Every |key| of a finite endpoint is at most 2*reach + 1, and every
+    infinite one is larger."""
     ends = [(x.sign, *x.value.as_integer_ratio())
             for s in summands for x in (s.lo.value, s.hi.value)]
     dens = [den for sign, _, den in ends if not sign]
@@ -55,20 +57,27 @@ def _view(summands) -> tuple:
         points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
     keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
             for s, lo, hi in zip(summands, points[::2], points[1::2])]
-    return lcm, reach, infinite, keys
+    return lcm, reach, infinite, keys, [r for _, num, den in ends for r in (num, den)]
 
 
-def _rescaled(view, f: int, big: int) -> list:
-    """The keys of ``view`` at f times its scale, infinities at -big and
-    +big.  At f = 1 with no infinity they are the view's own list."""
-    _, reach, infinite, keys = view
-    if f == 1 and not infinite:
+def _rescaled(view, scale: int, big: int) -> list:
+    """The keys of ``view`` at the pair's scale S, infinities at -big and
+    +big.  At its own scale with no infinity they are the view's own list.
+
+    A key k = 2P +- d (d = k & 1, the decoration) of the value num/den is
+    num * (2S/den) +- d at S: one product of a small int and a big one per
+    key, and one division per distinct denominator, where scaling the
+    view's own key would multiply two big ints when both sides' lcms are
+    large and coprime."""
+    lcm, reach, infinite, keys, ratios = view
+    if scale == 4 * lcm and not infinite:
         return keys
-    # A key k = 2P +- d (d = k & 1, the decoration) scales to 2fP +- d.
     lim = 2 * reach + 1
-    return [(f * (lo - (lo & 1)) + (lo & 1) if lo >= -lim else 1 - 2 * big,
-             f * (up + (up & 1)) - (up & 1) if up <= lim else 2 * big - 1)
-            for lo, up in keys]
+    per = {den: 2 * scale // den for den in set(ratios[1::2])}
+    it = iter(ratios)
+    return [(n_lo * per[d_lo] + (lo & 1) if lo >= -lim else 1 - 2 * big,
+             n_up * per[d_up] - (up & 1) if up <= lim else 2 * big - 1)
+            for (lo, up), n_lo, d_lo, n_up, d_up in zip(keys, it, it, it, it)]
 
 
 def _lattice(view_m, view_n):
@@ -86,7 +95,7 @@ def _lattice(view_m, view_n):
     f_m, f_n = lcm // lcm_m, lcm // lcm_n
     reach = max(f_m * reach_m, f_n * reach_n)
     big = 8 * reach + 2
-    return 4 * lcm, reach, _rescaled(view_m, f_m, big), _rescaled(view_n, f_n, big)
+    return 4 * lcm, reach, _rescaled(view_m, 4 * lcm, big), _rescaled(view_n, 4 * lcm, big)
 
 
 def _bound(eps: Rational, scale: int, reach: int) -> int:
@@ -133,7 +142,7 @@ def _entry(i: Interval, j: Interval):
     """The one table entry of the pair, as (entry, S, reach), read on one
     throwaway view of both intervals' summands."""
     ms, ns = (() if i.is_empty else (i,)), (() if j.is_empty else (j,))
-    lcm, reach, _, keys = _view((*ms, *ns))
+    lcm, reach, _, keys, _ = _view((*ms, *ns))
     r = _key_entry(keys[0] if ms else None, keys[-1] if ns else None)
     return r, 4 * lcm, reach
 

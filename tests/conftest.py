@@ -1,7 +1,7 @@
 import signal
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 import persistd.verify as pv
 from persistd import families
@@ -13,6 +13,12 @@ settings.register_profile(
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     ),
+)
+# For ``tests/mutants/run.py``: a failing property fails its test at once.
+settings.register_profile(
+    "mutants",
+    settings.get_profile("default"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("default")
 

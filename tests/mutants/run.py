@@ -55,6 +55,11 @@ KERNEL_TESTS = (
 # Seconds one mutant's test run may take; an unmutated run takes about 40.
 TIME_LIMIT = 400
 
+# The Hypothesis profile of ``tests/conftest.py`` without the shrink phase:
+# a property that fails is reported at once, so a killed mutant cannot time
+# out while Hypothesis shrinks its counterexample.
+HYPOTHESIS_PROFILE = "mutants"
+
 
 class Mutant(NamedTuple):
     name: str
@@ -78,10 +83,6 @@ MUTANTS = (
            "        if j in covered:\n            continue\n        while j in m2:",
            "        while j in m2:", False,
            "the Mendelsohn-Dulmage walk also starts from N vertices M1 covers"),
-    Mutant("unit-seeds-no-membership", BN,
-           "if j != -1 and pair_r[j] == -1 and j in lists[k]:",
-           "if j != -1 and pair_r[j] == -1:", False,
-           "an earlier partner seeds a run even when it is no longer a neighbour"),
     Mutant("matching-root-start-0", BN,
            "                start = path[0][2]\n                if len(path) > 1",
            "                start = 0\n                if len(path) > 1", True,
@@ -113,8 +114,8 @@ MUTANTS = (
            "row.append(g if g < h else h)", "row.append(g)", False,
            "the table forgets that deleting both summands may be cheaper"),
     Mutant("rescale-drops-decoration", IL,
-           "f * (lo - (lo & 1)) + (lo & 1)", "f * lo", False,
-           "a lower key rescales with its decoration multiplied"),
+           "n_lo * per[d_lo] + (lo & 1)", "n_lo * per[d_lo]", False,
+           "a lower key rescales without its decoration"),
     Mutant("lattice-small-infinity", IL,
            "    reach = max(f_m * reach_m, f_n * reach_n)\n    big = 8 * reach + 2",
            "    reach = max(f_m * reach_m, f_n * reach_n)\n    big = reach + 1", False,
@@ -148,6 +149,38 @@ MUTANTS = (
            "                    sent_n[k] -= units\n                    walk.append(k)",
            "                    sent_n[k] -= units", False,
            "an N run short again after the walk takes its units back is left short"),
+    # The repair of the search's one matching when no run repeats.
+    Mutant("repair-keeps-pairs-above-t", BN,
+           "if j != -1 and costs[i][j] > t:", "if False:", False,
+           "a probe keeps the seed's pairs whose entry exceeds t"),
+    Mutant("repair-target-lt", BN,
+           "pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]",
+           "pair_r = [-1 if i == -1 or dtz[i] < t else i for i in other]", False,
+           "the phases take a partner of to-zero entry t for mandatory, not a target"),
+    Mutant("repair-partner-keeps-pairing", BN,
+           "        if o != -1:\n            mate[o] = -1\n        mate[i] = j",
+           "        mate[i] = j", False,
+           "the partner a direct target swaps out keeps its side of the pair"),
+    Mutant("swap-partner-keeps-pairing", BN,
+           "            if p != -1:\n                mate[p] = -1\n",
+           "", False,
+           "the partner a swap's target swaps out keeps its side of the pair"),
+    Mutant("phases-partner-keeps-pairing", BN,
+           "            if o != -1 and mate[o] == j:\n                mate[o] = -1\n",
+           "", False,
+           "the partner the phases swap out keeps its side of the pair"),
+    Mutant("bfs-stops-before-free-layer", BN,
+           "if found_free and shortest:", "if shortest:", False,
+           "the phases' BFS stops after its first list, found a free vertex or not"),
+    Mutant("bfs-cuts-own-layer", BN,
+           "if dist[w] > dist[u]:", "if dist[w] >= dist[u]:", True,
+           "the shortest BFS also cuts the rest of the layer that found a free vertex"),
+    Mutant("direct-target-any", BN,
+           "if dtz_other[j] > t:", "if True:", True,
+           "a free run takes its first target, not its first mandatory one"),
+    Mutant("swaps-forget-dead-runs", BN,
+           "            if o in dead:\n                continue\n", "", True,
+           "the swaps search a list in vain again"),
 )
 
 
@@ -173,7 +206,8 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
             return "broken", str(exc), 0.0
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--rootdir", str(work), *(str(work / "tests" / f) for f in KERNEL_TESTS)]
+                   f"--hypothesis-profile={HYPOTHESIS_PROFILE}", "--rootdir", str(work),
+                   *(str(work / "tests" / f) for f in KERNEL_TESTS)]
         start = time.monotonic()
         try:
             done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True,

@@ -416,26 +416,23 @@ def test_saturating_matching_against_bruteforce(seed):
         near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
         before = [list(a) for a in near_m], [list(a) for a in near_n]
         unseeded = [-1] * n_m, [-1] * n_n
-        assert _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None) == found
+        repaired = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None)
+        assert (repaired is None) == (found is None)
         if found is None:
             assert (near_m, near_n) == before
-        else:
-            assert near_m == [
-                [j for j in range(n_n) if edge_ok[i][j]] if i in mand_m else before[0][i]
-                for i in range(n_m)
-            ]
-            assert near_n == [
-                [i for i in range(n_m) if edge_ok[i][j]] if j in mand_n else before[1][j]
-                for j in range(n_n)
-            ]
-        if found is None:
             continue
-        assert len(set(found.values())) == len(found)
-        assert all(edge_ok[i][j] for i, j in found.items())
-        assert mand_m <= found.keys() and mand_n <= set(found.values())
-        tie_edges += sum(costs[i][j] == t for i, j in found.items())
-        tie_deletions += sum(dtz_m[i] == t for i in range(n_m) if i not in found)
-        tie_deletions += sum(dtz_n[j] == t for j in range(n_n) if j not in found.values())
+        _assert_matching_at(repaired, costs, dtz_m, dtz_n, t)
+        # A feasible probe narrows the lists it read, all of mandatory
+        # summands, to exactly their neighbours at t, and no other list.
+        for near, old, mand, at_t in (
+                (near_m, before[0], mand_m, lambda i: [j for j in range(n_n) if edge_ok[i][j]]),
+                (near_n, before[1], mand_n, lambda j: [i for i in range(n_m) if edge_ok[i][j]])):
+            assert all(a == b or (k in mand and a == at_t(k))
+                       for k, (a, b) in enumerate(zip(near, old)))
+        mate_m, mate_n = repaired
+        tie_edges += sum(costs[i][j] == t for i, j in enumerate(mate_m) if j != -1)
+        tie_deletions += sum(v == t for v, j in zip(dtz_m, mate_m) if j == -1)
+        tie_deletions += sum(v == t for v, i in zip(dtz_n, mate_n) if i == -1)
     # The boundary is inclusive on both sides: an entry equal to t is an
     # edge, and a to-zero cost equal to t leaves the summand deletable.
     assert tie_edges and tie_deletions
@@ -452,12 +449,16 @@ def _random_table(rng, n_m, n_n, top):
 
 
 def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
-    """``found`` uses only pairs of cost <= t, each summand once, and covers
-    every summand of to-zero cost > t."""
-    assert len(set(found.values())) == len(found)
-    assert all(costs[i][j] <= t for i, j in found.items())
-    assert {i for i, v in enumerate(dtz_m) if v > t} <= found.keys()
-    assert {j for j, v in enumerate(dtz_n) if v > t} <= set(found.values())
+    """``found`` = (mate_m, mate_n) is a matching with partners on both
+    sides, -1 for none, that uses only pairs of cost <= t and covers every
+    summand of to-zero cost > t on both sides."""
+    mate_m, mate_n = found
+    assert len(mate_m) == len(dtz_m) and len(mate_n) == len(dtz_n)
+    assert all(mate_n[j] == i for i, j in enumerate(mate_m) if j != -1)
+    assert all(mate_m[i] == j for j, i in enumerate(mate_n) if i != -1)
+    assert all(costs[i][j] <= t for i, j in enumerate(mate_m) if j != -1)
+    assert all(j != -1 for v, j in zip(dtz_m, mate_m) if v > t)
+    assert all(i != -1 for v, i in zip(dtz_n, mate_n) if v > t)
 
 
 def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
@@ -479,50 +480,111 @@ def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
         assert all(k == c for v, k, c in zip(dtz, sent, count) if v > t)
 
 
-def _seeded_probe(costs, dtz_m, dtz_n, t, mates):
+def _seeded_probe(costs, dtz_m, dtz_n, t, seeds):
     """``bottleneck._matching_at`` on whole rows and columns of a table
-    with no repeated summand, seeded with ``mates``."""
+    with no repeated summand, seeded with the matching ``seeds``."""
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
-    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, None)
+    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, None)
+
+
+def _random_matching(rng, n_m, n_n):
+    """A random matching on all pairs, whatever their costs, with partners
+    on both sides."""
+    mate_m, mate_n = [-1] * n_m, [-1] * n_n
+    for i in rng.sample(range(n_m), n_m):
+        free = [j for j in range(n_n) if mate_n[j] == -1]
+        if free and rng.random() < 0.7:
+            j = rng.choice(free)
+            mate_m[i], mate_n[j] = j, i
+    return mate_m, mate_n
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_probe_keeps_only_live_partners(seed):
-    """Partners from earlier probes, drawn at random here (over t, of
-    summands no longer mandatory, shared), seed a probe only where they
-    are edges at t of mandatory summands, each partner once: the probe
-    decides as an unseeded one and writes back a matching at t."""
+    """A probe seeded with any matching, pairs over t included, decides as
+    an unseeded full probe at every t, up and down the entries, returns a
+    matching at t and leaves its seed as it was.  So does a chain of probes
+    each seeded with the last feasible probe's matching, as in the search."""
     rng = random.Random(1000 + seed)
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
-        mates = ([rng.randrange(-1, n_n) for _ in range(n_m)],
-                 [rng.randrange(-1, n_m) for _ in range(n_n)])
-        found = _seeded_probe(costs, dtz_m, dtz_n, t, mates)
-        assert (found is None) == (full_probe(costs, dtz_m, dtz_n, t) is None)
-        mand_m = [i for i in range(n_m) if dtz_m[i] > t]
-        partners = [mates[0][i] for i in mand_m if mates[0][i] != -1]
-        assert len(set(partners)) == len(partners)
-        assert all(costs[i][mates[0][i]] <= t for i in mand_m if mates[0][i] != -1)
-        if found is None:
+        costs, dtz_m, dtz_n, _ = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        ts = sorted({0, *dtz_m, *dtz_n, *(c for row in costs for c in row)})
+        chained = [-1] * n_m, [-1] * n_n
+        for t in ts + ts[::-1]:
+            full = full_probe(costs, dtz_m, dtz_n, t)
+            seeds = _random_matching(rng, n_m, n_n)
+            kept = tuple(map(list, seeds))
+            for start in (seeds, chained):
+                found = _seeded_probe(costs, dtz_m, dtz_n, t, start)
+                assert (found is None) == (full is None), (costs, dtz_m, dtz_n, t, start)
+                if found is not None:
+                    _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+            assert seeds == kept
+            if found is not None:
+                chained = found
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_probes_on_small_modules(seed):
+    """On the table of two modules of at most 4 summands, probes seeded
+    with any matching decide as the full probe at every class top, up and
+    down, and the search's distance is the exhaustive one."""
+    rng = random.Random(3000 + seed)
+    for _ in range(20):
+        m, n = (random_module(rng, Fraction(-3), Fraction(3), 4, 4) for _ in range(2))
+        costs, dtz_m, dtz_n, _, fin, counts = bottleneck._cost_tables(
+            bottleneck._pair(m, n, True))
+        assert module_distance(m, n) == bruteforce_module_distance(m, n)
+        if counts is not None:
             continue
-        _assert_matching_at(found, costs, dtz_m, dtz_n, t)
-        mand_n = [j for j in range(n_n) if dtz_n[j] > t]
-        partners = [mates[1][j] for j in mand_n]
-        assert len(set(partners)) == len(partners) and -1 not in partners
-        assert all(costs[mates[1][j]][j] <= t for j in mand_n)
+        tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
+                       if r <= fin} | {1})
+        for t in tops + tops[::-1]:
+            found = _seeded_probe(costs, dtz_m, dtz_n, t,
+                                  _random_matching(rng, len(dtz_m), len(dtz_n)))
+            assert (found is None) == (full_probe(costs, dtz_m, dtz_n, t) is None)
+            if found is not None:
+                _assert_matching_at(found, costs, dtz_m, dtz_n, t)
 
 
 def test_stale_partners_are_dropped():
     # Row 0 must be matched (to-zero cost 4); its old partner, column 0,
-    # now costs 3 > t = 1.  Row 1's old partner is an edge, but row 1 may
-    # be deleted at t, so it is not matched.  Column 1 is row 0's only
-    # neighbour.
+    # now costs 3 > t = 1, and so does row 1's, column 1.  Column 1 is row
+    # 0's only neighbour.
     costs = [[3, 1], [0, 5]]
-    mates = ([0, 0], [-1, -1])
-    assert _seeded_probe(costs, [4, 0], [0, 0], 1, mates) == {0: 1}
-    assert mates == ([1, 0], [-1, -1])
+    seeds = ([0, 1], [0, 1])
+    assert _seeded_probe(costs, [4, 0], [0, 0], 1, seeds) == ([1, -1], [-1, 0])
+    assert seeds == ([0, 1], [0, 1])
+
+
+def test_phases_let_a_deletable_partner_go():
+    """Row 0 must be matched, and only the path row 0 -> column 0 -> row 1
+    -> column 1 -> row 2 -> column 2 reaches a target: column 2, whose
+    partner row 3 has to-zero cost t and so may be deleted.  Neither a
+    direct target nor one swap reaches it, so the phases must."""
+    costs = [[1, 9, 9], [1, 1, 9], [9, 1, 1], [9, 9, 1]]
+    dtz_m, dtz_n = [5, 5, 5, 1], [0, 0, 0]
+    seeds = ([-1, 0, 1, 2], [1, 2, 3])
+    assert full_probe(costs, dtz_m, dtz_n, 1) is not None
+    assert _seeded_probe(costs, dtz_m, dtz_n, 1, seeds) == ([0, 1, 2, -1], [0, 1, 2])
+
+
+def test_a_side_with_no_runs():
+    """An empty module against one summand: the probes of the search and
+    the decisions run with no run on one side, in both orders."""
+    one = PModule.of("(0,1)")
+    for m, n in ((PModule(), one), (one, PModule())):
+        assert module_distance(m, n) == HALF
+        assert distance_certificate(m, n).threshold == HALF
+        assert modules_eps_interleaved(m, n, Fraction(1, 2))
+        assert not modules_eps_interleaved(m, n, Fraction(1, 4))
+    costs, dtz_m, dtz_n, _, _, counts = bottleneck._cost_tables(
+        bottleneck._pair(PModule(), one, True))
+    assert (costs, dtz_m, counts) == ([], [], None)
+    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0] - 1, ([], [-1])) is None
+    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], ([], [-1])) == ([], [-1])
 
 
 def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
@@ -593,8 +655,9 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
 def test_search_probes_equal_full_probes(m, n):
     """Every probe of the search, seeded and on the lists that earlier
     probes narrowed, decides as an unseeded copy-level probe on every row
-    and column at the same t, and returns a matching or flow of runs at t.
-    The search's probes run on the table of distinct summands and the full
+    and column at the same t.  A feasible probe returns a matching or flow
+    of runs at t that covers every mandatory run on both sides.  The
+    search's probes run on the table of distinct summands and the full
     probes on the table of copies, where an unseeded copy-level probe on
     distinct summands gives the same matching.  The certificate's matching
     is that of an unseeded full probe at the answer's top."""
@@ -654,6 +717,6 @@ def test_infeasible_probe_leaves_lists_unchanged():
     unseeded = [-1, -1], [-1, -1]
     assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, unseeded, None) is None
     assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
-    unseeded = [-1, -1], [-1, -1]
-    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, unseeded, None) == {0: 0}
+    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, unseeded, None) == (
+        [0, -1], [0, -1])
     assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])

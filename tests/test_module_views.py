@@ -58,10 +58,13 @@ def test_view_lattice_equals_direct_lattice(pair):
         scale, reach, _, keys_a, keys_b = direct_lattice(runs(a), runs(b), 0)
         assert _lattice(a._lattice_view(), b._lattice_view()) == (scale, reach, keys_a, keys_b)
     for x in pair:
-        lcm, reach, infinite, keys = x._lattice_view()
+        lcm, reach, infinite, keys, ratios = x._lattice_view()
         scale, alone_reach, _, alone_keys, _ = direct_lattice(runs(x), (), 0)
         assert (4 * lcm, reach, keys) == (scale, alone_reach, alone_keys)
         assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
+        values = [v.as_fraction if v.is_finite else Fraction(0)
+                  for s in runs(x) for v in (s.lo.value, s.hi.value)]
+        assert ratios == [r for v in values for r in (v.numerator, v.denominator)]
 
 
 @given(pooled_pairs())
@@ -102,8 +105,10 @@ def test_views_decide_and_check_at_any_eps(pair, epss):
 def test_view_fields():
     m = PModule.of("(-inf,1/3)", "[1/4,5/6]", "[1/4,5/6]", "[2,2]")
     # S0 = 48: 1/3 -> 16, 1/4 -> 12, 5/6 -> 40, 2 -> 96; big0 = 8*96 + 2.
-    assert m._lattice_view() == (12, 96, True, [(1 - 2 * 770, 31), (24, 80), (192, 192)])
-    assert PModule.zero()._lattice_view() == (1, 0, False, [])
+    # An infinity's value is 0 = 0/1.
+    assert m._lattice_view() == (12, 96, True, [(1 - 2 * 770, 31), (24, 80), (192, 192)],
+                                 [0, 1, 1, 3, 1, 4, 5, 6, 2, 1, 2, 1])
+    assert PModule.zero()._lattice_view() == (1, 0, False, [], [])
 
 
 def kernel_calls(m, n):

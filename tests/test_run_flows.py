@@ -110,10 +110,11 @@ def test_unit_capacities_match_the_reference_exactly():
 
 
 def test_seeded_probes_decide_as_unseeded():
-    """Probes up and down the class tops, each seeded with the flows or
-    matchings the one before left, decide as an unseeded copy-level probe
-    and return a flow at their threshold: a run that stops being mandatory
-    gives its units back, and so does an edge that leaves a run's list."""
+    """Probes up and down the class tops, each seeded with the flows the
+    one before left or the matching the last feasible one returned, decide
+    as an unseeded copy-level probe and return a flow or matching at their
+    threshold: a run that stops being mandatory gives its units back, and
+    so does an edge that leaves a run's list."""
     rng = random.Random(9)
     for _ in range(300):
         m, n = _random_pool_pair(rng)
@@ -131,6 +132,8 @@ def test_seeded_probes_decide_as_unseeded():
             assert (found is None) == (full is None), (t, m.to_json(), n.to_json())
             if found is not None:
                 _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts)
+                if counts is None:
+                    seeds = found
 
 
 @given(pooled_pairs(max_count=7), st.integers(0, 40))

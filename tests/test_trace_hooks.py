@@ -52,15 +52,19 @@ def _traced_calls(call) -> dict:
 
 
 def test_kernel_hooks_are_reached():
-    """A distance builds the one table and probes it with Hopcroft-Karp; a
-    certificate runs the same search and reads its matching off the keys,
-    without a further probe; the eps-decision neither builds a table nor
-    probes one."""
+    """A distance builds the one table and probes it; a probe runs
+    Hopcroft-Karp's phases when a mandatory run stays free after the
+    direct targets and swaps, as in the second pair.  A certificate runs the
+    same search and reads its matching off the keys, without a further
+    probe; the eps-decision neither builds a table nor probes one."""
     m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")
     calls = _traced_calls(lambda: bottleneck.module_distance(m, n))
     assert calls["bottleneck.module_distance"] == calls["bottleneck.cost_table"] == 1
-    assert calls["bottleneck.probe"] >= 1 and calls["bottleneck.hk"] >= 1
+    assert calls["bottleneck.probe"] >= 1
     probes = calls["bottleneck.probe"]
+    phases = PModule.of("[0,5]", "[1,3)", "[1,6)"), PModule.of("(0,4)", "(1,6]", "(2,6]")
+    calls = _traced_calls(lambda: bottleneck.module_distance(*phases))
+    assert calls["bottleneck.probe"] >= 1 and calls["bottleneck.hk"] >= 1
     calls = _traced_calls(lambda: bottleneck.distance_certificate(m, n))
     assert calls["bottleneck.certificate"] == calls["bottleneck.cost_table"] == 1
     assert calls["bottleneck.probe"] == probes
