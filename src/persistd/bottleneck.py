@@ -25,37 +25,43 @@ of every pair of summands: an entry is 2C-1, 2C or 2C+1 for the scaled
 undecorated cost C, the last when the infimum is not attained.  The
 distance is the smallest feasible class top 2C+1, by binary search over
 the sorted tops of the table's entries, and becomes an ``ExtRational``
-once, at the end.  ``_matching_at`` probes a top on the table.  Each probe
-is seeded with the previous probe's matchings or flows, a feasible
-probe's matching lowers the bracket's top to the class of its own value,
-and each mandatory summand keeps only its neighbours at the last feasible
-probe, which the later probes filter.  The search returns only the
-distance and its top.
+once, at the end.  ``_matching_at`` probes a top on the table, and a
+feasible probe's matching lowers the bracket's top to the class of its own
+value.  The search returns only the distance and its top.
+
+The table, the candidates, the neighbour lists, the search's probes and
+the decision work on the distinct summands, the (interval, count) runs of
+a ``PModule``, one vertex per run.  When no summand of the pair repeats,
+every vertex has capacity 1, and the search keeps one matching, with
+partners on both sides, from its last feasible probe.  A probe repairs a
+copy of it (``_repair``): it drops the pairs above t, then on each side
+every free mandatory run takes a direct target, a free run or one whose
+partner may be deleted and lets go, or else a swap one level deep, and
+Hopcroft-Karp's phases match the runs still free with the same targets.
+The alternating paths keep every matched run matched, so a failed repair
+proves the probe infeasible.  A run's neighbour list is filtered at t only
+when the probe reads it, and kept for the later probes, which all lie
+lower, only when the probe is feasible.
+
+Otherwise a mandatory run has to be matched as many times as it has
+copies and a run of the other side takes at most that many: ``_cover``
+finds such a flow of units with ``_hopcroft_karp`` on capacities (Gabow's
+degree-constrained subgraphs; Hopcroft-Karp's phases are Dinic's blocking
+flows), starting from the previous probe's flow and then a greedy pass
+over the lists, and ``_merge`` walks Mendelsohn-Dulmage over the two
+sides' flows.  Such a probe narrows every mandatory run's list.
 
 The eps-decision, the certificate's matching and the certificate check
 build no table.  For a summand whose to-zero entry exceeds t, an entry is
 <= t exactly when both key gaps are, so its neighbours form an L-infinity
 box around its key point, which ``_boxes`` reads with ``bisect``.  The
-decision at eps asks whether one unseeded matching per side saturates
-there; the certificate is the ``_unit_merge`` of one unseeded matching
-per side at the answer's top, the matching of an unseeded probe there on
-whole rows and columns of copies.  The check computes each listed pair's
-entry from its key pairs.
-
-The table, the candidates, the neighbour lists, the search's probes and
-the decision work on the distinct summands, the (interval, count) runs of
-a ``PModule``, one vertex per run.  When no summand of the pair repeats,
-every vertex has capacity 1 and a side's matching is a list of partners
-(``_unit_cover``, ``_unit_merge``).  Otherwise a mandatory run has to be
-matched as many times as it has copies and a run of the other side takes
-at most that many: ``_cover`` finds such a flow of units with
-``_hopcroft_karp`` on capacities (Gabow's degree-constrained subgraphs;
-Hopcroft-Karp's phases are Dinic's blocking flows), and ``_merge`` walks
-Mendelsohn-Dulmage over the two sides' flows.  Before Hopcroft-Karp runs,
-each vertex that is still short takes free room from its neighbours in
-list order (the greedy start).  Only the certificate has one vertex per
-copy, where all copies of a run share one neighbour list, which
-Hopcroft-Karp scans once where it can; ``MATCH_CAP`` still counts copies.
+decision at eps asks whether one unseeded matching or flow per side
+saturates there (``_unit_cover``, ``_cover``); the certificate is the
+``_unit_merge`` of one unseeded matching per side at the answer's top,
+with one vertex per copy, where all copies of a run share one neighbour
+list, which Hopcroft-Karp scans once where it can; ``MATCH_CAP`` still
+counts copies.  The check computes each listed pair's entry from its key
+pairs.
 """
 
 from __future__ import annotations
@@ -213,12 +219,11 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
 
     A left vertex whose pair_l is neither -1 nor a right vertex that leads
     back to it takes no part: it is never a root, and the BFS never reaches
-    it.  With ``shortest``, for a caller that asks only whether every left
-    vertex gets matched, each BFS stops at the first list that reaches a
-    free right vertex and keeps only the layers up to it, so a phase reads
-    the fewest lists, and a free root with no neighbour ends the run at
-    once; the count returned is then only nonzero or zero.  The
-    certificate's matching is that of the full BFS."""
+    it.  With ``shortest``, each BFS stops at the first list that reaches a
+    free right vertex and keeps only the layers up to it, so a phase finds
+    only shortest augmenting paths and reads the fewest lists.  The
+    matching can differ from that of the full BFS, which the certificate's
+    matching is pinned to."""
     if need is not None:
         return _flow(adj, pair_l, pair_r, need)
     n_left = len(pair_l)
@@ -281,8 +286,6 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
     # The free roots of a phase: only a root's own path can match it.
     roots = [u for u, v in enumerate(pair_l) if v == -1]
     free = len(roots)
-    if shortest and not all(adj[u] for u in roots):
-        return free
     while free and bfs():
         shared = None
         for u in roots:
@@ -496,16 +499,20 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     the first target in its list that is mandatory itself, so that the
     other side's repair finds it covered, else its first target.  One with
     none takes a neighbour whose partner can move on to a target of its own
-    (a swap).  For the runs still free,
+    (a swap).  A free mandatory run with no neighbour fails the repair at
+    once.  For the runs still free,
     ``_hopcroft_karp`` runs its phases over the mandatory runs alone, where
     a run whose partner is not mandatory counts as free.  Every step is an
     augmenting path that keeps every matched run matched, except a partner
     that lets go, so when some matching covers both sides' mandatory runs,
     this side's repair cannot fail (Mendelsohn-Dulmage)."""
     stuck = []
-    for i in [i for i, (v, j) in enumerate(zip(dtz, mate)) if j == -1 and v > t]:
+    for i in [i for i, j in enumerate(mate) if j == -1 and dtz[i] > t]:
+        near = lists[i]
+        if not near:
+            return False
         spare = -1
-        for j in lists[i]:
+        for j in near:
             o = other[j]
             if o == -1 or dtz[o] <= t:
                 if dtz_other[j] > t:
@@ -590,9 +597,8 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
     An infeasible probe leaves them alone."""
     if counts is None:
         mate_m, mate_n = list(seeds[0]), list(seeds[1])
-        for i, j in enumerate(mate_m):
-            if j != -1 and costs[i][j] > t:
-                mate_m[i] = mate_n[j] = -1
+        for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
+            mate_m[i] = mate_n[j] = -1
         lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
         lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
         if not (_repair(t, dtz_m, mate_m, mate_n, lists_m, dtz_n) and
@@ -622,12 +628,12 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
 
 
 def _unit_merge(side_m, side_n) -> dict[int, int]:
-    """One matching out of the two sides' ``_unit_cover`` matchings,
-    covering every M vertex that M1 (side_m) matches and every N vertex
-    that M2 (side_n) matches (Mendelsohn-Dulmage): from each mandatory N
-    vertex j that M1 leaves free, give j its M2 partner i and move on to
-    i's old M1 partner, until a vertex without an M2 edge or an i without
-    an M1 edge."""
+    """One matching out of the two sides' ``_copy_cover`` matchings, for
+    the certificate, covering every M vertex that M1 (side_m) matches and
+    every N vertex that M2 (side_n) matches (Mendelsohn-Dulmage): from
+    each mandatory N vertex j that M1 leaves free, give j its M2 partner i
+    and move on to i's old M1 partner, until a vertex without an M2 edge
+    or an i without an M1 edge."""
     chosen = dict(zip(*side_m))
     m2 = dict(zip(*side_n))
     covered = set(chosen.values())
@@ -737,10 +743,11 @@ def _search(pair):
     has as edges the pairs within the class's undecorated cost, so
     feasibility is monotone along the tops.
 
-    Every vertex is a run, and each probe is seeded with the matchings or
-    flows of the one before.  A feasible probe's matching is feasible at
-    the top of its own value, the largest of its pair costs and of the
-    to-zero costs of the runs it leaves a copy of unmatched, so the
+    Every vertex is a run.  When no run repeats, each probe repairs the
+    matching of the last feasible one; otherwise it is seeded with the two
+    sides' flows of the one before.  A feasible probe's matching is
+    feasible at the top of its own value, the largest of its pair costs and
+    of the to-zero costs of the runs it leaves a copy of unmatched, so the
     bracket's upper end jumps there, never above the probe.  Returns
     (distance, the answer's top), or (+inf, None) when no finite threshold
     is feasible."""
@@ -814,7 +821,7 @@ def _copy_cover(runs, lists, n_right, ranges):
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
     the ``_unit_merge`` of both sides' ``_copy_cover`` matchings on
-    ``_boxes`` at the answer's top, the matching of an unseeded probe there
+    ``_boxes`` at the answer's top, one unseeded Hopcroft-Karp run per side
     on whole rows and columns of copies, read off the keys of the one
     ``_pair`` that the search ran on."""
     pair = _pair(m, n, True)

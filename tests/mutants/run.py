@@ -151,7 +151,7 @@ MUTANTS = (
            "an N run short again after the walk takes its units back is left short"),
     # The repair of the search's one matching when no run repeats.
     Mutant("repair-keeps-pairs-above-t", BN,
-           "if j != -1 and costs[i][j] > t:", "if False:", False,
+           "if j != -1 and costs[i][j] > t]", "if False]", False,
            "a probe keeps the seed's pairs whose entry exceeds t"),
     Mutant("repair-target-lt", BN,
            "pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]",
