@@ -500,12 +500,13 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     other side's repair finds it covered, else its first target.  One with
     none takes a neighbour whose partner can move on to a target of its own
     (a swap).  A free mandatory run with no neighbour fails the repair at
-    once.  For the runs still free,
-    ``_hopcroft_karp`` runs its phases over the mandatory runs alone, where
-    a run whose partner is not mandatory counts as free.  Every step is an
-    augmenting path that keeps every matched run matched, except a partner
-    that lets go, so when some matching covers both sides' mandatory runs,
-    this side's repair cannot fail (Mendelsohn-Dulmage)."""
+    once.  For the runs still free, ``_hopcroft_karp`` runs its phases over
+    the mandatory runs alone, where a run whose partner is not mandatory
+    counts as free.  Every step is an augmenting path that keeps every
+    matched run matched, except a partner that lets go, so when some
+    matching covers both sides' mandatory runs, this side's repair cannot
+    fail (Mendelsohn-Dulmage).  The steps before the phases are written
+    out, not shared through helpers: they run on nearly every probe."""
     stuck = []
     for i in [i for i, j in enumerate(mate) if j == -1 and dtz[i] > t]:
         near = lists[i]
