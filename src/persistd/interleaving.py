@@ -65,18 +65,17 @@ def _rescaled(view, scale: int, big: int) -> list:
     +big.  At its own scale with no infinity they are the view's own list.
 
     A key k = 2P +- d (d = k & 1, the decoration) of the value num/den is
-    num * (2S/den) +- d at S: one product of a small int and a big one per
-    key, and one division per distinct denominator, where scaling the
-    view's own key would multiply two big ints when both sides' lcms are
-    large and coprime."""
+    num * (2S // den) +- d at S: a big int divided by a small one and
+    multiplied by a small one, where scaling the view's own key would
+    multiply two big ints when both sides' lcms are large and coprime."""
     lcm, reach, infinite, keys, ratios = view
     if scale == 4 * lcm and not infinite:
         return keys
     lim = 2 * reach + 1
-    per = {den: 2 * scale // den for den in set(ratios[1::2])}
+    s2 = 2 * scale
     it = iter(ratios)
-    return [(n_lo * per[d_lo] + (lo & 1) if lo >= -lim else 1 - 2 * big,
-             n_up * per[d_up] - (up & 1) if up <= lim else 2 * big - 1)
+    return [(n_lo * (s2 // d_lo) + (lo & 1) if lo >= -lim else 1 - 2 * big,
+             n_up * (s2 // d_up) - (up & 1) if up <= lim else 2 * big - 1)
             for (lo, up), n_lo, d_lo, n_up, d_up in zip(keys, it, it, it, it)]
 
 

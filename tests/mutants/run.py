@@ -114,7 +114,7 @@ MUTANTS = (
            "row.append(g if g < h else h)", "row.append(g)", False,
            "the table forgets that deleting both summands may be cheaper"),
     Mutant("rescale-drops-decoration", IL,
-           "n_lo * per[d_lo] + (lo & 1)", "n_lo * per[d_lo]", False,
+           "n_lo * (s2 // d_lo) + (lo & 1)", "n_lo * (s2 // d_lo)", False,
            "a lower key rescales without its decoration"),
     Mutant("lattice-small-infinity", IL,
            "    reach = max(f_m * reach_m, f_n * reach_n)\n    big = 8 * reach + 2",
