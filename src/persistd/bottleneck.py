@@ -26,42 +26,47 @@ undecorated cost C, the last when the infimum is not attained.  The
 distance is the smallest feasible class top 2C+1, by binary search over
 the sorted tops of the table's entries, and becomes an ``ExtRational``
 once, at the end.  ``_matching_at`` probes a top on the table, and a
-feasible probe's matching lowers the bracket's top to the class of its own
-value.  The search returns only the distance and its top.
+feasible probe lowers the bracket's top to the class of the value of a
+matching it proves to exist.  The search returns only the distance and
+its top.
 
 The table, the candidates, the neighbour lists, the search's probes and
 the decision work on the distinct summands, the (interval, count) runs of
-a ``PModule``, one vertex per run.  When no summand of the pair repeats,
-every vertex has capacity 1, and the search keeps one matching, with
-partners on both sides, from its last feasible probe.  A probe repairs a
-copy of it (``_repair``): it drops the pairs above t, then on each side
-every free mandatory run takes a direct target, a free run or one whose
-partner may be deleted and lets go, or else a swap one level deep, and
-Hopcroft-Karp's phases match the runs still free with the same targets.
-The alternating paths keep every matched run matched, so a failed repair
-proves the probe infeasible.  A run's neighbour list is filtered at t only
-when the probe reads it, and kept for the later probes, which all lie
-lower, only when the probe is feasible.
+a ``PModule``, one vertex per run, and each pair shape has one matcher,
+which the search's probes and the eps-decision share.
+
+When no summand of the pair repeats, every vertex has capacity 1 and the
+matcher is ``_repair``: it repairs a matching with partners on both
+sides, in place.  On each side every free mandatory run takes a direct
+target, a free run or one whose partner may be deleted and lets go, or
+else a swap one level deep, and Hopcroft-Karp's phases match the runs
+still free with the same targets.  The alternating paths keep every
+matched run matched, so a failed repair proves that no matching covers
+both sides' mandatory runs.  The search keeps the matching of its last
+feasible probe, and a probe repairs a copy of it, without its pairs above
+t; the decision repairs the empty matching.  A run's neighbour list is
+built only when the repair reads it, and a probe keeps the lists it read,
+for the later probes, which all lie lower, only when it is feasible.
 
 Otherwise a mandatory run has to be matched as many times as it has
 copies and a run of the other side takes at most that many: ``_cover``
-finds such a flow of units with ``_hopcroft_karp`` on capacities (Gabow's
-degree-constrained subgraphs; Hopcroft-Karp's phases are Dinic's blocking
-flows), starting from the previous probe's flow and then a greedy pass
-over the lists, and ``_merge`` walks Mendelsohn-Dulmage over the two
-sides' flows.  Such a probe narrows every mandatory run's list.
+finds one side's flow of units with ``_hopcroft_karp`` on capacities
+(Gabow's degree-constrained subgraphs; Hopcroft-Karp's phases are Dinic's
+blocking flows), from a seed flow and then a greedy pass over the lists.
+A probe seeds each side with its flow at the probe before and narrows
+every mandatory run's list; the decision starts both sides empty.  The
+two sides' flows are never merged: the search jumps on a bound read off
+them (``_search``).
 
 The eps-decision, the certificate's matching and the certificate check
 build no table.  For a summand whose to-zero entry exceeds t, an entry is
 <= t exactly when both key gaps are, so its neighbours form an L-infinity
-box around its key point, which ``_boxes`` reads with ``bisect``.  The
-decision at eps asks whether one unseeded matching or flow per side
-saturates there (``_unit_cover``, ``_cover``); the certificate is the
-``_unit_merge`` of one unseeded matching per side at the answer's top,
-with one vertex per copy, where all copies of a run share one neighbour
-list, which Hopcroft-Karp scans once where it can; ``MATCH_CAP`` still
-counts copies.  The check computes each listed pair's entry from its key
-pairs.
+box around its key point, which ``_box_query`` reads with ``bisect``.
+The certificate is the ``_unit_merge`` of one unseeded matching per side
+at the answer's top (``_boxes``), with one vertex per copy, where all
+copies of a run share one neighbour list, which Hopcroft-Karp scans once
+where it can; ``MATCH_CAP`` still counts copies.  The check computes each
+listed pair's entry from its key pairs.
 """
 
 from __future__ import annotations
@@ -170,6 +175,12 @@ def _pair(m: PModule, n: PModule, table: bool):
     return (*_admit(m, n, table), counts)
 
 
+def _to_zero(keys) -> list[int]:
+    """The ``interleaving._key_entry`` of each of a side's key pairs
+    against the zero module."""
+    return [(up - low) // 2 + 1 for low, up in keys]
+
+
 def _cost_tables(pair):
     """The ``interleaving._key_entry`` of every pair of distinct summands,
     row i and column j for the i-th and j-th runs, and of each against the
@@ -177,8 +188,7 @@ def _cost_tables(pair):
     budget: (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry
     exceeds fin = 4*reach + 1."""
     scale, reach, keys_m, keys_n, counts = pair
-    dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]
-    dtz_n = [(up - low) // 2 + 1 for low, up in keys_n]
+    dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
     costs = []
     # Plain comparisons instead of abs/max/min calls: this is the hot loop.
@@ -417,22 +427,6 @@ def _within(row, near, t) -> list[int]:
     return [j for j in near if row[j] <= t]
 
 
-def _unit_cover(runs, lists, n_right) -> bool:
-    """Whether one side's mandatory ``runs`` can all be matched to their
-    neighbours ``lists`` among the other side's runs when no run of the pair
-    repeats, so that each run is one vertex of capacity 1: each run takes
-    its first free neighbour (the greedy start), and ``_hopcroft_karp``
-    completes the matching."""
-    pair_l, pair_r = [-1] * len(runs), [-1] * n_right
-    for k, near in enumerate(lists):
-        for j in near:
-            if pair_r[j] == -1:
-                pair_l[k] = j
-                pair_r[j] = k
-                break
-    return not _hopcroft_karp(lists, pair_l, pair_r)
-
-
 def _cover(runs, lists, counts, sent, room):
     """One side's flow when some run of the pair repeats: each run is one
     vertex, a mandatory run r on this side has to send counts[r] units to
@@ -491,8 +485,8 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     side's mandatory runs (to-zero entry > t) and still covers every run of
     the other side that it covered: whether it could.  ``mate`` holds this
     side's partners and ``other`` the other side's, -1 for none, every pair
-    an edge at t; ``lists`` gives each run's neighbours at t, and
-    ``dtz_other`` the other side's to-zero entries.
+    an edge at t; ``lists``, a ``_Lists``, gives each mandatory run's
+    neighbours at t, and ``dtz_other`` the other side's to-zero entries.
 
     The target of a mandatory run is a free run or a run whose partner is
     not mandatory, and that partner lets go.  Each free mandatory run takes
@@ -562,7 +556,11 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     # ``pair_r`` never leads to it.
     pair_l = [j if v > t else -2 for v, j in zip(dtz, mate)]
     pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]
-    if _hopcroft_karp(lists, pair_l, pair_r, shortest=True):
+    # Cutting each BFS at its first free layer saves building the lists of
+    # deeper runs.  Once every mandatory run's list is built, as after a
+    # repair from the empty matching, it saves nothing and adds phases.
+    unbuilt = len(lists) < len(pair_l) - pair_l.count(-2)
+    if _hopcroft_karp(lists, pair_l, pair_r, shortest=unbuilt):
         return False
     for i, j in enumerate(pair_l):
         if j >= 0 and mate[i] != j:
@@ -575,20 +573,23 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
 
 
 def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
-    """A matching of the copies over the pairs of cost <= t that matches
-    every copy of each run of to-zero cost > t on both sides, or None when
-    there is none.  ``costs``, ``dtz_m``, ``dtz_n`` and ``counts`` are
-    ``_cost_tables``'s, and every vertex is a run.
+    """The probe at t: when the copies have a matching over the pairs of
+    cost <= t that matches every copy of each run of to-zero cost > t on
+    both sides, what proves it, else None.  ``costs``, ``dtz_m``,
+    ``dtz_n`` and ``counts`` are ``_cost_tables``'s, and every vertex is a
+    run.
 
     When no run repeats (``counts`` None), ``seeds`` = (mate_m, mate_n) is
     a matching with partners on both sides, -1 for none, such as an earlier
     feasible probe's.  The probe repairs a copy of it: it drops every pair
     whose entry exceeds t, then ``_repair``s M's side and then N's, and
-    returns the repaired (mate_m, mate_n).  Otherwise the matching is
-    ``_merge``'s flow {M run: {N run: units}}, and ``seeds`` = ((sent_m,
-    room_n), (sent_n, room_m)) is each side's flow and the room it leaves,
-    empty when unseeded, for ``_cover``, which updates them in place.  A
-    seeded probe decides as an unseeded one, but its matching can differ.
+    returns the repaired (mate_m, mate_n), such a matching.  Otherwise it
+    returns the two sides' ``_cover`` flows (side_m, side_n), side_m =
+    {mandatory M run: {N run: units}} and side_n the same from N, and
+    ``seeds`` = ((sent_m, room_n), (sent_n, room_m)) is each side's flow
+    and the room it leaves, empty when unseeded, which ``_cover`` updates
+    in place.  A seeded probe decides as an unseeded one, but what it
+    returns can differ.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
     i's neighbours at t, and ``near_n[j]`` the rows of column j, each entry
@@ -625,7 +626,7 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
         near_m[i] = near
     for j, near in zip(runs_n, lists_n):
         near_n[j] = near
-    return _merge(side_m, side_n, *counts)
+    return side_m, side_n
 
 
 def _unit_merge(side_m, side_n) -> dict[int, int]:
@@ -647,74 +648,28 @@ def _unit_merge(side_m, side_n) -> dict[int, int]:
     return chosen
 
 
-def _merge(side_m, side_n, counts_m, counts_n) -> dict[int, dict[int, int]]:
-    """``_unit_merge`` over the two sides' ``_cover`` flows, F1 (side_m)
-    and F2 (side_n): one flow {M run: {N run: units}} that matches every
-    copy F1 matches on M and every copy F2 matches on N.  Starting from F1,
-    while a mandatory N run j is short, it gives j units of j's F2 partner
-    i; when i then sends more than counts_m[i], the excess comes back off
-    i's F1 units, whose N runs, when mandatory, are short again.  Every
-    step spends F2 units, so the walk ends."""
-    chosen = {i: dict(row) for i, row in side_m.items()}
-    spare = {i: dict(row) for i, row in side_m.items()}  # F1 units not taken back
-    offers = {j: dict(row) for j, row in side_n.items()}  # F2 units not given yet
-    sent_m = {i: sum(row.values()) for i, row in side_m.items()}
-    sent_n = dict.fromkeys(side_n, 0)
-    for row in side_m.values():
-        for j, units in row.items():
-            if j in sent_n:
-                sent_n[j] += units
-    for start in side_n:
-        walk = [start]
-        while walk:
-            j = walk.pop()
-            short = counts_n[j] - sent_n[j]
-            if not short:
-                continue
-            i, units = _take(offers[j], short)
-            row = chosen.setdefault(i, {})
-            row[j] = row.get(j, 0) + units
-            sent_n[j] += units
-            sent_m[i] = sent_m.get(i, 0) + units
-            walk.append(j)
-            while sent_m[i] > counts_m[i]:
-                k, units = _take(spare[i], sent_m[i] - counts_m[i])
-                row[k] -= units
-                if not row[k]:
-                    del row[k]
-                sent_m[i] -= units
-                if k in sent_n:
-                    sent_n[k] -= units
-                    walk.append(k)
-    return chosen
+def _box_query(keys, other, w):
+    """The box query at w from the runs of ``keys`` to those of ``other``:
+    a function from a run i to the runs within w of keys[i] on both keys,
+    in index order, a ``bisect`` window on the lower key filtered on the
+    upper.  These are run i's neighbours at w only when its to-zero entry
+    exceeds w.  Runs come in canonical order, in which their keys strictly
+    increase, so the lower keys of ``other`` are already sorted."""
+    lows, ups = [low for low, _ in other], [up for _, up in other]
 
-
-def _take(units_by_key, most):
-    """(key, units): up to ``most`` units off the first entry of the dict
-    ``units_by_key``, removed from it."""
-    key = next(iter(units_by_key))
-    units = units_by_key.pop(key)
-    if units > most:
-        units_by_key[key] = units - most
-        units = most
-    return key, units
+    def box(i) -> list[int]:
+        low, up = keys[i]
+        a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
+        below, above = up - w, up + w
+        return [j for j, u in enumerate(ups[a:b], a) if below <= u <= above]
+    return box
 
 
 def _boxes(keys, other, w):
     """The runs among ``keys`` of to-zero entry > w, and each one's
-    neighbours at w among ``other``, in index order: the runs within w on
-    both keys, a ``bisect`` window on the lower key filtered on the upper.
-    Runs come in canonical order, in which their keys strictly increase,
-    so the lower keys of ``other`` are already sorted."""
-    lows, ups = [low for low, _ in other], [up for _, up in other]
-    runs, lists = [], []
-    for i, (low, up) in enumerate(keys):
-        if (up - low) // 2 + 1 > w:
-            a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
-            below, above = up - w, up + w
-            runs.append(i)
-            lists.append([j for j, u in enumerate(ups[a:b], a) if below <= u <= above])
-    return runs, lists
+    neighbours at w among ``other`` (``_box_query``)."""
+    runs = [i for i, v in enumerate(_to_zero(keys)) if v > w]
+    return runs, list(map(_box_query(keys, other, w), runs))
 
 
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
@@ -723,16 +678,22 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     all eps-interleaved with the zero module?  An entry <= w =
     ``_bound(eps, S, reach)`` is exactly an eps-interleaved pair, as in
     ``are_eps_interleaved``.  No table: for a run whose to-zero entry
-    exceeds w, an entry is <= w exactly when both key gaps are, so
-    ``_boxes`` gives each side's mandatory runs and their neighbour runs,
-    and one unseeded ``_cover`` per side, or ``_unit_cover`` when no run
-    repeats, must match every copy of them.  The vertex cap and
-    ``KEYS_BUDGET`` are checked before eps, which only ``_bound`` reads."""
+    exceeds w, an entry is <= w exactly when both key gaps are, so its
+    neighbours are a ``_box_query``.  When no run repeats, M's side and
+    then N's ``_repair`` the empty matching, a valid start; a repair fails
+    only when no matching covers both sides' mandatory runs.  Otherwise one
+    unseeded ``_cover`` per side must match every copy of the mandatory
+    runs of ``_boxes``.  The vertex cap and ``KEYS_BUDGET`` are checked
+    before eps, which only ``_bound`` reads."""
     scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
     if counts is None:
-        return (_unit_cover(*_boxes(keys_m, keys_n, w), len(keys_n)) and
-                _unit_cover(*_boxes(keys_n, keys_m, w), len(keys_m)))
+        dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
+        mate_m, mate_n = [-1] * len(keys_m), [-1] * len(keys_n)
+        # A box is the neighbour list only of a run whose to-zero entry
+        # exceeds w, and _repair and its phases read no other run's list.
+        return (_repair(w, dtz_m, mate_m, mate_n, _Lists(_box_query(keys_m, keys_n, w)), dtz_n) and
+                _repair(w, dtz_n, mate_n, mate_m, _Lists(_box_query(keys_n, keys_m, w)), dtz_m))
     counts_m, counts_n = counts
     return (_cover(*_boxes(keys_m, keys_n, w), counts_m, {}, list(counts_n)) is not None
             and _cover(*_boxes(keys_n, keys_m, w), counts_n, {}, list(counts_m)) is not None)
@@ -744,14 +705,24 @@ def _search(pair):
     has as edges the pairs within the class's undecorated cost, so
     feasibility is monotone along the tops.
 
-    Every vertex is a run.  When no run repeats, each probe repairs the
-    matching of the last feasible one; otherwise it is seeded with the two
-    sides' flows of the one before.  A feasible probe's matching is
-    feasible at the top of its own value, the largest of its pair costs and
-    of the to-zero costs of the runs it leaves a copy of unmatched, so the
-    bracket's upper end jumps there, never above the probe.  Returns
-    (distance, the answer's top), or (+inf, None) when no finite threshold
-    is feasible."""
+    Every vertex is a run.  A feasible probe at t proves a matching of
+    some value V <= t, which is then feasible at V's class top, so the
+    bracket's upper end jumps there, never above the probe.  When no run
+    repeats, each probe repairs the matching of the last feasible one, and
+    V is that matching's value: the largest of its pair costs and of the
+    to-zero costs of the runs it leaves unmatched.
+
+    Otherwise each probe is seeded with the two sides' flows of the one
+    before, F1 = side_m and F2 = side_n, and V is the largest of every
+    edge cost in F1 and F2 and the to-zero cost of every M run F1 does not
+    cover and every N run F2 does not cover, the runs that are not
+    mandatory; all of these are <= t.  The Mendelsohn-Dulmage merge of F1
+    and F2 (``copy_merge`` of ``tests/oracles.py`` builds it on copies)
+    uses only their edges and leaves unmatched no copy of a run that F1
+    covers on M or F2 covers on N, so its value is <= V: a matching of
+    value <= V exists, and the jump is exact.  The merge itself is never
+    built.  Returns (distance, the answer's top), or (+inf, None) when no
+    finite threshold is feasible."""
     costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(pair)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
@@ -781,15 +752,11 @@ def _search(pair):
                               for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
                          *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
         else:
-            sent_m, sent_n = [0] * len(dtz_m), [0] * len(dtz_n)
-            value = 0
-            for i, row in found.items():
-                for j, units in row.items():
-                    sent_m[i] += units
-                    sent_n[j] += units
-                    value = max(value, costs[i][j])
-            value = max([value, *(v for v, k, c in zip(dtz_m, sent_m, counts[0]) if k < c),
-                         *(v for v, k, c in zip(dtz_n, sent_n, counts[1]) if k < c)])
+            side_m, side_n = found
+            value = max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
+                         *(costs[i][j] for j, row in side_n.items() for i in row),
+                         *(v for i, v in enumerate(dtz_m) if i not in side_m),
+                         *(v for j, v in enumerate(dtz_n) if j not in side_n)])
         hi = bisect_left(tops, ((value + 1) & -4) + 1)
     if hi == len(tops):
         return POS_INF, None

@@ -107,9 +107,9 @@ MUTANTS = (
            "h = max(a[1] - a[0], b[1] - b[0]) // 2", False,
            "the halving term of a pair loses its decoration"),
     Mutant("table-to-zero", BN,
-           "dtz_m = [(up - low) // 2 + 1 for low, up in keys_m]",
-           "dtz_m = [(up - low) // 2 for low, up in keys_m]", False,
-           "the M summands' to-zero entries lose their decoration"),
+           "return [(up - low) // 2 + 1 for low, up in keys]",
+           "return [(up - low) // 2 for low, up in keys]", False,
+           "every to-zero entry loses its decoration"),
     Mutant("table-no-halving", BN,
            "row.append(g if g < h else h)", "row.append(g)", False,
            "the table forgets that deleting both summands may be cheaper"),
@@ -145,10 +145,6 @@ MUTANTS = (
     Mutant("dropped-runs-keep-units", BN,
            "for r in sent.keys() - set(runs):", "for r in ():", False,
            "runs no longer mandatory keep the room their units hold"),
-    Mutant("merge-no-rewalk", BN,
-           "                    sent_n[k] -= units\n                    walk.append(k)",
-           "                    sent_n[k] -= units", False,
-           "an N run short again after the walk takes its units back is left short"),
     # The repair of the search's one matching when no run repeats.
     Mutant("repair-keeps-pairs-above-t", BN,
            "if j != -1 and costs[i][j] > t]", "if False]", False,
@@ -181,6 +177,25 @@ MUTANTS = (
     Mutant("swaps-forget-dead-runs", BN,
            "            if o in dead:\n                continue\n", "", True,
            "the swaps search a list in vain again"),
+    Mutant("phases-always-cut", BN,
+           "shortest=unbuilt)", "shortest=True)", True,
+           "the phases cut each BFS at its first free layer even when every list is built"),
+    # The search's jump on the two sides' flows when a run repeats.
+    Mutant("jump-drops-free-n-runs", BN,
+           "*(v for j, v in enumerate(dtz_n) if j not in side_n)", "*()", False,
+           "the jump bound leaves out the N runs side_n does not cover"),
+    Mutant("jump-drops-free-m-runs", BN,
+           "*(v for i, v in enumerate(dtz_m) if i not in side_m)", "*()", False,
+           "the jump bound leaves out the M runs side_m does not cover"),
+    Mutant("jump-drops-side-n-edges", BN,
+           "*(costs[i][j] for j, row in side_n.items() for i in row),", "", False,
+           "the jump bound leaves out the edge costs of side_n"),
+    # The eps-decision's repair of the empty matching when no run repeats.
+    Mutant("decision-repairs-m-only", BN,
+           " and\n                _repair(w, dtz_n, mate_n, mate_m, "
+           "_Lists(_box_query(keys_n, keys_m, w)), dtz_m))",
+           ")", False,
+           "the decision repairs only M's side"),
 )
 
 

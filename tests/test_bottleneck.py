@@ -30,9 +30,11 @@ from persistd.verify import random_interval, random_module
 from oracles import (
     full_probe,
     key_table,
+    lattice_scale,
     reference_distance_to_zero,
     reference_interval_distance,
     reference_module_distance,
+    reference_modules_eps_interleaved,
     reference_search,
 )
 from strategies import modules
@@ -462,22 +464,26 @@ def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
 
 
 def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
-    """``_assert_matching_at`` for a probe on runs: with ``counts``, the
-    flow {M run: {N run: units}} uses only pairs of cost <= t, sends no run
-    more units than it has copies, and sends every copy of each run of
-    to-zero cost > t."""
+    """``_assert_matching_at`` for a probe on runs: with ``counts``, each
+    of the two sides' flows (side_m, side_n), {run: {run of the other
+    side: units}}, uses only pairs of cost <= t, sends no run more units
+    than it has copies, and has as its keys exactly its side's runs of
+    to-zero cost > t, each sending every copy."""
     if counts is None:
         _assert_matching_at(found, costs, dtz_m, dtz_n, t)
         return
-    sent_m, sent_n = [0] * len(dtz_m), [0] * len(dtz_n)
-    for i, row in found.items():
-        for j, units in row.items():
-            assert units > 0 and costs[i][j] <= t
-            sent_m[i] += units
-            sent_n[j] += units
-    for dtz, sent, count in ((dtz_m, sent_m, counts[0]), (dtz_n, sent_n, counts[1])):
-        assert all(k <= c for k, c in zip(sent, count))
-        assert all(k == c for v, k, c in zip(dtz, sent, count) if v > t)
+    side_m, side_n = found
+    flipped = [[row[j] for row in costs] for j in range(len(dtz_n))]
+    for flow, table, dtz, dtz_other, (count, count_other) in (
+            (side_m, costs, dtz_m, dtz_n, counts), (side_n, flipped, dtz_n, dtz_m, counts[::-1])):
+        assert sorted(flow) == [i for i, v in enumerate(dtz) if v > t]
+        into = [0] * len(dtz_other)
+        for i, row in flow.items():
+            assert sum(row.values()) == count[i]
+            for j, units in row.items():
+                assert units > 0 and table[i][j] <= t
+                into[j] += units
+        assert all(k <= c for k, c in zip(into, count_other))
 
 
 def _seeded_probe(costs, dtz_m, dtz_n, t, seeds):
@@ -587,6 +593,46 @@ def test_a_side_with_no_runs():
     assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], ([], [-1])) == ([], [-1])
 
 
+def test_unit_decision_repairs_the_empty_matching(monkeypatch):
+    """The eps-decision on a pair with no repeated summand repairs the
+    empty matching, M's side and then N's.  With an empty side, the other
+    side's mandatory run has no neighbour and fails its repair at once, in
+    both orders.  At an eps where no run of either side is mandatory, the
+    decision holds without reading a neighbour list or running a phase."""
+    reads, phases = [], []
+
+    class Recorded(bottleneck._Lists):
+        def __missing__(self, run):
+            reads.append(run)
+            return super().__missing__(run)
+
+    def counted(*args, _real=bottleneck._hopcroft_karp, **kwargs):
+        phases.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(bottleneck, "_Lists", Recorded)
+    monkeypatch.setattr(bottleneck, "_hopcroft_karp", counted)
+    one = PModule.of("(0,1)")
+    for m, n in ((PModule(), one), (one, PModule())):
+        for eps in (Fraction(0), Fraction(1, 4)):
+            assert not modules_eps_interleaved(m, n, eps)
+        assert phases == []
+        reads.clear()
+        for eps in (Fraction(1, 2), Fraction(1)):
+            assert modules_eps_interleaved(m, n, eps)
+        assert reads == [] and phases == []
+    assert modules_eps_interleaved(PModule(), PModule(), Fraction(0))
+    m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)", "[5,9)")
+    # The largest distance to zero is that of [5,9), 2, and it is attained.
+    for eps in (Fraction(2), Fraction(3)):
+        assert modules_eps_interleaved(m, n, eps)
+    assert reads == [] and phases == []
+    step = Fraction(1, 4 * lattice_scale(m, n))
+    for eps in (Fraction(2) - step, Fraction(3, 2), Fraction(1, 2), Fraction(0)):
+        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
+    assert reads
+
+
 def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     """Each side's flow on runs is kept for the next probe: repeated at the
     same t, a probe on repeated summands starts both Hopcroft-Karp runs
@@ -599,7 +645,7 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     seeds = ({}, list(counts[1])), ({}, list(counts[0]))
     near = [range(2)] * 2
     first = _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts)
-    assert first == {0: {0: 3}, 1: {1: 2}}
+    assert first == ({0: {0: 3}, 1: {1: 2}}, {0: {0: 3}, 1: {1: 2}})
     starts = []
 
     def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp):

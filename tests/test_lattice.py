@@ -131,7 +131,8 @@ def test_whole_line_and_half_lines():
 def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
     """The decision builds no cost table (``_cost_tables`` is the only
     table builder) and makes no probe: it reads the lattice once and runs
-    Hopcroft-Karp at most once per side."""
+    Hopcroft-Karp at most once per side, not at all when the repair of the
+    empty matching needs no phases."""
     pairs = [
         (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
         (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),
@@ -149,8 +150,8 @@ def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
         calls.clear()
         assert modules_eps_interleaved(m, n, eps) == expected
         assert calls.count("_lattice") == 1
-        assert 1 <= calls.count("_hopcroft_karp") <= 2
-        assert set(calls) == {"_lattice", "_hopcroft_karp"}, calls
+        assert calls.count("_hopcroft_karp") <= 2
+        assert set(calls) <= {"_lattice", "_hopcroft_karp"}, calls
 
 
 def test_decision_checks_the_vertex_cap_before_eps():

@@ -5,16 +5,19 @@ tests hold the capacitated ``_hopcroft_karp`` and the search and the
 decision built on it to the copy-level references of ``oracles``."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistd import module_distance, modules_eps_interleaved
-from persistd.bottleneck import _cost_tables, _hopcroft_karp, _matching_at, _pair
+from persistd import ExtRational, POS_INF, bottleneck, module_distance, modules_eps_interleaved
+from persistd.bottleneck import _cost_tables, _hopcroft_karp, _matching_at, _pair, _ranges
 
 from oracles import (
     copy_hopcroft_karp,
+    copy_merge,
     copy_search,
     full_probe,
     lattice_scale,
@@ -158,3 +161,78 @@ def test_run_kernel_against_copy_references(pair, k):
             str(eps), m.to_json(), n.to_json())
 
 
+def _copy_matching(flow, own, other):
+    """A run flow {run: {run of the other side: units}} as a matching of
+    copies (the copies, their partners), as ``oracles.copy_merge`` takes
+    it: a run's units take its copies in ``own`` in order, and the units
+    into a run of the other side take its copies in ``other`` in order."""
+    taken = [0] * len(other)
+    copies, partners = [], []
+    for r, row in flow.items():
+        mine = iter(own[r])
+        for j, units in row.items():
+            for _ in range(units):
+                copies.append(next(mine))
+                partners.append(other[j][taken[j]])
+                taken[j] += 1
+    return copies, partners
+
+
+@given(pooled_pairs(max_count=7))
+@settings(max_examples=150, deadline=None)
+def test_jump_bound_covers_the_merge(pair):
+    """At every feasible probe of a search on repeated runs, the bound V
+    that the search jumps on, the largest of every edge cost in the two
+    sides' flows (side_m, side_n) and of the to-zero cost of every run that
+    its side's flow does not cover, lies between the value of the flows'
+    Mendelsohn-Dulmage merge (``oracles.copy_merge`` on the flows expanded
+    to copies) and the probe's top t, and the copy-level full probe is
+    feasible at V's class top.  The search's bracket moves exactly as V
+    says: each probe is the middle of the bracket the probes before leave,
+    and the distance is the top the last one leaves."""
+    m, n = pair
+    costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(_pair(m, n, True))
+    if counts is None:
+        return
+    tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
+                   if r <= fin} | {1})
+    own_m, own_n = map(_ranges, counts)
+    run_m, run_n = ([r for r, copies in enumerate(own) for _ in copies] for own in (own_m, own_n))
+    probes = []
+
+    def recorded(*args, _real=bottleneck._matching_at):
+        found = _real(*args)
+        # The flows are the seeds of the next probe, which updates them.
+        probes.append((args[3], found and tuple(
+            {r: dict(row) for r, row in side.items()} for side in found)))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bottleneck, "_matching_at", recorded)
+        d = module_distance(m, n)
+    lo, hi = 0, len(tops)
+    for t, found in probes:
+        mid = (lo + hi) // 2
+        assert t == tops[mid]
+        if found is None:
+            lo = mid + 1
+            continue
+        side_m, side_n = found
+        bound = max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
+                     *(costs[i][j] for j, row in side_n.items() for i in row),
+                     *(v for i, v in enumerate(dtz_m) if i not in side_m),
+                     *(v for j, v in enumerate(dtz_n) if j not in side_n)])
+        merged = copy_merge(_copy_matching(side_m, own_m, own_n),
+                            _copy_matching(side_n, own_n, own_m))
+        matched_n = set(merged.values())
+        assert all(i in merged for i, r in enumerate(run_m) if dtz_m[r] > t)
+        assert all(j in matched_n for j, r in enumerate(run_n) if dtz_n[r] > t)
+        value = max([0, *(costs[run_m[i]][run_n[j]] for i, j in merged.items()),
+                     *(dtz_m[r] for i, r in enumerate(run_m) if i not in merged),
+                     *(dtz_n[r] for j, r in enumerate(run_n) if j not in matched_n)])
+        assert value <= bound <= t, (value, bound, t, m.to_json(), n.to_json())
+        top = ((bound + 1) & -4) + 1
+        assert full_probe(costs, dtz_m, dtz_n, top, copies=counts) is not None
+        hi = bisect_left(tops, top)
+    assert lo == hi
+    assert d == (POS_INF if hi == len(tops) else ExtRational(Fraction(tops[hi] - 1, 2 * scale)))

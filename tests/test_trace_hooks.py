@@ -10,6 +10,7 @@ attribute, so the trace keeps covering and timing the pipeline stages."""
 import importlib
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,8 @@ def test_kernel_hooks_are_reached():
     Hopcroft-Karp's phases when a mandatory run stays free after the
     direct targets and swaps, as in the second pair.  A certificate runs the
     same search and reads its matching off the keys, without a further
-    probe; the eps-decision neither builds a table nor probes one."""
+    probe; the eps-decision neither builds a table nor probes one, and its
+    repair runs the phases on the second pair at eps = 17/8."""
     m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")
     calls = _traced_calls(lambda: bottleneck.module_distance(m, n))
     assert calls["bottleneck.module_distance"] == calls["bottleneck.cost_table"] == 1
@@ -70,6 +72,9 @@ def test_kernel_hooks_are_reached():
     assert calls["bottleneck.certificate"] == calls["bottleneck.cost_table"] == 1
     assert calls["bottleneck.probe"] == probes
     calls = _traced_calls(lambda: bottleneck.modules_eps_interleaved(m, n, 1))
+    assert calls["bottleneck.decide"] == 1
+    assert calls["bottleneck.cost_table"] == calls["bottleneck.probe"] == 0
+    calls = _traced_calls(lambda: bottleneck.modules_eps_interleaved(*phases, Fraction(17, 8)))
     assert calls["bottleneck.decide"] == 1 and calls["bottleneck.hk"] >= 1
     assert calls["bottleneck.cost_table"] == calls["bottleneck.probe"] == 0
 
