@@ -23,17 +23,20 @@ hand the one pair it admits to ``_search``.  ``_cost_tables`` builds the one
 pairwise table, the closed form of ``interleaving._key_entry`` on the keys
 of every pair of summands: an entry is 2C-1, 2C or 2C+1 for the scaled
 undecorated cost C, the last when the infimum is not attained.  The
-distance is the smallest feasible class top 2C+1, by binary search over
-the sorted tops of the table's entries, and becomes an ``ExtRational``
-once, at the end.  ``_matching_at`` probes a top on the table, and a
-feasible probe lowers the bracket's top to the class of the value of a
-matching it proves to exist.  The search returns only the distance and
-its top.
+distance is the smallest feasible class top 2C+1 = 4k + 1, by binary
+search over the class index k between bounds that the probes prove, with
+no candidate set, and becomes an ``ExtRational`` once, at the end.
+``_matching_at`` probes a top on the table.  A feasible probe lowers the
+bracket's top to the class of the value of a matching it proves to exist;
+an infeasible one raises its bottom to the Koenig floor of the side that
+failed (``_floor``), the least entry below which the mandatory runs that
+the failed matcher's last BFS reached still violate Hall's condition.
+The search returns only the distance and its top.
 
-The table, the candidates, the neighbour lists, the search's probes and
-the decision work on the distinct summands, the (interval, count) runs of
-a ``PModule``, one vertex per run, and each pair shape has one matcher,
-which the search's probes and the eps-decision share.
+The table, the neighbour lists, the search's probes and the decision work
+on the distinct summands, the (interval, count) runs of a ``PModule``, one
+vertex per run, and each pair shape has one matcher, which the search's
+probes and the eps-decision share.
 
 When no summand of the pair repeats, every vertex has capacity 1 and the
 matcher is ``_repair``: it repairs a matching with partners on both
@@ -46,7 +49,8 @@ both sides' mandatory runs.  The search keeps the matching of its last
 feasible probe, and a probe repairs a copy of it, without its pairs above
 t; the decision repairs the empty matching.  A run's neighbour list is
 built only when the repair reads it, and a probe keeps the lists it read,
-for the later probes, which all lie lower, only when it is feasible.
+for the later probes, which all lie lower, only when it is feasible; an
+infeasible probe's lists give the floor its N(X).
 
 Otherwise a mandatory run has to be matched as many times as it has
 copies and a run of the other side takes at most that many: ``_cover``
@@ -75,6 +79,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .interleaving import _bound, _key_entry, _lattice
@@ -207,7 +212,8 @@ def _cost_tables(pair):
 
 
 def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
-                   need: list[int] | None = None, shortest: bool = False) -> int:
+                   need: list[int] | None = None, hall: list[int] | None = None,
+                   shortest: bool = False) -> int:
     """Hopcroft-Karp's phases from the left vertices to the right ones
     along ``adj``, from the start given and augmented in place; returns
     how many units stay unmatched.  Iterative, so deep augmenting paths are
@@ -233,9 +239,14 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
     free right vertex and keeps only the layers up to it, so a phase finds
     only shortest augmenting paths and reads the fewest lists.  The
     matching can differ from that of the full BFS, which the certificate's
-    matching is pinned to."""
+    matching is pinned to.
+
+    When units stay unmatched, the left vertices that the last BFS reached,
+    those that alternating (residual) paths reach from a free (short) one,
+    are appended to ``hall``, if given: every right vertex their lists
+    reach is full, and taken only by them, so they are a Hall violator."""
     if need is not None:
-        return _flow(adj, pair_l, pair_r, need)
+        return _flow(adj, pair_l, pair_r, need, hall)
     n_left = len(pair_l)
     unreachable = n_left + 1
     dist = [0] * n_left
@@ -309,19 +320,22 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
             shared, path = adj[u], [[u, -1, start]]
             free -= dfs(path)
         roots = [u for u in roots if pair_l[u] == -1]
+    if free and hall is not None:
+        hall += [u for u, d in enumerate(dist) if d != unreachable]
     return free
 
 
 def _flow(adj: list[list[int]], sent: list[dict[int, int]], room: list[int],
-          need: list[int]) -> int:
+          need: list[int], hall: list[int] | None = None) -> int:
     """Maximum flow from left vertex u, which still has to send need[u]
     units, to right vertex v, which can still take room[v], along ``adj``,
     from the flow ``sent`` (sent[u] maps right vertices to the units u
     sends them), augmented in place: Hopcroft-Karp's phases on capacities,
     Dinic's blocking flows, each augmenting path carrying its smallest
     residual and a root trying again while it has units to send.  Returns
-    the units still unsent.  Iterative, so deep augmenting paths are fine.
-    With unit capacities and no start the matching is that of
+    the units still unsent, and appends to ``hall``, if given and some are,
+    the left vertices the last BFS reached.  Iterative, so deep augmenting
+    paths are fine.  With unit capacities and no start the matching is that of
     ``_hopcroft_karp`` without ``need`` on the same lists, when no two left
     vertices share one list object."""
     short = sum(need)
@@ -419,6 +433,8 @@ def _flow(adj: list[list[int]], sent: list[dict[int, int]], room: list[int],
                     break
                 short -= pushed
                 start = path[0][2]
+    if short and hall is not None:
+        hall += [u for u in range(n_left) if dist[u] != unreachable]
     return short
 
 
@@ -427,12 +443,14 @@ def _within(row, near, t) -> list[int]:
     return [j for j in near if row[j] <= t]
 
 
-def _cover(runs, lists, counts, sent, room):
+def _cover(runs, lists, counts, sent, room, hall=None):
     """One side's flow when some run of the pair repeats: each run is one
     vertex, a mandatory run r on this side has to send counts[r] units to
     its neighbour runs ``lists`` on the other side, and run j there takes
     at most room[j] more.  Returns {mandatory run: {neighbour: units}}, in
-    run order, or None when a copy stays free.
+    run order, or None when a copy stays free, and then appends to
+    ``hall``, if given, the runs that residual paths reach from a short
+    one (``_flow``).
 
     ``sent`` maps this side's runs to their {neighbour: units}: empty, with
     ``room`` the other side's copy counts, or an earlier probe's flow,
@@ -463,7 +481,10 @@ def _cover(runs, lists, counts, sent, room):
                 room[j] = free - units
                 short -= units
         need[k] = short
-    if _hopcroft_karp(lists, flows, room, need):
+    reached = []
+    if _hopcroft_karp(lists, flows, room, need, hall=reached):
+        if hall is not None:
+            hall += [runs[k] for k in reached]
         return None
     return dict(zip(runs, flows))
 
@@ -480,7 +501,7 @@ class _Lists(dict):
         return near
 
 
-def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
+def _repair(t, dtz, mate, other, lists, dtz_other, hall=None) -> bool:
     """Repair one side of a matching at t in place, so that it covers this
     side's mandatory runs (to-zero entry > t) and still covers every run of
     the other side that it covered: whether it could.  ``mate`` holds this
@@ -499,12 +520,17 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     counts as free.  Every step is an augmenting path that keeps every
     matched run matched, except a partner that lets go, so when some
     matching covers both sides' mandatory runs, this side's repair cannot
-    fail (Mendelsohn-Dulmage).  The steps before the phases are written
-    out, not shared through helpers: they run on nearly every probe."""
+    fail (Mendelsohn-Dulmage).  A failed repair appends to ``hall``, if
+    given, a Hall violator among the mandatory runs: the run with no
+    neighbour, or the runs the phases' last BFS reached.  The steps before
+    the phases are written out, not shared through helpers: they run on
+    nearly every probe."""
     stuck = []
     for i in [i for i, j in enumerate(mate) if j == -1 and dtz[i] > t]:
         near = lists[i]
         if not near:
+            if hall is not None:
+                hall.append(i)
             return False
         spare = -1
         for j in near:
@@ -560,7 +586,7 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     # deeper runs.  Once every mandatory run's list is built, as after a
     # repair from the empty matching, it saves nothing and adds phases.
     unbuilt = len(lists) < len(pair_l) - pair_l.count(-2)
-    if _hopcroft_karp(lists, pair_l, pair_r, shortest=unbuilt):
+    if _hopcroft_karp(lists, pair_l, pair_r, hall=hall, shortest=unbuilt):
         return False
     for i, j in enumerate(pair_l):
         if j >= 0 and mate[i] != j:
@@ -572,10 +598,33 @@ def _repair(t, dtz, mate, other, lists, dtz_other) -> bool:
     return True
 
 
+def _floor(hall, lists, dtz, costs, columns: bool) -> int:
+    """The Koenig floor of one side's failed probe at t: the least of the
+    to-zero entries of the runs X in ``hall`` and of their entries in
+    ``costs`` (X's rows, or with ``columns`` X's columns) against the runs
+    of the other side outside N(X), the union of X's neighbour ``lists`` at
+    t.  N(X) cannot take every copy of X, and below the floor X is still
+    mandatory and its neighbours still lie inside N(X): every probe there
+    fails too.  The floor exceeds t."""
+    hood = set().union(*map(lists.__getitem__, hall))
+    if columns:
+        rows, take = [i for i in range(len(costs)) if i not in hood], hall
+    else:
+        rows, take = hall, [j for j in range(len(costs[0])) if j not in hood]
+    low = min(map(dtz.__getitem__, hall))
+    if not take:
+        return low
+    # One index more, so that itemgetter returns a tuple even for one; the
+    # rows' minima are read one by one, with no list of every entry.
+    pick = itemgetter(take[0], *take)
+    return min(low, min(map(min, map(pick, map(costs.__getitem__, rows))), default=low))
+
+
 def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
     """The probe at t: when the copies have a matching over the pairs of
     cost <= t that matches every copy of each run of to-zero cost > t on
-    both sides, what proves it, else None.  ``costs``, ``dtz_m``,
+    both sides, what proves it, else the ``_floor`` below which every
+    probe fails, read off the side that failed.  ``costs``, ``dtz_m``,
     ``dtz_n`` and ``counts`` are ``_cost_tables``'s, and every vertex is a
     run.
 
@@ -596,16 +645,18 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
     read through ``<=`` against t, so any totally ordered entries work.  A
     feasible probe narrows to its neighbours at t each list it read: every
     mandatory run's on runs that repeat, else the runs ``_repair`` read.
-    An infeasible probe leaves them alone."""
+    An infeasible probe leaves them alone, and its lists at t give N(X)."""
+    hall = []
     if counts is None:
         mate_m, mate_n = list(seeds[0]), list(seeds[1])
         for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
             mate_m[i] = mate_n[j] = -1
         lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
         lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
-        if not (_repair(t, dtz_m, mate_m, mate_n, lists_m, dtz_n) and
-                _repair(t, dtz_n, mate_n, mate_m, lists_n, dtz_m)):
-            return None
+        if not _repair(t, dtz_m, mate_m, mate_n, lists_m, dtz_n, hall):
+            return _floor(hall, lists_m, dtz_m, costs, False)
+        if not _repair(t, dtz_n, mate_n, mate_m, lists_n, dtz_m, hall):
+            return _floor(hall, lists_n, dtz_n, costs, True)
         for near, lists in ((near_m, lists_m), (near_n, lists_n)):
             for run, within in lists.items():
                 near[run] = within
@@ -614,13 +665,13 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
     lists_m = [_within(costs[i], near_m[i], t) for i in runs_m]
-    side_m = _cover(runs_m, lists_m, counts[0], *seeds[0])
+    side_m = _cover(runs_m, lists_m, counts[0], *seeds[0], hall)
     if side_m is None:
-        return None
+        return _floor(hall, dict(zip(runs_m, lists_m)), dtz_m, costs, False)
     lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
-    side_n = _cover(runs_n, lists_n, counts[1], *seeds[1])
+    side_n = _cover(runs_n, lists_n, counts[1], *seeds[1], hall)
     if side_n is None:
-        return None
+        return _floor(hall, dict(zip(runs_n, lists_n)), dtz_n, costs, True)
 
     for i, near in zip(runs_m, lists_m):
         near_m[i] = near
@@ -700,52 +751,65 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
 
 
 def _search(pair):
-    """Binary search, on the table of the admitted ``pair``, over the
-    sorted distinct class tops of the finite entries.  A probe at a top
-    has as edges the pairs within the class's undecorated cost, so
-    feasibility is monotone along the tops.
+    """Binary search, on the table of the admitted ``pair``, for the least
+    class index k whose top 4k + 1 a probe passes; feasibility is monotone
+    in k.  No candidate set is built: every class below lo fails, class hi
+    passes, and hi = reach + 1 stands for +inf.  hi starts one class above
+    the largest to-zero entry's, where the empty matching passes, or at
+    reach + 1 when a to-zero entry exceeds fin.  Each probe is the middle
+    class of [lo, hi), or after two passing probes in a row, when lo and
+    hi differ by two bits or more, the middle of their bit lengths, so a
+    descent through many bits (Cauchy stages) takes the log of their number
+    of probes.  (r + 2) >> 2 is the first class whose top reaches entry r.
 
-    Every vertex is a run.  A feasible probe at t proves a matching of
-    some value V <= t, which is then feasible at V's class top, so the
-    bracket's upper end jumps there, never above the probe.  When no run
-    repeats, each probe repairs the matching of the last feasible one, and
-    V is that matching's value: the largest of its pair costs and of the
-    to-zero costs of the runs it leaves unmatched.
+    Every vertex is a run.  A feasible probe at t proves a matching of some
+    value V <= t, feasible at V's class top, so hi jumps there.  When no run
+    repeats, each probe repairs the last feasible probe's matching, and V
+    is its value: the largest of its pair costs and of the to-zero costs of
+    the runs it leaves unmatched.  Otherwise each probe is seeded with the
+    two sides' flows of the one before, F1 = side_m and F2 = side_n, and V
+    is the largest of every edge cost in F1 and F2 and the to-zero cost of
+    every M run F1 does not cover and every N run F2 does not cover, all
+    <= t.  Their Mendelsohn-Dulmage merge (``copy_merge`` of
+    ``tests/oracles.py`` builds it on copies) uses only their edges and
+    leaves unmatched no copy of a run F1 covers on M or F2 covers on N, so
+    a matching of value <= V exists and the jump is exact; the merge is
+    never built.
 
-    Otherwise each probe is seeded with the two sides' flows of the one
-    before, F1 = side_m and F2 = side_n, and V is the largest of every
-    edge cost in F1 and F2 and the to-zero cost of every M run F1 does not
-    cover and every N run F2 does not cover, the runs that are not
-    mandatory; all of these are <= t.  The Mendelsohn-Dulmage merge of F1
-    and F2 (``copy_merge`` of ``tests/oracles.py`` builds it on copies)
-    uses only their edges and leaves unmatched no copy of a run that F1
-    covers on M or F2 covers on N, so its value is <= V: a matching of
-    value <= V exists, and the jump is exact.  The merge itself is never
-    built.  Returns (distance, the answer's top), or (+inf, None) when no
-    finite threshold is feasible."""
+    An infeasible probe at t returns the Koenig floor L > t of the side
+    that failed (``_floor``): its mandatory runs X that alternating, or on
+    repeated runs residual, paths reach from a run left short have more
+    copies than their neighbours N(X) can take, and L is the least of X's
+    to-zero entries and of X's entries to runs outside N(X).  At every top
+    below L, X is still mandatory and has no neighbour outside N(X), so it
+    still violates Hall's condition and the probe fails: lo jumps to the
+    first class whose top reaches L, past the probe, and that jump is
+    exact too.  The later probes all lie above t, so the infeasible probe's
+    lists, subsets of their neighbours, narrow nothing: they give N(X).
+    Returns (distance, the answer's top), or (+inf, None) when no finite
+    threshold is feasible."""
     costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(pair)
-    entries = {0, *dtz_m, *dtz_n}
-    for row in costs:
-        entries.update(row)
-    # ((r + 1) & -4) + 1 is interleaving._class_top(r), inlined.
-    tops = sorted({((r + 1) & -4) + 1 for r in entries if r <= fin})
-
-    # Every probe after a feasible one at t lies at or below t, so the
-    # neighbour lists it narrows stay supersets of the later probes'
-    # neighbours.
+    # Every probe after a feasible one at t lies below t, so the neighbour
+    # lists it narrows stay supersets of the later probes' neighbours.
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
     if counts is None:
         seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
     else:
         seeds = ({}, list(counts[1])), ({}, list(counts[0]))
-    lo, hi = 0, len(tops)
+    reach = fin >> 2
+    lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
+    # Feasible probes in a row: after two, the answer may lie many bits
+    # below, and the probe bisects the bit lengths of lo and hi.
+    drops = 0
     while lo < hi:
-        mid = (lo + hi) // 2
-        found = _matching_at(costs, dtz_m, dtz_n, tops[mid], near_m, near_n, seeds, counts)
-        if found is None:
-            lo = mid + 1
+        a, b = lo.bit_length(), hi.bit_length()
+        mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
+        found = _matching_at(costs, dtz_m, dtz_n, 4 * mid + 1, near_m, near_n, seeds, counts)
+        if isinstance(found, int):
+            lo, drops = found + 2 >> 2, 0
             continue
+        drops += 1
         if counts is None:
             seeds = mate_m, mate_n = found
             value = max([0, *(v if j == -1 else costs[i][j]
@@ -757,10 +821,10 @@ def _search(pair):
                          *(costs[i][j] for j, row in side_n.items() for i in row),
                          *(v for i, v in enumerate(dtz_m) if i not in side_m),
                          *(v for j, v in enumerate(dtz_n) if j not in side_n)])
-        hi = bisect_left(tops, ((value + 1) & -4) + 1)
-    if hi == len(tops):
+        hi = value + 2 >> 2
+    if hi > reach:
         return POS_INF, None
-    return ExtRational(Fraction(tops[hi] - 1, 2 * scale)), tops[hi]
+    return ExtRational(Fraction(2 * hi, scale)), 4 * hi + 1
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:

@@ -73,12 +73,8 @@ class Mutant(NamedTuple):
 BN, IL = "bottleneck.py", "interleaving.py"
 
 MUTANTS = (
-    # The fourteen hand-written mutants of the ROADMAP re-anchor, on the
-    # code that now holds each of them.
-    Mutant("jump-bisect-right", BN,
-           "hi = bisect_left(tops, ((value + 1) & -4) + 1)",
-           "hi = bisect_right(tops, ((value + 1) & -4) + 1)", False,
-           "the jump keeps the top of the feasible value inside the bracket"),
+    # The hand-written mutants of the ROADMAP re-anchor, on the code that
+    # now holds each of them.
     Mutant("unit-merge-no-covered-skip", BN,
            "        if j in covered:\n            continue\n        while j in m2:",
            "        while j in m2:", False,
@@ -190,6 +186,32 @@ MUTANTS = (
     Mutant("jump-drops-side-n-edges", BN,
            "*(costs[i][j] for j, row in side_n.items() for i in row),", "", False,
            "the jump bound leaves out the edge costs of side_n"),
+    # The search's bracket of class indices and its Koenig floors.
+    Mutant("floor-without-to-zero", BN,
+           "low = min(map(dtz.__getitem__, hall))", "low = 10**100", False,
+           "the floor leaves out the to-zero entries of X"),
+    Mutant("floor-reads-inside-hood", BN,
+           "[j for j in range(len(costs[0])) if j not in hood]",
+           "list(range(len(costs[0])))", False,
+           "the floor also reads X's entries to runs inside N(X)"),
+    Mutant("witness-roots-only", BN,
+           "hall += [u for u, d in enumerate(dist) if d != unreachable]",
+           "hall += [u for u, d in enumerate(dist) if d == 0]", False,
+           "the witness walk of the phases does not follow partners: X is the free runs"),
+    Mutant("flow-witness-roots-only", BN,
+           "hall += [u for u in range(n_left) if dist[u] != unreachable]",
+           "hall += [u for u in range(n_left) if dist[u] == 0]", False,
+           "the witness walk of the flow does not follow users: X is the short runs"),
+    Mutant("lo-floor-class", BN,
+           "lo, drops = found + 2 >> 2, 0", "lo, drops = found + 1 >> 2, 0", False,
+           "lo moves to the floor's class, which is the probe's when the floor is 4 mid + 2"),
+    Mutant("hi-without-plus-one", BN,
+           "+ 1 >> 2, reach) + 1", "+ 1 >> 2, reach)", False,
+           "hi starts at the largest to-zero entry's class, or reach for +inf"),
+    Mutant("search-walks-every-bit", BN,
+           "mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2",
+           "mid = (lo + hi) // 2", False,
+           "the probe is always the middle class, one probe per lattice bit on a descent"),
     # The eps-decision's repair of the empty matching when no run repeats.
     Mutant("decision-repairs-m-only", BN,
            " and\n                _repair(w, dtz_n, mate_n, mate_m, "

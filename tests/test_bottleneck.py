@@ -411,16 +411,18 @@ def test_saturating_matching_against_bruteforce(seed):
         found = full_probe(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
         # Narrowed lists, the neighbours at some threshold >= t, give the
-        # same answer; only a feasible probe narrows them, to exactly the
-        # mandatory summands' neighbours at t.
+        # same answer, and a failed probe the same floor; only a feasible
+        # probe narrows them, to exactly the mandatory summands' neighbours
+        # at t.
         t_hi = t + widen.randint(0, 2)
         near_m = [[j for j in range(n_n) if costs[i][j] <= t_hi] for i in range(n_m)]
         near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
         before = [list(a) for a in near_m], [list(a) for a in near_n]
         unseeded = [-1] * n_m, [-1] * n_n
         repaired = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None)
-        assert (repaired is None) == (found is None)
         if found is None:
+            _assert_floor(repaired, costs, dtz_m, dtz_n, t)
+            assert repaired == _seeded_probe(costs, dtz_m, dtz_n, t, unseeded)
             assert (near_m, near_n) == before
             continue
         _assert_matching_at(repaired, costs, dtz_m, dtz_n, t)
@@ -463,12 +465,24 @@ def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
     assert all(i != -1 for v, i in zip(dtz_n, mate_n) if v > t)
 
 
+def _assert_floor(floor, costs, dtz_m, dtz_n, t, counts=None):
+    """``floor``, what a probe at t returns when it fails, is an int above
+    t, and the unseeded full probe fails just below it, so, feasibility
+    being monotone in the threshold, at every threshold below it."""
+    assert isinstance(floor, int) and floor > t, (floor, t)
+    assert full_probe(costs, dtz_m, dtz_n, floor - 1, copies=counts) is None, (floor, t)
+
+
 def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
-    """``_assert_matching_at`` for a probe on runs: with ``counts``, each
-    of the two sides' flows (side_m, side_n), {run: {run of the other
-    side: units}}, uses only pairs of cost <= t, sends no run more units
-    than it has copies, and has as its keys exactly its side's runs of
-    to-zero cost > t, each sending every copy."""
+    """What a probe on runs returns: when the full probe at t fails, the
+    probe's floor (``_assert_floor``); else ``_assert_matching_at``, and
+    with ``counts``, each of the two sides' flows (side_m, side_n), {run:
+    {run of the other side: units}}, uses only pairs of cost <= t, sends no
+    run more units than it has copies, and has as its keys exactly its
+    side's runs of to-zero cost > t, each sending every copy."""
+    if full_probe(costs, dtz_m, dtz_n, t, copies=counts) is None:
+        _assert_floor(found, costs, dtz_m, dtz_n, t, counts)
+        return
     if counts is None:
         _assert_matching_at(found, costs, dtz_m, dtz_n, t)
         return
@@ -510,8 +524,9 @@ def _random_matching(rng, n_m, n_n):
 def test_seeded_probe_keeps_only_live_partners(seed):
     """A probe seeded with any matching, pairs over t included, decides as
     an unseeded full probe at every t, up and down the entries, returns a
-    matching at t and leaves its seed as it was.  So does a chain of probes
-    each seeded with the last feasible probe's matching, as in the search."""
+    matching at t or a floor and leaves its seed as it was.  So does a
+    chain of probes each seeded with the last feasible probe's matching, as
+    in the search."""
     rng = random.Random(1000 + seed)
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
@@ -524,11 +539,9 @@ def test_seeded_probe_keeps_only_live_partners(seed):
             kept = tuple(map(list, seeds))
             for start in (seeds, chained):
                 found = _seeded_probe(costs, dtz_m, dtz_n, t, start)
-                assert (found is None) == (full is None), (costs, dtz_m, dtz_n, t, start)
-                if found is not None:
-                    _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+                _assert_flow_at(found, costs, dtz_m, dtz_n, t, None)
             assert seeds == kept
-            if found is not None:
+            if full is not None:
                 chained = found
 
 
@@ -550,9 +563,7 @@ def test_seeded_probes_on_small_modules(seed):
         for t in tops + tops[::-1]:
             found = _seeded_probe(costs, dtz_m, dtz_n, t,
                                   _random_matching(rng, len(dtz_m), len(dtz_n)))
-            assert (found is None) == (full_probe(costs, dtz_m, dtz_n, t) is None)
-            if found is not None:
-                _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+            _assert_flow_at(found, costs, dtz_m, dtz_n, t, None)
 
 
 def test_stale_partners_are_dropped():
@@ -589,7 +600,9 @@ def test_a_side_with_no_runs():
     costs, dtz_m, dtz_n, _, _, counts = bottleneck._cost_tables(
         bottleneck._pair(PModule(), one, True))
     assert (costs, dtz_m, counts) == ([], [], None)
-    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0] - 1, ([], [-1])) is None
+    # N's run has no neighbour: the probe fails at once, and the floor is
+    # its to-zero entry.
+    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0] - 1, ([], [-1])) == dtz_n[0]
     assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], ([], [-1])) == ([], [-1])
 
 
@@ -648,9 +661,9 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     assert first == ({0: {0: 3}, 1: {1: 2}}, {0: {0: 3}, 1: {1: 2}})
     starts = []
 
-    def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp):
+    def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp, **kwargs):
         starts.append((len(adj), list(need)))
-        return _real(adj, sent, room, need)
+        return _real(adj, sent, room, need, **kwargs)
 
     monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
     assert _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts) == first
@@ -715,9 +728,7 @@ def test_search_probes_equal_full_probes(m, n):
         full = full_probe(costs, dtz_m, dtz_n, t)
         assert full_probe(*args[:4], None, counts) == full
         found = _matching_at(*args)
-        assert (found is None) == (full is None)
-        if found is not None:
-            _assert_flow_at(found, *args[:4], counts)
+        _assert_flow_at(found, *args[:4], counts)
         probes.append(t)
         return found
 
@@ -755,13 +766,14 @@ def test_upper_jump_beats_plain_bisection(monkeypatch):
 
 
 def test_infeasible_probe_leaves_lists_unchanged():
-    # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0;
-    # at t = 1 it meets column 0, and only its own list narrows.
+    # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0,
+    # so the floor is the least of 3 and its row, 1; at t = 1 it meets
+    # column 0, and only its own list narrows.
     costs = [[1, 5], [5, 5]]
     dtz_m, dtz_n = [3, 0], [0, 0]
     near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
     unseeded = [-1, -1], [-1, -1]
-    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, unseeded, None) is None
+    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, unseeded, None) == 1
     assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
     assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, unseeded, None) == (
         [0, -1], [0, -1])

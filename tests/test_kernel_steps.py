@@ -15,23 +15,28 @@ import pytest
 import persistd
 from persistd import (
     InfiniteDistanceError,
+    PModule,
+    bottleneck,
+    cauchy_witness,
     distance_certificate,
     module_distance,
     modules_eps_interleaved,
     verify_certificate,
 )
 
-from oracles import copy_search, lattice_scale, table_modules_eps_interleaved
+from oracles import copy_search, full_probe, lattice_scale, table_modules_eps_interleaved
+from test_bottleneck import _random_table
 from test_table_free import _near_copies, _random_pool_pair
 
 PACKAGE = str(Path(persistd.__file__).parent)
 
-# Lines of package code one call may run; no call below needs 3,000.
+# Lines of package code one call may run; no call on the random pairs
+# below needs 3,000.
 LINES = 200_000
 
 
-def bounded(fn, *args):
-    """``fn(*args)``, failing once it has run more than ``LINES`` lines of
+def bounded(fn, *args, limit=LINES):
+    """``fn(*args)``, failing once it has run more than ``limit`` lines of
     package code."""
     lines = 0
 
@@ -39,8 +44,8 @@ def bounded(fn, *args):
         nonlocal lines
         if event == "line":
             lines += 1
-            if lines > LINES:
-                raise AssertionError(f"{fn.__name__} ran more than {LINES} lines")
+            if lines > limit:
+                raise AssertionError(f"{fn.__name__} ran more than {limit} lines")
         return local
 
     def scope(frame, event, arg):
@@ -60,19 +65,55 @@ def _pairs():
         yield _random_pool_pair(rng) if k % 3 else _near_copies(rng, rng.randint(1, 3))
 
 
-@pytest.mark.parametrize("pair", list(_pairs()), ids=lambda p: f"{len(p[0])}x{len(p[1])}")
+# Deep lattices.  Cauchy stages 60 and 59 have about 60 bits of lattice
+# between their largest and smallest entries; their cost table takes about
+# 30,000 lines, and a search that probes once per bit about 25,000 more.
+# The pooled pair repeats runs whose endpoints have denominators up to 2^41,
+# with an infinite one.
+DEEP = (
+    (cauchy_witness(60), cauchy_witness(59), 50_000),
+    (PModule.of(*["[1/2199023255552,3/1099511627776)"] * 3, *["(-5/3,7/16]"] * 2, "[1/7,inf)",
+                *["(0,1/1099511627776]"] * 4),
+     PModule.of(*["[1/2199023255552,3/1099511627776)"] * 2, *["(-5/3,7/16]"] * 2,
+                *["[1/7,inf)"] * 3, "(0,1/1099511627776]", "(-1/3,5/2199023255552)"), LINES),
+)
+
+
+@pytest.mark.parametrize("pair", [*_pairs(), *DEEP], ids=lambda p: f"{len(p[0])}x{len(p[1])}")
 def test_kernel_finishes_and_agrees(pair):
-    m, n = pair
-    d = bounded(module_distance, m, n)
+    m, n, limit = (*pair, LINES)[:3]
+    d = bounded(module_distance, m, n, limit=limit)
     assert d == copy_search(m, n)[0], (m.to_json(), n.to_json())
     step = Fraction(1, 8 * lattice_scale(m, n))
     if not d.is_finite:
         with pytest.raises(InfiniteDistanceError):
             bounded(distance_certificate, m, n)
         return
-    cert = bounded(distance_certificate, m, n)
+    cert = bounded(distance_certificate, m, n, limit=limit)
     assert cert.threshold == d and bounded(verify_certificate, m, n, cert)
     at = d.as_fraction
     for eps in {at, at + step, at / 2, max(at - step, Fraction(0))}:
         assert bounded(modules_eps_interleaved, m, n, eps) == (
             table_modules_eps_interleaved(m, n, eps)), (str(eps), m.to_json(), n.to_json())
+
+
+def test_search_on_any_table(monkeypatch):
+    """The search finds the least class k whose top 4k + 1 the full probe
+    passes, or +inf when none up to reach does, on tables of any small
+    ints, repeated runs or not.  These have entries 4k + 2, above class k's
+    top, which no finite lattice entry is: a floor there must still move
+    the bracket past the probe, and the empty matching is feasible only
+    one class above the largest to-zero entry's."""
+    rng = random.Random(5)
+    for _ in range(400):
+        n_m, n_n = rng.randint(0, 5), rng.randint(0, 5)
+        costs, dtz_m, dtz_n, _ = _random_table(rng, n_m, n_n, rng.randint(0, 14))
+        counts = None if rng.random() < 0.5 else (
+            [rng.randint(1, 3) for _ in range(n_m)], [rng.randint(1, 3) for _ in range(n_n)])
+        reach = rng.randint(0, 4)
+        table = costs, dtz_m, dtz_n, 1, 4 * reach + 1, counts
+        monkeypatch.setattr(bottleneck, "_cost_tables", lambda pair: table)
+        _, top = bounded(bottleneck._search, None)
+        least = next((k for k in range(reach + 1)
+                      if full_probe(costs, dtz_m, dtz_n, 4 * k + 1, copies=counts) is not None), None)
+        assert top == (None if least is None else 4 * least + 1), table

@@ -142,9 +142,9 @@ def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
              for m, n in pairs for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))]
     calls = []
     for name in ("_cost_tables", "_matching_at", "_lattice", "_hopcroft_karp"):
-        def counted(*args, _real=getattr(bottleneck, name), _name=name):
+        def counted(*args, _real=getattr(bottleneck, name), _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(bottleneck, name, counted)
     for m, n, eps, expected in cases:
         calls.clear()

@@ -229,9 +229,9 @@ class TestNoCopiesOutsideTheMatcher:
         m, n = replicate(piece, 28), replicate(piece, 26)
         calls = []
 
-        def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp):
+        def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp, **kwargs):
             calls.append((len(adj), need is not None, sum(room)))
-            return _real(adj, sent, room, need)
+            return _real(adj, sent, room, need, **kwargs)
 
         monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
         assert module_distance(m, n) == ExtRational(1)

@@ -5,14 +5,20 @@ tests hold the capacitated ``_hopcroft_karp`` and the search and the
 decision built on it to the copy-level references of ``oracles``."""
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistd import ExtRational, POS_INF, bottleneck, module_distance, modules_eps_interleaved
+from persistd import (
+    ExtRational,
+    POS_INF,
+    bottleneck,
+    bruteforce_module_distance,
+    module_distance,
+    modules_eps_interleaved,
+)
 from persistd.bottleneck import _cost_tables, _hopcroft_karp, _matching_at, _pair, _ranges
 
 from oracles import (
@@ -24,7 +30,7 @@ from oracles import (
     reference_module_distance,
     table_modules_eps_interleaved,
 )
-from strategies import pooled_pairs
+from strategies import lattice_modules, pooled_pairs
 from test_bottleneck import _assert_flow_at
 from test_table_free import _random_pool_pair
 
@@ -116,8 +122,9 @@ def test_seeded_probes_decide_as_unseeded():
     """Probes up and down the class tops, each seeded with the flows the
     one before left or the matching the last feasible one returned, decide
     as an unseeded copy-level probe and return a flow or matching at their
-    threshold: a run that stops being mandatory gives its units back, and
-    so does an edge that leaves a run's list."""
+    threshold, or a floor below which the copy-level probe fails: a run
+    that stops being mandatory gives its units back, and so does an edge
+    that leaves a run's list."""
     rng = random.Random(9)
     for _ in range(300):
         m, n = _random_pool_pair(rng)
@@ -131,12 +138,9 @@ def test_seeded_probes_decide_as_unseeded():
         for t in rng.choices(tops, k=8):
             near_m, near_n = [range(len(dtz_n))] * len(dtz_m), [range(len(dtz_m))] * len(dtz_n)
             found = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
-            full = full_probe(costs, dtz_m, dtz_n, t, copies=counts)
-            assert (found is None) == (full is None), (t, m.to_json(), n.to_json())
-            if found is not None:
-                _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts)
-                if counts is None:
-                    seeds = found
+            _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts)
+            if counts is None and not isinstance(found, int):
+                seeds = found
 
 
 @given(pooled_pairs(max_count=7), st.integers(0, 40))
@@ -187,15 +191,17 @@ def test_jump_bound_covers_the_merge(pair):
     its side's flow does not cover, lies between the value of the flows'
     Mendelsohn-Dulmage merge (``oracles.copy_merge`` on the flows expanded
     to copies) and the probe's top t, and the copy-level full probe is
-    feasible at V's class top.  The search's bracket moves exactly as V
-    says: each probe is the middle of the bracket the probes before leave,
-    and the distance is the top the last one leaves."""
+    feasible at V's class top.  At every infeasible probe, the copy-level
+    full probe fails just below the floor it returns, which lies above t.
+    The search's bracket of class indices moves exactly as V and the
+    floors say: each probe is the middle of the bracket the probes before
+    leave, by bit length after two feasible probes in a row while lo and
+    hi differ by two bits or more, and the distance is the class the last
+    one leaves."""
     m, n = pair
     costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(_pair(m, n, True))
     if counts is None:
         return
-    tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
-                   if r <= fin} | {1})
     own_m, own_n = map(_ranges, counts)
     run_m, run_n = ([r for r, copies in enumerate(own) for _ in copies] for own in (own_m, own_n))
     probes = []
@@ -203,20 +209,27 @@ def test_jump_bound_covers_the_merge(pair):
     def recorded(*args, _real=bottleneck._matching_at):
         found = _real(*args)
         # The flows are the seeds of the next probe, which updates them.
-        probes.append((args[3], found and tuple(
+        probes.append((args[3], found if isinstance(found, int) else tuple(
             {r: dict(row) for r, row in side.items()} for side in found)))
         return found
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bottleneck, "_matching_at", recorded)
         d = module_distance(m, n)
-    lo, hi = 0, len(tops)
+    # A class k has the top 4k + 1; (r + 2) >> 2 is the first class whose
+    # top reaches r, and reach + 1 = (fin >> 2) + 1 stands for +inf.
+    lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, fin >> 2) + 1
+    drops = 0
     for t, found in probes:
-        mid = (lo + hi) // 2
-        assert t == tops[mid]
-        if found is None:
-            lo = mid + 1
+        a, b = lo.bit_length(), hi.bit_length()
+        mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
+        assert lo <= mid < hi and t == 4 * mid + 1
+        if isinstance(found, int):
+            assert found > t
+            assert full_probe(costs, dtz_m, dtz_n, found - 1, copies=counts) is None
+            lo, drops = found + 2 >> 2, 0
             continue
+        drops += 1
         side_m, side_n = found
         bound = max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
                      *(costs[i][j] for j, row in side_n.items() for i in row),
@@ -231,8 +244,53 @@ def test_jump_bound_covers_the_merge(pair):
                      *(dtz_m[r] for i, r in enumerate(run_m) if i not in merged),
                      *(dtz_n[r] for j, r in enumerate(run_n) if j not in matched_n)])
         assert value <= bound <= t, (value, bound, t, m.to_json(), n.to_json())
-        top = ((bound + 1) & -4) + 1
-        assert full_probe(costs, dtz_m, dtz_n, top, copies=counts) is not None
-        hi = bisect_left(tops, top)
-    assert lo == hi
-    assert d == (POS_INF if hi == len(tops) else ExtRational(Fraction(tops[hi] - 1, 2 * scale)))
+        hi = bound + 2 >> 2
+        assert full_probe(costs, dtz_m, dtz_n, 4 * hi + 1, copies=counts) is not None
+    assert lo >= hi
+    assert d == (POS_INF if hi > fin >> 2 else ExtRational(Fraction(2 * hi, scale)))
+
+
+def _assert_floors_bound(m, n):
+    """Every floor that an infeasible probe of the search on m and n
+    returns lies above its probe's top t, the copy-level full probe fails
+    at each class top below it and just below it, and it is at most the
+    entry of the distance by exhaustive matching, the top of its class
+    (by the candidate scan when a side has more than 5 copies)."""
+    costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(_pair(m, n, True))
+    tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
+                   if r <= fin} | {1})
+    floors = []
+
+    def recorded(*args, _real=bottleneck._matching_at):
+        found = _real(*args)
+        if isinstance(found, int):
+            floors.append((args[3], found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bottleneck, "_matching_at", recorded)
+        module_distance(m, n)
+    exact = bruteforce_module_distance if max(len(m), len(n)) <= 5 else reference_module_distance
+    d = exact(m, n)
+    for t, floor in floors:
+        assert floor > t, (t, floor)
+        for top in [top for top in tops if top < floor] + [floor - 1]:
+            assert full_probe(costs, dtz_m, dtz_n, top, copies=counts) is None, (t, floor, top)
+        if d.is_finite:
+            assert floor <= 2 * scale * d.as_fraction + 1, (t, floor, str(d))
+
+
+@given(pooled_pairs(max_count=7))
+@settings(max_examples=150, deadline=None)
+def test_floors_bound_the_distance_on_runs(pair):
+    """Floors on repeated runs, infinite endpoints included: ``_cover``'s
+    short runs and the runs residual paths reach from them."""
+    _assert_floors_bound(*pair)
+
+
+@given(lattice_modules, lattice_modules)
+@settings(max_examples=150, deadline=None)
+def test_floors_bound_the_distance_on_deep_lattices(m, n):
+    """Floors on every interval shape, with denominators up to 2^41."""
+    _assert_floors_bound(m, n)
+

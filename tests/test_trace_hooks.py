@@ -64,8 +64,7 @@ def test_kernel_hooks_are_reached():
     assert calls["bottleneck.module_distance"] == calls["bottleneck.cost_table"] == 1
     assert calls["bottleneck.probe"] >= 1
     probes = calls["bottleneck.probe"]
-    phases = (PModule.of("(0,4]", "(0,6]", "(4,7)"),
-              PModule.of("(0,5)", "[1,4]", "[2,8]", "[3,15/2)"))
+    phases = PModule.of("(0,1)", "[1,6)"), PModule.of("(1/2,6)", "(3,8)")
     calls = _traced_calls(lambda: bottleneck.module_distance(*phases))
     assert calls["bottleneck.probe"] >= 1 and calls["bottleneck.hk"] >= 1
     calls = _traced_calls(lambda: bottleneck.distance_certificate(m, n))
