@@ -12,65 +12,33 @@ summand of the second module it leaves free (Mendelsohn-Dulmage).
 
 All of this runs on plain ints.  ``interleaving._lattice`` keys every
 endpoint of the pair, times S = 4*lcm(its finite denominators), with its
-decoration, starting from the integer view each ``PModule`` builds of its
-runs on first use and keeps, so a module's fractions are read once, not on
-every call; a threshold is one int on it, ``interleaving._bound``.  Every
-entry point admits its pair once, through ``_admit``, the only caller of
-``_lattice``: it checks fixed work budgets, in bits of S times runs, on
-the lcms alone, and only then builds the views and the lattice.  ``_pair``
-checks the vertex cap before it, and the distance and the certificate
-hand the one pair it admits to ``_search``.  ``_cost_tables`` builds the one
-pairwise table, the closed form of ``interleaving._key_entry`` on the keys
-of every pair of summands: an entry is 2C-1, 2C or 2C+1 for the scaled
-undecorated cost C, the last when the infimum is not attained.  The
-distance is the smallest feasible class top 2C+1 = 4k + 1, by binary
-search over the class index k between bounds that the probes prove, with
-no candidate set, and becomes an ``ExtRational`` once, at the end.
-``_matching_at`` probes a top on the table.  A feasible probe lowers the
-bracket's top to the class of the value of a matching it proves to exist;
-an infeasible one raises its bottom to the Koenig floor of the side that
-failed (``_floor``), the least entry below which the mandatory runs that
-the failed matcher's last BFS reached still violate Hall's condition.
-The search returns only the distance and its top.
+decoration, from the integer view each ``PModule`` builds of its runs on
+first use and keeps; a threshold is one int on it, ``interleaving._bound``.
+Every entry point admits its pair once, through ``_admit``, the only
+caller of ``_lattice``, which checks fixed work budgets before any view is
+built; ``_pair`` checks the vertex cap before it.  An entry of
+``_cost_tables``, the one pairwise table, is 2C-1, 2C or 2C+1 for the
+scaled undecorated cost C, the last when the infimum is not attained.
 
-The table, the neighbour lists, the search's probes and the decision work
-on the distinct summands, the (interval, count) runs of a ``PModule``, one
-vertex per run, and each pair shape has one matcher, which the search's
-probes and the eps-decision share.
+The distance is the least feasible class top 2C+1 = 4k + 1.  ``_search``
+finds it by a threshold search in the manner of Gabow and Tarjan: a probe
+at t, ``_matching_at``, returns the one bound it proves, the value of a
+matching when that is at most t, else a Koenig floor above t, and the
+bracket of class indices moves to that bound's class.  No candidate set is
+built, and the distance becomes an ``ExtRational`` once, at the end.
 
-When no summand of the pair repeats, every vertex has capacity 1 and the
-matcher is ``_repair``: it repairs a matching with partners on both
-sides, in place.  On each side every free mandatory run takes a direct
-target, a free run or one whose partner may be deleted and lets go, or
-else a swap one level deep, and Hopcroft-Karp's phases match the runs
-still free with the same targets.  The alternating paths keep every
-matched run matched, so a failed repair proves that no matching covers
-both sides' mandatory runs.  The search keeps the matching of its last
-feasible probe, and a probe repairs a copy of it, without its pairs above
-t; the decision repairs the empty matching.  A run's neighbour list is
-built only when the repair reads it, and a probe keeps the lists it read,
-for the later probes, which all lie lower, only when it is feasible; an
-infeasible probe's lists give the floor its N(X).
-
-Otherwise a mandatory run has to be matched as many times as it has
-copies and a run of the other side takes at most that many: ``_cover``
-finds one side's flow of units with ``_hopcroft_karp`` on capacities
-(Gabow's degree-constrained subgraphs; Hopcroft-Karp's phases are Dinic's
-blocking flows), from a seed flow and then a greedy pass over the lists.
-A probe seeds each side with its flow at the probe before and narrows
-every mandatory run's list; the decision starts both sides empty.  The
-two sides' flows are never merged: the search jumps on a bound read off
-them (``_search``).
+Every vertex is a run, an (interval, count) pair of a ``PModule``, and
+each pair shape has one matcher, which the search's probes and the
+eps-decision share: ``_repair`` when no summand repeats, which repairs a
+matching with partners on both sides in place, and otherwise ``_cover``,
+one side's flow of units (``_flow``), in which a mandatory run sends as
+many units as it has copies.
 
 The eps-decision, the certificate's matching and the certificate check
-build no table.  For a summand whose to-zero entry exceeds t, an entry is
-<= t exactly when both key gaps are, so its neighbours form an L-infinity
-box around its key point, which ``_box_query`` reads with ``bisect``.
-The certificate is the ``_unit_merge`` of one unseeded matching per side
-at the answer's top (``_boxes``), with one vertex per copy, where all
-copies of a run share one neighbour list, which Hopcroft-Karp scans once
-where it can; ``MATCH_CAP`` still counts copies.  The check computes each
-listed pair's entry from its key pairs.
+build no table: a mandatory run's neighbours form an L-infinity box around
+its key point (``_box_query``).  The certificate is the ``_unit_merge`` of
+one unseeded matching per side with one vertex per copy; ``MATCH_CAP``
+still counts copies.
 """
 
 from __future__ import annotations
@@ -99,6 +67,11 @@ MATCH_CAP = 10_000
 # 1.0e9 and 40 * 10,000 = 4.0e5; so does Cauchy stage 1000 against 999.
 TABLE_BUDGET = 3 * 10**9
 KEYS_BUDGET = 10**8
+
+# An lcm up to this many bits is always folded to the end, so that a refusal
+# states B exactly; past it, a side's lcm stops once it alone refuses the
+# pair.  8000 seven-digit primes make about 184,000 bits.
+EXACT_BITS = 2**18
 
 
 class InfiniteDistanceError(ValueError):
@@ -154,14 +127,19 @@ def _admit(m: PModule, n: PModule, table: bool):
     ``interleaving._lattice`` of the two modules' cached views, in run
     order.  Before either view is built, the pair is refused when B *
     runs_m * runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m +
-    runs_n) ``KEYS_BUDGET``; B reads each lcm off ``PModule._lcm``."""
+    runs_n) ``KEYS_BUDGET``.  B reads each lcm off ``PModule._lcm``, which
+    stops past ``EXACT_BITS`` once one side's bits alone refuse the pair;
+    the refusal then states lower bounds."""
     runs_m, runs_n = len(m._runs), len(n._runs)
-    bits = m._lcm().bit_length() + n._lcm().bit_length()
-    work, budget, kind = ((bits * runs_m * runs_n, TABLE_BUDGET, "table") if table else
-                          (bits * (runs_m + runs_n), KEYS_BUDGET, "key"))
-    if work > budget:
-        raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {bits} bits "
-                         f"exceed the {kind} budget {budget} ({work})")
+    runs, budget, kind = ((runs_m * runs_n, TABLE_BUDGET, "table") if table else
+                          (runs_m + runs_n, KEYS_BUDGET, "key"))
+    limit = max(budget // (runs or 1), EXACT_BITS)
+    bits_m, bits_n = m._lcm(limit).bit_length(), n._lcm(limit).bit_length()
+    bits = bits_m + bits_n
+    if bits * runs > budget:
+        least = "at least " if max(bits_m, bits_n) > limit else ""
+        raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {least}{bits} "
+                         f"bits exceed the {kind} budget {budget} ({least}{bits * runs})")
     return _lattice(m._lattice_view(), n._lattice_view())
 
 
@@ -190,9 +168,8 @@ def _cost_tables(pair):
     """The ``interleaving._key_entry`` of every pair of distinct summands,
     row i and column j for the i-th and j-th runs, and of each against the
     zero module, on the keys of a ``_pair`` admitted against the table
-    budget: (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry
-    exceeds fin = 4*reach + 1."""
-    scale, reach, keys_m, keys_n, counts = pair
+    budget: (costs, dtz_m, dtz_n).  No finite entry exceeds 4*reach + 1."""
+    _, _, keys_m, keys_n, _ = pair
     dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
     cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
     costs = []
@@ -208,21 +185,16 @@ def _cost_tables(pair):
                 h = ha
             row.append(g if g < h else h)
         costs.append(row)
-    return costs, dtz_m, dtz_n, scale, 4 * reach + 1, counts
+    return costs, dtz_m, dtz_n
 
 
-def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
-                   need: list[int] | None = None, hall: list[int] | None = None,
-                   shortest: bool = False) -> int:
+def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
+                   hall: list[int] | None = None, shortest: bool = False) -> int:
     """Hopcroft-Karp's phases from the left vertices to the right ones
-    along ``adj``, from the start given and augmented in place; returns
-    how many units stay unmatched.  Iterative, so deep augmenting paths are
-    fine.  With ``need``, the capacitated ``_flow``: left u still has to
-    send need[u] units, right v can still take pair_r[v], and pair_l[u]
-    maps right vertices to the units u sends them.  Without it, every
-    capacity is 1 and this is a maximum-cardinality matching: pair_l[u]
-    and pair_r[v] are partners, -1 for none, and the count returned is of
-    left vertices left free.
+    along ``adj``, from the start given and augmented in place, a
+    maximum-cardinality matching: pair_l[u] and pair_r[v] are partners, -1
+    for none.  Returns how many left vertices stay free.  Iterative, so
+    deep augmenting paths are fine.
 
     Left vertices may then share one list object, as the copies of a
     summand do, and two exact skips save repeated scans: the result is that
@@ -245,8 +217,6 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list, pair_r: list[int],
     those that alternating (residual) paths reach from a free (short) one,
     are appended to ``hall``, if given: every right vertex their lists
     reach is full, and taken only by them, so they are a Hall violator."""
-    if need is not None:
-        return _flow(adj, pair_l, pair_r, need, hall)
     n_left = len(pair_l)
     unreachable = n_left + 1
     dist = [0] * n_left
@@ -336,8 +306,8 @@ def _flow(adj: list[list[int]], sent: list[dict[int, int]], room: list[int],
     the units still unsent, and appends to ``hall``, if given and some are,
     the left vertices the last BFS reached.  Iterative, so deep augmenting
     paths are fine.  With unit capacities and no start the matching is that of
-    ``_hopcroft_karp`` without ``need`` on the same lists, when no two left
-    vertices share one list object."""
+    ``_hopcroft_karp`` on the same lists, when no two left vertices share
+    one list object."""
     short = sum(need)
     if not short:
         return 0
@@ -447,18 +417,17 @@ def _cover(runs, lists, counts, sent, room, hall=None):
     """One side's flow when some run of the pair repeats: each run is one
     vertex, a mandatory run r on this side has to send counts[r] units to
     its neighbour runs ``lists`` on the other side, and run j there takes
-    at most room[j] more.  Returns {mandatory run: {neighbour: units}}, in
-    run order, or None when a copy stays free, and then appends to
-    ``hall``, if given, the runs that residual paths reach from a short
-    one (``_flow``).
+    at most room[j] more.  Returns whether every copy is sent; when one is
+    not, appends to ``hall``, if given, the runs that residual paths reach
+    from a short one (``_flow``).
 
     ``sent`` maps this side's runs to their {neighbour: units}: empty, with
     ``room`` the other side's copy counts, or an earlier probe's flow,
     which seeds this one and is updated in place.  The runs that are no
     longer mandatory give their units back, and so do the edges no longer
     in a run's list; then each run that is still short takes free room
-    from its neighbours in list order (the greedy start), and
-    ``_hopcroft_karp`` completes the flow."""
+    from its neighbours in list order (the greedy start), and ``_flow``
+    completes it."""
     for r in sent.keys() - set(runs):
         for j, units in sent.pop(r).items():
             room[j] += units
@@ -482,11 +451,10 @@ def _cover(runs, lists, counts, sent, room, hall=None):
                 short -= units
         need[k] = short
     reached = []
-    if _hopcroft_karp(lists, flows, room, need, hall=reached):
-        if hall is not None:
-            hall += [runs[k] for k in reached]
-        return None
-    return dict(zip(runs, flows))
+    short = _flow(lists, flows, room, need, reached)
+    if hall is not None:
+        hall += [runs[k] for k in reached]
+    return not short
 
 
 class _Lists(dict):
@@ -620,25 +588,34 @@ def _floor(hall, lists, dtz, costs, columns: bool) -> int:
     return min(low, min(map(min, map(pick, map(costs.__getitem__, rows))), default=low))
 
 
-def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
-    """The probe at t: when the copies have a matching over the pairs of
-    cost <= t that matches every copy of each run of to-zero cost > t on
-    both sides, what proves it, else the ``_floor`` below which every
-    probe fails, read off the side that failed.  ``costs``, ``dtz_m``,
-    ``dtz_n`` and ``counts`` are ``_cost_tables``'s, and every vertex is a
-    run.
+def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
+    """The probe at t on ``_cost_tables``'s table, every vertex a run and
+    ``counts`` ``_pair``'s: the one bound b it proves.  b <= t is the value
+    of a matching over the pairs of entry <= t that matches every copy of
+    each run of to-zero entry > t on both sides, which the probe leaves in
+    ``seeds``.  b > t is the Koenig floor of the side that failed
+    (``_floor``): its mandatory runs X that alternating, or on repeated
+    runs residual, paths reach from a run left short have more copies than
+    N(X) can take, and at every top below b, X is still mandatory with no
+    neighbour outside N(X), so every probe there fails too.
 
-    When no run repeats (``counts`` None), ``seeds`` = (mate_m, mate_n) is
-    a matching with partners on both sides, -1 for none, such as an earlier
-    feasible probe's.  The probe repairs a copy of it: it drops every pair
-    whose entry exceeds t, then ``_repair``s M's side and then N's, and
-    returns the repaired (mate_m, mate_n), such a matching.  Otherwise it
-    returns the two sides' ``_cover`` flows (side_m, side_n), side_m =
-    {mandatory M run: {N run: units}} and side_n the same from N, and
-    ``seeds`` = ((sent_m, room_n), (sent_n, room_m)) is each side's flow
-    and the room it leaves, empty when unseeded, which ``_cover`` updates
-    in place.  A seeded probe decides as an unseeded one, but what it
-    returns can differ.
+    ``seeds`` holds the probe's state and is updated in place.  When no run
+    repeats (``counts`` None), it is (mate_m, mate_n), a matching with
+    partners on both sides, -1 for none, such as the last feasible
+    probe's.  The probe repairs a copy of it without its pairs above t,
+    ``_repair``ing M's side and then N's, and writes it back when feasible;
+    b is its value, the largest of its pairs' entries and of the to-zero
+    entries of the runs it leaves unmatched.  Otherwise ``seeds`` =
+    ((sent_m, room_n), (sent_n, room_m)) is each side's ``_cover`` flow and
+    the room it leaves, empty when unseeded, which ``_cover`` updates,
+    feasible or not.  b is the largest of every edge entry of the flows
+    F1 = sent_m and F2 = sent_n and of the to-zero entry of every M run F1
+    does not cover and every N run F2 does not cover.  Their
+    Mendelsohn-Dulmage merge (``copy_merge`` of ``tests/oracles.py`` builds
+    it on copies) uses only their edges and leaves unmatched no copy of a
+    run F1 covers on M or F2 covers on N, so a matching of value <= b
+    exists; the merge is never built.  A seeded probe decides as an
+    unseeded one, but its bound can differ.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
     i's neighbours at t, and ``near_n[j]`` the rows of column j, each entry
@@ -660,24 +637,29 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts):
         for near, lists in ((near_m, lists_m), (near_n, lists_n)):
             for run, within in lists.items():
                 near[run] = within
-        return mate_m, mate_n
+        seeds[0][:], seeds[1][:] = mate_m, mate_n
+        return max([0, *(v if j == -1 else costs[i][j]
+                         for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
+                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
 
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
     runs_n = [j for j, v in enumerate(dtz_n) if v > t]
     lists_m = [_within(costs[i], near_m[i], t) for i in runs_m]
-    side_m = _cover(runs_m, lists_m, counts[0], *seeds[0], hall)
-    if side_m is None:
+    if not _cover(runs_m, lists_m, counts[0], *seeds[0], hall):
         return _floor(hall, dict(zip(runs_m, lists_m)), dtz_m, costs, False)
     lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
-    side_n = _cover(runs_n, lists_n, counts[1], *seeds[1], hall)
-    if side_n is None:
+    if not _cover(runs_n, lists_n, counts[1], *seeds[1], hall):
         return _floor(hall, dict(zip(runs_n, lists_n)), dtz_n, costs, True)
 
     for i, near in zip(runs_m, lists_m):
         near_m[i] = near
     for j, near in zip(runs_n, lists_n):
         near_n[j] = near
-    return side_m, side_n
+    (sent_m, _), (sent_n, _) = seeds
+    return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
+                *(costs[i][j] for j, row in sent_n.items() for i in row),
+                *(v for i, v in enumerate(dtz_m) if i not in sent_m),
+                *(v for j, v in enumerate(dtz_n) if j not in sent_n)])
 
 
 def _unit_merge(side_m, side_n) -> dict[int, int]:
@@ -746,8 +728,8 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
         return (_repair(w, dtz_m, mate_m, mate_n, _Lists(_box_query(keys_m, keys_n, w)), dtz_n) and
                 _repair(w, dtz_n, mate_n, mate_m, _Lists(_box_query(keys_n, keys_m, w)), dtz_m))
     counts_m, counts_n = counts
-    return (_cover(*_boxes(keys_m, keys_n, w), counts_m, {}, list(counts_n)) is not None
-            and _cover(*_boxes(keys_n, keys_m, w), counts_n, {}, list(counts_m)) is not None)
+    return (_cover(*_boxes(keys_m, keys_n, w), counts_m, {}, list(counts_n))
+            and _cover(*_boxes(keys_n, keys_m, w), counts_n, {}, list(counts_m)))
 
 
 def _search(pair):
@@ -756,39 +738,17 @@ def _search(pair):
     in k.  No candidate set is built: every class below lo fails, class hi
     passes, and hi = reach + 1 stands for +inf.  hi starts one class above
     the largest to-zero entry's, where the empty matching passes, or at
-    reach + 1 when a to-zero entry exceeds fin.  Each probe is the middle
-    class of [lo, hi), or after two passing probes in a row, when lo and
-    hi differ by two bits or more, the middle of their bit lengths, so a
-    descent through many bits (Cauchy stages) takes the log of their number
-    of probes.  (r + 2) >> 2 is the first class whose top reaches entry r.
-
-    Every vertex is a run.  A feasible probe at t proves a matching of some
-    value V <= t, feasible at V's class top, so hi jumps there.  When no run
-    repeats, each probe repairs the last feasible probe's matching, and V
-    is its value: the largest of its pair costs and of the to-zero costs of
-    the runs it leaves unmatched.  Otherwise each probe is seeded with the
-    two sides' flows of the one before, F1 = side_m and F2 = side_n, and V
-    is the largest of every edge cost in F1 and F2 and the to-zero cost of
-    every M run F1 does not cover and every N run F2 does not cover, all
-    <= t.  Their Mendelsohn-Dulmage merge (``copy_merge`` of
-    ``tests/oracles.py`` builds it on copies) uses only their edges and
-    leaves unmatched no copy of a run F1 covers on M or F2 covers on N, so
-    a matching of value <= V exists and the jump is exact; the merge is
-    never built.
-
-    An infeasible probe at t returns the Koenig floor L > t of the side
-    that failed (``_floor``): its mandatory runs X that alternating, or on
-    repeated runs residual, paths reach from a run left short have more
-    copies than their neighbours N(X) can take, and L is the least of X's
-    to-zero entries and of X's entries to runs outside N(X).  At every top
-    below L, X is still mandatory and has no neighbour outside N(X), so it
-    still violates Hall's condition and the probe fails: lo jumps to the
-    first class whose top reaches L, past the probe, and that jump is
-    exact too.  The later probes all lie above t, so the infeasible probe's
-    lists, subsets of their neighbours, narrow nothing: they give N(X).
+    reach + 1 when a to-zero entry exceeds 4*reach + 1.  Each probe is the
+    middle class of [lo, hi), or after two passing probes in a row, when lo
+    and hi differ by two bits or more, the middle of their bit lengths, so
+    a descent through many bits (Cauchy stages) takes the log of their
+    number of probes.  A probe at t returns the bound b it proves
+    (``_matching_at``), and the bracket moves to b's class k = (b + 2) >> 2,
+    the first whose top reaches b: lo = k when b > t, else hi = k.
     Returns (distance, the answer's top), or (+inf, None) when no finite
     threshold is feasible."""
-    costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(pair)
+    scale, reach, _, _, counts = pair
+    costs, dtz_m, dtz_n = _cost_tables(pair)
     # Every probe after a feasible one at t lies below t, so the neighbour
     # lists it narrows stay supersets of the later probes' neighbours.
     near_m = [range(len(dtz_n))] * len(dtz_m)
@@ -797,7 +757,6 @@ def _search(pair):
         seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
     else:
         seeds = ({}, list(counts[1])), ({}, list(counts[0]))
-    reach = fin >> 2
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
     # Feasible probes in a row: after two, the answer may lie many bits
     # below, and the probe bisects the bit lengths of lo and hi.
@@ -805,23 +764,13 @@ def _search(pair):
     while lo < hi:
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
-        found = _matching_at(costs, dtz_m, dtz_n, 4 * mid + 1, near_m, near_n, seeds, counts)
-        if isinstance(found, int):
-            lo, drops = found + 2 >> 2, 0
-            continue
-        drops += 1
-        if counts is None:
-            seeds = mate_m, mate_n = found
-            value = max([0, *(v if j == -1 else costs[i][j]
-                              for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
-                         *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
+        top = 4 * mid + 1
+        bound = _matching_at(costs, dtz_m, dtz_n, top, near_m, near_n, seeds, counts)
+        k = bound + 2 >> 2
+        if bound > top:
+            lo, drops = k, 0
         else:
-            side_m, side_n = found
-            value = max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
-                         *(costs[i][j] for j, row in side_n.items() for i in row),
-                         *(v for i, v in enumerate(dtz_m) if i not in side_m),
-                         *(v for j, v in enumerate(dtz_n) if j not in side_n)])
-        hi = value + 2 >> 2
+            hi, drops = k, drops + 1
     if hi > reach:
         return POS_INF, None
     return ExtRational(Fraction(2 * hi, scale)), 4 * hi + 1

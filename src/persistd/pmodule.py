@@ -132,14 +132,21 @@ class PModule:
             object.__setattr__(self, "_view", view)
         return view
 
-    def _lcm(self) -> int:
+    def _lcm(self, limit: int | None = None) -> int:
         """The lcm of the runs' finite denominators, ``_lattice_view()[0]``:
         the cached view's, else read off the runs without building a view.
-        An infinity holds the value 0, of denominator 1."""
+        An infinity holds the value 0, of denominator 1.  With ``limit``, the
+        fold stops as soon as it passes ``limit`` bits, and returns a divisor
+        of the lcm that is longer: the cost of the fold grows with the
+        square of the lcm's bits."""
         if self._view is not None:
             return self._view[0]
-        return math.lcm(*{x.value.denominator
-                          for s, _ in self._runs for x in (s.lo.value, s.hi.value)})
+        lcm = 1
+        for den in {x.value.denominator for s, _ in self._runs for x in (s.lo.value, s.hi.value)}:
+            lcm = math.lcm(lcm, den)
+            if limit is not None and lcm.bit_length() > limit:
+                break
+        return lcm
 
     def __setattr__(self, name, val):  # pragma: no cover - guard
         raise AttributeError("PModule is immutable")

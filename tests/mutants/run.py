@@ -176,16 +176,23 @@ MUTANTS = (
     Mutant("phases-always-cut", BN,
            "shortest=unbuilt)", "shortest=True)", True,
            "the phases cut each BFS at its first free layer even when every list is built"),
-    # The search's jump on the two sides' flows when a run repeats.
+    # The bound a feasible probe returns: the value of the matching, or of
+    # the two sides' flows when a run repeats, that it leaves in its seeds.
     Mutant("jump-drops-free-n-runs", BN,
-           "*(v for j, v in enumerate(dtz_n) if j not in side_n)", "*()", False,
-           "the jump bound leaves out the N runs side_n does not cover"),
+           "*(v for j, v in enumerate(dtz_n) if j not in sent_n)", "*()", False,
+           "the jump bound leaves out the N runs sent_n does not cover"),
     Mutant("jump-drops-free-m-runs", BN,
-           "*(v for i, v in enumerate(dtz_m) if i not in side_m)", "*()", False,
-           "the jump bound leaves out the M runs side_m does not cover"),
+           "*(v for i, v in enumerate(dtz_m) if i not in sent_m)", "*()", False,
+           "the jump bound leaves out the M runs sent_m does not cover"),
     Mutant("jump-drops-side-n-edges", BN,
-           "*(costs[i][j] for j, row in side_n.items() for i in row),", "", False,
-           "the jump bound leaves out the edge costs of side_n"),
+           "*(costs[i][j] for j, row in sent_n.items() for i in row),", "", False,
+           "the jump bound leaves out the edge costs of sent_n"),
+    Mutant("value-drops-free-n-runs", BN,
+           "*(v for v, i in zip(dtz_n, mate_n) if i == -1)])", "])", False,
+           "a repaired matching's value leaves out the N runs it leaves unmatched"),
+    Mutant("probe-keeps-old-seeds", BN,
+           "        seeds[0][:], seeds[1][:] = mate_m, mate_n\n", "", False,
+           "a feasible probe returns its matching's value but leaves its old seeds"),
     # The search's bracket of class indices and its Koenig floors.
     Mutant("floor-without-to-zero", BN,
            "low = min(map(dtz.__getitem__, hall))", "low = 10**100", False,
@@ -203,8 +210,11 @@ MUTANTS = (
            "hall += [u for u in range(n_left) if dist[u] == 0]", False,
            "the witness walk of the flow does not follow users: X is the short runs"),
     Mutant("lo-floor-class", BN,
-           "lo, drops = found + 2 >> 2, 0", "lo, drops = found + 1 >> 2, 0", False,
+           "lo, drops = k, 0", "lo, drops = bound + 1 >> 2, 0", False,
            "lo moves to the floor's class, which is the probe's when the floor is 4 mid + 2"),
+    Mutant("bound-at-top-is-floor", BN,
+           "if bound > top:", "if bound >= top:", False,
+           "a feasible probe whose value equals its top moves lo, as a floor would"),
     Mutant("hi-without-plus-one", BN,
            "+ 1 >> 2, reach) + 1", "+ 1 >> 2, reach)", False,
            "hi starts at the largest to-zero entry's class, or reach for +inf"),

@@ -470,9 +470,19 @@ def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
     return copy_merge(side_m, side_n)
 
 
+def run_table(m: PModule, n: PModule):
+    """``bottleneck._cost_tables`` on the admitted pair of m and n, with the
+    pair's own numbers: (costs, dtz_m, dtz_n, S, fin, counts), where no
+    finite entry exceeds fin = 4*reach + 1 and ``counts`` are ``_pair``'s,
+    None when no summand repeats, else each side's copy counts by run."""
+    pair = bottleneck._pair(m, n, True)
+    scale, reach, _, _, counts = pair
+    return (*bottleneck._cost_tables(pair), scale, 4 * reach + 1, counts)
+
+
 def copy_ranges(counts):
     """None when no run repeats, else each side's copy index ranges by run,
-    from ``bottleneck._cost_tables``' counts."""
+    from ``run_table``'s counts."""
     if counts is None or all(k == 1 for side in counts for k in side):
         return None
     return tuple(bottleneck._ranges(side) for side in counts)
@@ -480,12 +490,11 @@ def copy_ranges(counts):
 
 def copy_search(m: PModule, n: PModule):
     """The kernel's distance search as it ran with one vertex per copy: on
-    ``bottleneck._cost_tables``, each ``copy_matching_at`` probe seeded
+    ``run_table``, each ``copy_matching_at`` probe seeded
     with the matchings of the one before, the bracket's top jumping to a
     feasible matching's value.  Returns (distance, the answer's top, the
     number of probes)."""
-    costs, dtz_m, dtz_n, scale, fin, counts = bottleneck._cost_tables(
-        bottleneck._pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     copies = copy_ranges(counts)
     entries = {0, *dtz_m, *dtz_n}
     for row in costs:
@@ -522,7 +531,7 @@ def copy_search(m: PModule, n: PModule):
 def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
     """``copy_matching_at`` on whole rows and columns: every index is a
     possible neighbour.  ``copies`` is None or each side's copy count by
-    run (``bottleneck._cost_tables``' counts).  Unseeded unless ``mates``
+    run (``run_table``'s counts).  Unseeded unless ``mates``
     are given."""
     ranges = copy_ranges(copies)
     near_m = [range(len(dtz_n))] * len(dtz_m)

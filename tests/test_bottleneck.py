@@ -36,8 +36,9 @@ from oracles import (
     reference_module_distance,
     reference_modules_eps_interleaved,
     reference_search,
+    run_table,
 )
-from strategies import modules
+from strategies import modules, pooled_pairs
 
 HALF = ExtRational(Fraction(1, 2))
 
@@ -419,13 +420,13 @@ def test_saturating_matching_against_bruteforce(seed):
         near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
         before = [list(a) for a in near_m], [list(a) for a in near_n]
         unseeded = [-1] * n_m, [-1] * n_n
-        repaired = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None)
+        bound = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None)
+        _assert_probe(bound, unseeded, costs, dtz_m, dtz_n, t)
         if found is None:
-            _assert_floor(repaired, costs, dtz_m, dtz_n, t)
-            assert repaired == _seeded_probe(costs, dtz_m, dtz_n, t, unseeded)
+            assert bound == _seeded_probe(costs, dtz_m, dtz_n, t, unseeded)
+            assert unseeded == ([-1] * n_m, [-1] * n_n)
             assert (near_m, near_n) == before
             continue
-        _assert_matching_at(repaired, costs, dtz_m, dtz_n, t)
         # A feasible probe narrows the lists it read, all of mandatory
         # summands, to exactly their neighbours at t, and no other list.
         for near, old, mand, at_t in (
@@ -433,7 +434,7 @@ def test_saturating_matching_against_bruteforce(seed):
                 (near_n, before[1], mand_n, lambda j: [i for i in range(n_m) if edge_ok[i][j]])):
             assert all(a == b or (k in mand and a == at_t(k))
                        for k, (a, b) in enumerate(zip(near, old)))
-        mate_m, mate_n = repaired
+        mate_m, mate_n = unseeded
         tie_edges += sum(costs[i][j] == t for i, j in enumerate(mate_m) if j != -1)
         tie_deletions += sum(v == t for v, j in zip(dtz_m, mate_m) if j == -1)
         tie_deletions += sum(v == t for v, i in zip(dtz_n, mate_n) if i == -1)
@@ -473,16 +474,48 @@ def _assert_floor(floor, costs, dtz_m, dtz_n, t, counts=None):
     assert full_probe(costs, dtz_m, dtz_n, floor - 1, copies=counts) is None, (floor, t)
 
 
+def _seed_value(seeds, costs, dtz_m, dtz_n, counts) -> int:
+    """The value of what a feasible probe leaves in its ``seeds``: with
+    ``counts`` None, of the matching (mate_m, mate_n), the largest of its
+    pairs' costs and of the to-zero costs of the runs it leaves unmatched;
+    else of the two sides' flows (side_m, side_n), the largest of every
+    edge cost in either and of the to-zero cost of every run that its
+    side's flow does not cover."""
+    if counts is None:
+        mate_m, mate_n = seeds
+        return max([0, *(costs[i][j] for i, j in enumerate(mate_m) if j != -1),
+                    *(v for v, j in zip(dtz_m, mate_m) if j == -1),
+                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
+    (side_m, _), (side_n, _) = seeds
+    return max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
+                *(costs[i][j] for j, row in side_n.items() for i in row),
+                *(v for i, v in enumerate(dtz_m) if i not in side_m),
+                *(v for j, v in enumerate(dtz_n) if j not in side_n)])
+
+
+def _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts=None):
+    """The contract of a probe at t on runs, which returned ``bound`` and
+    left ``seeds``: ``bound`` is an int, at most t exactly when the full
+    probe at t succeeds.  Above t it is a floor (``_assert_floor``).  At or
+    below t it is the ``_seed_value`` of the seeds, and they hold
+    (``_assert_flow_at``) a matching or flows at t."""
+    assert isinstance(bound, int) and not isinstance(bound, bool), bound
+    feasible = full_probe(costs, dtz_m, dtz_n, t, copies=counts) is not None
+    assert (bound <= t) == feasible, (bound, t)
+    if not feasible:
+        _assert_floor(bound, costs, dtz_m, dtz_n, t, counts)
+        return
+    assert _seed_value(seeds, costs, dtz_m, dtz_n, counts) == bound
+    _assert_flow_at(seeds if counts is None else (seeds[0][0], seeds[1][0]),
+                    costs, dtz_m, dtz_n, t, counts)
+
+
 def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
-    """What a probe on runs returns: when the full probe at t fails, the
-    probe's floor (``_assert_floor``); else ``_assert_matching_at``, and
+    """What a feasible probe on runs leaves: ``_assert_matching_at``, and
     with ``counts``, each of the two sides' flows (side_m, side_n), {run:
     {run of the other side: units}}, uses only pairs of cost <= t, sends no
     run more units than it has copies, and has as its keys exactly its
     side's runs of to-zero cost > t, each sending every copy."""
-    if full_probe(costs, dtz_m, dtz_n, t, copies=counts) is None:
-        _assert_floor(found, costs, dtz_m, dtz_n, t, counts)
-        return
     if counts is None:
         _assert_matching_at(found, costs, dtz_m, dtz_n, t)
         return
@@ -502,7 +535,8 @@ def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
 
 def _seeded_probe(costs, dtz_m, dtz_n, t, seeds):
     """``bottleneck._matching_at`` on whole rows and columns of a table
-    with no repeated summand, seeded with the matching ``seeds``."""
+    with no repeated summand, seeded with the matching ``seeds``, which it
+    updates in place: the bound it returns."""
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
     return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, None)
@@ -523,10 +557,10 @@ def _random_matching(rng, n_m, n_n):
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_probe_keeps_only_live_partners(seed):
     """A probe seeded with any matching, pairs over t included, decides as
-    an unseeded full probe at every t, up and down the entries, returns a
-    matching at t or a floor and leaves its seed as it was.  So does a
-    chain of probes each seeded with the last feasible probe's matching, as
-    in the search."""
+    an unseeded full probe at every t, up and down the entries, and keeps
+    the probe's contract (``_assert_probe``); a failed probe leaves its
+    seed as it was.  So does a chain of probes each seeded with the last
+    feasible probe's matching, as in the search."""
     rng = random.Random(1000 + seed)
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
@@ -538,11 +572,10 @@ def test_seeded_probe_keeps_only_live_partners(seed):
             seeds = _random_matching(rng, n_m, n_n)
             kept = tuple(map(list, seeds))
             for start in (seeds, chained):
-                found = _seeded_probe(costs, dtz_m, dtz_n, t, start)
-                _assert_flow_at(found, costs, dtz_m, dtz_n, t, None)
-            assert seeds == kept
-            if full is not None:
-                chained = found
+                bound = _seeded_probe(costs, dtz_m, dtz_n, t, start)
+                _assert_probe(bound, start, costs, dtz_m, dtz_n, t)
+            if full is None:
+                assert seeds == kept
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -553,27 +586,26 @@ def test_seeded_probes_on_small_modules(seed):
     rng = random.Random(3000 + seed)
     for _ in range(20):
         m, n = (random_module(rng, Fraction(-3), Fraction(3), 4, 4) for _ in range(2))
-        costs, dtz_m, dtz_n, _, fin, counts = bottleneck._cost_tables(
-            bottleneck._pair(m, n, True))
+        costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
         assert module_distance(m, n) == bruteforce_module_distance(m, n)
         if counts is not None:
             continue
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
         for t in tops + tops[::-1]:
-            found = _seeded_probe(costs, dtz_m, dtz_n, t,
-                                  _random_matching(rng, len(dtz_m), len(dtz_n)))
-            _assert_flow_at(found, costs, dtz_m, dtz_n, t, None)
+            seeds = _random_matching(rng, len(dtz_m), len(dtz_n))
+            bound = _seeded_probe(costs, dtz_m, dtz_n, t, seeds)
+            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t)
 
 
 def test_stale_partners_are_dropped():
     # Row 0 must be matched (to-zero cost 4); its old partner, column 0,
     # now costs 3 > t = 1, and so does row 1's, column 1.  Column 1 is row
-    # 0's only neighbour.
+    # 0's only neighbour.  The repaired matching has the value 1.
     costs = [[3, 1], [0, 5]]
     seeds = ([0, 1], [0, 1])
-    assert _seeded_probe(costs, [4, 0], [0, 0], 1, seeds) == ([1, -1], [-1, 0])
-    assert seeds == ([0, 1], [0, 1])
+    assert _seeded_probe(costs, [4, 0], [0, 0], 1, seeds) == 1
+    assert seeds == ([1, -1], [-1, 0])
 
 
 def test_phases_let_a_deletable_partner_go():
@@ -585,7 +617,8 @@ def test_phases_let_a_deletable_partner_go():
     dtz_m, dtz_n = [5, 5, 5, 1], [0, 0, 0]
     seeds = ([-1, 0, 1, 2], [1, 2, 3])
     assert full_probe(costs, dtz_m, dtz_n, 1) is not None
-    assert _seeded_probe(costs, dtz_m, dtz_n, 1, seeds) == ([0, 1, 2, -1], [0, 1, 2])
+    assert _seeded_probe(costs, dtz_m, dtz_n, 1, seeds) == 1
+    assert seeds == ([0, 1, 2, -1], [0, 1, 2])
 
 
 def test_a_side_with_no_runs():
@@ -597,13 +630,15 @@ def test_a_side_with_no_runs():
         assert distance_certificate(m, n).threshold == HALF
         assert modules_eps_interleaved(m, n, Fraction(1, 2))
         assert not modules_eps_interleaved(m, n, Fraction(1, 4))
-    costs, dtz_m, dtz_n, _, _, counts = bottleneck._cost_tables(
-        bottleneck._pair(PModule(), one, True))
+    costs, dtz_m, dtz_n, _, _, counts = run_table(PModule(), one)
     assert (costs, dtz_m, counts) == ([], [], None)
     # N's run has no neighbour: the probe fails at once, and the floor is
-    # its to-zero entry.
+    # its to-zero entry.  At that entry the run may be deleted, and the
+    # empty matching's value is the same entry.
     assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0] - 1, ([], [-1])) == dtz_n[0]
-    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], ([], [-1])) == ([], [-1])
+    seeds = ([], [-1])
+    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], seeds) == dtz_n[0]
+    assert seeds == ([], [-1])
 
 
 def test_unit_decision_repairs_the_empty_matching(monkeypatch):
@@ -652,21 +687,24 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     from complete flows, one left vertex per mandatory run."""
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
-    costs, dtz_m, dtz_n, scale, _, counts = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, _, counts = run_table(m, n)
     assert counts == ([3, 2], [3, 2])
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
     seeds = ({}, list(counts[1])), ({}, list(counts[0]))
     near = [range(2)] * 2
     first = _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts)
-    assert first == ({0: {0: 3}, 1: {1: 2}}, {0: {0: 3}, 1: {1: 2}})
+    flows = ({0: {0: 3}, 1: {1: 2}}, {0: {0: 3}, 1: {1: 2}})
+    assert (seeds[0][0], seeds[1][0]) == flows
+    assert first == max(costs[0][0], costs[1][1]) <= top
     starts = []
 
-    def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp, **kwargs):
+    def recorded(adj, sent, room, need, *args, _real=bottleneck._flow):
         starts.append((len(adj), list(need)))
-        return _real(adj, sent, room, need, **kwargs)
+        return _real(adj, sent, room, need, *args)
 
-    monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
+    monkeypatch.setattr(bottleneck, "_flow", recorded)
     assert _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts) == first
+    assert (seeds[0][0], seeds[1][0]) == flows
     assert starts == [(2, [0, 0]), (2, [0, 0])]
 
 
@@ -724,13 +762,13 @@ def test_search_probes_equal_full_probes(m, n):
     probes = []
 
     def checked(*args):
-        t, counts = args[3], args[7]
+        t, seeds, counts = args[3], args[6], args[7]
         full = full_probe(costs, dtz_m, dtz_n, t)
         assert full_probe(*args[:4], None, counts) == full
-        found = _matching_at(*args)
-        _assert_flow_at(found, *args[:4], counts)
+        bound = _matching_at(*args)
+        _assert_probe(bound, seeds, *args[:4], counts)
         probes.append(t)
-        return found
+        return bound
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bottleneck, "_matching_at", checked)
@@ -738,7 +776,7 @@ def test_search_probes_equal_full_probes(m, n):
     assert probes and d == reference_module_distance(m, n)
     if not d.is_finite:
         return
-    assert scale == bottleneck._cost_tables(bottleneck._pair(m, n, True))[3]
+    assert scale == bottleneck._pair(m, n, True)[0]
     top = int(2 * scale * d.as_fraction) + 1
     full = full_probe(costs, dtz_m, dtz_n, top)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
@@ -768,13 +806,43 @@ def test_upper_jump_beats_plain_bisection(monkeypatch):
 def test_infeasible_probe_leaves_lists_unchanged():
     # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0,
     # so the floor is the least of 3 and its row, 1; at t = 1 it meets
-    # column 0, and only its own list narrows.
+    # column 0, and only its own list narrows.  The matching found there
+    # has the value 1 too.
     costs = [[1, 5], [5, 5]]
     dtz_m, dtz_n = [3, 0], [0, 0]
     near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
-    unseeded = [-1, -1], [-1, -1]
-    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, unseeded, None) == 1
-    assert (near_m, near_n) == ([[0, 1], [1]], [[0], [0, 1]])
-    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, unseeded, None) == (
-        [0, -1], [0, -1])
+    seeds = [-1, -1], [-1, -1]
+    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, seeds, None) == 1
+    assert (near_m, near_n, seeds) == ([[0, 1], [1]], [[0], [0, 1]], ([-1, -1], [-1, -1]))
+    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, seeds, None) == 1
+    assert seeds == ([0, -1], [0, -1])
     assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])
+
+
+
+@given(pooled_pairs(max_count=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_probe_returns_the_bound_it_proves(pair, rng):
+    """The probe's contract (``_assert_probe``) for chains of probes up and
+    down, each seeded with the state the one before left: at every class
+    top of the run table of two modules over one pool, repeated runs or
+    not, and at every int up to a random table's largest entry, on small
+    ints with no repeated run that need not be lattice entries."""
+    m, n = pair
+    costs, dtz_m, dtz_n, _, _, counts = run_table(m, n)
+    tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row} | {1})
+    top = rng.randint(0, 9)
+    tables = [(costs, dtz_m, dtz_n, counts, tops),
+              (*_random_table(rng, rng.randint(0, 6), rng.randint(0, 6), top)[:3], None,
+               range(top + 2))]
+    for costs, dtz_m, dtz_n, counts, ts in tables:
+        if counts is None:
+            seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
+        else:
+            seeds = ({}, list(counts[1])), ({}, list(counts[0]))
+        near_m = [range(len(dtz_n))] * len(dtz_m)
+        near_n = [range(len(dtz_m))] * len(dtz_n)
+        for t in [*ts, *reversed(ts)]:
+            bound = _matching_at(costs, dtz_m, dtz_n, t, list(near_m), list(near_n), seeds,
+                                 counts)
+            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)

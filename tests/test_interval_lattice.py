@@ -20,7 +20,6 @@ from persistd import (
     modules_eps_interleaved,
     parse_interval,
 )
-from persistd.bottleneck import _cost_tables, _pair
 from persistd.interleaving import _bound, _class_top, _lattice
 
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     reference_distance_to_zero,
     reference_interval_distance,
     reference_modules_eps_interleaved,
+    run_table,
 )
 from strategies import intervals, lattice_intervals
 from test_lattice import candidate_values, lattice_scale
@@ -93,7 +93,7 @@ def test_table_entry_records_attainment(i_text, j_text, offset, attained):
     assert c == ExtRational(1) and interval_distance(i, j) == c
     # The table and the decision read the pair's one lattice; at eps = 1,
     # E = eps*S = S is an even integer, so the bound is 2E = 2S.
-    costs, dtz_m, _, scale, _, _ = _cost_tables(_pair(m, n, True))
+    costs, dtz_m, _, scale, _, _ = run_table(m, n)
     lattice_scale, reach, _, _ = _lattice(m._lattice_view(), n._lattice_view())
     entry = costs[0][0] if n.summands else dtz_m[0]
     assert (entry, lattice_scale) == (2 * scale + offset, scale)

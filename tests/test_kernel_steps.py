@@ -111,9 +111,9 @@ def test_search_on_any_table(monkeypatch):
         counts = None if rng.random() < 0.5 else (
             [rng.randint(1, 3) for _ in range(n_m)], [rng.randint(1, 3) for _ in range(n_n)])
         reach = rng.randint(0, 4)
-        table = costs, dtz_m, dtz_n, 1, 4 * reach + 1, counts
+        table = costs, dtz_m, dtz_n
         monkeypatch.setattr(bottleneck, "_cost_tables", lambda pair: table)
-        _, top = bounded(bottleneck._search, None)
+        _, top = bounded(bottleneck._search, (1, reach, None, None, counts))
         least = next((k for k in range(reach + 1)
                       if full_probe(costs, dtz_m, dtz_n, 4 * k + 1, copies=counts) is not None), None)
-        assert top == (None if least is None else 4 * least + 1), table
+        assert top == (None if least is None else 4 * least + 1), (table, reach, counts)

@@ -28,6 +28,7 @@ from oracles import (
     reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
+    run_table,
 )
 from strategies import deep_fractions, lattice_modules, pooled_pairs, small_eps
 
@@ -70,7 +71,7 @@ def test_cost_tables_equal_key_table(pair):
     """The hot loop of ``_cost_tables`` against one ``_key_entry`` call per
     entry, on the runs: the same table, to-zero entries, S and fin."""
     m, n = pair
-    table = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    table = run_table(m, n)
     assert table[:5] == key_table(*map(_run_summands, pair))[:5]
 
 
@@ -131,8 +132,8 @@ def test_whole_line_and_half_lines():
 def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
     """The decision builds no cost table (``_cost_tables`` is the only
     table builder) and makes no probe: it reads the lattice once and runs
-    Hopcroft-Karp at most once per side, not at all when the repair of the
-    empty matching needs no phases."""
+    a matcher, Hopcroft-Karp or the flow, at most once per side, not at
+    all when the repair of the empty matching needs no phases."""
     pairs = [
         (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
         (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),
@@ -141,7 +142,7 @@ def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
     cases = [(m, n, eps, reference_modules_eps_interleaved(m, n, eps))
              for m, n in pairs for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))]
     calls = []
-    for name in ("_cost_tables", "_matching_at", "_lattice", "_hopcroft_karp"):
+    for name in ("_cost_tables", "_matching_at", "_lattice", "_hopcroft_karp", "_flow"):
         def counted(*args, _real=getattr(bottleneck, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -150,8 +151,8 @@ def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
         calls.clear()
         assert modules_eps_interleaved(m, n, eps) == expected
         assert calls.count("_lattice") == 1
-        assert calls.count("_hopcroft_karp") <= 2
-        assert set(calls) <= {"_lattice", "_hopcroft_karp"}, calls
+        assert calls.count("_hopcroft_karp") + calls.count("_flow") <= 2
+        assert set(calls) <= {"_lattice", "_hopcroft_karp", "_flow"}, calls
 
 
 def test_decision_checks_the_vertex_cap_before_eps():

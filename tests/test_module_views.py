@@ -6,6 +6,7 @@ int-to-text digit limit."""
 import copy
 import json
 import pickle
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -268,6 +269,33 @@ class TestBudgets:
                                                  r"\d+ bits exceed the key budget 100000000 "):
                 call()
         assert m._view is None and zero._view is None
+
+    def test_huge_coprime_denominators_refused_before_their_lcm(self, capsys, tmp_path):
+        """A module of 200 runs [1/q, 2) with odd random 13,000-bit q against
+        itself: the lcm of one side passes the budgets' bits after a few
+        denominators, and folding all of them would take seconds.  Each
+        entry point refuses the pair in under a second, on lower bounds,
+        before either module builds its view, and ``dist`` exits 2 with one
+        error line."""
+        rng = random.Random(13)
+        m = PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                    for _ in range(200))
+        cert = MatchingCertificate(ExtRational(1), tuple((i, i) for i in range(200)), (), ())
+        for call, kind in ((lambda: module_distance(m, m), "table"),
+                           (lambda: modules_eps_interleaved(m, m, 1), "key"),
+                           (lambda: verify_certificate(m, m, cert), "key")):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^200\+200 distinct summands on a lattice of "
+                                                 rf"at least \d+ bits exceed the {kind} budget "):
+                call()
+            assert time.perf_counter() - start < 1
+        assert m._view is None
+        path = tmp_path / "m.json"
+        path.write_text(m.to_json())
+        assert cli_main(["dist", str(path), str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "table budget" in err
 
     def test_check_refuses_runs_over_the_vertex_cap_fast(self):
         """20,000 runs [0, 1/p), 7-digit primes p, against the zero module:

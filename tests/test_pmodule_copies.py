@@ -222,18 +222,24 @@ class TestNoCopiesOutsideTheMatcher:
             assert len(module) == module._len == size
 
     def test_matcher_has_one_left_vertex_per_mandatory_run(self, monkeypatch):
-        """28 copies of one interval against 26: every Hopcroft-Karp run of
-        the distance and of the decision has one left vertex per mandatory
-        run, a run that must send all its copies, not one per copy."""
+        """28 copies of one interval against 26: every matcher run of the
+        distance and of the decision is the capacitated ``_flow`` with one
+        left vertex per mandatory run, a run that must send all its copies,
+        not one per copy."""
         piece = parse_interval("[0,2)")
         m, n = replicate(piece, 28), replicate(piece, 26)
         calls = []
 
-        def recorded(adj, sent, room, need=None, _real=bottleneck._hopcroft_karp, **kwargs):
-            calls.append((len(adj), need is not None, sum(room)))
-            return _real(adj, sent, room, need, **kwargs)
+        def recorded(adj, sent, room, *args, _real=bottleneck._flow):
+            calls.append((len(adj), True, sum(room)))
+            return _real(adj, sent, room, *args)
 
-        monkeypatch.setattr(bottleneck, "_hopcroft_karp", recorded)
+        def unit(adj, *args, _real=bottleneck._hopcroft_karp, **kwargs):
+            calls.append((len(adj), False, None))
+            return _real(adj, *args, **kwargs)
+
+        monkeypatch.setattr(bottleneck, "_flow", recorded)
+        monkeypatch.setattr(bottleneck, "_hopcroft_karp", unit)
         assert module_distance(m, n) == ExtRational(1)
         # The infeasible probe below the answer: the M run must send 28
         # copies into 26, and the greedy start leaves it 2 short.

@@ -1,7 +1,7 @@
 """The kernel matches runs, not copies: a mandatory run that repeats is one
 left vertex that must send as many units as it has copies, and a run on
 the other side is one right vertex that takes at most that many.  These
-tests hold the capacitated ``_hopcroft_karp`` and the search and the
+tests hold the capacitated matcher ``_flow`` and the search and the
 decision built on it to the copy-level references of ``oracles``."""
 
 import random
@@ -19,7 +19,7 @@ from persistd import (
     module_distance,
     modules_eps_interleaved,
 )
-from persistd.bottleneck import _cost_tables, _hopcroft_karp, _matching_at, _pair, _ranges
+from persistd.bottleneck import _flow, _hopcroft_karp, _matching_at, _ranges
 
 from oracles import (
     copy_hopcroft_karp,
@@ -28,10 +28,11 @@ from oracles import (
     full_probe,
     lattice_scale,
     reference_module_distance,
+    run_table,
     table_modules_eps_interleaved,
 )
 from strategies import lattice_modules, pooled_pairs
-from test_bottleneck import _assert_flow_at
+from test_bottleneck import _assert_probe, _seed_value
 from test_table_free import _random_pool_pair
 
 
@@ -94,15 +95,15 @@ def test_capacitated_total_is_the_copy_maximum():
             for out in sent:
                 for v, units in out.items():
                     now_room[v] -= units
-            short = _hopcroft_karp(adj, sent, now_room, now_need)
+            short = _flow(adj, sent, now_room, now_need)
             assert sum(start_need) - short == best, (adj, need, room)
             _check_flow(adj, now_need, now_room, sent, short, start_need, room)
 
 
 def test_unit_capacities_match_the_reference_exactly():
     """With every count 1 and no start, the capacitated flow is the
-    matching of the copy-level reference, edge for edge, and so is the
-    matching mode of the same function."""
+    matching of the copy-level reference, edge for edge, and so is that of
+    the unit matcher ``_hopcroft_karp``."""
     rng = random.Random(77)
     for _ in range(2000):
         adj, _, _ = _random_runs(rng, 1)
@@ -110,7 +111,7 @@ def test_unit_capacities_match_the_reference_exactly():
         n_right += rng.randint(0, 2)
         expected = copy_hopcroft_karp(adj, [-1] * len(adj), [-1] * n_right)
         sent = [{} for _ in adj]
-        short = _hopcroft_karp(adj, sent, [1] * n_right, [1] * len(adj))
+        short = _flow(adj, sent, [1] * n_right, [1] * len(adj))
         assert [next(iter(out), -1) for out in sent] == expected[1], adj
         assert short == len(adj) - expected[0]
         pair_l, pair_r = [-1] * len(adj), [-1] * n_right
@@ -120,15 +121,14 @@ def test_unit_capacities_match_the_reference_exactly():
 
 def test_seeded_probes_decide_as_unseeded():
     """Probes up and down the class tops, each seeded with the flows the
-    one before left or the matching the last feasible one returned, decide
-    as an unseeded copy-level probe and return a flow or matching at their
-    threshold, or a floor below which the copy-level probe fails: a run
-    that stops being mandatory gives its units back, and so does an edge
-    that leaves a run's list."""
+    one before left or the matching the last feasible one left, decide as
+    an unseeded copy-level probe and keep the probe's contract
+    (``_assert_probe``): a run that stops being mandatory gives its units
+    back, and so does an edge that leaves a run's list."""
     rng = random.Random(9)
     for _ in range(300):
         m, n = _random_pool_pair(rng)
-        costs, dtz_m, dtz_n, _, fin, counts = _cost_tables(_pair(m, n, True))
+        costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
         if counts is None:
@@ -137,10 +137,8 @@ def test_seeded_probes_decide_as_unseeded():
             seeds = ({}, list(counts[1])), ({}, list(counts[0]))
         for t in rng.choices(tops, k=8):
             near_m, near_n = [range(len(dtz_n))] * len(dtz_m), [range(len(dtz_m))] * len(dtz_n)
-            found = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
-            _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts)
-            if counts is None and not isinstance(found, int):
-                seeds = found
+            bound = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
+            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)
 
 
 @given(pooled_pairs(max_count=7), st.integers(0, 40))
@@ -186,9 +184,10 @@ def _copy_matching(flow, own, other):
 @settings(max_examples=150, deadline=None)
 def test_jump_bound_covers_the_merge(pair):
     """At every feasible probe of a search on repeated runs, the bound V
-    that the search jumps on, the largest of every edge cost in the two
-    sides' flows (side_m, side_n) and of the to-zero cost of every run that
-    its side's flow does not cover, lies between the value of the flows'
+    that the probe returns and the search jumps on, the largest of every
+    edge cost in the two sides' flows (side_m, side_n) that it leaves in
+    its seeds and of the to-zero cost of every run that its side's flow
+    does not cover, lies between the value of the flows'
     Mendelsohn-Dulmage merge (``oracles.copy_merge`` on the flows expanded
     to copies) and the probe's top t, and the copy-level full probe is
     feasible at V's class top.  At every infeasible probe, the copy-level
@@ -199,7 +198,7 @@ def test_jump_bound_covers_the_merge(pair):
     hi differ by two bits or more, and the distance is the class the last
     one leaves."""
     m, n = pair
-    costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(_pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     if counts is None:
         return
     own_m, own_n = map(_ranges, counts)
@@ -207,11 +206,11 @@ def test_jump_bound_covers_the_merge(pair):
     probes = []
 
     def recorded(*args, _real=bottleneck._matching_at):
-        found = _real(*args)
+        bound = _real(*args)
         # The flows are the seeds of the next probe, which updates them.
-        probes.append((args[3], found if isinstance(found, int) else tuple(
-            {r: dict(row) for r, row in side.items()} for side in found)))
-        return found
+        probes.append((args[3], bound, tuple(
+            ({r: dict(row) for r, row in sent.items()}, None) for sent, _ in args[6])))
+        return bound
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bottleneck, "_matching_at", recorded)
@@ -220,21 +219,17 @@ def test_jump_bound_covers_the_merge(pair):
     # top reaches r, and reach + 1 = (fin >> 2) + 1 stands for +inf.
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, fin >> 2) + 1
     drops = 0
-    for t, found in probes:
+    for t, bound, flows in probes:
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
         assert lo <= mid < hi and t == 4 * mid + 1
-        if isinstance(found, int):
-            assert found > t
-            assert full_probe(costs, dtz_m, dtz_n, found - 1, copies=counts) is None
-            lo, drops = found + 2 >> 2, 0
+        if bound > t:
+            assert full_probe(costs, dtz_m, dtz_n, bound - 1, copies=counts) is None
+            lo, drops = bound + 2 >> 2, 0
             continue
         drops += 1
-        side_m, side_n = found
-        bound = max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
-                     *(costs[i][j] for j, row in side_n.items() for i in row),
-                     *(v for i, v in enumerate(dtz_m) if i not in side_m),
-                     *(v for j, v in enumerate(dtz_n) if j not in side_n)])
+        assert bound == _seed_value(flows, costs, dtz_m, dtz_n, counts)
+        (side_m, _), (side_n, _) = flows
         merged = copy_merge(_copy_matching(side_m, own_m, own_n),
                             _copy_matching(side_n, own_n, own_m))
         matched_n = set(merged.values())
@@ -256,16 +251,16 @@ def _assert_floors_bound(m, n):
     at each class top below it and just below it, and it is at most the
     entry of the distance by exhaustive matching, the top of its class
     (by the candidate scan when a side has more than 5 copies)."""
-    costs, dtz_m, dtz_n, scale, fin, counts = _cost_tables(_pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                    if r <= fin} | {1})
     floors = []
 
     def recorded(*args, _real=bottleneck._matching_at):
-        found = _real(*args)
-        if isinstance(found, int):
-            floors.append((args[3], found))
-        return found
+        bound = _real(*args)
+        if bound > args[3]:
+            floors.append((args[3], bound))
+        return bound
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bottleneck, "_matching_at", recorded)

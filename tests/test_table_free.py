@@ -40,6 +40,7 @@ from oracles import (
     reference_interval_distance,
     reference_modules_eps_interleaved,
     reference_verify_certificate,
+    run_table,
     table_modules_eps_interleaved,
 )
 from strategies import pooled_pairs
@@ -100,7 +101,7 @@ def test_certificate_equals_unseeded_table_probe(pair):
         with pytest.raises(InfiniteDistanceError):
             distance_certificate(m, n)
         return
-    costs, dtz_m, dtz_n, scale, _, copies = bottleneck._cost_tables(bottleneck._pair(m, n, True))
+    costs, dtz_m, dtz_n, scale, _, copies = run_table(m, n)
     top = int(2 * scale * d.as_fraction) + 1
     matching = full_probe(costs, dtz_m, dtz_n, top, copies=copies)
     pairs = tuple(sorted(matching.items()))
