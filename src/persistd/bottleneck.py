@@ -27,18 +27,19 @@ matching when that is at most t, else a Koenig floor above t, and the
 bracket of class indices moves to that bound's class.  No candidate set is
 built, and the distance becomes an ``ExtRational`` once, at the end.
 
-Every vertex is a run, an (interval, count) pair of a ``PModule``, and
-each pair shape has one matcher, which the search's probes and the
-eps-decision share: ``_repair`` when no summand repeats, which repairs a
-matching with partners on both sides in place, and otherwise ``_cover``,
-one side's flow of units (``_flow``), in which a mandatory run sends as
-many units as it has copies.
-
-The eps-decision, the certificate's matching and the certificate check
-build no table: a mandatory run's neighbours form an L-infinity box around
-its key point (``_box_query``).  The certificate is the ``_unit_merge`` of
-one unseeded matching per side with one vertex per copy; ``MATCH_CAP``
-still counts copies.
+Every vertex is a run, an (interval, count) pair of a ``PModule``.  Each
+pair shape has one matcher, called the same way on each side, ``(t, dtz,
+lists, state, hall)``: it reads the side's mandatory runs off ``dtz > t``
+and their neighbour runs off ``lists[r]``, a ``_Lists``, and updates the
+side's state in place (``_sides``).  ``_repair`` repairs a matching when no
+summand repeats; otherwise ``_cover`` runs the side's flow of units
+(``_flow``), in which a mandatory run sends as many units as it has
+copies.  The search's probes build their lists from the table, and the
+eps-decision and the certificate's matching (``_copy_cover``) from the
+keys: a mandatory run's neighbours form an L-infinity box around its key
+point (``_box_query``).  The certificate is the ``_unit_merge`` of one
+unseeded matching per side with one vertex per copy; ``MATCH_CAP`` still
+counts copies.
 """
 
 from __future__ import annotations
@@ -61,16 +62,17 @@ MATCH_CAP = 10_000
 
 # Work budgets on a pair's lattice, fixed like the vertex cap, in B, the
 # bit lengths of both modules' lcms of denominators summed (the bits of
-# S/4): a cost table costs about B * runs_m * runs_n, the eps-decision and
-# the certificate check about B * (runs_m + runs_n).  Denominators up to 16
-# (20 bits a side) pass both up to the vertex cap, 40 * 5000 * 5000 =
-# 1.0e9 and 40 * 10,000 = 4.0e5; so does Cauchy stage 1000 against 999.
+# S/4): a cost table costs about B * runs_m * runs_n, and the keys, which
+# every entry point builds, about B * (runs_m + runs_n).  Denominators up
+# to 16 (20 bits a side) pass both up to the vertex cap, 40 * 5000 * 5000
+# = 1.0e9 and 40 * 10,000 = 4.0e5; so does Cauchy stage 1000 against 999.
 TABLE_BUDGET = 3 * 10**9
 KEYS_BUDGET = 10**8
 
 # An lcm up to this many bits is always folded to the end, so that a refusal
-# states B exactly; past it, a side's lcm stops once it alone refuses the
-# pair.  8000 seven-digit primes make about 184,000 bits.
+# states B exactly; past it, M's lcm stops once it alone refuses the pair,
+# and N's once it does with M's bits.  8000 seven-digit primes make about
+# 184,000 bits.
 EXACT_BITS = 2**18
 
 
@@ -125,21 +127,26 @@ def _ranges(counts) -> list[range]:
 def _admit(m: PModule, n: PModule, table: bool):
     """The pair's one road to its keys, (S, reach, keys_m, keys_n):
     ``interleaving._lattice`` of the two modules' cached views, in run
-    order.  Before either view is built, the pair is refused when B *
-    runs_m * runs_n exceeds ``TABLE_BUDGET`` (``table``) or B * (runs_m +
-    runs_n) ``KEYS_BUDGET``.  B reads each lcm off ``PModule._lcm``, which
-    stops past ``EXACT_BITS`` once one side's bits alone refuse the pair;
-    the refusal then states lower bounds."""
+    order.  Before either view is built, the pair is refused when, with
+    ``table``, B * runs_m * runs_n exceeds ``TABLE_BUDGET``, checked first,
+    or B * (runs_m + runs_n) ``KEYS_BUDGET``, which every entry point
+    checks, since each builds the keys.  B reads each lcm off
+    ``PModule._lcm``, which stops past ``EXACT_BITS`` once the bits so far
+    refuse the pair: M's alone, then N's added to them; the refusal then
+    states lower bounds."""
     runs_m, runs_n = len(m._runs), len(n._runs)
-    runs, budget, kind = ((runs_m * runs_n, TABLE_BUDGET, "table") if table else
-                          (runs_m + runs_n, KEYS_BUDGET, "key"))
-    limit = max(budget // (runs or 1), EXACT_BITS)
-    bits_m, bits_n = m._lcm(limit).bit_length(), n._lcm(limit).bit_length()
+    checks = ((runs_m * runs_n, TABLE_BUDGET, "table"),) if table else ()
+    checks += ((runs_m + runs_n, KEYS_BUDGET, "key"),)
+    limit = min(max(budget // (runs or 1), EXACT_BITS) for runs, budget, _ in checks)
+    bits_m = m._lcm(limit).bit_length()
+    cut = max(limit - bits_m, EXACT_BITS)
+    bits_n = n._lcm(cut).bit_length()
     bits = bits_m + bits_n
-    if bits * runs > budget:
-        least = "at least " if max(bits_m, bits_n) > limit else ""
-        raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {least}{bits} "
-                         f"bits exceed the {kind} budget {budget} ({least}{bits * runs})")
+    least = "at least " if bits_m > limit or bits_n > cut else ""
+    for runs, budget, kind in checks:
+        if bits * runs > budget:
+            raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {least}{bits} "
+                             f"bits exceed the {kind} budget {budget} ({least}{bits * runs})")
     return _lattice(m._lattice_view(), n._lattice_view())
 
 
@@ -295,29 +302,31 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
     return free
 
 
-def _flow(adj: list[list[int]], sent: list[dict[int, int]], room: list[int],
-          need: list[int], hall: list[int] | None = None) -> int:
+def _flow(adj, sent: dict[int, dict[int, int]], room: list[int], need: list[int],
+          hall: list[int] | None = None) -> int:
     """Maximum flow from left vertex u, which still has to send need[u]
-    units, to right vertex v, which can still take room[v], along ``adj``,
+    units, to right vertex v, which can still take room[v], along adj[u],
     from the flow ``sent`` (sent[u] maps right vertices to the units u
-    sends them), augmented in place: Hopcroft-Karp's phases on capacities,
-    Dinic's blocking flows, each augmenting path carrying its smallest
-    residual and a root trying again while it has units to send.  Returns
-    the units still unsent, and appends to ``hall``, if given and some are,
-    the left vertices the last BFS reached.  Iterative, so deep augmenting
-    paths are fine.  With unit capacities and no start the matching is that of
-    ``_hopcroft_karp`` on the same lists, when no two left vertices share
-    one list object."""
+    sends them, a key for each u that sends or still has to), augmented in
+    place: Hopcroft-Karp's phases on capacities, Dinic's blocking flows,
+    each augmenting path carrying its smallest residual and a root trying
+    again while it has units to send.  Returns the units still unsent, and
+    appends to ``hall``, if given and some are, the left vertices the last
+    BFS reached.  Iterative, so deep augmenting paths are fine.  With unit
+    capacities and no start the matching is that of ``_hopcroft_karp`` on
+    the same lists, when no two left vertices share one list object."""
     short = sum(need)
     if not short:
         return 0
-    n_left = len(adj)
+    n_left = len(need)
     unreachable = n_left + 1
     dist = [0] * n_left
-    # users[v] maps the left vertices that send to v to their units.
+    # users[v] maps the left vertices that send to v to their units, in
+    # vertex order, so that the flow found does not depend on the order in
+    # which ``sent`` gained its keys.
     users = [{} for _ in room]
-    for u, out in enumerate(sent):
-        for v, units in out.items():
+    for u in sorted(sent):
+        for v, units in sent[u].items():
             users[v][u] = units
 
     def bfs() -> bool:
@@ -413,13 +422,13 @@ def _within(row, near, t) -> list[int]:
     return [j for j in near if row[j] <= t]
 
 
-def _cover(runs, lists, counts, sent, room, hall=None):
-    """One side's flow when some run of the pair repeats: each run is one
-    vertex, a mandatory run r on this side has to send counts[r] units to
-    its neighbour runs ``lists`` on the other side, and run j there takes
-    at most room[j] more.  Returns whether every copy is sent; when one is
-    not, appends to ``hall``, if given, the runs that residual paths reach
-    from a short one (``_flow``).
+def _cover(t, dtz, lists, counts, sent, room, hall=None) -> bool:
+    """One side's flow at t when some run of the pair repeats: each run is
+    one vertex, a mandatory run r on this side (to-zero entry > t) has to
+    send counts[r] units to its neighbour runs ``lists[r]`` on the other
+    side, and run j there takes at most room[j] more.  Returns whether every
+    copy is sent; when one is not, appends to ``hall``, if given, the runs
+    that residual paths reach from a short one (``_flow``).
 
     ``sent`` maps this side's runs to their {neighbour: units}: empty, with
     ``room`` the other side's copy counts, or an earlier probe's flow,
@@ -428,19 +437,19 @@ def _cover(runs, lists, counts, sent, room, hall=None):
     in a run's list; then each run that is still short takes free room
     from its neighbours in list order (the greedy start), and ``_flow``
     completes it."""
+    runs = [r for r, v in enumerate(dtz) if v > t]
     for r in sent.keys() - set(runs):
         for j, units in sent.pop(r).items():
             room[j] += units
-    flows, need = [], []
-    for r, near in zip(runs, lists):
-        out = sent.setdefault(r, {})
+    need = [0] * len(dtz)
+    for r in runs:
+        out, near = sent.setdefault(r, {}), lists[r]
         for j in [j for j in out if j not in near]:
             room[j] += out.pop(j)
-        flows.append(out)
-        need.append(counts[r] - sum(out.values()))
-    for k, near in enumerate(lists):
-        short, out = need[k], flows[k]
-        for j in near:
+        need[r] = counts[r] - sum(out.values())
+    for r in runs:
+        short, out = need[r], sent[r]
+        for j in lists[r]:
             if not short:
                 break
             free = room[j]
@@ -449,17 +458,14 @@ def _cover(runs, lists, counts, sent, room, hall=None):
                 out[j] = out.get(j, 0) + units
                 room[j] = free - units
                 short -= units
-        need[k] = short
-    reached = []
-    short = _flow(lists, flows, room, need, reached)
-    if hall is not None:
-        hall += [runs[k] for k in reached]
-    return not short
+        need[r] = short
+    return not _flow(lists, sent, room, need, hall)
 
 
 class _Lists(dict):
-    """One side's neighbour lists at a probe's top, by run, each built by
-    ``build`` when first read and kept for the probe's later reads."""
+    """One side's neighbour lists at one threshold, by run, each built by
+    ``build`` when first read and kept for later reads: what every matcher
+    reads its lists from, whether they come off the table or the keys."""
 
     def __init__(self, build):
         self.build = build
@@ -469,13 +475,13 @@ class _Lists(dict):
         return near
 
 
-def _repair(t, dtz, mate, other, lists, dtz_other, hall=None) -> bool:
+def _repair(t, dtz, lists, mate, other, dtz_other, hall=None) -> bool:
     """Repair one side of a matching at t in place, so that it covers this
     side's mandatory runs (to-zero entry > t) and still covers every run of
-    the other side that it covered: whether it could.  ``mate`` holds this
-    side's partners and ``other`` the other side's, -1 for none, every pair
-    an edge at t; ``lists``, a ``_Lists``, gives each mandatory run's
-    neighbours at t, and ``dtz_other`` the other side's to-zero entries.
+    the other side that it covered: whether it could.  ``lists``, a
+    ``_Lists``, gives each mandatory run's neighbours at t; ``mate`` holds
+    this side's partners and ``other`` the other side's, -1 for none, every
+    pair an edge at t, and ``dtz_other`` the other side's to-zero entries.
 
     The target of a mandatory run is a free run or a run whose partner is
     not mandatory, and that partner lets go.  Each free mandatory run takes
@@ -588,73 +594,74 @@ def _floor(hall, lists, dtz, costs, columns: bool) -> int:
     return min(low, min(map(min, map(pick, map(costs.__getitem__, rows))), default=low))
 
 
+def _unseeded(counts, size_m: int, size_n: int):
+    """A probe's empty ``seeds`` on a pair of ``size_m`` and ``size_n`` runs
+    (``_matching_at``): the empty matching (mate_m, mate_n) when no run
+    repeats (``counts`` None), else each side's empty flow and the room
+    the other side's copy counts leave, ((sent_m, room_n), (sent_n,
+    room_m))."""
+    if counts is None:
+        return [-1] * size_m, [-1] * size_n
+    return ({}, list(counts[1])), ({}, list(counts[0]))
+
+
+def _sides(dtz_m, dtz_n, seeds, counts):
+    """The pair shape's matcher and each side's state for it, which the
+    matcher reads and updates in place, from ``seeds`` (``_unseeded``):
+    ``_repair`` on (mate, other, dtz_other) or ``_cover`` on (counts,
+    sent, room)."""
+    if counts is None:
+        mate_m, mate_n = seeds
+        return _repair, (mate_m, mate_n, dtz_n), (mate_n, mate_m, dtz_m)
+    (sent_m, room_n), (sent_n, room_m) = seeds
+    return _cover, (counts[0], sent_m, room_n), (counts[1], sent_n, room_m)
+
+
 def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
     """The probe at t on ``_cost_tables``'s table, every vertex a run and
-    ``counts`` ``_pair``'s: the one bound b it proves.  b <= t is the value
-    of a matching over the pairs of entry <= t that matches every copy of
-    each run of to-zero entry > t on both sides, which the probe leaves in
-    ``seeds``.  b > t is the Koenig floor of the side that failed
-    (``_floor``): its mandatory runs X that alternating, or on repeated
-    runs residual, paths reach from a run left short have more copies than
-    N(X) can take, and at every top below b, X is still mandatory with no
-    neighbour outside N(X), so every probe there fails too.
+    ``counts`` ``_pair``'s: the one bound b it proves.  The pair shape's
+    matcher (``_sides``) runs on M's side and then on N's, from ``seeds``,
+    and must match every copy of the side's runs of to-zero entry > t over
+    the pairs of entry <= t.  b > t is the Koenig floor of the first side
+    that fails (``_floor``): every probe below b fails too.  b <= t is the
+    value of what the probe leaves in ``seeds``, the largest of the entries
+    of the edges it uses and of the to-zero entries of the runs it leaves
+    unmatched, on repeated runs those each side's flow leaves short on its
+    own side; a matching of that value exists (for flows, their
+    Mendelsohn-Dulmage merge, ``copy_merge`` of ``tests/oracles.py``).
 
-    ``seeds`` holds the probe's state and is updated in place.  When no run
-    repeats (``counts`` None), it is (mate_m, mate_n), a matching with
-    partners on both sides, -1 for none, such as the last feasible
-    probe's.  The probe repairs a copy of it without its pairs above t,
-    ``_repair``ing M's side and then N's, and writes it back when feasible;
-    b is its value, the largest of its pairs' entries and of the to-zero
-    entries of the runs it leaves unmatched.  Otherwise ``seeds`` =
-    ((sent_m, room_n), (sent_n, room_m)) is each side's ``_cover`` flow and
-    the room it leaves, empty when unseeded, which ``_cover`` updates,
-    feasible or not.  b is the largest of every edge entry of the flows
-    F1 = sent_m and F2 = sent_n and of the to-zero entry of every M run F1
-    does not cover and every N run F2 does not cover.  Their
-    Mendelsohn-Dulmage merge (``copy_merge`` of ``tests/oracles.py`` builds
-    it on copies) uses only their edges and leaves unmatched no copy of a
-    run F1 covers on M or F2 covers on N, so a matching of value <= b
-    exists; the merge is never built.  A seeded probe decides as an
-    unseeded one, but its bound can differ.
+    ``seeds`` is updated in place.  With no repeated run it is a matching,
+    such as the last feasible probe's; the probe repairs a copy of it
+    without its pairs above t and writes it back when feasible.  Otherwise
+    ``_cover`` updates each side's flow and room, feasible or not.  A
+    seeded probe decides as an unseeded one, but its bound can differ.
 
     ``near_m[i]`` lists, in index order, the columns that can still be row
     i's neighbours at t, and ``near_n[j]`` the rows of column j, each entry
     read through ``<=`` against t, so any totally ordered entries work.  A
-    feasible probe narrows to its neighbours at t each list it read: every
-    mandatory run's on runs that repeat, else the runs ``_repair`` read.
-    An infeasible probe leaves them alone, and its lists at t give N(X)."""
-    hall = []
+    feasible probe narrows each list it read to its neighbours at t; an
+    infeasible one leaves them alone, and its lists at t give N(X)."""
+    work = seeds
     if counts is None:
-        mate_m, mate_n = list(seeds[0]), list(seeds[1])
+        work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
         for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
             mate_m[i] = mate_n[j] = -1
-        lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
-        lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
-        if not _repair(t, dtz_m, mate_m, mate_n, lists_m, dtz_n, hall):
-            return _floor(hall, lists_m, dtz_m, costs, False)
-        if not _repair(t, dtz_n, mate_n, mate_m, lists_n, dtz_m, hall):
-            return _floor(hall, lists_n, dtz_n, costs, True)
-        for near, lists in ((near_m, lists_m), (near_n, lists_n)):
-            for run, within in lists.items():
-                near[run] = within
+    match, side_m, side_n = _sides(dtz_m, dtz_n, work, counts)
+    hall = []
+    lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
+    if not match(t, dtz_m, lists_m, *side_m, hall):
+        return _floor(hall, lists_m, dtz_m, costs, False)
+    lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
+    if not match(t, dtz_n, lists_n, *side_n, hall):
+        return _floor(hall, lists_n, dtz_n, costs, True)
+    for near, lists in ((near_m, lists_m), (near_n, lists_n)):
+        for run, within in lists.items():
+            near[run] = within
+    if counts is None:
         seeds[0][:], seeds[1][:] = mate_m, mate_n
         return max([0, *(v if j == -1 else costs[i][j]
                          for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
                     *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
-
-    runs_m = [i for i, v in enumerate(dtz_m) if v > t]
-    runs_n = [j for j, v in enumerate(dtz_n) if v > t]
-    lists_m = [_within(costs[i], near_m[i], t) for i in runs_m]
-    if not _cover(runs_m, lists_m, counts[0], *seeds[0], hall):
-        return _floor(hall, dict(zip(runs_m, lists_m)), dtz_m, costs, False)
-    lists_n = [[i for i in near_n[j] if costs[i][j] <= t] for j in runs_n]
-    if not _cover(runs_n, lists_n, counts[1], *seeds[1], hall):
-        return _floor(hall, dict(zip(runs_n, lists_n)), dtz_n, costs, True)
-
-    for i, near in zip(runs_m, lists_m):
-        near_m[i] = near
-    for j, near in zip(runs_n, lists_n):
-        near_n[j] = near
     (sent_m, _), (sent_n, _) = seeds
     return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
                 *(costs[i][j] for j, row in sent_n.items() for i in row),
@@ -698,13 +705,6 @@ def _box_query(keys, other, w):
     return box
 
 
-def _boxes(keys, other, w):
-    """The runs among ``keys`` of to-zero entry > w, and each one's
-    neighbours at w among ``other`` (``_box_query``)."""
-    runs = [i for i, v in enumerate(_to_zero(keys)) if v > w]
-    return runs, list(map(_box_query(keys, other, w), runs))
-
-
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
@@ -712,24 +712,18 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     ``_bound(eps, S, reach)`` is exactly an eps-interleaved pair, as in
     ``are_eps_interleaved``.  No table: for a run whose to-zero entry
     exceeds w, an entry is <= w exactly when both key gaps are, so its
-    neighbours are a ``_box_query``.  When no run repeats, M's side and
-    then N's ``_repair`` the empty matching, a valid start; a repair fails
-    only when no matching covers both sides' mandatory runs.  Otherwise one
-    unseeded ``_cover`` per side must match every copy of the mandatory
-    runs of ``_boxes``.  The vertex cap and ``KEYS_BUDGET`` are checked
-    before eps, which only ``_bound`` reads."""
+    neighbours are a ``_box_query``, and no matcher reads another run's
+    list.  The pair shape's matcher (``_sides``) runs from the empty start
+    on M's side and then on N's, and fails only when no matching covers
+    both sides' mandatory runs.  The vertex cap and ``KEYS_BUDGET`` are
+    checked before eps, which only ``_bound`` reads."""
     scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
-    if counts is None:
-        dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
-        mate_m, mate_n = [-1] * len(keys_m), [-1] * len(keys_n)
-        # A box is the neighbour list only of a run whose to-zero entry
-        # exceeds w, and _repair and its phases read no other run's list.
-        return (_repair(w, dtz_m, mate_m, mate_n, _Lists(_box_query(keys_m, keys_n, w)), dtz_n) and
-                _repair(w, dtz_n, mate_n, mate_m, _Lists(_box_query(keys_n, keys_m, w)), dtz_m))
-    counts_m, counts_n = counts
-    return (_cover(*_boxes(keys_m, keys_n, w), counts_m, {}, list(counts_n))
-            and _cover(*_boxes(keys_n, keys_m, w), counts_n, {}, list(counts_m)))
+    dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
+    match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(keys_m), len(keys_n)),
+                                   counts)
+    return (match(w, dtz_m, _Lists(_box_query(keys_m, keys_n, w)), *side_m) and
+            match(w, dtz_n, _Lists(_box_query(keys_n, keys_m, w)), *side_n))
 
 
 def _search(pair):
@@ -753,10 +747,7 @@ def _search(pair):
     # lists it narrows stay supersets of the later probes' neighbours.
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
-    if counts is None:
-        seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
-    else:
-        seeds = ({}, list(counts[1])), ({}, list(counts[0]))
+    seeds = _unseeded(counts, len(dtz_m), len(dtz_n))
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
     # Feasible probes in a row: after two, the answer may lie many bits
     # below, and the probe bisects the bit lengths of lo and hi.
@@ -781,19 +772,20 @@ def module_distance(m: PModule, n: PModule) -> ExtRational:
     return _search(_pair(m, n, True))[0]
 
 
-def _copy_cover(runs, lists, n_right, ranges):
-    """One side's unseeded ``_hopcroft_karp`` matching with one vertex per
-    copy: (the copies of its mandatory ``runs``, their partners), partners
-    -1 when free.  ``ranges`` is None when no run repeats, else (this
-    side's, the other side's) copy index ranges by run; the run lists are
-    then expanded to copies and all copies of a run share one list
-    object."""
-    mand, adj = runs, lists
+def _copy_cover(t, dtz, lists, n_right, ranges):
+    """One side's unseeded ``_hopcroft_karp`` matching at t with one vertex
+    per copy: (the copies of its mandatory runs, of to-zero entry > t,
+    their partners), partners -1 when free, each run's neighbours read off
+    ``lists``.  ``ranges`` is None when no run repeats, else (this side's,
+    the other side's) copy index ranges by run; the run lists are then
+    expanded to copies and all copies of a run share one list object."""
+    mand = [r for r, v in enumerate(dtz) if v > t]
+    adj = [lists[r] for r in mand]
     if ranges is not None:
         own, other = ranges
-        lists = [list(chain.from_iterable(map(other.__getitem__, near))) for near in lists]
-        mand = list(chain.from_iterable(map(own.__getitem__, runs)))
-        adj = list(chain.from_iterable(map(repeat, lists, (len(own[r]) for r in runs))))
+        copies = [list(chain.from_iterable(map(other.__getitem__, near))) for near in adj]
+        adj = list(chain.from_iterable(map(repeat, copies, (len(own[r]) for r in mand))))
+        mand = list(chain.from_iterable(map(own.__getitem__, mand)))
     pair_l = [-1] * len(mand)
     _hopcroft_karp(adj, pair_l, [-1] * n_right)
     return mand, pair_l
@@ -801,9 +793,9 @@ def _copy_cover(runs, lists, n_right, ranges):
 
 def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
-    the ``_unit_merge`` of both sides' ``_copy_cover`` matchings on
-    ``_boxes`` at the answer's top, one unseeded Hopcroft-Karp run per side
-    on whole rows and columns of copies, read off the keys of the one
+    the ``_unit_merge`` of both sides' ``_copy_cover`` matchings at the
+    answer's top, one unseeded Hopcroft-Karp run per side on whole rows and
+    columns of copies, their lists ``_box_query``s on the keys of the one
     ``_pair`` that the search ran on."""
     pair = _pair(m, n, True)
     d, top = _search(pair)
@@ -811,9 +803,10 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
     _, _, keys_m, keys_n, counts = pair
     ranges = None if counts is None else (_ranges(counts[0]), _ranges(counts[1]))
-    matching = _unit_merge(_copy_cover(*_boxes(keys_m, keys_n, top), len(n), ranges),
-                           _copy_cover(*_boxes(keys_n, keys_m, top), len(m),
-                                       ranges and ranges[::-1]))
+    matching = _unit_merge(
+        _copy_cover(top, _to_zero(keys_m), _Lists(_box_query(keys_m, keys_n, top)), len(n), ranges),
+        _copy_cover(top, _to_zero(keys_n), _Lists(_box_query(keys_n, keys_m, top)), len(m),
+                    ranges and ranges[::-1]))
     matched_n = set(matching.values())
     return MatchingCertificate(
         threshold=d,

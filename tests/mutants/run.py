@@ -50,6 +50,7 @@ KERNEL_TESTS = (
     "test_lattice.py",
     "test_pmodule_copies.py",
     "test_golden_certificates.py",
+    "test_module_views.py",
 )
 
 # Seconds one mutant's test run may take; an unmutated run takes about 40.
@@ -141,6 +142,17 @@ MUTANTS = (
     Mutant("dropped-runs-keep-units", BN,
            "for r in sent.keys() - set(runs):", "for r in ():", False,
            "runs no longer mandatory keep the room their units hold"),
+    Mutant("dropped-runs-lose-room", BN,
+           "        for j, units in sent.pop(r).items():\n            room[j] += units\n",
+           "        sent.pop(r)\n", False,
+           "runs no longer mandatory drop their units without giving the room back"),
+    Mutant("cover-mandatory-ge", BN,
+           "runs = [r for r, v in enumerate(dtz) if v > t]",
+           "runs = [r for r, v in enumerate(dtz) if v >= t]", False,
+           "the flow takes a run of to-zero entry t for mandatory"),
+    Mutant("flow-users-in-insertion-order", BN,
+           "for u in sorted(sent):", "for u in sent:", False,
+           "the flow's users follow the seed's insertion order, not the run order"),
     # The repair of the search's one matching when no run repeats.
     Mutant("repair-keeps-pairs-above-t", BN,
            "if j != -1 and costs[i][j] > t]", "if False]", False,
@@ -222,12 +234,19 @@ MUTANTS = (
            "mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2",
            "mid = (lo + hi) // 2", False,
            "the probe is always the middle class, one probe per lattice bit on a descent"),
-    # The eps-decision's repair of the empty matching when no run repeats.
-    Mutant("decision-repairs-m-only", BN,
-           " and\n                _repair(w, dtz_n, mate_n, mate_m, "
-           "_Lists(_box_query(keys_n, keys_m, w)), dtz_m))",
+    # The eps-decision's matcher from the empty start, either pair shape.
+    Mutant("decision-matches-m-only", BN,
+           " and\n            match(w, dtz_n, _Lists(_box_query(keys_n, keys_m, w)), *side_n))",
            ")", False,
-           "the decision repairs only M's side"),
+           "the decision matches only M's side"),
+    # The work budgets that ``_admit`` checks before any view is built.
+    Mutant("distance-skips-key-check", BN,
+           'checks += ((runs_m + runs_n, KEYS_BUDGET, "key"),)',
+           'checks += () if table else ((runs_m + runs_n, KEYS_BUDGET, "key"),)', False,
+           "the distance and the certificate check only the table budget"),
+    Mutant("joint-cut-ignores-m-bits", BN,
+           "cut = max(limit - bits_m, EXACT_BITS)", "cut = limit", False,
+           "N's lcm folds to the whole limit, whatever M's bits"),
 )
 
 

@@ -498,39 +498,53 @@ def _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts=None):
     left ``seeds``: ``bound`` is an int, at most t exactly when the full
     probe at t succeeds.  Above t it is a floor (``_assert_floor``).  At or
     below t it is the ``_seed_value`` of the seeds, and they hold
-    (``_assert_flow_at``) a matching or flows at t."""
+    (``_assert_flow_at``) a matching or flows at t.  The rooms of flows on
+    repeated runs add up either way (``_assert_room``)."""
     assert isinstance(bound, int) and not isinstance(bound, bool), bound
     feasible = full_probe(costs, dtz_m, dtz_n, t, copies=counts) is not None
     assert (bound <= t) == feasible, (bound, t)
     if not feasible:
         _assert_floor(bound, costs, dtz_m, dtz_n, t, counts)
+        if counts is not None:
+            _assert_room(seeds, counts)
         return
     assert _seed_value(seeds, costs, dtz_m, dtz_n, counts) == bound
-    _assert_flow_at(seeds if counts is None else (seeds[0][0], seeds[1][0]),
-                    costs, dtz_m, dtz_n, t, counts)
+    _assert_flow_at(seeds, costs, dtz_m, dtz_n, t, counts)
 
 
-def _assert_flow_at(found, costs, dtz_m, dtz_n, t, counts):
-    """What a feasible probe on runs leaves: ``_assert_matching_at``, and
-    with ``counts``, each of the two sides' flows (side_m, side_n), {run:
-    {run of the other side: units}}, uses only pairs of cost <= t, sends no
-    run more units than it has copies, and has as its keys exactly its
-    side's runs of to-zero cost > t, each sending every copy."""
+def _assert_room(seeds, counts):
+    """Each side's seed (sent, room) on repeated runs, feasible or not:
+    room[j] plus the units that ``sent`` sends to run j of the other side
+    is j's copy count, so no room is below 0 and every unit a run gave back
+    is room again."""
+    for (sent, room), count in zip(seeds, counts[::-1]):
+        into = [0] * len(count)
+        for row in sent.values():
+            for j, units in row.items():
+                into[j] += units
+        assert min([0, *room]) == 0 and [r + k for r, k in zip(room, into)] == count, (
+            sent, room, count)
+
+
+def _assert_flow_at(seeds, costs, dtz_m, dtz_n, t, counts):
+    """What a feasible probe on runs leaves in its ``seeds``:
+    ``_assert_matching_at``, and with ``counts``, each of the two sides'
+    flows (side_m, side_n), {run: {run of the other side: units}}, uses
+    only pairs of cost <= t and has as its keys exactly its side's runs of
+    to-zero cost > t, each sending every copy, and the room each leaves
+    holds the rest of the other side's copies (``_assert_room``)."""
     if counts is None:
-        _assert_matching_at(found, costs, dtz_m, dtz_n, t)
+        _assert_matching_at(seeds, costs, dtz_m, dtz_n, t)
         return
-    side_m, side_n = found
+    (side_m, _), (side_n, _) = seeds
     flipped = [[row[j] for row in costs] for j in range(len(dtz_n))]
-    for flow, table, dtz, dtz_other, (count, count_other) in (
-            (side_m, costs, dtz_m, dtz_n, counts), (side_n, flipped, dtz_n, dtz_m, counts[::-1])):
+    for flow, table, dtz, count in ((side_m, costs, dtz_m, counts[0]),
+                                    (side_n, flipped, dtz_n, counts[1])):
         assert sorted(flow) == [i for i, v in enumerate(dtz) if v > t]
-        into = [0] * len(dtz_other)
         for i, row in flow.items():
             assert sum(row.values()) == count[i]
-            for j, units in row.items():
-                assert units > 0 and table[i][j] <= t
-                into[j] += units
-        assert all(k <= c for k, c in zip(into, count_other))
+            assert all(units > 0 and table[i][j] <= t for j, units in row.items())
+    _assert_room(seeds, counts)
 
 
 def _seeded_probe(costs, dtz_m, dtz_n, t, seeds):
@@ -693,8 +707,8 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     seeds = ({}, list(counts[1])), ({}, list(counts[0]))
     near = [range(2)] * 2
     first = _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts)
-    flows = ({0: {0: 3}, 1: {1: 2}}, {0: {0: 3}, 1: {1: 2}})
-    assert (seeds[0][0], seeds[1][0]) == flows
+    flows = ({0: {0: 3}, 1: {1: 2}}, [0, 0]), ({0: {0: 3}, 1: {1: 2}}, [0, 0])
+    assert seeds == flows
     assert first == max(costs[0][0], costs[1][1]) <= top
     starts = []
 
@@ -704,7 +718,7 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
 
     monkeypatch.setattr(bottleneck, "_flow", recorded)
     assert _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts) == first
-    assert (seeds[0][0], seeds[1][0]) == flows
+    assert seeds == flows
     assert starts == [(2, [0, 0]), (2, [0, 0])]
 
 

@@ -80,7 +80,7 @@ def test_cost_tables_equal_key_table(pair):
 def test_run_keys_strictly_increase(pair):
     """Runs come in canonical order, and on the one lattice of both modules,
     which every eps shares, their (lower, upper) keys strictly increase:
-    ``_boxes`` bisects the lower keys of a side as they come."""
+    ``_box_query`` bisects the lower keys of a side as they come."""
     runs_m, runs_n = map(_run_summands, pair)
     _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n))
     for keys in (keys_m, keys_n):

@@ -255,20 +255,59 @@ class TestBudgets:
         assert time.perf_counter() - start < 1
         assert m._view is None and n._view is None
 
-    def test_key_budget_refuses_before_any_view(self):
+    def test_key_budget_refuses_before_any_view(self, monkeypatch):
         """8000 runs [0, 1/p), 7-digit primes p, against the zero module:
-        about 160,000 bits times 8000 runs.  The decision and the check of
-        a certificate that leaves every copy unmatched are refused on the
-        lcms alone, before either module builds its view."""
+        about 160,000 bits times 8000 runs.  The decision, the check of a
+        certificate that leaves every copy unmatched, the distance and the
+        certificate, whose table of 8000 * 0 entries the table budget
+        passes, are refused on the lcms alone, before either module builds
+        its view."""
         m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 8000))
         zero = PModule.zero()
         cert = MatchingCertificate(ExtRational(1), (), tuple(range(8000)), ())
+        monkeypatch.setattr(PModule, "_lattice_view", stop)
         for call in (lambda: modules_eps_interleaved(m, zero, 1),
-                     lambda: verify_certificate(m, zero, cert)):
+                     lambda: verify_certificate(m, zero, cert),
+                     lambda: module_distance(m, zero),
+                     lambda: distance_certificate(m, zero)):
             with pytest.raises(ValueError, match=r"^8000\+0 distinct summands on a lattice of "
                                                  r"\d+ bits exceed the key budget 100000000 "):
                 call()
         assert m._view is None and zero._view is None
+
+    def test_second_lcm_stops_at_the_budget_left(self, monkeypatch):
+        """Runs [1/q, 2) with odd random 13,000-bit q, padded with integer
+        runs to 125 a side, so that the key budget allows 400,000 bits.  M's
+        30 denominators, about 390,000 bits, fold in full; N's then stop
+        just past ``EXACT_BITS`` (262,144), though N alone is under the
+        limit, and the decision and the check are refused on lower bounds in
+        under a second each.  With 15 denominators a side, under
+        ``EXACT_BITS``, both fold in full and the refusal is exact."""
+        rng = random.Random(31)
+
+        def side(huge, pad):
+            return PModule([*(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                              for _ in range(huge)),
+                            *(interval(k, k + 1) for k in range(3, 3 + pad))])
+
+        monkeypatch.setattr(PModule, "_lattice_view", stop)
+        for huge, pad, least in ((30, 95, "at least "), (15, 151, "")):
+            m, n = side(huge, pad), side(huge, pad)
+            runs = len(m._runs) + len(n._runs)
+            cert = MatchingCertificate(ExtRational(1), (), tuple(range(len(m))),
+                                       tuple(range(len(n))))
+            for call in (lambda: modules_eps_interleaved(m, n, 1),
+                         lambda: verify_certificate(m, n, cert)):
+                start = time.perf_counter()
+                with pytest.raises(ValueError) as refusal:
+                    call()
+                assert time.perf_counter() - start < 1
+                bits = int(str(refusal.value).split(" bits ")[0].split()[-1])
+                assert str(refusal.value) == (
+                    f"{len(m._runs)}+{len(n._runs)} distinct summands on a lattice of {least}"
+                    f"{bits} bits exceed the key budget 100000000 ({least}{bits * runs})")
+            exact = m._lcm().bit_length() + n._lcm().bit_length()
+            assert (bits < exact) if least else (bits == exact)
 
     def test_huge_coprime_denominators_refused_before_their_lcm(self, capsys, tmp_path):
         """A module of 200 runs [1/q, 2) with odd random 13,000-bit q against

@@ -32,7 +32,7 @@ from oracles import (
     table_modules_eps_interleaved,
 )
 from strategies import lattice_modules, pooled_pairs
-from test_bottleneck import _assert_probe, _seed_value
+from test_bottleneck import _assert_probe, _assert_room, _seed_value
 from test_table_free import _random_pool_pair
 
 
@@ -57,12 +57,15 @@ def _copy_maximum(adj, need, room) -> int:
 
 
 def _check_flow(adj, need, room, sent, short, start_need, start_room):
-    """``sent`` is a flow on edges of ``adj`` within the counts, and
-    ``need``, ``room`` and ``short`` are what it leaves."""
+    """``sent`` is a flow on edges of ``adj`` within the counts, keyed by
+    the left runs that had units to send, and ``need``, ``room`` and
+    ``short`` are what it leaves."""
+    assert sorted(sent) == [u for u, k in enumerate(start_need) if k]
     into = [0] * len(start_room)
-    for u, out in enumerate(sent):
+    for u, k in enumerate(start_need):
+        out = sent.get(u, {})
         assert all(v in adj[u] and units > 0 for v, units in out.items())
-        assert sum(out.values()) + need[u] == start_need[u]
+        assert sum(out.values()) + need[u] == k
         for v, units in out.items():
             into[v] += units
     assert [k + r for k, r in zip(into, room)] == start_room
@@ -71,33 +74,39 @@ def _check_flow(adj, need, room, sent, short, start_need, start_room):
 
 def test_capacitated_total_is_the_copy_maximum():
     """On random run graphs with counts 0 to 7, unseeded and from a random
-    valid start, the flow's total is the copy graph's maximum matching."""
+    valid start, the flow's total is the copy graph's maximum matching.
+    The flow is keyed by run, with a key for each run of count > 0, and
+    inserted in a random order of runs; the same start inserted in the
+    reverse order gives the same flow."""
     rng = random.Random(2024)
     for _ in range(600):
         adj, need, room = _random_runs(rng, 7)
         best = _copy_maximum(adj, need, room)
-        starts = [[{} for _ in adj]]
-        start = [{} for _ in adj]
+        order = rng.sample(range(len(adj)), len(adj))
+        starts = [{u: {} for u in order if need[u]}]
+        start = dict(starts[0])
         left, free = list(need), list(room)
-        for u in rng.sample(range(len(adj)), len(adj)):
+        for u in order:
             for v in adj[u]:
                 units = rng.randint(0, min(left[u], free[v]))
                 if units:
-                    start[u][v] = units
+                    start[u] = {**start[u], v: units}
                     left[u] -= units
                     free[v] -= units
         starts.append(start)
         for sent in starts:
-            sent = [dict(out) for out in sent]
-            start_need = list(need)
-            now_need = [k - sum(out.values()) for k, out in zip(need, sent)]
+            sent = {u: dict(out) for u, out in sent.items()}
+            now_need = [k - sum(sent.get(u, {}).values()) for u, k in enumerate(need)]
             now_room = list(room)
-            for out in sent:
+            for out in sent.values():
                 for v, units in out.items():
                     now_room[v] -= units
+            again = (dict(reversed([(u, dict(out)) for u, out in sent.items()])),
+                     list(now_room), list(now_need))
             short = _flow(adj, sent, now_room, now_need)
-            assert sum(start_need) - short == best, (adj, need, room)
-            _check_flow(adj, now_need, now_room, sent, short, start_need, room)
+            assert sum(need) - short == best, (adj, need, room)
+            _check_flow(adj, now_need, now_room, sent, short, need, room)
+            assert _flow(adj, *again) == short and again == (sent, now_room, now_need)
 
 
 def test_unit_capacities_match_the_reference_exactly():
@@ -110,9 +119,9 @@ def test_unit_capacities_match_the_reference_exactly():
         n_right = 1 + max([-1, *(v for near in adj for v in near)])
         n_right += rng.randint(0, 2)
         expected = copy_hopcroft_karp(adj, [-1] * len(adj), [-1] * n_right)
-        sent = [{} for _ in adj]
+        sent = {u: {} for u in range(len(adj))}
         short = _flow(adj, sent, [1] * n_right, [1] * len(adj))
-        assert [next(iter(out), -1) for out in sent] == expected[1], adj
+        assert [next(iter(sent[u]), -1) for u in range(len(adj))] == expected[1], adj
         assert short == len(adj) - expected[0]
         pair_l, pair_r = [-1] * len(adj), [-1] * n_right
         assert _hopcroft_karp(adj, pair_l, pair_r) == len(adj) - expected[0]
@@ -192,7 +201,8 @@ def test_jump_bound_covers_the_merge(pair):
     to copies) and the probe's top t, and the copy-level full probe is
     feasible at V's class top.  At every infeasible probe, the copy-level
     full probe fails just below the floor it returns, which lies above t.
-    The search's bracket of class indices moves exactly as V and the
+    After every probe, the room each side's flow leaves adds up
+    (``_assert_room``).  The search's bracket of class indices moves exactly as V and the
     floors say: each probe is the middle of the bracket the probes before
     leave, by bit length after two feasible probes in a row while lo and
     hi differ by two bits or more, and the distance is the class the last
@@ -209,7 +219,7 @@ def test_jump_bound_covers_the_merge(pair):
         bound = _real(*args)
         # The flows are the seeds of the next probe, which updates them.
         probes.append((args[3], bound, tuple(
-            ({r: dict(row) for r, row in sent.items()}, None) for sent, _ in args[6])))
+            ({r: dict(row) for r, row in sent.items()}, list(room)) for sent, room in args[6])))
         return bound
 
     with pytest.MonkeyPatch.context() as patch:
@@ -220,6 +230,7 @@ def test_jump_bound_covers_the_merge(pair):
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, fin >> 2) + 1
     drops = 0
     for t, bound, flows in probes:
+        _assert_room(flows, counts)
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
         assert lo <= mid < hi and t == 4 * mid + 1
