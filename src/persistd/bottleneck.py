@@ -16,9 +16,10 @@ decoration, from the integer view each ``PModule`` builds of its runs on
 first use and keeps; a threshold is one int on it, ``interleaving._bound``.
 Every entry point admits its pair once, through ``_admit``, the only
 caller of ``_lattice``, which checks fixed work budgets before any view is
-built; ``_pair`` checks the vertex cap before it.  An entry of
-``_cost_tables``, the one pairwise table, is 2C-1, 2C or 2C+1 for the
-scaled undecorated cost C, the last when the infimum is not attained.
+built; ``_pair`` checks the vertex cap before it.  The entry of a pair of
+runs, ``interleaving._key_entry``, is 2C-1, 2C or 2C+1 for the scaled
+undecorated cost C, the last when the infimum is not attained.  No table
+of entries is built: each is read off the two runs' keys when needed.
 
 The distance is the least feasible class top 2C+1 = 4k + 1.  ``_search``
 finds it by a threshold search in the manner of Gabow and Tarjan: a probe
@@ -34,12 +35,12 @@ and their neighbour runs off ``lists[r]``, a ``_Lists``, and updates the
 side's state in place (``_sides``).  ``_repair`` repairs a matching when no
 summand repeats; otherwise ``_cover`` runs the side's flow of units
 (``_flow``), in which a mandatory run sends as many units as it has
-copies.  The search's probes build their lists from the table, and the
-eps-decision and the certificate's matching (``_copy_cover``) from the
-keys: a mandatory run's neighbours form an L-infinity box around its key
-point (``_box_query``).  The certificate is the ``_unit_merge`` of one
-unseeded matching per side with one vertex per copy; ``MATCH_CAP`` still
-counts copies.
+copies.  The search's probes, the eps-decision and the certificate's
+matching (``_copy_cover``) all build their lists from the keys: a
+mandatory run's neighbours form an L-infinity box around its key point
+(``_box_query``).  The certificate is the ``_unit_merge`` of one unseeded
+matching per side with one vertex per copy; ``MATCH_CAP`` still counts
+copies.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .interleaving import _bound, _key_entry, _lattice
@@ -62,10 +62,12 @@ MATCH_CAP = 10_000
 
 # Work budgets on a pair's lattice, fixed like the vertex cap, in B, the
 # bit lengths of both modules' lcms of denominators summed (the bits of
-# S/4): a cost table costs about B * runs_m * runs_n, and the keys, which
-# every entry point builds, about B * (runs_m + runs_n).  Denominators up
-# to 16 (20 bits a side) pass both up to the vertex cap, 40 * 5000 * 5000
-# = 1.0e9 and 40 * 10,000 = 4.0e5; so does Cauchy stage 1000 against 999.
+# S/4): a distance search's neighbour lists cost about B * runs_m * runs_n
+# per probe in the worst case, every run within the probe of every other,
+# and the keys, which every entry point builds, about B * (runs_m +
+# runs_n).  Denominators up to 16 (20 bits a side) pass both up to the
+# vertex cap, 40 * 5000 * 5000 = 1.0e9 and 40 * 10,000 = 4.0e5; so does
+# Cauchy stage 1000 against 999.
 TABLE_BUDGET = 3 * 10**9
 KEYS_BUDGET = 10**8
 
@@ -171,28 +173,43 @@ def _to_zero(keys) -> list[int]:
     return [(up - low) // 2 + 1 for low, up in keys]
 
 
+def _columns(keys) -> tuple[list[int], list[int]]:
+    """A side's key columns, (lower keys, upper keys) by run.  Runs come in
+    canonical order, in which their keys strictly increase: the lower keys
+    are sorted, and so are the upper keys of the runs of one lower key."""
+    return [low for low, _ in keys], [up for _, up in keys]
+
+
 def _cost_tables(pair):
-    """The ``interleaving._key_entry`` of every pair of distinct summands,
-    row i and column j for the i-th and j-th runs, and of each against the
-    zero module, on the keys of a ``_pair`` admitted against the table
-    budget: (costs, dtz_m, dtz_n).  No finite entry exceeds 4*reach + 1."""
+    """The search's one per-pair set-up, on the keys of a ``_pair``
+    admitted against the table budget: (dtz_m, dtz_n, cols_m, cols_n), each
+    side's to-zero entries (``_to_zero``) and key columns (``_columns``),
+    built once per search.  No pairwise table is built: every probe reads
+    the entries it needs off the key columns.  The name stays only because
+    the benchmark's layer tracer hooks it."""
     _, _, keys_m, keys_n, _ = pair
-    dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
-    cols = [(lo, hi, h) for (lo, hi), h in zip(keys_n, dtz_n)]
-    costs = []
-    # Plain comparisons instead of abs/max/min calls: this is the hot loop.
-    for (alo, ahi), ha in zip(keys_m, dtz_m):
-        row = []
-        for lo, hi, h in cols:
-            g = alo - lo if alo > lo else lo - alo
-            g_hi = ahi - hi if ahi > hi else hi - ahi
-            if g_hi > g:
-                g = g_hi
-            if ha > h:
-                h = ha
-            row.append(g if g < h else h)
-        costs.append(row)
-    return costs, dtz_m, dtz_n
+    return _to_zero(keys_m), _to_zero(keys_n), _columns(keys_m), _columns(keys_n)
+
+
+def _entries(pairs, dtz_m, dtz_n, cols_m, cols_n) -> list[int]:
+    """The ``interleaving._key_entry`` of each (run of M, run of N) in
+    ``pairs``, off the key columns and the to-zero entries: the larger of
+    the two key gaps, capped by the larger of the two to-zero entries."""
+    (lows_m, ups_m), (lows_n, ups_n) = cols_m, cols_n
+    out = []
+    # Plain comparisons instead of abs/max/min calls: every probe runs this.
+    for i, j in pairs:
+        a, b = lows_m[i], lows_n[j]
+        g = a - b if a > b else b - a
+        a, b = ups_m[i], ups_n[j]
+        g_up = a - b if a > b else b - a
+        if g_up > g:
+            g = g_up
+        h, h_n = dtz_m[i], dtz_n[j]
+        if h_n > h:
+            h = h_n
+        out.append(g if g < h else h)
+    return out
 
 
 def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
@@ -417,11 +434,6 @@ def _flow(adj, sent: dict[int, dict[int, int]], room: list[int], need: list[int]
     return short
 
 
-def _within(row, near, t) -> list[int]:
-    """The indices in ``near`` whose entry of ``row`` is <= t, in order."""
-    return [j for j in near if row[j] <= t]
-
-
 def _cover(t, dtz, lists, counts, sent, room, hall=None) -> bool:
     """One side's flow at t when some run of the pair repeats: each run is
     one vertex, a mandatory run r on this side (to-zero entry > t) has to
@@ -465,7 +477,7 @@ def _cover(t, dtz, lists, counts, sent, room, hall=None) -> bool:
 class _Lists(dict):
     """One side's neighbour lists at one threshold, by run, each built by
     ``build`` when first read and kept for later reads: what every matcher
-    reads its lists from, whether they come off the table or the keys."""
+    reads its lists from, each a ``_box_query`` on the keys."""
 
     def __init__(self, build):
         self.build = build
@@ -572,26 +584,37 @@ def _repair(t, dtz, lists, mate, other, dtz_other, hall=None) -> bool:
     return True
 
 
-def _floor(hall, lists, dtz, costs, columns: bool) -> int:
+def _floor(hall, lists, dtz, cols, other) -> int:
     """The Koenig floor of one side's failed probe at t: the least of the
-    to-zero entries of the runs X in ``hall`` and of their entries in
-    ``costs`` (X's rows, or with ``columns`` X's columns) against the runs
-    of the other side outside N(X), the union of X's neighbour ``lists`` at
-    t.  N(X) cannot take every copy of X, and below the floor X is still
-    mandatory and its neighbours still lie inside N(X): every probe there
-    fails too.  The floor exceeds t."""
+    to-zero entries of the runs X in ``hall`` and of their entries against
+    the runs of the other side outside N(X), the union of X's neighbour
+    ``lists`` at t.  N(X) cannot take every copy of X, and below the floor X
+    is still mandatory and its neighbours still lie inside N(X): every
+    probe there fails too.  The floor exceeds t.
+
+    It reads this side's key columns ``cols`` and the other side's
+    ``other``.  An entry of a run of X caps its larger key gap by a to-zero
+    entry at least that run's, so it lies below the least to-zero entry of
+    X exactly when its key gap does: the floor is that least to-zero entry,
+    lowered to each smaller key gap, and only runs whose lower key lies
+    within it of a run of X, a ``bisect`` window, are read."""
     hood = set().union(*map(lists.__getitem__, hall))
-    if columns:
-        rows, take = [i for i in range(len(costs)) if i not in hood], hall
-    else:
-        rows, take = hall, [j for j in range(len(costs[0])) if j not in hood]
     low = min(map(dtz.__getitem__, hall))
-    if not take:
-        return low
-    # One index more, so that itemgetter returns a tuple even for one; the
-    # rows' minima are read one by one, with no list of every entry.
-    pick = itemgetter(take[0], *take)
-    return min(low, min(map(min, map(pick, map(costs.__getitem__, rows))), default=low))
+    lows, ups = other
+    for i in hall:
+        a, u = cols[0][i], cols[1][i]
+        for j in range(bisect_right(lows, a - low), bisect_left(lows, a + low)):
+            if j in hood:
+                continue
+            b = lows[j]
+            g = a - b if a > b else b - a
+            b = ups[j]
+            g_up = u - b if u > b else b - u
+            if g_up > g:
+                g = g_up
+            if g < low:
+                low = g
+    return low
 
 
 def _unseeded(counts, size_m: int, size_n: int):
@@ -617,15 +640,16 @@ def _sides(dtz_m, dtz_n, seeds, counts):
     return _cover, (counts[0], sent_m, room_n), (counts[1], sent_n, room_m)
 
 
-def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
-    """The probe at t on ``_cost_tables``'s table, every vertex a run and
-    ``counts`` ``_pair``'s: the one bound b it proves.  The pair shape's
-    matcher (``_sides``) runs on M's side and then on N's, from ``seeds``,
-    and must match every copy of the side's runs of to-zero entry > t over
-    the pairs of entry <= t.  b > t is the Koenig floor of the first side
-    that fails (``_floor``): every probe below b fails too.  b <= t is the
-    value of what the probe leaves in ``seeds``, the largest of the entries
-    of the edges it uses and of the to-zero entries of the runs it leaves
+def _matching_at(dtz_m, dtz_n, cols_m, cols_n, t, seeds, counts) -> int:
+    """The probe at t on ``_cost_tables``'s to-zero entries and key
+    columns, every vertex a run and ``counts`` ``_pair``'s: the one bound b
+    it proves.  The pair shape's matcher (``_sides``) runs on M's side and
+    then on N's, from ``seeds``, and must match every copy of the side's
+    runs of to-zero entry > t over the pairs of entry <= t.  b > t is the
+    Koenig floor of the first side that fails (``_floor``): every probe
+    below b fails too.  b <= t is the value of what the probe leaves in
+    ``seeds``, the largest of the entries of the edges it uses
+    (``_entries``) and of the to-zero entries of the runs it leaves
     unmatched, on repeated runs those each side's flow leaves short on its
     own side; a matching of that value exists (for flows, their
     Mendelsohn-Dulmage merge, ``copy_merge`` of ``tests/oracles.py``).
@@ -636,37 +660,36 @@ def _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
     ``_cover`` updates each side's flow and room, feasible or not.  A
     seeded probe decides as an unseeded one, but its bound can differ.
 
-    ``near_m[i]`` lists, in index order, the columns that can still be row
-    i's neighbours at t, and ``near_n[j]`` the rows of column j, each entry
-    read through ``<=`` against t, so any totally ordered entries work.  A
-    feasible probe narrows each list it read to its neighbours at t; an
-    infeasible one leaves them alone, and its lists at t give N(X)."""
+    Each side's lists are ``_box_query``s at t, in index order: a run's
+    box is its exact neighbour list whenever its to-zero entry exceeds t,
+    and the matchers read no other run's list."""
     work = seeds
     if counts is None:
         work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
-        for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
-            mate_m[i] = mate_n[j] = -1
+        kept = [(i, j) for i, j in enumerate(mate_m) if j != -1]
+        for (i, j), entry in zip(kept, _entries(kept, dtz_m, dtz_n, cols_m, cols_n)):
+            if entry > t:
+                mate_m[i] = mate_n[j] = -1
     match, side_m, side_n = _sides(dtz_m, dtz_n, work, counts)
     hall = []
-    lists_m = _Lists(lambda i: _within(costs[i], near_m[i], t))
+    lists_m = _Lists(_box_query(cols_m, cols_n, t))
     if not match(t, dtz_m, lists_m, *side_m, hall):
-        return _floor(hall, lists_m, dtz_m, costs, False)
-    lists_n = _Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
+        return _floor(hall, lists_m, dtz_m, cols_m, cols_n)
+    lists_n = _Lists(_box_query(cols_n, cols_m, t))
     if not match(t, dtz_n, lists_n, *side_n, hall):
-        return _floor(hall, lists_n, dtz_n, costs, True)
-    for near, lists in ((near_m, lists_m), (near_n, lists_n)):
-        for run, within in lists.items():
-            near[run] = within
+        return _floor(hall, lists_n, dtz_n, cols_n, cols_m)
     if counts is None:
         seeds[0][:], seeds[1][:] = mate_m, mate_n
-        return max([0, *(v if j == -1 else costs[i][j]
-                         for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
-                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
-    (sent_m, _), (sent_n, _) = seeds
-    return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
-                *(costs[i][j] for j, row in sent_n.items() for i in row),
-                *(v for i, v in enumerate(dtz_m) if i not in sent_m),
-                *(v for j, v in enumerate(dtz_n) if j not in sent_n)])
+        used = [(i, j) for i, j in enumerate(mate_m) if j != -1]
+        free = [*(v for v, j in zip(dtz_m, mate_m) if j == -1),
+                *(v for v, i in zip(dtz_n, mate_n) if i == -1)]
+    else:
+        (sent_m, _), (sent_n, _) = seeds
+        used = [*((i, j) for i, row in sent_m.items() for j in row),
+                *((i, j) for j, row in sent_n.items() for i in row)]
+        free = [*(v for i, v in enumerate(dtz_m) if i not in sent_m),
+                *(v for j, v in enumerate(dtz_n) if j not in sent_n)]
+    return max([0, *_entries(used, dtz_m, dtz_n, cols_m, cols_n), *free])
 
 
 def _unit_merge(side_m, side_n) -> dict[int, int]:
@@ -688,19 +711,24 @@ def _unit_merge(side_m, side_n) -> dict[int, int]:
     return chosen
 
 
-def _box_query(keys, other, w):
-    """The box query at w from the runs of ``keys`` to those of ``other``:
-    a function from a run i to the runs within w of keys[i] on both keys,
-    in index order, a ``bisect`` window on the lower key filtered on the
-    upper.  These are run i's neighbours at w only when its to-zero entry
-    exceeds w.  Runs come in canonical order, in which their keys strictly
-    increase, so the lower keys of ``other`` are already sorted."""
-    lows, ups = [low for low, _ in other], [up for _, up in other]
+def _box_query(cols, other, w):
+    """The box query at w from the runs of one side, of key columns
+    ``cols``, to those of the other, of key columns ``other``
+    (``_columns``): a function from a run i to the runs within w of run i
+    on both keys, in index order.  These are run i's neighbours at w only
+    when its to-zero entry exceeds w.  The keys of ``other`` increase, so
+    its runs within w on the lower key are a ``bisect`` window, filtered
+    on the upper key; when the window holds one lower key, as in a
+    staircase, its upper keys increase too, and a second ``bisect`` finds
+    the runs within w on both."""
+    lows, ups = other
 
     def box(i) -> list[int]:
-        low, up = keys[i]
+        low, up = cols[0][i], cols[1][i]
         a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
         below, above = up - w, up + w
+        if a < b and lows[a] == lows[b - 1]:
+            return list(range(bisect_left(ups, below, a, b), bisect_right(ups, above, a, b)))
         return [j for j, u in enumerate(ups[a:b], a) if below <= u <= above]
     return box
 
@@ -720,14 +748,15 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
     dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
+    cols_m, cols_n = _columns(keys_m), _columns(keys_n)
     match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(keys_m), len(keys_n)),
                                    counts)
-    return (match(w, dtz_m, _Lists(_box_query(keys_m, keys_n, w)), *side_m) and
-            match(w, dtz_n, _Lists(_box_query(keys_n, keys_m, w)), *side_n))
+    return (match(w, dtz_m, _Lists(_box_query(cols_m, cols_n, w)), *side_m) and
+            match(w, dtz_n, _Lists(_box_query(cols_n, cols_m, w)), *side_n))
 
 
 def _search(pair):
-    """Binary search, on the table of the admitted ``pair``, for the least
+    """Binary search, on the keys of the admitted ``pair``, for the least
     class index k whose top 4k + 1 a probe passes; feasibility is monotone
     in k.  No candidate set is built: every class below lo fails, class hi
     passes, and hi = reach + 1 stands for +inf.  hi starts one class above
@@ -742,11 +771,7 @@ def _search(pair):
     Returns (distance, the answer's top), or (+inf, None) when no finite
     threshold is feasible."""
     scale, reach, _, _, counts = pair
-    costs, dtz_m, dtz_n = _cost_tables(pair)
-    # Every probe after a feasible one at t lies below t, so the neighbour
-    # lists it narrows stay supersets of the later probes' neighbours.
-    near_m = [range(len(dtz_n))] * len(dtz_m)
-    near_n = [range(len(dtz_m))] * len(dtz_n)
+    tables = dtz_m, dtz_n, _, _ = _cost_tables(pair)
     seeds = _unseeded(counts, len(dtz_m), len(dtz_n))
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
     # Feasible probes in a row: after two, the answer may lie many bits
@@ -756,7 +781,7 @@ def _search(pair):
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
         top = 4 * mid + 1
-        bound = _matching_at(costs, dtz_m, dtz_n, top, near_m, near_n, seeds, counts)
+        bound = _matching_at(*tables, top, seeds, counts)
         k = bound + 2 >> 2
         if bound > top:
             lo, drops = k, 0
@@ -802,10 +827,12 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     if top is None:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
     _, _, keys_m, keys_n, counts = pair
+    cols_m, cols_n = _columns(keys_m), _columns(keys_n)
     ranges = None if counts is None else (_ranges(counts[0]), _ranges(counts[1]))
     matching = _unit_merge(
-        _copy_cover(top, _to_zero(keys_m), _Lists(_box_query(keys_m, keys_n, top)), len(n), ranges),
-        _copy_cover(top, _to_zero(keys_n), _Lists(_box_query(keys_n, keys_m, top)), len(m),
+        _copy_cover(top, _to_zero(keys_m), _Lists(_box_query(cols_m, cols_n, top)), len(n),
+                    ranges),
+        _copy_cover(top, _to_zero(keys_n), _Lists(_box_query(cols_n, cols_m, top)), len(m),
                     ranges and ranges[::-1]))
     matched_n = set(matching.values())
     return MatchingCertificate(

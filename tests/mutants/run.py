@@ -96,6 +96,15 @@ MUTANTS = (
     Mutant("boxes-lower-minus-one", BN,
            "bisect_left(lows, low - w)", "bisect_left(lows, low - w - 1)", False,
            "the box admits a lower-key gap of w + 1 below"),
+    Mutant("boxes-one-low-any-window", BN,
+           "if a < b and lows[a] == lows[b - 1]:", "if a < b:", False,
+           "the box bisects the upper keys of a window of several lower keys"),
+    Mutant("boxes-one-low-upper-open", BN,
+           "bisect_right(ups, above, a, b)", "bisect_left(ups, above, a, b)", False,
+           "the box of one lower key leaves out an upper-key gap of exactly w above"),
+    Mutant("boxes-upper-lt", BN,
+           "if below <= u <= above]", "if below <= u < above]", False,
+           "the box leaves out an upper-key gap of exactly w above"),
     Mutant("bound-odd-top", IL,
            "4 * -(-num // (2 * den)) - 3", "4 * -(-num // (2 * den)) - 1", False,
            "eps between classes admits the open end of the class above"),
@@ -107,9 +116,9 @@ MUTANTS = (
            "return [(up - low) // 2 + 1 for low, up in keys]",
            "return [(up - low) // 2 for low, up in keys]", False,
            "every to-zero entry loses its decoration"),
-    Mutant("table-no-halving", BN,
-           "row.append(g if g < h else h)", "row.append(g)", False,
-           "the table forgets that deleting both summands may be cheaper"),
+    Mutant("entry-no-halving", BN,
+           "out.append(g if g < h else h)", "out.append(g)", False,
+           "the inline entry forgets that deleting both summands may be cheaper"),
     Mutant("rescale-drops-decoration", IL,
            "n_lo * (s2 // d_lo) + (lo & 1)", "n_lo * (s2 // d_lo)", False,
            "a lower key rescales without its decoration"),
@@ -155,7 +164,7 @@ MUTANTS = (
            "the flow's users follow the seed's insertion order, not the run order"),
     # The repair of the search's one matching when no run repeats.
     Mutant("repair-keeps-pairs-above-t", BN,
-           "if j != -1 and costs[i][j] > t]", "if False]", False,
+           "            if entry > t:\n", "            if False:\n", False,
            "a probe keeps the seed's pairs whose entry exceeds t"),
     Mutant("repair-target-lt", BN,
            "pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]",
@@ -197,11 +206,15 @@ MUTANTS = (
            "*(v for i, v in enumerate(dtz_m) if i not in sent_m)", "*()", False,
            "the jump bound leaves out the M runs sent_m does not cover"),
     Mutant("jump-drops-side-n-edges", BN,
-           "*(costs[i][j] for j, row in sent_n.items() for i in row),", "", False,
+           ",\n                *((i, j) for j, row in sent_n.items() for i in row)]", "]", False,
            "the jump bound leaves out the edge costs of sent_n"),
     Mutant("value-drops-free-n-runs", BN,
-           "*(v for v, i in zip(dtz_n, mate_n) if i == -1)])", "])", False,
+           ",\n                *(v for v, i in zip(dtz_n, mate_n) if i == -1)]", "]", False,
            "a repaired matching's value leaves out the N runs it leaves unmatched"),
+    Mutant("value-takes-to-zero", BN,
+           "*_entries(used, dtz_m, dtz_n, cols_m, cols_n)", "*(dtz_m[i] for i, _ in used)",
+           False, "a feasible probe's value takes each matched M run's to-zero entry, "
+           "not its edge's entry"),
     Mutant("probe-keeps-old-seeds", BN,
            "        seeds[0][:], seeds[1][:] = mate_m, mate_n\n", "", False,
            "a feasible probe returns its matching's value but leaves its old seeds"),
@@ -210,9 +223,11 @@ MUTANTS = (
            "low = min(map(dtz.__getitem__, hall))", "low = 10**100", False,
            "the floor leaves out the to-zero entries of X"),
     Mutant("floor-reads-inside-hood", BN,
-           "[j for j in range(len(costs[0])) if j not in hood]",
-           "list(range(len(costs[0])))", False,
+           "            if j in hood:\n                continue\n", "", False,
            "the floor also reads X's entries to runs inside N(X)"),
+    Mutant("floor-window-short", BN,
+           "bisect_left(lows, a + low))", "bisect_left(lows, a + low - 1))", False,
+           "the floor's window leaves out the runs whose lower key lies low - 1 above"),
     Mutant("witness-roots-only", BN,
            "hall += [u for u, d in enumerate(dist) if d != unreachable]",
            "hall += [u for u, d in enumerate(dist) if d == 0]", False,
@@ -236,7 +251,7 @@ MUTANTS = (
            "the probe is always the middle class, one probe per lattice bit on a descent"),
     # The eps-decision's matcher from the empty start, either pair shape.
     Mutant("decision-matches-m-only", BN,
-           " and\n            match(w, dtz_n, _Lists(_box_query(keys_n, keys_m, w)), *side_n))",
+           " and\n            match(w, dtz_n, _Lists(_box_query(cols_n, cols_m, w)), *side_n))",
            ")", False,
            "the decision matches only M's side"),
     # The work budgets that ``_admit`` checks before any view is built.

@@ -10,14 +10,16 @@ erosion decision through ``erode``, and the copy-level matching probe
 is checked; the table decision and per-pair certificate check that the
 table-free ones replaced; ``direct_lattice``, the pair lattice built from
 the endpoint fractions on every call, against which the cached per-module
-views of ``interleaving._lattice`` are checked; ``key_table``, the module
-table built one ``interleaving._key_entry`` at a time on it, against
-which the kernel's table loop is checked; and ``copy_search``, the
-distance search as it ran with one matching vertex per summand copy
-(``copy_hopcroft_karp``, ``copy_cover``, ``copy_merge``,
-``copy_matching_at``), against which the search on runs and its
-capacitated matcher are checked.  An unseeded ``full_probe`` at the
-answer's top is the certificate's matching.
+views of ``interleaving._lattice`` are checked; ``key_table`` and
+``run_table``, the tables of summands and of runs built one
+``interleaving._key_entry`` at a time, against which the entries the
+kernel reads off its keys are checked; ``table_matching_at``, the search's
+probe as it ran on the table of runs, which the key-reading probe must
+match bound for bound; and ``copy_search``, the distance search as it ran
+with one matching vertex per summand copy (``copy_hopcroft_karp``,
+``copy_cover``, ``copy_merge``, ``copy_matching_at``), against which the
+search on runs and its capacitated matcher are checked.  An unseeded
+``full_probe`` at the answer's top is the certificate's matching.
 ``reference_parse_interval`` is the
 interval text parser as it was before the one-pass parser: strip, split,
 parse each endpoint alone, then check, with every order on
@@ -449,7 +451,7 @@ def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
     before its matcher took capacities: a matching {M copy: N copy} over
     the pairs of cost <= t that saturates every copy of to-zero cost > t,
     or None.  The table and the lists ``near_m``, ``near_n`` are by run,
-    as for ``bottleneck._matching_at``; ``copies`` is None or (the M copy
+    as for ``table_matching_at``; ``copies`` is None or (the M copy
     ranges by run, the N ones), and ``mates`` holds each copy's partner
     from an earlier probe, -1 for none."""
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
@@ -471,13 +473,98 @@ def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
 
 
 def run_table(m: PModule, n: PModule):
-    """``bottleneck._cost_tables`` on the admitted pair of m and n, with the
-    pair's own numbers: (costs, dtz_m, dtz_n, S, fin, counts), where no
-    finite entry exceeds fin = 4*reach + 1 and ``counts`` are ``_pair``'s,
-    None when no summand repeats, else each side's copy counts by run."""
-    pair = bottleneck._pair(m, n, True)
-    scale, reach, _, _, counts = pair
-    return (*bottleneck._cost_tables(pair), scale, 4 * reach + 1, counts)
+    """The table of the admitted pair of m and n on its runs, each entry one
+    ``interleaving._key_entry`` call on the pair's keys, with the pair's own
+    numbers: (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry
+    exceeds fin = 4*reach + 1 and ``counts`` are ``_pair``'s, None when no
+    summand repeats, else each side's copy counts by run."""
+    scale, reach, keys_m, keys_n, counts = bottleneck._pair(m, n, True)
+    costs = [[_key_entry(a, b) for b in keys_n] for a in keys_m]
+    dtz_m = [_key_entry(a, None) for a in keys_m]
+    dtz_n = [_key_entry(None, b) for b in keys_n]
+    return costs, dtz_m, dtz_n, scale, 4 * reach + 1, counts
+
+
+def run_keys(m: PModule, n: PModule):
+    """What the search's probes read on the admitted pair of m and n:
+    ``bottleneck._cost_tables``, (dtz_m, dtz_n, cols_m, cols_n)."""
+    return bottleneck._cost_tables(bottleneck._pair(m, n, True))
+
+
+def column_table(dtz_m, dtz_n, cols_m, cols_n):
+    """The table that key columns and to-zero entries stand for, as the
+    probe reads them (``run_keys``): each entry the larger of the two key
+    gaps, capped by the larger of the two to-zero entries.  On a pair's own
+    keys it is ``run_table``'s; the to-zero entries may also be any ints."""
+    (lows_m, ups_m), (lows_n, ups_n) = cols_m, cols_n
+    return [[min(max(abs(lows_m[i] - lows_n[j]), abs(ups_m[i] - ups_n[j])),
+                 max(dtz_m[i], dtz_n[j])) for j in range(len(dtz_n))]
+            for i in range(len(dtz_m))]
+
+
+def table_floor(hall, lists, dtz, costs, columns: bool) -> int:
+    """The Koenig floor of one side's failed ``table_matching_at`` probe:
+    the least of the to-zero entries of the runs X in ``hall`` and of their
+    entries in ``costs`` (X's rows, or with ``columns`` X's columns)
+    against the runs of the other side outside N(X), the union of X's
+    neighbour ``lists``."""
+    hood = set().union(*map(lists.__getitem__, hall))
+    if columns:
+        rows, take = [i for i in range(len(costs)) if i not in hood], hall
+    else:
+        rows, take = hall, [j for j in range(len(costs[0])) if j not in hood]
+    return min(chain(map(dtz.__getitem__, hall), (costs[i][j] for i in rows for j in take)))
+
+
+def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
+    """The search's probe at t as it ran on a table of every pair of runs,
+    the reference that ``bottleneck._matching_at`` must match bound for
+    bound: the same matchers from the same ``seeds``, updated in place, on
+    lists filtered from whole rows and columns.  ``near_m[i]`` lists, in
+    index order, the columns that can still be row i's neighbours at t, and
+    ``near_n[j]`` the rows of column j; a feasible probe narrows each list
+    it read to its neighbours at t, and every later probe of the search
+    lies below t.  Returns the floor (``table_floor``) of the first side
+    that fails, else the value of what the probe leaves in ``seeds``."""
+    work = seeds
+    if counts is None:
+        work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
+        for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
+            mate_m[i] = mate_n[j] = -1
+    match, side_m, side_n = bottleneck._sides(dtz_m, dtz_n, work, counts)
+    hall = []
+    lists_m = bottleneck._Lists(lambda i: [j for j in near_m[i] if costs[i][j] <= t])
+    if not match(t, dtz_m, lists_m, *side_m, hall):
+        return table_floor(hall, lists_m, dtz_m, costs, False)
+    lists_n = bottleneck._Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
+    if not match(t, dtz_n, lists_n, *side_n, hall):
+        return table_floor(hall, lists_n, dtz_n, costs, True)
+    for near, lists in ((near_m, lists_m), (near_n, lists_n)):
+        for run, within in lists.items():
+            near[run] = within
+    if counts is None:
+        seeds[0][:], seeds[1][:] = mate_m, mate_n
+        return max([0, *(v if j == -1 else costs[i][j]
+                         for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
+                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
+    (sent_m, _), (sent_n, _) = seeds
+    return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
+                *(costs[i][j] for j, row in sent_n.items() for i in row),
+                *(v for i, v in enumerate(dtz_m) if i not in sent_m),
+                *(v for j, v in enumerate(dtz_n) if j not in sent_n)])
+
+
+def table_probes(m: PModule, n: PModule, tops):
+    """The bounds of ``table_matching_at`` probes on ``run_table`` at
+    ``tops`` in turn, each seeded with the state the one before left and
+    on the lists the feasible ones before narrowed, as the search ran them
+    on its table."""
+    costs, dtz_m, dtz_n, _, _, counts = run_table(m, n)
+    near_m = [range(len(dtz_n))] * len(dtz_m)
+    near_n = [range(len(dtz_m))] * len(dtz_n)
+    seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
+    return [table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
+            for t in tops]
 
 
 def copy_ranges(counts):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -28,6 +29,7 @@ from persistd.bottleneck import _hopcroft_karp, _matching_at
 from persistd.verify import random_interval, random_module
 
 from oracles import (
+    column_table,
     full_probe,
     key_table,
     lattice_scale,
@@ -36,7 +38,9 @@ from oracles import (
     reference_module_distance,
     reference_modules_eps_interleaved,
     reference_search,
+    run_keys,
     run_table,
+    table_matching_at,
 )
 from strategies import modules, pooled_pairs
 
@@ -401,39 +405,24 @@ def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_saturating_matching_against_bruteforce(seed):
-    rng, widen = random.Random(seed), random.Random(-1 - seed)
+    rng = random.Random(seed)
     tie_edges = tie_deletions = 0
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        costs, dtz_m, dtz_n, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        costs, tables, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        dtz_m, dtz_n = tables[:2]
         edge_ok = [[c <= t for c in row] for row in costs]
         mand_m = {i for i in range(n_m) if dtz_m[i] > t}
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
         found = full_probe(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
-        # Narrowed lists, the neighbours at some threshold >= t, give the
-        # same answer, and a failed probe the same floor; only a feasible
-        # probe narrows them, to exactly the mandatory summands' neighbours
-        # at t.
-        t_hi = t + widen.randint(0, 2)
-        near_m = [[j for j in range(n_n) if costs[i][j] <= t_hi] for i in range(n_m)]
-        near_n = [[i for i in range(n_m) if costs[i][j] <= t_hi] for j in range(n_n)]
-        before = [list(a) for a in near_m], [list(a) for a in near_n]
         unseeded = [-1] * n_m, [-1] * n_n
-        bound = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, unseeded, None)
+        bound = _matching_at(*tables, t, unseeded, None)
         _assert_probe(bound, unseeded, costs, dtz_m, dtz_n, t)
         if found is None:
-            assert bound == _seeded_probe(costs, dtz_m, dtz_n, t, unseeded)
+            assert bound == _seeded_probe(tables, costs, t, unseeded)
             assert unseeded == ([-1] * n_m, [-1] * n_n)
-            assert (near_m, near_n) == before
             continue
-        # A feasible probe narrows the lists it read, all of mandatory
-        # summands, to exactly their neighbours at t, and no other list.
-        for near, old, mand, at_t in (
-                (near_m, before[0], mand_m, lambda i: [j for j in range(n_n) if edge_ok[i][j]]),
-                (near_n, before[1], mand_n, lambda j: [i for i in range(n_m) if edge_ok[i][j]])):
-            assert all(a == b or (k in mand and a == at_t(k))
-                       for k, (a, b) in enumerate(zip(near, old)))
         mate_m, mate_n = unseeded
         tie_edges += sum(costs[i][j] == t for i, j in enumerate(mate_m) if j != -1)
         tie_deletions += sum(v == t for v, j in zip(dtz_m, mate_m) if j == -1)
@@ -444,13 +433,24 @@ def test_saturating_matching_against_bruteforce(seed):
 
 
 def _random_table(rng, n_m, n_n, top):
-    """Random costs and to-zero costs up to ``top``, and a threshold that
-    is mostly one of the entries, so that ties with it are common."""
-    costs = [[rng.randint(0, top) for _ in range(n_n)] for _ in range(n_m)]
+    """Random key columns and to-zero costs, all up to ``top``, the keys of
+    a side in increasing order as the runs' are; the table of costs they
+    stand for (``oracles.column_table``); and a threshold that is mostly
+    one of the entries, so that ties with it are common: (costs, (dtz_m,
+    dtz_n, cols_m, cols_n), t)."""
+    cols = [_columns(*sorted((rng.randint(0, top), rng.randint(0, top)) for _ in range(size)))
+            for size in (n_m, n_n)]
     dtz_m = [rng.randint(0, top) for _ in range(n_m)]
     dtz_n = [rng.randint(0, top) for _ in range(n_n)]
+    tables = dtz_m, dtz_n, *cols
+    costs = column_table(*tables)
     t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
-    return costs, dtz_m, dtz_n, t
+    return costs, tables, t
+
+
+def _columns(*points):
+    """The key columns (lower keys, upper keys) of the key points given."""
+    return [low for low, _ in points], [up for _, up in points]
 
 
 def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
@@ -547,13 +547,20 @@ def _assert_flow_at(seeds, costs, dtz_m, dtz_n, t, counts):
     _assert_room(seeds, counts)
 
 
-def _seeded_probe(costs, dtz_m, dtz_n, t, seeds):
-    """``bottleneck._matching_at`` on whole rows and columns of a table
-    with no repeated summand, seeded with the matching ``seeds``, which it
-    updates in place: the bound it returns."""
+def _seeded_probe(tables, costs, t, seeds, counts=None):
+    """``bottleneck._matching_at`` at t on ``tables``, to-zero entries and
+    key columns, seeded with ``seeds``, which it updates in place: the
+    bound it returns.  ``oracles.table_matching_at`` on ``costs``, the
+    table that ``tables`` stand for, on whole rows and columns and from a
+    copy of the seeds, returns the same bound and leaves the same seeds."""
+    dtz_m, dtz_n = tables[:2]
+    copied = copy.deepcopy(seeds)
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
-    return _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, None)
+    expected = table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, copied, counts)
+    bound = _matching_at(*tables, t, seeds, counts)
+    assert (bound, seeds) == (expected, copied), (t, tables, counts)
+    return bound
 
 
 def _random_matching(rng, n_m, n_n):
@@ -578,7 +585,8 @@ def test_seeded_probe_keeps_only_live_partners(seed):
     rng = random.Random(1000 + seed)
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        costs, dtz_m, dtz_n, _ = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        costs, tables, _ = _random_table(rng, n_m, n_n, rng.randint(0, 6))
+        dtz_m, dtz_n = tables[:2]
         ts = sorted({0, *dtz_m, *dtz_n, *(c for row in costs for c in row)})
         chained = [-1] * n_m, [-1] * n_n
         for t in ts + ts[::-1]:
@@ -586,7 +594,7 @@ def test_seeded_probe_keeps_only_live_partners(seed):
             seeds = _random_matching(rng, n_m, n_n)
             kept = tuple(map(list, seeds))
             for start in (seeds, chained):
-                bound = _seeded_probe(costs, dtz_m, dtz_n, t, start)
+                bound = _seeded_probe(tables, costs, t, start)
                 _assert_probe(bound, start, costs, dtz_m, dtz_n, t)
             if full is None:
                 assert seeds == kept
@@ -601,6 +609,8 @@ def test_seeded_probes_on_small_modules(seed):
     for _ in range(20):
         m, n = (random_module(rng, Fraction(-3), Fraction(3), 4, 4) for _ in range(2))
         costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
+        tables = run_keys(m, n)
+        assert column_table(*tables) == costs
         assert module_distance(m, n) == bruteforce_module_distance(m, n)
         if counts is not None:
             continue
@@ -608,17 +618,20 @@ def test_seeded_probes_on_small_modules(seed):
                        if r <= fin} | {1})
         for t in tops + tops[::-1]:
             seeds = _random_matching(rng, len(dtz_m), len(dtz_n))
-            bound = _seeded_probe(costs, dtz_m, dtz_n, t, seeds)
+            bound = _seeded_probe(tables, costs, t, seeds)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t)
 
 
 def test_stale_partners_are_dropped():
     # Row 0 must be matched (to-zero cost 4); its old partner, column 0,
-    # now costs 3 > t = 1, and so does row 1's, column 1.  Column 1 is row
-    # 0's only neighbour.  The repaired matching has the value 1.
-    costs = [[3, 1], [0, 5]]
+    # now costs 3 > t = 1, and so does row 1's, column 1, which must be
+    # matched too (to-zero cost 2).  Column 1 is row 0's only neighbour.
+    # The repaired matching has the value 1.
+    tables = [4, 0], [0, 2], _columns((1, 0), (5, 5)), _columns((-2, 0), (0, 0))
+    costs = column_table(*tables)
+    assert costs == [[3, 1], [0, 2]]
     seeds = ([0, 1], [0, 1])
-    assert _seeded_probe(costs, [4, 0], [0, 0], 1, seeds) == 1
+    assert _seeded_probe(tables, costs, 1, seeds) == 1
     assert seeds == ([1, -1], [-1, 0])
 
 
@@ -627,11 +640,14 @@ def test_phases_let_a_deletable_partner_go():
     -> column 1 -> row 2 -> column 2 reaches a target: column 2, whose
     partner row 3 has to-zero cost t and so may be deleted.  Neither a
     direct target nor one swap reaches it, so the phases must."""
-    costs = [[1, 9, 9], [1, 1, 9], [9, 1, 1], [9, 9, 1]]
     dtz_m, dtz_n = [5, 5, 5, 1], [0, 0, 0]
+    tables = (dtz_m, dtz_n, _columns(*((k, k) for k in (0, 2, 4, 6))),
+              _columns(*((k, k) for k in (1, 3, 5))))
+    costs = column_table(*tables)
+    assert costs == [[1, 3, 5], [1, 1, 3], [3, 1, 1], [1, 1, 1]]
     seeds = ([-1, 0, 1, 2], [1, 2, 3])
     assert full_probe(costs, dtz_m, dtz_n, 1) is not None
-    assert _seeded_probe(costs, dtz_m, dtz_n, 1, seeds) == 1
+    assert _seeded_probe(tables, costs, 1, seeds) == 1
     assert seeds == ([0, 1, 2, -1], [0, 1, 2])
 
 
@@ -646,12 +662,13 @@ def test_a_side_with_no_runs():
         assert not modules_eps_interleaved(m, n, Fraction(1, 4))
     costs, dtz_m, dtz_n, _, _, counts = run_table(PModule(), one)
     assert (costs, dtz_m, counts) == ([], [], None)
+    tables = run_keys(PModule(), one)
     # N's run has no neighbour: the probe fails at once, and the floor is
     # its to-zero entry.  At that entry the run may be deleted, and the
     # empty matching's value is the same entry.
-    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0] - 1, ([], [-1])) == dtz_n[0]
+    assert _seeded_probe(tables, costs, dtz_n[0] - 1, ([], [-1])) == dtz_n[0]
     seeds = ([], [-1])
-    assert _seeded_probe(costs, dtz_m, dtz_n, dtz_n[0], seeds) == dtz_n[0]
+    assert _seeded_probe(tables, costs, dtz_n[0], seeds) == dtz_n[0]
     assert seeds == ([], [-1])
 
 
@@ -702,11 +719,11 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
     costs, dtz_m, dtz_n, scale, _, counts = run_table(m, n)
+    tables = run_keys(m, n)
     assert counts == ([3, 2], [3, 2])
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
     seeds = ({}, list(counts[1])), ({}, list(counts[0]))
-    near = [range(2)] * 2
-    first = _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts)
+    first = _seeded_probe(tables, costs, top, seeds, counts)
     flows = ({0: {0: 3}, 1: {1: 2}}, [0, 0]), ({0: {0: 3}, 1: {1: 2}}, [0, 0])
     assert seeds == flows
     assert first == max(costs[0][0], costs[1][1]) <= top
@@ -717,7 +734,7 @@ def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
         return _real(adj, sent, room, need, *args)
 
     monkeypatch.setattr(bottleneck, "_flow", recorded)
-    assert _matching_at(costs, dtz_m, dtz_n, top, list(near), list(near), seeds, counts) == first
+    assert _matching_at(*tables, top, seeds, counts) == first
     assert seeds == flows
     assert starts == [(2, [0, 0]), (2, [0, 0])]
 
@@ -726,7 +743,7 @@ def _count_probes(monkeypatch) -> list:
     probes = []
 
     def counted(*args, _real=bottleneck._matching_at):
-        probes.append(args[3])
+        probes.append(args[4])
         return _real(*args)
 
     monkeypatch.setattr(bottleneck, "_matching_at", counted)
@@ -764,23 +781,25 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
        modules(max_summands=20, finite_only=False, max_copies=2))
 @settings(max_examples=60)
 def test_search_probes_equal_full_probes(m, n):
-    """Every probe of the search, seeded and on the lists that earlier
-    probes narrowed, decides as an unseeded copy-level probe on every row
-    and column at the same t.  A feasible probe returns a matching or flow
-    of runs at t that covers every mandatory run on both sides.  The
-    search's probes run on the table of distinct summands and the full
-    probes on the table of copies, where an unseeded copy-level probe on
-    distinct summands gives the same matching.  The certificate's matching
-    is that of an unseeded full probe at the answer's top."""
+    """Every probe of the search, seeded, decides as an unseeded
+    copy-level probe on every row and column at the same t.  A feasible
+    probe returns a matching or flow of runs at t that covers every
+    mandatory run on both sides.  The search's probes run on the key
+    columns of distinct summands, which stand for their table
+    (``oracles.column_table``), and the full probes on the table of
+    copies, where an unseeded copy-level probe on distinct summands gives
+    the same matching.  The certificate's matching is that of an unseeded
+    full probe at the answer's top."""
     costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
     probes = []
 
     def checked(*args):
-        t, seeds, counts = args[3], args[6], args[7]
+        t, seeds, counts = args[4:]
         full = full_probe(costs, dtz_m, dtz_n, t)
-        assert full_probe(*args[:4], None, counts) == full
+        run_costs = column_table(*args[:4])
+        assert full_probe(run_costs, *args[:2], t, None, counts) == full
         bound = _matching_at(*args)
-        _assert_probe(bound, seeds, *args[:4], counts)
+        _assert_probe(bound, seeds, run_costs, *args[:2], t, counts)
         probes.append(t)
         return bound
 
@@ -817,21 +836,19 @@ def test_upper_jump_beats_plain_bisection(monkeypatch):
     assert len(probes) < plain, (len(probes), plain)
 
 
-def test_infeasible_probe_leaves_lists_unchanged():
+def test_infeasible_probe_leaves_its_seeds():
     # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0,
-    # so the floor is the least of 3 and its row, 1; at t = 1 it meets
-    # column 0, and only its own list narrows.  The matching found there
-    # has the value 1 too.
-    costs = [[1, 5], [5, 5]]
-    dtz_m, dtz_n = [3, 0], [0, 0]
-    near_m, near_n = [[0, 1], [1]], [[0], [0, 1]]
+    # so the floor is the least of 3 and its row, 1, and the seeds stay as
+    # they were; at t = 1 it meets column 0.  The matching found there has
+    # the value 1 too.
+    tables = [3, 0], [0, 0], _columns((0, 0), (9, 9)), _columns((1, 1), (4, 4))
+    costs = column_table(*tables)
+    assert costs == [[1, 3], [0, 0]]
     seeds = [-1, -1], [-1, -1]
-    assert _matching_at(costs, dtz_m, dtz_n, 0, near_m, near_n, seeds, None) == 1
-    assert (near_m, near_n, seeds) == ([[0, 1], [1]], [[0], [0, 1]], ([-1, -1], [-1, -1]))
-    assert _matching_at(costs, dtz_m, dtz_n, 1, near_m, near_n, seeds, None) == 1
+    assert _seeded_probe(tables, costs, 0, seeds) == 1
+    assert seeds == ([-1, -1], [-1, -1])
+    assert _seeded_probe(tables, costs, 1, seeds) == 1
     assert seeds == ([0, -1], [0, -1])
-    assert (near_m, near_n) == ([[0], [1]], [[0], [0, 1]])
-
 
 
 @given(pooled_pairs(max_count=4), st.randoms(use_true_random=False))
@@ -846,17 +863,12 @@ def test_probe_returns_the_bound_it_proves(pair, rng):
     costs, dtz_m, dtz_n, _, _, counts = run_table(m, n)
     tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row} | {1})
     top = rng.randint(0, 9)
-    tables = [(costs, dtz_m, dtz_n, counts, tops),
-              (*_random_table(rng, rng.randint(0, 6), rng.randint(0, 6), top)[:3], None,
-               range(top + 2))]
-    for costs, dtz_m, dtz_n, counts, ts in tables:
-        if counts is None:
-            seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
-        else:
-            seeds = ({}, list(counts[1])), ({}, list(counts[0]))
-        near_m = [range(len(dtz_n))] * len(dtz_m)
-        near_n = [range(len(dtz_m))] * len(dtz_n)
+    random_costs, random_tables, _ = _random_table(rng, rng.randint(0, 6), rng.randint(0, 6), top)
+    cases = [(run_keys(m, n), costs, counts, tops),
+             (random_tables, random_costs, None, range(top + 2))]
+    for tables, costs, counts, ts in cases:
+        dtz_m, dtz_n = tables[:2]
+        seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
         for t in [*ts, *reversed(ts)]:
-            bound = _matching_at(costs, dtz_m, dtz_n, t, list(near_m), list(near_n), seeds,
-                                 counts)
+            bound = _seeded_probe(tables, costs, t, seeds, counts)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)

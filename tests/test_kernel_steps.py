@@ -66,8 +66,9 @@ def _pairs():
 
 
 # Deep lattices.  Cauchy stages 60 and 59 have about 60 bits of lattice
-# between their largest and smallest entries; their cost table takes about
-# 30,000 lines, and a search that probes once per bit about 25,000 more.
+# between their largest and smallest entries; a search that bisects their
+# bit lengths takes about 14,000 lines, one that probes once per bit about
+# 68,000.
 # The pooled pair repeats runs whose endpoints have denominators up to 2^41,
 # with an infinite one.
 DEEP = (
@@ -99,21 +100,22 @@ def test_kernel_finishes_and_agrees(pair):
 
 def test_search_on_any_table(monkeypatch):
     """The search finds the least class k whose top 4k + 1 the full probe
-    passes, or +inf when none up to reach does, on tables of any small
-    ints, repeated runs or not.  These have entries 4k + 2, above class k's
-    top, which no finite lattice entry is: a floor there must still move
-    the bracket past the probe, and the empty matching is feasible only
-    one class above the largest to-zero entry's."""
+    passes, or +inf when none up to reach does, on key columns and to-zero
+    entries of any small ints, repeated runs or not.  Their tables have
+    entries 4k + 2, above class k's top, which no finite lattice entry is:
+    a floor there must still move the bracket past the probe, and the empty
+    matching is feasible only one class above the largest to-zero
+    entry's."""
     rng = random.Random(5)
     for _ in range(400):
         n_m, n_n = rng.randint(0, 5), rng.randint(0, 5)
-        costs, dtz_m, dtz_n, _ = _random_table(rng, n_m, n_n, rng.randint(0, 14))
+        costs, tables, _ = _random_table(rng, n_m, n_n, rng.randint(0, 14))
+        dtz_m, dtz_n = tables[:2]
         counts = None if rng.random() < 0.5 else (
             [rng.randint(1, 3) for _ in range(n_m)], [rng.randint(1, 3) for _ in range(n_n)])
         reach = rng.randint(0, 4)
-        table = costs, dtz_m, dtz_n
-        monkeypatch.setattr(bottleneck, "_cost_tables", lambda pair: table)
+        monkeypatch.setattr(bottleneck, "_cost_tables", lambda pair: tables)
         _, top = bounded(bottleneck._search, (1, reach, None, None, counts))
         least = next((k for k in range(reach + 1)
                       if full_probe(costs, dtz_m, dtz_n, 4 * k + 1, copies=counts) is not None), None)
-        assert top == (None if least is None else 4 * least + 1), (table, reach, counts)
+        assert top == (None if least is None else 4 * least + 1), (tables, reach, counts)

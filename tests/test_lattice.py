@@ -28,7 +28,9 @@ from oracles import (
     reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
+    run_keys,
     run_table,
+    table_floor,
 )
 from strategies import deep_fractions, lattice_modules, pooled_pairs, small_eps
 
@@ -68,11 +70,42 @@ def _run_summands(m: PModule) -> tuple:
 @given(pooled_pairs())
 @settings(max_examples=200)
 def test_cost_tables_equal_key_table(pair):
-    """The hot loop of ``_cost_tables`` against one ``_key_entry`` call per
-    entry, on the runs: the same table, to-zero entries, S and fin."""
+    """The entries the probes read off ``_cost_tables``'s key columns with
+    ``_entries``, the inline form that the value of a feasible probe and
+    the seed pruning use, against one ``_key_entry`` call per entry, on the
+    runs: the same table and to-zero entries.  The run table of the pair's
+    admitted keys is that of the keys built from scratch, with the same S
+    and fin."""
     m, n = pair
     table = run_table(m, n)
     assert table[:5] == key_table(*map(_run_summands, pair))[:5]
+    costs, dtz_m, dtz_n = table[:3]
+    tables = run_keys(m, n)
+    assert tables[:2] == (dtz_m, dtz_n)
+    every = [(i, j) for i in range(len(dtz_m)) for j in range(len(dtz_n))]
+    assert bottleneck._entries(every, *tables) == [c for row in costs for c in row]
+
+
+@given(pooled_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_key_floor_equals_table_floor(pair, rng):
+    """``_floor``, which reads key gaps alone, against ``oracles.table_floor``
+    on the run table: the least to-zero entry of a set X of runs and of
+    their entries against the runs outside N(X), for random X and box
+    lists at every class top, on each side."""
+    m, n = pair
+    costs, dtz_m, dtz_n, _, _, _ = run_table(m, n)
+    _, _, cols_m, cols_n = run_keys(m, n)
+    tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row})
+    sides = ((dtz_m, cols_m, cols_n, costs, False), (dtz_n, cols_n, cols_m, costs, True))
+    for t in tops:
+        for dtz, cols, other, table, columns in sides:
+            if not dtz:
+                continue
+            lists = bottleneck._Lists(bottleneck._box_query(cols, other, t))
+            hall = rng.sample(range(len(dtz)), rng.randint(1, len(dtz)))
+            assert bottleneck._floor(hall, lists, dtz, cols, other) == (
+                table_floor(hall, lists, dtz, table, columns)), (t, hall, columns)
 
 
 @given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules))
@@ -130,10 +163,10 @@ def test_whole_line_and_half_lines():
 
 
 def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
-    """The decision builds no cost table (``_cost_tables`` is the only
-    table builder) and makes no probe: it reads the lattice once and runs
-    a matcher, Hopcroft-Karp or the flow, at most once per side, not at
-    all when the repair of the empty matching needs no phases."""
+    """The decision runs no search set-up (``_cost_tables``) and makes no
+    probe: it reads the lattice once and runs a matcher, Hopcroft-Karp or
+    the flow, at most once per side, not at all when the repair of the
+    empty matching needs no phases."""
     pairs = [
         (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
         (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),

@@ -19,7 +19,7 @@ from persistd import (
     module_distance,
     modules_eps_interleaved,
 )
-from persistd.bottleneck import _flow, _hopcroft_karp, _matching_at, _ranges
+from persistd.bottleneck import _flow, _hopcroft_karp, _ranges
 
 from oracles import (
     copy_hopcroft_karp,
@@ -28,11 +28,12 @@ from oracles import (
     full_probe,
     lattice_scale,
     reference_module_distance,
+    run_keys,
     run_table,
     table_modules_eps_interleaved,
 )
 from strategies import lattice_modules, pooled_pairs
-from test_bottleneck import _assert_probe, _assert_room, _seed_value
+from test_bottleneck import _assert_probe, _assert_room, _seed_value, _seeded_probe
 from test_table_free import _random_pool_pair
 
 
@@ -132,21 +133,19 @@ def test_seeded_probes_decide_as_unseeded():
     """Probes up and down the class tops, each seeded with the flows the
     one before left or the matching the last feasible one left, decide as
     an unseeded copy-level probe and keep the probe's contract
-    (``_assert_probe``): a run that stops being mandatory gives its units
-    back, and so does an edge that leaves a run's list."""
+    (``_assert_probe``) and the table probe's bound (``_seeded_probe``): a
+    run that stops being mandatory gives its units back, and so does an
+    edge that leaves a run's list."""
     rng = random.Random(9)
     for _ in range(300):
         m, n = _random_pool_pair(rng)
         costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
+        tables = run_keys(m, n)
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
-        if counts is None:
-            seeds = [-1] * len(dtz_m), [-1] * len(dtz_n)
-        else:
-            seeds = ({}, list(counts[1])), ({}, list(counts[0]))
+        seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
         for t in rng.choices(tops, k=8):
-            near_m, near_n = [range(len(dtz_n))] * len(dtz_m), [range(len(dtz_m))] * len(dtz_n)
-            bound = _matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
+            bound = _seeded_probe(tables, costs, t, seeds, counts)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)
 
 
@@ -218,8 +217,8 @@ def test_jump_bound_covers_the_merge(pair):
     def recorded(*args, _real=bottleneck._matching_at):
         bound = _real(*args)
         # The flows are the seeds of the next probe, which updates them.
-        probes.append((args[3], bound, tuple(
-            ({r: dict(row) for r, row in sent.items()}, list(room)) for sent, room in args[6])))
+        probes.append((args[4], bound, tuple(
+            ({r: dict(row) for r, row in sent.items()}, list(room)) for sent, room in args[5])))
         return bound
 
     with pytest.MonkeyPatch.context() as patch:
@@ -269,8 +268,8 @@ def _assert_floors_bound(m, n):
 
     def recorded(*args, _real=bottleneck._matching_at):
         bound = _real(*args)
-        if bound > args[3]:
-            floors.append((args[3], bound))
+        if bound > args[4]:
+            floors.append((args[4], bound))
         return bound
 
     with pytest.MonkeyPatch.context() as patch:

@@ -1,11 +1,13 @@
-"""The eps-decision, the certificate's matching and the certificate check
-read the lattice keys, not a cost table.  They must agree with the table
-decision, the table probe and the per-pair check of ``oracles``, on
-modules with repeated summands and infinite endpoints, and the decision
-and the check must never build a table, even at sizes where one would be
-large."""
+"""The distance search, the eps-decision, the certificate's matching and
+the certificate check read the lattice keys, not a cost table.  They must
+agree with the table probe, the table decision and the per-pair check of
+``oracles``, on modules with repeated summands and infinite endpoints; the
+decision and the check must never run the search's set-up, and the search
+must stay within a memory bound far below that of a table, at sizes where
+one would be large."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -42,6 +44,7 @@ from oracles import (
     reference_verify_certificate,
     run_table,
     table_modules_eps_interleaved,
+    table_probes,
 )
 from strategies import pooled_pairs
 
@@ -152,7 +155,7 @@ def test_certificate_check_equals_per_pair_check(pair):
 
 @pytest.fixture
 def no_cost_table(monkeypatch):
-    """The one table builder, ``bottleneck._cost_tables``, raises."""
+    """The search's per-pair set-up, ``bottleneck._cost_tables``, raises."""
     def refused(*args):
         raise AssertionError("cost table built")
 
@@ -245,3 +248,48 @@ def test_decision_at_integer_eps_equals_erosion_reference():
             if up <= 0:
                 edges.add(("lower", low))
     assert {("upper", 0), ("upper", 1), ("lower", 0), ("lower", 1)} <= edges
+
+
+def _large_pair():
+    """Two modules of 1000 random intervals each on [-500, 500], with
+    denominators up to 16 (seed 7): no summand repeats, and a table of
+    every pair of runs would hold a million entries."""
+    rng = random.Random(7)
+    return tuple(PModule(random_interval(rng, Fraction(-500), Fraction(500), 16)
+                         for _ in range(1000)) for _ in range(2))
+
+
+def test_search_probes_equal_table_probes_at_scale(monkeypatch):
+    """The search's probes, which read their lists, floors and values off
+    the keys, return the bounds of ``oracles.table_matching_at`` probes on
+    the run table at the same tops, each seeded with what the probe before
+    left and on the lists the feasible ones narrowed, as the search ran on
+    its table: the search makes the same probes, (top, bound) for (top,
+    bound), and finds the distance the table search found."""
+    m, n = _large_pair()
+    probes = []
+
+    def recorded(*args, _real=bottleneck._matching_at):
+        bound = _real(*args)
+        probes.append((args[4], bound))
+        return bound
+
+    monkeypatch.setattr(bottleneck, "_matching_at", recorded)
+    assert module_distance(m, n) == ExtRational(Fraction(369, 8))
+    tops = [t for t, _ in probes]
+    assert len(probes) > 5 and probes == list(zip(tops, table_probes(m, n, tops)))
+
+
+def test_search_memory_at_scale():
+    """The distance of 1000 + 1000 random summands, views and keys built on
+    the way, allocates at most 8 MiB at its peak as ``tracemalloc`` traces
+    it.  A table of every pair of runs, with its rows, takes about 20 MiB,
+    so a search that builds one again fails here."""
+    m, n = _large_pair()
+    tracemalloc.start()
+    try:
+        module_distance(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

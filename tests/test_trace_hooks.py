@@ -53,11 +53,11 @@ def _traced_calls(call) -> dict:
 
 
 def test_kernel_hooks_are_reached():
-    """A distance builds the one table and probes it; a probe runs
-    Hopcroft-Karp's phases when a mandatory run stays free after the
+    """A distance runs the search's one per-pair set-up and probes; a probe
+    runs Hopcroft-Karp's phases when a mandatory run stays free after the
     direct targets and swaps, as in the second pair.  A certificate runs the
     same search and reads its matching off the keys, without a further
-    probe; the eps-decision neither builds a table nor probes one, and its
+    probe; the eps-decision neither runs the set-up nor probes, and its
     repair runs the phases on the second pair at eps = 17/8."""
     m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")
     calls = _traced_calls(lambda: bottleneck.module_distance(m, n))
