@@ -26,7 +26,11 @@ finds it by a threshold search in the manner of Gabow and Tarjan: a probe
 at t, ``_matching_at``, returns the one bound it proves, the value of a
 matching when that is at most t, else a Koenig floor above t, and the
 bracket of class indices moves to that bound's class.  No candidate set is
-built, and the distance becomes an ``ExtRational`` once, at the end.
+built, and the distance becomes an ``ExtRational`` once, at the end.  With
+no repeated summand, a probe pays only for the pairs that changed: the
+search's one matching carries each M run's term, the entry of its pair or
+its to-zero entry, and a feasible probe reads the entries of its new pairs
+alone.
 
 Every vertex is a run, an (interval, count) pair of a ``PModule``.  Each
 pair shape has one matcher, called the same way on each side, ``(t, dtz,
@@ -36,11 +40,11 @@ side's state in place (``_sides``).  ``_repair`` repairs a matching when no
 summand repeats; otherwise ``_cover`` runs the side's flow of units
 (``_flow``), in which a mandatory run sends as many units as it has
 copies.  The search's probes, the eps-decision and the certificate's
-matching (``_copy_cover``) all build their lists from the keys: a
-mandatory run's neighbours form an L-infinity box around its key point
-(``_box_query``).  The certificate is the ``_unit_merge`` of one unseeded
-matching per side with one vertex per copy; ``MATCH_CAP`` still counts
-copies.
+matching (``_copy_cover``) all read their lists from a ``_Lists`` on the
+keys: a mandatory run's neighbours form an L-infinity box around its key
+point.  The certificate is the ``_unit_merge`` of one unseeded matching
+per side with one vertex per copy, on the search's own set-up
+(``_cost_tables``); ``MATCH_CAP`` still counts copies.
 """
 
 from __future__ import annotations
@@ -60,9 +64,17 @@ from .pmodule import PModule
 # this many summand copies, both modules together.
 MATCH_CAP = 10_000
 
-# Work budgets on a pair's lattice, fixed like the vertex cap, in B, the
-# bit lengths of both modules' lcms of denominators summed (the bits of
-# S/4): a distance search's neighbour lists cost about B * runs_m * runs_n
+# The lattice cap: B, the bit lengths of both modules' lcms of denominators
+# summed (the bits of S/4), is at most this.  The work budgets below are
+# linear in B, but folding the lcms and building the views cost about B**2.
+# Near the cap, a distance against the zero module takes 0.02 s on 5 runs
+# [1/q, 2) with 13,000-bit q and 0.06 s on 200 runs with 330-bit q; on 50
+# runs with 13,000-bit q it took 2.2 s.  The largest B of the tests and the
+# benchmark's workloads is 14,610.
+BITS_CAP = 2**16
+
+# Work budgets on a pair's lattice, fixed like the vertex cap, in B: a
+# distance search's neighbour lists cost about B * runs_m * runs_n
 # per probe in the worst case, every run within the probe of every other,
 # and the keys, which every entry point builds, about B * (runs_m +
 # runs_n).  Denominators up to 16 (20 bits a side) pass both up to the
@@ -70,12 +82,6 @@ MATCH_CAP = 10_000
 # Cauchy stage 1000 against 999.
 TABLE_BUDGET = 3 * 10**9
 KEYS_BUDGET = 10**8
-
-# An lcm up to this many bits is always folded to the end, so that a refusal
-# states B exactly; past it, M's lcm stops once it alone refuses the pair,
-# and N's once it does with M's bits.  8000 seven-digit primes make about
-# 184,000 bits.
-EXACT_BITS = 2**18
 
 
 class InfiniteDistanceError(ValueError):
@@ -129,26 +135,25 @@ def _ranges(counts) -> list[range]:
 def _admit(m: PModule, n: PModule, table: bool):
     """The pair's one road to its keys, (S, reach, keys_m, keys_n):
     ``interleaving._lattice`` of the two modules' cached views, in run
-    order.  Before either view is built, the pair is refused when, with
-    ``table``, B * runs_m * runs_n exceeds ``TABLE_BUDGET``, checked first,
-    or B * (runs_m + runs_n) ``KEYS_BUDGET``, which every entry point
-    checks, since each builds the keys.  B reads each lcm off
-    ``PModule._lcm``, which stops past ``EXACT_BITS`` once the bits so far
-    refuse the pair: M's alone, then N's added to them; the refusal then
-    states lower bounds."""
+    order.  Before either view is built, the pair is refused when B exceeds
+    ``BITS_CAP``, checked as the lcms fold, then when, with ``table``, B *
+    runs_m * runs_n exceeds ``TABLE_BUDGET``, or B * (runs_m + runs_n)
+    ``KEYS_BUDGET``, which every entry point checks, since each builds the
+    keys.  B reads each lcm off ``PModule._lcm``, which stops once the bits
+    so far pass the cap: M's alone, then N's added to them; the cap's
+    refusal then states a lower bound, and a budget's states B exactly."""
     runs_m, runs_n = len(m._runs), len(n._runs)
+    bits_m = m._lcm(BITS_CAP).bit_length()
+    bits = bits_m + n._lcm(BITS_CAP - bits_m).bit_length()
+    if bits > BITS_CAP:
+        raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of at least {bits} "
+                         f"bits exceed the bit cap {BITS_CAP}")
     checks = ((runs_m * runs_n, TABLE_BUDGET, "table"),) if table else ()
     checks += ((runs_m + runs_n, KEYS_BUDGET, "key"),)
-    limit = min(max(budget // (runs or 1), EXACT_BITS) for runs, budget, _ in checks)
-    bits_m = m._lcm(limit).bit_length()
-    cut = max(limit - bits_m, EXACT_BITS)
-    bits_n = n._lcm(cut).bit_length()
-    bits = bits_m + bits_n
-    least = "at least " if bits_m > limit or bits_n > cut else ""
     for runs, budget, kind in checks:
         if bits * runs > budget:
-            raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {least}{bits} "
-                             f"bits exceed the {kind} budget {budget} ({least}{bits * runs})")
+            raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {bits} bits "
+                             f"exceed the {kind} budget {budget} ({bits * runs})")
     return _lattice(m._lattice_view(), n._lattice_view())
 
 
@@ -184,9 +189,10 @@ def _cost_tables(pair):
     """The search's one per-pair set-up, on the keys of a ``_pair``
     admitted against the table budget: (dtz_m, dtz_n, cols_m, cols_n), each
     side's to-zero entries (``_to_zero``) and key columns (``_columns``),
-    built once per search.  No pairwise table is built: every probe reads
-    the entries it needs off the key columns.  The name stays only because
-    the benchmark's layer tracer hooks it."""
+    built once per distance or certificate, which reads its matching off
+    the same set-up after the search.  No pairwise table is built: every
+    probe reads the entries it needs off the key columns.  The name stays
+    only because the benchmark's layer tracer hooks it."""
     _, _, keys_m, keys_n, _ = pair
     return _to_zero(keys_m), _to_zero(keys_n), _columns(keys_m), _columns(keys_n)
 
@@ -475,15 +481,35 @@ def _cover(t, dtz, lists, counts, sent, room, hall=None) -> bool:
 
 
 class _Lists(dict):
-    """One side's neighbour lists at one threshold, by run, each built by
-    ``build`` when first read and kept for later reads: what every matcher
-    reads its lists from, each a ``_box_query`` on the keys."""
+    """One side's neighbour lists at w, by run, each built when first read
+    and kept for later reads: what every matcher reads its lists from.  The
+    list of run i is the box query at w from this side's key columns
+    ``cols`` to the other side's ``other`` (``_columns``): the runs within w
+    of run i on both keys, in index order, which are run i's neighbours at w
+    only when its to-zero entry exceeds w.  The keys of ``other`` increase,
+    so its runs within w on the lower key are a ``bisect`` window, filtered
+    on the upper key; when the window holds one lower key, as in a
+    staircase, its upper keys increase too, and a second ``bisect`` finds
+    the runs within w on both."""
 
-    def __init__(self, build):
-        self.build = build
+    def __init__(self, cols, other, w):
+        self.cols, self.other, self.w = cols, other, w
 
-    def __missing__(self, run):
-        near = self[run] = self.build(run)
+    def __missing__(self, i):
+        (own_lows, own_ups), (lows, ups), w = self.cols, self.other, self.w
+        low, up = own_lows[i], own_ups[i]
+        a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
+        below, above = up - w, up + w
+        if a < b and lows[a] == lows[b - 1]:
+            near = list(range(bisect_left(ups, below, a, b), bisect_right(ups, above, a, b)))
+        else:
+            # An index loop: slicing and enumerating a short window costs
+            # about three times as much.
+            near = []
+            for j in range(a, b):
+                if below <= ups[j] <= above:
+                    near.append(j)
+        self[i] = near
         return near
 
 
@@ -618,11 +644,11 @@ def _floor(hall, lists, dtz, cols, other) -> int:
 
 
 def _unseeded(counts, size_m: int, size_n: int):
-    """A probe's empty ``seeds`` on a pair of ``size_m`` and ``size_n`` runs
-    (``_matching_at``): the empty matching (mate_m, mate_n) when no run
-    repeats (``counts`` None), else each side's empty flow and the room
-    the other side's copy counts leave, ((sent_m, room_n), (sent_n,
-    room_m))."""
+    """A matcher's empty start on a pair of ``size_m`` and ``size_n`` runs
+    (``_sides``): the empty matching (mate_m, mate_n) when no run repeats
+    (``counts`` None), to which the search adds the terms of its probes'
+    seeds (``_matching_at``), else each side's empty flow and the room the
+    other side's copy counts leave, ((sent_m, room_n), (sent_n, room_m))."""
     if counts is None:
         return [-1] * size_m, [-1] * size_n
     return ({}, list(counts[1])), ({}, list(counts[0]))
@@ -654,41 +680,48 @@ def _matching_at(dtz_m, dtz_n, cols_m, cols_n, t, seeds, counts) -> int:
     own side; a matching of that value exists (for flows, their
     Mendelsohn-Dulmage merge, ``copy_merge`` of ``tests/oracles.py``).
 
-    ``seeds`` is updated in place.  With no repeated run it is a matching,
-    such as the last feasible probe's; the probe repairs a copy of it
-    without its pairs above t and writes it back when feasible.  Otherwise
+    ``seeds`` is updated in place.  With no repeated run it is a matching
+    (mate_m, mate_n), such as the last feasible probe's, with the term of
+    each M run: the entry of its pair, or its to-zero entry when it is
+    unmatched.  The probe repairs a copy of the matching without the pairs
+    whose term exceeds t; when feasible, it writes the matching back and
+    reads the entries of its new pairs alone, so that the value is the
+    largest term and to-zero entry of an unmatched N run.  Otherwise
     ``_cover`` updates each side's flow and room, feasible or not.  A
     seeded probe decides as an unseeded one, but its bound can differ.
 
-    Each side's lists are ``_box_query``s at t, in index order: a run's
-    box is its exact neighbour list whenever its to-zero entry exceeds t,
-    and the matchers read no other run's list."""
+    Each side's lists are ``_Lists`` at t, in index order: a run's list is
+    its exact neighbour list whenever its to-zero entry exceeds t, and the
+    matchers read no other run's list."""
     work = seeds
     if counts is None:
-        work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
-        kept = [(i, j) for i, j in enumerate(mate_m) if j != -1]
-        for (i, j), entry in zip(kept, _entries(kept, dtz_m, dtz_n, cols_m, cols_n)):
-            if entry > t:
+        mate_m, mate_n, term = seeds
+        work = mate_m, mate_n = list(mate_m), list(mate_n)
+        for i, j in enumerate(mate_m):
+            if j != -1 and term[i] > t:
                 mate_m[i] = mate_n[j] = -1
     match, side_m, side_n = _sides(dtz_m, dtz_n, work, counts)
     hall = []
-    lists_m = _Lists(_box_query(cols_m, cols_n, t))
+    lists_m = _Lists(cols_m, cols_n, t)
     if not match(t, dtz_m, lists_m, *side_m, hall):
         return _floor(hall, lists_m, dtz_m, cols_m, cols_n)
-    lists_n = _Lists(_box_query(cols_n, cols_m, t))
+    lists_n = _Lists(cols_n, cols_m, t)
     if not match(t, dtz_n, lists_n, *side_n, hall):
         return _floor(hall, lists_n, dtz_n, cols_n, cols_m)
     if counts is None:
+        moved = [(i, j) for i, (j, old) in enumerate(zip(mate_m, seeds[0])) if j != old]
+        for i, _ in moved:
+            term[i] = dtz_m[i]
+        new = [(i, j) for i, j in moved if j != -1]
+        for (i, _), entry in zip(new, _entries(new, dtz_m, dtz_n, cols_m, cols_n)):
+            term[i] = entry
         seeds[0][:], seeds[1][:] = mate_m, mate_n
-        used = [(i, j) for i, j in enumerate(mate_m) if j != -1]
-        free = [*(v for v, j in zip(dtz_m, mate_m) if j == -1),
-                *(v for v, i in zip(dtz_n, mate_n) if i == -1)]
-    else:
-        (sent_m, _), (sent_n, _) = seeds
-        used = [*((i, j) for i, row in sent_m.items() for j in row),
-                *((i, j) for j, row in sent_n.items() for i in row)]
-        free = [*(v for i, v in enumerate(dtz_m) if i not in sent_m),
-                *(v for j, v in enumerate(dtz_n) if j not in sent_n)]
+        return max([0, *term, *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
+    (sent_m, _), (sent_n, _) = seeds
+    used = [*((i, j) for i, row in sent_m.items() for j in row),
+            *((i, j) for j, row in sent_n.items() for i in row)]
+    free = [*(v for i, v in enumerate(dtz_m) if i not in sent_m),
+            *(v for j, v in enumerate(dtz_n) if j not in sent_n)]
     return max([0, *_entries(used, dtz_m, dtz_n, cols_m, cols_n), *free])
 
 
@@ -711,28 +744,6 @@ def _unit_merge(side_m, side_n) -> dict[int, int]:
     return chosen
 
 
-def _box_query(cols, other, w):
-    """The box query at w from the runs of one side, of key columns
-    ``cols``, to those of the other, of key columns ``other``
-    (``_columns``): a function from a run i to the runs within w of run i
-    on both keys, in index order.  These are run i's neighbours at w only
-    when its to-zero entry exceeds w.  The keys of ``other`` increase, so
-    its runs within w on the lower key are a ``bisect`` window, filtered
-    on the upper key; when the window holds one lower key, as in a
-    staircase, its upper keys increase too, and a second ``bisect`` finds
-    the runs within w on both."""
-    lows, ups = other
-
-    def box(i) -> list[int]:
-        low, up = cols[0][i], cols[1][i]
-        a, b = bisect_left(lows, low - w), bisect_right(lows, low + w)
-        below, above = up - w, up + w
-        if a < b and lows[a] == lows[b - 1]:
-            return list(range(bisect_left(ups, below, a, b), bisect_right(ups, above, a, b)))
-        return [j for j, u in enumerate(ups[a:b], a) if below <= u <= above]
-    return box
-
-
 def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     """Decision at a specific eps >= 0, decoration-sensitive: is there a
     matching whose pairs are all eps-interleaved and whose leftovers are
@@ -740,26 +751,27 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     ``_bound(eps, S, reach)`` is exactly an eps-interleaved pair, as in
     ``are_eps_interleaved``.  No table: for a run whose to-zero entry
     exceeds w, an entry is <= w exactly when both key gaps are, so its
-    neighbours are a ``_box_query``, and no matcher reads another run's
-    list.  The pair shape's matcher (``_sides``) runs from the empty start
-    on M's side and then on N's, and fails only when no matching covers
-    both sides' mandatory runs.  The vertex cap and ``KEYS_BUDGET`` are
-    checked before eps, which only ``_bound`` reads."""
+    neighbours are its box in ``_Lists``, and no matcher reads another
+    run's list.  The pair shape's matcher (``_sides``) runs from the empty
+    start on M's side and then on N's, and fails only when no matching
+    covers both sides' mandatory runs.  The vertex cap, ``BITS_CAP`` and
+    ``KEYS_BUDGET`` are checked before eps, which only ``_bound`` reads."""
     scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
     dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
     cols_m, cols_n = _columns(keys_m), _columns(keys_n)
     match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(keys_m), len(keys_n)),
                                    counts)
-    return (match(w, dtz_m, _Lists(_box_query(cols_m, cols_n, w)), *side_m) and
-            match(w, dtz_n, _Lists(_box_query(cols_n, cols_m, w)), *side_n))
+    return (match(w, dtz_m, _Lists(cols_m, cols_n, w), *side_m) and
+            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n))
 
 
-def _search(pair):
-    """Binary search, on the keys of the admitted ``pair``, for the least
-    class index k whose top 4k + 1 a probe passes; feasibility is monotone
-    in k.  No candidate set is built: every class below lo fails, class hi
-    passes, and hi = reach + 1 stands for +inf.  hi starts one class above
+def _search(pair, tables):
+    """Binary search, on the admitted ``pair`` and its ``_cost_tables``
+    ``tables``, for the least class index k whose top 4k + 1 a probe
+    passes; feasibility is monotone in k.  No candidate set is built: every
+    class below lo fails, class hi passes, and hi = reach + 1 stands for
+    +inf.  hi starts one class above
     the largest to-zero entry's, where the empty matching passes, or at
     reach + 1 when a to-zero entry exceeds 4*reach + 1.  Each probe is the
     middle class of [lo, hi), or after two passing probes in a row, when lo
@@ -768,11 +780,15 @@ def _search(pair):
     number of probes.  A probe at t returns the bound b it proves
     (``_matching_at``), and the bracket moves to b's class k = (b + 2) >> 2,
     the first whose top reaches b: lo = k when b > t, else hi = k.
+    With no repeated run, the probes' seeds carry the term of each M run,
+    which starts as its to-zero entry, since the matching starts empty.
     Returns (distance, the answer's top), or (+inf, None) when no finite
     threshold is feasible."""
     scale, reach, _, _, counts = pair
-    tables = dtz_m, dtz_n, _, _ = _cost_tables(pair)
+    dtz_m, dtz_n, _, _ = tables
     seeds = _unseeded(counts, len(dtz_m), len(dtz_n))
+    if counts is None:
+        seeds += (list(dtz_m),)
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
     # Feasible probes in a row: after two, the answer may lie many bits
     # below, and the probe bisects the bit lengths of lo and hi.
@@ -794,7 +810,8 @@ def _search(pair):
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
     """Exact interleaving (= bottleneck) distance between two modules."""
-    return _search(_pair(m, n, True))[0]
+    pair = _pair(m, n, True)
+    return _search(pair, _cost_tables(pair))[0]
 
 
 def _copy_cover(t, dtz, lists, n_right, ranges):
@@ -820,20 +837,18 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     """A matching certificate whose threshold is the exact module distance:
     the ``_unit_merge`` of both sides' ``_copy_cover`` matchings at the
     answer's top, one unseeded Hopcroft-Karp run per side on whole rows and
-    columns of copies, their lists ``_box_query``s on the keys of the one
-    ``_pair`` that the search ran on."""
+    columns of copies, their ``_Lists`` read off the one ``_cost_tables``
+    that the search ran on."""
     pair = _pair(m, n, True)
-    d, top = _search(pair)
+    tables = dtz_m, dtz_n, cols_m, cols_n = _cost_tables(pair)
+    d, top = _search(pair, tables)
     if top is None:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
-    _, _, keys_m, keys_n, counts = pair
-    cols_m, cols_n = _columns(keys_m), _columns(keys_n)
+    counts = pair[4]
     ranges = None if counts is None else (_ranges(counts[0]), _ranges(counts[1]))
     matching = _unit_merge(
-        _copy_cover(top, _to_zero(keys_m), _Lists(_box_query(cols_m, cols_n, top)), len(n),
-                    ranges),
-        _copy_cover(top, _to_zero(keys_n), _Lists(_box_query(cols_n, cols_m, top)), len(m),
-                    ranges and ranges[::-1]))
+        _copy_cover(top, dtz_m, _Lists(cols_m, cols_n, top), len(n), ranges),
+        _copy_cover(top, dtz_n, _Lists(cols_n, cols_m, top), len(m), ranges and ranges[::-1]))
     matched_n = set(matching.values())
     return MatchingCertificate(
         threshold=d,
@@ -850,8 +865,8 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     lattice checks each distinct pair of runs and each unmatched run once:
     its distance is <= t iff its entry is <= ``_bound(t, S, reach) | 1``.
     More than ``MATCH_CAP`` runs, which no distance certificate covers, and
-    a pair over ``KEYS_BUDGET`` (``_admit``) are refused before any view is
-    built."""
+    a pair over ``BITS_CAP`` or ``KEYS_BUDGET`` (``_admit``) are refused
+    before any view is built."""
     used_m = sorted([*cert.unmatched_m, *(i for i, _ in cert.pairs)])
     used_n = sorted([*cert.unmatched_n, *(j for _, j in cert.pairs)])
     t = cert.threshold

@@ -103,7 +103,7 @@ MUTANTS = (
            "bisect_right(ups, above, a, b)", "bisect_left(ups, above, a, b)", False,
            "the box of one lower key leaves out an upper-key gap of exactly w above"),
     Mutant("boxes-upper-lt", BN,
-           "if below <= u <= above]", "if below <= u < above]", False,
+           "if below <= ups[j] <= above:", "if below <= ups[j] < above:", False,
            "the box leaves out an upper-key gap of exactly w above"),
     Mutant("bound-odd-top", IL,
            "4 * -(-num // (2 * den)) - 3", "4 * -(-num // (2 * den)) - 1", False,
@@ -164,8 +164,11 @@ MUTANTS = (
            "the flow's users follow the seed's insertion order, not the run order"),
     # The repair of the search's one matching when no run repeats.
     Mutant("repair-keeps-pairs-above-t", BN,
-           "            if entry > t:\n", "            if False:\n", False,
-           "a probe keeps the seed's pairs whose entry exceeds t"),
+           "if j != -1 and term[i] > t:", "if False:", False,
+           "a probe keeps the seed's pairs whose term exceeds t"),
+    Mutant("prune-term-ge", BN,
+           "if j != -1 and term[i] > t:", "if j != -1 and term[i] >= t:", False,
+           "a probe also drops the seed's pairs whose term is t"),
     Mutant("repair-target-lt", BN,
            "pair_r = [-1 if i == -1 or dtz[i] <= t else i for i in other]",
            "pair_r = [-1 if i == -1 or dtz[i] < t else i for i in other]", False,
@@ -206,15 +209,22 @@ MUTANTS = (
            "*(v for i, v in enumerate(dtz_m) if i not in sent_m)", "*()", False,
            "the jump bound leaves out the M runs sent_m does not cover"),
     Mutant("jump-drops-side-n-edges", BN,
-           ",\n                *((i, j) for j, row in sent_n.items() for i in row)]", "]", False,
+           ",\n            *((i, j) for j, row in sent_n.items() for i in row)]", "]", False,
            "the jump bound leaves out the edge costs of sent_n"),
     Mutant("value-drops-free-n-runs", BN,
-           ",\n                *(v for v, i in zip(dtz_n, mate_n) if i == -1)]", "]", False,
+           "*term, *(v for v, i in zip(dtz_n, mate_n) if i == -1)]", "*term]", False,
            "a repaired matching's value leaves out the N runs it leaves unmatched"),
     Mutant("value-takes-to-zero", BN,
            "*_entries(used, dtz_m, dtz_n, cols_m, cols_n)", "*(dtz_m[i] for i, _ in used)",
-           False, "a feasible probe's value takes each matched M run's to-zero entry, "
-           "not its edge's entry"),
+           False, "a feasible probe on repeated runs takes each used edge's M run's to-zero "
+           "entry, not the edge's entry"),
+    Mutant("term-takes-to-zero", BN,
+           "zip(new, _entries(new, dtz_m, dtz_n, cols_m, cols_n))",
+           "zip(new, (dtz_m[i] for i, _ in new))", False,
+           "a run's new pair gives it its to-zero entry as its term, not the pair's entry"),
+    Mutant("term-stale-when-unmatched", BN,
+           "        for i, _ in moved:\n            term[i] = dtz_m[i]\n", "", False,
+           "a run whose pair a feasible probe drops keeps that pair's entry as its term"),
     Mutant("probe-keeps-old-seeds", BN,
            "        seeds[0][:], seeds[1][:] = mate_m, mate_n\n", "", False,
            "a feasible probe returns its matching's value but leaves its old seeds"),
@@ -251,17 +261,21 @@ MUTANTS = (
            "the probe is always the middle class, one probe per lattice bit on a descent"),
     # The eps-decision's matcher from the empty start, either pair shape.
     Mutant("decision-matches-m-only", BN,
-           " and\n            match(w, dtz_n, _Lists(_box_query(cols_n, cols_m, w)), *side_n))",
+           " and\n            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n))",
            ")", False,
            "the decision matches only M's side"),
-    # The work budgets that ``_admit`` checks before any view is built.
+    # The bit cap and work budgets that ``_admit`` checks before any view is
+    # built.
     Mutant("distance-skips-key-check", BN,
            'checks += ((runs_m + runs_n, KEYS_BUDGET, "key"),)',
            'checks += () if table else ((runs_m + runs_n, KEYS_BUDGET, "key"),)', False,
            "the distance and the certificate check only the table budget"),
     Mutant("joint-cut-ignores-m-bits", BN,
-           "cut = max(limit - bits_m, EXACT_BITS)", "cut = limit", False,
-           "N's lcm folds to the whole limit, whatever M's bits"),
+           "n._lcm(BITS_CAP - bits_m)", "n._lcm(BITS_CAP)", False,
+           "N's lcm folds to the whole bit cap, whatever M's bits"),
+    Mutant("bit-cap-ge", BN,
+           "if bits > BITS_CAP:", "if bits >= BITS_CAP:", False,
+           "the bit cap refuses a lattice of exactly its bits"),
 )
 
 

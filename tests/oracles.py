@@ -516,6 +516,30 @@ def table_floor(hall, lists, dtz, costs, columns: bool) -> int:
     return min(chain(map(dtz.__getitem__, hall), (costs[i][j] for i in rows for j in take)))
 
 
+class LazyLists(dict):
+    """Neighbour lists by run, each built by ``build`` when first read and
+    kept for later reads, as the matchers read a ``bottleneck._Lists``."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, run):
+        near = self[run] = self.build(run)
+        return near
+
+
+def seed_terms(mate_m, costs, dtz_m) -> list[int]:
+    """The term of each M run of a matching, as the search's unit seeds
+    carry it: the cost of its pair, or its to-zero cost when unmatched."""
+    return [v if j == -1 else costs[i][j] for i, (v, j) in enumerate(zip(dtz_m, mate_m))]
+
+
+def unit_seeds(mate_m, mate_n, costs, dtz_m):
+    """The seeds of a probe on runs with no repeated summand from the
+    matching (mate_m, mate_n): the matching and its ``seed_terms``."""
+    return mate_m, mate_n, seed_terms(mate_m, costs, dtz_m)
+
+
 def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
     """The search's probe at t as it ran on a table of every pair of runs,
     the reference that ``bottleneck._matching_at`` must match bound for
@@ -524,8 +548,10 @@ def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> 
     index order, the columns that can still be row i's neighbours at t, and
     ``near_n[j]`` the rows of column j; a feasible probe narrows each list
     it read to its neighbours at t, and every later probe of the search
-    lies below t.  Returns the floor (``table_floor``) of the first side
-    that fails, else the value of what the probe leaves in ``seeds``."""
+    lies below t.  Unit seeds (``unit_seeds``) are pruned on the table, not
+    on their terms, and a feasible probe recomputes every term.  Returns
+    the floor (``table_floor``) of the first side that fails, else the
+    value of what the probe leaves in ``seeds``."""
     work = seeds
     if counts is None:
         work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
@@ -533,10 +559,10 @@ def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> 
             mate_m[i] = mate_n[j] = -1
     match, side_m, side_n = bottleneck._sides(dtz_m, dtz_n, work, counts)
     hall = []
-    lists_m = bottleneck._Lists(lambda i: [j for j in near_m[i] if costs[i][j] <= t])
+    lists_m = LazyLists(lambda i: [j for j in near_m[i] if costs[i][j] <= t])
     if not match(t, dtz_m, lists_m, *side_m, hall):
         return table_floor(hall, lists_m, dtz_m, costs, False)
-    lists_n = bottleneck._Lists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
+    lists_n = LazyLists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
     if not match(t, dtz_n, lists_n, *side_n, hall):
         return table_floor(hall, lists_n, dtz_n, costs, True)
     for near, lists in ((near_m, lists_m), (near_n, lists_n)):
@@ -544,9 +570,8 @@ def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> 
             near[run] = within
     if counts is None:
         seeds[0][:], seeds[1][:] = mate_m, mate_n
-        return max([0, *(v if j == -1 else costs[i][j]
-                         for i, (v, j) in enumerate(zip(dtz_m, mate_m))),
-                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
+        seeds[2][:] = seed_terms(mate_m, costs, dtz_m)
+        return max([0, *seeds[2], *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
     (sent_m, _), (sent_n, _) = seeds
     return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
                 *(costs[i][j] for j, row in sent_n.items() for i in row),
@@ -563,6 +588,8 @@ def table_probes(m: PModule, n: PModule, tops):
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
     seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
+    if counts is None:
+        seeds = unit_seeds(*seeds, costs, dtz_m)
     return [table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
             for t in tops]
 

@@ -40,7 +40,9 @@ from oracles import (
     reference_search,
     run_keys,
     run_table,
+    seed_terms,
     table_matching_at,
+    unit_seeds,
 )
 from strategies import modules, pooled_pairs
 
@@ -416,14 +418,14 @@ def test_saturating_matching_against_bruteforce(seed):
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
         found = full_probe(costs, dtz_m, dtz_n, t)
         assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
-        unseeded = [-1] * n_m, [-1] * n_n
+        unseeded = [-1] * n_m, [-1] * n_n, list(dtz_m)
         bound = _matching_at(*tables, t, unseeded, None)
         _assert_probe(bound, unseeded, costs, dtz_m, dtz_n, t)
         if found is None:
             assert bound == _seeded_probe(tables, costs, t, unseeded)
-            assert unseeded == ([-1] * n_m, [-1] * n_n)
+            assert unseeded == ([-1] * n_m, [-1] * n_n, dtz_m)
             continue
-        mate_m, mate_n = unseeded
+        mate_m, mate_n, _ = unseeded
         tie_edges += sum(costs[i][j] == t for i, j in enumerate(mate_m) if j != -1)
         tie_deletions += sum(v == t for v, j in zip(dtz_m, mate_m) if j == -1)
         tie_deletions += sum(v == t for v, i in zip(dtz_n, mate_n) if i == -1)
@@ -454,10 +456,10 @@ def _columns(*points):
 
 
 def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
-    """``found`` = (mate_m, mate_n) is a matching with partners on both
-    sides, -1 for none, that uses only pairs of cost <= t and covers every
-    summand of to-zero cost > t on both sides."""
-    mate_m, mate_n = found
+    """``found`` = (mate_m, mate_n, term) holds a matching with partners on
+    both sides, -1 for none, that uses only pairs of cost <= t and covers
+    every summand of to-zero cost > t on both sides."""
+    mate_m, mate_n, _ = found
     assert len(mate_m) == len(dtz_m) and len(mate_n) == len(dtz_n)
     assert all(mate_n[j] == i for i, j in enumerate(mate_m) if j != -1)
     assert all(mate_m[i] == j for j, i in enumerate(mate_n) if i != -1)
@@ -480,9 +482,10 @@ def _seed_value(seeds, costs, dtz_m, dtz_n, counts) -> int:
     pairs' costs and of the to-zero costs of the runs it leaves unmatched;
     else of the two sides' flows (side_m, side_n), the largest of every
     edge cost in either and of the to-zero cost of every run that its
-    side's flow does not cover."""
+    side's flow does not cover.  The terms that unit seeds carry are not
+    read."""
     if counts is None:
-        mate_m, mate_n = seeds
+        mate_m, mate_n, _ = seeds
         return max([0, *(costs[i][j] for i, j in enumerate(mate_m) if j != -1),
                     *(v for v, j in zip(dtz_m, mate_m) if j == -1),
                     *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
@@ -498,9 +501,13 @@ def _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts=None):
     left ``seeds``: ``bound`` is an int, at most t exactly when the full
     probe at t succeeds.  Above t it is a floor (``_assert_floor``).  At or
     below t it is the ``_seed_value`` of the seeds, and they hold
-    (``_assert_flow_at``) a matching or flows at t.  The rooms of flows on
-    repeated runs add up either way (``_assert_room``)."""
+    (``_assert_flow_at``) a matching or flows at t.  Either way, the rooms
+    of flows on repeated runs add up (``_assert_room``), and with no
+    repeated run the terms the seeds carry are those of their matching,
+    recomputed from the table (``oracles.seed_terms``)."""
     assert isinstance(bound, int) and not isinstance(bound, bool), bound
+    if counts is None:
+        assert seeds[2] == seed_terms(seeds[0], costs, dtz_m), (seeds, t)
     feasible = full_probe(costs, dtz_m, dtz_n, t, copies=counts) is not None
     assert (bound <= t) == feasible, (bound, t)
     if not feasible:
@@ -588,10 +595,10 @@ def test_seeded_probe_keeps_only_live_partners(seed):
         costs, tables, _ = _random_table(rng, n_m, n_n, rng.randint(0, 6))
         dtz_m, dtz_n = tables[:2]
         ts = sorted({0, *dtz_m, *dtz_n, *(c for row in costs for c in row)})
-        chained = [-1] * n_m, [-1] * n_n
+        chained = unit_seeds([-1] * n_m, [-1] * n_n, costs, dtz_m)
         for t in ts + ts[::-1]:
             full = full_probe(costs, dtz_m, dtz_n, t)
-            seeds = _random_matching(rng, n_m, n_n)
+            seeds = unit_seeds(*_random_matching(rng, n_m, n_n), costs, dtz_m)
             kept = tuple(map(list, seeds))
             for start in (seeds, chained):
                 bound = _seeded_probe(tables, costs, t, start)
@@ -617,7 +624,7 @@ def test_seeded_probes_on_small_modules(seed):
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
         for t in tops + tops[::-1]:
-            seeds = _random_matching(rng, len(dtz_m), len(dtz_n))
+            seeds = unit_seeds(*_random_matching(rng, len(dtz_m), len(dtz_n)), costs, dtz_m)
             bound = _seeded_probe(tables, costs, t, seeds)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t)
 
@@ -626,13 +633,15 @@ def test_stale_partners_are_dropped():
     # Row 0 must be matched (to-zero cost 4); its old partner, column 0,
     # now costs 3 > t = 1, and so does row 1's, column 1, which must be
     # matched too (to-zero cost 2).  Column 1 is row 0's only neighbour.
-    # The repaired matching has the value 1.
+    # The repaired matching has the value 1, and row 1, now unmatched, has
+    # the term 0, its to-zero cost.
     tables = [4, 0], [0, 2], _columns((1, 0), (5, 5)), _columns((-2, 0), (0, 0))
     costs = column_table(*tables)
     assert costs == [[3, 1], [0, 2]]
-    seeds = ([0, 1], [0, 1])
+    seeds = unit_seeds([0, 1], [0, 1], costs, tables[0])
+    assert seeds[2] == [3, 2]
     assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([1, -1], [-1, 0])
+    assert seeds == ([1, -1], [-1, 0], [1, 0])
 
 
 def test_phases_let_a_deletable_partner_go():
@@ -645,10 +654,10 @@ def test_phases_let_a_deletable_partner_go():
               _columns(*((k, k) for k in (1, 3, 5))))
     costs = column_table(*tables)
     assert costs == [[1, 3, 5], [1, 1, 3], [3, 1, 1], [1, 1, 1]]
-    seeds = ([-1, 0, 1, 2], [1, 2, 3])
+    seeds = unit_seeds([-1, 0, 1, 2], [1, 2, 3], costs, dtz_m)
     assert full_probe(costs, dtz_m, dtz_n, 1) is not None
     assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([0, 1, 2, -1], [0, 1, 2])
+    assert seeds == ([0, 1, 2, -1], [0, 1, 2], [1, 1, 1, 1])
 
 
 def test_a_side_with_no_runs():
@@ -666,10 +675,10 @@ def test_a_side_with_no_runs():
     # N's run has no neighbour: the probe fails at once, and the floor is
     # its to-zero entry.  At that entry the run may be deleted, and the
     # empty matching's value is the same entry.
-    assert _seeded_probe(tables, costs, dtz_n[0] - 1, ([], [-1])) == dtz_n[0]
-    seeds = ([], [-1])
+    assert _seeded_probe(tables, costs, dtz_n[0] - 1, ([], [-1], [])) == dtz_n[0]
+    seeds = ([], [-1], [])
     assert _seeded_probe(tables, costs, dtz_n[0], seeds) == dtz_n[0]
-    assert seeds == ([], [-1])
+    assert seeds == ([], [-1], [])
 
 
 def test_unit_decision_repairs_the_empty_matching(monkeypatch):
@@ -839,16 +848,16 @@ def test_upper_jump_beats_plain_bisection(monkeypatch):
 def test_infeasible_probe_leaves_its_seeds():
     # Row 0 must be matched (to-zero cost 3) and meets no column at t = 0,
     # so the floor is the least of 3 and its row, 1, and the seeds stay as
-    # they were; at t = 1 it meets column 0.  The matching found there has
-    # the value 1 too.
+    # they were, terms included; at t = 1 it meets column 0.  The matching
+    # found there has the value 1 too, row 0's new term.
     tables = [3, 0], [0, 0], _columns((0, 0), (9, 9)), _columns((1, 1), (4, 4))
     costs = column_table(*tables)
     assert costs == [[1, 3], [0, 0]]
-    seeds = [-1, -1], [-1, -1]
+    seeds = [-1, -1], [-1, -1], [3, 0]
     assert _seeded_probe(tables, costs, 0, seeds) == 1
-    assert seeds == ([-1, -1], [-1, -1])
+    assert seeds == ([-1, -1], [-1, -1], [3, 0])
     assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([0, -1], [0, -1])
+    assert seeds == ([0, -1], [0, -1], [1, 0])
 
 
 @given(pooled_pairs(max_count=4), st.randoms(use_true_random=False))
@@ -869,6 +878,8 @@ def test_probe_returns_the_bound_it_proves(pair, rng):
     for tables, costs, counts, ts in cases:
         dtz_m, dtz_n = tables[:2]
         seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
+        if counts is None:
+            seeds = unit_seeds(*seeds, costs, dtz_m)
         for t in [*ts, *reversed(ts)]:
             bound = _seeded_probe(tables, costs, t, seeds, counts)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)

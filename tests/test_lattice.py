@@ -102,7 +102,7 @@ def test_key_floor_equals_table_floor(pair, rng):
         for dtz, cols, other, table, columns in sides:
             if not dtz:
                 continue
-            lists = bottleneck._Lists(bottleneck._box_query(cols, other, t))
+            lists = bottleneck._Lists(cols, other, t)
             hall = rng.sample(range(len(dtz)), rng.randint(1, len(dtz)))
             assert bottleneck._floor(hall, lists, dtz, cols, other) == (
                 table_floor(hall, lists, dtz, table, columns)), (t, hall, columns)
@@ -113,7 +113,7 @@ def test_key_floor_equals_table_floor(pair, rng):
 def test_run_keys_strictly_increase(pair):
     """Runs come in canonical order, and on the one lattice of both modules,
     which every eps shares, their (lower, upper) keys strictly increase:
-    ``_box_query`` bisects the lower keys of a side as they come."""
+    ``_Lists`` bisects the lower keys of a side as they come."""
     runs_m, runs_n = map(_run_summands, pair)
     _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n))
     for keys in (keys_m, keys_n):

@@ -244,9 +244,10 @@ class TestBudgets:
             assert "table budget" in err
 
     def test_decision_and_check_refused_above_the_key_budget(self):
-        """2000 + 2000 prime summands: about 80,000 bits times 4000 runs."""
-        m, n = prime_pair(2000)
-        cert = MatchingCertificate(ExtRational(1), (), tuple(range(2000)), tuple(range(2000)))
+        """1400 + 1400 prime summands: about 56,000 bits, under the bit
+        cap, times 2800 runs."""
+        m, n = prime_pair(1400)
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(1400)), tuple(range(1400)))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="exceed the key budget 100000000"):
             modules_eps_interleaved(m, n, 1)
@@ -256,62 +257,99 @@ class TestBudgets:
         assert m._view is None and n._view is None
 
     def test_key_budget_refuses_before_any_view(self, monkeypatch):
-        """8000 runs [0, 1/p), 7-digit primes p, against the zero module:
-        about 160,000 bits times 8000 runs.  The decision, the check of a
-        certificate that leaves every copy unmatched, the distance and the
-        certificate, whose table of 8000 * 0 entries the table budget
-        passes, are refused on the lcms alone, before either module builds
-        its view."""
-        m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 8000))
+        """3000 runs [0, 1/p), 7-digit primes p, against the zero module:
+        about 60,000 bits, under the bit cap, times 3000 runs.  The
+        decision, the check of a certificate that leaves every copy
+        unmatched, the distance and the certificate, whose table of 3000 * 0
+        entries the table budget passes, are refused on the lcms alone,
+        before either module builds its view."""
+        m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 3000))
         zero = PModule.zero()
-        cert = MatchingCertificate(ExtRational(1), (), tuple(range(8000)), ())
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(3000)), ())
         monkeypatch.setattr(PModule, "_lattice_view", stop)
         for call in (lambda: modules_eps_interleaved(m, zero, 1),
                      lambda: verify_certificate(m, zero, cert),
                      lambda: module_distance(m, zero),
                      lambda: distance_certificate(m, zero)):
-            with pytest.raises(ValueError, match=r"^8000\+0 distinct summands on a lattice of "
+            with pytest.raises(ValueError, match=r"^3000\+0 distinct summands on a lattice of "
                                                  r"\d+ bits exceed the key budget 100000000 "):
                 call()
         assert m._view is None and zero._view is None
 
-    def test_second_lcm_stops_at_the_budget_left(self, monkeypatch):
-        """Runs [1/q, 2) with odd random 13,000-bit q, padded with integer
-        runs to 125 a side, so that the key budget allows 400,000 bits.  M's
-        30 denominators, about 390,000 bits, fold in full; N's then stop
-        just past ``EXACT_BITS`` (262,144), though N alone is under the
-        limit, and the decision and the check are refused on lower bounds in
-        under a second each.  With 15 denominators a side, under
-        ``EXACT_BITS``, both fold in full and the refusal is exact."""
+    def test_second_lcm_stops_at_the_cap_left(self, monkeypatch):
+        """Runs [1/q, 2) with odd random 13,000-bit q: with 3 in M and 10 in
+        N, M's lcm folds in full, about 39,000 bits, and N's stops once it
+        passes the 26,500 bits that M's leave under ``BITS_CAP``, though N's
+        alone would pass the cap only later; the decision and the check are
+        refused in under a second each, on a lower bound less than one
+        denominator past the cap.  With 2 a side, both fold in full and the
+        pair reaches its views."""
         rng = random.Random(31)
 
-        def side(huge, pad):
-            return PModule([*(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
-                              for _ in range(huge)),
-                            *(interval(k, k + 1) for k in range(3, 3 + pad))])
+        def side(huge):
+            return PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                           for _ in range(huge))
 
         monkeypatch.setattr(PModule, "_lattice_view", stop)
-        for huge, pad, least in ((30, 95, "at least "), (15, 151, "")):
-            m, n = side(huge, pad), side(huge, pad)
-            runs = len(m._runs) + len(n._runs)
-            cert = MatchingCertificate(ExtRational(1), (), tuple(range(len(m))),
-                                       tuple(range(len(n))))
-            for call in (lambda: modules_eps_interleaved(m, n, 1),
-                         lambda: verify_certificate(m, n, cert)):
-                start = time.perf_counter()
-                with pytest.raises(ValueError) as refusal:
+        m, n = side(3), side(10)
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(3)), tuple(range(10)))
+        for call in (lambda: modules_eps_interleaved(m, n, 1),
+                     lambda: verify_certificate(m, n, cert)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as refusal:
+                call()
+            assert time.perf_counter() - start < 1
+            bits = int(str(refusal.value).split(" bits ")[0].split()[-1])
+            assert str(refusal.value) == (
+                f"3+10 distinct summands on a lattice of at least {bits} bits exceed the bit cap "
+                f"{bottleneck.BITS_CAP}")
+            assert bottleneck.BITS_CAP < bits < bottleneck.BITS_CAP + 13_000
+        m, n = side(2), side(2)
+        cert = MatchingCertificate(ExtRational(1), (), tuple(range(2)), tuple(range(2)))
+        for call in (lambda: modules_eps_interleaved(m, n, 1),
+                     lambda: verify_certificate(m, n, cert)):
+            with pytest.raises(Reached):
+                call()
+
+    def test_bit_cap_refuses_before_the_quadratic_fold(self, monkeypatch):
+        """50 runs [1/q, 2) with odd random 13,000-bit q, about 650,000
+        bits, against the zero module: inside both work budgets, but
+        folding the lcm and building the view take about 2 s.  The
+        distance, the decision and the check each refuse the pair in under
+        half a second, before the module builds its view."""
+        rng = random.Random(7)
+        m = PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                    for _ in range(50))
+        zero = PModule.zero()
+        cert = MatchingCertificate(ExtRational(2), (), tuple(range(50)), ())
+        monkeypatch.setattr(PModule, "_lattice_view", stop)
+        for call in (lambda: module_distance(m, zero),
+                     lambda: modules_eps_interleaved(m, zero, 1),
+                     lambda: verify_certificate(m, zero, cert)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^50\+0 distinct summands on a lattice of at "
+                                                 r"least \d+ bits exceed the bit cap 65536$"):
+                call()
+            assert time.perf_counter() - start < 0.5
+
+    def test_bit_cap_is_inclusive(self, monkeypatch):
+        """One run [1/q, 2) against the zero module, whose lcm 1 has 1 bit:
+        B = ``BITS_CAP`` reaches the lattice, B = ``BITS_CAP`` + 1 does
+        not, for the distance, the decision and the check."""
+        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        zero = PModule.zero()
+        cert = MatchingCertificate(ExtRational(2), (), (0,), ())
+        for bits, error in ((bottleneck.BITS_CAP, Reached), (bottleneck.BITS_CAP + 1, ValueError)):
+            m = PModule([interval(Fraction(1, 2 ** (bits - 2) + 1), 2)])
+            for call in (lambda: module_distance(m, zero),
+                         lambda: modules_eps_interleaved(m, zero, 1),
+                         lambda: verify_certificate(m, zero, cert)):
+                with pytest.raises(error):
                     call()
-                assert time.perf_counter() - start < 1
-                bits = int(str(refusal.value).split(" bits ")[0].split()[-1])
-                assert str(refusal.value) == (
-                    f"{len(m._runs)}+{len(n._runs)} distinct summands on a lattice of {least}"
-                    f"{bits} bits exceed the key budget 100000000 ({least}{bits * runs})")
-            exact = m._lcm().bit_length() + n._lcm().bit_length()
-            assert (bits < exact) if least else (bits == exact)
 
     def test_huge_coprime_denominators_refused_before_their_lcm(self, capsys, tmp_path):
         """A module of 200 runs [1/q, 2) with odd random 13,000-bit q against
-        itself: the lcm of one side passes the budgets' bits after a few
+        itself: the lcm of one side passes the bit cap after a few
         denominators, and folding all of them would take seconds.  Each
         entry point refuses the pair in under a second, on lower bounds,
         before either module builds its view, and ``dist`` exits 2 with one
@@ -320,12 +358,12 @@ class TestBudgets:
         m = PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
                     for _ in range(200))
         cert = MatchingCertificate(ExtRational(1), tuple((i, i) for i in range(200)), (), ())
-        for call, kind in ((lambda: module_distance(m, m), "table"),
-                           (lambda: modules_eps_interleaved(m, m, 1), "key"),
-                           (lambda: verify_certificate(m, m, cert), "key")):
+        for call in (lambda: module_distance(m, m),
+                     lambda: modules_eps_interleaved(m, m, 1),
+                     lambda: verify_certificate(m, m, cert)):
             start = time.perf_counter()
             with pytest.raises(ValueError, match=r"^200\+200 distinct summands on a lattice of "
-                                                 rf"at least \d+ bits exceed the {kind} budget "):
+                                                 r"at least \d+ bits exceed the bit cap 65536$"):
                 call()
             assert time.perf_counter() - start < 1
         assert m._view is None
@@ -334,7 +372,7 @@ class TestBudgets:
         assert cli_main(["dist", str(path), str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "table budget" in err
+        assert "bit cap" in err
 
     def test_check_refuses_runs_over_the_vertex_cap_fast(self):
         """20,000 runs [0, 1/p), 7-digit primes p, against the zero module:

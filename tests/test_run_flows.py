@@ -31,6 +31,7 @@ from oracles import (
     run_keys,
     run_table,
     table_modules_eps_interleaved,
+    unit_seeds,
 )
 from strategies import lattice_modules, pooled_pairs
 from test_bottleneck import _assert_probe, _assert_room, _seed_value, _seeded_probe
@@ -144,6 +145,8 @@ def test_seeded_probes_decide_as_unseeded():
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
         seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
+        if counts is None:
+            seeds = unit_seeds(*seeds, costs, dtz_m)
         for t in rng.choices(tops, k=8):
             bound = _seeded_probe(tables, costs, t, seeds, counts)
             _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)
