@@ -142,7 +142,7 @@ def _admit(m: PModule, n: PModule, table: bool):
     keys.  B reads each lcm off ``PModule._lcm``, which stops once the bits
     so far pass the cap: M's alone, then N's added to them; the cap's
     refusal then states a lower bound, and a budget's states B exactly."""
-    runs_m, runs_n = len(m._runs), len(n._runs)
+    runs_m, runs_n = len(m._ints), len(n._ints)
     bits_m = m._lcm(BITS_CAP).bit_length()
     bits = bits_m + n._lcm(BITS_CAP - bits_m).bit_length()
     if bits > BITS_CAP:
@@ -167,8 +167,8 @@ def _pair(m: PModule, n: PModule, table: bool):
         raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
                          f"cap {MATCH_CAP}")
     counts = None
-    if size_m != len(m._runs) or size_n != len(n._runs):
-        counts = [k for _, k in m._runs], [k for _, k in n._runs]
+    if size_m != len(m._ints) or size_n != len(n._ints):
+        counts = [k for _, k in m._ints], [k for _, k in n._ints]
     return (*_admit(m, n, table), counts)
 
 
@@ -874,12 +874,12 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
         return False
     if not t.is_finite:
         return True
-    if len(m._runs) + len(n._runs) > MATCH_CAP:
-        raise ValueError(f"certificate on {len(m._runs)}+{len(n._runs)} distinct summands "
+    if len(m._ints) + len(n._ints) > MATCH_CAP:
+        raise ValueError(f"certificate on {len(m._ints)}+{len(n._ints)} distinct summands "
                          f"exceeds the vertex cap {MATCH_CAP}")
     scale, reach, keys_m, keys_n = _admit(m, n, False)
     top = _bound(t.as_fraction, scale, reach) | 1
-    key_m, key_n = ([key for key, (_, k) in zip(keys, x._runs) for _ in range(k)]
+    key_m, key_n = ([key for key, (_, k) in zip(keys, x._ints) for _ in range(k)]
                     for keys, x in ((keys_m, m), (keys_n, n)))
     pairs = {(key_m[i], key_n[j]) for i, j in cert.pairs}
     pairs.update((key_m[i], None) for i in cert.unmatched_m)

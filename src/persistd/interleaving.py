@@ -19,13 +19,15 @@ decision is one comparison of the entry with eps's bound, and the
 distance is the entry's class.  This module holds only that per-pair
 lattice code; the module-level table is ``bottleneck._cost_tables``.
 
-The keys start from a ``_view`` of each summand sequence: its own lcm and
-its keys at its own scale, read from the endpoint fractions once.  A
-``PModule`` keeps the view of its runs, so the kernel reads each module's
-fractions once however many distances and decisions it takes part in;
-``_lattice`` only rescales the keys of each side to the pair's scale, and
-not at all when that is the side's own and it has no infinite endpoint,
-whatever eps (``_bound``).  A pair of intervals gets one throwaway view.
+The keys start from a ``_view`` of each sequence of runs: its own lcm and
+its keys at its own scale, read once from the ints the runs hold
+(``intervals._ends``).  A ``PModule`` keeps the view of its runs, so the
+kernel reads each module's runs once however many distances and decisions
+it takes part in, and never builds an ``Interval`` or a ``Fraction`` of
+them; ``_lattice`` only rescales the keys of each side to the pair's
+scale, and not at all when that is the side's own and it has no infinite
+endpoint, whatever eps (``_bound``).  A pair of intervals gets one
+throwaway view of their ints.
 """
 
 from __future__ import annotations
@@ -33,19 +35,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .intervals import EMPTY, ExtRational, Interval, POS_INF, Rational, _as_fraction
+from .intervals import EMPTY, ExtRational, Interval, POS_INF, Rational, _as_fraction, _ends
 
 
-def _view(summands) -> tuple:
-    """The integer view of a summand sequence at its own scale S0 =
-    4*lcm(its finite denominators): (that lcm, reach, whether an endpoint
-    is infinite, each summand's (lower key, upper key) as ``_lattice`` keys
-    the sequence alone, and the numerator and denominator of every
-    endpoint value, flat, in the same order, 0 and 1 for an infinity).
-    Every |key| of a finite endpoint is at most 2*reach + 1, and every
-    infinite one is larger."""
-    ends = [(x.sign, *x.value.as_integer_ratio())
-            for s in summands for x in (s.lo.value, s.hi.value)]
+def _view(runs) -> tuple:
+    """The integer view of a sequence of ``intervals._ends`` tuples at its
+    own scale S0 = 4*lcm(their finite denominators): (that lcm, reach,
+    whether an endpoint is infinite, each run's (lower key, upper key) as
+    ``_lattice`` keys the sequence alone, and the numerator and denominator
+    of every endpoint value, flat, in the same order, 0 and 1 for an
+    infinity).  Every |key| of a finite endpoint is at most 2*reach + 1,
+    and every infinite one is larger."""
+    ends = [p for e in runs for p in (e[:3], e[4:7])]
     dens = [den for sign, _, den in ends if not sign]
     lcm = math.lcm(*set(dens))
     points = [num * (4 * lcm // den) for _, num, den in ends]
@@ -55,8 +56,9 @@ def _view(summands) -> tuple:
     if infinite:
         big = 8 * reach + 2
         points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
-    keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
-            for s, lo, hi in zip(summands, points[::2], points[1::2])]
+    # e[3] is 1 for an open lower endpoint, e[7] 1 for a closed upper one.
+    keys = [(2 * lo + e[3], 2 * hi - 1 + e[7])
+            for e, lo, hi in zip(runs, points[::2], points[1::2])]
     return lcm, reach, infinite, keys, [r for _, num, den in ends for r in (num, den)]
 
 
@@ -139,8 +141,8 @@ def _key_entry(a, b) -> int:
 
 def _entry(i: Interval, j: Interval):
     """The one table entry of the pair, as (entry, S, reach), read on one
-    throwaway view of both intervals' summands."""
-    ms, ns = (() if i.is_empty else (i,)), (() if j.is_empty else (j,))
+    throwaway view of both intervals' ints."""
+    ms, ns = (() if i.is_empty else (_ends(i),)), (() if j.is_empty else (_ends(j),))
     lcm, reach, _, keys, _ = _view((*ms, *ns))
     r = _key_entry(keys[0] if ms else None, keys[-1] if ns else None)
     return r, 4 * lcm, reach

@@ -16,6 +16,7 @@ Infinite endpoints are always open: intervals are subsets of the real line.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
@@ -122,9 +123,10 @@ class ExtRational:
             try:
                 if match is None:
                     raise ValueError(value)
-                sign, val = _point(*match.groups())._key()
+                sign, num, den = _point(*match.groups())
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"not an extended rational: {value!r}") from None
+            val = Fraction(num, den)
         else:
             sign, val = 0, _as_fraction(value)
         object.__setattr__(self, "sign", sign)
@@ -451,12 +453,17 @@ def residuals(j: Interval, i: Interval) -> tuple[Interval, Interval]:
 _INTERVAL_TEXT = re.compile(rf"\s*([\[(]){_POINT},{_POINT}([\])])\s*")
 
 
-def _point(num: str | None, den: str | None, inf: str | None) -> ExtRational:
-    """The value of one ``_POINT`` match.  A zero denominator raises
+def _point(num: str | None, den: str | None, inf: str | None) -> tuple[int, int, int]:
+    """The (sign, numerator, denominator) of one ``_POINT`` match, reduced;
+    an infinity is (-1 or 1, 0, 1).  A zero denominator raises
     ``ZeroDivisionError``, and digits past int's text limit ``ValueError``."""
     if inf:
-        return NEG_INF if inf == "-inf" else POS_INF
-    return _ext(0, Fraction(int(num), int(den)) if den else Fraction(int(num)))
+        return -1 if inf == "-inf" else 1, 0, 1
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise ZeroDivisionError(num)
+    g = math.gcd(num, den)
+    return 0, num // g, den // g
 
 
 def _refusal(text: str) -> IntervalParseError:
@@ -478,24 +485,17 @@ def _refusal(text: str) -> IntervalParseError:
                               "expected p/q, an integer, inf or -inf")
 
 
-def parse_interval(text: str, points: dict | None = None) -> Interval:
-    """Parse the interval text form: ``[lo,hi)``, ``(lo,hi]``, ``[lo,hi]``,
-    ``(lo,hi)``, ``[r,r]`` or ``empty``, with rational endpoints written as
-    ``p/q`` or integers and the infinities as ``-inf``/``inf``.
-
-    Rejects text whose lower endpoint exceeds the upper one, and closed
-    infinite endpoints; an equal-value pair that is not closed on both
-    sides parses to the empty interval.  A ``points`` dict, shared across
-    calls, gives every endpoint written the same way one value object.
-    """
+def _parse_ends(text: str, points: dict) -> tuple | None:
+    """The ``_ends`` of interval text, None for the empty interval: the one
+    grammar path of ``parse_interval`` and ``parse_module``.  ``points``,
+    shared across calls, keeps each endpoint text's reduced ints."""
     match = _INTERVAL_TEXT.fullmatch(text)
     if match is None:
         if text.strip() == "empty":
-            return EMPTY
+            return None
         raise _refusal(text)
-    if points is None:
-        points = {}
-    lo_key, hi_key = match.group(2, 3, 4), match.group(5, 6, 7)
+    groups = match.groups()
+    lo_key, hi_key = groups[1:4], groups[4:7]
     try:
         lo = points.get(lo_key)
         if lo is None:
@@ -505,22 +505,56 @@ def parse_interval(text: str, points: dict | None = None) -> Interval:
             hi = points[hi_key] = _point(*hi_key)
     except (ValueError, ZeroDivisionError):
         raise _refusal(text) from None
-    lo_closed, hi_closed = match[1] == "[", match[8] == "]"
-    if lo_closed and lo.sign:
+    (lo_sign, lo_num, lo_den), (hi_sign, hi_num, hi_den) = lo, hi
+    lo_closed, hi_closed = groups[0] == "[", groups[7] == "]"
+    if lo_closed and lo_sign:
         raise MalformedIntervalError(f"closed infinite lower endpoint in interval {text!r}")
-    if hi_closed and hi.sign:
+    if hi_closed and hi_sign:
         raise MalformedIntervalError(f"closed infinite upper endpoint in interval {text!r}")
-    above = _above(lo, hi)
+    above = lo_sign - hi_sign if lo_sign or hi_sign else lo_num * hi_den - hi_num * lo_den
     if above > 0:
         raise IntervalParseError(f"lower endpoint exceeds upper endpoint in interval {text!r}")
     if above == 0 and not (lo_closed and hi_closed):
-        return EMPTY
-    return _interval(_endpoint(lo, lo_closed), _endpoint(hi, hi_closed))
+        return None
+    return (*lo, not lo_closed, *hi, hi_closed)
+
+
+def parse_interval(text: str) -> Interval:
+    """Parse the interval text form: ``[lo,hi)``, ``(lo,hi]``, ``[lo,hi]``,
+    ``(lo,hi)``, ``[r,r]`` or ``empty``, with rational endpoints written as
+    ``p/q`` or integers and the infinities as ``-inf``/``inf``.
+
+    Rejects text whose lower endpoint exceeds the upper one, and closed
+    infinite endpoints; an equal-value pair that is not closed on both
+    sides parses to the empty interval.
+    """
+    ends = _parse_ends(text, {})
+    return EMPTY if ends is None else _interval_of(ends)
+
+
+def _ends(s: Interval) -> tuple:
+    """The int form of a nonempty interval, (sign, numerator, denominator,
+    open) of the lower endpoint and (sign, numerator, denominator, closed)
+    of the upper one: each value reduced, an infinity's 0/1, and each
+    decoration ordered as in ``lower_key`` and ``upper_key``."""
+    lo, hi = s.lo, s.hi
+    return (lo.value.sign, *lo.value.value.as_integer_ratio(), not lo.closed,
+            hi.value.sign, *hi.value.value.as_integer_ratio(), hi.closed)
+
+
+def _interval_of(ends: tuple) -> Interval:
+    """The interval of an ``_ends`` tuple."""
+    lo_sign, lo_num, lo_den, lo_open, hi_sign, hi_num, hi_den, hi_closed = ends
+    return _interval(_endpoint(_ext(lo_sign, Fraction(lo_num, lo_den)), not lo_open),
+                     _endpoint(_ext(hi_sign, Fraction(hi_num, hi_den)), hi_closed))
 
 
 def format_interval(i: Interval) -> str:
-    if i.is_empty:
-        return "empty"
-    left = "[" if i.lo.closed else "("
-    right = "]" if i.hi.closed else ")"
-    return f"{left}{i.lo.value},{i.hi.value}{right}"
+    return "empty" if i.is_empty else _format_ends(_ends(i))
+
+
+def _format_ends(e: tuple) -> str:
+    """The text form of the interval of an ``_ends`` tuple."""
+    lo, hi = (("-inf" if sign < 0 else "inf") if sign else f"{num}/{den}" if den != 1 else str(num)
+              for sign, num, den in (e[:3], e[4:7]))
+    return f"{'(' if e[3] else '['}{lo},{hi}{']' if e[7] else ')'}"

@@ -1,8 +1,12 @@
 """Finitely interval-decomposable persistence modules.
 
 A module is a finite multiset of nonempty decorated intervals, stored as
-(interval, count) runs in a canonical order, so that equality of values is
-isomorphism of modules.  Values are immutable; operations return new ones.
+(ends, count) runs in a canonical order, so that equality of values is
+isomorphism of modules: ``ends`` holds each endpoint's sign, reduced
+numerator and denominator and decoration as ints (``intervals._ends``).
+``parse_module`` fills the runs straight from the text, and the distance
+kernel reads only these ints; ``Interval`` objects are built, once, when
+something reads them.  Values are immutable; operations return new ones.
 
 JSON format::
 
@@ -15,18 +19,19 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import interleaving
 from .intervals import (
-    Endpoint,
     ExtRational,
     Interval,
     Rational,
     _as_fraction,
+    _ends,
+    _format_ends,
+    _interval_of,
+    _parse_ends,
     interval,
-    make_interval,
     parse_interval,
 )
 
@@ -42,41 +47,60 @@ def _check_copies(total: int) -> None:
         raise ValueError(f"a module holds at most {_MAX_COPIES} summand copies, got {total}")
 
 
-def _run_key(s: Interval) -> tuple:
-    """``s.canonical_key()`` of a nonempty ``s``, flat and led by ints: per
-    endpoint its sign, the floor of its value times 2**64, the value and
-    its decoration.  So only values that agree to 64 binary places compare
-    as Fractions, and none does when both keys hold the same value object,
-    as ``parse_module`` arranges for endpoints written the same way; the
-    order and the equality are those of ``canonical_key``."""
-    lo, hi = s.lo, s.hi
-    a, b = lo.value, hi.value
-    x, y = a.value, b.value
-    return (a.sign, (x.numerator << 64) // x.denominator, x, 0 if lo.closed else 1,
-            b.sign, (y.numerator << 64) // y.denominator, y, 1 if hi.closed else 0)
+def _floor_key(e: tuple) -> tuple:
+    """The sort key of a run's ends (``intervals._ends``) when no
+    denominator passes 32 bits: per endpoint its sign, floor(v * 2**64) and
+    its decoration.  Distinct values of denominators under 2**32 differ by
+    more than 2**-64, so their floors differ."""
+    return e[0], (e[1] << 64) // e[2], e[3], e[4], (e[5] << 64) // e[6], e[7]
 
 
-def _canonical_runs(pairs) -> tuple[tuple[tuple[Interval, int], ...], int]:
-    """(summand, count) pairs checked, sorted by ``_run_key``, equal
-    summands merged, and their total count; more than ``_MAX_COPIES``
-    copies in all are refused."""
-    keyed = []
-    total = 0
-    for s, k in pairs:
-        if not isinstance(s, Interval):
-            raise TypeError(f"summands must be Interval values, got {s!r}")
-        if s.lo is None:
-            raise ValueError("the empty interval cannot be a summand")
-        keyed.append((_run_key(s), s, k))
-        total += k
+def _sort_key(ends):
+    """An exact int sort key of the runs of ``ends``, in ``canonical_key``
+    order: ``_floor_key``, with floor(v * 4**L) after each (sign, floor)
+    that a value of denominator past 32 bits holds, L the bits of the
+    longest denominator.  Distinct values of denominators under 2**L differ
+    by more than 4**-L, and only values that share a floor with a long
+    denominator pay for the long shift."""
+    crowded = set()
+    for e in ends:
+        if e[2] >> 32 or e[6] >> 32:
+            k = _floor_key(e)
+            crowded.update(at for at, den in ((k[:2], e[2]), (k[3:5], e[6])) if den >> 32)
+    if not crowded:
+        return _floor_key
+    shift = 2 * max(d for e in ends for d in (e[2], e[6])).bit_length()
+
+    def fine(at, num, den):
+        return (num << shift) // den if at in crowded else 0
+
+    def key(e):
+        k = _floor_key(e)
+        return (*k[:2], fine(k[:2], e[1], e[2]), *k[2:5], fine(k[3:5], e[5], e[6]), k[5])
+
+    return key
+
+
+def _summand_ends(s) -> tuple:
+    """The ``intervals._ends`` of a summand, which must be a nonempty
+    ``Interval``."""
+    if not isinstance(s, Interval):
+        raise TypeError(f"summands must be Interval values, got {s!r}")
+    if s.lo is None:
+        raise ValueError("the empty interval cannot be a summand")
+    return _ends(s)
+
+
+def _canonical(runs) -> tuple[tuple, int]:
+    """(ends, count) pairs of ``intervals._ends`` tuples with equal ends
+    merged, sorted in ``Interval.canonical_key`` order, and their total
+    count; more than ``_MAX_COPIES`` copies in all are refused."""
+    counts = {}
+    for e, k in runs:
+        counts[e] = counts.get(e, 0) + k
+    total = sum(counts.values())
     _check_copies(total)
-    runs = []
-    for key, s, k in sorted(keyed, key=itemgetter(0)):
-        if runs and key == runs[-1][0]:
-            runs[-1][2] += k
-        else:
-            runs.append([key, s, k])
-    return tuple((s, k) for _, s, k in runs), total
+    return tuple((e, counts[e]) for e in sorted(counts, key=_sort_key(counts))), total
 
 
 class ModuleFormatError(ValueError):
@@ -99,50 +123,67 @@ class ClassMembership(NamedTuple):
 
 class PModule:
     """A persistence module: a direct sum of interval modules, kept as one
-    run (interval, count) per distinct summand.  Every operation works on
-    the runs; only ``summands`` expands them, for the matcher.  ``_len``
-    is the number of copies, and ``_view`` caches the runs' integer view
-    for the distance kernel (see ``_lattice_view``)."""
+    run (ends, count) per distinct summand, its ``intervals._ends`` ints.
+    ``_runs`` projects the runs to (Interval, count) pairs when something
+    reads them, and ``summands`` expands those, for the matcher.  ``_len``
+    is the number of copies, and ``_view`` caches the runs' integer view for
+    the distance kernel (see ``_lattice_view``)."""
 
-    __slots__ = ("_runs", "_len", "_view")
+    __slots__ = ("_ints", "_len", "_view", "_objs")
 
     def __init__(self, summands: Iterable[Interval] = ()):
-        self._set_runs(zip(summands, repeat(1)))
+        self._set(zip(map(_summand_ends, summands), repeat(1)))
 
     @classmethod
     def _of_runs(cls, runs) -> "PModule":
         """The module of (summand, count) pairs with positive counts."""
+        return cls._of_ints((_summand_ends(s), k) for s, k in runs)
+
+    @classmethod
+    def _of_ints(cls, runs) -> "PModule":
+        """The module of (ends, count) pairs with positive counts."""
         out = object.__new__(cls)
-        out._set_runs(runs)
+        out._set(runs)
         return out
 
-    def _set_runs(self, pairs) -> None:
-        runs, total = _canonical_runs(pairs)
-        object.__setattr__(self, "_runs", runs)
+    def _set(self, runs) -> None:
+        runs, total = _canonical(runs)
+        object.__setattr__(self, "_ints", runs)
         object.__setattr__(self, "_len", total)
         object.__setattr__(self, "_view", None)
+        object.__setattr__(self, "_objs", None)
+
+    @property
+    def _runs(self) -> tuple[tuple[Interval, int], ...]:
+        """The runs as (Interval, count) pairs, projected on first read and
+        kept in ``_objs``."""
+        runs = self._objs
+        if runs is None:
+            runs = tuple((_interval_of(e), k) for e, k in self._ints)
+            object.__setattr__(self, "_objs", runs)
+        return runs
 
     def _lattice_view(self) -> tuple:
-        """``interleaving._view`` of the runs' summands, built on first use
-        and kept.  It is derived from ``_runs``, so equality, hashing, copies
+        """``interleaving._view`` of the runs' ends, built on first use and
+        kept.  It is derived from ``_ints``, so equality, hashing, copies
         and pickles ignore it."""
         view = self._view
         if view is None:
-            view = interleaving._view([s for s, _ in self._runs])
+            view = interleaving._view([e for e, _ in self._ints])
             object.__setattr__(self, "_view", view)
         return view
 
     def _lcm(self, limit: int | None = None) -> int:
-        """The lcm of the runs' finite denominators, ``_lattice_view()[0]``:
-        the cached view's, else read off the runs without building a view.
-        An infinity holds the value 0, of denominator 1.  With ``limit``, the
+        """The lcm of the runs' denominators, ``_lattice_view()[0]``: the
+        cached view's, else read off the runs without building a view.  An
+        infinity holds the value 0, of denominator 1.  With ``limit``, the
         fold stops as soon as it passes ``limit`` bits, and returns a divisor
         of the lcm that is longer: the cost of the fold grows with the
         square of the lcm's bits."""
         if self._view is not None:
             return self._view[0]
         lcm = 1
-        for den in {x.value.denominator for s, _ in self._runs for x in (s.lo.value, s.hi.value)}:
+        for den in {e[i] for e, _ in self._ints for i in (2, 6)}:
             lcm = math.lcm(lcm, den)
             if limit is not None and lcm.bit_length() > limit:
                 break
@@ -152,7 +193,7 @@ class PModule:
         raise AttributeError("PModule is immutable")
 
     def __reduce__(self):
-        return (PModule._of_runs, (self._runs,))
+        return (PModule._of_ints, (self._ints,))
 
     @classmethod
     def zero(cls) -> "PModule":
@@ -170,7 +211,7 @@ class PModule:
 
     @property
     def is_zero(self) -> bool:
-        return not self._runs
+        return not self._ints
 
     def __len__(self) -> int:
         return self._len
@@ -181,10 +222,10 @@ class PModule:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PModule):
             return NotImplemented
-        return self._runs == other._runs
+        return self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._runs)
+        return hash(self._ints)
 
     def __str__(self) -> str:
         return " + ".join(map(str, self.summands)) or "0"
@@ -194,7 +235,7 @@ class PModule:
 
     def direct_sum(self, other: "PModule") -> "PModule":
         """Multiset union of the summands."""
-        return PModule._of_runs(self._runs + other._runs)
+        return PModule._of_ints(self._ints + other._ints)
 
     def dimension_at(self, x: Rational | ExtRational) -> int:
         """Dimension of the fiber at x: how many summands contain x."""
@@ -235,7 +276,8 @@ class PModule:
     def radical(self) -> "PModule":
         """Submodule generated by images of strictly earlier structure maps:
         drops singleton summands and opens closed finite lower endpoints."""
-        return self._map(lambda s: make_interval(Endpoint(s.lo.value, False), s.hi))
+        return PModule._of_ints(((*e[:3], True, *e[4:]), k)
+                                for e, k in self._ints if e[:3] != e[4:7])
 
     def persistent_submodule(self, p: Rational) -> "PModule":
         """Pointwise image of the structure map from p earlier: each summand
@@ -272,7 +314,8 @@ class PModule:
         return self._map(stage)
 
     def to_json_obj(self) -> dict:
-        return {"summands": [{"interval": str(s), "multiplicity": k} for s, k in self._runs]}
+        return {"summands": [{"interval": _format_ends(e), "multiplicity": k}
+                             for e, k in self._ints]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -286,7 +329,7 @@ class PModule:
             raise ModuleFormatError('"summands" must be a list')
         runs = []
         total = 0
-        points = {}  # one value per distinct endpoint text
+        points = {}  # the ints of each distinct endpoint text
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or "interval" not in entry:
                 raise ModuleFormatError(
@@ -300,8 +343,8 @@ class PModule:
             text = entry["interval"]
             if not isinstance(text, str):
                 raise ModuleFormatError(f"summand #{pos} interval must be a string")
-            parsed = parse_interval(text, points)
-            if parsed.is_empty:
+            ends = _parse_ends(text, points)
+            if ends is None:
                 raise ModuleFormatError(f"summand #{pos} is empty: {text!r}")
             total += mult
             if total > _MAX_COPIES:
@@ -309,8 +352,8 @@ class PModule:
                     f"summand #{pos} brings the module to {total} copies, "
                     f"more than the limit {_MAX_COPIES}"
                 )
-            runs.append((parsed, mult))
-        return cls._of_runs(runs)
+            runs.append((ends, mult))
+        return cls._of_ints(runs)
 
 
 def parse_module(data: str | bytes) -> PModule:

@@ -1,7 +1,9 @@
 """Mutation runner for the distance kernel.
 
-Each mutant is one named source edit to ``src/persistd/bottleneck.py`` or
-``src/persistd/interleaving.py``.  The runner copies ``src/`` and ``tests/``
+Each mutant is one named source edit to the distance kernel,
+``src/persistd/bottleneck.py`` and ``src/persistd/interleaving.py``, or to
+the parser's int runs, ``src/persistd/intervals.py`` and
+``src/persistd/pmodule.py``.  The runner copies ``src/`` and ``tests/``
 of this checkout to a temporary directory, applies the edit there, and
 runs the kernel test files on the copy with ``pytest -x`` and a time
 limit.  A mutant is
@@ -51,6 +53,7 @@ KERNEL_TESTS = (
     "test_pmodule_copies.py",
     "test_golden_certificates.py",
     "test_module_views.py",
+    "test_parse_order.py",
 )
 
 # Seconds one mutant's test run may take; an unmutated run takes about 40.
@@ -71,7 +74,7 @@ class Mutant(NamedTuple):
     note: str
 
 
-BN, IL = "bottleneck.py", "interleaving.py"
+BN, IL, IV, PM = "bottleneck.py", "interleaving.py", "intervals.py", "pmodule.py"
 
 MUTANTS = (
     # The hand-written mutants of the ROADMAP re-anchor, on the code that
@@ -276,6 +279,22 @@ MUTANTS = (
     Mutant("bit-cap-ge", BN,
            "if bits > BITS_CAP:", "if bits >= BITS_CAP:", False,
            "the bit cap refuses a lattice of exactly its bits"),
+    # The parser's int runs and their canonical order.
+    Mutant("parse-skips-gcd", IV,
+           "return 0, num // g, den // g", "return 0, num, den", False,
+           "parsed endpoints keep their unreduced numerator and denominator"),
+    Mutant("key-lower-decoration-flipped", PM,
+           "return e[0], (e[1] << 64) // e[2], e[3],", "return e[0], (e[1] << 64) // e[2], 1 - e[3],",
+           False, "the run key puts an open lower endpoint before a closed one"),
+    Mutant("equal-runs-not-merged", PM,
+           "counts[e] = counts.get(e, 0) + k", "counts[e] = k", False,
+           "equal runs are not summed: the last one's count replaces the others'"),
+    Mutant("key-precision-halved", PM,
+           "shift = 2 * max(", "shift = max(", False,
+           "a value of a long denominator is keyed to L binary places, not 2L"),
+    Mutant("crowded-lower-only", PM,
+           "((k[:2], e[2]), (k[3:5], e[6]))", "((k[:2], e[2]),)", False,
+           "an upper endpoint of a long denominator does not refine the key of its floor"),
 )
 
 

@@ -18,6 +18,7 @@ from persistd import (
 from persistd import bottleneck, interleaving
 from persistd.cli import cli_main
 from persistd.interleaving import _bound, _lattice
+from persistd.intervals import _ends
 
 from oracles import (
     reference_are_eps_interleaved,
@@ -79,7 +80,7 @@ def test_interval_decisions_at_every_case():
     intervals = [EMPTY, *map(parse_interval, POOL)]
     for i in intervals:
         for j in intervals:
-            lcm, reach = interleaving._view([s for s in (i, j) if not s.is_empty])[:2]
+            lcm, reach = interleaving._view([_ends(s) for s in (i, j) if not s.is_empty])[:2]
             for eps in EPSS:
                 seen.add(case(eps, 4 * lcm, reach))
                 assert are_eps_interleaved(i, j, eps) == reference_are_eps_interleaved(i, j, eps), (

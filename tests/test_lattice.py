@@ -20,6 +20,7 @@ from persistd import (
 )
 from persistd import bottleneck
 from persistd.interleaving import _bound, _key_entry, _lattice, _view
+from persistd.intervals import _ends
 
 from oracles import (
     candidate_values,
@@ -53,7 +54,7 @@ def test_lattice_keys_equal_reference(m, n, eps):
     ``_bound`` admits exactly the pairs and summands that the reference
     lattice at eps, which takes eps's denominator into S, admits."""
     ms, ns = m.summands, n.summands
-    scale, reach, keys_m, keys_n = _lattice(_view(ms), _view(ns))
+    scale, reach, keys_m, keys_n = _lattice(*(_view(list(map(_ends, x))) for x in (ms, ns)))
     assert reference_lattice(ms, ns, 0) == (scale, reach, 0, keys_m, keys_n)
     _, _, w, ref_m, ref_n = reference_lattice(ms, ns, eps)
     bound = _bound(eps, scale, reach)
@@ -114,8 +115,8 @@ def test_run_keys_strictly_increase(pair):
     """Runs come in canonical order, and on the one lattice of both modules,
     which every eps shares, their (lower, upper) keys strictly increase:
     ``_Lists`` bisects the lower keys of a side as they come."""
-    runs_m, runs_n = map(_run_summands, pair)
-    _, _, keys_m, keys_n = _lattice(_view(runs_m), _view(runs_n))
+    ends_m, ends_n = ([e for e, _ in x._ints] for x in pair)
+    _, _, keys_m, keys_n = _lattice(_view(ends_m), _view(ends_n))
     for keys in (keys_m, keys_n):
         assert all(a < b for a, b in zip(keys, keys[1:])), keys
 

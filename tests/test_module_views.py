@@ -29,7 +29,7 @@ from persistd import (
     parse_module,
     verify_certificate,
 )
-from persistd import bottleneck, interleaving
+from persistd import bottleneck, interleaving, pmodule
 from persistd.cli import cli_main
 from persistd.interleaving import _lattice
 
@@ -131,15 +131,15 @@ def test_one_view_per_module(monkeypatch):
     built = []
     real = interleaving._view
 
-    def counted(summands):
-        built.append(summands)
-        return real(summands)
+    def counted(ends):
+        built.append(ends)
+        return real(ends)
 
     monkeypatch.setattr(interleaving, "_view", counted)
     m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
     for _ in range(3):
         kernel_calls(m, n)
-    assert [list(b) for b in built] == [list(runs(m)), list(runs(n))]
+    assert built == [[e for e, _ in m._ints], [e for e, _ in n._ints]]
     assert m._view is m._lattice_view() and n._view is n._lattice_view()
 
 
@@ -189,9 +189,37 @@ def test_repeat_calls_read_no_fraction(monkeypatch):
     assert not modules_eps_interleaved(m, n, d.as_fraction - Fraction(1, 7))
     assert verify_certificate(m, n, cert)
     assert reads == []
-    # The patch is live: a module without a view reads its fractions.
-    module_distance(PModule.of(*PAIR[0]), n)
+    # A module builds its view from its ints: a parsed module's first
+    # distance reads no fraction either.  The patch is live: building a
+    # module from Interval values reads theirs.
+    assert module_distance(parse_module(m.to_json()), n) == d
+    assert reads == []
+    PModule.of(*PAIR[0])
     assert reads
+
+
+def test_kernel_builds_no_interval_projection(monkeypatch):
+    """Parsed modules take part in distances, certificates, their checks
+    and decisions, and give their radical and JSON, without building their
+    ``Interval`` projection; reading ``summands`` and ``str`` then builds
+    it once, one interval per run."""
+    m, n = (parse_module(PModule.of(*texts).to_json()) for texts in PAIR)
+    kernel_calls(m, n)
+    for x in (m, n):
+        assert parse_module(x.radical().to_json()) == x.radical()
+    assert m._objs is None and n._objs is None
+    built = []
+    real = pmodule._interval_of
+
+    def counted(ends):
+        built.append(ends)
+        return real(ends)
+
+    monkeypatch.setattr(pmodule, "_interval_of", counted)
+    for read in (lambda x: x.summands, str, PModule.radical, PModule.to_json):
+        for x in (m, n):
+            read(x)
+    assert built == [e for x in (m, n) for e, _ in x._ints]
 
 
 def primes_from(start: int, count: int) -> list[int]:
@@ -210,6 +238,11 @@ def prime_pair(k: int):
     assert len(set(ps)) == 2 * k and all(10**6 < p < 10**7 for p in ps)
     return tuple(PModule(interval(0, Fraction(1, p)) for p in half)
                  for half in (ps[:k], ps[k:]))
+
+
+def parsed(summands) -> PModule:
+    """The module of ``summands`` as ``parse_module`` builds it from JSON."""
+    return parse_module(PModule(summands).to_json())
 
 
 class Reached(Exception):
@@ -256,14 +289,14 @@ class TestBudgets:
         assert time.perf_counter() - start < 1
         assert m._view is None and n._view is None
 
-    def test_key_budget_refuses_before_any_view(self, monkeypatch):
+    def test_key_budget_refuses_before_any_view(self, monkeypatch, build=PModule):
         """3000 runs [0, 1/p), 7-digit primes p, against the zero module:
         about 60,000 bits, under the bit cap, times 3000 runs.  The
         decision, the check of a certificate that leaves every copy
         unmatched, the distance and the certificate, whose table of 3000 * 0
         entries the table budget passes, are refused on the lcms alone,
         before either module builds its view."""
-        m = PModule(interval(0, Fraction(1, p)) for p in primes_from(10**6, 3000))
+        m = build(interval(0, Fraction(1, p)) for p in primes_from(10**6, 3000))
         zero = PModule.zero()
         cert = MatchingCertificate(ExtRational(1), (), tuple(range(3000)), ())
         monkeypatch.setattr(PModule, "_lattice_view", stop)
@@ -311,15 +344,15 @@ class TestBudgets:
             with pytest.raises(Reached):
                 call()
 
-    def test_bit_cap_refuses_before_the_quadratic_fold(self, monkeypatch):
+    def test_bit_cap_refuses_before_the_quadratic_fold(self, monkeypatch, build=PModule):
         """50 runs [1/q, 2) with odd random 13,000-bit q, about 650,000
         bits, against the zero module: inside both work budgets, but
         folding the lcm and building the view take about 2 s.  The
         distance, the decision and the check each refuse the pair in under
         half a second, before the module builds its view."""
         rng = random.Random(7)
-        m = PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
-                    for _ in range(50))
+        m = build(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                  for _ in range(50))
         zero = PModule.zero()
         cert = MatchingCertificate(ExtRational(2), (), tuple(range(50)), ())
         monkeypatch.setattr(PModule, "_lattice_view", stop)
@@ -347,7 +380,8 @@ class TestBudgets:
                 with pytest.raises(error):
                     call()
 
-    def test_huge_coprime_denominators_refused_before_their_lcm(self, capsys, tmp_path):
+    def test_huge_coprime_denominators_refused_before_their_lcm(self, capsys, tmp_path,
+                                                                build=PModule):
         """A module of 200 runs [1/q, 2) with odd random 13,000-bit q against
         itself: the lcm of one side passes the bit cap after a few
         denominators, and folding all of them would take seconds.  Each
@@ -355,8 +389,8 @@ class TestBudgets:
         before either module builds its view, and ``dist`` exits 2 with one
         error line."""
         rng = random.Random(13)
-        m = PModule(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
-                    for _ in range(200))
+        m = build(interval(Fraction(1, rng.getrandbits(13_000) | 1 << 12_999 | 1), 2)
+                  for _ in range(200))
         cert = MatchingCertificate(ExtRational(1), tuple((i, i) for i in range(200)), (), ())
         for call in (lambda: module_distance(m, m),
                      lambda: modules_eps_interleaved(m, m, 1),
@@ -373,6 +407,31 @@ class TestBudgets:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "bit cap" in err
+
+    def test_parsed_modules_are_refused_as_fast(self, monkeypatch, capsys, tmp_path):
+        """The three refusals above on modules built by ``parse_module``,
+        which keeps their runs as ints: each is as fast as on modules built
+        from ``Interval`` values."""
+        self.test_key_budget_refuses_before_any_view(monkeypatch, build=parsed)
+        self.test_bit_cap_refuses_before_the_quadratic_fold(monkeypatch, build=parsed)
+        monkeypatch.undo()
+        self.test_huge_coprime_denominators_refused_before_their_lcm(capsys, tmp_path,
+                                                                     build=parsed)
+
+    def test_parsing_is_linear_past_one_long_denominator(self):
+        """20,000 distinct runs, one of them [1/q, 2) with a 4000-digit q:
+        only the values that share a 64-bit floor with 1/q take a key as
+        long as q, so parsing takes about 0.1 s, and builds neither the
+        view nor the Interval projection."""
+        q = int("7" * 3999 + "1")
+        entries = [{"interval": f"[{k}/3,{7 * k + 15}/21)"} for k in range(19_999)]
+        entries.append({"interval": f"[1/{q},2)"})
+        text = json.dumps({"summands": entries})
+        start = time.perf_counter()
+        m = parse_module(text)
+        assert time.perf_counter() - start < 1
+        assert len(m) == 20_000 and m._view is None and m._objs is None
+        assert [e[:3] for e, _ in m._ints[:3]] == [(0, 0, 1), (0, 1, q), (0, 1, 3)]
 
     def test_check_refuses_runs_over_the_vertex_cap_fast(self):
         """20,000 runs [0, 1/p), 7-digit primes p, against the zero module:

@@ -1,10 +1,13 @@
-"""The one-pass interval parser and the flat run key.
+"""The one-pass interval and module parser and the int run key.
 
 ``parse_interval`` must give the interval, or the exception class and
-message, of ``oracles.reference_parse_interval`` on every text, and a
-module's runs must come in ``Interval.canonical_key`` order, merged
-exactly where that key is equal."""
+message, of ``oracles.reference_parse_interval`` on every text, and
+``parse_module`` the module that the reference parser's intervals make; a
+module's runs must come in ``Interval.canonical_key`` order, merged exactly
+where that key is equal."""
 
+import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,10 +21,11 @@ from persistd import (
     ExtRational,
     Interval,
     PModule,
+    ModuleFormatError,
     make_interval,
     parse_interval,
+    parse_module,
 )
-from persistd.pmodule import _run_key
 
 from oracles import reference_parse_interval
 
@@ -101,13 +105,14 @@ def test_bracket_kinds_and_equal_endpoints():
 
 # Values that stress the run key: the infinities, values of one floor
 # (1/3, 1/2, 2/3) and of its neighbours, and values a hair apart over the
-# primes P = 10**12 - 11 and Q = 10**12 + 39.
+# primes P = 10**12 - 11 and Q = 10**12 + 39, which share their floor at
+# 2**64 with small and with large numerators.
 P, Q = 999_999_999_989, 1_000_000_000_039
 KEY_VALUES = [
     NEG_INF, POS_INF,
     *(ExtRational(Fraction(n, d)) for n, d in [
         (0, 1), (1, 3), (1, 2), (2, 3), (1, 1), (-1, 3), (-1, 2), (-2, 3), (-1, 1), (4, 3),
-        (P - 1, P), (Q - 1, Q), (P + 1, P), (Q + 1, Q), (-P - 1, P),
+        (P - 1, P), (Q - 1, Q), (P + 1, P), (Q + 1, Q), (-P - 1, P), (1, P), (1, Q),
     ]),
 ]
 
@@ -136,10 +141,12 @@ def fraction_key(s: Interval):
             (hi.value.sign, hi.value.value, 1 if hi.closed else 0))
 
 
-def test_run_key_orders_as_canonical_key():
-    """Every pair of key intervals, every decoration at equal values: the
-    flat key, ``canonical_key`` and ``fraction_key`` agree on ``<`` and
-    ``==``."""
+def test_int_key_orders_as_canonical_key():
+    """Every pair of key intervals, every decoration at equal values, two
+    copies each in a shuffled order: the module's runs come in
+    ``canonical_key`` order, which ``fraction_key`` gives too, and each run
+    holds the two copies of one interval.  The int key is a total order,
+    so it agrees with ``canonical_key`` on every pair of the pool."""
     pool = set()
     for lo, hi in product(KEY_VALUES, repeat=2):
         for lo_closed, hi_closed in product((False, True), repeat=2):
@@ -148,7 +155,81 @@ def test_run_key_orders_as_canonical_key():
             if not s.is_empty:
                 pool.add(s)
     assert len(pool) > 300
-    for a, b in product(pool, repeat=2):
-        ka, kb, ca, cb = _run_key(a), _run_key(b), a.canonical_key(), b.canonical_key()
-        fa, fb = fraction_key(a), fraction_key(b)
-        assert (ka < kb, ka == kb) == (ca < cb, ca == cb) == (fa < fb, fa == fb), (a, b)
+    expected = sorted(pool, key=Interval.canonical_key)
+    assert expected == sorted(pool, key=fraction_key)
+    copies = [parse_interval(str(s)) for s in pool] * 2
+    random.Random(5).shuffle(copies)
+    m = PModule(copies)
+    assert m._runs == tuple((s, 2) for s in expected)
+    assert parse_module(m.to_json()) == m
+
+
+def test_a_long_denominator_at_either_end_refines_its_floor():
+    """1/P and 1/Q share their floor at 2**64: as the upper endpoints of
+    two runs, or as their lower endpoints, they stay two runs, in order."""
+    for texts in ([f"[0,1/{Q})", f"[0,1/{P})"], [f"(1/{Q},1]", f"(1/{P},1]"]):
+        for parse in (PModule.of, lambda *ts: parse_module(PModule.of(*ts).to_json())):
+            assert list(map(str, parse(*texts[::-1]).summands)) == texts
+
+
+# Endpoint texts for module JSON: unreduced spellings of one value, signs,
+# the infinities, values a hair apart over the primes P and Q, off-grammar
+# numbers, a zero denominator and integers past int's digit limit.
+ENDPOINTS = ["0", "-0", "1/2", "2/4", " 3/6 ", "+1/2", "-1/2", "-2/4", "1/3", "2/6", "7",
+             "14/2", "inf", "+inf", "-inf", " inf ", f"{P - 1}/{P}", f"{2 * Q - 2}/{2 * Q}",
+             f"{Q - 1}/{Q}", "1/0", "0/0", "1.5", "1_0", HUGE, "1/" + HUGE, "9" * 4300]
+interval_texts = st.builds(
+    lambda outer, o, lo, hi, c: f"{outer}{o}{lo},{hi}{c}{outer}",
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["[", "[", "(", "("]),
+    st.sampled_from(ENDPOINTS),
+    st.sampled_from(ENDPOINTS),
+    st.sampled_from(["]", "]", ")", ")"]),
+) | st.sampled_from(["empty", "[1/2,2/4]", "[2/4,1/2)", "(0,0]", "[-inf,0)", "(0,inf]", "{0,1)"])
+
+
+@st.composite
+def module_texts(draw):
+    """Module JSON over a few interval texts, each possibly repeated, with
+    and without multiplicities."""
+    pool = draw(st.lists(interval_texts, min_size=1, max_size=4))
+    entries = [{"interval": text} if k is None else {"interval": text, "multiplicity": k}
+               for text, k in draw(st.lists(st.tuples(st.sampled_from(pool),
+                                                      st.none() | st.integers(1, 3)),
+                                            max_size=8))]
+    return json.dumps({"summands": entries})
+
+
+def reference_parse_module(data: str) -> PModule:
+    """``PModule._of_runs`` over ``reference_parse_interval``'s intervals,
+    refusing an empty one as ``parse_module`` does."""
+    runs = []
+    for pos, entry in enumerate(json.loads(data)["summands"]):
+        text = entry["interval"]
+        s = reference_parse_interval(text)
+        if s.is_empty:
+            raise ModuleFormatError(f"summand #{pos} is empty: {text!r}")
+        runs.append((s, entry.get("multiplicity", 1)))
+    return PModule._of_runs(runs)
+
+
+def module_outcome(parse, data):
+    try:
+        m = parse(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m, m._runs, list(map(str, m._runs)), m.to_json(), m._lattice_view()
+
+
+@given(module_texts())
+@settings(max_examples=400)
+@example('{"summands": [{"interval": "[1/2,1)"}, {"interval": "[2/4,1)", "multiplicity": 2}]}')
+@example('{"summands": [{"interval": "(-inf,+inf)"}, {"interval": " ( -inf , inf ) "}]}')
+@example('{"summands": [{"interval": "[0,1)"}, {"interval": "[1/0,1)"}]}')
+@example('{"summands": [{"interval": "[0,1)"}, {"interval": "[2,2)"}]}')
+@example('{"summands": [{"interval": "[0,%s)"}]}' % HUGE)
+def test_module_parser_equals_reference(data):
+    """``parse_module`` against the reference parser's runs: the same
+    module, runs, JSON and integer view, or the same exception class and
+    message."""
+    assert module_outcome(parse_module, data) == module_outcome(reference_parse_module, data)

@@ -122,9 +122,20 @@ class TestOncePerDistinctSummand:
         return calls
 
     def test_radical(self, monkeypatch):
+        """The radical rewrites the runs' ints: it builds no interval."""
         built = self.count_calls(monkeypatch, intervals, "_interval")
+        runs = []
+        real = pmodule._canonical
+
+        def counted(pairs):
+            pairs = list(pairs)
+            runs.extend(pairs)
+            return real(pairs)
+
+        monkeypatch.setattr(pmodule, "_canonical", counted)
         rad = self.m.radical()
-        assert len(built) == 2
+        assert built == [] and len(runs) == 2
+        monkeypatch.undo()
         assert rad == PModule.of(*["(0,4)", "(1,3]"] * 1500)
 
     def test_persistent_submodule(self, monkeypatch):
@@ -134,6 +145,7 @@ class TestOncePerDistinctSummand:
         assert sub == PModule.of(*["[1,4)", "[2,3]"] * 1500)
 
     def test_contraction_path(self, monkeypatch):
+        self.m._runs
         built = self.count_calls(monkeypatch, intervals, "_interval")
         stage = self.m.contraction_path(Fraction(1, 2))
         assert len(built) == 2
@@ -187,13 +199,14 @@ class TestNoCopiesOutsideTheMatcher:
 
     def test_module_operations_work_on_runs(self, monkeypatch):
         keyed = []
-        real = pmodule._run_key
+        real = pmodule._canonical
 
-        def counted(s):
-            keyed.append(s)
-            return real(s)
+        def counted(runs):
+            runs = list(runs)
+            keyed.extend(runs)
+            return real(runs)
 
-        monkeypatch.setattr(pmodule, "_run_key", counted)
+        monkeypatch.setattr(pmodule, "_canonical", counted)
         m = parse_module('{"summands": [{"interval": "[0,4)", "multiplicity": 1000000}]}')
         assert m.radical().to_json() == (
             '{"summands": [{"interval": "(0,4)", "multiplicity": 1000000}]}'
@@ -212,7 +225,7 @@ class TestNoCopiesOutsideTheMatcher:
         assert len(keyed) == 8
 
     def test_len_is_the_stored_copy_count(self):
-        """``len`` reads the total that ``_canonical_runs`` stored, however
+        """``len`` reads the total that ``_canonical`` stored, however
         the module was built."""
         piece = parse_interval("[0,4)")
         m = PModule._of_runs([(piece, 10**6 - 1), (parse_interval("[5,5]"), 1)])
