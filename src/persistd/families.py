@@ -14,7 +14,9 @@ the spaces of interval-decomposable modules:
   any given distance of a member, so the inclusion is not open.
 
 Infinite direct sums are exposed only as finite truncations with an
-explicit ``trunc`` count.
+explicit ``trunc`` count.  Each generator fills its module's int runs
+(``intervals._ends``) through ``intervals._finite_ends``; none builds an
+``Interval``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import Interval, Rational, _as_fraction, interval
+from .intervals import Interval, Rational, _as_fraction, _finite_ends
 from .pmodule import _MAX_COPIES, PModule, _check_copies
 
 
@@ -61,9 +63,9 @@ def cube_point_module(n: int, coords: Sequence[Rational]) -> PModule:
             raise ValueError(
                 f"coordinate {x} out of range [0, {bound}) for dimension {n}"
             )
-    return PModule(
-        interval(Fraction(i, n), Fraction(i, n) + Fraction(1, 10 * n) + xs[i - 1], "[)")
-        for i in range(1, n + 1)
+    return PModule._of_ints(
+        (_finite_ends(Fraction(i, n), Fraction(10 * i + 1, 10 * n) + x, "[)"), 1)
+        for i, x in enumerate(xs, start=1)
     )
 
 
@@ -78,11 +80,9 @@ def binary_sequence_module(bits: Sequence[int]) -> PModule:
     for pos, bit in enumerate(bits, start=1):
         if bit not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        if bit == 0:
-            out.append(interval(2 * pos - 1, 2 * pos + 1, "[)"))
-        else:
-            out.append(interval(2 * (pos - 1), 2 * pos + 2, "[)"))
-    return PModule(out)
+        lo, hi = (2 * pos - 1, 2 * pos + 1) if bit == 0 else (2 * (pos - 1), 2 * pos + 2)
+        out.append((_finite_ends(lo, hi, "[)"), 1))
+    return PModule._of_ints(out)
 
 
 def cauchy_witness(n: int) -> PModule:
@@ -92,8 +92,8 @@ def cauchy_witness(n: int) -> PModule:
         raise ValueError(f"stage must be nonnegative, got {n}")
     if n > _MAX_CAUCHY_STAGE:
         raise ValueError(f"stage must be at most {_MAX_CAUCHY_STAGE}, got {n}")
-    return PModule(
-        interval(-Fraction(1, 2**k), Fraction(1, 2**k), "[)") for k in range(n + 1)
+    return PModule._of_ints(
+        (_finite_ends(Fraction(-1, 2**k), Fraction(1, 2**k), "[)"), 1) for k in range(n + 1)
     )
 
 
@@ -103,7 +103,7 @@ def staircase(n: int) -> PModule:
         raise ValueError(f"staircase height must be positive, got {n}")
     if n > _MAX_COPIES:
         raise ValueError(f"staircase height must be at most {_MAX_COPIES}, got {n}")
-    return PModule(interval(0, k, "[)") for k in range(1, n + 1))
+    return PModule._of_ints((_finite_ends(0, k, "[)"), 1) for k in range(1, n + 1))
 
 
 def replicate(summand: Interval, count: int) -> PModule:
@@ -145,12 +145,12 @@ def open_subset_witness(
             raise ClassMismatchError(
                 f"module has a summand outside [{c},{d}]"
             )
-        extra = [(interval(d, d + 2 * eps, "[)"), 1)]
+        extra = [(_finite_ends(d, d + 2 * eps, "[)"), 1)]
     elif inclusion == "ffid_in_cfid" and not module.classify().in_ffid:
         raise ClassMismatchError("module has an unbounded summand")
     else:
         # trunc tails: ``direct_sum``'s refusal, before they are built and sorted.
         _check_copies(len(module) + trunc)
-        extra = ([(interval(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
-                 if inclusion == "fid_in_pfd" else [(interval(0, 2 * eps, "[)"), trunc)])
-    return module.direct_sum(PModule._of_runs(extra))
+        extra = ([(_finite_ends(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
+                 if inclusion == "fid_in_pfd" else [(_finite_ends(0, 2 * eps, "[)"), trunc)])
+    return module.direct_sum(PModule._of_ints(extra))

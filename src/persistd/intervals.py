@@ -542,6 +542,18 @@ def _ends(s: Interval) -> tuple:
             hi.value.sign, *hi.value.value.as_integer_ratio(), hi.closed)
 
 
+def _finite_ends(lo: Rational, hi: Rational, bounds: str) -> tuple:
+    """The ``_ends`` of the interval of finite ``lo`` and ``hi`` with the
+    decorations of ``bounds`` (``"[)"`` and the like); a pair that holds
+    no point is refused."""
+    (lo_num, lo_den), (hi_num, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    lo_open, hi_closed = bounds[0] == "(", bounds[1] == "]"
+    above = lo_num * hi_den - hi_num * lo_den
+    if above > 0 or above == 0 and (lo_open or not hi_closed):
+        raise ValueError("the empty interval cannot be a summand")
+    return 0, lo_num, lo_den, lo_open, 0, hi_num, hi_den, hi_closed
+
+
 def _interval_of(ends: tuple) -> Interval:
     """The interval of an ``_ends`` tuple."""
     lo_sign, lo_num, lo_den, lo_open, hi_sign, hi_num, hi_den, hi_closed = ends

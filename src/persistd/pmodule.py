@@ -4,9 +4,10 @@ A module is a finite multiset of nonempty decorated intervals, stored as
 (ends, count) runs in a canonical order, so that equality of values is
 isomorphism of modules: ``ends`` holds each endpoint's sign, reduced
 numerator and denominator and decoration as ints (``intervals._ends``).
-``parse_module`` fills the runs straight from the text, and the distance
-kernel reads only these ints; ``Interval`` objects are built, once, when
-something reads them.  Values are immutable; operations return new ones.
+``parse_module`` and ``PModule.of`` fill the runs straight from the text,
+and the witness families (``families``) from their values; the distance
+kernel reads only these ints, and ``Interval`` objects are built, once,
+when something reads them.  Values are immutable; operations return new ones.
 
 JSON format::
 
@@ -32,7 +33,6 @@ from .intervals import (
     _interval_of,
     _parse_ends,
     interval,
-    parse_interval,
 )
 
 
@@ -201,8 +201,17 @@ class PModule:
 
     @classmethod
     def of(cls, *texts: str) -> "PModule":
-        """Build from interval text forms: ``PModule.of("[0,2)", "[3,3]")``."""
-        return cls(parse_interval(t) for t in texts)
+        """Build from interval text forms: ``PModule.of("[0,2)", "[3,3]")``.
+        The runs are filled straight from the text, as ``parse_module``
+        fills them."""
+        points = {}  # the ints of each distinct endpoint text
+        runs = []
+        for text in texts:
+            ends = _parse_ends(text, points)
+            if ends is None:
+                raise ValueError("the empty interval cannot be a summand")
+            runs.append((ends, 1))
+        return cls._of_ints(runs)
 
     @property
     def summands(self) -> tuple[Interval, ...]:

@@ -48,12 +48,13 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def no_module_building(monkeypatch):
-    """Building a family summand or a verify module fails the test, so a
-    size that slips past its bound fails at once instead of running away."""
+    """Building a family summand (the ends ``intervals._finite_ends``
+    fills) or a verify module fails the test, so a size that slips past its
+    bound fails at once instead of running away."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the size bound was checked")
 
-    monkeypatch.setattr(families, "interval", refuse)
+    monkeypatch.setattr(families, "_finite_ends", refuse)
     for name in ("random_module", "replicate", "cauchy_witness"):
         monkeypatch.setattr(pv, name, refuse)

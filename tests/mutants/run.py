@@ -2,8 +2,9 @@
 
 Each mutant is one named source edit to the distance kernel,
 ``src/persistd/bottleneck.py`` and ``src/persistd/interleaving.py``, or to
-the parser's int runs, ``src/persistd/intervals.py`` and
-``src/persistd/pmodule.py``.  The runner copies ``src/`` and ``tests/``
+the producers of int runs: the parser, ``src/persistd/intervals.py`` and
+``src/persistd/pmodule.py``, and the witness families,
+``src/persistd/families.py``.  The runner copies ``src/`` and ``tests/``
 of this checkout to a temporary directory, applies the edit there, and
 runs the kernel test files on the copy with ``pytest -x`` and a time
 limit.  A mutant is
@@ -54,6 +55,7 @@ KERNEL_TESTS = (
     "test_golden_certificates.py",
     "test_module_views.py",
     "test_parse_order.py",
+    "test_families.py",
 )
 
 # Seconds one mutant's test run may take; an unmutated run takes about 40.
@@ -75,6 +77,7 @@ class Mutant(NamedTuple):
 
 
 BN, IL, IV, PM = "bottleneck.py", "interleaving.py", "intervals.py", "pmodule.py"
+FA = "families.py"
 
 MUTANTS = (
     # The hand-written mutants of the ROADMAP re-anchor, on the code that
@@ -295,6 +298,24 @@ MUTANTS = (
     Mutant("crowded-lower-only", PM,
            "((k[:2], e[2]), (k[3:5], e[6]))", "((k[:2], e[2]),)", False,
            "an upper endpoint of a long denominator does not refine the key of its floor"),
+    # The witness families' int runs and the helper that fills them.
+    Mutant("finite-ends-lower-flipped", IV,
+           'lo_open, hi_closed = bounds[0] == "(",', 'lo_open, hi_closed = bounds[0] == "[",',
+           False, "a family's lower endpoint takes the other decoration"),
+    Mutant("finite-ends-admits-empty", IV,
+           "    if above > 0 or above == 0 and (lo_open or not hi_closed):\n"
+           "        raise ValueError(\"the empty interval cannot be a summand\")\n", "", False,
+           "a pair that holds no point becomes a summand"),
+    Mutant("finite-ends-unreduced", IV,
+           "= lo.as_integer_ratio(), hi.as_integer_ratio()",
+           "= (2 * lo.numerator, 2 * lo.denominator), hi.as_integer_ratio()", False,
+           "a family's lower endpoint keeps an unreduced numerator and denominator"),
+    Mutant("cauchy-lower-positive", FA,
+           "_finite_ends(Fraction(-1, 2**k),", "_finite_ends(Fraction(1, 2**k),", False,
+           "a Cauchy stage's summands start at 1/2^k, not -1/2^k"),
+    Mutant("binary-one-bit-upper-plus-one", FA,
+           "2 * pos + 2)", "2 * pos + 3)", False,
+           "a 1 bit contributes [2(n-1), 2n+3), not [2(n-1), 2n+2)"),
 )
 
 

@@ -23,7 +23,11 @@ search on runs and its capacitated matcher are checked.  An unseeded
 ``reference_parse_interval`` is the
 interval text parser as it was before the one-pass parser: strip, split,
 parse each endpoint alone, then check, with every order on
-``(sign, Fraction)`` tuples.
+``(sign, Fraction)`` tuples.  ``reference_cube_point_module``,
+``reference_binary_sequence_module``, ``reference_cauchy_witness``,
+``reference_staircase`` and ``reference_open_subset_witness`` are the
+witness families as they were built from ``Interval`` values and
+converted, before they filled the int runs themselves.
 """
 
 import math
@@ -43,9 +47,10 @@ from persistd import (
     NEG_INF,
     PModule,
     POS_INF,
+    interval,
 )
 from persistd.intervals import ZERO, _as_fraction
-from persistd import bottleneck
+from persistd import bottleneck, families
 from persistd.interleaving import _key_entry
 
 
@@ -745,3 +750,95 @@ def reference_parse_interval(text: str) -> Interval:
     if lo_key == hi_key and not (lo_closed and hi_closed):
         return EMPTY
     return Interval(Endpoint(lo, lo_closed), Endpoint(hi, hi_closed))
+
+
+def reference_cube_point_module(n: int, coords) -> PModule:
+    """``families.cube_point_module`` as it was built from ``Interval``
+    values: summand i is [i/n, i/n + 1/(10n) + x_i)."""
+    if n < 1:
+        raise ValueError(f"cube dimension must be positive, got {n}")
+    families._check_copies(n)
+    xs = [_as_fraction(x) for x in coords]
+    if len(xs) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(xs)}")
+    bound = Fraction(1, 100 * n)
+    for x in xs:
+        if not 0 <= x < bound:
+            raise ValueError(
+                f"coordinate {x} out of range [0, {bound}) for dimension {n}"
+            )
+    return PModule(
+        interval(Fraction(i, n), Fraction(i, n) + Fraction(1, 10 * n) + xs[i - 1], "[)")
+        for i in range(1, n + 1)
+    )
+
+
+def reference_binary_sequence_module(bits) -> PModule:
+    """``families.binary_sequence_module`` built from ``Interval`` values:
+    [2n-1, 2n+1) for a 0 bit and [2(n-1), 2n+2) for a 1 bit."""
+    if not bits:
+        raise ValueError("the bit sequence must be nonempty")
+    families._check_copies(len(bits))
+    out = []
+    for pos, bit in enumerate(bits, start=1):
+        if bit not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
+        if bit == 0:
+            out.append(interval(2 * pos - 1, 2 * pos + 1, "[)"))
+        else:
+            out.append(interval(2 * (pos - 1), 2 * pos + 2, "[)"))
+    return PModule(out)
+
+
+def reference_cauchy_witness(n: int) -> PModule:
+    """``families.cauchy_witness`` built from ``Interval`` values: the sum
+    of [-1/2^k, 1/2^k) for k = 0..n."""
+    if n < 0:
+        raise ValueError(f"stage must be nonnegative, got {n}")
+    if n > families._MAX_CAUCHY_STAGE:
+        raise ValueError(f"stage must be at most {families._MAX_CAUCHY_STAGE}, got {n}")
+    return PModule(
+        interval(-Fraction(1, 2**k), Fraction(1, 2**k), "[)") for k in range(n + 1)
+    )
+
+
+def reference_staircase(n: int) -> PModule:
+    """``families.staircase`` built from ``Interval`` values: the sum of
+    [0, k) for k = 1..n."""
+    if n < 1:
+        raise ValueError(f"staircase height must be positive, got {n}")
+    if n > families._MAX_COPIES:
+        raise ValueError(f"staircase height must be at most {families._MAX_COPIES}, got {n}")
+    return PModule(interval(0, k, "[)") for k in range(1, n + 1))
+
+
+def reference_open_subset_witness(module: PModule, inclusion: str, eps, trunc: int,
+                                  bounds=None) -> PModule:
+    """``families.open_subset_witness`` with its tails built from
+    ``Interval`` values."""
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"witness needs eps > 0, got {eps}")
+    if trunc < 1:
+        raise ValueError(f"truncation count must be positive, got {trunc}")
+    if trunc > families._MAX_COPIES:
+        raise ValueError(
+            f"truncation count must be at most {families._MAX_COPIES}, got {trunc}")
+    if inclusion not in families.INCLUSIONS:
+        raise ValueError(
+            f"unknown inclusion {inclusion!r}; choose from {families.INCLUSIONS}")
+
+    if inclusion == "ffid_cd_in_ffid":
+        if bounds is None:
+            raise families.ClassMismatchError("ffid_cd_in_ffid needs the class bounds [c, d]")
+        c, d = _as_fraction(bounds[0]), _as_fraction(bounds[1])
+        if module.classify(bounds=(c, d)).in_ffid_cd is not True:
+            raise families.ClassMismatchError(f"module has a summand outside [{c},{d}]")
+        extra = [(interval(d, d + 2 * eps, "[)"), 1)]
+    elif inclusion == "ffid_in_cfid" and not module.classify().in_ffid:
+        raise families.ClassMismatchError("module has an unbounded summand")
+    else:
+        families._check_copies(len(module) + trunc)
+        extra = ([(interval(k, k + 2 * eps, "[)"), 1) for k in range(1, trunc + 1)]
+                 if inclusion == "fid_in_pfd" else [(interval(0, 2 * eps, "[)"), trunc)])
+    return module.direct_sum(PModule._of_runs(extra))

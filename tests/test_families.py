@@ -1,14 +1,19 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from persistd import (
     ClassMismatchError,
     EMPTY,
+    Endpoint,
     ExtRational,
+    Interval,
     PModule,
     binary_sequence_module,
     bruteforce_module_distance,
@@ -16,6 +21,8 @@ from persistd import (
     cube_point_module,
     distance_to_zero,
     families,
+    interval,
+    intervals,
     module_distance,
     open_subset_witness,
     parse_interval,
@@ -23,6 +30,15 @@ from persistd import (
     replicate,
     staircase,
 )
+
+from oracles import (
+    reference_binary_sequence_module,
+    reference_cauchy_witness,
+    reference_cube_point_module,
+    reference_open_subset_witness,
+    reference_staircase,
+)
+from strategies import grid_fractions, modules
 
 iv = parse_interval
 
@@ -253,3 +269,125 @@ class TestOpenSubsetWitness:
     def test_unknown_inclusion(self):
         with pytest.raises(ValueError):
             open_subset_witness(PModule.zero(), "eph_in_qtame", 1, 1)
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the class and message of what it
+    raises."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_build(build, reference, *args):
+    """``build`` and ``reference`` make the same module from the same
+    arguments, down to its int runs, JSON and lattice view, or raise the
+    same exception class with the same message."""
+    got, want = outcome(build, *args), outcome(reference, *args)
+    assert got == want
+    if isinstance(want, PModule):
+        assert repr(got._ints) == repr(want._ints)
+        assert got.to_json() == want.to_json()
+        assert got._lattice_view() == want._lattice_view()
+
+
+sizes = st.integers(-2, 24)
+
+
+@st.composite
+def cube_arguments(draw):
+    """A dimension and coordinates k / (1000 n) for k in [-1, 11]: in range
+    for 0 <= k < 10; sometimes one coordinate too many or too few."""
+    n = draw(sizes)
+    count = max(n, 0) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    scale = 1000 * max(n, 1)
+    coords = draw(st.lists(st.integers(-1, 11), min_size=max(count, 0),
+                           max_size=max(count, 0)))
+    return n, [Fraction(k, scale) for k in coords]
+
+
+@st.composite
+def bit_sequences(draw):
+    """Bits, sometimes with one value that is not a bit among them."""
+    bits = draw(st.lists(st.integers(0, 1), max_size=24))
+    if draw(st.integers(0, 7)) == 0:
+        bits.insert(draw(st.integers(0, len(bits))), draw(st.sampled_from([2, -1, "1"])))
+    return bits
+
+
+class TestAgainstReference:
+    """The families fill their int runs directly and agree with the
+    ``Interval``-built references of ``tests/oracles.py``."""
+
+    @given(grid_fractions, grid_fractions, st.sampled_from(["[)", "(]", "[]", "()"]))
+    def test_finite_ends(self, lo, hi, bounds):
+        """The ends the families fill are those of the ``Interval``, and a
+        pair that holds no point is refused as ``PModule`` refuses its
+        empty interval."""
+        got = outcome(intervals._finite_ends, lo, hi, bounds)
+        want = outcome(lambda: pmodule._summand_ends(interval(lo, hi, bounds)))
+        assert repr(got) == repr(want)
+
+    @given(cube_arguments())
+    def test_cube(self, args):
+        assert_same_build(cube_point_module, reference_cube_point_module, *args)
+
+    @given(bit_sequences())
+    def test_binary(self, bits):
+        assert_same_build(binary_sequence_module, reference_binary_sequence_module, bits)
+
+    @given(st.one_of(sizes, st.just(families._MAX_CAUCHY_STAGE + 1)))
+    def test_cauchy(self, n):
+        assert_same_build(cauchy_witness, reference_cauchy_witness, n)
+
+    @given(st.one_of(sizes, st.just(families._MAX_COPIES + 1)))
+    def test_staircase(self, n):
+        assert_same_build(staircase, reference_staircase, n)
+
+    @given(
+        modules(max_summands=4, finite_only=False, max_copies=3),
+        st.sampled_from([*families.INCLUSIONS, "eph_in_qtame"]),
+        st.builds(Fraction, st.integers(-1, 8), st.sampled_from([1, 2, 3, 8])),
+        st.one_of(st.integers(-1, 5), st.just(families._MAX_COPIES + 1)),
+        st.one_of(st.none(), st.tuples(grid_fractions, grid_fractions)),
+    )
+    def test_open_subset_witness(self, module, inclusion, eps, trunc, bounds):
+        assert_same_build(open_subset_witness, reference_open_subset_witness,
+                          module, inclusion, eps, trunc, bounds)
+
+
+def test_families_build_no_interval(monkeypatch):
+    """The families and ``PModule.of`` fill the int runs themselves: no
+    ``Interval``, ``Endpoint`` or ``ExtRational`` is constructed, and no
+    module caches the ``Interval`` projection.  (The two inclusions whose
+    witness checks ``classify`` read the projection, so they are left out.)"""
+    summand = iv("[2,5)")
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("_interval", "_endpoint", "_ext"):
+        monkeypatch.setattr(intervals, name, counted(name, getattr(intervals, name)))
+    for cls in (Interval, Endpoint, ExtRational):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    m = PModule.of("[10,12)", "(1/2,3]", "[-1/3,inf)", "[2/4,3]")
+    built = [
+        m,
+        cube_point_module(3, [0, Fraction(1, 400), Fraction(1, 1000)]),
+        binary_sequence_module([0, 1, 1, 0]),
+        cauchy_witness(5),
+        staircase(6),
+        replicate(summand, 4),
+        *(open_subset_witness(m, inclusion, Fraction(1, 4), 3)
+          for inclusion in ("fid_in_cid", "fid_in_pfd", "cid_in_rid", "pfd_in_rid")),
+    ]
+    assert counts == Counter()
+    assert all(b._objs is None for b in built)
+    m.summands  # the patches are live: the projection builds the objects
+    assert counts["_interval"] == 4 and counts["_endpoint"] == 8

@@ -194,7 +194,7 @@ def test_repeat_calls_read_no_fraction(monkeypatch):
     # module from Interval values reads theirs.
     assert module_distance(parse_module(m.to_json()), n) == d
     assert reads == []
-    PModule.of(*PAIR[0])
+    PModule(list(m.summands))
     assert reads
 
 

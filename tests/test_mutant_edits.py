@@ -41,12 +41,12 @@ def test_edit_occurs_once(mutant):
 
 def test_workflow_runs_on_every_file_the_mutants_run_against():
     """The workflow's ``paths`` list each kernel test file, the helpers and
-    data they read, and the kernel and the runner themselves."""
+    data they read, every source file a mutant edits, and the runner."""
     listed = {line.strip()[2:] for line in WORKFLOW.read_text().splitlines()
               if line.strip().startswith("- ")}
     inputs = [*RUNNER_MODULE.KERNEL_TESTS, "oracles.py", "strategies.py", "conftest.py",
               "golden_certificates.json"]
     missing = [f for f in inputs if f"tests/{f}" not in listed]
     assert not missing, missing
-    assert {"src/persistd/bottleneck.py", "src/persistd/interleaving.py",
-            "tests/mutants/**"} <= listed
+    edited = {f"src/persistd/{m.file}" for m in MUTANTS}
+    assert edited | {"tests/mutants/**"} <= listed, sorted(edited - listed)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from persistd import (
     EMPTY,
+    IntervalParseError,
     ModuleFormatError,
     PModule,
     parse_interval,
@@ -37,6 +38,35 @@ class TestConstruction:
     def test_zero(self):
         assert PModule.zero().is_zero
         assert len(PModule.zero()) == 0
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("empty", ValueError, "the empty interval cannot be a summand"),
+            ("(1,1)", ValueError, "the empty interval cannot be a summand"),
+            ("[2,1)", IntervalParseError,
+             "lower endpoint exceeds upper endpoint in interval '[2,1)'"),
+            ("[1/0,1)", IntervalParseError,
+             "bad lower endpoint '1/0' in interval '[1/0,1)': "
+             "expected p/q, an integer, inf or -inf"),
+        ],
+    )
+    def test_of_errors(self, text, error, message):
+        """``PModule.of`` refuses an empty or off-grammar text with the
+        exception and message it gave when it built ``Interval`` values."""
+        with pytest.raises(ValueError) as err:
+            PModule.of("[0,1)", text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_of_repeated_and_unreduced_texts(self):
+        texts = ("[1/2,1)", "[2/4,1)", "[1/2,1)", "(-3/6,4/4]")
+        m = PModule.of(*texts)
+        parsed = parse_module('{"summands": [{"interval": "[1/2,1)", "multiplicity": 3}, '
+                              '{"interval": "(-1/2,1]"}]}')
+        assert m == parsed
+        assert m._ints == parsed._ints
+        assert m == PModule([iv(t) for t in texts])
 
 
 class TestDirectSum:
