@@ -32,7 +32,8 @@ search's one matching carries each M run's term, the entry of its pair or
 its to-zero entry, and a feasible probe reads the entries of its new pairs
 alone.
 
-Every vertex is a run, an (interval, count) pair of a ``PModule``.  Each
+Every vertex is a run of a ``PModule``, an (ends, count) pair of ints:
+its endpoints as ``intervals._ends`` gives them, and its copy count.  Each
 pair shape has one matcher, called the same way on each side, ``(t, dtz,
 lists, state, hall)``: it reads the side's mandatory runs off ``dtz > t``
 and their neighbour runs off ``lists[r]``, a ``_Lists``, and updates the

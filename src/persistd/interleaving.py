@@ -17,7 +17,8 @@ interval is a module of one summand, the empty interval one of none), so
 its one entry records the distance and whether it is attained: the
 decision is one comparison of the entry with eps's bound, and the
 distance is the entry's class.  This module holds only that per-pair
-lattice code; the module-level table is ``bottleneck._cost_tables``.
+lattice code.  No table of entries is built: ``bottleneck`` reads each
+entry off the pair's keys when it needs it.
 
 The keys start from a ``_view`` of each sequence of runs: its own lcm and
 its keys at its own scale, read once from the ints the runs hold

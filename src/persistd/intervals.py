@@ -421,7 +421,7 @@ def make_interval(lo: Endpoint, hi: Endpoint) -> Interval:
 
 def interval(lo: Rational | str, hi: Rational | str, bounds: str = "[)") -> Interval:
     """Convenience constructor: ``interval(0, 2, "[)")`` is ``[0,2)``."""
-    if bounds[0] not in "[(" or bounds[1] not in ")]":
+    if len(bounds) != 2 or bounds[0] not in "[(" or bounds[1] not in ")]":
         raise ValueError(f"bounds must look like '[)' or '(]', got {bounds!r}")
     return make_interval(
         Endpoint(ExtRational(lo), bounds[0] == "["),

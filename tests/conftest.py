@@ -47,6 +47,23 @@ def pytest_runtest_call(item):
 
 
 @pytest.fixture
+def calls(monkeypatch):
+    """``calls(owner, name)``: from then on ``owner.name`` runs as before
+    and appends its first argument to the list returned."""
+    def record(owner, name):
+        seen, real = [], getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+        return seen
+
+    return record
+
+
+@pytest.fixture
 def no_module_building(monkeypatch):
     """Building a family summand (the ends ``intervals._finite_ends``
     fills) or a verify module fails the test, so a size that slips past its

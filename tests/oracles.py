@@ -3,31 +3,24 @@
 Everything here reasons through pointwise membership at adaptively chosen
 rational sample points, never through the decorated-endpoint orders that
 the library itself uses, so an agreement between the two is evidence and
-not tautology.  The exception is the reference distances and decisions
-at the end: the interval closed form on ``ExtRational`` values, the
-erosion decision through ``erode``, and the copy-level matching probe
-``full_probe`` on tables of them, against which the integer-lattice kernel
-is checked; the table decision and per-pair certificate check that the
-table-free ones replaced; ``direct_lattice``, the pair lattice built from
-the endpoint fractions on every call, against which the cached per-module
-views of ``interleaving._lattice`` are checked; ``key_table`` and
-``run_table``, the tables of summands and of runs built one
-``interleaving._key_entry`` at a time, against which the entries the
-kernel reads off its keys are checked; ``table_matching_at``, the search's
-probe as it ran on the table of runs, which the key-reading probe must
-match bound for bound; and ``copy_search``, the distance search as it ran
-with one matching vertex per summand copy (``copy_hopcroft_karp``,
-``copy_cover``, ``copy_merge``, ``copy_matching_at``), against which the
-search on runs and its capacitated matcher are checked.  An unseeded
-``full_probe`` at the answer's top is the certificate's matching.
-``reference_parse_interval`` is the
-interval text parser as it was before the one-pass parser: strip, split,
-parse each endpoint alone, then check, with every order on
-``(sign, Fraction)`` tuples.  ``reference_cube_point_module``,
-``reference_binary_sequence_module``, ``reference_cauchy_witness``,
-``reference_staircase`` and ``reference_open_subset_witness`` are the
-witness families as they were built from ``Interval`` values and
-converted, before they filled the int runs themselves.
+not tautology.  The exceptions, against which the integer-lattice kernel
+is checked, come after ``contraction_dimension``: the interval closed
+form on ``ExtRational`` values and the erosion decision (``erode``); the
+copy-level matching probe ``full_probe`` and ``copy_search``, the
+distance search as it ran with one vertex per summand copy; the table
+decision and the per-pair certificate check; ``direct_lattice``, the pair
+lattice from the endpoint fractions, against which the cached views of
+``interleaving._lattice`` and ``interleaving._bound`` are checked; and
+``key_table``, ``run_table``, ``column_table`` and ``table_floor``, tables
+built one ``interleaving._key_entry`` at a time and the Koenig floor read
+off one, against which the entries and floors read off the keys are
+checked.  Nothing here calls a private function of ``bottleneck``: the
+table probe that runs the kernel's own matchers, and every other view of
+the kernel's internals, is in ``kernel_seam.py``.
+``reference_parse_interval`` is the interval parser as it was before the
+one-pass parser, and the ``reference_*`` families are the witness families
+as they were built from ``Interval`` values, before they filled the int
+runs themselves.
 """
 
 import math
@@ -35,7 +28,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 
 from persistd import (
     EMPTY,
@@ -50,8 +43,8 @@ from persistd import (
     interval,
 )
 from persistd.intervals import ZERO, _as_fraction
-from persistd import bottleneck, families
-from persistd.interleaving import _key_entry
+from persistd import MatchingCertificate, families
+from persistd.interleaving import _key_entry, _lattice
 
 
 def member(i: Interval, x: Fraction) -> bool:
@@ -249,38 +242,14 @@ def reference_modules_eps_interleaved(m: PModule, n: PModule, eps: Fraction) -> 
     ) is not None
 
 
-def reference_lattice(ms, ns, eps):
-    """The lattice of ``ms``, ``ns`` and eps, read through the
-    ``ExtRational`` and ``Fraction`` properties, one endpoint field at a
-    time: S = 4*lcm(every finite denominator, eps's), so w = 2*eps*S is an
-    even integer and an entry is eps-interleaved iff it is <= w.  Returns
-    (S, reach, w, decorated keys of ``ms``, of ``ns``); at eps 0 that is
-    ``interleaving._lattice`` with w = 0, and at other eps an independent
-    check of ``interleaving._bound``."""
-    eps = _as_fraction(eps)
-    finite = [v.as_fraction for s in (*ms, *ns) for v in (s.lo.value, s.hi.value)
-              if v.is_finite]
-    scale = 4 * math.lcm(eps.denominator, *(f.denominator for f in finite))
-    e = eps.numerator * (scale // eps.denominator)
-    reach = max([e, *(abs(f.numerator) * (scale // f.denominator) for f in finite)])
-    big = 8 * reach + 2
-
-    def point(x):
-        return x.sign * big if not x.is_finite else x.as_fraction * scale
-
-    def key(s):
-        return (2 * int(point(s.lo.value)) + (0 if s.lo.closed else 1),
-                2 * int(point(s.hi.value)) - (0 if s.hi.closed else 1))
-
-    return scale, reach, 2 * e, [key(s) for s in ms], [key(s) for s in ns]
-
-
 def direct_lattice(ms, ns, eps):
-    """``reference_lattice`` of the summand sequences ``ms`` and ``ns``
-    computed from scratch, with no per-module view: every endpoint's sign,
-    numerator and denominator read, one lcm over all of them and eps's, and
-    every key scaled from its point.  At eps 0 it is what
-    ``interleaving._lattice`` returns, with w = 0 inserted third."""
+    """The lattice of the summand sequences ``ms``, ``ns`` and eps, computed
+    from scratch, with no per-module view: every endpoint's sign, numerator
+    and denominator read, S = 4*lcm(every finite denominator, eps's), so w
+    = 2*eps*S is an even integer and an entry is eps-interleaved iff it is
+    <= w.  Returns (S, reach, w, decorated keys of ``ms``, of ``ns``); at
+    eps 0 it is what ``interleaving._lattice`` returns, with w = 0 inserted
+    third, and at other eps an independent check of ``interleaving._bound``."""
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"interleaving needs eps >= 0, got {eps}")
@@ -296,6 +265,19 @@ def direct_lattice(ms, ns, eps):
     keys = [(2 * lo + (0 if s.lo.closed else 1), 2 * hi - (0 if s.hi.closed else 1))
             for s, lo, hi in zip(summands, points[::2], points[1::2])]
     return scale, reach, 2 * e, keys[:len(ms)], keys[len(ms):]
+
+
+def run_summands(m: PModule) -> tuple:
+    """One summand of each run of m, in run order."""
+    return tuple(s for s, _ in m._runs)
+
+
+def index_certificate(m: PModule, n: PModule, eps) -> MatchingCertificate:
+    """Copy i of M against copy i of N, the rest unmatched, at threshold
+    eps."""
+    k = min(len(m), len(n))
+    return MatchingCertificate(ExtRational(eps), tuple((i, i) for i in range(k)),
+                               tuple(range(k, len(m))), tuple(range(k, len(n))))
 
 
 def lattice_scale(m: PModule, n: PModule) -> int:
@@ -320,18 +302,13 @@ def candidate_values(m: PModule, n: PModule) -> set[Fraction]:
 
 def copy_hopcroft_karp(adj: list[list[int]], pair_l: list[int],
                       pair_r: list[int]) -> tuple[int, list[int], list[int]]:
-    """Maximum-cardinality bipartite matching, one vertex per copy, as the
-    kernel ran it before its matcher took capacities; returns (size,
-    pair_l, pair_r) with -1 for unmatched vertices.  ``pair_l`` and
-    ``pair_r`` are a starting matching on edges of ``adj``, augmented in
-    place.
-
-    Left vertices may share one list object, and two exact skips then save
-    repeated scans: the BFS skips a vertex whose list it has just scanned;
-    in a phase, a free root with the previous root's list starts where that
-    root stopped, or at the edge that root's path took from its layer-1
-    vertex if that comes earlier, and after a root with the list fails, the
-    next ones with it are skipped."""
+    """Maximum-cardinality bipartite matching, one vertex per copy, by
+    Hopcroft-Karp's phases as the kernel ran them before its matcher took
+    capacities; returns (size, pair_l, pair_r) with -1 for unmatched
+    vertices.  ``pair_l`` and ``pair_r`` are a starting matching on edges
+    of ``adj``, augmented in place.  Left vertices may share one list
+    object.  The kernel's matcher then skips repeated scans, which must
+    leave its matching as it is here, where every list is scanned."""
     n_left = len(adj)
     unreachable = n_left + 1
     dist = [0] * n_left
@@ -345,13 +322,9 @@ def copy_hopcroft_karp(adj: list[list[int]], pair_l: list[int],
             else:
                 dist[u] = unreachable
         found_free = False
-        scanned = None
         while queue:
             u = queue.popleft()
-            if adj[u] is scanned:
-                continue
-            scanned = adj[u]
-            for v in scanned:
+            for v in adj[u]:
                 w = pair_r[v]
                 if w == -1:
                     found_free = True
@@ -389,19 +362,9 @@ def copy_hopcroft_karp(adj: list[list[int]], pair_l: list[int],
 
     size = n_left - pair_l.count(-1)
     while bfs():
-        shared = None
         for u in range(n_left):
-            if pair_l[u] != -1:
-                continue
-            start = 0
-            if adj[u] is shared:
-                if not path:
-                    continue
-                start = path[0][2]
-                if len(path) > 1 and path[1][1] in shared[:start]:
-                    start = shared.index(path[1][1])
-            shared, path = adj[u], [[u, -1, start]]
-            size += dfs(path)
+            if pair_l[u] == -1:
+                size += dfs([[u, -1, 0]])
     return size, pair_l, pair_r
 
 
@@ -456,7 +419,7 @@ def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
     before its matcher took capacities: a matching {M copy: N copy} over
     the pairs of cost <= t that saturates every copy of to-zero cost > t,
     or None.  The table and the lists ``near_m``, ``near_n`` are by run,
-    as for ``table_matching_at``; ``copies`` is None or (the M copy
+    as for the table probe of ``kernel_seam``; ``copies`` is None or (the M copy
     ranges by run, the N ones), and ``mates`` holds each copy's partner
     from an earlier probe, -1 for none."""
     runs_m = [i for i, v in enumerate(dtz_m) if v > t]
@@ -478,27 +441,24 @@ def copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, copies):
 
 
 def run_table(m: PModule, n: PModule):
-    """The table of the admitted pair of m and n on its runs, each entry one
-    ``interleaving._key_entry`` call on the pair's keys, with the pair's own
-    numbers: (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry
-    exceeds fin = 4*reach + 1 and ``counts`` are ``_pair``'s, None when no
-    summand repeats, else each side's copy counts by run."""
-    scale, reach, keys_m, keys_n, counts = bottleneck._pair(m, n, True)
+    """The table of the pair of m and n on its runs, each entry one
+    ``interleaving._key_entry`` call on the keys of the pair's lattice:
+    (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry exceeds
+    fin = 4*reach + 1 and ``counts`` is None when no summand repeats, else
+    each side's copy counts by run."""
+    scale, reach, keys_m, keys_n = _lattice(m._lattice_view(), n._lattice_view())
     costs = [[_key_entry(a, b) for b in keys_n] for a in keys_m]
     dtz_m = [_key_entry(a, None) for a in keys_m]
     dtz_n = [_key_entry(None, b) for b in keys_n]
+    counts = [k for _, k in m._ints], [k for _, k in n._ints]
+    if all(k == 1 for side in counts for k in side):
+        counts = None
     return costs, dtz_m, dtz_n, scale, 4 * reach + 1, counts
-
-
-def run_keys(m: PModule, n: PModule):
-    """What the search's probes read on the admitted pair of m and n:
-    ``bottleneck._cost_tables``, (dtz_m, dtz_n, cols_m, cols_n)."""
-    return bottleneck._cost_tables(bottleneck._pair(m, n, True))
 
 
 def column_table(dtz_m, dtz_n, cols_m, cols_n):
     """The table that key columns and to-zero entries stand for, as the
-    probe reads them (``run_keys``): each entry the larger of the two key
+    probe reads them (``kernel_seam.run_keys``): each entry the larger of the two key
     gaps, capped by the larger of the two to-zero entries.  On a pair's own
     keys it is ``run_table``'s; the to-zero entries may also be any ints."""
     (lows_m, ups_m), (lows_n, ups_n) = cols_m, cols_n
@@ -508,7 +468,7 @@ def column_table(dtz_m, dtz_n, cols_m, cols_n):
 
 
 def table_floor(hall, lists, dtz, costs, columns: bool) -> int:
-    """The Koenig floor of one side's failed ``table_matching_at`` probe:
+    """The Koenig floor of one side's failed probe on a table of runs:
     the least of the to-zero entries of the runs X in ``hall`` and of their
     entries in ``costs`` (X's rows, or with ``columns`` X's columns)
     against the runs of the other side outside N(X), the union of X's
@@ -521,90 +481,13 @@ def table_floor(hall, lists, dtz, costs, columns: bool) -> int:
     return min(chain(map(dtz.__getitem__, hall), (costs[i][j] for i in rows for j in take)))
 
 
-class LazyLists(dict):
-    """Neighbour lists by run, each built by ``build`` when first read and
-    kept for later reads, as the matchers read a ``bottleneck._Lists``."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, run):
-        near = self[run] = self.build(run)
-        return near
-
-
-def seed_terms(mate_m, costs, dtz_m) -> list[int]:
-    """The term of each M run of a matching, as the search's unit seeds
-    carry it: the cost of its pair, or its to-zero cost when unmatched."""
-    return [v if j == -1 else costs[i][j] for i, (v, j) in enumerate(zip(dtz_m, mate_m))]
-
-
-def unit_seeds(mate_m, mate_n, costs, dtz_m):
-    """The seeds of a probe on runs with no repeated summand from the
-    matching (mate_m, mate_n): the matching and its ``seed_terms``."""
-    return mate_m, mate_n, seed_terms(mate_m, costs, dtz_m)
-
-
-def table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts) -> int:
-    """The search's probe at t as it ran on a table of every pair of runs,
-    the reference that ``bottleneck._matching_at`` must match bound for
-    bound: the same matchers from the same ``seeds``, updated in place, on
-    lists filtered from whole rows and columns.  ``near_m[i]`` lists, in
-    index order, the columns that can still be row i's neighbours at t, and
-    ``near_n[j]`` the rows of column j; a feasible probe narrows each list
-    it read to its neighbours at t, and every later probe of the search
-    lies below t.  Unit seeds (``unit_seeds``) are pruned on the table, not
-    on their terms, and a feasible probe recomputes every term.  Returns
-    the floor (``table_floor``) of the first side that fails, else the
-    value of what the probe leaves in ``seeds``."""
-    work = seeds
-    if counts is None:
-        work = mate_m, mate_n = list(seeds[0]), list(seeds[1])
-        for i, j in [(i, j) for i, j in enumerate(mate_m) if j != -1 and costs[i][j] > t]:
-            mate_m[i] = mate_n[j] = -1
-    match, side_m, side_n = bottleneck._sides(dtz_m, dtz_n, work, counts)
-    hall = []
-    lists_m = LazyLists(lambda i: [j for j in near_m[i] if costs[i][j] <= t])
-    if not match(t, dtz_m, lists_m, *side_m, hall):
-        return table_floor(hall, lists_m, dtz_m, costs, False)
-    lists_n = LazyLists(lambda j: [i for i in near_n[j] if costs[i][j] <= t])
-    if not match(t, dtz_n, lists_n, *side_n, hall):
-        return table_floor(hall, lists_n, dtz_n, costs, True)
-    for near, lists in ((near_m, lists_m), (near_n, lists_n)):
-        for run, within in lists.items():
-            near[run] = within
-    if counts is None:
-        seeds[0][:], seeds[1][:] = mate_m, mate_n
-        seeds[2][:] = seed_terms(mate_m, costs, dtz_m)
-        return max([0, *seeds[2], *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
-    (sent_m, _), (sent_n, _) = seeds
-    return max([0, *(costs[i][j] for i, row in sent_m.items() for j in row),
-                *(costs[i][j] for j, row in sent_n.items() for i in row),
-                *(v for i, v in enumerate(dtz_m) if i not in sent_m),
-                *(v for j, v in enumerate(dtz_n) if j not in sent_n)])
-
-
-def table_probes(m: PModule, n: PModule, tops):
-    """The bounds of ``table_matching_at`` probes on ``run_table`` at
-    ``tops`` in turn, each seeded with the state the one before left and
-    on the lists the feasible ones before narrowed, as the search ran them
-    on its table."""
-    costs, dtz_m, dtz_n, _, _, counts = run_table(m, n)
-    near_m = [range(len(dtz_n))] * len(dtz_m)
-    near_n = [range(len(dtz_m))] * len(dtz_n)
-    seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
-    if counts is None:
-        seeds = unit_seeds(*seeds, costs, dtz_m)
-    return [table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, seeds, counts)
-            for t in tops]
-
-
 def copy_ranges(counts):
     """None when no run repeats, else each side's copy index ranges by run,
     from ``run_table``'s counts."""
     if counts is None or all(k == 1 for side in counts for k in side):
         return None
-    return tuple(bottleneck._ranges(side) for side in counts)
+    starts = [[0, *accumulate(side)] for side in counts]
+    return tuple([range(a, b) for a, b in zip(ends, ends[1:])] for ends in starts)
 
 
 def copy_search(m: PModule, n: PModule):
@@ -647,18 +530,16 @@ def copy_search(m: PModule, n: PModule):
     return ExtRational(Fraction(tops[hi] - 1, 2 * scale)), tops[hi], probes
 
 
-def full_probe(costs, dtz_m, dtz_n, t, mates=None, copies=None):
-    """``copy_matching_at`` on whole rows and columns: every index is a
-    possible neighbour.  ``copies`` is None or each side's copy count by
-    run (``run_table``'s counts).  Unseeded unless ``mates``
-    are given."""
+def full_probe(costs, dtz_m, dtz_n, t, copies=None):
+    """``copy_matching_at``, unseeded, on whole rows and columns: every
+    index is a possible neighbour.  ``copies`` is None or each side's copy
+    count by run (``run_table``'s counts)."""
     ranges = copy_ranges(copies)
     near_m = [range(len(dtz_n))] * len(dtz_m)
     near_n = [range(len(dtz_m))] * len(dtz_n)
-    if mates is None:
-        sizes = (len(dtz_m), len(dtz_n)) if ranges is None else (
-            sum(map(len, side)) for side in ranges)
-        mates = tuple([-1] * size for size in sizes)
+    sizes = (len(dtz_m), len(dtz_n)) if ranges is None else (
+        sum(map(len, side)) for side in ranges)
+    mates = tuple([-1] * size for size in sizes)
     return copy_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, mates, ranges)
 
 

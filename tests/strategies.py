@@ -1,10 +1,16 @@
-"""Hypothesis strategies for decorated intervals and modules."""
+"""Hypothesis strategies for decorated intervals and modules, and the
+seeded random pairs and kernel keys that several test files draw."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from persistd import EMPTY, Endpoint, ExtRational, NEG_INF, POS_INF, PModule, make_interval, singleton
+from persistd import (EMPTY, Endpoint, ExtRational, NEG_INF, POS_INF, PModule, interval,
+                      make_interval, singleton)
+from persistd.verify import random_interval
+
+from oracles import column_table
 
 grid_fractions = st.builds(
     Fraction, st.integers(-48, 48), st.sampled_from([1, 2, 4, 8, 16])
@@ -97,3 +103,59 @@ def lattice_intervals(draw):
 
 
 lattice_modules = st.lists(lattice_intervals(), max_size=4).map(PModule)
+
+
+def random_pool_pair(rng: random.Random):
+    """Two modules over one pool of up to 6 intervals on [-6, 6], some
+    with an infinite endpoint, each interval 0 to 6 times per module."""
+    pool = []
+    for _ in range(rng.randint(1, 6)):
+        s = random_interval(rng, Fraction(-6), Fraction(6), 4)
+        side = rng.randrange(5)
+        if side == 0:
+            s = make_interval(Endpoint(NEG_INF, False), s.hi)
+        elif side == 1:
+            s = make_interval(s.lo, Endpoint(POS_INF, False))
+        pool.append(s)
+    return tuple(PModule([s for s in pool for _ in range(rng.randint(0, 6))]) for _ in range(2))
+
+
+def near_copies(rng: random.Random, eps: int):
+    """One or two intervals on the half-integers of [0, 12], and two or
+    three near copies of them with each endpoint moved by -eps, 0 or eps
+    and fresh decorations; the sides swapped or mirrored at random."""
+    ms = [random_interval(rng, Fraction(0), Fraction(12), 2) for _ in range(rng.randint(1, 2))]
+    ns = []
+    for _ in range(rng.randint(2, 3)):
+        s = rng.choice(ms)
+        lo, hi = (x.value.as_fraction + rng.choice((-eps, 0, eps)) for x in (s.lo, s.hi))
+        if lo <= hi:
+            ns.append(interval(lo, hi, rng.choice(("[)", "(]", "[]", "()"))))
+    ns = [s for s in ns if not s.is_empty]
+    if rng.random() < 0.5:
+        ms, ns = ns, ms
+    if rng.random() < 0.5:
+        ms, ns = ([interval(-s.hi.value.as_fraction, -s.lo.value.as_fraction,
+                            ("[" if s.hi.closed else "(") + ("]" if s.lo.closed else ")"))
+                   for s in side] for side in (ms, ns))
+    return PModule(ms), PModule(ns)
+
+
+def key_columns(*points):
+    """The key columns (lower keys, upper keys) of the key points given."""
+    return [low for low, _ in points], [up for _, up in points]
+
+
+def random_table(rng: random.Random, n_m: int, n_n: int, top: int):
+    """Random kernel keys, all up to ``top``, the keys of a side in
+    increasing order as the runs' are; the table of costs they stand for
+    (``oracles.column_table``); and a threshold that is mostly one of the
+    entries, so that ties with it are common: (costs, keys, t)."""
+    cols = [key_columns(*sorted((rng.randint(0, top), rng.randint(0, top)) for _ in range(size)))
+            for size in (n_m, n_n)]
+    dtz_m = [rng.randint(0, top) for _ in range(n_m)]
+    dtz_n = [rng.randint(0, top) for _ in range(n_n)]
+    keys = dtz_m, dtz_n, *cols
+    costs = column_table(*keys)
+    t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
+    return costs, keys, t

@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -25,26 +24,22 @@ from persistd import (
     verify_certificate,
 )
 from persistd import bottleneck
-from persistd.bottleneck import _hopcroft_karp, _matching_at
 from persistd.verify import random_interval, random_module
 
+from kernel_seam import (Chain, Matcher, check_probe, hopcroft_karp, patch_lattice, recording,
+                         run_keys)
 from oracles import (
+    candidate_values,
     column_table,
     full_probe,
     key_table,
     lattice_scale,
-    reference_distance_to_zero,
-    reference_interval_distance,
     reference_module_distance,
     reference_modules_eps_interleaved,
     reference_search,
-    run_keys,
     run_table,
-    seed_terms,
-    table_matching_at,
-    unit_seeds,
 )
-from strategies import modules, pooled_pairs
+from strategies import key_columns, modules, pooled_pairs, random_table
 
 HALF = ExtRational(Fraction(1, 2))
 
@@ -276,7 +271,7 @@ class TestVertexCap:
         def no_lattice(*args):
             raise AssertionError("a lattice was built before the vertex cap was checked")
 
-        monkeypatch.setattr(bottleneck, "_lattice", no_lattice)
+        patch_lattice(monkeypatch, no_lattice)
         m, n = self.copies(5001), self.copies(5000)
         calls = [module_distance, distance_certificate,
                  *(lambda m, n, eps=eps: modules_eps_interleaved(m, n, eps) for eps in (0, 1, -1, 0.5))]
@@ -334,7 +329,7 @@ def test_hopcroft_karp_maximum(seed):
         seeds.append((pair_l, pair_r))
     for pair_l, pair_r in seeds:
         seeded = [u for u, v in enumerate(pair_l) if v != -1]
-        size = n_left - _hopcroft_karp(adj, pair_l, pair_r)
+        size = n_left - hopcroft_karp(adj, pair_l, pair_r)
         assert size == best
         matched = [(u, v) for u, v in enumerate(pair_l) if v != -1]
         assert len(matched) == size
@@ -367,7 +362,7 @@ def test_hopcroft_karp_on_shared_lists(seed):
                 pair_r[pair_l[u]] = u
         for start in (([-1] * len(adj), [-1] * n_right), (pair_l, pair_r)):
             shared, unshared = (list(map(list, start)) for _ in range(2))
-            assert _hopcroft_karp(adj, *shared) == _hopcroft_karp(
+            assert hopcroft_karp(adj, *shared) == hopcroft_karp(
                 [list(a) for a in adj], *unshared)
             assert shared == unshared, (adj, n_right, start)
 
@@ -382,7 +377,7 @@ def test_shared_list_root_restarts_at_a_revived_edge():
     expected = [[7, 5, 0, 6, 3, 4], [2, -1, -1, 4, 5, 1, 3, 0]]
     for adj in ([a, a, b, c, c, c], [list(a), list(a), b, list(c), list(c), list(c)]):
         pairs = list(map(list, start))
-        assert _hopcroft_karp(adj, *pairs) == 0
+        assert hopcroft_karp(adj, *pairs) == 0
         assert pairs == expected
 
 
@@ -407,204 +402,61 @@ def _bruteforce_saturating_exists(edge_ok, mand_m, mand_n):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_saturating_matching_against_bruteforce(seed):
+    """An unseeded probe passes exactly when some matching covers every
+    mandatory run, and a failed one leaves the empty matching."""
     rng = random.Random(seed)
     tie_edges = tie_deletions = 0
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        costs, tables, t = _random_table(rng, n_m, n_n, rng.randint(0, 6))
-        dtz_m, dtz_n = tables[:2]
+        costs, keys, t = random_table(rng, n_m, n_n, rng.randint(0, 6))
+        dtz_m, dtz_n = keys[:2]
         edge_ok = [[c <= t for c in row] for row in costs]
         mand_m = {i for i in range(n_m) if dtz_m[i] > t}
         mand_n = {j for j in range(n_n) if dtz_n[j] > t}
-        found = full_probe(costs, dtz_m, dtz_n, t)
-        assert (found is not None) == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
-        unseeded = [-1] * n_m, [-1] * n_n, list(dtz_m)
-        bound = _matching_at(*tables, t, unseeded, None)
-        _assert_probe(bound, unseeded, costs, dtz_m, dtz_n, t)
-        if found is None:
-            assert bound == _seeded_probe(tables, costs, t, unseeded)
-            assert unseeded == ([-1] * n_m, [-1] * n_n, dtz_m)
+        probed = Chain(keys).probe(t)
+        feasible = probed.bound <= t
+        assert feasible == _bruteforce_saturating_exists(edge_ok, mand_m, mand_n)
+        matching = probed.left
+        if not feasible:
+            assert matching == {}
             continue
-        mate_m, mate_n, _ = unseeded
-        tie_edges += sum(costs[i][j] == t for i, j in enumerate(mate_m) if j != -1)
-        tie_deletions += sum(v == t for v, j in zip(dtz_m, mate_m) if j == -1)
-        tie_deletions += sum(v == t for v, i in zip(dtz_n, mate_n) if i == -1)
+        tie_edges += sum(costs[i][j] == t for i, j in matching.items())
+        tie_deletions += sum(v == t for i, v in enumerate(dtz_m) if i not in matching)
+        tie_deletions += sum(v == t for j, v in enumerate(dtz_n) if j not in matching.values())
     # The boundary is inclusive on both sides: an entry equal to t is an
     # edge, and a to-zero cost equal to t leaves the summand deletable.
     assert tie_edges and tie_deletions
 
 
-def _random_table(rng, n_m, n_n, top):
-    """Random key columns and to-zero costs, all up to ``top``, the keys of
-    a side in increasing order as the runs' are; the table of costs they
-    stand for (``oracles.column_table``); and a threshold that is mostly
-    one of the entries, so that ties with it are common: (costs, (dtz_m,
-    dtz_n, cols_m, cols_n), t)."""
-    cols = [_columns(*sorted((rng.randint(0, top), rng.randint(0, top)) for _ in range(size)))
-            for size in (n_m, n_n)]
-    dtz_m = [rng.randint(0, top) for _ in range(n_m)]
-    dtz_n = [rng.randint(0, top) for _ in range(n_n)]
-    tables = dtz_m, dtz_n, *cols
-    costs = column_table(*tables)
-    t = rng.choice([*dtz_m, *dtz_n, *(c for row in costs for c in row), top])
-    return costs, tables, t
-
-
-def _columns(*points):
-    """The key columns (lower keys, upper keys) of the key points given."""
-    return [low for low, _ in points], [up for _, up in points]
-
-
-def _assert_matching_at(found, costs, dtz_m, dtz_n, t):
-    """``found`` = (mate_m, mate_n, term) holds a matching with partners on
-    both sides, -1 for none, that uses only pairs of cost <= t and covers
-    every summand of to-zero cost > t on both sides."""
-    mate_m, mate_n, _ = found
-    assert len(mate_m) == len(dtz_m) and len(mate_n) == len(dtz_n)
-    assert all(mate_n[j] == i for i, j in enumerate(mate_m) if j != -1)
-    assert all(mate_m[i] == j for j, i in enumerate(mate_n) if i != -1)
-    assert all(costs[i][j] <= t for i, j in enumerate(mate_m) if j != -1)
-    assert all(j != -1 for v, j in zip(dtz_m, mate_m) if v > t)
-    assert all(i != -1 for v, i in zip(dtz_n, mate_n) if v > t)
-
-
-def _assert_floor(floor, costs, dtz_m, dtz_n, t, counts=None):
-    """``floor``, what a probe at t returns when it fails, is an int above
-    t, and the unseeded full probe fails just below it, so, feasibility
-    being monotone in the threshold, at every threshold below it."""
-    assert isinstance(floor, int) and floor > t, (floor, t)
-    assert full_probe(costs, dtz_m, dtz_n, floor - 1, copies=counts) is None, (floor, t)
-
-
-def _seed_value(seeds, costs, dtz_m, dtz_n, counts) -> int:
-    """The value of what a feasible probe leaves in its ``seeds``: with
-    ``counts`` None, of the matching (mate_m, mate_n), the largest of its
-    pairs' costs and of the to-zero costs of the runs it leaves unmatched;
-    else of the two sides' flows (side_m, side_n), the largest of every
-    edge cost in either and of the to-zero cost of every run that its
-    side's flow does not cover.  The terms that unit seeds carry are not
-    read."""
-    if counts is None:
-        mate_m, mate_n, _ = seeds
-        return max([0, *(costs[i][j] for i, j in enumerate(mate_m) if j != -1),
-                    *(v for v, j in zip(dtz_m, mate_m) if j == -1),
-                    *(v for v, i in zip(dtz_n, mate_n) if i == -1)])
-    (side_m, _), (side_n, _) = seeds
-    return max([0, *(costs[i][j] for i, row in side_m.items() for j in row),
-                *(costs[i][j] for j, row in side_n.items() for i in row),
-                *(v for i, v in enumerate(dtz_m) if i not in side_m),
-                *(v for j, v in enumerate(dtz_n) if j not in side_n)])
-
-
-def _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts=None):
-    """The contract of a probe at t on runs, which returned ``bound`` and
-    left ``seeds``: ``bound`` is an int, at most t exactly when the full
-    probe at t succeeds.  Above t it is a floor (``_assert_floor``).  At or
-    below t it is the ``_seed_value`` of the seeds, and they hold
-    (``_assert_flow_at``) a matching or flows at t.  Either way, the rooms
-    of flows on repeated runs add up (``_assert_room``), and with no
-    repeated run the terms the seeds carry are those of their matching,
-    recomputed from the table (``oracles.seed_terms``)."""
-    assert isinstance(bound, int) and not isinstance(bound, bool), bound
-    if counts is None:
-        assert seeds[2] == seed_terms(seeds[0], costs, dtz_m), (seeds, t)
-    feasible = full_probe(costs, dtz_m, dtz_n, t, copies=counts) is not None
-    assert (bound <= t) == feasible, (bound, t)
-    if not feasible:
-        _assert_floor(bound, costs, dtz_m, dtz_n, t, counts)
-        if counts is not None:
-            _assert_room(seeds, counts)
-        return
-    assert _seed_value(seeds, costs, dtz_m, dtz_n, counts) == bound
-    _assert_flow_at(seeds, costs, dtz_m, dtz_n, t, counts)
-
-
-def _assert_room(seeds, counts):
-    """Each side's seed (sent, room) on repeated runs, feasible or not:
-    room[j] plus the units that ``sent`` sends to run j of the other side
-    is j's copy count, so no room is below 0 and every unit a run gave back
-    is room again."""
-    for (sent, room), count in zip(seeds, counts[::-1]):
-        into = [0] * len(count)
-        for row in sent.values():
-            for j, units in row.items():
-                into[j] += units
-        assert min([0, *room]) == 0 and [r + k for r, k in zip(room, into)] == count, (
-            sent, room, count)
-
-
-def _assert_flow_at(seeds, costs, dtz_m, dtz_n, t, counts):
-    """What a feasible probe on runs leaves in its ``seeds``:
-    ``_assert_matching_at``, and with ``counts``, each of the two sides'
-    flows (side_m, side_n), {run: {run of the other side: units}}, uses
-    only pairs of cost <= t and has as its keys exactly its side's runs of
-    to-zero cost > t, each sending every copy, and the room each leaves
-    holds the rest of the other side's copies (``_assert_room``)."""
-    if counts is None:
-        _assert_matching_at(seeds, costs, dtz_m, dtz_n, t)
-        return
-    (side_m, _), (side_n, _) = seeds
-    flipped = [[row[j] for row in costs] for j in range(len(dtz_n))]
-    for flow, table, dtz, count in ((side_m, costs, dtz_m, counts[0]),
-                                    (side_n, flipped, dtz_n, counts[1])):
-        assert sorted(flow) == [i for i, v in enumerate(dtz) if v > t]
-        for i, row in flow.items():
-            assert sum(row.values()) == count[i]
-            assert all(units > 0 and table[i][j] <= t for j, units in row.items())
-    _assert_room(seeds, counts)
-
-
-def _seeded_probe(tables, costs, t, seeds, counts=None):
-    """``bottleneck._matching_at`` at t on ``tables``, to-zero entries and
-    key columns, seeded with ``seeds``, which it updates in place: the
-    bound it returns.  ``oracles.table_matching_at`` on ``costs``, the
-    table that ``tables`` stand for, on whole rows and columns and from a
-    copy of the seeds, returns the same bound and leaves the same seeds."""
-    dtz_m, dtz_n = tables[:2]
-    copied = copy.deepcopy(seeds)
-    near_m = [range(len(dtz_n))] * len(dtz_m)
-    near_n = [range(len(dtz_m))] * len(dtz_n)
-    expected = table_matching_at(costs, dtz_m, dtz_n, t, near_m, near_n, copied, counts)
-    bound = _matching_at(*tables, t, seeds, counts)
-    assert (bound, seeds) == (expected, copied), (t, tables, counts)
-    return bound
-
-
-def _random_matching(rng, n_m, n_n):
-    """A random matching on all pairs, whatever their costs, with partners
-    on both sides."""
-    mate_m, mate_n = [-1] * n_m, [-1] * n_n
+def _random_matching(rng, n_m, n_n) -> dict:
+    """A random matching {M run: N run} on all pairs, whatever their costs."""
+    matching = {}
     for i in rng.sample(range(n_m), n_m):
-        free = [j for j in range(n_n) if mate_n[j] == -1]
+        free = [j for j in range(n_n) if j not in matching.values()]
         if free and rng.random() < 0.7:
-            j = rng.choice(free)
-            mate_m[i], mate_n[j] = j, i
-    return mate_m, mate_n
+            matching[i] = rng.choice(free)
+    return matching
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_probe_keeps_only_live_partners(seed):
     """A probe seeded with any matching, pairs over t included, decides as
     an unseeded full probe at every t, up and down the entries, and keeps
-    the probe's contract (``_assert_probe``); a failed probe leaves its
+    the probe's contract (``kernel_seam.Chain``); a failed probe leaves its
     seed as it was.  So does a chain of probes each seeded with the last
     feasible probe's matching, as in the search."""
     rng = random.Random(1000 + seed)
     for _ in range(25):
         n_m, n_n = rng.randint(0, 6), rng.randint(0, 6)
-        costs, tables, _ = _random_table(rng, n_m, n_n, rng.randint(0, 6))
-        dtz_m, dtz_n = tables[:2]
-        ts = sorted({0, *dtz_m, *dtz_n, *(c for row in costs for c in row)})
-        chained = unit_seeds([-1] * n_m, [-1] * n_n, costs, dtz_m)
+        costs, keys, _ = random_table(rng, n_m, n_n, rng.randint(0, 6))
+        ts = sorted({0, *keys[0], *keys[1], *(c for row in costs for c in row)})
+        chained = Chain(keys)
         for t in ts + ts[::-1]:
-            full = full_probe(costs, dtz_m, dtz_n, t)
-            seeds = unit_seeds(*_random_matching(rng, n_m, n_n), costs, dtz_m)
-            kept = tuple(map(list, seeds))
-            for start in (seeds, chained):
-                bound = _seeded_probe(tables, costs, t, start)
-                _assert_probe(bound, start, costs, dtz_m, dtz_n, t)
-            if full is None:
-                assert seeds == kept
+            start = _random_matching(rng, n_m, n_n)
+            probed = Chain(keys, pairs=start).probe(t)
+            if probed.bound > t:
+                assert probed.left == start
+            chained.probe(t)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -616,17 +468,15 @@ def test_seeded_probes_on_small_modules(seed):
     for _ in range(20):
         m, n = (random_module(rng, Fraction(-3), Fraction(3), 4, 4) for _ in range(2))
         costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
-        tables = run_keys(m, n)
-        assert column_table(*tables) == costs
+        keys = run_keys(m, n)
+        assert column_table(*keys) == costs
         assert module_distance(m, n) == bruteforce_module_distance(m, n)
         if counts is not None:
             continue
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
         for t in tops + tops[::-1]:
-            seeds = unit_seeds(*_random_matching(rng, len(dtz_m), len(dtz_n)), costs, dtz_m)
-            bound = _seeded_probe(tables, costs, t, seeds)
-            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t)
+            Chain(keys, pairs=_random_matching(rng, len(dtz_m), len(dtz_n))).probe(t)
 
 
 def test_stale_partners_are_dropped():
@@ -635,13 +485,10 @@ def test_stale_partners_are_dropped():
     # matched too (to-zero cost 2).  Column 1 is row 0's only neighbour.
     # The repaired matching has the value 1, and row 1, now unmatched, has
     # the term 0, its to-zero cost.
-    tables = [4, 0], [0, 2], _columns((1, 0), (5, 5)), _columns((-2, 0), (0, 0))
-    costs = column_table(*tables)
-    assert costs == [[3, 1], [0, 2]]
-    seeds = unit_seeds([0, 1], [0, 1], costs, tables[0])
-    assert seeds[2] == [3, 2]
-    assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([1, -1], [-1, 0], [1, 0])
+    keys = [4, 0], [0, 2], key_columns((1, 0), (5, 5)), key_columns((-2, 0), (0, 0))
+    assert column_table(*keys) == [[3, 1], [0, 2]]
+    probed = Chain(keys, pairs={0: 0, 1: 1}).probe(1)
+    assert (probed.bound, probed.left) == (1, {0: 1})
 
 
 def test_phases_let_a_deletable_partner_go():
@@ -649,15 +496,11 @@ def test_phases_let_a_deletable_partner_go():
     -> column 1 -> row 2 -> column 2 reaches a target: column 2, whose
     partner row 3 has to-zero cost t and so may be deleted.  Neither a
     direct target nor one swap reaches it, so the phases must."""
-    dtz_m, dtz_n = [5, 5, 5, 1], [0, 0, 0]
-    tables = (dtz_m, dtz_n, _columns(*((k, k) for k in (0, 2, 4, 6))),
-              _columns(*((k, k) for k in (1, 3, 5))))
-    costs = column_table(*tables)
-    assert costs == [[1, 3, 5], [1, 1, 3], [3, 1, 1], [1, 1, 1]]
-    seeds = unit_seeds([-1, 0, 1, 2], [1, 2, 3], costs, dtz_m)
-    assert full_probe(costs, dtz_m, dtz_n, 1) is not None
-    assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([0, 1, 2, -1], [0, 1, 2], [1, 1, 1, 1])
+    keys = ([5, 5, 5, 1], [0, 0, 0], key_columns(*((k, k) for k in (0, 2, 4, 6))),
+            key_columns(*((k, k) for k in (1, 3, 5))))
+    assert column_table(*keys) == [[1, 3, 5], [1, 1, 3], [3, 1, 1], [1, 1, 1]]
+    probed = Chain(keys, pairs={1: 0, 2: 1, 3: 2}).probe(1)
+    assert (probed.bound, probed.left) == (1, {0: 0, 1: 1, 2: 2})
 
 
 def test_a_side_with_no_runs():
@@ -671,119 +514,87 @@ def test_a_side_with_no_runs():
         assert not modules_eps_interleaved(m, n, Fraction(1, 4))
     costs, dtz_m, dtz_n, _, _, counts = run_table(PModule(), one)
     assert (costs, dtz_m, counts) == ([], [], None)
-    tables = run_keys(PModule(), one)
+    keys = run_keys(PModule(), one)
     # N's run has no neighbour: the probe fails at once, and the floor is
     # its to-zero entry.  At that entry the run may be deleted, and the
     # empty matching's value is the same entry.
-    assert _seeded_probe(tables, costs, dtz_n[0] - 1, ([], [-1], [])) == dtz_n[0]
-    seeds = ([], [-1], [])
-    assert _seeded_probe(tables, costs, dtz_n[0], seeds) == dtz_n[0]
-    assert seeds == ([], [-1], [])
+    assert Chain(keys).probe(dtz_n[0] - 1).bound == dtz_n[0]
+    probed = Chain(keys).probe(dtz_n[0])
+    assert (probed.bound, probed.left) == (dtz_n[0], {})
 
 
-def test_unit_decision_repairs_the_empty_matching(monkeypatch):
+def test_unit_decision_repairs_the_empty_matching():
     """The eps-decision on a pair with no repeated summand repairs the
     empty matching, M's side and then N's.  With an empty side, the other
     side's mandatory run has no neighbour and fails its repair at once, in
     both orders.  At an eps where no run of either side is mandatory, the
     decision holds without reading a neighbour list or running a phase."""
-    reads, phases = [], []
-
-    class Recorded(bottleneck._Lists):
-        def __missing__(self, run):
-            reads.append(run)
-            return super().__missing__(run)
-
-    def counted(*args, _real=bottleneck._hopcroft_karp, **kwargs):
-        phases.append(args)
-        return _real(*args, **kwargs)
-
-    monkeypatch.setattr(bottleneck, "_Lists", Recorded)
-    monkeypatch.setattr(bottleneck, "_hopcroft_karp", counted)
     one = PModule.of("(0,1)")
-    for m, n in ((PModule(), one), (one, PModule())):
-        for eps in (Fraction(0), Fraction(1, 4)):
-            assert not modules_eps_interleaved(m, n, eps)
-        assert phases == []
-        reads.clear()
-        for eps in (Fraction(1, 2), Fraction(1)):
+    with recording() as rec:
+        for m, n in ((PModule(), one), (one, PModule())):
+            for eps in (Fraction(0), Fraction(1, 4)):
+                assert not modules_eps_interleaved(m, n, eps)
+            assert rec.matchers == []
+            rec.lists.clear()
+            for eps in (Fraction(1, 2), Fraction(1)):
+                assert modules_eps_interleaved(m, n, eps)
+            assert rec.lists == [] and rec.matchers == []
+        assert modules_eps_interleaved(PModule(), PModule(), Fraction(0))
+        m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)", "[5,9)")
+        # The largest distance to zero is that of [5,9), 2, and it is attained.
+        for eps in (Fraction(2), Fraction(3)):
             assert modules_eps_interleaved(m, n, eps)
-        assert reads == [] and phases == []
-    assert modules_eps_interleaved(PModule(), PModule(), Fraction(0))
-    m, n = PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)", "[5,9)")
-    # The largest distance to zero is that of [5,9), 2, and it is attained.
-    for eps in (Fraction(2), Fraction(3)):
-        assert modules_eps_interleaved(m, n, eps)
-    assert reads == [] and phases == []
-    step = Fraction(1, 4 * lattice_scale(m, n))
-    for eps in (Fraction(2) - step, Fraction(3, 2), Fraction(1, 2), Fraction(0)):
-        assert modules_eps_interleaved(m, n, eps) == reference_modules_eps_interleaved(m, n, eps)
-    assert reads
+        assert rec.lists == [] and rec.matchers == []
+        step = Fraction(1, 4 * lattice_scale(m, n))
+        for eps in (Fraction(2) - step, Fraction(3, 2), Fraction(1, 2), Fraction(0)):
+            expected = reference_modules_eps_interleaved(m, n, eps)
+            assert modules_eps_interleaved(m, n, eps) == expected
+        assert rec.lists
 
 
-def test_repeated_probe_starts_from_its_own_matching(monkeypatch):
+def test_repeated_probe_starts_from_its_own_matching():
     """Each side's flow on runs is kept for the next probe: repeated at the
-    same t, a probe on repeated summands starts both Hopcroft-Karp runs
-    from complete flows, one left vertex per mandatory run."""
+    same t, a probe on repeated summands starts both flows complete, one
+    left vertex per mandatory run."""
     m = PModule.of(*["[0,10)"] * 3, *["[20,30)"] * 2)
     n = PModule.of(*["[1,11)"] * 3, *["[21,31)"] * 2)
     costs, dtz_m, dtz_n, scale, _, counts = run_table(m, n)
-    tables = run_keys(m, n)
     assert counts == ([3, 2], [3, 2])
     top = 2 * scale + 1  # the class top of distance 1, below every to-zero cost
-    seeds = ({}, list(counts[1])), ({}, list(counts[0]))
-    first = _seeded_probe(tables, costs, top, seeds, counts)
-    flows = ({0: {0: 3}, 1: {1: 2}}, [0, 0]), ({0: {0: 3}, 1: {1: 2}}, [0, 0])
-    assert seeds == flows
-    assert first == max(costs[0][0], costs[1][1]) <= top
-    starts = []
-
-    def recorded(adj, sent, room, need, *args, _real=bottleneck._flow):
-        starts.append((len(adj), list(need)))
-        return _real(adj, sent, room, need, *args)
-
-    monkeypatch.setattr(bottleneck, "_flow", recorded)
-    assert _matching_at(*tables, top, seeds, counts) == first
-    assert seeds == flows
-    assert starts == [(2, [0, 0]), (2, [0, 0])]
-
-
-def _count_probes(monkeypatch) -> list:
-    probes = []
-
-    def counted(*args, _real=bottleneck._matching_at):
-        probes.append(args[4])
-        return _real(*args)
-
-    monkeypatch.setattr(bottleneck, "_matching_at", counted)
-    return probes
+    chain = Chain(run_keys(m, n), counts, costs=costs)
+    first = chain.probe(top)
+    flows = {0: {0: 3}, 1: {1: 2}}
+    assert first.left == (flows, flows)
+    assert first.bound == max(costs[0][0], costs[1][1]) <= top
+    with recording() as rec:
+        again = chain.probe(top)
+    assert (again.bound, again.left) == (first.bound, (flows, flows))
+    # Both sides' flows of the table probe, then of the probe itself.
+    assert rec.matchers == [Matcher(True, 2, [0, 0], 0)] * 4
 
 
 @pytest.mark.parametrize("text", ["[0,2)", "(1/3,5/2]", "[-1,4]"])
-def test_replicates_take_at_most_two_probes(monkeypatch, text):
-    probes = _count_probes(monkeypatch)
+def test_replicates_take_at_most_two_probes(text):
     summand = parse_interval(text)
-    for k in range(1, 30):
-        for k_less in range(k):
-            probes.clear()
-            d = module_distance(replicate(summand, k), replicate(summand, k_less))
-            assert d == summand.diameter().half()
-            assert 1 <= len(probes) <= 2, (k, k_less, probes)
+    with recording() as rec:
+        for k in range(1, 30):
+            for k_less in range(k):
+                rec.clear()
+                d = module_distance(replicate(summand, k), replicate(summand, k_less))
+                assert d == summand.diameter().half()
+                assert 1 <= len(rec.probes) <= 2, (k, k_less, rec.bounds)
 
 
-def test_probes_at_most_log_of_class_tops(monkeypatch):
-    probes = _count_probes(monkeypatch)
+def test_probes_at_most_log_of_class_tops():
     rng = random.Random(0)
-    for _ in range(500):
-        m, n = (random_module(rng, Fraction(-5), Fraction(5), 4, 7) for _ in range(2))
-        # One class top per distinct finite undecorated cost, 0 included.
-        classes = {ExtRational(0)}
-        classes.update(reference_interval_distance(a, b) for a in m for b in n)
-        classes.update(reference_distance_to_zero(s) for s in (*m, *n))
-        tops = sum(1 for c in classes if c.is_finite)
-        probes.clear()
-        module_distance(m, n)
-        assert 1 <= len(probes) <= (tops - 1).bit_length() + 1, (m.to_json(), n.to_json())
+    with recording() as rec:
+        for _ in range(500):
+            m, n = (random_module(rng, Fraction(-5), Fraction(5), 4, 7) for _ in range(2))
+            # One class top per distinct finite undecorated cost, 0 included.
+            tops = len(candidate_values(m, n))
+            rec.clear()
+            module_distance(m, n)
+            assert 1 <= len(rec.probes) <= (tops - 1).bit_length() + 1, (m.to_json(), n.to_json())
 
 
 @given(modules(max_summands=20, finite_only=False, max_copies=2),
@@ -791,58 +602,50 @@ def test_probes_at_most_log_of_class_tops(monkeypatch):
 @settings(max_examples=60)
 def test_search_probes_equal_full_probes(m, n):
     """Every probe of the search, seeded, decides as an unseeded
-    copy-level probe on every row and column at the same t.  A feasible
-    probe returns a matching or flow of runs at t that covers every
-    mandatory run on both sides.  The search's probes run on the key
-    columns of distinct summands, which stand for their table
-    (``oracles.column_table``), and the full probes on the table of
-    copies, where an unseeded copy-level probe on distinct summands gives
-    the same matching.  The certificate's matching is that of an unseeded
-    full probe at the answer's top."""
+    copy-level probe on every row and column at the same t, and keeps the
+    probe's contract (``kernel_seam.check_probe``): a feasible probe
+    leaves a matching or flow of runs at t that covers every mandatory run
+    on both sides.  The search's probes run on the key columns of distinct
+    summands, which stand for their table (``oracles.column_table``), and
+    the full probes on the table of copies, where an unseeded copy-level
+    probe on distinct summands gives the same matching.  The certificate's
+    matching is that of an unseeded full probe at the answer's top."""
     costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
-    probes = []
-
-    def checked(*args):
-        t, seeds, counts = args[4:]
-        full = full_probe(costs, dtz_m, dtz_n, t)
-        run_costs = column_table(*args[:4])
-        assert full_probe(run_costs, *args[:2], t, None, counts) == full
-        bound = _matching_at(*args)
-        _assert_probe(bound, seeds, run_costs, *args[:2], t, counts)
-        probes.append(t)
-        return bound
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bottleneck, "_matching_at", checked)
+    with recording() as rec:
         d = module_distance(m, n)
-    assert probes and d == reference_module_distance(m, n)
+    assert rec.probes and d == reference_module_distance(m, n)
+    for probe in rec.probes:
+        full = full_probe(costs, dtz_m, dtz_n, probe.t)
+        run_costs = column_table(*probe.keys)
+        assert full_probe(run_costs, *probe.keys[:2], probe.t, probe.counts) == full
+        check_probe(probe, run_costs)
     if not d.is_finite:
         return
-    assert scale == bottleneck._pair(m, n, True)[0]
+    assert scale == run_table(m, n)[3]
     top = int(2 * scale * d.as_fraction) + 1
     full = full_probe(costs, dtz_m, dtz_n, top)
     assert distance_certificate(m, n).pairs == tuple(sorted(full.items()))
 
 
-def test_upper_jump_beats_plain_bisection(monkeypatch):
+def test_upper_jump_beats_plain_bisection():
     """A feasible probe's matching moves the bracket's top down to its own
     value, so the search probes less than a plain bisection over the same
     class tops with unseeded probes.  The endpoints lie on a fine grid
     ([-50, 50], denominators up to 16), so the tops are many and a
     matching's value often sits well below the probe."""
-    probes = _count_probes(monkeypatch)
     rng = random.Random(11)
     plain = 0
-    for _ in range(20):
-        m, n = (
-            PModule(random_interval(rng, Fraction(-50), Fraction(50), 16)
-                    for _ in range(rng.randint(20, 40)))
-            for _ in range(2)
-        )
-        d, count = reference_search(m, n)
-        plain += count
-        assert module_distance(m, n) == d
-    assert len(probes) < plain, (len(probes), plain)
+    with recording() as rec:
+        for _ in range(20):
+            m, n = (
+                PModule(random_interval(rng, Fraction(-50), Fraction(50), 16)
+                        for _ in range(rng.randint(20, 40)))
+                for _ in range(2)
+            )
+            d, count = reference_search(m, n)
+            plain += count
+            assert module_distance(m, n) == d
+    assert len(rec.probes) < plain, (len(rec.probes), plain)
 
 
 def test_infeasible_probe_leaves_its_seeds():
@@ -850,36 +653,29 @@ def test_infeasible_probe_leaves_its_seeds():
     # so the floor is the least of 3 and its row, 1, and the seeds stay as
     # they were, terms included; at t = 1 it meets column 0.  The matching
     # found there has the value 1 too, row 0's new term.
-    tables = [3, 0], [0, 0], _columns((0, 0), (9, 9)), _columns((1, 1), (4, 4))
-    costs = column_table(*tables)
-    assert costs == [[1, 3], [0, 0]]
-    seeds = [-1, -1], [-1, -1], [3, 0]
-    assert _seeded_probe(tables, costs, 0, seeds) == 1
-    assert seeds == ([-1, -1], [-1, -1], [3, 0])
-    assert _seeded_probe(tables, costs, 1, seeds) == 1
-    assert seeds == ([0, -1], [0, -1], [1, 0])
+    keys = [3, 0], [0, 0], key_columns((0, 0), (9, 9)), key_columns((1, 1), (4, 4))
+    assert column_table(*keys) == [[1, 3], [0, 0]]
+    chain = Chain(keys)
+    probed = chain.probe(0)
+    assert (probed.bound, probed.left, probed.hall) == (1, {}, (0, [0]))
+    probed = chain.probe(1)
+    assert (probed.bound, probed.left) == (1, {0: 0})
 
 
 @given(pooled_pairs(max_count=4), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_probe_returns_the_bound_it_proves(pair, rng):
-    """The probe's contract (``_assert_probe``) for chains of probes up and
-    down, each seeded with the state the one before left: at every class
-    top of the run table of two modules over one pool, repeated runs or
-    not, and at every int up to a random table's largest entry, on small
+    """The probe's contract (``kernel_seam.Chain``) for chains of probes up
+    and down, each seeded with the state the one before left: at every
+    class top of the run table of two modules over one pool, repeated runs
+    or not, and at every int up to a random table's largest entry, on small
     ints with no repeated run that need not be lattice entries."""
     m, n = pair
     costs, dtz_m, dtz_n, _, _, counts = run_table(m, n)
     tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row} | {1})
     top = rng.randint(0, 9)
-    random_costs, random_tables, _ = _random_table(rng, rng.randint(0, 6), rng.randint(0, 6), top)
-    cases = [(run_keys(m, n), costs, counts, tops),
-             (random_tables, random_costs, None, range(top + 2))]
-    for tables, costs, counts, ts in cases:
-        dtz_m, dtz_n = tables[:2]
-        seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
-        if counts is None:
-            seeds = unit_seeds(*seeds, costs, dtz_m)
+    random_costs, random_keys, _ = random_table(rng, rng.randint(0, 6), rng.randint(0, 6), top)
+    for chain, ts in ((Chain(run_keys(m, n), counts, costs=costs), tops),
+                      (Chain(random_keys, costs=random_costs), range(top + 2))):
         for t in [*ts, *reversed(ts)]:
-            bound = _seeded_probe(tables, costs, t, seeds, counts)
-            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)
+            chain.probe(t)

@@ -21,11 +21,11 @@ from persistd.interleaving import _bound, _lattice
 from persistd.intervals import _ends
 
 from oracles import (
+    index_certificate,
     reference_are_eps_interleaved,
     reference_modules_eps_interleaved,
     reference_verify_certificate,
 )
-from test_module_views import index_certificate
 
 
 # On integer endpoints S = 4 and on half-integers S = 8, so these eps put

@@ -23,6 +23,8 @@ from persistd import (
 from persistd.interleaving import _bound, _class_top, _lattice
 
 from oracles import (
+    candidate_values,
+    lattice_scale,
     reference_are_eps_interleaved,
     reference_distance_to_zero,
     reference_interval_distance,
@@ -30,7 +32,6 @@ from oracles import (
     run_table,
 )
 from strategies import intervals, lattice_intervals
-from test_lattice import candidate_values, lattice_scale
 
 # Empty, singleton, half-line and whole-line intervals with mixed
 # decorations, on small grids and with denominators up to 2^41.

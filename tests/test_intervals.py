@@ -94,6 +94,11 @@ class TestConstruction:
         with pytest.raises(MalformedIntervalError):
             Interval(Endpoint(ExtRational(2), True), Endpoint(ExtRational(1), True))
 
+    @pytest.mark.parametrize("bounds", ["", "[", ")", "[)]", "(]]", "[[)", ")(", "[}"])
+    def test_bounds_are_two_brackets(self, bounds):
+        with pytest.raises(ValueError, match=r"^bounds must look like '\[\)' or '\(\]', got "):
+            interval(0, 2, bounds)
+
 
 class TestParse:
     @pytest.mark.parametrize(

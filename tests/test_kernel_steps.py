@@ -16,7 +16,6 @@ import persistd
 from persistd import (
     InfiniteDistanceError,
     PModule,
-    bottleneck,
     cauchy_witness,
     distance_certificate,
     module_distance,
@@ -24,9 +23,9 @@ from persistd import (
     verify_certificate,
 )
 
+from kernel_seam import search_top
 from oracles import copy_search, full_probe, lattice_scale, table_modules_eps_interleaved
-from test_bottleneck import _random_table
-from test_table_free import _near_copies, _random_pool_pair
+from strategies import near_copies, random_pool_pair, random_table
 
 PACKAGE = str(Path(persistd.__file__).parent)
 
@@ -62,27 +61,30 @@ def bounded(fn, *args, limit=LINES):
 def _pairs():
     rng = random.Random(31)
     for k in range(60):
-        yield _random_pool_pair(rng) if k % 3 else _near_copies(rng, rng.randint(1, 3))
+        yield random_pool_pair(rng) if k % 3 else near_copies(rng, rng.randint(1, 3))
 
 
-# Deep lattices.  Cauchy stages 60 and 59 have about 60 bits of lattice
+# Deep lattices, built by the test so that a broken family fails a family
+# test first.  Cauchy stages 60 and 59 have about 60 bits of lattice
 # between their largest and smallest entries; a search that bisects their
 # bit lengths takes about 9,600 lines (11,700 with the certificate's
 # matching), one that probes once per bit about 31,800.
 # The pooled pair repeats runs whose endpoints have denominators up to 2^41,
 # with an infinite one.
 DEEP = (
-    (cauchy_witness(60), cauchy_witness(59), 20_000),
-    (PModule.of(*["[1/2199023255552,3/1099511627776)"] * 3, *["(-5/3,7/16]"] * 2, "[1/7,inf)",
-                *["(0,1/1099511627776]"] * 4),
-     PModule.of(*["[1/2199023255552,3/1099511627776)"] * 2, *["(-5/3,7/16]"] * 2,
-                *["[1/7,inf)"] * 3, "(0,1/1099511627776]", "(-1/3,5/2199023255552)"), LINES),
+    pytest.param(lambda: (cauchy_witness(60), cauchy_witness(59), 20_000), id="61x60"),
+    pytest.param(lambda: (
+        PModule.of(*["[1/2199023255552,3/1099511627776)"] * 3, *["(-5/3,7/16]"] * 2, "[1/7,inf)",
+                   *["(0,1/1099511627776]"] * 4),
+        PModule.of(*["[1/2199023255552,3/1099511627776)"] * 2, *["(-5/3,7/16]"] * 2,
+                   *["[1/7,inf)"] * 3, "(0,1/1099511627776]", "(-1/3,5/2199023255552)")),
+        id="10x9"),
 )
 
 
 @pytest.mark.parametrize("pair", [*_pairs(), *DEEP], ids=lambda p: f"{len(p[0])}x{len(p[1])}")
 def test_kernel_finishes_and_agrees(pair):
-    m, n, limit = (*pair, LINES)[:3]
+    m, n, limit = (*(pair() if callable(pair) else pair), LINES)[:3]
     d = bounded(module_distance, m, n, limit=limit)
     assert d == copy_search(m, n)[0], (m.to_json(), n.to_json())
     step = Fraction(1, 8 * lattice_scale(m, n))
@@ -109,12 +111,12 @@ def test_search_on_any_table():
     rng = random.Random(5)
     for _ in range(400):
         n_m, n_n = rng.randint(0, 5), rng.randint(0, 5)
-        costs, tables, _ = _random_table(rng, n_m, n_n, rng.randint(0, 14))
-        dtz_m, dtz_n = tables[:2]
+        costs, keys, _ = random_table(rng, n_m, n_n, rng.randint(0, 14))
+        dtz_m, dtz_n = keys[:2]
         counts = None if rng.random() < 0.5 else (
             [rng.randint(1, 3) for _ in range(n_m)], [rng.randint(1, 3) for _ in range(n_n)])
         reach = rng.randint(0, 4)
-        _, top = bounded(bottleneck._search, (1, reach, None, None, counts), tables)
+        top = bounded(search_top, keys, reach, counts)
         least = next((k for k in range(reach + 1)
                       if full_probe(costs, dtz_m, dtz_n, 4 * k + 1, copies=counts) is not None), None)
-        assert top == (None if least is None else 4 * least + 1), (tables, reach, counts)
+        assert top == (None if least is None else 4 * least + 1), (keys, reach, counts)

@@ -18,18 +18,18 @@ from persistd import (
     replicate,
     verify_certificate,
 )
-from persistd import bottleneck
 from persistd.interleaving import _bound, _key_entry, _lattice, _view
 from persistd.intervals import _ends
 
+from kernel_seam import entries, key_floor, neighbour_runs, recording, run_keys
 from oracles import (
     candidate_values,
+    direct_lattice,
     key_table,
     lattice_scale,
-    reference_lattice,
     reference_module_distance,
     reference_modules_eps_interleaved,
-    run_keys,
+    run_summands,
     run_table,
     table_floor,
 )
@@ -55,8 +55,8 @@ def test_lattice_keys_equal_reference(m, n, eps):
     lattice at eps, which takes eps's denominator into S, admits."""
     ms, ns = m.summands, n.summands
     scale, reach, keys_m, keys_n = _lattice(*(_view(list(map(_ends, x))) for x in (ms, ns)))
-    assert reference_lattice(ms, ns, 0) == (scale, reach, 0, keys_m, keys_n)
-    _, _, w, ref_m, ref_n = reference_lattice(ms, ns, eps)
+    assert direct_lattice(ms, ns, 0) == (scale, reach, 0, keys_m, keys_n)
+    _, _, w, ref_m, ref_n = direct_lattice(ms, ns, eps)
     bound = _bound(eps, scale, reach)
     for a, ref_a in zip([None, *keys_m], [None, *ref_m]):
         for b, ref_b in zip([None, *keys_n], [None, *ref_n]):
@@ -64,49 +64,47 @@ def test_lattice_keys_equal_reference(m, n, eps):
                 assert (_key_entry(a, b) <= bound) == (_key_entry(ref_a, ref_b) <= w)
 
 
-def _run_summands(m: PModule) -> tuple:
-    return tuple(s for s, _ in m._runs)
-
-
 @given(pooled_pairs())
 @settings(max_examples=200)
 def test_cost_tables_equal_key_table(pair):
-    """The entries the probes read off ``_cost_tables``'s key columns with
-    ``_entries``, the inline form that the value of a feasible probe and
-    the seed pruning use, against one ``_key_entry`` call per entry, on the
-    runs: the same table and to-zero entries.  The run table of the pair's
+    """The entries the probes read off the search's keys, the inline form
+    that the value of a feasible probe uses, against one ``_key_entry``
+    call per entry, on the runs: the same table and to-zero entries.  The run table of the pair's
     admitted keys is that of the keys built from scratch, with the same S
     and fin."""
     m, n = pair
     table = run_table(m, n)
-    assert table[:5] == key_table(*map(_run_summands, pair))[:5]
+    assert table[:5] == key_table(*map(run_summands, pair))[:5]
     costs, dtz_m, dtz_n = table[:3]
-    tables = run_keys(m, n)
-    assert tables[:2] == (dtz_m, dtz_n)
+    keys = run_keys(m, n)
+    assert keys[:2] == (dtz_m, dtz_n)
     every = [(i, j) for i in range(len(dtz_m)) for j in range(len(dtz_n))]
-    assert bottleneck._entries(every, *tables) == [c for row in costs for c in row]
+    assert entries(keys, every) == [c for row in costs for c in row]
 
 
 @given(pooled_pairs(), st.randoms(use_true_random=False))
 @settings(max_examples=200)
 def test_key_floor_equals_table_floor(pair, rng):
-    """``_floor``, which reads key gaps alone, against ``oracles.table_floor``
+    """The floor that reads key gaps alone against ``oracles.table_floor``
     on the run table: the least to-zero entry of a set X of runs and of
     their entries against the runs outside N(X), for random X and box
-    lists at every class top, on each side."""
+    lists at every class top, on each side.  Each run's box list holds the
+    runs of the other side within t of it on both keys."""
     m, n = pair
     costs, dtz_m, dtz_n, _, _, _ = run_table(m, n)
-    _, _, cols_m, cols_n = run_keys(m, n)
+    keys = run_keys(m, n)
     tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row})
-    sides = ((dtz_m, cols_m, cols_n, costs, False), (dtz_n, cols_n, cols_m, costs, True))
+    sides = (dtz_m, keys[2], keys[3]), (dtz_n, keys[3], keys[2])
     for t in tops:
-        for dtz, cols, other, table, columns in sides:
+        for side, (dtz, cols, other) in enumerate(sides):
             if not dtz:
                 continue
-            lists = bottleneck._Lists(cols, other, t)
+            lists = neighbour_runs(cols, other, t)
+            assert lists == [[j for j, (a, b) in enumerate(zip(*other))
+                              if abs(a - low) <= t and abs(b - up) <= t] for low, up in zip(*cols)]
             hall = rng.sample(range(len(dtz)), rng.randint(1, len(dtz)))
-            assert bottleneck._floor(hall, lists, dtz, cols, other) == (
-                table_floor(hall, lists, dtz, table, columns)), (t, hall, columns)
+            assert key_floor(hall, dtz, cols, other, t) == (
+                table_floor(hall, lists, dtz, costs, side == 1)), (t, hall, side)
 
 
 @given(pooled_pairs() | st.tuples(lattice_modules, lattice_modules))
@@ -114,7 +112,7 @@ def test_key_floor_equals_table_floor(pair, rng):
 def test_run_keys_strictly_increase(pair):
     """Runs come in canonical order, and on the one lattice of both modules,
     which every eps shares, their (lower, upper) keys strictly increase:
-    ``_Lists`` bisects the lower keys of a side as they come."""
+    the neighbour lists bisect the lower keys of a side as they come."""
     ends_m, ends_n = ([e for e, _ in x._ints] for x in pair)
     _, _, keys_m, keys_n = _lattice(_view(ends_m), _view(ends_n))
     for keys in (keys_m, keys_n):
@@ -163,11 +161,11 @@ def test_whole_line_and_half_lines():
     assert module_distance(left, PModule.of("(-inf,1)")) == ExtRational(Fraction(4, 7))
 
 
-def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
-    """The decision runs no search set-up (``_cost_tables``) and makes no
-    probe: it reads the lattice once and runs a matcher, Hopcroft-Karp or
-    the flow, at most once per side, not at all when the repair of the
-    empty matching needs no phases."""
+def test_decision_builds_no_table_and_makes_no_probe():
+    """The decision runs no search set-up and makes no probe: it reads the
+    lattice once and runs a matcher, Hopcroft-Karp or the flow, at most
+    once per side, not at all when the repair of the empty matching needs
+    no phases."""
     pairs = [
         (PModule.of("[0,2)", "(1,4]", "[3,3]"), PModule.of("(0,2)", "[1,4)")),
         (PModule.of("[0,2)", "[0,2)", "(1,4]"), PModule.of("[0,2)", "[1,4)", "[1,4)")),
@@ -175,18 +173,12 @@ def test_decision_builds_no_table_and_makes_no_probe(monkeypatch):
     ]
     cases = [(m, n, eps, reference_modules_eps_interleaved(m, n, eps))
              for m, n in pairs for eps in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))]
-    calls = []
-    for name in ("_cost_tables", "_matching_at", "_lattice", "_hopcroft_karp", "_flow"):
-        def counted(*args, _real=getattr(bottleneck, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(bottleneck, name, counted)
-    for m, n, eps, expected in cases:
-        calls.clear()
-        assert modules_eps_interleaved(m, n, eps) == expected
-        assert calls.count("_lattice") == 1
-        assert calls.count("_hopcroft_karp") + calls.count("_flow") <= 2
-        assert set(calls) <= {"_lattice", "_hopcroft_karp", "_flow"}, calls
+    with recording() as rec:
+        for m, n, eps, expected in cases:
+            rec.clear()
+            assert modules_eps_interleaved(m, n, eps) == expected
+            assert rec.lattices == 1 and len(rec.matchers) <= 2, rec.matchers
+            assert rec.setups == 0 and rec.probes == []
 
 
 def test_decision_checks_the_vertex_cap_before_eps():

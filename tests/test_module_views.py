@@ -33,13 +33,15 @@ from persistd import bottleneck, interleaving, pmodule
 from persistd.cli import cli_main
 from persistd.interleaving import _lattice
 
+from kernel_seam import patch_lattice
 from oracles import (
     direct_lattice,
+    index_certificate,
     reference_verify_certificate,
+    run_summands as runs,
     table_modules_eps_interleaved,
 )
 from strategies import deep_fractions, pooled_pairs, small_eps
-from test_lattice import _run_summands as runs
 
 
 # Denominators that no pooled interval has: before the lattice became the
@@ -77,14 +79,6 @@ def test_lcm_is_the_view_lcm_without_the_view(pair):
         lcm = fresh._lcm()
         assert fresh._view is None
         assert lcm == fresh._lattice_view()[0] == fresh._lcm()
-
-
-def index_certificate(m, n, eps):
-    """Copy i of M against copy i of N, the rest unmatched, at threshold
-    eps."""
-    k = min(len(m), len(n))
-    return MatchingCertificate(ExtRational(eps), tuple((i, i) for i in range(k)),
-                               tuple(range(k, len(m))), tuple(range(k, len(n))))
 
 
 @given(pooled_pairs(), st.lists(small_eps | new_denominators | deep_fractions.map(abs),
@@ -127,15 +121,8 @@ def kernel_calls(m, n):
 PAIR = ("[0,2)", "[0,2)", "(1,4]", "(-inf,3)", "[7/3,5]"), ("[0,3)", "[1,4)", "[5,5]", "(-inf,1]")
 
 
-def test_one_view_per_module(monkeypatch):
-    built = []
-    real = interleaving._view
-
-    def counted(ends):
-        built.append(ends)
-        return real(ends)
-
-    monkeypatch.setattr(interleaving, "_view", counted)
+def test_one_view_per_module(calls):
+    built = calls(interleaving, "_view")
     m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
     for _ in range(3):
         kernel_calls(m, n)
@@ -170,20 +157,13 @@ def test_value_semantics_ignore_the_view():
     assert m._view is m._lattice_view()
 
 
-def test_repeat_calls_read_no_fraction(monkeypatch):
+def test_repeat_calls_read_no_fraction(calls):
     """Once both modules hold their views, the distance, the decision and
     the certificate check read no endpoint fraction: a patched
     ``Fraction.as_integer_ratio`` counts no call."""
     m, n = PModule.of(*PAIR[0]), PModule.of(*PAIR[1])
     d, cert = kernel_calls(m, n)
-    reads = []
-    real = Fraction.as_integer_ratio
-
-    def counted(self):
-        reads.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+    reads = calls(Fraction, "as_integer_ratio")
     assert module_distance(m, n) == d
     assert modules_eps_interleaved(m, n, d.as_fraction)
     assert not modules_eps_interleaved(m, n, d.as_fraction - Fraction(1, 7))
@@ -198,7 +178,7 @@ def test_repeat_calls_read_no_fraction(monkeypatch):
     assert reads
 
 
-def test_kernel_builds_no_interval_projection(monkeypatch):
+def test_kernel_builds_no_interval_projection(calls):
     """Parsed modules take part in distances, certificates, their checks
     and decisions, and give their radical and JSON, without building their
     ``Interval`` projection; reading ``summands`` and ``str`` then builds
@@ -208,14 +188,7 @@ def test_kernel_builds_no_interval_projection(monkeypatch):
     for x in (m, n):
         assert parse_module(x.radical().to_json()) == x.radical()
     assert m._objs is None and n._objs is None
-    built = []
-    real = pmodule._interval_of
-
-    def counted(ends):
-        built.append(ends)
-        return real(ends)
-
-    monkeypatch.setattr(pmodule, "_interval_of", counted)
+    built = calls(pmodule, "_interval_of")
     for read in (lambda x: x.summands, str, PModule.radical, PModule.to_json):
         for x in (m, n):
             read(x)
@@ -369,7 +342,7 @@ class TestBudgets:
         """One run [1/q, 2) against the zero module, whose lcm 1 has 1 bit:
         B = ``BITS_CAP`` reaches the lattice, B = ``BITS_CAP`` + 1 does
         not, for the distance, the decision and the check."""
-        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        patch_lattice(monkeypatch, stop)
         zero = PModule.zero()
         cert = MatchingCertificate(ExtRational(2), (), (0,), ())
         for bits, error in ((bottleneck.BITS_CAP, Reached), (bottleneck.BITS_CAP + 1, ValueError)):
@@ -466,7 +439,7 @@ class TestBudgets:
     def test_budgets_pass_denominators_up_to_16_and_cauchy_stages(self, monkeypatch, pair):
         """Both pairs reach their lattice, where the patch stops them."""
         m, n = pair()
-        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        patch_lattice(monkeypatch, stop)
         for call in (module_distance, lambda m, n: modules_eps_interleaved(m, n, Fraction(1, 3))):
             with pytest.raises(Reached):
                 call(m, n)
@@ -481,7 +454,7 @@ class TestBudgets:
         eps = Fraction(1, 7)
         unmatched = MatchingCertificate(ExtRational(eps), (), tuple(range(len(m))),
                                         tuple(range(len(n))))
-        monkeypatch.setattr(bottleneck, "_lattice", stop)
+        patch_lattice(monkeypatch, stop)
         cases = (("TABLE_BUDGET", bits * runs_m * runs_n, lambda: module_distance(m, n)),
                  ("KEYS_BUDGET", bits * (runs_m + runs_n),
                   lambda: modules_eps_interleaved(m, n, eps)),

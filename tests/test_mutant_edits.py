@@ -44,8 +44,8 @@ def test_workflow_runs_on_every_file_the_mutants_run_against():
     data they read, every source file a mutant edits, and the runner."""
     listed = {line.strip()[2:] for line in WORKFLOW.read_text().splitlines()
               if line.strip().startswith("- ")}
-    inputs = [*RUNNER_MODULE.KERNEL_TESTS, "oracles.py", "strategies.py", "conftest.py",
-              "golden_certificates.json"]
+    inputs = [*RUNNER_MODULE.KERNEL_TESTS, "oracles.py", "kernel_seam.py", "strategies.py",
+              "conftest.py", "golden_certificates.json"]
     missing = [f for f in inputs if f"tests/{f}" not in listed]
     assert not missing, missing
     edited = {f"src/persistd/{m.file}" for m in MUTANTS}

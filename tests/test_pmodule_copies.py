@@ -14,7 +14,6 @@ from persistd import (
     ExtRational,
     Interval,
     PModule,
-    bottleneck,
     distance_certificate,
     intervals,
     module_distance,
@@ -25,6 +24,7 @@ from persistd import (
     replicate,
     verify_certificate,
 )
+from kernel_seam import recording, run_keys
 from oracles import (
     contraction_dimension,
     full_probe,
@@ -110,20 +110,9 @@ class TestOncePerDistinctSummand:
 
     m = PModule.of(*["[0,4)", "[1,3]"] * 1500)
 
-    def count_calls(self, monkeypatch, owner, name):
-        calls = []
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return calls
-
-    def test_radical(self, monkeypatch):
+    def test_radical(self, monkeypatch, calls):
         """The radical rewrites the runs' ints: it builds no interval."""
-        built = self.count_calls(monkeypatch, intervals, "_interval")
+        built = calls(intervals, "_interval")
         runs = []
         real = pmodule._canonical
 
@@ -138,15 +127,15 @@ class TestOncePerDistinctSummand:
         monkeypatch.undo()
         assert rad == PModule.of(*["(0,4)", "(1,3]"] * 1500)
 
-    def test_persistent_submodule(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, Interval, "intersect")
+    def test_persistent_submodule(self, calls):
+        intersected = calls(Interval, "intersect")
         sub = self.m.persistent_submodule(1)
-        assert len(calls) == 2
+        assert len(intersected) == 2
         assert sub == PModule.of(*["[1,4)", "[2,3]"] * 1500)
 
-    def test_contraction_path(self, monkeypatch):
+    def test_contraction_path(self, calls):
         self.m._runs
-        built = self.count_calls(monkeypatch, intervals, "_interval")
+        built = calls(intervals, "_interval")
         stage = self.m.contraction_path(Fraction(1, 2))
         assert len(built) == 2
         assert stage == PModule.of(*["[1,3)", "[3/2,5/2)"] * 1500)
@@ -234,35 +223,24 @@ class TestNoCopiesOutsideTheMatcher:
                              (m.radical(), 10**6 - 1), (pickle.loads(pickle.dumps(m)), 10**6)):
             assert len(module) == module._len == size
 
-    def test_matcher_has_one_left_vertex_per_mandatory_run(self, monkeypatch):
+    def test_matcher_has_one_left_vertex_per_mandatory_run(self):
         """28 copies of one interval against 26: every matcher run of the
-        distance and of the decision is the capacitated ``_flow`` with one
-        left vertex per mandatory run, a run that must send all its copies,
-        not one per copy."""
+        distance and of the decision is the capacitated flow with one left
+        vertex per mandatory run, a run that must send all its copies, not
+        one per copy."""
         piece = parse_interval("[0,2)")
         m, n = replicate(piece, 28), replicate(piece, 26)
-        calls = []
-
-        def recorded(adj, sent, room, *args, _real=bottleneck._flow):
-            calls.append((len(adj), True, sum(room)))
-            return _real(adj, sent, room, *args)
-
-        def unit(adj, *args, _real=bottleneck._hopcroft_karp, **kwargs):
-            calls.append((len(adj), False, None))
-            return _real(adj, *args, **kwargs)
-
-        monkeypatch.setattr(bottleneck, "_flow", recorded)
-        monkeypatch.setattr(bottleneck, "_hopcroft_karp", unit)
-        assert module_distance(m, n) == ExtRational(1)
-        # The infeasible probe below the answer: the M run must send 28
-        # copies into 26, and the greedy start leaves it 2 short.
-        assert (1, True, 0) in calls
-        assert all(left <= 1 and capacitated for left, capacitated, _ in calls), calls
-        for eps, expected in ((Fraction(1, 2), False), (1, True)):
-            calls.clear()
-            assert modules_eps_interleaved(m, n, eps) is expected
-            assert calls and all(left == (not expected) and capacitated
-                                 for left, capacitated, _ in calls), calls
+        with recording() as rec:
+            assert module_distance(m, n) == ExtRational(1)
+            # The infeasible probe below the answer: the M run must send 28
+            # copies into 26, and the greedy start leaves it 2 short.
+            assert (True, 1, 0) in [(c.flow, c.lists, c.room) for c in rec.matchers]
+            assert all(c.lists <= 1 and c.flow for c in rec.matchers), rec.matchers
+            for eps, expected in ((Fraction(1, 2), False), (1, True)):
+                rec.clear()
+                assert modules_eps_interleaved(m, n, eps) is expected
+                assert rec.matchers and all(c.lists == (not expected) and c.flow
+                                            for c in rec.matchers), rec.matchers
 
     def test_matcher_reads_summands_once_per_module(self, monkeypatch):
         reads = []
@@ -275,7 +253,7 @@ class TestNoCopiesOutsideTheMatcher:
         monkeypatch.setattr(PModule, "summands", property(counted))
         m = PModule.of("[0,2)", "[0,2)", "[0,2)", "[5,6]", "(1,3)")
         n = PModule.of("[0,3)", "[0,3)", "[5,6)")
-        bottleneck._cost_tables(bottleneck._pair(m, n, True))
+        run_keys(m, n)
         assert reads == []
         cert = distance_certificate(m, n)
         assert verify_certificate(m, n, cert)

@@ -1,41 +1,36 @@
 """The kernel matches runs, not copies: a mandatory run that repeats is one
 left vertex that must send as many units as it has copies, and a run on
 the other side is one right vertex that takes at most that many.  These
-tests hold the capacitated matcher ``_flow`` and the search and the
-decision built on it to the copy-level references of ``oracles``."""
+tests hold the capacitated matcher and the search and the decision built
+on it to the copy-level references of ``oracles``."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistd import (
     ExtRational,
     POS_INF,
-    bottleneck,
     bruteforce_module_distance,
     module_distance,
     modules_eps_interleaved,
 )
-from persistd.bottleneck import _flow, _hopcroft_karp, _ranges
 
+from kernel_seam import Chain, check_probe, flow, hopcroft_karp, recording, run_keys
 from oracles import (
     copy_hopcroft_karp,
     copy_merge,
+    copy_ranges,
     copy_search,
     full_probe,
     lattice_scale,
     reference_module_distance,
-    run_keys,
     run_table,
     table_modules_eps_interleaved,
-    unit_seeds,
 )
-from strategies import lattice_modules, pooled_pairs
-from test_bottleneck import _assert_probe, _assert_room, _seed_value, _seeded_probe
-from test_table_free import _random_pool_pair
+from strategies import lattice_modules, pooled_pairs, random_pool_pair
 
 
 def _random_runs(rng: random.Random, max_count: int):
@@ -105,16 +100,16 @@ def test_capacitated_total_is_the_copy_maximum():
                     now_room[v] -= units
             again = (dict(reversed([(u, dict(out)) for u, out in sent.items()])),
                      list(now_room), list(now_need))
-            short = _flow(adj, sent, now_room, now_need)
+            short = flow(adj, sent, now_room, now_need)
             assert sum(need) - short == best, (adj, need, room)
             _check_flow(adj, now_need, now_room, sent, short, need, room)
-            assert _flow(adj, *again) == short and again == (sent, now_room, now_need)
+            assert flow(adj, *again) == short and again == (sent, now_room, now_need)
 
 
 def test_unit_capacities_match_the_reference_exactly():
     """With every count 1 and no start, the capacitated flow is the
     matching of the copy-level reference, edge for edge, and so is that of
-    the unit matcher ``_hopcroft_karp``."""
+    the unit matcher."""
     rng = random.Random(77)
     for _ in range(2000):
         adj, _, _ = _random_runs(rng, 1)
@@ -122,34 +117,30 @@ def test_unit_capacities_match_the_reference_exactly():
         n_right += rng.randint(0, 2)
         expected = copy_hopcroft_karp(adj, [-1] * len(adj), [-1] * n_right)
         sent = {u: {} for u in range(len(adj))}
-        short = _flow(adj, sent, [1] * n_right, [1] * len(adj))
+        short = flow(adj, sent, [1] * n_right, [1] * len(adj))
         assert [next(iter(sent[u]), -1) for u in range(len(adj))] == expected[1], adj
         assert short == len(adj) - expected[0]
         pair_l, pair_r = [-1] * len(adj), [-1] * n_right
-        assert _hopcroft_karp(adj, pair_l, pair_r) == len(adj) - expected[0]
+        assert hopcroft_karp(adj, pair_l, pair_r) == len(adj) - expected[0]
         assert (pair_l, pair_r) == (expected[1], expected[2])
 
 
 def test_seeded_probes_decide_as_unseeded():
     """Probes up and down the class tops, each seeded with the flows the
     one before left or the matching the last feasible one left, decide as
-    an unseeded copy-level probe and keep the probe's contract
-    (``_assert_probe``) and the table probe's bound (``_seeded_probe``): a
-    run that stops being mandatory gives its units back, and so does an
-    edge that leaves a run's list."""
+    an unseeded copy-level probe, keep the probe's contract and return the
+    table probe's bound (``kernel_seam.Chain``): a run that stops being
+    mandatory gives its units back, and so does an edge that leaves a
+    run's list."""
     rng = random.Random(9)
     for _ in range(300):
-        m, n = _random_pool_pair(rng)
+        m, n = random_pool_pair(rng)
         costs, dtz_m, dtz_n, _, fin, counts = run_table(m, n)
-        tables = run_keys(m, n)
         tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                        if r <= fin} | {1})
-        seeds = bottleneck._unseeded(counts, len(dtz_m), len(dtz_n))
-        if counts is None:
-            seeds = unit_seeds(*seeds, costs, dtz_m)
+        chain = Chain(run_keys(m, n), counts, costs=costs)
         for t in rng.choices(tops, k=8):
-            bound = _seeded_probe(tables, costs, t, seeds, counts)
-            _assert_probe(bound, seeds, costs, dtz_m, dtz_n, t, counts)
+            chain.probe(t)
 
 
 @given(pooled_pairs(max_count=7), st.integers(0, 40))
@@ -201,11 +192,12 @@ def test_jump_bound_covers_the_merge(pair):
     does not cover, lies between the value of the flows'
     Mendelsohn-Dulmage merge (``oracles.copy_merge`` on the flows expanded
     to copies) and the probe's top t, and the copy-level full probe is
-    feasible at V's class top.  At every infeasible probe, the copy-level
-    full probe fails just below the floor it returns, which lies above t.
-    After every probe, the room each side's flow leaves adds up
-    (``_assert_room``).  The search's bracket of class indices moves exactly as V and the
-    floors say: each probe is the middle of the bracket the probes before
+    feasible at V's class top.  Every probe keeps the probe's contract
+    (``kernel_seam.check_probe``): at an infeasible one, the copy-level
+    full probe fails just below the floor it returns, which lies above t,
+    and the room each side's flow leaves adds up after every probe.  The
+    search's bracket of class indices moves exactly as V and the floors
+    say: each probe is the middle of the bracket the probes before
     leave, by bit length after two feasible probes in a row while lo and
     hi differ by two bits or more, and the distance is the class the last
     one leaves."""
@@ -213,36 +205,25 @@ def test_jump_bound_covers_the_merge(pair):
     costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     if counts is None:
         return
-    own_m, own_n = map(_ranges, counts)
+    own_m, own_n = copy_ranges(counts)
     run_m, run_n = ([r for r, copies in enumerate(own) for _ in copies] for own in (own_m, own_n))
-    probes = []
-
-    def recorded(*args, _real=bottleneck._matching_at):
-        bound = _real(*args)
-        # The flows are the seeds of the next probe, which updates them.
-        probes.append((args[4], bound, tuple(
-            ({r: dict(row) for r, row in sent.items()}, list(room)) for sent, room in args[5])))
-        return bound
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bottleneck, "_matching_at", recorded)
+    with recording() as rec:
         d = module_distance(m, n)
     # A class k has the top 4k + 1; (r + 2) >> 2 is the first class whose
     # top reaches r, and reach + 1 = (fin >> 2) + 1 stands for +inf.
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, fin >> 2) + 1
     drops = 0
-    for t, bound, flows in probes:
-        _assert_room(flows, counts)
+    for probe in rec.probes:
+        check_probe(probe, costs)
+        t, bound = probe.t, probe.bound
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
         assert lo <= mid < hi and t == 4 * mid + 1
         if bound > t:
-            assert full_probe(costs, dtz_m, dtz_n, bound - 1, copies=counts) is None
             lo, drops = bound + 2 >> 2, 0
             continue
         drops += 1
-        assert bound == _seed_value(flows, costs, dtz_m, dtz_n, counts)
-        (side_m, _), (side_n, _) = flows
+        side_m, side_n = probe.left
         merged = copy_merge(_copy_matching(side_m, own_m, own_n),
                             _copy_matching(side_n, own_n, own_m))
         matched_n = set(merged.values())
@@ -267,17 +248,9 @@ def _assert_floors_bound(m, n):
     costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     tops = sorted({((r + 1) & -4) + 1 for row in [dtz_m, dtz_n, *costs] for r in row
                    if r <= fin} | {1})
-    floors = []
-
-    def recorded(*args, _real=bottleneck._matching_at):
-        bound = _real(*args)
-        if bound > args[4]:
-            floors.append((args[4], bound))
-        return bound
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bottleneck, "_matching_at", recorded)
+    with recording() as rec:
         module_distance(m, n)
+    floors = [(t, bound) for t, bound in rec.bounds if bound > t]
     exact = bruteforce_module_distance if max(len(m), len(n)) <= 5 else reference_module_distance
     d = exact(m, n)
     for t, floor in floors:
@@ -291,7 +264,7 @@ def _assert_floors_bound(m, n):
 @given(pooled_pairs(max_count=7))
 @settings(max_examples=150, deadline=None)
 def test_floors_bound_the_distance_on_runs(pair):
-    """Floors on repeated runs, infinite endpoints included: ``_cover``'s
+    """Floors on repeated runs, infinite endpoints included: the flow's
     short runs and the runs residual paths reach from them."""
     _assert_floors_bound(*pair)
 

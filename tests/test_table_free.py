@@ -18,22 +18,19 @@ from persistd import (
     ExtRational,
     InfiniteDistanceError,
     MatchingCertificate,
-    NEG_INF,
     POS_INF,
     PModule,
     distance_certificate,
-    interval,
     module_distance,
     modules_eps_interleaved,
     parse_interval,
     replicate,
     verify_certificate,
 )
-from persistd import bottleneck
-from persistd.interleaving import _bound
-from persistd.intervals import Endpoint, make_interval
+from persistd.interleaving import _bound, _lattice
 from persistd.verify import random_interval
 
+from kernel_seam import recording, table_probes
 from oracles import (
     candidate_values,
     full_probe,
@@ -44,9 +41,8 @@ from oracles import (
     reference_verify_certificate,
     run_table,
     table_modules_eps_interleaved,
-    table_probes,
 )
-from strategies import pooled_pairs
+from strategies import near_copies, pooled_pairs, random_pool_pair
 
 
 @given(pooled_pairs())
@@ -62,27 +58,12 @@ def test_decision_equals_table_at_and_around_candidates(pair):
                 ), (str(eps), m.to_json(), n.to_json())
 
 
-def _random_pool_pair(rng: random.Random):
-    """Two modules over one pool of up to 6 intervals on [-6, 6], some
-    with an infinite endpoint, each interval 0 to 6 times per module."""
-    pool = []
-    for _ in range(rng.randint(1, 6)):
-        s = random_interval(rng, Fraction(-6), Fraction(6), 4)
-        side = rng.randrange(5)
-        if side == 0:
-            s = make_interval(Endpoint(NEG_INF, False), s.hi)
-        elif side == 1:
-            s = make_interval(s.lo, Endpoint(POS_INF, False))
-        pool.append(s)
-    return tuple(PModule([s for s in pool for _ in range(rng.randint(0, 6))]) for _ in range(2))
-
-
 def test_decision_equals_table_on_random_pairs():
     """400 seeded pairs at the distance d, d +- 1/64, d/2 and 0."""
     rng = random.Random(13)
     delta = Fraction(1, 64)
     for _ in range(400):
-        m, n = _random_pool_pair(rng)
+        m, n = random_pool_pair(rng)
         d = module_distance(m, n)
         d = d.as_fraction if d.is_finite else Fraction(100)
         for eps in {d, d + delta, d - delta, d / 2, Fraction(0)}:
@@ -153,37 +134,32 @@ def test_certificate_check_equals_per_pair_check(pair):
             assert expected is not fails, cert
 
 
-@pytest.fixture
-def no_cost_table(monkeypatch):
-    """The search's per-pair set-up, ``bottleneck._cost_tables``, raises."""
-    def refused(*args):
-        raise AssertionError("cost table built")
-
-    monkeypatch.setattr(bottleneck, "_cost_tables", refused)
-
-
-def test_decision_at_scale_builds_no_table(no_cost_table):
+def test_decision_at_scale_builds_no_table():
     """2000 + 2000 summands: a module against itself, and against its
     shift by 1/2, which is 1/2-interleaved with it summand by summand and
-    not 0-interleaved."""
+    not 0-interleaved.  The search's per-pair set-up never runs."""
     rng = random.Random(5)
     m = PModule(random_interval(rng, Fraction(-50), Fraction(50), 16) for _ in range(2000))
     shifted = PModule(s.shift(Fraction(1, 2)) for s in m.summands)
     assert len(m) == len(shifted) == 2000
-    assert modules_eps_interleaved(m, m, 0)
-    assert modules_eps_interleaved(m, shifted, Fraction(1, 2))
-    assert not modules_eps_interleaved(m, shifted, 0)
+    with recording() as rec:
+        assert modules_eps_interleaved(m, m, 0)
+        assert modules_eps_interleaved(m, shifted, Fraction(1, 2))
+        assert not modules_eps_interleaved(m, shifted, 0)
+    assert rec.setups == 0 and rec.lattices == 3
 
 
-def test_certificate_check_at_scale_builds_no_table(no_cost_table):
+def test_certificate_check_at_scale_builds_no_table():
     """20000 copies against 19999: one pair of runs and one unmatched run."""
     piece = parse_interval("[0,2)")
     m, n = replicate(piece, 20000), replicate(piece, 19999)
     pairs = tuple((i, i) for i in range(19999))
     cert = MatchingCertificate(ExtRational(1), pairs, (19999,), ())
-    assert verify_certificate(m, n, cert)
-    assert not verify_certificate(m, n, cert._replace(threshold=ExtRational(Fraction(1, 2))))
-    assert not verify_certificate(m, n, cert._replace(unmatched_m=()))
+    with recording() as rec:
+        assert verify_certificate(m, n, cert)
+        assert not verify_certificate(m, n, cert._replace(threshold=ExtRational(Fraction(1, 2))))
+        assert not verify_certificate(m, n, cert._replace(unmatched_m=()))
+    assert rec.setups == 0
 
 
 def test_decision_with_copies_equals_erosion_reference():
@@ -205,27 +181,6 @@ def test_decision_at_the_edge_of_a_box():
         assert not modules_eps_interleaved(m, n, 3)
 
 
-def _near_copies(rng: random.Random, eps: int):
-    """One or two intervals on the half-integers of [0, 12], and two or
-    three near copies of them with each endpoint moved by -eps, 0 or eps
-    and fresh decorations; the sides swapped or mirrored at random."""
-    ms = [random_interval(rng, Fraction(0), Fraction(12), 2) for _ in range(rng.randint(1, 2))]
-    ns = []
-    for _ in range(rng.randint(2, 3)):
-        s = rng.choice(ms)
-        lo, hi = (x.value.as_fraction + rng.choice((-eps, 0, eps)) for x in (s.lo, s.hi))
-        if lo <= hi:
-            ns.append(interval(lo, hi, rng.choice(("[)", "(]", "[]", "()"))))
-    ns = [s for s in ns if not s.is_empty]
-    if rng.random() < 0.5:
-        ms, ns = ns, ms
-    if rng.random() < 0.5:
-        ms, ns = ([interval(-s.hi.value.as_fraction, -s.lo.value.as_fraction,
-                            ("[" if s.hi.closed else "(") + ("]" if s.lo.closed else ")"))
-                   for s in side] for side in (ms, ns))
-    return PModule(ms), PModule(ns)
-
-
 def test_decision_at_integer_eps_equals_erosion_reference():
     """At an integer eps, E = eps*S is even and w = 2E: a key gap of w is
     an eps-interleaved pair and a gap of w + 1 is not.  Near copies reach
@@ -235,11 +190,11 @@ def test_decision_at_integer_eps_equals_erosion_reference():
     edges = set()
     for _ in range(800):
         eps = rng.randint(1, 3)
-        m, n = _near_copies(rng, eps)
+        m, n = near_copies(rng, eps)
         assert modules_eps_interleaved(m, n, eps) == (
             reference_modules_eps_interleaved(m, n, eps)
         ), (eps, m.to_json(), n.to_json())
-        scale, reach, keys_m, keys_n, _ = bottleneck._pair(m, n, False)
+        scale, reach, keys_m, keys_n = _lattice(m._lattice_view(), n._lattice_view())
         w = _bound(eps, scale, reach)
         for (low_m, up_m), (low_n, up_n) in product(keys_m, keys_n):
             low, up = abs(low_m - low_n) - w, abs(up_m - up_n) - w
@@ -259,25 +214,18 @@ def _large_pair():
                          for _ in range(1000)) for _ in range(2))
 
 
-def test_search_probes_equal_table_probes_at_scale(monkeypatch):
+def test_search_probes_equal_table_probes_at_scale():
     """The search's probes, which read their lists, floors and values off
-    the keys, return the bounds of ``oracles.table_matching_at`` probes on
-    the run table at the same tops, each seeded with what the probe before
+    the keys, return the bounds of table probes (``kernel_seam.table_probes``)
+    on the run table at the same tops, each seeded with what the probe before
     left and on the lists the feasible ones narrowed, as the search ran on
     its table: the search makes the same probes, (top, bound) for (top,
     bound), and finds the distance the table search found."""
     m, n = _large_pair()
-    probes = []
-
-    def recorded(*args, _real=bottleneck._matching_at):
-        bound = _real(*args)
-        probes.append((args[4], bound))
-        return bound
-
-    monkeypatch.setattr(bottleneck, "_matching_at", recorded)
-    assert module_distance(m, n) == ExtRational(Fraction(369, 8))
-    tops = [t for t, _ in probes]
-    assert len(probes) > 5 and probes == list(zip(tops, table_probes(m, n, tops)))
+    with recording() as rec:
+        assert module_distance(m, n) == ExtRational(Fraction(369, 8))
+    tops = [t for t, _ in rec.bounds]
+    assert len(tops) > 5 and rec.bounds == list(zip(tops, table_probes(m, n, tops)))
 
 
 def test_search_memory_at_scale():
@@ -295,18 +243,12 @@ def test_search_memory_at_scale():
     assert peak < 8 * 2**20, peak
 
 
-def test_search_reads_only_the_entries_of_new_pairs(monkeypatch):
+def test_search_reads_only_the_entries_of_new_pairs():
     """A probe reads the entries of the pairs its matching gained, not of
     every pair it kept, which carry their terms: one distance of 1000 +
-    1000 random summands passes ``_entries`` at most 4,000 pairs in all.
-    A probe that recomputes every kept pair's entry passes about 13,600."""
+    1000 random summands reads the entries of at most 4,000 pairs in all.
+    A probe that recomputes every kept pair's entry reads about 13,600."""
     m, n = _large_pair()
-    passed = []
-
-    def counted(pairs, *args, _real=bottleneck._entries):
-        passed.append(len(pairs))
-        return _real(pairs, *args)
-
-    monkeypatch.setattr(bottleneck, "_entries", counted)
-    assert module_distance(m, n) == ExtRational(Fraction(369, 8))
-    assert 0 < sum(passed) <= 4000, sum(passed)
+    with recording() as rec:
+        assert module_distance(m, n) == ExtRational(Fraction(369, 8))
+    assert 0 < rec.entries <= 4000, rec.entries
