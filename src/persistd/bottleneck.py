@@ -14,6 +14,9 @@ All of this runs on plain ints.  ``interleaving._lattice`` keys every
 endpoint of the pair, times S = 4*lcm(its finite denominators), with its
 decoration, from the integer view each ``PModule`` builds of its runs on
 first use and keeps; a threshold is one int on it, ``interleaving._bound``.
+A side's keys are its view's two int columns, (lower keys, upper keys) by
+run, rescaled to the pair's S when that is not the view's own; every
+entry, box query and floor reads them.
 Every entry point admits its pair once, through ``_admit``, the only
 caller of ``_lattice``, which checks fixed work budgets before any view is
 built; ``_pair`` checks the vertex cap before it.  The entry of a pair of
@@ -56,7 +59,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .interleaving import _bound, _key_entry, _lattice
+from .interleaving import _bound, _lattice
 from .intervals import ExtRational, POS_INF, Rational, ZERO, _as_int
 from .pmodule import PModule
 
@@ -134,7 +137,7 @@ def _ranges(counts) -> list[range]:
 
 
 def _admit(m: PModule, n: PModule, table: bool):
-    """The pair's one road to its keys, (S, reach, keys_m, keys_n):
+    """The pair's one road to its keys, (S, reach, cols_m, cols_n):
     ``interleaving._lattice`` of the two modules' cached views, in run
     order.  Before either view is built, the pair is refused when B exceeds
     ``BITS_CAP``, checked as the lcms fold, then when, with ``table``, B *
@@ -159,9 +162,9 @@ def _admit(m: PModule, n: PModule, table: bool):
 
 
 def _pair(m: PModule, n: PModule, table: bool):
-    """The admitted pair: (S, reach, keys_m, keys_n, counts), ``_admit``'s
-    keys and ``counts``, None when no summand repeats, else each side's
-    copy counts by run.  Refuses more copies than the vertex cap before
+    """The admitted pair: (S, reach, cols_m, cols_n, counts), ``_admit``'s
+    key columns and ``counts``, None when no summand repeats, else each
+    side's copy counts by run.  Refuses more copies than the vertex cap before
     ``_admit`` runs."""
     size_m, size_n = len(m), len(n)
     if size_m + size_n > MATCH_CAP:
@@ -173,29 +176,26 @@ def _pair(m: PModule, n: PModule, table: bool):
     return (*_admit(m, n, table), counts)
 
 
-def _to_zero(keys) -> list[int]:
-    """The ``interleaving._key_entry`` of each of a side's key pairs
-    against the zero module."""
-    return [(up - low) // 2 + 1 for low, up in keys]
-
-
-def _columns(keys) -> tuple[list[int], list[int]]:
-    """A side's key columns, (lower keys, upper keys) by run.  Runs come in
-    canonical order, in which their keys strictly increase: the lower keys
-    are sorted, and so are the upper keys of the runs of one lower key."""
-    return [low for low, _ in keys], [up for _, up in keys]
+def _to_zero(cols) -> list[int]:
+    """The ``interleaving._key_entry`` of each run of a side, from its key
+    columns, against the zero module."""
+    lows, ups = cols
+    return [(up - low) // 2 + 1 for low, up in zip(lows, ups)]
 
 
 def _cost_tables(pair):
-    """The search's one per-pair set-up, on the keys of a ``_pair``
+    """The search's one per-pair set-up, on the key columns of a ``_pair``
     admitted against the table budget: (dtz_m, dtz_n, cols_m, cols_n), each
-    side's to-zero entries (``_to_zero``) and key columns (``_columns``),
-    built once per distance or certificate, which reads its matching off
-    the same set-up after the search.  No pairwise table is built: every
-    probe reads the entries it needs off the key columns.  The name stays
-    only because the benchmark's layer tracer hooks it."""
-    _, _, keys_m, keys_n, _ = pair
-    return _to_zero(keys_m), _to_zero(keys_n), _columns(keys_m), _columns(keys_n)
+    side's to-zero entries (``_to_zero``) and its key columns as ``_pair``
+    gives them, built once per distance or certificate, which reads its
+    matching off the same set-up after the search.  Runs come in canonical
+    order, in which their keys strictly increase: the lower keys are sorted,
+    and so are the upper keys of the runs of one lower key.  No pairwise
+    table is built: every probe reads the entries it needs off the key
+    columns.  The name stays only because the benchmark's layer tracer
+    hooks it."""
+    _, _, cols_m, cols_n, _ = pair
+    return _to_zero(cols_m), _to_zero(cols_n), cols_m, cols_n
 
 
 def _entries(pairs, dtz_m, dtz_n, cols_m, cols_n) -> list[int]:
@@ -220,7 +220,7 @@ def _entries(pairs, dtz_m, dtz_n, cols_m, cols_n) -> list[int]:
 
 
 def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
-                   hall: list[int] | None = None, shortest: bool = False) -> int:
+                   hall: list[int], shortest: bool) -> int:
     """Hopcroft-Karp's phases from the left vertices to the right ones
     along ``adj``, from the start given and augmented in place, a
     maximum-cardinality matching: pair_l[u] and pair_r[v] are partners, -1
@@ -246,8 +246,8 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
 
     When units stay unmatched, the left vertices that the last BFS reached,
     those that alternating (residual) paths reach from a free (short) one,
-    are appended to ``hall``, if given: every right vertex their lists
-    reach is full, and taken only by them, so they are a Hall violator."""
+    are appended to ``hall``: every right vertex their lists reach is
+    full, and taken only by them, so they are a Hall violator."""
     n_left = len(pair_l)
     unreachable = n_left + 1
     dist = [0] * n_left
@@ -321,13 +321,13 @@ def _hopcroft_karp(adj: list[list[int]], pair_l: list[int], pair_r: list[int],
             shared, path = adj[u], [[u, -1, start]]
             free -= dfs(path)
         roots = [u for u in roots if pair_l[u] == -1]
-    if free and hall is not None:
+    if free:
         hall += [u for u, d in enumerate(dist) if d != unreachable]
     return free
 
 
 def _flow(adj, sent: dict[int, dict[int, int]], room: list[int], need: list[int],
-          hall: list[int] | None = None) -> int:
+          hall: list[int]) -> int:
     """Maximum flow from left vertex u, which still has to send need[u]
     units, to right vertex v, which can still take room[v], along adj[u],
     from the flow ``sent`` (sent[u] maps right vertices to the units u
@@ -335,8 +335,8 @@ def _flow(adj, sent: dict[int, dict[int, int]], room: list[int], need: list[int]
     place: Hopcroft-Karp's phases on capacities, Dinic's blocking flows,
     each augmenting path carrying its smallest residual and a root trying
     again while it has units to send.  Returns the units still unsent, and
-    appends to ``hall``, if given and some are, the left vertices the last
-    BFS reached.  Iterative, so deep augmenting paths are fine.  With unit
+    appends to ``hall``, when some are, the left vertices the last BFS
+    reached.  Iterative, so deep augmenting paths are fine.  With unit
     capacities and no start the matching is that of ``_hopcroft_karp`` on
     the same lists, when no two left vertices share one list object."""
     short = sum(need)
@@ -436,18 +436,18 @@ def _flow(adj, sent: dict[int, dict[int, int]], room: list[int], need: list[int]
                     break
                 short -= pushed
                 start = path[0][2]
-    if short and hall is not None:
+    if short:
         hall += [u for u in range(n_left) if dist[u] != unreachable]
     return short
 
 
-def _cover(t, dtz, lists, counts, sent, room, hall=None) -> bool:
+def _cover(t, dtz, lists, counts, sent, room, hall) -> bool:
     """One side's flow at t when some run of the pair repeats: each run is
     one vertex, a mandatory run r on this side (to-zero entry > t) has to
     send counts[r] units to its neighbour runs ``lists[r]`` on the other
     side, and run j there takes at most room[j] more.  Returns whether every
-    copy is sent; when one is not, appends to ``hall``, if given, the runs
-    that residual paths reach from a short one (``_flow``).
+    copy is sent; when one is not, appends to ``hall`` the runs that
+    residual paths reach from a short one (``_flow``).
 
     ``sent`` maps this side's runs to their {neighbour: units}: empty, with
     ``room`` the other side's copy counts, or an earlier probe's flow,
@@ -485,9 +485,9 @@ class _Lists(dict):
     """One side's neighbour lists at w, by run, each built when first read
     and kept for later reads: what every matcher reads its lists from.  The
     list of run i is the box query at w from this side's key columns
-    ``cols`` to the other side's ``other`` (``_columns``): the runs within w
-    of run i on both keys, in index order, which are run i's neighbours at w
-    only when its to-zero entry exceeds w.  The keys of ``other`` increase,
+    ``cols`` to the other side's ``other``: the runs within w of run i on
+    both keys, in index order, which are run i's neighbours at w only when
+    its to-zero entry exceeds w.  The keys of ``other`` increase,
     so its runs within w on the lower key are a ``bisect`` window, filtered
     on the upper key; when the window holds one lower key, as in a
     staircase, its upper keys increase too, and a second ``bisect`` finds
@@ -514,7 +514,7 @@ class _Lists(dict):
         return near
 
 
-def _repair(t, dtz, lists, mate, other, dtz_other, hall=None) -> bool:
+def _repair(t, dtz, lists, mate, other, dtz_other, hall) -> bool:
     """Repair one side of a matching at t in place, so that it covers this
     side's mandatory runs (to-zero entry > t) and still covers every run of
     the other side that it covered: whether it could.  ``lists``, a
@@ -533,17 +533,16 @@ def _repair(t, dtz, lists, mate, other, dtz_other, hall=None) -> bool:
     counts as free.  Every step is an augmenting path that keeps every
     matched run matched, except a partner that lets go, so when some
     matching covers both sides' mandatory runs, this side's repair cannot
-    fail (Mendelsohn-Dulmage).  A failed repair appends to ``hall``, if
-    given, a Hall violator among the mandatory runs: the run with no
-    neighbour, or the runs the phases' last BFS reached.  The steps before
-    the phases are written out, not shared through helpers: they run on
-    nearly every probe."""
+    fail (Mendelsohn-Dulmage).  A failed repair appends to ``hall`` a Hall
+    violator among the mandatory runs: the run with no neighbour, or the
+    runs the phases' last BFS reached.  The steps before the phases are
+    written out, not shared through helpers: they run on nearly every
+    probe."""
     stuck = []
     for i in [i for i, j in enumerate(mate) if j == -1 and dtz[i] > t]:
         near = lists[i]
         if not near:
-            if hall is not None:
-                hall.append(i)
+            hall.append(i)
             return False
         spare = -1
         for j in near:
@@ -599,7 +598,7 @@ def _repair(t, dtz, lists, mate, other, dtz_other, hall=None) -> bool:
     # deeper runs.  Once every mandatory run's list is built, as after a
     # repair from the empty matching, it saves nothing and adds phases.
     unbuilt = len(lists) < len(pair_l) - pair_l.count(-2)
-    if _hopcroft_karp(lists, pair_l, pair_r, hall=hall, shortest=unbuilt):
+    if _hopcroft_karp(lists, pair_l, pair_r, hall, unbuilt):
         return False
     for i, j in enumerate(pair_l):
         if j >= 0 and mate[i] != j:
@@ -755,16 +754,17 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     neighbours are its box in ``_Lists``, and no matcher reads another
     run's list.  The pair shape's matcher (``_sides``) runs from the empty
     start on M's side and then on N's, and fails only when no matching
-    covers both sides' mandatory runs.  The vertex cap, ``BITS_CAP`` and
-    ``KEYS_BUDGET`` are checked before eps, which only ``_bound`` reads."""
-    scale, reach, keys_m, keys_n, counts = _pair(m, n, False)
+    covers both sides' mandatory runs; the Hall set it gathers goes unread.
+    The vertex cap, ``BITS_CAP`` and ``KEYS_BUDGET`` are checked before
+    eps, which only ``_bound`` reads."""
+    scale, reach, cols_m, cols_n, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
-    dtz_m, dtz_n = _to_zero(keys_m), _to_zero(keys_n)
-    cols_m, cols_n = _columns(keys_m), _columns(keys_n)
-    match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(keys_m), len(keys_n)),
+    dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
+    match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(dtz_m), len(dtz_n)),
                                    counts)
-    return (match(w, dtz_m, _Lists(cols_m, cols_n, w), *side_m) and
-            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n))
+    hall = []
+    return (match(w, dtz_m, _Lists(cols_m, cols_n, w), *side_m, hall) and
+            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n, hall))
 
 
 def _search(pair, tables):
@@ -830,7 +830,7 @@ def _copy_cover(t, dtz, lists, n_right, ranges):
         adj = list(chain.from_iterable(map(repeat, copies, (len(own[r]) for r in mand))))
         mand = list(chain.from_iterable(map(own.__getitem__, mand)))
     pair_l = [-1] * len(mand)
-    _hopcroft_karp(adj, pair_l, [-1] * n_right)
+    _hopcroft_karp(adj, pair_l, [-1] * n_right, [], False)
     return mand, pair_l
 
 
@@ -862,9 +862,10 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
 def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> bool:
     """Exact re-check of the certificate invariants: a valid certificate
     witnesses module_distance(m, n) <= cert.threshold (upper bound only).
-    No distance is below 0, so a negative threshold fails.  The pair's
-    lattice checks each distinct pair of runs and each unmatched run once:
-    its distance is <= t iff its entry is <= ``_bound(t, S, reach) | 1``.
+    No distance is below 0, so a negative threshold fails.  On the pair's
+    key columns, the check reads the entry of each distinct pair of runs
+    once (``_entries``) and the to-zero entry of each unmatched copy's run:
+    a distance is <= t iff its entry is <= ``_bound(t, S, reach) | 1``.
     More than ``MATCH_CAP`` runs, which no distance certificate covers, and
     a pair over ``BITS_CAP`` or ``KEYS_BUDGET`` (``_admit``) are refused
     before any view is built."""
@@ -878,11 +879,11 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     if len(m._ints) + len(n._ints) > MATCH_CAP:
         raise ValueError(f"certificate on {len(m._ints)}+{len(n._ints)} distinct summands "
                          f"exceeds the vertex cap {MATCH_CAP}")
-    scale, reach, keys_m, keys_n = _admit(m, n, False)
+    scale, reach, cols_m, cols_n = _admit(m, n, False)
     top = _bound(t.as_fraction, scale, reach) | 1
-    key_m, key_n = ([key for key, (_, k) in zip(keys, x._ints) for _ in range(k)]
-                    for keys, x in ((keys_m, m), (keys_n, n)))
-    pairs = {(key_m[i], key_n[j]) for i, j in cert.pairs}
-    pairs.update((key_m[i], None) for i in cert.unmatched_m)
-    pairs.update((None, key_n[j]) for j in cert.unmatched_n)
-    return all(_key_entry(a, b) <= top for a, b in pairs)
+    dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
+    run_m, run_n = ([r for r, (_, k) in enumerate(x._ints) for _ in range(k)] for x in (m, n))
+    pairs = {(run_m[i], run_n[j]) for i, j in cert.pairs}
+    return (all(dtz_m[run_m[i]] <= top for i in cert.unmatched_m) and
+            all(dtz_n[run_n[j]] <= top for j in cert.unmatched_n) and
+            all(r <= top for r in _entries(pairs, dtz_m, dtz_n, cols_m, cols_n)))

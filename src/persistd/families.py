@@ -111,6 +111,8 @@ def replicate(summand: Interval, count: int) -> PModule:
     exactly half the diameter apart."""
     if summand.is_empty:
         raise ValueError("replicate needs a nonempty interval")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise TypeError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     return PModule._of_runs([(summand, count)] if count else [])

@@ -20,15 +20,16 @@ distance is the entry's class.  This module holds only that per-pair
 lattice code.  No table of entries is built: ``bottleneck`` reads each
 entry off the pair's keys when it needs it.
 
-The keys start from a ``_view`` of each sequence of runs: its own lcm and
-its keys at its own scale, read once from the ints the runs hold
+A side's keys are two int columns, (lower keys, upper keys) by run.  They
+start from a ``_view`` of each sequence of runs: its own lcm and its key
+columns at its own scale, read once from the ints the runs hold
 (``intervals._ends``).  A ``PModule`` keeps the view of its runs, so the
 kernel reads each module's runs once however many distances and decisions
 it takes part in, and never builds an ``Interval`` or a ``Fraction`` of
-them; ``_lattice`` only rescales the keys of each side to the pair's
+them; ``_lattice`` only rescales the columns of each side to the pair's
 scale, and not at all when that is the side's own and it has no infinite
-endpoint, whatever eps (``_bound``).  A pair of intervals gets one
-throwaway view of their ints.
+endpoint, whatever eps (``_bound``): the kernel then reads the view's own
+columns.  A pair of intervals gets one throwaway view of their ints.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from .intervals import EMPTY, ExtRational, Interval, POS_INF, Rational, _as_frac
 def _view(runs) -> tuple:
     """The integer view of a sequence of ``intervals._ends`` tuples at its
     own scale S0 = 4*lcm(their finite denominators): (that lcm, reach,
-    whether an endpoint is infinite, each run's (lower key, upper key) as
-    ``_lattice`` keys the sequence alone, and the numerator and denominator
-    of every endpoint value, flat, in the same order, 0 and 1 for an
-    infinity).  Every |key| of a finite endpoint is at most 2*reach + 1,
-    and every infinite one is larger."""
+    whether an endpoint is infinite, the key columns (lower keys, upper
+    keys) of the runs as ``_lattice`` keys the sequence alone, and the
+    numerator and denominator of every endpoint value, flat, in run order,
+    0 and 1 for an infinity).  Every |key| of a finite endpoint is at most
+    2*reach + 1, and every infinite one is larger."""
     ends = [p for e in runs for p in (e[:3], e[4:7])]
     dens = [den for sign, _, den in ends if not sign]
     lcm = math.lcm(*set(dens))
@@ -58,40 +59,42 @@ def _view(runs) -> tuple:
         big = 8 * reach + 2
         points = [sign * big if sign else p for (sign, _, _), p in zip(ends, points)]
     # e[3] is 1 for an open lower endpoint, e[7] 1 for a closed upper one.
-    keys = [(2 * lo + e[3], 2 * hi - 1 + e[7])
-            for e, lo, hi in zip(runs, points[::2], points[1::2])]
-    return lcm, reach, infinite, keys, [r for _, num, den in ends for r in (num, den)]
+    lows = [2 * lo + e[3] for e, lo in zip(runs, points[::2])]
+    ups = [2 * hi - 1 + e[7] for e, hi in zip(runs, points[1::2])]
+    return lcm, reach, infinite, (lows, ups), [r for _, num, den in ends for r in (num, den)]
 
 
-def _rescaled(view, scale: int, big: int) -> list:
-    """The keys of ``view`` at the pair's scale S, infinities at -big and
-    +big.  At its own scale with no infinity they are the view's own list.
+def _rescaled(view, scale: int, big: int) -> tuple:
+    """The key columns of ``view`` at the pair's scale S, infinities at -big
+    and +big.  At its own scale with no infinity they are the view's own
+    columns object.
 
     A key k = 2P +- d (d = k & 1, the decoration) of the value num/den is
     num * (2S // den) +- d at S: a big int divided by a small one and
     multiplied by a small one, where scaling the view's own key would
     multiply two big ints when both sides' lcms are large and coprime."""
-    lcm, reach, infinite, keys, ratios = view
+    lcm, reach, infinite, cols, ratios = view
     if scale == 4 * lcm and not infinite:
-        return keys
+        return cols
     lim = 2 * reach + 1
     s2 = 2 * scale
-    it = iter(ratios)
-    return [(n_lo * (s2 // d_lo) + (lo & 1) if lo >= -lim else 1 - 2 * big,
-             n_up * (s2 // d_up) - (up & 1) if up <= lim else 2 * big - 1)
-            for (lo, up), n_lo, d_lo, n_up, d_up in zip(keys, it, it, it, it)]
+    lows, ups = cols
+    return ([n * (s2 // d) + (lo & 1) if lo >= -lim else 1 - 2 * big
+             for lo, n, d in zip(lows, ratios[::4], ratios[1::4])],
+            [n * (s2 // d) - (up & 1) if up <= lim else 2 * big - 1
+             for up, n, d in zip(ups, ratios[2::4], ratios[3::4])])
 
 
 def _lattice(view_m, view_n):
     """Two ``_view``s' endpoints on one integer lattice, as (S, reach, the
-    (lower key, upper key) of each summand of the first, of the second).
+    key columns (lower keys, upper keys) of the first, of the second).
 
     A finite value scales to P = value*S, S = 4*lcm(all finite
     denominators), a multiple of 4, -inf and +inf to -big and +big, big =
     8*reach + 2, where reach bounds every |P|.  A lower endpoint at P keys
     as 2P when closed and 2P+1 when open, an upper one as 2P-1 when open
     and 2P when closed: key order is the decorated endpoint order.  A side
-    at its own scale with no infinity returns its view's list, unchanged."""
+    at its own scale with no infinity returns its view's columns, unchanged."""
     (lcm_m, reach_m), (lcm_n, reach_n) = view_m[:2], view_n[:2]
     lcm = math.lcm(lcm_m, lcm_n)
     f_m, f_n = lcm // lcm_m, lcm // lcm_n
@@ -121,8 +124,8 @@ def _class_top(r: int) -> int:
 
 
 def _key_entry(a, b) -> int:
-    """The entry of two (lower key, upper key) pairs of ``_lattice``; None
-    stands for the zero module.
+    """The entry of two runs' (lower key, upper key) on one ``_lattice``;
+    None stands for the zero module.
 
     The interval closed form min(max(|dlo|, |dhi|), max(diam)/2) runs on
     the keys, with (up - low)//2 + 1 as a summand's half-diameter.  For a
@@ -144,8 +147,8 @@ def _entry(i: Interval, j: Interval):
     """The one table entry of the pair, as (entry, S, reach), read on one
     throwaway view of both intervals' ints."""
     ms, ns = (() if i.is_empty else (_ends(i),)), (() if j.is_empty else (_ends(j),))
-    lcm, reach, _, keys, _ = _view((*ms, *ns))
-    r = _key_entry(keys[0] if ms else None, keys[-1] if ns else None)
+    lcm, reach, _, (lows, ups), _ = _view((*ms, *ns))
+    r = _key_entry((lows[0], ups[0]) if ms else None, (lows[-1], ups[-1]) if ns else None)
     return r, 4 * lcm, reach
 
 

@@ -77,6 +77,8 @@ def _as_fraction(x: Rational | str) -> Fraction:
         return _parse_fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not accepted; pass Fraction, int or 'p/q'")
+    if isinstance(x, bool):
+        raise TypeError("booleans are not accepted; pass Fraction, int or 'p/q'")
     return Fraction(x)
 
 

@@ -173,19 +173,19 @@ class PModule:
             object.__setattr__(self, "_view", view)
         return view
 
-    def _lcm(self, limit: int | None = None) -> int:
+    def _lcm(self, limit: int) -> int:
         """The lcm of the runs' denominators, ``_lattice_view()[0]``: the
         cached view's, else read off the runs without building a view.  An
-        infinity holds the value 0, of denominator 1.  With ``limit``, the
-        fold stops as soon as it passes ``limit`` bits, and returns a divisor
-        of the lcm that is longer: the cost of the fold grows with the
-        square of the lcm's bits."""
+        infinity holds the value 0, of denominator 1.  The fold stops as
+        soon as it passes ``limit`` bits, and returns a divisor of the lcm
+        that is longer: the cost of the fold grows with the square of the
+        lcm's bits."""
         if self._view is not None:
             return self._view[0]
         lcm = 1
         for den in {e[i] for e, _ in self._ints for i in (2, 6)}:
             lcm = math.lcm(lcm, den)
-            if limit is not None and lcm.bit_length() > limit:
+            if lcm.bit_length() > limit:
                 break
         return lcm
 

@@ -49,13 +49,13 @@ def key_floor(hall, dtz, cols, other, t) -> int:
 def hopcroft_karp(adj, pair_l, pair_r) -> int:
     """The unit matcher: pair_l, pair_r (-1 for none) augmented in place to
     a maximum matching along ``adj``; how many left vertices stay free."""
-    return bottleneck._hopcroft_karp(adj, pair_l, pair_r)
+    return bottleneck._hopcroft_karp(adj, pair_l, pair_r, [], False)
 
 
 def flow(adj, sent, room, need) -> int:
     """The capacitated matcher: ``sent``, {u: {v: units}}, augmented in place
     by need[u] more units along adj[u], room[v] more into v; units unsent."""
-    return bottleneck._flow(adj, sent, room, need)
+    return bottleneck._flow(adj, sent, room, need, [])
 
 
 def search_top(keys, reach, counts=None):

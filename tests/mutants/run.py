@@ -119,15 +119,32 @@ MUTANTS = (
            "h = max(a[1] - a[0], b[1] - b[0]) // 2", False,
            "the halving term of a pair loses its decoration"),
     Mutant("table-to-zero", BN,
-           "return [(up - low) // 2 + 1 for low, up in keys]",
-           "return [(up - low) // 2 for low, up in keys]", False,
+           "return [(up - low) // 2 + 1 for low, up in zip(lows, ups)]",
+           "return [(up - low) // 2 for low, up in zip(lows, ups)]", False,
            "every to-zero entry loses its decoration"),
+    Mutant("to-zero-columns-swapped", BN,
+           "    lows, ups = cols\n    return [(up - low)",
+           "    ups, lows = cols\n    return [(up - low)", False,
+           "the to-zero entries read the upper keys as the lower ones"),
     Mutant("entry-no-halving", BN,
            "out.append(g if g < h else h)", "out.append(g)", False,
            "the inline entry forgets that deleting both summands may be cheaper"),
     Mutant("rescale-drops-decoration", IL,
-           "n_lo * (s2 // d_lo) + (lo & 1)", "n_lo * (s2 // d_lo)", False,
+           "n * (s2 // d) + (lo & 1)", "n * (s2 // d)", False,
            "a lower key rescales without its decoration"),
+    Mutant("rescale-upper-lower-ratios", IL,
+           "zip(ups, ratios[2::4], ratios[3::4])", "zip(ups, ratios[::4], ratios[1::4])", False,
+           "the upper column rescales with the lower endpoints' values"),
+    Mutant("view-upper-lower-decoration", IL,
+           "2 * hi - 1 + e[7]", "2 * hi - 1 + e[3]", False,
+           "a view's upper key takes the lower endpoint's decoration"),
+    Mutant("view-lower-upper-points", IL,
+           "2 * lo + e[3] for e, lo in zip(runs, points[::2])",
+           "2 * lo + e[3] for e, lo in zip(runs, points[1::2])", False,
+           "a view's lower column reads the upper endpoints' points"),
+    Mutant("entry-reads-first-run", IL,
+           "(lows[-1], ups[-1]) if ns", "(lows[0], ups[0]) if ns", False,
+           "the per-interval entry reads the first interval's keys for the second"),
     Mutant("lattice-small-infinity", IL,
            "    reach = max(f_m * reach_m, f_n * reach_n)\n    big = 8 * reach + 2",
            "    reach = max(f_m * reach_m, f_n * reach_n)\n    big = reach + 1", False,
@@ -204,7 +221,7 @@ MUTANTS = (
            "            if o in dead:\n                continue\n", "", True,
            "the swaps search a list in vain again"),
     Mutant("phases-always-cut", BN,
-           "shortest=unbuilt)", "shortest=True)", True,
+           "pair_r, hall, unbuilt)", "pair_r, hall, True)", True,
            "the phases cut each BFS at its first free layer even when every list is built"),
     # The bound a feasible probe returns: the value of the matching, or of
     # the two sides' flows when a run repeats, that it leaves in its seeds.
@@ -267,9 +284,17 @@ MUTANTS = (
            "the probe is always the middle class, one probe per lattice bit on a descent"),
     # The eps-decision's matcher from the empty start, either pair shape.
     Mutant("decision-matches-m-only", BN,
-           " and\n            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n))",
+           " and\n            match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n, hall))",
            ")", False,
            "the decision matches only M's side"),
+    # The certificate check on the pair's key columns.
+    Mutant("verify-skips-unmatched-n", BN,
+           "            all(dtz_n[run_n[j]] <= top for j in cert.unmatched_n) and\n", "", False,
+           "the certificate check accepts any unmatched N summand"),
+    Mutant("verify-pairs-read-m-to-zero", BN,
+           "all(r <= top for r in _entries(pairs, dtz_m, dtz_n, cols_m, cols_n))",
+           "all(dtz_m[i] <= top for i, _ in pairs)", False,
+           "the certificate check bounds each pair by its M summand's to-zero entry"),
     # The bit cap and work budgets that ``_admit`` checks before any view is
     # built.
     Mutant("distance-skips-key-check", BN,

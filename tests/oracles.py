@@ -446,7 +446,8 @@ def run_table(m: PModule, n: PModule):
     (costs, dtz_m, dtz_n, S, fin, counts), where no finite entry exceeds
     fin = 4*reach + 1 and ``counts`` is None when no summand repeats, else
     each side's copy counts by run."""
-    scale, reach, keys_m, keys_n = _lattice(m._lattice_view(), n._lattice_view())
+    scale, reach, cols_m, cols_n = _lattice(m._lattice_view(), n._lattice_view())
+    keys_m, keys_n = list(zip(*cols_m)), list(zip(*cols_n))
     costs = [[_key_entry(a, b) for b in keys_n] for a in keys_m]
     dtz_m = [_key_entry(a, None) for a in keys_m]
     dtz_n = [_key_entry(None, b) for b in keys_n]

@@ -114,7 +114,7 @@ def test_module_decisions_and_checks_at_every_case():
 
 def test_new_eps_denominator_rescales_no_keys(monkeypatch):
     """Both views at scale 4*6 with no infinite endpoint: a decision at eps
-    with a new denominator returns each view's own key list, and the
+    with a new denominator returns each view's own key columns, and the
     per-interval decision builds no pair lattice at all."""
     m, n = PModule.of("[0,1/2)", "(1/3,2]", "[1/6,1/6]"), PModule.of("[1/6,1]", "(1/2,5/3)")
     returned = []

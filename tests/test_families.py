@@ -188,6 +188,18 @@ class TestReplicate:
         with pytest.raises(ValueError):
             replicate(EMPTY, 2)
 
+    def test_count_that_is_not_an_int_is_refused_before_building(self, calls):
+        """A float, a bool or any other number that compares with 0 is
+        refused with ``TypeError`` before a module is built: a float count
+        would put a float into the runs' ints, and ``True`` is not one copy."""
+        built = calls(PModule, "_of_runs")
+        for count in (2.5, 2.0, True, False, Fraction(2), "2", None):
+            with pytest.raises(TypeError, match=r"^count must be an int, got "):
+                replicate(iv("[0,2)"), count)
+        assert built == []
+        # The patch is live: an int count builds the module.
+        assert len(replicate(iv("[0,2)"), 2)) == 2 and len(built) == 1
+
     def test_pairwise_half_diameter(self):
         piece = iv("[2,5)")
         mods = [replicate(piece, k) for k in range(5)]

@@ -54,7 +54,8 @@ def test_lattice_keys_equal_reference(m, n, eps):
     ``_bound`` admits exactly the pairs and summands that the reference
     lattice at eps, which takes eps's denominator into S, admits."""
     ms, ns = m.summands, n.summands
-    scale, reach, keys_m, keys_n = _lattice(*(_view(list(map(_ends, x))) for x in (ms, ns)))
+    scale, reach, *cols = _lattice(*(_view(list(map(_ends, x))) for x in (ms, ns)))
+    keys_m, keys_n = (list(zip(*c)) for c in cols)
     assert direct_lattice(ms, ns, 0) == (scale, reach, 0, keys_m, keys_n)
     _, _, w, ref_m, ref_n = direct_lattice(ms, ns, eps)
     bound = _bound(eps, scale, reach)
@@ -114,8 +115,8 @@ def test_run_keys_strictly_increase(pair):
     which every eps shares, their (lower, upper) keys strictly increase:
     the neighbour lists bisect the lower keys of a side as they come."""
     ends_m, ends_n = ([e for e, _ in x._ints] for x in pair)
-    _, _, keys_m, keys_n = _lattice(_view(ends_m), _view(ends_n))
-    for keys in (keys_m, keys_n):
+    _, _, cols_m, cols_n = _lattice(_view(ends_m), _view(ends_n))
+    for keys in (list(zip(*cols_m)), list(zip(*cols_n))):
         assert all(a < b for a, b in zip(keys, keys[1:])), keys
 
 

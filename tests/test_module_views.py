@@ -41,7 +41,7 @@ from oracles import (
     run_summands as runs,
     table_modules_eps_interleaved,
 )
-from strategies import deep_fractions, pooled_pairs, small_eps
+from strategies import deep_fractions, key_columns, pooled_pairs, small_eps
 
 
 # Denominators that no pooled interval has: before the lattice became the
@@ -59,11 +59,12 @@ def test_view_lattice_equals_direct_lattice(pair):
     m, n = pair
     for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
         scale, reach, _, keys_a, keys_b = direct_lattice(runs(a), runs(b), 0)
-        assert _lattice(a._lattice_view(), b._lattice_view()) == (scale, reach, keys_a, keys_b)
+        assert _lattice(a._lattice_view(), b._lattice_view()) == (
+            scale, reach, key_columns(*keys_a), key_columns(*keys_b))
     for x in pair:
-        lcm, reach, infinite, keys, ratios = x._lattice_view()
+        lcm, reach, infinite, cols, ratios = x._lattice_view()
         scale, alone_reach, _, alone_keys, _ = direct_lattice(runs(x), (), 0)
-        assert (4 * lcm, reach, keys) == (scale, alone_reach, alone_keys)
+        assert (4 * lcm, reach, cols) == (scale, alone_reach, key_columns(*alone_keys))
         assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
         values = [v.as_fraction if v.is_finite else Fraction(0)
                   for s in runs(x) for v in (s.lo.value, s.hi.value)]
@@ -76,9 +77,9 @@ def test_lcm_is_the_view_lcm_without_the_view(pair):
     the view is cached, it reads the view's."""
     for x in pair:
         fresh = PModule._of_runs(x._runs)
-        lcm = fresh._lcm()
+        lcm = fresh._lcm(bottleneck.BITS_CAP)
         assert fresh._view is None
-        assert lcm == fresh._lattice_view()[0] == fresh._lcm()
+        assert lcm == fresh._lattice_view()[0] == fresh._lcm(bottleneck.BITS_CAP)
 
 
 @given(pooled_pairs(), st.lists(small_eps | new_denominators | deep_fractions.map(abs),
@@ -101,9 +102,9 @@ def test_view_fields():
     m = PModule.of("(-inf,1/3)", "[1/4,5/6]", "[1/4,5/6]", "[2,2]")
     # S0 = 48: 1/3 -> 16, 1/4 -> 12, 5/6 -> 40, 2 -> 96; big0 = 8*96 + 2.
     # An infinity's value is 0 = 0/1.
-    assert m._lattice_view() == (12, 96, True, [(1 - 2 * 770, 31), (24, 80), (192, 192)],
+    assert m._lattice_view() == (12, 96, True, ([1 - 2 * 770, 24, 192], [31, 80, 192]),
                                  [0, 1, 1, 3, 1, 4, 5, 6, 2, 1, 2, 1])
-    assert PModule.zero()._lattice_view() == (1, 0, False, [], [])
+    assert PModule.zero()._lattice_view() == (1, 0, False, ([], []), [])
 
 
 def kernel_calls(m, n):

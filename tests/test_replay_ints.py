@@ -2,7 +2,7 @@
 integer text replays like the int it spells, while booleans and text off
 the grammar raise ValueError instead of running or failing on a type.  A
 case with a JSON float in a field, or without a field, raises ValueError
-too."""
+too, and so does a boolean in a rational field."""
 
 import random
 
@@ -56,6 +56,9 @@ def test_bool_is_not_an_int(flag):
      {"c": "0", "d": "1", "k": 3.0}),
     ("not-totally-bounded", "replicates-pairwise-half-diameter",
      {"c": 0.5, "d": "1", "k": 3}),
+    ("not-totally-bounded", "replicates-pairwise-half-diameter",
+     {"c": False, "d": "1", "k": 3}),
+    ("enveloping", "full-interval-attains-bound", {"c": True, "d": "2"}),
     ("cauchy-incomplete", "cauchy-distance-law", {"depth": 5.0}),
     ("cauchy-incomplete", "rank-witness-diverges", {"depth": 5.0}),
     ("cube-isometry", "cube-embedding-isometric", {"x": ["0"], "y": ["0"]}),

@@ -194,9 +194,9 @@ def test_decision_at_integer_eps_equals_erosion_reference():
         assert modules_eps_interleaved(m, n, eps) == (
             reference_modules_eps_interleaved(m, n, eps)
         ), (eps, m.to_json(), n.to_json())
-        scale, reach, keys_m, keys_n = _lattice(m._lattice_view(), n._lattice_view())
+        scale, reach, cols_m, cols_n = _lattice(m._lattice_view(), n._lattice_view())
         w = _bound(eps, scale, reach)
-        for (low_m, up_m), (low_n, up_n) in product(keys_m, keys_n):
+        for (low_m, up_m), (low_n, up_n) in product(zip(*cols_m), zip(*cols_n)):
             low, up = abs(low_m - low_n) - w, abs(up_m - up_n) - w
             if low <= 0:
                 edges.add(("upper", up))

@@ -2,7 +2,8 @@
 
 ``Endpoint`` and ``Interval`` compare and hash by their fields, are equal
 only to their own class, and refuse assignment.  They, ``ExtRational`` and
-``PModule`` survive ``copy`` and ``pickle``.  The records are named tuples
+``PModule`` survive ``copy`` and ``pickle``, and no boolean is read as a
+rational.  The records are named tuples
 with the field names, keyword construction and ``repr`` of the frozen
 dataclasses they replaced, which the tests rebuild as a reference.
 """
@@ -23,7 +24,11 @@ from persistd import (
     ExtRational,
     Interval,
     MatchingCertificate,
+    PModule,
     SuiteReport,
+    are_eps_interleaved,
+    interval,
+    modules_eps_interleaved,
     parse_interval,
 )
 from persistd.verify import PropertyCheck, PropertyResult
@@ -154,3 +159,17 @@ def test_property_check_defaults_to_randomized():
     check = PropertyCheck("p", len, bool)
     assert check.deterministic is False
     assert check == PropertyCheck(prop="p", generate=len, check=bool, deterministic=False)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_rationals(flag):
+    """``True`` and ``False`` are refused wherever a rational value is read,
+    with a ``TypeError`` as floats are, not read as 1 and 0."""
+    m, i = PModule.of("[0,1)"), parse_interval("[0,1)")
+    for call in (lambda: ExtRational(flag), lambda: interval(flag, 2), lambda: interval(-1, flag),
+                 lambda: modules_eps_interleaved(m, m, flag),
+                 lambda: are_eps_interleaved(i, i, flag), lambda: ExtRational(1) + flag):
+        with pytest.raises(TypeError, match="^booleans are not accepted"):
+            call()
+    # The int of the same value is still read.
+    assert modules_eps_interleaved(m, m, int(flag)) and are_eps_interleaved(i, i, int(flag))
