@@ -28,12 +28,16 @@ The distance is the least feasible class top 2C+1 = 4k + 1.  ``_search``
 finds it by a threshold search in the manner of Gabow and Tarjan: a probe
 at t, ``_matching_at``, returns the one bound it proves, the value of a
 matching when that is at most t, else a Koenig floor above t, and the
-bracket of class indices moves to that bound's class.  No candidate set is
-built, and the distance becomes an ``ExtRational`` once, at the end.  With
-no repeated summand, a probe pays only for the pairs that changed: the
-search's one matching carries each M run's term, the entry of its pair or
-its to-zero entry, and a feasible probe reads the entries of its new pairs
-alone.
+bracket of class indices moves to that bound's class.  When the two
+modules share a run or one is zero, the bracket's bottom starts at the
+class of a floor on the answer's entry, ``_shared_floor``, each run's
+least cost off its nearest key gaps, and the first probe is there: on
+stages of a witness family, which differ in a few runs, that is the
+answer.  No candidate set is built, and the distance becomes an
+``ExtRational`` once, at the end.  With no repeated summand, a probe pays
+only for the pairs that changed: the search's one matching carries each M
+run's term, the entry of its pair or its to-zero entry, and a feasible
+probe reads the entries of its new pairs alone.
 
 Every vertex is a run of a ``PModule``, an (ends, count) pair of ints:
 its endpoints as ``intervals._ends`` gives them, and its copy count.  Each
@@ -137,15 +141,17 @@ def _ranges(counts) -> list[range]:
 
 
 def _admit(m: PModule, n: PModule, table: bool):
-    """The pair's one road to its keys, (S, reach, cols_m, cols_n):
+    """The pair's one road to its keys, (S, reach, cols_m, cols_n, shares):
     ``interleaving._lattice`` of the two modules' cached views, in run
-    order.  Before either view is built, the pair is refused when B exceeds
-    ``BITS_CAP``, checked as the lcms fold, then when, with ``table``, B *
-    runs_m * runs_n exceeds ``TABLE_BUDGET``, or B * (runs_m + runs_n)
-    ``KEYS_BUDGET``, which every entry point checks, since each builds the
-    keys.  B reads each lcm off ``PModule._lcm``, which stops once the bits
-    so far pass the cap: M's alone, then N's added to them; the cap's
-    refusal then states a lower bound, and a budget's states B exactly."""
+    order, and whether a side has no run or the two share one, read off the
+    views' sets of run ends (``_search`` floors such a pair).  Before either
+    view is built, the pair is refused when B exceeds ``BITS_CAP``, checked
+    as the lcms fold, then when, with ``table``, B * runs_m * runs_n
+    exceeds ``TABLE_BUDGET``, or B * (runs_m + runs_n) ``KEYS_BUDGET``,
+    which every entry point checks, since each builds the keys.  B reads
+    each lcm off ``PModule._lcm``, which stops once the bits so far pass
+    the cap: M's alone, then N's added to them; the cap's refusal then
+    states a lower bound, and a budget's states B exactly."""
     runs_m, runs_n = len(m._ints), len(n._ints)
     bits_m = m._lcm(BITS_CAP).bit_length()
     bits = bits_m + n._lcm(BITS_CAP - bits_m).bit_length()
@@ -158,12 +164,15 @@ def _admit(m: PModule, n: PModule, table: bool):
         if bits * runs > budget:
             raise ValueError(f"{runs_m}+{runs_n} distinct summands on a lattice of {bits} bits "
                              f"exceed the {kind} budget {budget} ({bits * runs})")
-    return _lattice(m._lattice_view(), n._lattice_view())
+    view_m, view_n = m._lattice_view(), n._lattice_view()
+    ends_m, ends_n = view_m[5], view_n[5]
+    shares = not ends_m or not ends_n or not ends_m.isdisjoint(ends_n)
+    return (*_lattice(view_m, view_n), shares)
 
 
 def _pair(m: PModule, n: PModule, table: bool):
-    """The admitted pair: (S, reach, cols_m, cols_n, counts), ``_admit``'s
-    key columns and ``counts``, None when no summand repeats, else each
+    """The admitted pair: (S, reach, cols_m, cols_n, shares, counts),
+    ``_admit``'s and ``counts``, None when no summand repeats, else each
     side's copy counts by run.  Refuses more copies than the vertex cap before
     ``_admit`` runs."""
     size_m, size_n = len(m), len(n)
@@ -194,7 +203,7 @@ def _cost_tables(pair):
     table is built: every probe reads the entries it needs off the key
     columns.  The name stays only because the benchmark's layer tracer
     hooks it."""
-    _, _, cols_m, cols_n, _ = pair
+    cols_m, cols_n = pair[2:4]
     return _to_zero(cols_m), _to_zero(cols_n), cols_m, cols_n
 
 
@@ -757,7 +766,7 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     covers both sides' mandatory runs; the Hall set it gathers goes unread.
     The vertex cap, ``BITS_CAP`` and ``KEYS_BUDGET`` are checked before
     eps, which only ``_bound`` reads."""
-    scale, reach, cols_m, cols_n, counts = _pair(m, n, False)
+    scale, reach, cols_m, cols_n, _, counts = _pair(m, n, False)
     w = _bound(eps, scale, reach)
     dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
     match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(dtz_m), len(dtz_n)),
@@ -767,36 +776,79 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
             match(w, dtz_n, _Lists(cols_n, cols_m, w), *side_n, hall))
 
 
+def _nearest(keys, key: int, cap: int) -> int:
+    """The least gap between ``key`` and the sorted ints ``keys``, capped
+    at ``cap``."""
+    p = bisect_left(keys, key)
+    if p < len(keys) and keys[p] - key < cap:
+        cap = keys[p] - key
+    if p and key - keys[p - 1] < cap:
+        cap = key - keys[p - 1]
+    return cap
+
+
+def _shared_floor(dtz_m, dtz_n, cols_m, cols_n) -> int:
+    """L, a floor on the entry of the search's answer, off ``_cost_tables``'s
+    to-zero entries and key columns.  An entry of run i caps its larger key
+    gap by a to-zero entry at least h_i, run i's own, and deleting run i
+    costs h_i, so every matching pays at least min(h_i, the larger of run
+    i's nearest gaps to the other side's lower keys and to its upper keys,
+    each read alone).  L is the largest of these costs.  A run with an
+    identical partner on the other side costs at least 0, so only the runs
+    without one are read; against an empty side a run costs h_i."""
+    floor = 0
+    for dtz, (lows, ups), (other_lows, other_ups) in ((dtz_m, cols_m, cols_n),
+                                                      (dtz_n, cols_n, cols_m)):
+        shared = set(zip(other_lows, other_ups))
+        other_ups = sorted(other_ups)
+        for h, low, up in zip(dtz, lows, ups):
+            if h > floor and (low, up) not in shared:
+                cost = max(_nearest(other_lows, low, h), _nearest(other_ups, up, h))
+                if cost > floor:
+                    floor = cost
+    return floor
+
+
 def _search(pair, tables):
     """Binary search, on the admitted ``pair`` and its ``_cost_tables``
     ``tables``, for the least class index k whose top 4k + 1 a probe
     passes; feasibility is monotone in k.  No candidate set is built: every
     class below lo fails, class hi passes, and hi = reach + 1 stands for
-    +inf.  hi starts one class above
-    the largest to-zero entry's, where the empty matching passes, or at
-    reach + 1 when a to-zero entry exceeds 4*reach + 1.  Each probe is the
-    middle class of [lo, hi), or after two passing probes in a row, when lo
-    and hi differ by two bits or more, the middle of their bit lengths, so
-    a descent through many bits (Cauchy stages) takes the log of their
-    number of probes.  A probe at t returns the bound b it proves
+    +inf.  hi starts one class above the largest to-zero entry's, where the
+    empty matching passes, or at reach + 1 when a to-zero entry exceeds
+    4*reach + 1.  lo starts at 0, or, when the pair shares a run or a side
+    has none (``_admit``), at the class (L + 2) >> 2 of the floor L of
+    ``_shared_floor``, capped at hi, the first class whose top reaches L.
+    Such a pair differs in a few runs, as a witness family's stages do, and
+    L is often the answer's entry: its first probe is at class lo, and a
+    floor that meets hi makes no probe.  Every other probe is the middle
+    class of [lo, hi), or after two passing probes in a row, when lo and hi
+    differ by two bits or more, the middle of their bit lengths, so a
+    descent through many bits (Cauchy stages) takes the log of their number
+    of probes.  A probe at t returns the bound b it proves
     (``_matching_at``), and the bracket moves to b's class k = (b + 2) >> 2,
-    the first whose top reaches b: lo = k when b > t, else hi = k.
-    With no repeated run, the probes' seeds carry the term of each M run,
-    which starts as its to-zero entry, since the matching starts empty.
-    Returns (distance, the answer's top), or (+inf, None) when no finite
-    threshold is feasible."""
-    scale, reach, _, _, counts = pair
+    the first whose top reaches b: lo = k when b > t, else hi = k.  With no
+    repeated run, the probes' seeds carry the term of each M run, which
+    starts as its to-zero entry, since the matching starts empty.  Returns
+    (distance, the answer's top), or (+inf, None) when no finite threshold
+    is feasible."""
+    scale, reach, _, _, floored, counts = pair
     dtz_m, dtz_n, _, _ = tables
     seeds = _unseeded(counts, len(dtz_m), len(dtz_n))
     if counts is None:
         seeds += (list(dtz_m),)
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, reach) + 1
+    if floored:
+        lo = min(_shared_floor(*tables) + 2 >> 2, hi)
     # Feasible probes in a row: after two, the answer may lie many bits
     # below, and the probe bisects the bit lengths of lo and hi.
     drops = 0
     while lo < hi:
-        a, b = lo.bit_length(), hi.bit_length()
-        mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
+        if floored:
+            mid, floored = lo, False
+        else:
+            a, b = lo.bit_length(), hi.bit_length()
+            mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
         top = 4 * mid + 1
         bound = _matching_at(*tables, top, seeds, counts)
         k = bound + 2 >> 2
@@ -845,7 +897,7 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     d, top = _search(pair, tables)
     if top is None:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
-    counts = pair[4]
+    counts = pair[5]
     ranges = None if counts is None else (_ranges(counts[0]), _ranges(counts[1]))
     matching = _unit_merge(
         _copy_cover(top, dtz_m, _Lists(cols_m, cols_n, top), len(n), ranges),
@@ -879,7 +931,7 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     if len(m._ints) + len(n._ints) > MATCH_CAP:
         raise ValueError(f"certificate on {len(m._ints)}+{len(n._ints)} distinct summands "
                          f"exceeds the vertex cap {MATCH_CAP}")
-    scale, reach, cols_m, cols_n = _admit(m, n, False)
+    scale, reach, cols_m, cols_n, _ = _admit(m, n, False)
     top = _bound(t.as_fraction, scale, reach) | 1
     dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
     run_m, run_n = ([r for r, (_, k) in enumerate(x._ints) for _ in range(k)] for x in (m, n))

@@ -23,7 +23,8 @@ entry off the pair's keys when it needs it.
 A side's keys are two int columns, (lower keys, upper keys) by run.  They
 start from a ``_view`` of each sequence of runs: its own lcm and its key
 columns at its own scale, read once from the ints the runs hold
-(``intervals._ends``).  A ``PModule`` keeps the view of its runs, so the
+(``intervals._ends``), and the set of those ends, which tells whether two
+modules share a run.  A ``PModule`` keeps the view of its runs, so the
 kernel reads each module's runs once however many distances and decisions
 it takes part in, and never builds an ``Interval`` or a ``Fraction`` of
 them; ``_lattice`` only rescales the columns of each side to the pair's
@@ -44,10 +45,11 @@ def _view(runs) -> tuple:
     """The integer view of a sequence of ``intervals._ends`` tuples at its
     own scale S0 = 4*lcm(their finite denominators): (that lcm, reach,
     whether an endpoint is infinite, the key columns (lower keys, upper
-    keys) of the runs as ``_lattice`` keys the sequence alone, and the
+    keys) of the runs as ``_lattice`` keys the sequence alone, the
     numerator and denominator of every endpoint value, flat, in run order,
-    0 and 1 for an infinity).  Every |key| of a finite endpoint is at most
-    2*reach + 1, and every infinite one is larger."""
+    0 and 1 for an infinity, and the set of the runs' ends, which tells
+    whether two sequences share a run).  Every |key| of a finite endpoint
+    is at most 2*reach + 1, and every infinite one is larger."""
     ends = [p for e in runs for p in (e[:3], e[4:7])]
     dens = [den for sign, _, den in ends if not sign]
     lcm = math.lcm(*set(dens))
@@ -61,7 +63,8 @@ def _view(runs) -> tuple:
     # e[3] is 1 for an open lower endpoint, e[7] 1 for a closed upper one.
     lows = [2 * lo + e[3] for e, lo in zip(runs, points[::2])]
     ups = [2 * hi - 1 + e[7] for e, hi in zip(runs, points[1::2])]
-    return lcm, reach, infinite, (lows, ups), [r for _, num, den in ends for r in (num, den)]
+    return (lcm, reach, infinite, (lows, ups), [r for _, num, den in ends for r in (num, den)],
+            frozenset(runs))
 
 
 def _rescaled(view, scale: int, big: int) -> tuple:
@@ -73,7 +76,7 @@ def _rescaled(view, scale: int, big: int) -> tuple:
     num * (2S // den) +- d at S: a big int divided by a small one and
     multiplied by a small one, where scaling the view's own key would
     multiply two big ints when both sides' lcms are large and coprime."""
-    lcm, reach, infinite, cols, ratios = view
+    lcm, reach, infinite, cols, ratios, _ = view
     if scale == 4 * lcm and not infinite:
         return cols
     lim = 2 * reach + 1
@@ -147,7 +150,7 @@ def _entry(i: Interval, j: Interval):
     """The one table entry of the pair, as (entry, S, reach), read on one
     throwaway view of both intervals' ints."""
     ms, ns = (() if i.is_empty else (_ends(i),)), (() if j.is_empty else (_ends(j),))
-    lcm, reach, _, (lows, ups), _ = _view((*ms, *ns))
+    lcm, reach, _, (lows, ups), _, _ = _view((*ms, *ns))
     r = _key_entry((lows[0], ups[0]) if ms else None, (lows[-1], ups[-1]) if ns else None)
     return r, 4 * lcm, reach
 

@@ -366,12 +366,12 @@ class PModule:
 
 
 def parse_module(data: str | bytes) -> PModule:
-    """Parse the module JSON format; errors carry the failing position."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse the module JSON format; errors carry the failing position.
+    Bytes that are not UTF-8, and an integer longer than the interpreter's
+    int-to-text digit limit, are invalid module JSON too."""
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:
         raise ModuleFormatError(f"invalid module JSON: {exc}") from exc
     except RecursionError:
         raise ModuleFormatError("invalid module JSON: nested too deeply") from None

@@ -58,9 +58,18 @@ def flow(adj, sent, room, need) -> int:
     return bottleneck._flow(adj, sent, room, need, [])
 
 
-def search_top(keys, reach, counts=None):
-    """The top of the class the search finds on any ``keys``, None for +inf."""
-    return bottleneck._search((1, reach, None, None, counts), keys)[1]
+def search_top(keys, reach, counts=None, floored=False):
+    """The top of the class the search finds on any ``keys``, None for +inf;
+    with ``floored``, the search starts at its shared-run floor."""
+    return bottleneck._search((1, reach, None, None, floored, counts), keys)[1]
+
+
+def search_floor(m, n):
+    """The floor L on the answer's entry that the search of m and n starts
+    from, or None when the pair gets none: they share no run and neither
+    is zero."""
+    pair = bottleneck._pair(m, n, True)
+    return bottleneck._shared_floor(*bottleneck._cost_tables(pair)) if pair[4] else None
 
 
 def patch_lattice(monkeypatch, replacement):

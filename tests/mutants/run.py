@@ -56,6 +56,7 @@ KERNEL_TESTS = (
     "test_module_views.py",
     "test_parse_order.py",
     "test_families.py",
+    "test_shared_floor.py",
 )
 
 # Seconds one mutant's test run may take; an unmutated run takes about 40.
@@ -278,6 +279,25 @@ MUTANTS = (
     Mutant("hi-without-plus-one", BN,
            "+ 1 >> 2, reach) + 1", "+ 1 >> 2, reach)", False,
            "hi starts at the largest to-zero entry's class, or reach for +inf"),
+    # The shared-run floor the search starts from.
+    Mutant("shared-floor-class-too-high", BN,
+           "lo = min(_shared_floor(*tables) + 2 >> 2, hi)",
+           "lo = min((_shared_floor(*tables) + 2 >> 2) + 1, hi)", False,
+           "lo starts one class above the floor's, past the answer when the floor is tight"),
+    Mutant("shared-floor-min-gap", BN,
+           "cost = max(_nearest(other_lows, low, h), _nearest(other_ups, up, h))",
+           "cost = min(_nearest(other_lows, low, h), _nearest(other_ups, up, h))", False,
+           "a run's cost takes the smaller of its two nearest key gaps, not the larger"),
+    Mutant("shared-floor-reads-shared-runs", BN,
+           "if h > floor and (low, up) not in shared:", "if h > floor:", True,
+           "the floor also reads the runs with an identical partner, each of cost 0"),
+    Mutant("shared-floor-skips-other-shared-runs", BN,
+           "        other_ups = sorted(other_ups)\n",
+           "        own = set(zip(lows, ups))\n"
+           "        kept = [key for key in zip(other_lows, other_ups) if key not in own]\n"
+           "        other_lows, other_ups = [x for x, _ in kept], sorted(y for _, y in kept)\n",
+           False,
+           "a run's nearest gaps leave out the other side's runs that this side shares"),
     Mutant("search-walks-every-bit", BN,
            "mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2",
            "mid = (lo + hi) // 2", False,

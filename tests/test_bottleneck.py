@@ -27,7 +27,7 @@ from persistd import bottleneck
 from persistd.verify import random_interval, random_module
 
 from kernel_seam import (Chain, Matcher, check_probe, hopcroft_karp, patch_lattice, recording,
-                         run_keys)
+                         run_keys, search_floor)
 from oracles import (
     candidate_values,
     column_table,
@@ -609,11 +609,17 @@ def test_search_probes_equal_full_probes(m, n):
     summands, which stand for their table (``oracles.column_table``), and
     the full probes on the table of copies, where an unseeded copy-level
     probe on distinct summands gives the same matching.  The certificate's
-    matching is that of an unseeded full probe at the answer's top."""
-    costs, dtz_m, dtz_n, scale, _, _ = key_table(m.summands, n.summands)
+    matching is that of an unseeded full probe at the answer's top.  Only
+    a search whose shared-run floor L meets hi makes no probe: the answer
+    is then L's class, (L + 2) >> 2, or +inf when L is."""
+    costs, dtz_m, dtz_n, scale, fin, _ = key_table(m.summands, n.summands)
     with recording() as rec:
         d = module_distance(m, n)
-    assert rec.probes and d == reference_module_distance(m, n)
+    assert d == reference_module_distance(m, n)
+    if not rec.probes:
+        floor = search_floor(m, n)
+        assert floor is not None, (m.to_json(), n.to_json())
+        assert floor > fin if not d.is_finite else 2 * (floor + 2 >> 2) == scale * d.as_fraction
     for probe in rec.probes:
         full = full_probe(costs, dtz_m, dtz_n, probe.t)
         run_costs = column_table(*probe.keys)

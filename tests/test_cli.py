@@ -448,6 +448,27 @@ def test_deeply_nested_module_json_is_usage_error(capsys, tmp_path):
     assert err == "error: invalid module JSON: nested too deeply\n"
 
 
+def test_module_bytes_not_utf8_are_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"summands": [{"interval": "[0,1)\u00e9"}]}'.encode("latin-1"))
+    code, out, err = run(capsys, "dist", str(path), str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: invalid module JSON: 'utf-8' codec can't decode byte 0xe9 in "
+                   "position 33: invalid continuation byte\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int-to-text digit limit")
+def test_multiplicity_past_the_digit_limit_is_usage_error(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits() + 1
+    path = tmp_path / "long.json"
+    path.write_text('{"summands": [{"interval": "[0,1)", "multiplicity": 1%s}]}'
+                    % ("0" * (digits - 1)))
+    code, out, err = run(capsys, "dist", str(path), str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid module JSON: ") and f"{digits} digits" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -55,14 +55,16 @@ def test_view_lattice_equals_direct_lattice(pair):
     """On the cached views, ``_lattice`` returns what the lattice built from
     the endpoint fractions returns at eps 0, in every pairing, with each
     view already used at the scales before; and the view's own keys, the
-    module alone, stay as they were."""
+    module alone, stay as they were.  The view's set of run ends is that of
+    the module's runs."""
     m, n = pair
     for a, b in ((m, n), (n, m), (m, m), (m, PModule.zero())):
         scale, reach, _, keys_a, keys_b = direct_lattice(runs(a), runs(b), 0)
         assert _lattice(a._lattice_view(), b._lattice_view()) == (
             scale, reach, key_columns(*keys_a), key_columns(*keys_b))
     for x in pair:
-        lcm, reach, infinite, cols, ratios = x._lattice_view()
+        lcm, reach, infinite, cols, ratios, ends = x._lattice_view()
+        assert ends == {e for e, _ in x._ints}
         scale, alone_reach, _, alone_keys, _ = direct_lattice(runs(x), (), 0)
         assert (4 * lcm, reach, cols) == (scale, alone_reach, key_columns(*alone_keys))
         assert infinite == any(not v.is_finite for s in runs(x) for v in (s.lo.value, s.hi.value))
@@ -102,9 +104,12 @@ def test_view_fields():
     m = PModule.of("(-inf,1/3)", "[1/4,5/6]", "[1/4,5/6]", "[2,2]")
     # S0 = 48: 1/3 -> 16, 1/4 -> 12, 5/6 -> 40, 2 -> 96; big0 = 8*96 + 2.
     # An infinity's value is 0 = 0/1.
+    # A run's ends: per endpoint its sign, numerator, denominator and
+    # decoration, 1 for an open lower or a closed upper endpoint.
+    ends = {(-1, 0, 1, 1, 0, 1, 3, 0), (0, 1, 4, 0, 0, 5, 6, 1), (0, 2, 1, 0, 0, 2, 1, 1)}
     assert m._lattice_view() == (12, 96, True, ([1 - 2 * 770, 24, 192], [31, 80, 192]),
-                                 [0, 1, 1, 3, 1, 4, 5, 6, 2, 1, 2, 1])
-    assert PModule.zero()._lattice_view() == (1, 0, False, ([], []), [])
+                                 [0, 1, 1, 3, 1, 4, 5, 6, 2, 1, 2, 1], ends)
+    assert PModule.zero()._lattice_view() == (1, 0, False, ([], []), [], set())
 
 
 def kernel_calls(m, n):

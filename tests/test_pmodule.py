@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,19 @@ class TestJson:
     def test_json_error_reports_location(self):
         with pytest.raises(ModuleFormatError, match="line"):
             parse_module('{"summands": [,]}')
+
+    def test_bytes_not_utf8_are_invalid_json(self):
+        with pytest.raises(ModuleFormatError, match="^invalid module JSON: 'utf-8' codec can't "
+                                                    "decode byte 0xff in position 33"):
+            parse_module(b'{"summands": [{"interval": "[0,1)\xff"}]}')
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter has no int-to-text digit limit")
+    def test_integer_past_the_digit_limit_is_invalid_json(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ModuleFormatError, match=f"^invalid module JSON: .*{digits} digits"):
+            parse_module('{"summands": [{"interval": "[0,1)", "multiplicity": 1%s}]}'
+                         % ("0" * (digits - 1)))
 
 
 def test_parsing_builds_no_fraction(monkeypatch, calls):

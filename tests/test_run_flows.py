@@ -18,7 +18,7 @@ from persistd import (
     modules_eps_interleaved,
 )
 
-from kernel_seam import Chain, check_probe, flow, hopcroft_karp, recording, run_keys
+from kernel_seam import Chain, check_probe, flow, hopcroft_karp, recording, run_keys, search_floor
 from oracles import (
     copy_hopcroft_karp,
     copy_merge,
@@ -197,10 +197,11 @@ def test_jump_bound_covers_the_merge(pair):
     full probe fails just below the floor it returns, which lies above t,
     and the room each side's flow leaves adds up after every probe.  The
     search's bracket of class indices moves exactly as V and the floors
-    say: each probe is the middle of the bracket the probes before
-    leave, by bit length after two feasible probes in a row while lo and
-    hi differ by two bits or more, and the distance is the class the last
-    one leaves."""
+    say: lo starts at the class of the shared-run floor, when the pair
+    gets one, and the first probe is there; each other probe is the middle
+    of the bracket the probes before leave, by bit length after two
+    feasible probes in a row while lo and hi differ by two bits or more,
+    and the distance is the class the last one leaves."""
     m, n = pair
     costs, dtz_m, dtz_n, scale, fin, counts = run_table(m, n)
     if counts is None:
@@ -212,12 +213,17 @@ def test_jump_bound_covers_the_merge(pair):
     # A class k has the top 4k + 1; (r + 2) >> 2 is the first class whose
     # top reaches r, and reach + 1 = (fin >> 2) + 1 stands for +inf.
     lo, hi = 0, min(max([0, *dtz_m, *dtz_n]) + 1 >> 2, fin >> 2) + 1
+    floor = search_floor(m, n)
+    if floor is not None:
+        lo = min(floor + 2 >> 2, hi)
     drops = 0
     for probe in rec.probes:
         check_probe(probe, costs)
         t, bound = probe.t, probe.bound
         a, b = lo.bit_length(), hi.bit_length()
         mid = 1 << (a + b - 1) // 2 if drops > 1 and b - a > 1 else (lo + hi) // 2
+        if floor is not None and probe is rec.probes[0]:
+            mid = lo
         assert lo <= mid < hi and t == 4 * mid + 1
         if bound > t:
             lo, drops = bound + 2 >> 2, 0
