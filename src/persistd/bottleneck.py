@@ -19,10 +19,14 @@ run, rescaled to the pair's S when that is not the view's own; every
 entry, box query and floor reads them.
 Every entry point admits its pair once, through ``_admit``, the only
 caller of ``_lattice``, which checks fixed work budgets before any view is
-built; ``_pair`` checks the vertex cap before it.  The entry of a pair of
-runs, ``interleaving._key_entry``, is 2C-1, 2C or 2C+1 for the scaled
-undecorated cost C, the last when the infimum is not attained.  No table
-of entries is built: each is read off the two runs' keys when needed.
+built and returns the pair's one set-up record, a ``_Pair``: S, reach,
+the key columns, whether the two modules share a run, and their copy
+counts.  Every entry point, the search and the certificate check read its
+fields by name; ``_pair`` checks the vertex cap before ``_admit`` runs.
+The entry of a pair of runs, ``interleaving._key_entry``, is 2C-1, 2C or
+2C+1 for the scaled undecorated cost C, the last when the infimum is not
+attained.  No table of entries is built: each is read off the two runs'
+keys when needed.
 
 The distance is the least feasible class top 2C+1 = 4k + 1.  ``_search``
 finds it by a threshold search in the manner of Gabow and Tarjan: a probe
@@ -140,18 +144,35 @@ def _ranges(counts) -> list[range]:
     return [range(end - k, end) for end, k in zip(accumulate(counts), counts)]
 
 
-def _admit(m: PModule, n: PModule, table: bool):
-    """The pair's one road to its keys, (S, reach, cols_m, cols_n, shares):
-    ``interleaving._lattice`` of the two modules' cached views, in run
-    order, and whether a side has no run or the two share one, read off the
-    views' sets of run ends (``_search`` floors such a pair).  Before either
-    view is built, the pair is refused when B exceeds ``BITS_CAP``, checked
-    as the lcms fold, then when, with ``table``, B * runs_m * runs_n
-    exceeds ``TABLE_BUDGET``, or B * (runs_m + runs_n) ``KEYS_BUDGET``,
-    which every entry point checks, since each builds the keys.  B reads
-    each lcm off ``PModule._lcm``, which stops once the bits so far pass
-    the cap: M's alone, then N's added to them; the cap's refusal then
-    states a lower bound, and a budget's states B exactly."""
+class _Pair(NamedTuple):
+    """The admitted pair of modules, M and N, as every entry point, the
+    search and the certificate check read it: ``scale`` S and ``reach``
+    and each side's key columns ``cols_m`` and ``cols_n`` (lower keys,
+    upper keys) by run, from ``interleaving._lattice``; ``shares``, whether
+    a side has no run or the two share one (``_search`` floors such a
+    pair); and ``counts``, None when no summand repeats, else each side's
+    copy counts by run.  ``_admit`` alone builds it."""
+
+    scale: int
+    reach: int
+    cols_m: tuple
+    cols_n: tuple
+    shares: bool
+    counts: tuple | None
+
+
+def _admit(m: PModule, n: PModule, table: bool) -> _Pair:
+    """The pair's one road to its keys, and the one builder of its
+    ``_Pair``: the ``interleaving._lattice`` of the two modules' cached
+    views, in run order, whether a side has no run or the two share one,
+    read off the views' sets of run ends, and their copy counts.  Before
+    either view is built, the pair is refused when B exceeds ``BITS_CAP``,
+    checked as the lcms fold, then when, with ``table``, B * runs_m *
+    runs_n exceeds ``TABLE_BUDGET``, or B * (runs_m + runs_n)
+    ``KEYS_BUDGET``, which every entry point checks, since each builds the
+    keys.  B reads each lcm off ``PModule._lcm``, which stops once the bits
+    so far pass the cap: M's alone, then N's added to them; the cap's
+    refusal then states a lower bound, and a budget's states B exactly."""
     runs_m, runs_n = len(m._ints), len(n._ints)
     bits_m = m._lcm(BITS_CAP).bit_length()
     bits = bits_m + n._lcm(BITS_CAP - bits_m).bit_length()
@@ -167,22 +188,20 @@ def _admit(m: PModule, n: PModule, table: bool):
     view_m, view_n = m._lattice_view(), n._lattice_view()
     ends_m, ends_n = view_m[5], view_n[5]
     shares = not ends_m or not ends_n or not ends_m.isdisjoint(ends_n)
-    return (*_lattice(view_m, view_n), shares)
+    counts = None
+    if len(m) != runs_m or len(n) != runs_n:
+        counts = [k for _, k in m._ints], [k for _, k in n._ints]
+    return _Pair(*_lattice(view_m, view_n), shares, counts)
 
 
-def _pair(m: PModule, n: PModule, table: bool):
-    """The admitted pair: (S, reach, cols_m, cols_n, shares, counts),
-    ``_admit``'s and ``counts``, None when no summand repeats, else each
-    side's copy counts by run.  Refuses more copies than the vertex cap before
-    ``_admit`` runs."""
+def _pair(m: PModule, n: PModule, table: bool) -> _Pair:
+    """The ``_Pair`` of a distance, certificate or eps-decision,
+    ``_admit``'s, after refusing more copies than the vertex cap."""
     size_m, size_n = len(m), len(n)
     if size_m + size_n > MATCH_CAP:
         raise ValueError(f"matching on {size_m}+{size_n} summands exceeds the vertex "
                          f"cap {MATCH_CAP}")
-    counts = None
-    if size_m != len(m._ints) or size_n != len(n._ints):
-        counts = [k for _, k in m._ints], [k for _, k in n._ints]
-    return (*_admit(m, n, table), counts)
+    return _admit(m, n, table)
 
 
 def _to_zero(cols) -> list[int]:
@@ -192,19 +211,19 @@ def _to_zero(cols) -> list[int]:
     return [(up - low) // 2 + 1 for low, up in zip(lows, ups)]
 
 
-def _cost_tables(pair):
-    """The search's one per-pair set-up, on the key columns of a ``_pair``
-    admitted against the table budget: (dtz_m, dtz_n, cols_m, cols_n), each
-    side's to-zero entries (``_to_zero``) and its key columns as ``_pair``
-    gives them, built once per distance or certificate, which reads its
-    matching off the same set-up after the search.  Runs come in canonical
-    order, in which their keys strictly increase: the lower keys are sorted,
-    and so are the upper keys of the runs of one lower key.  No pairwise
+def _cost_tables(pair: _Pair):
+    """The search's one per-pair set-up, on the key columns of a ``_Pair``
+    admitted against the table budget: the plain lists the probes read,
+    (dtz_m, dtz_n, cols_m, cols_n), each side's to-zero entries
+    (``_to_zero``) and the record's key columns, built once per distance or
+    certificate, which reads its matching off the same set-up after the
+    search.  Runs come in canonical order, in which their keys strictly
+    increase: the lower keys are sorted, and so are the upper keys of the
+    runs of one lower key.  No pairwise
     table is built: every probe reads the entries it needs off the key
     columns.  The name stays only because the benchmark's layer tracer
     hooks it."""
-    cols_m, cols_n = pair[2:4]
-    return _to_zero(cols_m), _to_zero(cols_n), cols_m, cols_n
+    return _to_zero(pair.cols_m), _to_zero(pair.cols_n), pair.cols_m, pair.cols_n
 
 
 def _entries(pairs, dtz_m, dtz_n, cols_m, cols_n) -> list[int]:
@@ -677,10 +696,10 @@ def _sides(dtz_m, dtz_n, seeds, counts):
 
 def _matching_at(dtz_m, dtz_n, cols_m, cols_n, t, seeds, counts) -> int:
     """The probe at t on ``_cost_tables``'s to-zero entries and key
-    columns, every vertex a run and ``counts`` ``_pair``'s: the one bound b
-    it proves.  The pair shape's matcher (``_sides``) runs on M's side and
-    then on N's, from ``seeds``, and must match every copy of the side's
-    runs of to-zero entry > t over the pairs of entry <= t.  b > t is the
+    columns, every vertex a run and ``counts`` the ``_Pair``'s: the one
+    bound b it proves.  The pair shape's matcher (``_sides``) runs on M's
+    side and then on N's, from ``seeds``, and must match every copy of the
+    side's runs of to-zero entry > t over the pairs of entry <= t.  b > t is the
     Koenig floor of the first side that fails (``_floor``): every probe
     below b fails too.  b <= t is the value of what the probe leaves in
     ``seeds``, the largest of the entries of the edges it uses
@@ -766,8 +785,9 @@ def modules_eps_interleaved(m: PModule, n: PModule, eps: Rational) -> bool:
     covers both sides' mandatory runs; the Hall set it gathers goes unread.
     The vertex cap, ``BITS_CAP`` and ``KEYS_BUDGET`` are checked before
     eps, which only ``_bound`` reads."""
-    scale, reach, cols_m, cols_n, _, counts = _pair(m, n, False)
-    w = _bound(eps, scale, reach)
+    pair = _pair(m, n, False)
+    w = _bound(eps, pair.scale, pair.reach)
+    cols_m, cols_n, counts = pair.cols_m, pair.cols_n, pair.counts
     dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
     match, side_m, side_n = _sides(dtz_m, dtz_n, _unseeded(counts, len(dtz_m), len(dtz_n)),
                                    counts)
@@ -809,30 +829,30 @@ def _shared_floor(dtz_m, dtz_n, cols_m, cols_n) -> int:
     return floor
 
 
-def _search(pair, tables):
-    """Binary search, on the admitted ``pair`` and its ``_cost_tables``
-    ``tables``, for the least class index k whose top 4k + 1 a probe
-    passes; feasibility is monotone in k.  No candidate set is built: every
-    class below lo fails, class hi passes, and hi = reach + 1 stands for
-    +inf.  hi starts one class above the largest to-zero entry's, where the
-    empty matching passes, or at reach + 1 when a to-zero entry exceeds
-    4*reach + 1.  lo starts at 0, or, when the pair shares a run or a side
-    has none (``_admit``), at the class (L + 2) >> 2 of the floor L of
-    ``_shared_floor``, capped at hi, the first class whose top reaches L.
-    Such a pair differs in a few runs, as a witness family's stages do, and
-    L is often the answer's entry: its first probe is at class lo, and a
-    floor that meets hi makes no probe.  Every other probe is the middle
-    class of [lo, hi), or after two passing probes in a row, when lo and hi
-    differ by two bits or more, the middle of their bit lengths, so a
-    descent through many bits (Cauchy stages) takes the log of their number
-    of probes.  A probe at t returns the bound b it proves
+def _search(pair: _Pair, tables):
+    """Binary search, on the admitted ``_Pair`` and its ``_cost_tables``
+    ``tables``, the plain lists every probe reads, for the least class
+    index k whose top 4k + 1 a probe passes; feasibility is monotone in k.
+    No candidate set is built: every class below lo fails, class hi
+    passes, and hi = reach + 1 stands for +inf.  hi starts one class above
+    the largest to-zero entry's, where the empty matching passes, or at
+    reach + 1 when a to-zero entry exceeds 4*reach + 1.  lo starts at 0,
+    or, when the pair shares a run or a side has none (``shares``), at the
+    class (L + 2) >> 2 of the floor L of ``_shared_floor``, capped at hi,
+    the first class whose top reaches L.  Such a pair differs in a few
+    runs, as a witness family's stages do, and L is often the answer's
+    entry: its first probe is at class lo, and a floor that meets hi makes
+    no probe.  Every other probe is the middle class of [lo, hi), or after
+    two passing probes in a row, when lo and hi differ by two bits or more,
+    the middle of their bit lengths, so a descent through many bits (Cauchy
+    stages) takes the log of their number of probes.  A probe at t returns the bound b it proves
     (``_matching_at``), and the bracket moves to b's class k = (b + 2) >> 2,
     the first whose top reaches b: lo = k when b > t, else hi = k.  With no
     repeated run, the probes' seeds carry the term of each M run, which
     starts as its to-zero entry, since the matching starts empty.  Returns
     (distance, the answer's top), or (+inf, None) when no finite threshold
     is feasible."""
-    scale, reach, _, _, floored, counts = pair
+    reach, floored, counts = pair.reach, pair.shares, pair.counts
     dtz_m, dtz_n, _, _ = tables
     seeds = _unseeded(counts, len(dtz_m), len(dtz_n))
     if counts is None:
@@ -858,7 +878,7 @@ def _search(pair, tables):
             hi, drops = k, drops + 1
     if hi > reach:
         return POS_INF, None
-    return ExtRational(Fraction(2 * hi, scale)), 4 * hi + 1
+    return ExtRational(Fraction(2 * hi, pair.scale)), 4 * hi + 1
 
 
 def module_distance(m: PModule, n: PModule) -> ExtRational:
@@ -897,7 +917,7 @@ def distance_certificate(m: PModule, n: PModule) -> MatchingCertificate:
     d, top = _search(pair, tables)
     if top is None:
         raise InfiniteDistanceError("the modules are infinitely far apart; no certificate exists")
-    counts = pair[5]
+    counts = pair.counts
     ranges = None if counts is None else (_ranges(counts[0]), _ranges(counts[1]))
     matching = _unit_merge(
         _copy_cover(top, dtz_m, _Lists(cols_m, cols_n, top), len(n), ranges),
@@ -931,8 +951,9 @@ def verify_certificate(m: PModule, n: PModule, cert: MatchingCertificate) -> boo
     if len(m._ints) + len(n._ints) > MATCH_CAP:
         raise ValueError(f"certificate on {len(m._ints)}+{len(n._ints)} distinct summands "
                          f"exceeds the vertex cap {MATCH_CAP}")
-    scale, reach, cols_m, cols_n, _ = _admit(m, n, False)
-    top = _bound(t.as_fraction, scale, reach) | 1
+    pair = _admit(m, n, False)
+    top = _bound(t.as_fraction, pair.scale, pair.reach) | 1
+    cols_m, cols_n = pair.cols_m, pair.cols_n
     dtz_m, dtz_n = _to_zero(cols_m), _to_zero(cols_n)
     run_m, run_n = ([r for r, (_, k) in enumerate(x._ints) for _ in range(k)] for x in (m, n))
     pairs = {(run_m[i], run_n[j]) for i, j in cert.pairs}

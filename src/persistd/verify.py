@@ -176,15 +176,26 @@ _MAX_FAMILY_SIZE = 64
 # The most summands of one module that ``N`` (cube-isometry), ``length``
 # (binary-discrete) and ``max_summands`` (the random-module suites) can ask
 # for; one distance between two modules of this size takes about a second.
+# A replayed case's dimension ``n``, coordinates ``x`` and ``y`` and bits
+# ``alpha`` and ``beta`` are held to it before any module is built.
 _MAX_MODULE_SIZE = 1000
 
 
-def _case_size(case: dict, key: str) -> int:
-    """The int field ``key`` of a case, at most ``_MAX_FAMILY_SIZE``."""
+def _case_size(case: dict, key: str, most: int) -> int:
+    """The int field ``key`` of a case, at most ``most``."""
     size = _as_int(case[key])
-    if size > _MAX_FAMILY_SIZE:
-        raise ValueError(f"{key} must be at most {_MAX_FAMILY_SIZE}, got {size}")
+    if size > most:
+        raise ValueError(f"{key} must be at most {most}, got {size}")
     return size
+
+
+def _case_list(case: dict, key: str) -> list:
+    """The list field ``key`` of a case, of at most ``_MAX_MODULE_SIZE``
+    values."""
+    values = case[key]
+    if len(values) > _MAX_MODULE_SIZE:
+        raise ValueError(f"{key} takes at most {_MAX_MODULE_SIZE} values, got {len(values)}")
+    return values
 
 
 class PropertyCheck(NamedTuple):
@@ -331,9 +342,9 @@ def _gen_cube_pair(rng, params, trial):
 
 
 def _check_cube_isometry(case) -> bool:
-    n = _as_int(case["n"])
-    x = [_as_fraction(v) for v in case["x"]]
-    y = [_as_fraction(v) for v in case["y"]]
+    n = _case_size(case, "n", _MAX_MODULE_SIZE)
+    x = [_as_fraction(v) for v in _case_list(case, "x")]
+    y = [_as_fraction(v) for v in _case_list(case, "y")]
     expected = ExtRational(max(abs(a - b) for a, b in zip(x, y)))
     got = bottleneck.module_distance(cube_point_module(n, x), cube_point_module(n, y))
     return got == expected
@@ -350,13 +361,13 @@ def _gen_bit_pair(rng, params, trial):
 
 
 def _check_bits_distance_one(case) -> bool:
-    a = binary_sequence_module(case["alpha"])
-    b = binary_sequence_module(case["beta"])
+    alpha, beta = _case_list(case, "alpha"), _case_list(case, "beta")
+    a, b = binary_sequence_module(alpha), binary_sequence_module(beta)
     return bottleneck.module_distance(a, b) == ExtRational(1)
 
 
 def _check_bits_distance_zero(case) -> bool:
-    a = binary_sequence_module(case["alpha"])
+    a = binary_sequence_module(_case_list(case, "alpha"))
     return bottleneck.module_distance(a, binary_sequence_module(case["alpha"])) == ZERO
 
 
@@ -365,7 +376,8 @@ def _gen_ntb(rng, params, trial):
 
 
 def _check_ntb(case) -> bool:
-    c, d, k = _as_fraction(case["c"]), _as_fraction(case["d"]), _case_size(case, "k")
+    c, d = _as_fraction(case["c"]), _as_fraction(case["d"])
+    k = _case_size(case, "k", _MAX_FAMILY_SIZE)
     half = ExtRational(Fraction(d - c, 2))
     piece = interval(c, d, "[)")
     mods = [replicate(piece, n) for n in range(k + 1)]
@@ -417,7 +429,7 @@ def _gen_contraction(rng, params, trial):
 def _check_contraction_lipschitz(case) -> bool:
     m = PModule.from_json_obj(case["m"])
     s, t = _as_fraction(case["s"]), _as_fraction(case["t"])
-    h_max = max((x.diameter().half() for x in m.summands), default=ZERO)
+    h_max = max((x.diameter().half() for x, _ in m._runs), default=ZERO)
     bound = ExtRational((t - s) * h_max.as_fraction)
     got = bottleneck.module_distance(m.contraction_path(s), m.contraction_path(t))
     return got <= bound
@@ -480,7 +492,7 @@ def _gen_depth(rng, params, trial):
 
 
 def _check_cauchy_distances(case) -> bool:
-    depth = _case_size(case, "depth")
+    depth = _case_size(case, "depth", _MAX_FAMILY_SIZE)
     stages = [cauchy_witness(n) for n in range(depth + 1)]
     for n in range(depth + 1):
         for m in range(n + 1, depth + 1):
@@ -491,7 +503,7 @@ def _check_cauchy_distances(case) -> bool:
 
 
 def _check_cauchy_rank_growth(case) -> bool:
-    depth = _case_size(case, "depth")
+    depth = _case_size(case, "depth", _MAX_FAMILY_SIZE)
     if depth < 4:
         return False
     counts = []

@@ -61,7 +61,9 @@ def flow(adj, sent, room, need) -> int:
 def search_top(keys, reach, counts=None, floored=False):
     """The top of the class the search finds on any ``keys``, None for +inf;
     with ``floored``, the search starts at its shared-run floor."""
-    return bottleneck._search((1, reach, None, None, floored, counts), keys)[1]
+    pair = bottleneck._Pair(scale=1, reach=reach, cols_m=keys[2], cols_n=keys[3],
+                            shares=floored, counts=counts)
+    return bottleneck._search(pair, keys)[1]
 
 
 def search_floor(m, n):
@@ -69,7 +71,15 @@ def search_floor(m, n):
     from, or None when the pair gets none: they share no run and neither
     is zero."""
     pair = bottleneck._pair(m, n, True)
-    return bottleneck._shared_floor(*bottleneck._cost_tables(pair)) if pair[4] else None
+    return bottleneck._shared_floor(*bottleneck._cost_tables(pair)) if pair.shares else None
+
+
+def admitted(m, n) -> tuple:
+    """The admitted pair of m and n by each road: the distance's,
+    certificate's and decision's, then the certificate check's.  Each is a
+    record of fields ``scale``, ``reach``, ``cols_m``, ``cols_n``,
+    ``shares`` and ``counts``."""
+    return bottleneck._pair(m, n, True), bottleneck._admit(m, n, False)
 
 
 def patch_lattice(monkeypatch, replacement):

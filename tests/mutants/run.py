@@ -327,6 +327,14 @@ MUTANTS = (
     Mutant("bit-cap-ge", BN,
            "if bits > BITS_CAP:", "if bits >= BITS_CAP:", False,
            "the bit cap refuses a lattice of exactly its bits"),
+    # The set-up record that ``_admit`` builds for every entry point.
+    Mutant("admit-counts-m-only", BN,
+           "if len(m) != runs_m or len(n) != runs_n:", "if len(m) != runs_m:", False,
+           "the pair gets copy counts only when M repeats a summand"),
+    Mutant("shares-ignores-zero-side", BN,
+           "shares = not ends_m or not ends_n or not ends_m.isdisjoint(ends_n)",
+           "shares = not ends_m.isdisjoint(ends_n)", False,
+           "a pair with a zero side gets no shared-run floor"),
     # The parser's int runs and their canonical order.
     Mutant("parse-skips-gcd", IV,
            "return 0, num // g, den // g", "return 0, num, den", False,

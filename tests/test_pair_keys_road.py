@@ -54,7 +54,8 @@ def test_only_the_pair_road_builds_lattices():
 
 @pytest.mark.parametrize("source", [
     "def _cost_tables(pair):\n    return _lattice(m._lattice_view(), n._lattice_view())",
-    "def _pair(m, n, table):\n    return (*_lattice(m._lattice_view(), n._lattice_view()), None)",
+    "def _pair(m, n, table):\n"
+    "    return _Pair(*_lattice(m._lattice_view(), n._lattice_view()), False, None)",
     "def verify_certificate(m, n, cert):\n    keys = _lattice(m._lattice_view(), n._lattice_view())",
     "def decide(m, n):\n    keys = interleaving._lattice(a, b)",
     "view = m._lattice_view()",
@@ -65,10 +66,11 @@ def test_guard_sees_each_stray_call(source):
 
 
 def test_guard_passes_the_roads_and_other_calls():
-    source = ("def _admit(m, n, table):\n    return _lattice(m._lattice_view(), n._lattice_view())\n"
-              "def _pair(m, n, table):\n    return (*_admit(m, n, table), None)\n"
-              "def verify_certificate(m, n, cert):\n    keys = _admit(m, n, False)\n"
-              "def _search(pair):\n    return _cost_tables(pair), lattice(m)\n")
+    source = ("def _admit(m, n, table):\n"
+              "    return _Pair(*_lattice(m._lattice_view(), n._lattice_view()), False, None)\n"
+              "def _pair(m, n, table):\n    return _admit(m, n, table)\n"
+              "def verify_certificate(m, n, cert):\n    pair = _admit(m, n, False)\n"
+              "def _search(pair, tables):\n    return _cost_tables(pair), lattice(m)\n")
     assert stray_callers(ast.parse(source)) == []
 
 

@@ -23,7 +23,7 @@ from persistd import (
 )
 from persistd.verify import random_module
 
-from kernel_seam import recording, search_floor
+from kernel_seam import admitted, recording, search_floor
 from oracles import full_probe, reference_module_distance, run_summands, run_table
 from strategies import pooled_pairs
 
@@ -58,6 +58,38 @@ def test_floor_never_exceeds_the_answer(pair, zero):
     d = reference_module_distance(m, n)
     assert not d.is_finite or 2 * (floor + 2 >> 2) <= scale * d.as_fraction
     assert module_distance(m, n) == d
+
+
+def copy_counts(m) -> list[int]:
+    """m's copy count of each run, in run order."""
+    return [m.summands.count(s) for s in run_summands(m)]
+
+
+@given(pooled_pairs(max_count=3),
+       st.sampled_from(["pair", "copies on n only", "copies on m only", "zero m", "zero n"]))
+@settings(max_examples=200, deadline=None)
+def test_both_roads_admit_one_record(pair, variant):
+    """Over one pool, with infinite ends and shared runs, where M or N or
+    both repeat a summand or a side is zero: the pair's record holds copy
+    counts exactly when a side repeats one, each side's by run; it shares
+    exactly when a side is zero or the two share a run; and the road of the
+    distance, certificate and decision gives the record that the road of
+    the certificate check does."""
+    m, n = pair
+    if variant == "copies on n only":
+        m = PModule(run_summands(m))
+    elif variant == "copies on m only":
+        n = PModule(run_summands(n))
+    elif variant == "zero m":
+        m = PModule.zero()
+    elif variant == "zero n":
+        n = PModule.zero()
+    record, checked = admitted(m, n)
+    assert record == checked
+    repeats = len(m) > len(run_summands(m)) or len(n) > len(run_summands(n))
+    assert record.counts == ((copy_counts(m), copy_counts(n)) if repeats else None)
+    shares = set(run_summands(m)) & set(run_summands(n))
+    assert record.shares == bool(m.is_zero or n.is_zero or shares)
 
 
 def test_floor_reads_both_key_gaps():

@@ -179,6 +179,57 @@ class TestBudgets:
         with pytest.raises(ValueError, match=r"at most 2 summands a side, got 2\+3$"):
             pv.bruteforce_module_distance(PModule.of("[0,1)", "[1,2)"), PModule.of(*["(0,1)"] * 3))
 
+    LIPSCHITZ = ("contraction-lipschitz", "path-lipschitz-bound")
+    BITS = [("binary-discrete", "distinct-sequences-distance-one"),
+            ("binary-discrete", "equal-sequences-distance-zero")]
+    CUBE = ("cube-isometry", "cube-embedding-isometric")
+
+    def test_lipschitz_bound_reads_one_diameter_a_run(self, monkeypatch):
+        """The bound's largest half-diameter is read off the runs, so a
+        stored run of a million copies reaches the vertex cap's refusal
+        without a summand tuple of a million copies."""
+        def no_copies(module):
+            raise AssertionError("every summand copy built for the Lipschitz bound")
+
+        three = {"summands": [{"interval": "[0,4)", "multiplicity": 3}]}
+        monkeypatch.setattr(pv.PModule, "summands", property(no_copies))
+        assert replay(*self.LIPSCHITZ, {"m": three, "s": "1/4", "t": "1/2"})
+        big = {"summands": [{"interval": "[0,1)", "multiplicity": 10**6}]}
+        with pytest.raises(ValueError, match=r"1000000\+1000000 summands exceeds the vertex cap"):
+            replay(*self.LIPSCHITZ, {"m": big, "s": "0", "t": "1/2"})
+
+    def test_oversized_bit_sequences_are_refused(self, monkeypatch, no_module_building):
+        """A stored bit sequence is held to ``length``'s bound before any
+        module is built."""
+        monkeypatch.setattr(pv, "_MAX_MODULE_SIZE", 5)
+        for prop in self.BITS:
+            with pytest.raises(ValueError, match="alpha takes at most 5 values, got 6$"):
+                replay(*prop, {"alpha": [0, 1, 0, 1, 1, 0], "beta": [0, 1, 0, 1, 1]})
+        with pytest.raises(ValueError, match="beta takes at most 5 values, got 10000000$"):
+            replay(*self.BITS[0], {"alpha": [0, 1], "beta": [1] * 10**7})
+
+    def test_bit_sequence_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pv, "_MAX_MODULE_SIZE", 5)
+        for prop in self.BITS:
+            assert replay(*prop, {"alpha": [0, 1, 0, 1, 1], "beta": [1, 1, 0, 1, 0]})
+
+    def test_oversized_cube_cases_are_refused(self, monkeypatch, no_module_building):
+        """A stored cube case's dimension and coordinate lists are held to
+        ``N``'s bound before any module is built."""
+        with pytest.raises(ValueError, match="n must be at most 1000, got 1000000$"):
+            replay(*self.CUBE, {"n": 10**6, "x": ["0"], "y": ["0"]})
+        monkeypatch.setattr(pv, "_MAX_MODULE_SIZE", 2)
+        with pytest.raises(ValueError, match="n must be at most 2, got 3$"):
+            replay(*self.CUBE, {"n": 3, "x": ["0"] * 3, "y": ["0"] * 3})
+        for key in "xy":
+            case = {"n": 2, "x": ["0", "0"], "y": ["0", "0"], key: ["0"] * 3}
+            with pytest.raises(ValueError, match=f"{key} takes at most 2 values, got 3$"):
+                replay(*self.CUBE, case)
+
+    def test_cube_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pv, "_MAX_MODULE_SIZE", 2)
+        assert replay(*self.CUBE, {"n": 2, "x": ["0", "1/1000"], "y": ["1/1000", "0"]})
+
 
 def test_params_accepted_as_strings():
     report = run_suite("cube-isometry", seed=0, trials=4, params={"N": "2"})
